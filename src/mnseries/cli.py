@@ -113,15 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_guard(args, name, value, where=""):
+    if value is not None and value > GUARDS[name] and not getattr(args, "unsafe_bounds", False):
+        raise GuardLimitError(
+            f"{name}={value}{where} exceeds the guard limit {GUARDS[name]} "
+            "(pass --unsafe-bounds to override)"
+        )
+
+
 def _check_guards(args):
-    if getattr(args, "unsafe_bounds", False):
-        return
     for name in ("L", "D", "N"):
-        value = getattr(args, name, None)
-        if value is not None and value > GUARDS[name]:
-            raise GuardLimitError(
-                f"{name}={value} exceeds the guard limit {GUARDS[name]} (pass --unsafe-bounds to override)"
-            )
+        _check_guard(args, name, getattr(args, name, None))
 
 
 def _digest(payload: dict) -> str:
@@ -247,10 +249,8 @@ def _run_magnus(args) -> int:
         seen.setdefault(key, w)
         images.append({
             "word": str(w),
-            "terms": [
-                [img.context.weight(g), img.context.format_element(g), img.field.format(coeff)]
-                for g, coeff in img.sorted_terms()
-            ],
+            "terms": [[weight, elem_s, img.field.format(coeff)]
+                      for weight, elem_s, coeff in img.rows()],
         })
     payload = {
         "command": "magnus",
@@ -269,6 +269,7 @@ def _run_expand(args) -> int:
     with open(args.series_file) as handle:
         text = handle.read()
     series = from_text(text, registry.resolve_monoid, registry.resolve_crossed)
+    _check_guard(args, "D", series.degree, " in the series-file header")
     if args.invert:
         series = series.invert()
     rendered = to_text(series)

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .groups import enumerate_monoid
+from .groups import digit_expansion, enumerate_monoid
 from .linalg import rank_and_left_nullspace
 from .magnus import LETTERS, enumerate_reduced_words
 from .scalars import field_of, rational_power
@@ -183,24 +183,6 @@ def digit_sum_check(r: Fraction, max_exponent: int) -> FreenessReport:
 # ping-pong on the semidirect product
 
 
-def _digit_expansion(q: Fraction, r: int):
-    """Base-r expansion of a positive integer q with digits restricted to
-    {0,1}; returns the exponent list or None. Valid for integer r >= 2."""
-    if q.denominator != 1 or q <= 0:
-        return None
-    value = q.numerator
-    exponents = []
-    position = 0
-    while value:
-        value, digit = divmod(value, r)
-        if digit == 1:
-            exponents.append(position)
-        elif digit != 0:
-            return None
-        position += 1
-    return exponents
-
-
 def pingpong_check(group, t_value: Fraction, max_length: int) -> FreenessReport:
     """Certify the two-generator ping-pong on the semidirect product: orbit
     elements of the seed t*x^0 under words in {tx, x} must stay inside the
@@ -224,7 +206,7 @@ def pingpong_check(group, t_value: Fraction, max_length: int) -> FreenessReport:
     def in_A(g):
         if g.n < 0:
             return None
-        return _digit_expansion(g.h / t_value, r_int)
+        return digit_expansion(g.h / t_value, r_int)
 
     orbit = [seed]
     level = [seed]
@@ -363,10 +345,10 @@ def group_algebra_independence(units, max_length: int, degree: int | None = None
             images[w.letters] = prefix * factor
         ordered_images.append(images[w.letters])
 
-    columns = sorted(
-        {g for img in ordered_images for g in img.terms},
-        key=lambda g: (ctx.weight(g), ctx.format_element(g)),
-    )
+    weights = {}
+    for img in ordered_images:
+        weights.update(img.weights)
+    columns = sorted(weights, key=lambda g: (weights[g], ctx.format_element(g)))
     col_index = {g: j for j, g in enumerate(columns)}
     zero = fld.zero
     matrix = []

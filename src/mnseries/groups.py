@@ -175,8 +175,9 @@ def digit_sum_subset(q: Fraction, ratio: Fraction, max_exponent: int):
     """Exponents 0 <= e <= max_exponent with sum of distinct ratio**e equal to q.
 
     Returns the ascending exponent tuple or None. Searches top exponent first
-    with interval pruning; for ratio >= 2 or ratio <= 1/2 the representation
-    is unique and the search is effectively greedy.
+    with interval pruning. For integer ratios >= 2 the representation is the
+    base-r expansion with digits in {0,1}; digit_expansion answers that case
+    without a search.
     """
     if q < 0:
         return None
@@ -207,6 +208,25 @@ def digit_sum_subset(q: Fraction, ratio: Fraction, max_exponent: int):
     if result is None:
         return None
     return tuple(sorted(result))
+
+
+def digit_expansion(q: Fraction, r: int):
+    """Base-r expansion of a positive integer q with digits restricted to
+    {0,1}; returns the ascending exponent list or None. Valid for integer
+    r >= 2, where such a representation is unique when it exists."""
+    if q.denominator != 1 or q <= 0:
+        return None
+    value = q.numerator
+    exponents = []
+    position = 0
+    while value:
+        value, digit = divmod(value, r)
+        if digit == 1:
+            exponents.append(position)
+        elif digit != 0:
+            return None
+        position += 1
+    return exponents
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +376,11 @@ class SemidirectGroup:
             return True
         if g.n == 0:
             return False
-        return digit_sum_subset(g.h / self.t_value, self.ratio, g.n - 1) is not None
+        q = g.h / self.t_value
+        if self.ratio.denominator == 1 and self.ratio >= 2:
+            digits = digit_expansion(q, self.ratio.numerator)
+            return digits is not None and digits[-1] <= g.n - 1
+        return digit_sum_subset(q, self.ratio, g.n - 1) is not None
 
     def weight(self, g) -> int:
         if not self.in_monoid(g):

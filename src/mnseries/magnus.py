@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .groups import NotInMonoidError
 from .scalars import QQ
 from .series import GradedSeries
 
@@ -47,6 +48,8 @@ class FreeMonoid:
         return self.contains(w)
 
     def weight(self, w) -> int:
+        if not self.contains(w):
+            raise NotInMonoidError(f"{w!r} is not a word over {self.alphabet!r}")
         return len(w)
 
     def format_element(self, w) -> str:

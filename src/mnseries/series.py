@@ -13,13 +13,22 @@ Multiplication follows the crossed-product rule: the coefficient of x in f*g
 is the sum of twist(y,z) * action(z)(a_y) * b_z over factorizations yz = x.
 A series with no attached system multiplies as a plain (monoid or group)
 ring element.
+
+Every series stores the weight of each of its terms beside the term map. A
+context's weight is computed once, when a term enters through validation;
+products add the weights of their factors (the weight is additive) and every
+other operation copies them across, so arithmetic never asks the context
+again. For the semidirect monoids the weight is a membership search, which
+is what makes this worth keeping.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
+from .groups import NotInMonoidError
 from .scalars import field_of, parse_scalar, QQ
 
 
@@ -56,6 +65,8 @@ class GroupRing:
         return self.group.contains(g)
 
     def weight(self, g) -> int:
+        if not self.in_monoid(g):
+            raise NotInMonoidError(f"{g} is outside {self.id}")
         return 0
 
     def format_element(self, g) -> str:
@@ -92,6 +103,8 @@ class SubgroupRing:
         return self.group.contains(g) and self.group.subgroup_contains(self.subgroup_tag, g)
 
     def weight(self, g) -> int:
+        if not self.in_monoid(g):
+            raise NotInMonoidError(f"{g} is outside {self.id}")
         return 0
 
     def format_element(self, g) -> str:
@@ -107,17 +120,23 @@ def _system_id(system) -> str:
 
 class GradedSeries:
     """Finite term map from support elements to nonzero scalars, truncated at
-    a fixed degree. Immutable by convention; operations return new series."""
+    a fixed degree, with the weight of every term in a parallel map. Immutable
+    by convention; operations return new series.
 
-    __slots__ = ("context", "degree", "field", "system", "terms")
+    With validate, each term is checked and its weight computed here, once.
+    Without it the caller vouches for the terms; weights, when given, must map
+    each element of terms to its weight, and are computed when omitted."""
 
-    def __init__(self, context, degree, terms, field, system=None, validate=True):
+    __slots__ = ("context", "degree", "field", "system", "terms", "weights")
+
+    def __init__(self, context, degree, terms, field, system=None, validate=True, weights=None):
         self.context = context
         self.degree = int(degree)
         self.field = field
         self.system = system
         if validate:
             clean = {}
+            weights = {}
             if self.degree < 0:
                 raise ValueError("degree must be nonnegative")
             if system is not None and getattr(system, "group", None) is not None:
@@ -129,22 +148,28 @@ class GradedSeries:
             for g, coeff in terms.items():
                 if not coeff:
                     continue
-                if not context.in_monoid(g):
+                try:
+                    w = context.weight(g)
+                except NotInMonoidError:
                     raise ValueError(
                         f"support element {context.format_element(g)} outside context {context.id}"
-                    )
+                    ) from None
                 if field is not None and not field.contains(coeff):
                     raise ContextMismatchError(
                         f"coefficient {coeff!r} is not in field {field.name}"
                     )
-                if context.weight(g) > self.degree:
+                if w > self.degree:
                     raise ValueError(
                         f"term {context.format_element(g)} exceeds degree {self.degree}"
                     )
                 clean[g] = coeff
+                weights[g] = w
             self.terms = clean
         else:
             self.terms = terms
+            if weights is None:
+                weights = {g: context.weight(g) for g in terms}
+        self.weights = weights
 
     # -- constructors ------------------------------------------------------
 
@@ -203,17 +228,8 @@ class GradedSeries:
 
     def key(self):
         """Canonical hashable key: the sorted term list."""
-        ctx = self.context
-        return (
-            ctx.id,
-            self.degree,
-            tuple(
-                sorted(
-                    ((ctx.weight(g), ctx.format_element(g), self.field.format(c))
-                     for g, c in self.terms.items())
-                )
-            ),
-        )
+        fmt = self.field.format
+        return (self.context.id, self.degree, tuple((w, s, fmt(c)) for w, s, c in self.rows()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -227,19 +243,21 @@ class GradedSeries:
     def support(self):
         return set(self.terms)
 
-    def sorted_terms(self):
-        ctx = self.context
-        return sorted(
-            self.terms.items(), key=lambda kv: (ctx.weight(kv[0]), ctx.format_element(kv[0]))
-        )
+    def rows(self):
+        """(weight, element string, coefficient) triples in canonical
+        (weight, element string) order."""
+        fmt = self.context.format_element
+        weights = self.weights
+        return sorted(((weights[g], fmt(g), c) for g, c in self.terms.items()),
+                      key=itemgetter(0, 1))
 
     def __repr__(self):
         if not self.terms:
             body = "0"
         else:
             parts = []
-            for g, c in self.sorted_terms()[:6]:
-                parts.append(f"{self.field.format(c)}*{self.context.format_element(g)}")
+            for _, elem_s, c in self.rows()[:6]:
+                parts.append(f"{self.field.format(c)}*{elem_s}")
             body = " + ".join(parts)
             if len(self.terms) > 6:
                 body += " + ..."
@@ -250,13 +268,19 @@ class GradedSeries:
     def __add__(self, other):
         self._compatible(other)
         terms = dict(self.terms)
+        weights = dict(self.weights)
+        zero = self.field.zero
+        other_weights = other.weights
         for g, c in other.terms.items():
-            s = terms.get(g, self.field.zero) + c
+            s = terms.get(g, zero) + c
             if s:
                 terms[g] = s
+                weights[g] = other_weights[g]
             else:
                 terms.pop(g, None)
-        return GradedSeries(self.context, self.degree, terms, self.field, self.system, validate=False)
+                weights.pop(g, None)
+        return GradedSeries(self.context, self.degree, terms, self.field, self.system,
+                            validate=False, weights=weights)
 
     def __neg__(self):
         return GradedSeries(
@@ -266,6 +290,7 @@ class GradedSeries:
             self.field,
             self.system,
             validate=False,
+            weights=self.weights,
         )
 
     def __sub__(self, other):
@@ -284,81 +309,118 @@ class GradedSeries:
             self.field,
             self.system,
             validate=False,
+            weights=self.weights,
         )
 
     def __mul__(self, other):
         self._compatible(other)
         ctx = self.context
+        multiply = ctx.multiply
         field = self.field
+        zero = field.zero
         system = self.system
         degree = self.degree
         out = {}
-        graded = ctx.graded
-        left = [(g, ctx.weight(g), c) for g, c in self.terms.items()]
+        weights = {}
+        # by ascending weight, so the scan over the left factor stops at the
+        # first term whose product with h would exceed the degree
+        left_weights = self.weights
+        left = sorted(((left_weights[g], g, c) for g, c in self.terms.items()), key=itemgetter(0))
+        right_weights = other.weights
         for h, b in other.terms.items():
-            wh = ctx.weight(h)
-            for g, wg, a in left:
-                if graded and wg + wh > degree:
-                    continue
-                x = ctx.multiply(g, h)
+            wh = right_weights[h]
+            for wg, g, a in left:
+                w = wg + wh
+                if w > degree:
+                    break
+                x = multiply(g, h)
                 if system is None:
                     contrib = a * b
                 else:
                     contrib = system.twist(g, h) * system.action(h, a) * b
-                s = out.get(x, field.zero) + contrib
+                s = out.get(x, zero) + contrib
                 if s:
                     out[x] = s
+                    weights[x] = w
                 else:
                     out.pop(x, None)
-        return GradedSeries(ctx, degree, out, field, system, validate=False)
+        if len(weights) != len(out):
+            weights = {x: weights[x] for x in out}
+        return GradedSeries(ctx, degree, out, field, system, validate=False, weights=weights)
 
     def truncated(self, new_degree: int):
         """Explicit copy at a lower degree; refuses to drop nothing silently."""
         if new_degree > self.degree:
             raise ValueError("use with_degree to raise the degree")
-        ctx = self.context
-        terms = {g: c for g, c in self.terms.items() if ctx.weight(g) <= new_degree}
-        return GradedSeries(ctx, new_degree, terms, self.field, self.system, validate=False)
+        weights = self.weights
+        terms = {g: c for g, c in self.terms.items() if weights[g] <= new_degree}
+        return GradedSeries(self.context, new_degree, terms, self.field, self.system,
+                            validate=False, weights={g: weights[g] for g in terms})
 
     def with_degree(self, new_degree: int):
         """Recontextualize at a higher degree (terms are unchanged)."""
         if new_degree < self.degree:
             raise ValueError("use truncated to lower the degree")
-        return GradedSeries(self.context, new_degree, dict(self.terms), self.field, self.system, validate=False)
+        return GradedSeries(self.context, new_degree, dict(self.terms), self.field, self.system,
+                            validate=False, weights=dict(self.weights))
 
     def invert(self):
         """Truncated two-sided inverse, defined when the identity coefficient
-        is a nonzero scalar. Writes f = (1 + n) * (identity * u) with n of
-        strictly positive weight and expands the geometric series to the
-        truncation degree."""
-        if not self.context.graded:
+        is a nonzero scalar u. Writes f = (1 + n) * (identity * u) with n of
+        strictly positive weight and sums the powers of -n up to the
+        truncation degree in one term map. The factor u^-1 goes on the left:
+        a termwise scale under the trivial system, whose coefficients commute
+        with every term, and a series product under a crossed system, whose
+        action moves it."""
+        ctx = self.context
+        if not ctx.graded:
             raise NoTruncatedInverseError(
                 "no truncated inverse: ungraded context has no positive-weight split"
             )
         u = self.identity_coefficient()
         if not u:
             raise NoTruncatedInverseError("no truncated inverse: identity coefficient is zero")
-        ident = self.context.identity()
-        u_inv = self.field.one / u
-        n_terms = {g: c * u_inv for g, c in self.terms.items() if g != ident}
-        n = GradedSeries(self.context, self.degree, n_terms, self.field, self.system, validate=False)
-        geom = GradedSeries.one(self.context, self.degree, self.field, self.system)
-        power = geom
-        for _ in range(self.degree):
-            power = (-n) * power
+        field = self.field
+        zero = field.zero
+        degree = self.degree
+        system = self.system
+        ident = ctx.identity()
+        u_inv = field.one / u
+        step_terms = {g: -(c * u_inv) for g, c in self.terms.items() if g != ident}
+        step = GradedSeries(ctx, degree, step_terms, field, system, validate=False,
+                            weights={g: self.weights[g] for g in step_terms})
+        terms = {ident: field.one}
+        weights = {ident: 0}
+        power = GradedSeries.one(ctx, degree, field, system)
+        for _ in range(degree):
+            power = step * power
             if not power:
                 break
-            geom = geom + power
-        lead = GradedSeries.from_scalar(self.context, self.degree, u_inv, self.field, self.system)
+            power_weights = power.weights
+            for g, c in power.terms.items():
+                s = terms.get(g, zero) + c
+                if s:
+                    terms[g] = s
+                    weights[g] = power_weights[g]
+                else:
+                    terms.pop(g, None)
+        if len(weights) != len(terms):
+            weights = {g: weights[g] for g in terms}
+        geom = GradedSeries(ctx, degree, terms, field, system, validate=False, weights=weights)
+        if _is_trivial(system):
+            return geom.scale(u_inv)
+        lead = GradedSeries.from_scalar(ctx, degree, u_inv, field, system)
         return lead * geom
+
+
+def _is_trivial(system) -> bool:
+    return system is None or getattr(system, "is_trivial", False)
 
 
 def _same_system(a, b) -> bool:
     if a is b:
         return True
-    a_trivial = a is None or getattr(a, "is_trivial", False)
-    b_trivial = b is None or getattr(b, "is_trivial", False)
-    if a_trivial and b_trivial:
+    if _is_trivial(a) and _is_trivial(b):
         # the support contexts are compared separately, so any two trivial
         # systems over the same field are interchangeable
         return True
@@ -518,8 +580,9 @@ def to_text(f: GradedSeries) -> str:
     (weight, element string), under a header naming monoid, degree and
     crossed system."""
     lines = [f"monoid={f.context.id} D={f.degree} crossed={_system_id(f.system)}"]
-    for g, c in f.sorted_terms():
-        lines.append(f"{f.context.weight(g)}\t{f.context.format_element(g)}\t{f.field.format(c)}")
+    fmt = f.field.format
+    for w, elem_s, c in f.rows():
+        lines.append(f"{w}\t{elem_s}\t{fmt(c)}")
     return "\n".join(lines) + "\n"
 
 
@@ -560,8 +623,6 @@ def from_text(text: str, monoid_resolver, crossed_resolver=None):
     for w, elem_s, g, coeff in parsed:
         if field_of(coeff) != field:
             raise ValueError("mixed coefficient fields in series file")
-        if context.weight(g) != w:
-            raise ValueError(f"declared weight {w} does not match element {elem_s}")
         key = (w, elem_s)
         if previous is not None and key <= previous:
             raise ValueError("series file terms are not in canonical (weight, element) order")
@@ -577,4 +638,9 @@ def from_text(text: str, monoid_resolver, crossed_resolver=None):
         if crossed_resolver is None:
             raise ValueError(f"no resolver for crossed system {crossed_id!r}")
         system = crossed_resolver(crossed_id, context, field)
-    return GradedSeries(context, degree, terms, field, system)
+    # validation computes each term's weight, the one membership search per term
+    series = GradedSeries(context, degree, terms, field, system)
+    for w, elem_s, g, _ in parsed:
+        if series.weights[g] != w:
+            raise ValueError(f"declared weight {w} does not match element {elem_s}")
+    return series

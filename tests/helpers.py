@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own arithmetic: Heisenberg
 products go through literal 3x3 matrix multiplication, semidirect products
 through the affine 2x2 representation, and wreath products through a direct
-dict-shift implementation.
+dict-shift implementation. The series oracle inverts by the plain geometric
+expansion, built only from the public series operations.
 """
 
 from mnseries.groups import HeisenbergElement, SemidirectElement, WreathElement
@@ -75,3 +76,32 @@ def assert_one(series):
     assert list(series.terms) == [ident] and series.terms[ident] == series.field.one, (
         f"expected the unit series, got {series!r}"
     )
+
+
+# --- series oracles ----------------------------------------------------------
+
+def reference_invert(f):
+    """Slow reference for GradedSeries.invert: write f = (1 + n) * (1 * u) and
+    return (1 * u^-1) * (1 - n + n^2 - ...), every power a full series product
+    and every partial sum a full series sum."""
+    ctx, degree, field, system = f.context, f.degree, f.field, f.system
+    ident = ctx.identity()
+    u_inv = field.one / f.coefficient(ident)
+    n = GradedSeries(ctx, degree, {g: c * u_inv for g, c in f.terms.items() if g != ident},
+                     field, system)
+    geom = GradedSeries.one(ctx, degree, field, system)
+    power = geom
+    for _ in range(degree):
+        power = (-n) * power
+        if not power:
+            break
+        geom = geom + power
+    return GradedSeries.from_scalar(ctx, degree, u_inv, field, system) * geom
+
+
+def assert_weights(series):
+    """The stored weights cover exactly the terms and agree with the context."""
+    ctx = series.context
+    assert set(series.weights) == set(series.terms), f"weights and terms disagree in {series!r}"
+    for g, w in series.weights.items():
+        assert w == ctx.weight(g), f"stored weight {w} for {ctx.format_element(g)}"

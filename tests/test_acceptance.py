@@ -263,6 +263,22 @@ DOCUMENTED_COMMANDS = (
 )
 
 
+# Series files whose `expand --invert` reports are pinned by digest: two runs
+# of one build agreeing cannot show that a change to the series core kept the
+# report bytes, a fixed digest can. The digests are those of the
+# geometric-expansion inversion (params: --format json --seed 5, these names).
+PINNED_EXPANDS = (
+    ("bs12-inv.mns",
+     "monoid=bs12 D=12 crossed=trivial\n0\tB(0/1,0)@r=2/1\t2\n1\tB(1/1,1)@r=2/1\t-1\n"
+     "2\tB(2/1,2)@r=2/1\t1/2\n3\tB(0/1,3)@r=2/1\t-3/2\n",
+     "2bcda597d5c6cf47"),
+    ("quad-inv.mns",
+     "monoid=z D=12 crossed=quadratic-conj-Z\n0\tZ(0)\t1+1*sqrt(2)\n1\tZ(1)\t-1/2+1*sqrt(2)\n"
+     "2\tZ(2)\t1-2*sqrt(2)\n3\tZ(3)\t1/2+1/2*sqrt(2)\n",
+     "f139c3b06041e863"),
+)
+
+
 def _run_captured(argv):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
@@ -278,6 +294,13 @@ def test_criterion_12_cli_determinism(tmp_path):
         commands = DOCUMENTED_COMMANDS + (
             ("expand", "--series-file", str(expand_src), "--invert"),
         )
+        pinned = {}
+        for name, text, digest in PINNED_EXPANDS:
+            path = tmp_path / name
+            path.write_text(text)
+            argv = ("expand", "--series-file", str(path), "--invert")
+            commands += (argv,)
+            pinned[argv] = digest
         for argv in commands:
             for fmt in ("json", "text"):
                 first_code, first_out = _run_captured(argv + ("--format", fmt, "--seed", "5"))
@@ -287,3 +310,5 @@ def test_criterion_12_cli_determinism(tmp_path):
             code, out = _run_captured(argv + ("--format", "json", "--seed", "5"))
             report = json.loads(out)
             assert report["schema"] == "mnseries-report/1"
+            if argv in pinned:
+                assert code == 0 and report["digest"] == pinned[argv], argv

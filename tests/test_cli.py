@@ -4,7 +4,7 @@ import re
 import pytest
 
 from mnseries import cli
-from mnseries.series import from_text
+from mnseries.series import GradedSeries, from_text
 from mnseries.registry import resolve_crossed, resolve_monoid
 
 
@@ -178,6 +178,33 @@ def test_guard_limits_exit_65_and_override(capsys):
     code, report = run_json(capsys, "verify-group-algebra", "--c", "1", "--d", "1",
                             "--L", "1", "--D", "13", "--unsafe-bounds")
     assert code == 0 and report["bounds"]["D"] == 13
+
+
+def test_guard_applies_to_series_file_degree(tmp_path, capsys, monkeypatch):
+    # inverting this file at D=40 would need 2^41 terms; the header's degree is
+    # guarded before any inversion starts, so one that starts fails the test
+    def no_inversion(self):
+        raise RuntimeError("inversion started past the degree guard")
+
+    monkeypatch.setattr(GradedSeries, "invert", no_inversion)
+    big = tmp_path / "big.mns"
+    big.write_text("monoid=free:2 D=40 crossed=trivial\n0\t1\t1\n1\ta\t1\n1\tb\t1\n")
+    code, out, err = run(capsys, "expand", "--series-file", str(big), "--invert")
+    assert code == 65 and "guard" in err and "D=40" in err and not out
+    over = tmp_path / "over.mns"
+    over.write_text("monoid=free:1 D=13 crossed=trivial\n0\t1\t1\n1\ta\t-1\n")
+    code, out, err = run(capsys, "expand", "--series-file", str(over))
+    assert code == 65 and "guard" in err and not out
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "expand", "--series-file", str(over), "--invert",
+                       "--format", "text", "--unsafe-bounds")
+    assert code == 0
+    assert out.splitlines()[-1] == "13\t" + "a" * 13 + "\t1"
+    # the ceiling itself is accepted without the flag
+    edge = tmp_path / "edge.mns"
+    edge.write_text("monoid=free:1 D=12 crossed=trivial\n0\t1\t1\n1\ta\t-1\n")
+    code, _, _ = run(capsys, "expand", "--series-file", str(edge), "--invert")
+    assert code == 0
 
 
 def test_internal_failures_exit_70(capsys, monkeypatch):

@@ -14,6 +14,8 @@ from mnseries.groups import (
     SemidirectGroup,
     WreathGroup,
     classify_order_type,
+    digit_expansion,
+    digit_sum_subset,
     enumerate_monoid,
     group_compare,
     group_multiply,
@@ -123,6 +125,31 @@ def test_weight_outside_monoid_raises():
         BS.weight(BS.element(Fraction(1, 3), 1))  # not a digit sum of powers of 2
     with pytest.raises(NotInMonoidError):
         WREATH.weight(WREATH.element({-1: 1}, 1))
+
+
+def test_digit_expansion_examples():
+    assert digit_expansion(Fraction(11), 2) == [0, 1, 3]
+    assert digit_expansion(Fraction(12), 3) == [1, 2]
+    assert digit_expansion(Fraction(5), 3) is None  # digit 2
+    assert digit_expansion(Fraction(3, 2), 2) is None
+    assert digit_expansion(Fraction(0), 2) is None
+    assert digit_expansion(Fraction(-4), 2) is None
+
+
+@pytest.mark.parametrize("ratio,t", [(2, 1), (2, Fraction(-3, 2)), (3, 1), (4, Fraction(2, 5))])
+def test_monoid_membership_digit_oracle_matches_subset_search(ratio, t):
+    # integer ratios take the base-r digit oracle; the backtracking subset
+    # search is the independent reference for the same membership question
+    group = SemidirectGroup(ratio, t)
+    for n in range(0, 6):
+        for k in range(-3, ratio ** n + 3):
+            for den in (1, ratio, 3):
+                g = group.element(t * Fraction(k, den), n)
+                q = g.h / t
+                expected = g.h == 0 or (
+                    n > 0 and digit_sum_subset(q, Fraction(ratio), n - 1) is not None
+                )
+                assert group.in_monoid(g) == expected, (ratio, t, g)
 
 
 def test_compare_examples():
