@@ -67,6 +67,7 @@ from .crossed import (
     trivial_system,
     z2_sign_twist,
 )
+from .linalg import InvariantError
 from .magnus import (
     FreeMonoid,
     FreeWord,

@@ -29,6 +29,7 @@ from .freeness import (
     type1_unit_generators,
 )
 from .groups import SemidirectGroup, classify_order_type
+from .linalg import InvariantError
 from .magnus import FreeWord, magnus_image, parse_word
 from .scalars import field_from_spec, parse_rational
 from .series import from_text, to_text
@@ -350,6 +351,9 @@ def run_command(argv) -> int:
     except GuardLimitError as exc:
         print(f"mnseries: guard limit: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except InvariantError as exc:
+        print(f"mnseries: internal error: invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, OSError) as exc:
         print(f"mnseries: error: {exc}", file=sys.stderr)
         print(f"run 'mnseries {args.command} --help' for usage", file=sys.stderr)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .groups import digit_expansion, enumerate_monoid
-from .linalg import rank_and_left_nullspace
+from .linalg import InvariantError, rank_and_left_nullspace
 from .magnus import LETTERS, enumerate_reduced_words
 from .scalars import field_of, rational_power
 from .series import GradedSeries
@@ -118,7 +118,8 @@ def free_monoid_check(group, generators, max_length: int, names=None) -> Freenes
         )
     w1, w2, elt = collision
     # the witness re-verifies: both words multiply back to the same element
-    assert _evaluate_word(group, generators, w1) == _evaluate_word(group, generators, w2) == elt
+    if not _evaluate_word(group, generators, w1) == _evaluate_word(group, generators, w2) == elt:
+        raise InvariantError("monoid collision witness failed re-verification")
     witness = {
         "words": [_word_name(w1, names), _word_name(w2, names)],
         "element": group.format_element(elt),
@@ -145,7 +146,10 @@ def _evaluate_word(group, generators, word):
 def digit_sum_check(r: Fraction, max_exponent: int) -> FreenessReport:
     """Exact subset-sum distinctness: every nonempty S in {0..N} gives the
     sum of r**i over S; verified when all 2^(N+1)-1 sums are pairwise
-    distinct. N above 20 is rejected (exponential blowup guard)."""
+    distinct, otherwise the first repeated sum in increasing mask order is
+    the witness. The sums are exact integers over the common denominator
+    q**N of r = p/q; the witness re-verifies in rational arithmetic. N above
+    20 is rejected (exponential blowup guard)."""
     t0 = time.perf_counter()
     r = Fraction(r)
     if r <= 0:
@@ -155,26 +159,42 @@ def digit_sum_check(r: Fraction, max_exponent: int) -> FreenessReport:
     if max_exponent < 0:
         raise ValueError("max exponent must be nonnegative")
     bounds = {"L": None, "D": None, "N": max_exponent}
-    powers = [rational_power(r, i) for i in range(max_exponent + 1)]
-    seen = {}
+    # r**i = p**i * q**(N-i) / q**N: the subset sums are integer sums of
+    # these weights over the common denominator q**N
+    p, q = r.numerator, r.denominator
+    weights = [p**i * q ** (max_exponent - i) for i in range(max_exponent + 1)]
+    # sums[mask] is the scaled sum over mask; masks run in increasing order,
+    # and the masks with highest bit i are those below 2**i plus weights[i]
+    sums = [0]
+    seen = set()
     collision = None
-    for mask in range(1, 1 << (max_exponent + 1)):
-        total = Fraction(0)
-        for i in range(max_exponent + 1):
-            if mask >> i & 1:
-                total += powers[i]
-        if total in seen:
-            collision = (seen[total], mask, total)
+    for w in weights:
+        block = [s + w for s in sums]
+        seen.update(block)
+        if len(seen) < len(sums) - 1 + len(block):
+            # a sum in this block repeats (for rational r only when r = 1, by
+            # the rational root theorem): rescan the block for the first
+            seen = set(sums[1:])
+            for total in block:
+                if total in seen:
+                    collision = (sums.index(total), len(sums), total)
+                    break
+                seen.add(total)
+                sums.append(total)
             break
-        seen[total] = mask
+        sums += block
     elapsed = int((time.perf_counter() - t0) * 1000)
     details = {"r": str(r), "sums": len(seen)}
     if collision is None:
         return FreenessReport("digit-sum", VERIFIED, bounds, None, details, elapsed)
     m1, m2, total = collision
+    total = Fraction(total, q**max_exponent)
     s1 = [i for i in range(max_exponent + 1) if m1 >> i & 1]
     s2 = [i for i in range(max_exponent + 1) if m2 >> i & 1]
-    assert sum(powers[i] for i in s1) == sum(powers[i] for i in s2)
+    # the witness re-verifies in rational arithmetic
+    powers = [rational_power(r, i) for i in range(max_exponent + 1)]
+    if not sum(powers[i] for i in s1) == sum(powers[i] for i in s2) == total:
+        raise InvariantError("digit-sum witness failed re-verification")
     witness = {"subsets": [s1, s2], "sum": str(total)}
     return FreenessReport("digit-sum", COUNTEREXAMPLE, bounds, witness, details, elapsed)
 
@@ -379,6 +399,7 @@ def group_algebra_independence(units, max_length: int, degree: int | None = None
         if coeff != zero:
             nonzero_entries[str(w)] = fld.format(coeff)
             combo = combo + img.scale(coeff)
-    assert not combo, "dependency vector failed re-verification"
+    if combo:
+        raise InvariantError("dependency vector failed re-verification")
     witness = {"dependency": nonzero_entries}
     return FreenessReport("group-algebra", INCONCLUSIVE, bounds, witness, details, elapsed)

@@ -12,7 +12,7 @@ with indices ascending, "Z(n)" and "Z2(a,b)" for the lattice groups.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import parse_rational
@@ -65,19 +65,32 @@ class SemidirectElement:
 
     h: Fraction
     n: int
-    ratio: Fraction
+    # elements of one group share the ratio, so it is compared but not hashed
+    ratio: Fraction = field(hash=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h", Fraction(self.h))
-        object.__setattr__(self, "ratio", Fraction(self.ratio))
+        if not isinstance(self.h, Fraction):
+            object.__setattr__(self, "h", Fraction(self.h))
+        if not isinstance(self.ratio, Fraction):
+            object.__setattr__(self, "ratio", Fraction(self.ratio))
 
     def _check(self, other):
-        if not isinstance(other, SemidirectElement) or other.ratio != self.ratio:
+        if not isinstance(other, SemidirectElement) or (
+                other.ratio is not self.ratio and other.ratio != self.ratio):
             raise GroupMismatchError("cannot mix semidirect-product groups with different ratios")
 
     def __mul__(self, other):
         self._check(other)
-        return SemidirectElement(self.h + self.ratio**self.n * other.h, self.n + other.n, self.ratio)
+        # h + ratio**n * other.h = h + (s/t) * other.h over one denominator,
+        # reduced once by the Fraction constructor
+        r, n, h, k = self.ratio, self.n, self.h, other.h
+        if n >= 0:
+            s, t = r.numerator**n, r.denominator**n
+        else:
+            s, t = r.denominator**-n, r.numerator**-n
+        hd, kd = h.denominator, k.denominator
+        return SemidirectElement(Fraction(h.numerator * t * kd + s * k.numerator * hd, hd * t * kd),
+                                 n + other.n, r)
 
     def inverse(self):
         return SemidirectElement(-(self.ratio ** (-self.n)) * self.h, -self.n, self.ratio)
@@ -717,10 +730,7 @@ def enumerate_monoid(group, generators, max_length: int) -> dict:
             for i, gen in enumerate(generators):
                 ne = group.multiply(elt, gen)
                 nw = word + (i,)
-                if ne in result:
-                    result[ne].append(nw)
-                else:
-                    result[ne] = [nw]
+                result.setdefault(ne, []).append(nw)
                 next_level.append((ne, nw))
         level = next_level
     return result

@@ -16,6 +16,10 @@ from math import gcd
 from .scalars import QQ, field_of
 
 
+class InvariantError(RuntimeError):
+    """An independent re-verification of a computed result failed."""
+
+
 def _clear_denominators(row):
     denom = 1
     for x in row:
@@ -132,7 +136,8 @@ def rank_and_left_nullspace(matrix, field=None):
         # the augmented part combines the cleared rows d_i * M_i, so the
         # dependency on the original rows picks up the cleared denominators
         dependency = [Fraction(c) * d for c, d in zip(tail, denominators)]
-        assert any(dependency)
+        if not any(dependency):
+            raise InvariantError("dependency vector is zero")
         return rank, dependency
 
     one = field.one
@@ -146,5 +151,6 @@ def rank_and_left_nullspace(matrix, field=None):
     if rank == n_rows:
         return rank, None
     dependency = list(rows[rank][n_cols:])
-    assert any(c != zero for c in dependency)
+    if all(c == zero for c in dependency):
+        raise InvariantError("dependency vector is zero")
     return rank, dependency

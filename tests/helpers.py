@@ -4,9 +4,15 @@ The oracles deliberately avoid the library's own arithmetic: Heisenberg
 products go through literal 3x3 matrix multiplication, semidirect products
 through the affine 2x2 representation, and wreath products through a direct
 dict-shift implementation. The series oracle inverts by the plain geometric
-expansion, built only from the public series operations.
+expansion, built only from the public series operations. The digit-sum
+oracle adds the powers of r in rational arithmetic, mask by mask, and the
+monoid-table oracle keys its entries by element strings, not by the
+elements' own hashing.
 """
 
+from fractions import Fraction
+
+from mnseries.freeness import COUNTEREXAMPLE, VERIFIED, FreenessReport
 from mnseries.groups import HeisenbergElement, SemidirectElement, WreathElement
 from mnseries.series import GradedSeries
 
@@ -105,3 +111,53 @@ def assert_weights(series):
     assert set(series.weights) == set(series.terms), f"weights and terms disagree in {series!r}"
     for g, w in series.weights.items():
         assert w == ctx.weight(g), f"stored weight {w} for {ctx.format_element(g)}"
+
+
+# --- verifier oracles ----------------------------------------------------------
+
+def reference_digit_sum_check(r, max_exponent):
+    """Slow reference for freeness.digit_sum_check (valid inputs only): every
+    mask's sum of r**i recomputed from scratch in Fraction arithmetic, masks in
+    increasing order, the first repeated sum giving the witness."""
+    r = Fraction(r)
+    powers = [r**i for i in range(max_exponent + 1)]
+    bounds = {"L": None, "D": None, "N": max_exponent}
+    seen = {}
+    collision = None
+    for mask in range(1, 1 << (max_exponent + 1)):
+        total = Fraction(0)
+        for i in range(max_exponent + 1):
+            if mask >> i & 1:
+                total += powers[i]
+        if total in seen:
+            collision = (seen[total], mask, total)
+            break
+        seen[total] = mask
+    details = {"r": str(r), "sums": len(seen)}
+    if collision is None:
+        return FreenessReport("digit-sum", VERIFIED, bounds, None, details)
+    m1, m2, total = collision
+    subsets = [[i for i in range(max_exponent + 1) if m >> i & 1] for m in (m1, m2)]
+    witness = {"subsets": subsets, "sum": str(total)}
+    return FreenessReport("digit-sum", COUNTEREXAMPLE, bounds, witness, details)
+
+
+def reference_enumerate_monoid(group, generators, max_length):
+    """Slow reference for groups.enumerate_monoid: the same breadth-first
+    word order, with the table keyed by canonical element strings. Returns
+    (element string, word list) pairs in discovery order."""
+    identity = group.identity()
+    table = {group.format_element(identity): [()]}
+    level = [(identity, ())]
+    for _ in range(max_length):
+        next_level = []
+        for elt, word in level:
+            for i, gen in enumerate(generators):
+                product = group.multiply(elt, gen)
+                key = group.format_element(product)
+                if key not in table:
+                    table[key] = []
+                table[key].append(word + (i,))
+                next_level.append((product, word + (i,)))
+        level = next_level
+    return list(table.items())

@@ -1,11 +1,19 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import mnseries
 from mnseries import cli
 from mnseries.series import GradedSeries, from_text
 from mnseries.registry import resolve_crossed, resolve_monoid
+
+
+SRC_DIR = os.path.dirname(os.path.dirname(mnseries.__file__))
 
 
 def run(capsys, *argv):
@@ -215,6 +223,43 @@ def test_internal_failures_exit_70(capsys, monkeypatch):
     code, out, err = run(capsys, "digit-sum", "--r", "2", "--N", "3")
     assert code == 70
     assert "internal error" in err and not out
+
+
+def test_failed_witness_reverification_exits_70(capsys, monkeypatch):
+    from mnseries import freeness
+
+    assert not issubclass(freeness.InvariantError, ValueError)
+    monkeypatch.setattr(freeness, "rational_power", lambda r, k: Fraction(k))
+    code, out, err = run(capsys, "digit-sum", "--r", "1", "--N", "4")
+    assert code == 70
+    assert "invariant failed" in err and not out
+
+
+@pytest.mark.parametrize("argv", [
+    ("digit-sum", "--r", "1", "--N", "12"),
+    ("verify-monoid", "--group", "heis", "--gens", "H(1,0,0),H(0,1,0)", "--L", "6"),
+])
+def test_reports_survive_optimized_mode(argv):
+    """The witness re-verification is not an assert, so python -O runs it
+    and gives the same report."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    digests = []
+    for flags in ((), ("-O",)):
+        proc = subprocess.run([sys.executable, *flags, "-m", "mnseries.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 2, proc.stderr
+        digests.append(json.loads(proc.stdout)["digest"])
+    assert digests[0] == digests[1]
+
+
+def test_witness_reverification_runs_in_optimized_mode():
+    script = ("from fractions import Fraction\n"
+              "from mnseries import cli, freeness\n"
+              "freeness.rational_power = lambda r, k: Fraction(k)\n"
+              "raise SystemExit(cli.run_command(['digit-sum', '--r', '1', '--N', '4']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC_DIR), check=False)
+    assert proc.returncode == 70 and not proc.stdout, proc.stderr
 
 
 def test_exit_code_3_for_inconclusive(capsys, monkeypatch):

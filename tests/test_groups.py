@@ -11,6 +11,7 @@ from mnseries.groups import (
     HeisenbergElement,
     LatticeGroup,
     NotInMonoidError,
+    SemidirectElement,
     SemidirectGroup,
     WreathGroup,
     classify_order_type,
@@ -48,10 +49,30 @@ def test_semidirect_products_match_affine_oracle():
     assert tx * x == BS.element(1, 2)
     assert x * tx == BS.element(2, 2)
     rng = random.Random(1)
-    for _ in range(300):
+    for group in (BS, SemidirectGroup(Fraction(3, 2)), SemidirectGroup(Fraction(2, 5))):
+        for _ in range(300):
+            g = group.sample_element(rng)
+            h = group.sample_element(rng)
+            assert g * h == semidirect_product_oracle(g, h)
+
+
+def test_semidirect_element_hash_agrees_with_equality():
+    rng = random.Random(3)
+    for _ in range(200):
         g = BS.sample_element(rng)
-        h = BS.sample_element(rng)
-        assert g * h == semidirect_product_oracle(g, h)
+        twin = SemidirectElement(Fraction(g.h.numerator, g.h.denominator), g.n, Fraction(2))
+        assert twin == g and hash(twin) == hash(g)
+    from_ints = SemidirectElement(3, 1, 2)
+    assert type(from_ints.h) is Fraction and type(from_ints.ratio) is Fraction
+    assert from_ints == BS.element(3, 1) and hash(from_ints) == hash(BS.element(3, 1))
+
+
+def test_semidirect_elements_with_other_ratio_stay_distinct():
+    g = BS.element(Fraction(1, 3), 2)
+    other = SemidirectGroup(Fraction(3)).element(Fraction(1, 3), 2)
+    assert (g.h, g.n) == (other.h, other.n)
+    assert g != other and other != g
+    assert len({g: 0, other: 1}) == 2
 
 
 def test_semidirect_encodes_scaling_conjugation():
