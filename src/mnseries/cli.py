@@ -11,6 +11,7 @@ excluded from the content digest.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -30,12 +31,14 @@ from .freeness import (
 )
 from .groups import SemidirectGroup, classify_order_type
 from .linalg import InvariantError
-from .magnus import FreeWord, magnus_image, parse_word
+from .magnus import FreeWord, magnus_image, parse_word, reduced_word_count
 from .scalars import field_from_spec, parse_rational
 from .series import from_text, to_text
 
 SCHEMA = "mnseries-report/1"
-GUARDS = {"L": 16, "D": 12, "N": 20}
+# "words" bounds the reduced words verify-group-algebra enumerates: 1457 is
+# the count at L=6 for two units, and L=16 alone would allow about 86 million
+GUARDS = {"L": 16, "D": 12, "N": 20, "words": 1457}
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
@@ -61,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report to a file instead of stdout")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--unsafe-bounds", action="store_true",
-                       help="lift the default guard limits (L<=16, D<=12, N<=20)")
+                       help="lift the default guard limits (L<=16, D<=12, N<=20, "
+                            "words<=1457)")
 
     p = sub.add_parser("verify-monoid", help="collision-check generator words in a built-in group")
     p.add_argument("--group", required=True, choices=registry.group_ids())
@@ -112,6 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by later ones."""
+    return build_parser()
 
 
 def _check_guard(args, name, value, where=""):
@@ -217,6 +227,7 @@ def _run_verify_group_algebra(args) -> int:
     c = fld.parse(args.c)
     d = fld.parse(args.d)
     units = type1_unit_generators(group, c, d, args.D)
+    _check_guard(args, "words", reduced_word_count(len(units), args.L), f" at L={args.L}")
     report = group_algebra_independence(list(units), args.L)
     payload = {"command": "verify-group-algebra",
                "params": {"group": args.group, "c": args.c, "d": args.d, "L": args.L,
@@ -244,15 +255,13 @@ def _run_magnus(args) -> int:
     collision = None
     for w in words:
         img = magnus_image(w, args.D)
-        key = img.key()
-        if key in seen and collision is None:
-            collision = [str(seen[key]), str(w)]
-        seen.setdefault(key, w)
-        images.append({
-            "word": str(w),
-            "terms": [[weight, elem_s, img.field.format(coeff)]
-                      for weight, elem_s, coeff in img.rows()],
-        })
+        fmt = img.field.format
+        # every image shares one context and degree, so its sorted rows key it
+        rows = tuple((weight, elem_s, fmt(coeff)) for weight, elem_s, coeff in img.rows())
+        if rows in seen and collision is None:
+            collision = [str(seen[rows]), str(w)]
+        seen.setdefault(rows, w)
+        images.append({"word": str(w), "terms": [list(row) for row in rows]})
     payload = {
         "command": "magnus",
         "params": {"words": args.words, "D": args.D, "seed": args.seed},
@@ -340,9 +349,8 @@ _RUNNERS = {
 
 def run_command(argv) -> int:
     """Parse and dispatch; never writes partial output on failure."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

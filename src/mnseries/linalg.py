@@ -6,6 +6,15 @@ an integer and every division is exact. Over prime fields and quadratic
 fields, plain Gaussian elimination is already exact. Pivot columns are taken
 in the caller's column order and the pivot row is always the first row with a
 nonzero entry, so results are deterministic.
+
+Both kernels skip only work that cannot change a value, so every rank and
+dependency vector is the one dense elimination gives. The field kernel
+collects the pivot row's nonzero columns once per pivot and updates only
+those in the rows below it, since subtracting a multiple of zero leaves an
+entry as it is; word-image matrices are sparse, and the identity block of
+[M | I] mostly zero. The integer kernel rebuilds each row below the pivot in
+one pass, and leaves a zero-head row alone when the Bareiss step would only
+multiply and divide it by the same pivot.
 """
 
 from __future__ import annotations
@@ -30,8 +39,8 @@ def _clear_denominators(row):
 def _eliminate_int(rows, pivot_cols):
     """Fraction-free elimination on integer rows (in place), pivoting on the
     given columns only; every row below the pivot is updated (also those with
-    a zero head, which rescale) so the Bareiss divisions stay exact. Returns
-    the rank."""
+    a zero head, which rescale by piv/prev unless the two are equal) so the
+    Bareiss divisions stay exact. Returns the rank."""
     if not rows:
         return 0
     pr = 0
@@ -48,12 +57,13 @@ def _eliminate_int(rows, pivot_cols):
             rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
         piv = rows[pr][pc]
         row_p = rows[pr]
-        width = len(row_p)
         for i in range(pr + 1, len(rows)):
             row_i = rows[i]
             head = row_i[pc]
-            for j in range(width):
-                row_i[j] = (row_i[j] * piv - head * row_p[j]) // prev
+            if head:
+                rows[i] = [(a * piv - head * b) // prev for a, b in zip(row_i, row_p)]
+            elif piv != prev:
+                rows[i] = [a * piv // prev for a in row_i]
         prev = piv
         pr += 1
         if pr == len(rows):
@@ -62,7 +72,8 @@ def _eliminate_int(rows, pivot_cols):
 
 
 def _eliminate_field(rows, pivot_cols, field):
-    """Plain exact Gaussian elimination over a field (in place); returns the rank."""
+    """Plain exact Gaussian elimination over a field (in place), updating only
+    the pivot row's nonzero columns; returns the rank."""
     if not rows:
         return 0
     zero = field.zero
@@ -79,13 +90,13 @@ def _eliminate_field(rows, pivot_cols, field):
             rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
         piv = rows[pr][pc]
         row_p = rows[pr]
-        width = len(row_p)
+        support = [j for j, x in enumerate(row_p) if x != zero]
         for i in range(pr + 1, len(rows)):
             row_i = rows[i]
             head = row_i[pc]
             if head != zero:
                 factor = head / piv
-                for j in range(width):
+                for j in support:
                     row_i[j] = row_i[j] - factor * row_p[j]
         pr += 1
         if pr == len(rows):

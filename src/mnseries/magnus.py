@@ -140,10 +140,19 @@ def parse_word(text: str, size: int | None = None) -> FreeWord:
     return word_reduce(letters, size)
 
 
+def reduced_word_count(size: int, max_length: int) -> int:
+    """Number of reduced words of length at most max_length over `size`
+    letters, 1 + sum over lengths l of 2k(2k-1)^(l-1), in closed form."""
+    if max_length < 0:
+        raise ValueError("max_length must be nonnegative")
+    if size == 1:
+        return 1 + 2 * max_length
+    return 1 + size * ((2 * size - 1) ** max_length - 1) // (size - 1)
+
+
 def enumerate_reduced_words(size: int, max_length: int) -> list:
     """All reduced words of length at most max_length, each exactly once, in
-    (length, lexicographic) order. The count is 1 + sum over lengths l of
-    2k(2k-1)^(l-1)."""
+    (length, lexicographic) order; there are reduced_word_count of them."""
     if max_length < 0:
         raise ValueError("max_length must be nonnegative")
     alphabet = [(sym, sign) for sym in range(size) for sign in (1, -1)]
@@ -173,17 +182,19 @@ def magnus_image(word: FreeWord, degree: int, field=QQ) -> GradedSeries:
     one = field.one
     for sym, sign in word.letters:
         letter = LETTERS[sym]
+        # letter^j has weight j
         if sign == 1:
-            factor = GradedSeries(
-                monoid, degree, {"": one, letter: one}, field, validate=False
-            )
+            factor = GradedSeries(monoid, degree, {"": one, letter: one}, field,
+                                  validate=False, weights={"": 0, letter: 1})
         else:
             terms = {}
+            weights = {}
             coeff = one
             for j in range(degree + 1):
                 terms[letter * j] = coeff
+                weights[letter * j] = j
                 coeff = -coeff
-            factor = GradedSeries(monoid, degree, terms, field, validate=False)
+            factor = GradedSeries(monoid, degree, terms, field, validate=False, weights=weights)
         image = image * factor
     return image
 

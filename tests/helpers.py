@@ -7,7 +7,8 @@ dict-shift implementation. The series oracle inverts by the plain geometric
 expansion, built only from the public series operations. The digit-sum
 oracle adds the powers of r in rational arithmetic, mask by mask, and the
 monoid-table oracle keys its entries by element strings, not by the
-elements' own hashing.
+elements' own hashing. The elimination oracles rewrite every entry of every
+row they update, with no skipping of zero entries or zero heads.
 """
 
 from fractions import Fraction
@@ -161,3 +162,72 @@ def reference_enumerate_monoid(group, generators, max_length):
                 next_level.append((product, word + (i,)))
         level = next_level
     return list(table.items())
+
+
+# --- elimination oracles ---------------------------------------------------------
+
+def reference_eliminate_int(rows, pivot_cols):
+    """Dense reference for linalg._eliminate_int: the same fraction-free
+    (Bareiss) steps, every entry of every row below the pivot rewritten,
+    zero-head rows included. In place; returns the rank."""
+    if not rows:
+        return 0
+    pr = 0
+    prev = 1
+    for pc in pivot_cols:
+        pivot_row = None
+        for i in range(pr, len(rows)):
+            if rows[i][pc]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != pr:
+            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        piv = rows[pr][pc]
+        row_p = rows[pr]
+        width = len(row_p)
+        for i in range(pr + 1, len(rows)):
+            row_i = rows[i]
+            head = row_i[pc]
+            for j in range(width):
+                row_i[j] = (row_i[j] * piv - head * row_p[j]) // prev
+        prev = piv
+        pr += 1
+        if pr == len(rows):
+            break
+    return pr
+
+
+def reference_eliminate_field(rows, pivot_cols, field):
+    """Dense reference for linalg._eliminate_field: the same Gaussian steps,
+    every column of every row with a nonzero head rewritten, including those
+    where the pivot row is zero. In place; returns the rank."""
+    if not rows:
+        return 0
+    zero = field.zero
+    pr = 0
+    for pc in pivot_cols:
+        pivot_row = None
+        for i in range(pr, len(rows)):
+            if rows[i][pc] != zero:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != pr:
+            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        piv = rows[pr][pc]
+        row_p = rows[pr]
+        width = len(row_p)
+        for i in range(pr + 1, len(rows)):
+            row_i = rows[i]
+            head = row_i[pc]
+            if head != zero:
+                factor = head / piv
+                for j in range(width):
+                    row_i[j] = row_i[j] - factor * row_p[j]
+        pr += 1
+        if pr == len(rows):
+            break
+    return pr

@@ -279,8 +279,8 @@ PINNED_EXPANDS = (
 )
 
 # Verifier reports pinned by exit code and digest, as computed by the
-# rational-arithmetic digit-sum loop and the two-step monoid table
-# (params: --format json --seed 5).
+# rational-arithmetic digit-sum loop, the two-step monoid table and the dense
+# elimination kernels (params: --format json --seed 5).
 PINNED_REPORTS = (
     (("digit-sum", "--r", "1", "--N", "12"), 2, "d241660f7e8b51c9"),
     (("digit-sum", "--r", "5/2", "--N", "14"), 0, "ba87ca5d8ac77d83"),
@@ -288,6 +288,14 @@ PINNED_REPORTS = (
      0, "9ea232e1b1faaf59"),
     (("verify-monoid", "--group", "heis", "--gens", "H(1,0,0),H(0,1,0)", "--L", "6"),
      2, "ef09ac1536479dfa"),
+    (("verify-group-algebra", "--group", "heis", "--field=Q", "--c=1", "--d=2",
+      "--L", "4", "--D", "6"), 3, "45bc06ed6a5477e5"),
+    (("verify-group-algebra", "--group", "heis", "--field=Fp:5", "--c=1 mod 5", "--d=2 mod 5",
+      "--L", "4", "--D", "5"), 3, "c19b4a03d6289241"),
+    (("verify-group-algebra", "--group", "heis", "--field=Qsqrt:2", "--c=1+1*sqrt(2)",
+      "--d=1-1*sqrt(2)", "--L", "3", "--D", "5"), 3, "42a595cde33a3bda"),
+    (("verify-group-algebra", "--group", "heis", "--field=Fp:7", "--c=3 mod 7", "--d=5 mod 7",
+      "--L", "3", "--D", "8"), 0, "fbe5c301268193b5"),
 )
 
 

@@ -188,6 +188,31 @@ def test_guard_limits_exit_65_and_override(capsys):
     assert code == 0 and report["bounds"]["D"] == 13
 
 
+def test_group_algebra_word_count_guard(capsys, monkeypatch):
+    # L=16 passes the length guard but means 86,093,441 reduced words; the
+    # count is guarded in closed form, so an enumeration that starts fails
+    from mnseries import freeness
+
+    def no_enumeration(size, max_length):
+        raise RuntimeError("words enumerated past the word-count guard")
+
+    monkeypatch.setattr(freeness, "enumerate_reduced_words", no_enumeration)
+    code, out, err = run(capsys, "verify-group-algebra", "--c", "1", "--d", "1",
+                         "--L", "16", "--D", "4")
+    assert code == 65 and "guard" in err and "words=86093441" in err and not out
+    code, out, err = run(capsys, "verify-group-algebra", "--c", "1", "--d", "1",
+                         "--L", "7", "--D", "4")
+    assert code == 65 and "words=4373" in err and not out
+    # the flag lifts the word-count guard: the enumeration starts
+    code, out, err = run(capsys, "verify-group-algebra", "--c", "1", "--d", "1",
+                         "--L", "7", "--D", "4", "--unsafe-bounds")
+    assert code == 70 and "past the word-count guard" in err and not out
+    # the ceiling itself, L=6 with 1457 words, passes without the flag
+    code, out, err = run(capsys, "verify-group-algebra", "--c", "1", "--d", "1",
+                         "--L", "6", "--D", "4")
+    assert code == 70 and "past the word-count guard" in err and not out
+
+
 def test_guard_applies_to_series_file_degree(tmp_path, capsys, monkeypatch):
     # inverting this file at D=40 would need 2^41 terms; the header's degree is
     # guarded before any inversion starts, so one that starts fails the test
@@ -213,6 +238,31 @@ def test_guard_applies_to_series_file_degree(tmp_path, capsys, monkeypatch):
     edge.write_text("monoid=free:1 D=12 crossed=trivial\n0\t1\t1\n1\ta\t-1\n")
     code, _, _ = run(capsys, "expand", "--series-file", str(edge), "--invert")
     assert code == 0
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    calls = []
+
+    def counting_build_parser():
+        calls.append(None)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        code, first, _ = run(capsys, *DOCUMENTED[3])
+        assert code == 0
+        code, out, usage = run(capsys, "digit-sum", "--r", "5/2")  # no --N
+        assert code == 64 and "usage:" in usage and not out
+        code, again, _ = run(capsys, *DOCUMENTED[3])
+        assert code == 0 and strip_elapsed(again) == strip_elapsed(first)
+        assert run(capsys, "digit-sum", "--r", "5/2")[2] == usage
+        for argv in DOCUMENTED[4:]:
+            assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_internal_failures_exit_70(capsys, monkeypatch):

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import assert_weights
 from mnseries.magnus import (
     FreeMonoid,
     FreeWord,
     enumerate_reduced_words,
     magnus_image,
     parse_word,
+    reduced_word_count,
     verify_magnus_injectivity,
     word_reduce,
 )
@@ -53,6 +55,16 @@ def test_enumerate_counts():
     assert len(enumerate_reduced_words(1, 3)) == 7
     assert len(enumerate_reduced_words(2, 3)) == 53
     assert len(enumerate_reduced_words(2, 4)) == 161
+
+
+def test_reduced_word_count_matches_enumeration():
+    for size in range(4):
+        for length in range(6):
+            assert reduced_word_count(size, length) == len(enumerate_reduced_words(size, length))
+    assert reduced_word_count(2, 6) == 1457
+    assert reduced_word_count(2, 16) == 1 + 2 * (3**16 - 1)
+    with pytest.raises(ValueError):
+        reduced_word_count(2, -1)
 
 
 def test_enumerate_no_duplicates():
@@ -103,6 +115,12 @@ def test_image_of_inverse_is_series_inverse():
 def test_image_has_unit_identity_coefficient():
     for w in enumerate_reduced_words(2, 3):
         assert magnus_image(w, 3).identity_coefficient() == Fraction(1)
+
+
+def test_image_weights_are_word_lengths():
+    # the factor series carry their weights instead of computing them
+    for w in enumerate_reduced_words(2, 3):
+        assert_weights(magnus_image(w, 4))
 
 
 @pytest.mark.parametrize("size,length,degree,count", [(2, 3, 3, 53), (1, 2, 2, 5), (2, 4, 4, 161)])
