@@ -31,7 +31,7 @@ from .freeness import (
 )
 from .groups import SemidirectGroup, classify_order_type
 from .linalg import InvariantError
-from .magnus import FreeWord, magnus_image, parse_word, reduced_word_count
+from .magnus import FreeWord, magnus_images, parse_word, reduced_word_count
 from .scalars import field_from_spec, parse_rational
 from .series import from_text, to_text
 
@@ -250,26 +250,19 @@ def _run_magnus(args) -> int:
     words = [parse_word(w.strip()) for w in args.words.split(",")]
     size = max(w.size for w in words)
     words = [FreeWord(size, w.letters) for w in words]
-    images = []
-    seen = {}
-    collision = None
-    for w in words:
-        img = magnus_image(w, args.D)
-        fmt = img.field.format
-        # every image shares one context and degree, so its sorted rows key it
-        rows = tuple((weight, elem_s, fmt(coeff)) for weight, elem_s, coeff in img.rows())
-        if rows in seen and collision is None:
-            collision = [str(seen[rows]), str(w)]
-        seen.setdefault(rows, w)
-        images.append({"word": str(w), "terms": [list(row) for row in rows]})
+    longest = max(len(w) for w in words)
+    _check_guard(args, "L", longest, " in --words")
+    images, collision = magnus_images(words, args.D)
     payload = {
         "command": "magnus",
         "params": {"words": args.words, "D": args.D, "seed": args.seed},
         "kind": "magnus",
-        "bounds": {"L": max((len(w.letters) for w in words), default=0), "D": args.D, "N": None},
+        "bounds": {"L": longest, "D": args.D, "N": None},
         "distinct": collision is None,
-        "collision": collision,
-        "images": images,
+        "collision": None if collision is None else [str(w) for w in collision],
+        "images": [{"word": str(w), "terms": [[weight, elem_s, img.field.format(coeff)]
+                                              for weight, elem_s, coeff in img.rows()]}
+                   for w, img in zip(words, images)],
     }
     return _finish(args, payload, EXIT_OK if collision is None else EXIT_COUNTEREXAMPLE, started)
 

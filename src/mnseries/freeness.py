@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .groups import digit_expansion, enumerate_monoid
 from .linalg import InvariantError, rank_and_left_nullspace
-from .magnus import LETTERS, enumerate_reduced_words
+from .magnus import LETTERS, enumerate_reduced_words, word_images
 from .scalars import field_of, rational_power
 from .series import GradedSeries
 
@@ -353,17 +353,8 @@ def group_algebra_independence(units, max_length: int, degree: int | None = None
 
     ctx = first.context
     fld = first.field
-    inverses = [u.invert() for u in units]
     words = enumerate_reduced_words(len(units), max_length)
-    images = {(): GradedSeries.one(ctx, degree, fld, first.system)}
-    ordered_images = []
-    for w in words:
-        if w.letters:
-            prefix = images[w.letters[:-1]]
-            sym, sign = w.letters[-1]
-            factor = units[sym] if sign == 1 else inverses[sym]
-            images[w.letters] = prefix * factor
-        ordered_images.append(images[w.letters])
+    ordered_images = word_images(words, units)
 
     weights = {}
     for img in ordered_images:

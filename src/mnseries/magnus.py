@@ -5,6 +5,7 @@ inverse generator to the truncated geometric series.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .groups import NotInMonoidError
@@ -170,33 +171,51 @@ def enumerate_reduced_words(size: int, max_length: int) -> list:
     return words
 
 
+def word_images(words, units) -> list:
+    """Images of reduced words, in any order, under i -> units[i] and i' ->
+    units[i].invert() for units of one context, degree, field and system: a
+    word's image is its prefix's times its last letter's, left to right."""
+    first = units[0]
+    images = {(): GradedSeries.one(first.context, first.degree, first.field, first.system)}
+    inverse = functools.cache(lambda sym: units[sym].invert())
+    for word in words:
+        for end in range(1, len(word) + 1):
+            prefix = word.letters[:end]
+            if prefix not in images:
+                sym, sign = prefix[-1]
+                images[prefix] = images[prefix[:-1]] * (units[sym] if sign == 1 else inverse(sym))
+    return [images[word.letters] for word in words]
+
+
 def magnus_image(word: FreeWord, degree: int, field=QQ) -> GradedSeries:
-    """Image of a reduced word under the multiplicative extension of
-    letter -> 1 + letter, with inverse letters expanded eagerly to the
-    truncated geometric series. Computed by truncated products left to
-    right."""
+    """Image of a reduced word under the Magnus map letter -> 1 + letter,
+    inverse letter -> (1 + letter)^-1, in the series over the free monoid on
+    word.size letters truncated at degree; evaluated by word_images."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     monoid = FreeMonoid(word.size)
-    image = GradedSeries.one(monoid, degree, field)
     one = field.one
-    for sym, sign in word.letters:
-        letter = LETTERS[sym]
-        # letter^j has weight j
-        if sign == 1:
-            factor = GradedSeries(monoid, degree, {"": one, letter: one}, field,
-                                  validate=False, weights={"": 0, letter: 1})
-        else:
-            terms = {}
-            weights = {}
-            coeff = one
-            for j in range(degree + 1):
-                terms[letter * j] = coeff
-                weights[letter * j] = j
-                coeff = -coeff
-            factor = GradedSeries(monoid, degree, terms, field, validate=False, weights=weights)
-        image = image * factor
-    return image
+    units = [GradedSeries(monoid, degree, {"": one, letter: one}, field,
+                          validate=False, weights={"": 0, letter: 1})
+             for letter in monoid.alphabet]
+    return word_images([word], units)[0]
+
+
+def magnus_images(words, degree: int, field=QQ):
+    """Magnus images of a nonempty list of words over one alphabet, evaluated
+    together by word_images (the map is fixed by the images of the letters),
+    and the first pair (earlier word, later word) in list order whose images
+    have equal term maps, or None."""
+    size = words[0].size
+    letters = [magnus_image(FreeWord(size, ((sym, 1),)), degree, field) for sym in range(size)]
+    images = word_images(words, letters)
+    seen = {}
+    for word, image in zip(words, images):
+        key = frozenset(image.terms.items())
+        if key in seen:
+            return images, (seen[key], word)
+        seen[key] = word
+    return images, None
 
 
 @dataclass
@@ -229,10 +248,5 @@ def verify_magnus_injectivity(size: int, max_length: int, degree: int, field=QQ)
     if degree < max_length:
         raise ValueError("degree must be at least the maximum word length")
     words = enumerate_reduced_words(size, max_length)
-    seen = {}
-    for w in words:
-        key = magnus_image(w, degree, field).key()
-        if key in seen:
-            return MagnusReport(False, size, max_length, degree, len(words), (seen[key], w))
-        seen[key] = w
-    return MagnusReport(True, size, max_length, degree, len(words))
+    collision = magnus_images(words, degree, field)[1]
+    return MagnusReport(collision is None, size, max_length, degree, len(words), collision)

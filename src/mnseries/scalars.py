@@ -152,8 +152,9 @@ class QuadraticFieldElement:
     radicand: int
 
     def __post_init__(self):
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "v", Fraction(self.v))
+        if not (isinstance(self.u, Fraction) and isinstance(self.v, Fraction)):
+            object.__setattr__(self, "u", Fraction(self.u))
+            object.__setattr__(self, "v", Fraction(self.v))
 
     def _coerce(self, other):
         if isinstance(other, QuadraticFieldElement):

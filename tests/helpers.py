@@ -4,7 +4,9 @@ The oracles deliberately avoid the library's own arithmetic: Heisenberg
 products go through literal 3x3 matrix multiplication, semidirect products
 through the affine 2x2 representation, and wreath products through a direct
 dict-shift implementation. The series oracle inverts by the plain geometric
-expansion, built only from the public series operations. The digit-sum
+expansion, built only from the public series operations. The word-image
+oracles build every word from scratch, one product per letter, and the Magnus
+oracle writes each inverse letter out as its truncated geometric series. The digit-sum
 oracle adds the powers of r in rational arithmetic, mask by mask, and the
 monoid-table oracle keys its entries by element strings, not by the
 elements' own hashing. The elimination oracles rewrite every entry of every
@@ -15,6 +17,8 @@ from fractions import Fraction
 
 from mnseries.freeness import COUNTEREXAMPLE, VERIFIED, FreenessReport
 from mnseries.groups import HeisenbergElement, SemidirectElement, WreathElement
+from mnseries.magnus import LETTERS, FreeMonoid
+from mnseries.scalars import QQ
 from mnseries.series import GradedSeries
 
 
@@ -112,6 +116,45 @@ def assert_weights(series):
     assert set(series.weights) == set(series.terms), f"weights and terms disagree in {series!r}"
     for g, w in series.weights.items():
         assert w == ctx.weight(g), f"stored weight {w} for {ctx.format_element(g)}"
+
+
+# --- word-image oracles --------------------------------------------------------
+
+def reference_magnus_image(word, degree, field=QQ):
+    """Slow reference for the Magnus images: the product, left to right, of
+    1 + letter for each letter and of the truncated geometric series
+    1 - letter + letter^2 - ... for each inverse letter, word by word."""
+    monoid = FreeMonoid(word.size)
+    image = GradedSeries.one(monoid, degree, field)
+    one = field.one
+    for sym, sign in word.letters:
+        letter = LETTERS[sym]
+        # letter^j has weight j
+        if sign == 1:
+            factor = GradedSeries(monoid, degree, {"": one, letter: one}, field,
+                                  validate=False, weights={"": 0, letter: 1})
+        else:
+            terms = {}
+            weights = {}
+            coeff = one
+            for j in range(degree + 1):
+                terms[letter * j] = coeff
+                weights[letter * j] = j
+                coeff = -coeff
+            factor = GradedSeries(monoid, degree, terms, field, validate=False, weights=weights)
+        image = image * factor
+    return image
+
+
+def reference_word_image(word, units):
+    """Slow reference for magnus.word_images on one word: the product, left
+    to right, of units[i] for each letter i and of reference_invert(units[i])
+    for each inverse letter, with no prefix shared between words."""
+    first = units[0]
+    image = GradedSeries.one(first.context, first.degree, first.field, first.system)
+    for sym, sign in word.letters:
+        image = image * (units[sym] if sign == 1 else reference_invert(units[sym]))
+    return image
 
 
 # --- verifier oracles ----------------------------------------------------------

@@ -279,8 +279,9 @@ PINNED_EXPANDS = (
 )
 
 # Verifier reports pinned by exit code and digest, as computed by the
-# rational-arithmetic digit-sum loop, the two-step monoid table and the dense
-# elimination kernels (params: --format json --seed 5).
+# rational-arithmetic digit-sum loop, the two-step monoid table, the dense
+# elimination kernels and the per-word Magnus images (params: --format json
+# --seed 5).
 PINNED_REPORTS = (
     (("digit-sum", "--r", "1", "--N", "12"), 2, "d241660f7e8b51c9"),
     (("digit-sum", "--r", "5/2", "--N", "14"), 0, "ba87ca5d8ac77d83"),
@@ -296,6 +297,8 @@ PINNED_REPORTS = (
       "--d=1-1*sqrt(2)", "--L", "3", "--D", "5"), 3, "42a595cde33a3bda"),
     (("verify-group-algebra", "--group", "heis", "--field=Fp:7", "--c=3 mod 7", "--d=5 mod 7",
       "--L", "3", "--D", "8"), 0, "fbe5c301268193b5"),
+    (("magnus", "--words", "b'a,ab,a'b'ab,1,ba'", "--D", "5"), 0, "4d208412d03d33dd"),
+    (("magnus", "--words", "ab,a'b,ab", "--D", "4"), 2, "9efb88e038d862c0"),
 )
 
 

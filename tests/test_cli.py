@@ -188,6 +188,27 @@ def test_guard_limits_exit_65_and_override(capsys):
     assert code == 0 and report["bounds"]["D"] == 13
 
 
+def test_magnus_word_length_guard(capsys, monkeypatch):
+    # the L guard applies to the words themselves; an evaluation that starts
+    # fails, so a missing guard cannot pass by running
+    from mnseries import magnus
+
+    def no_evaluation(words, units):
+        raise RuntimeError("words evaluated past the length guard")
+
+    monkeypatch.setattr(magnus, "word_images", no_evaluation)
+    code, out, err = run(capsys, "magnus", "--words", "ab" * 40, "--D", "12")
+    assert code == 65 and "guard" in err and "L=80" in err and not out
+    code, out, err = run(capsys, "magnus", "--words", "ab," + "a" * 17 + ",1", "--D", "4")
+    assert code == 65 and "L=17" in err and not out
+    # the flag lifts the guard: the evaluation starts
+    code, out, err = run(capsys, "magnus", "--words", "ab" * 40, "--D", "12", "--unsafe-bounds")
+    assert code == 70 and "past the length guard" in err and not out
+    # the ceiling itself, L=16, passes without the flag
+    code, out, err = run(capsys, "magnus", "--words", "a'b" * 8, "--D", "4")
+    assert code == 70 and "past the length guard" in err and not out
+
+
 def test_group_algebra_word_count_guard(capsys, monkeypatch):
     # L=16 passes the length guard but means 86,093,441 reduced words; the
     # count is guarded in closed form, so an enumeration that starts fails

@@ -9,6 +9,7 @@ from mnseries.scalars import (
     PrimeField,
     PrimeFieldElement,
     QuadraticField,
+    QuadraticFieldElement,
     field_arithmetic,
     field_from_spec,
     field_of,
@@ -95,6 +96,22 @@ def test_canonical_text_round_trip(field):
     a = field.sample(rng)
     b = field.sample(rng)
     assert (a == b) == (field.format(a) == field.format(b))
+
+
+def test_quadratic_element_int_and_fraction_parts_agree():
+    # parts that are already Fractions are stored as given, others wrapped
+    for u, v in ((3, -2), (0, 1), (-7, 0)):
+        from_ints = QuadraticFieldElement(u, v, 2)
+        from_fractions = QuadraticFieldElement(Fraction(u), Fraction(v), 2)
+        mixed = QuadraticFieldElement(Fraction(u), v, 2)
+        for x in (from_ints, mixed):
+            assert x == from_fractions and hash(x) == hash(from_fractions)
+            assert type(x.u) is Fraction and type(x.v) is Fraction
+    half = Fraction(1, 2)
+    x = QuadraticFieldElement(half, half, 2)
+    assert x.u is half and x.v is half
+    assert x * x == QuadraticFieldElement(Fraction(3, 4), Fraction(1, 2), 2)
+    assert QuadraticFieldElement(1, 0, 2) != QuadraticFieldElement(1, 0, 3)
 
 
 def test_parse_scalar_infers_field():
