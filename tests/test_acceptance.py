@@ -280,8 +280,8 @@ PINNED_EXPANDS = (
 
 # Verifier reports pinned by exit code and digest, as computed by the
 # rational-arithmetic digit-sum loop, the two-step monoid table, the dense
-# elimination kernels and the per-word Magnus images (params: --format json
-# --seed 5).
+# elimination kernels, the per-word Magnus images and the per-verifier report
+# classes (params: --format json --seed 5).
 PINNED_REPORTS = (
     (("digit-sum", "--r", "1", "--N", "12"), 2, "d241660f7e8b51c9"),
     (("digit-sum", "--r", "5/2", "--N", "14"), 0, "ba87ca5d8ac77d83"),
@@ -299,6 +299,15 @@ PINNED_REPORTS = (
       "--L", "3", "--D", "8"), 0, "fbe5c301268193b5"),
     (("magnus", "--words", "b'a,ab,a'b'ab,1,ba'", "--D", "5"), 0, "4d208412d03d33dd"),
     (("magnus", "--words", "ab,a'b,ab", "--D", "4"), 2, "9efb88e038d862c0"),
+    # the documented check-crossed, pingpong and classify commands (the
+    # appended --seed 5 overrides their --seed 7)
+    (DOCUMENTED_COMMANDS[5], 0, "8dc365c5e63e684a"),
+    (DOCUMENTED_COMMANDS[6], 0, "509cc0e5495e129c"),
+    (DOCUMENTED_COMMANDS[7], 0, "790947b03e41a28b"),
+    (("pingpong", "--r", "2", "--t", "1", "--L", "8"), 0, "f523343ce7706324"),
+    (("classify", "--group", "heis"), 0, "efbb3ef4e2197ebd"),
+    (("classify", "--group", "bs12"), 0, "624d046eaf94a2e3"),
+    (("classify", "--group", "wreath"), 0, "a477f297e79f67ad"),
 )
 
 
