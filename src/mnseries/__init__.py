@@ -14,7 +14,6 @@ from .scalars import (
     PrimeFieldElement,
     QuadraticField,
     QuadraticFieldElement,
-    field_arithmetic,
     field_from_spec,
     rational_power,
 )
@@ -32,24 +31,17 @@ from .groups import (
     WreathGroup,
     classify_order_type,
     enumerate_monoid,
-    group_compare,
-    group_multiply,
     quotient_descriptor,
-    weight,
 )
 from .series import (
     ContextMismatchError,
     GradedSeries,
-    GroupRing,
     NoTruncatedInverseError,
     RegroupedSeries,
     SubgroupRing,
     flatten,
     from_text,
     regroup,
-    series_add,
-    series_invert,
-    series_multiply,
     summable_sum,
     to_text,
 )
@@ -68,6 +60,7 @@ from .crossed import (
     z2_sign_twist,
 )
 from .linalg import InvariantError
+from .report import COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED, Report
 from .magnus import (
     FreeMonoid,
     FreeWord,
@@ -78,7 +71,6 @@ from .magnus import (
     word_reduce,
 )
 from .freeness import (
-    FreenessReport,
     GuardLimitError,
     digit_sum_check,
     free_monoid_check,

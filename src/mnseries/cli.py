@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -32,13 +31,15 @@ from .freeness import (
 from .groups import SemidirectGroup, classify_order_type
 from .linalg import InvariantError
 from .magnus import FreeWord, magnus_images, parse_word, reduced_word_count
+from .report import digest
 from .scalars import field_from_spec, parse_rational
 from .series import from_text, to_text
 
 SCHEMA = "mnseries-report/1"
 # "words" bounds the reduced words verify-group-algebra enumerates: 1457 is
-# the count at L=6 for two units, and L=16 alone would allow about 86 million
-GUARDS = {"L": 16, "D": 12, "N": 20, "words": 1457}
+# the count at L=6 for two units, and L=16 alone would allow about 86 million.
+# digit-sum's N <= 20 is not here: digit_sum_check enforces it, with no override
+GUARDS = {"L": 16, "D": 12, "words": 1457}
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
@@ -64,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report to a file instead of stdout")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--unsafe-bounds", action="store_true",
-                       help="lift the default guard limits (L<=16, D<=12, N<=20, "
-                            "words<=1457)")
+                       help="lift the default guard limits (L<=16, D<=12, words<=1457); "
+                            "digit-sum's N<=20 always holds")
 
     p = sub.add_parser("verify-monoid", help="collision-check generator words in a built-in group")
     p.add_argument("--group", required=True, choices=registry.group_ids())
@@ -133,14 +134,8 @@ def _check_guard(args, name, value, where=""):
 
 
 def _check_guards(args):
-    for name in ("L", "D", "N"):
+    for name in ("L", "D"):
         _check_guard(args, name, getattr(args, name, None))
-
-
-def _digest(payload: dict) -> str:
-    scrubbed = {k: v for k, v in payload.items() if k not in ("elapsed_ms", "digest")}
-    blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _render_text(payload: dict) -> str:
@@ -175,16 +170,18 @@ def _write_output(text: str, out_path):
         raise
 
 
-def _finish(args, payload: dict, exit_code: int, started: float) -> int:
-    payload["schema"] = SCHEMA
-    payload["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
-    payload["digest"] = _digest(payload)
+def _render(args, params: dict, body, elapsed_ms: int) -> str:
+    """The report text: the runner's body under the command and its params,
+    stamped with the schema, the elapsed time and the content digest. A str
+    body is already the output."""
+    if isinstance(body, str):
+        return body
+    payload = {"command": args.command, "params": {**params, "seed": args.seed}, **body,
+               "schema": SCHEMA, "elapsed_ms": elapsed_ms}
+    payload["digest"] = digest(payload)
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        text = _render_text(payload)
-    _write_output(text, args.out)
-    return exit_code
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _render_text(payload)
 
 
 def _split_elements(spec: str):
@@ -209,19 +206,14 @@ def _split_elements(spec: str):
     return parts
 
 
-def _run_verify_monoid(args) -> int:
-    started = time.perf_counter()
+def _run_verify_monoid(args):
     group = registry.resolve_group(args.group)
     gens = [group.parse_element(s) for s in _split_elements(args.gens)]
     report = free_monoid_check(group, gens, args.L)
-    payload = {"command": "verify-monoid", "params": {"group": args.group, "gens": args.gens,
-                                                      "L": args.L, "seed": args.seed}}
-    payload.update(report.to_json())
-    return _finish(args, payload, report.exit_code, started)
+    return {"group": args.group, "gens": args.gens, "L": args.L}, report.to_json(), report.exit_code
 
 
-def _run_verify_group_algebra(args) -> int:
-    started = time.perf_counter()
+def _run_verify_group_algebra(args):
     group = registry.resolve_group(args.group)
     fld = field_from_spec(args.field)
     c = fld.parse(args.c)
@@ -229,33 +221,24 @@ def _run_verify_group_algebra(args) -> int:
     units = type1_unit_generators(group, c, d, args.D)
     _check_guard(args, "words", reduced_word_count(len(units), args.L), f" at L={args.L}")
     report = group_algebra_independence(list(units), args.L)
-    payload = {"command": "verify-group-algebra",
-               "params": {"group": args.group, "c": args.c, "d": args.d, "L": args.L,
-                          "D": args.D, "field": args.field, "seed": args.seed}}
-    payload.update(report.to_json())
-    return _finish(args, payload, report.exit_code, started)
+    params = {"group": args.group, "c": args.c, "d": args.d, "L": args.L, "D": args.D,
+              "field": args.field}
+    return params, report.to_json(), report.exit_code
 
 
-def _run_digit_sum(args) -> int:
-    started = time.perf_counter()
-    r = parse_rational(args.r)
-    report = digit_sum_check(r, args.N)
-    payload = {"command": "digit-sum", "params": {"r": args.r, "N": args.N, "seed": args.seed}}
-    payload.update(report.to_json())
-    return _finish(args, payload, report.exit_code, started)
+def _run_digit_sum(args):
+    report = digit_sum_check(parse_rational(args.r), args.N)
+    return {"r": args.r, "N": args.N}, report.to_json(), report.exit_code
 
 
-def _run_magnus(args) -> int:
-    started = time.perf_counter()
+def _run_magnus(args):
     words = [parse_word(w.strip()) for w in args.words.split(",")]
     size = max(w.size for w in words)
     words = [FreeWord(size, w.letters) for w in words]
     longest = max(len(w) for w in words)
     _check_guard(args, "L", longest, " in --words")
     images, collision = magnus_images(words, args.D)
-    payload = {
-        "command": "magnus",
-        "params": {"words": args.words, "D": args.D, "seed": args.seed},
+    body = {
         "kind": "magnus",
         "bounds": {"L": longest, "D": args.D, "N": None},
         "distinct": collision is None,
@@ -264,11 +247,11 @@ def _run_magnus(args) -> int:
                                               for weight, elem_s, coeff in img.rows()]}
                    for w, img in zip(words, images)],
     }
-    return _finish(args, payload, EXIT_OK if collision is None else EXIT_COUNTEREXAMPLE, started)
+    code = EXIT_OK if collision is None else EXIT_COUNTEREXAMPLE
+    return {"words": args.words, "D": args.D}, body, code
 
 
-def _run_expand(args) -> int:
-    started = time.perf_counter()
+def _run_expand(args):
     with open(args.series_file) as handle:
         text = handle.read()
     series = from_text(text, registry.resolve_monoid, registry.resolve_crossed)
@@ -276,56 +259,35 @@ def _run_expand(args) -> int:
     if args.invert:
         series = series.invert()
     rendered = to_text(series)
-    if args.format == "text":
-        _write_output(rendered, args.out)
-        return EXIT_OK
-    payload = {
-        "command": "expand",
-        "params": {"series_file": os.path.basename(args.series_file),
-                   "invert": args.invert, "seed": args.seed},
-        "series": rendered,
-    }
-    return _finish(args, payload, EXIT_OK, started)
+    params = {"series_file": os.path.basename(args.series_file), "invert": args.invert}
+    # the text format prints the series file itself
+    return params, rendered if args.format == "text" else {"series": rendered}, EXIT_OK
 
 
-def _run_check_crossed(args) -> int:
-    started = time.perf_counter()
+def _run_check_crossed(args):
     if args.system == "trivial":
         system = registry.trivial_on(args.group)
     else:
         system = registry.builtin_system(args.system)
     report = check_crossed_system(system, args.samples, args.seed)
-    payload = {
-        "command": "check-crossed",
-        "params": {"system": args.system, "group": system.group.id,
-                   "samples": args.samples, "seed": args.seed},
-        "kind": "crossed-validity",
-    }
-    payload.update(report.to_json())
-    return _finish(args, payload, EXIT_OK if report.valid else EXIT_COUNTEREXAMPLE, started)
+    body = {"kind": report.kind, "valid": report.verified,
+            "checked": report.details["checked"], "violation": report.witness}
+    params = {"system": args.system, "group": system.group.id, "samples": args.samples}
+    return params, body, report.exit_code
 
 
-def _run_pingpong(args) -> int:
-    started = time.perf_counter()
+def _run_pingpong(args):
     r = parse_rational(args.r)
     t = parse_rational(args.t)
-    group = SemidirectGroup(r, t)
-    report = pingpong_check(group, t, args.L)
-    payload = {"command": "pingpong",
-               "params": {"r": args.r, "t": args.t, "L": args.L, "seed": args.seed}}
-    payload.update(report.to_json())
-    return _finish(args, payload, report.exit_code, started)
+    report = pingpong_check(SemidirectGroup(r, t), t, args.L)
+    return {"r": args.r, "t": args.t, "L": args.L}, report.to_json(), report.exit_code
 
 
-def _run_classify(args) -> int:
-    started = time.perf_counter()
-    group = registry.resolve_group(args.group)
-    result = classify_order_type(group, seed=args.seed)
-    payload = {"command": "classify",
-               "params": {"group": args.group, "seed": args.seed},
-               "kind": "order-type"}
-    payload.update(result.to_json())
-    return _finish(args, payload, EXIT_OK, started)
+def _run_classify(args):
+    report = classify_order_type(registry.resolve_group(args.group), seed=args.seed)
+    body = {"kind": report.kind, "witness": report.witness,
+            **{key: report.details[key] for key in ("group", "type", "jumps", "checks")}}
+    return {"group": args.group}, body, report.exit_code
 
 
 _RUNNERS = {
@@ -346,9 +308,13 @@ def run_command(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    started = time.perf_counter()
     try:
         _check_guards(args)
-        return _RUNNERS[args.command](args)
+        params, body, code = _RUNNERS[args.command](args)
+        elapsed_ms = int((time.perf_counter() - started) * 1000)
+        _write_output(_render(args, params, body, elapsed_ms), args.out)
+        return code
     except GuardLimitError as exc:
         print(f"mnseries: guard limit: {exc}", file=sys.stderr)
         return EXIT_GUARD

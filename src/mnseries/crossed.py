@@ -18,17 +18,11 @@ twist(rep_ab, n)^-1 * twist(rep_a, rep_b).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .groups import LatticeGroup, QuotientDescriptor
+from .report import Report, outcome
 from .scalars import QQ, QuadraticField
-from .series import (
-    ContextMismatchError,
-    GradedSeries,
-    GroupRing,
-    RegroupedSeries,
-    SubgroupRing,
-)
+from .series import ContextMismatchError, GradedSeries, RegroupedSeries, SubgroupRing
 
 
 class CrossedSystem:
@@ -121,19 +115,13 @@ def corrupt_twist(system: CrossedSystem, at_pair, value) -> CrossedSystem:
 # validity checking
 
 
-@dataclass
-class CrossedReport:
-    valid: bool
-    checked: int
-    violation: dict | None = None
-
-    def to_json(self):
-        return {"valid": self.valid, "checked": self.checked, "violation": self.violation}
-
-
-def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: int = 0) -> CrossedReport:
+def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: int = 0) -> Report:
     """Verify the two validity identities and the normalization on the
-    group's small fixed panel (all triples) plus sampled random triples."""
+    group's small fixed panel (all triples) plus sampled random triples; the
+    first violated identity is the witness and details.checked counts the
+    pairs and triples checked."""
+    if sample_count < 0:
+        raise ValueError("sample count must be nonnegative")
     group = system.group
     field = system.field
     rng = random.Random(seed)
@@ -144,11 +132,15 @@ def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: i
     def fmt(g):
         return group.format_element(g)
 
+    def report(violation=None):
+        return outcome("crossed-validity", {"samples": sample_count}, violation,
+                       {"checked": checked})
+
     def violation_at(kind, x, y, z=None):
         payload = {"identity": kind, "x": fmt(x), "y": fmt(y)}
         if z is not None:
             payload["z"] = fmt(z)
-        return CrossedReport(False, checked, payload)
+        return report(payload)
 
     def check_pairs(x, y):
         nonlocal checked
@@ -178,7 +170,7 @@ def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: i
         return None
 
     if system.action(ident, scalars[-1]) != scalars[-1]:
-        return CrossedReport(False, checked, {"identity": "normalization", "x": fmt(ident)})
+        return report({"identity": "normalization", "x": fmt(ident)})
 
     panel = group.panel_elements()
     for x in panel:
@@ -197,7 +189,7 @@ def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: i
         bad = check_pairs(x, y) or check_triple(x, y, z)
         if bad:
             return bad
-    return CrossedReport(True, checked)
+    return report()
 
 
 def diagonal_change(system: CrossedSystem, d) -> CrossedSystem:
@@ -409,7 +401,7 @@ def good_preimage(a: GradedSeries, descriptor, target_context=None) -> GradedSer
             f"series over {a.context.id} is not over the quotient of {descriptor.id}"
         )
     if target_context is None:
-        target_context = descriptor.group if a.context.graded else GroupRing(descriptor.group)
+        target_context = descriptor.group if a.context.graded else SubgroupRing(descriptor.group, "G")
     terms = {}
     for q, c in a.terms.items():
         terms[descriptor.representative(q)] = c
@@ -418,22 +410,6 @@ def good_preimage(a: GradedSeries, descriptor, target_context=None) -> GradedSer
 
 # ---------------------------------------------------------------------------
 # morphism extension checking
-
-
-@dataclass
-class MorphismReport:
-    holds: bool
-    checked: int
-    violation: dict | None = None
-    multiplicative_pairs: int = 0
-
-    def to_json(self):
-        return {
-            "holds": self.holds,
-            "checked": self.checked,
-            "violation": self.violation,
-            "multiplicative_pairs": self.multiplicative_pairs,
-        }
 
 
 class ScalarSide:
@@ -550,7 +526,7 @@ class QuotientSide:
 
 
 def check_morphism_extension(phi, eta, source, target, samples: int = 100, seed: int = 0,
-                             series_map=None) -> MorphismReport:
+                             series_map=None) -> Report:
     """Check the two extension conditions on sampled data:
 
       action-compatibility: phi(action1(x)(r)) == action2(eta(x))(phi(r))
@@ -559,12 +535,19 @@ def check_morphism_extension(phi, eta, source, target, samples: int = 100, seed:
     together with sampled ring-morphism checks for phi and group-morphism
     checks for eta. When everything holds and series_map is given, the
     induced map on series is verified to be multiplicative on sampled pairs
-    (product computed on each side independently)."""
+    (product computed on each side independently). The first failed
+    condition is the witness; details count the samples checked and the
+    multiplicative pairs."""
     rng = random.Random(seed)
     checked = 0
+    pairs = 0
+
+    def report(violation=None):
+        return outcome("morphism-extension", {"samples": samples}, violation,
+                       {"checked": checked, "multiplicative_pairs": pairs})
 
     def fail(condition, **data):
-        return MorphismReport(False, checked, {"condition": condition, **data})
+        return report({"condition": condition, **data})
 
     for _ in range(samples):
         checked += 1
@@ -585,7 +568,6 @@ def check_morphism_extension(phi, eta, source, target, samples: int = 100, seed:
     if not target.coeff_eq(phi(source.coeff_one()), target.coeff_one()):
         return fail("phi-unital")
 
-    pairs = 0
     if series_map is not None:
         for _ in range(max(1, samples // 10)):
             f = source.sample_series(rng)
@@ -595,4 +577,4 @@ def check_morphism_extension(phi, eta, source, target, samples: int = 100, seed:
             if lhs != rhs:
                 return fail("induced-map-multiplicative")
             pairs += 1
-    return MorphismReport(True, checked, None, pairs)
+    return report()

@@ -13,68 +13,18 @@ may still separate, so it is not a counterexample.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import time
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .groups import digit_expansion, enumerate_monoid
 from .linalg import InvariantError, rank_and_left_nullspace
 from .magnus import LETTERS, enumerate_reduced_words, word_images
+from .report import INCONCLUSIVE, VERIFIED, Report, outcome
 from .scalars import field_of, rational_power
 from .series import GradedSeries
 
 
 class GuardLimitError(ValueError):
     """A bound exceeds the exponential-blowup guard."""
-
-
-VERIFIED = "verified-up-to-bound"
-COUNTEREXAMPLE = "counterexample"
-INCONCLUSIVE = "inconclusive-at-D"
-
-_EXIT_CODES = {VERIFIED: 0, COUNTEREXAMPLE: 2, INCONCLUSIVE: 3}
-
-
-@dataclass
-class FreenessReport:
-    kind: str
-    verdict: str
-    bounds: dict
-    witness: object = None
-    details: dict = dataclass_field(default_factory=dict)
-    elapsed_ms: int = 0
-
-    @property
-    def verified(self) -> bool:
-        return self.verdict == VERIFIED
-
-    @property
-    def exit_code(self) -> int:
-        return _EXIT_CODES[self.verdict]
-
-    def digest(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "bounds": self.bounds,
-            "witness": self.witness,
-            "details": self.details,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "bounds": self.bounds,
-            "witness": self.witness,
-            "details": self.details,
-            "elapsed_ms": self.elapsed_ms,
-            "digest": self.digest(),
-        }
 
 
 def _word_name(word, names) -> str:
@@ -91,13 +41,14 @@ def _default_names(count: int):
 # free monoids inside groups
 
 
-def free_monoid_check(group, generators, max_length: int, names=None) -> FreenessReport:
+def free_monoid_check(group, generators, max_length: int, names=None) -> Report:
     """Enumerate all generator words of length at most max_length; verified
     when the word-to-element map is injective, otherwise the first collision
     (in discovery order) is the witness."""
-    t0 = time.perf_counter()
     if len(generators) < 2:
         raise ValueError("free monoid check needs at least two generators")
+    if max_length < 0:
+        raise ValueError("max length must be nonnegative")
     if names is None:
         names = _default_names(len(generators))
     table = enumerate_monoid(group, generators, max_length)
@@ -108,28 +59,20 @@ def free_monoid_check(group, generators, max_length: int, names=None) -> Freenes
         if len(words) > 1:
             collision = (words[0], words[1], elt)
             break
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    if collision is None:
-        return FreenessReport(
-            "monoid", VERIFIED, bounds, None,
-            {"generators": [group.format_element(g) for g in generators],
-             "group": group.id, "elements": len(table), "words": word_count},
-            elapsed,
-        )
-    w1, w2, elt = collision
-    # the witness re-verifies: both words multiply back to the same element
-    if not _evaluate_word(group, generators, w1) == _evaluate_word(group, generators, w2) == elt:
-        raise InvariantError("monoid collision witness failed re-verification")
-    witness = {
-        "words": [_word_name(w1, names), _word_name(w2, names)],
-        "element": group.format_element(elt),
-    }
-    return FreenessReport(
-        "monoid", COUNTEREXAMPLE, bounds, witness,
-        {"generators": [group.format_element(g) for g in generators],
-         "group": group.id, "elements": len(table), "words": word_count},
-        elapsed,
-    )
+    witness = None
+    if collision is not None:
+        w1, w2, elt = collision
+        # the witness re-verifies: both words multiply back to the same element
+        product = _evaluate_word(group, generators, w1)
+        if not product == _evaluate_word(group, generators, w2) == elt:
+            raise InvariantError("monoid collision witness failed re-verification")
+        witness = {
+            "words": [_word_name(w1, names), _word_name(w2, names)],
+            "element": group.format_element(elt),
+        }
+    return outcome("monoid", bounds, witness,
+                   {"generators": [group.format_element(g) for g in generators],
+                    "group": group.id, "elements": len(table), "words": word_count})
 
 
 def _evaluate_word(group, generators, word):
@@ -143,14 +86,13 @@ def _evaluate_word(group, generators, word):
 # digit sums
 
 
-def digit_sum_check(r: Fraction, max_exponent: int) -> FreenessReport:
+def digit_sum_check(r: Fraction, max_exponent: int) -> Report:
     """Exact subset-sum distinctness: every nonempty S in {0..N} gives the
     sum of r**i over S; verified when all 2^(N+1)-1 sums are pairwise
     distinct, otherwise the first repeated sum in increasing mask order is
     the witness. The sums are exact integers over the common denominator
     q**N of r = p/q; the witness re-verifies in rational arithmetic. N above
     20 is rejected (exponential blowup guard)."""
-    t0 = time.perf_counter()
     r = Fraction(r)
     if r <= 0:
         raise ValueError("digit-sum ratio must be positive")
@@ -183,32 +125,31 @@ def digit_sum_check(r: Fraction, max_exponent: int) -> FreenessReport:
                 sums.append(total)
             break
         sums += block
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    details = {"r": str(r), "sums": len(seen)}
-    if collision is None:
-        return FreenessReport("digit-sum", VERIFIED, bounds, None, details, elapsed)
-    m1, m2, total = collision
-    total = Fraction(total, q**max_exponent)
-    s1 = [i for i in range(max_exponent + 1) if m1 >> i & 1]
-    s2 = [i for i in range(max_exponent + 1) if m2 >> i & 1]
-    # the witness re-verifies in rational arithmetic
-    powers = [rational_power(r, i) for i in range(max_exponent + 1)]
-    if not sum(powers[i] for i in s1) == sum(powers[i] for i in s2) == total:
-        raise InvariantError("digit-sum witness failed re-verification")
-    witness = {"subsets": [s1, s2], "sum": str(total)}
-    return FreenessReport("digit-sum", COUNTEREXAMPLE, bounds, witness, details, elapsed)
+    witness = None
+    if collision is not None:
+        m1, m2, total = collision
+        total = Fraction(total, q**max_exponent)
+        s1 = [i for i in range(max_exponent + 1) if m1 >> i & 1]
+        s2 = [i for i in range(max_exponent + 1) if m2 >> i & 1]
+        # the witness re-verifies in rational arithmetic
+        powers = [rational_power(r, i) for i in range(max_exponent + 1)]
+        if not sum(powers[i] for i in s1) == sum(powers[i] for i in s2) == total:
+            raise InvariantError("digit-sum witness failed re-verification")
+        witness = {"subsets": [s1, s2], "sum": str(total)}
+    return outcome("digit-sum", bounds, witness, {"r": str(r), "sums": len(seen)})
 
 
 # ---------------------------------------------------------------------------
 # ping-pong on the semidirect product
 
 
-def pingpong_check(group, t_value: Fraction, max_length: int) -> FreenessReport:
+def pingpong_check(group, t_value: Fraction, max_length: int) -> Report:
     """Certify the two-generator ping-pong on the semidirect product: orbit
     elements of the seed t*x^0 under words in {tx, x} must stay inside the
     digit-sum set A, the tx-image always carries the exponent-0 digit and the
     x-image never does, so the two translates of A are disjoint."""
-    t0 = time.perf_counter()
+    if max_length < 0:
+        raise ValueError("max length must be nonnegative")
     r = group.ratio
     if r.denominator != 1:
         raise ValueError("membership oracle requires integer ratio")
@@ -265,11 +206,8 @@ def pingpong_check(group, t_value: Fraction, max_length: int) -> FreenessReport:
     if witness is None and tx_images & x_images:
         clash = next(iter(tx_images & x_images))
         witness = {"reason": "translate sets intersect", "element": group.format_element(clash)}
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    details = {"r": str(r), "t": str(t_value), "orbit": len(orbit), "checked": checked}
-    if witness is None:
-        return FreenessReport("ping-pong", VERIFIED, bounds, None, details, elapsed)
-    return FreenessReport("ping-pong", COUNTEREXAMPLE, bounds, witness, details, elapsed)
+    return outcome("ping-pong", bounds, witness,
+                   {"r": str(r), "t": str(t_value), "orbit": len(orbit), "checked": checked})
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +265,7 @@ def type1_unit_generators(group, c, d, degree: int):
 
 
 def group_algebra_independence(units, max_length: int, degree: int | None = None,
-                               names=None) -> FreenessReport:
+                               names=None) -> Report:
     """Evaluate every reduced word of length at most max_length in the given
     units (inverses through truncated series inversion), assemble the exact
     coefficient matrix over (weight, element) columns, and certify full rank
@@ -335,7 +273,6 @@ def group_algebra_independence(units, max_length: int, degree: int | None = None
     dependency vector that re-verifies by direct evaluation; truncation can
     destroy independence but never fabricates it, so this is not a
     counterexample verdict."""
-    t0 = time.perf_counter()
     if not units:
         raise ValueError("need at least one unit")
     first = units[0]
@@ -378,9 +315,8 @@ def group_algebra_independence(units, max_length: int, degree: int | None = None
         "columns": len(columns),
         "field": fld.name,
     }
-    elapsed = int((time.perf_counter() - t0) * 1000)
     if rank == len(words):
-        return FreenessReport("group-algebra", VERIFIED, bounds, None, details, elapsed)
+        return Report("group-algebra", VERIFIED, bounds, None, details)
 
     # re-verify the dependency by direct evaluation: the combination of the
     # word images must vanish identically at this degree
@@ -392,5 +328,4 @@ def group_algebra_independence(units, max_length: int, degree: int | None = None
             combo = combo + img.scale(coeff)
     if combo:
         raise InvariantError("dependency vector failed re-verification")
-    witness = {"dependency": nonzero_entries}
-    return FreenessReport("group-algebra", INCONCLUSIVE, bounds, witness, details, elapsed)
+    return Report("group-algebra", INCONCLUSIVE, bounds, {"dependency": nonzero_entries}, details)

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .report import VERIFIED, Report
 from .scalars import parse_rational
 
 
@@ -677,29 +678,7 @@ class LatticeGroup:
 
 
 # ---------------------------------------------------------------------------
-# module-level operations
-
-
-def group_multiply(g, h):
-    """Product in canonical form; mixed group instances raise."""
-    return g * h
-
-
-def group_compare(g, h) -> str:
-    """Total-order comparison: "less", "equal" or "greater"."""
-    if isinstance(g, WreathElement):
-        c = WreathGroup().compare(g, h)
-    else:
-        if type(g) is not type(h):
-            raise GroupMismatchError(f"cannot compare {type(g).__name__} with {type(h).__name__}")
-        if isinstance(g, SemidirectElement) and g.ratio != h.ratio:
-            raise GroupMismatchError("cannot compare semidirect elements with different ratios")
-        c = _cmp(g.order_key(), h.order_key())
-    return "less" if c < 0 else "greater" if c > 0 else "equal"
-
-
-def weight(group, g) -> int:
-    return group.weight(g)
+# monoid enumeration
 
 
 def enumerate_monoid(group, generators, max_length: int) -> dict:
@@ -759,34 +738,23 @@ class ConvexJumpDescriptor:
         }
 
 
-@dataclass(frozen=True)
-class OrderClassification:
-    group_id: str
-    order_type: int
-    jumps: tuple
-    witness: dict
-    checks: int
-
-    def to_json(self):
-        return {
-            "group": self.group_id,
-            "type": self.order_type,
-            "jumps": [j.to_json() for j in self.jumps],
-            "witness": self.witness,
-            "checks": self.checks,
-        }
-
-
 def _commutator(group, g, h):
     return group.multiply(group.multiply(group.inverse(g), group.inverse(h)), group.multiply(g, h))
 
 
-def classify_order_type(group, samples: int = 200, seed: int = 0) -> OrderClassification:
-    """Table-driven classification with witness re-verification by sampling."""
+def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
+    """Table-driven classification with witness re-verification by sampling.
+    The report's details give the group, the order type (1, 2 or 3), the
+    convex jumps and the number of sampled checks."""
     import random
 
     rng = random.Random(seed)
     checks = 0
+
+    def report(order_type, jumps, witness):
+        return Report("order-type", VERIFIED, {"samples": samples}, witness,
+                      {"group": group.id, "type": order_type,
+                       "jumps": [j.to_json() for j in jumps], "checks": checks})
 
     if isinstance(group, Heisenberg):
         chain = ("1", "center", "a=0", "G")
@@ -801,8 +769,7 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> OrderClassi
                 if not group.subgroup_contains(jump.lower, _commutator(group, h, g)):
                     raise AssertionError(f"jump ({jump.lower},{jump.upper}) is not central")
                 checks += 1
-        witness = {"chain": list(chain)}
-        return OrderClassification(group.id, 1, jumps, witness, checks)
+        return report(1, jumps, {"chain": list(chain)})
 
     if isinstance(group, LatticeGroup):
         chain = ("1",) + tuple(f"axis>{i}" for i in range(group.rank - 1, 0, -1)) + ("G",)
@@ -817,7 +784,7 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> OrderClassi
                 if not group.subgroup_contains(jump.lower, _commutator(group, h, g)):
                     raise AssertionError("abelian jump failed centrality")
                 checks += 1
-        return OrderClassification(group.id, 1, jumps, {"chain": list(chain)}, checks)
+        return report(1, jumps, {"chain": list(chain)})
 
     if isinstance(group, SemidirectGroup):
         conjugator = group.element(0, 1)
@@ -838,7 +805,7 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> OrderClassi
             "jump": jump.to_json(),
             "conjugator": group.format_element(conjugator),
         }
-        return OrderClassification(group.id, 2, (jump,), witness, checks)
+        return report(2, (jump,), witness)
 
     if isinstance(group, WreathGroup):
         b = group.inverse(WreathElement((), 1))  # t^-1 shrinks B_0 to B_-1
@@ -857,7 +824,7 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> OrderClassi
             "conjugated_into": "B-1",
             "separating_element": group.format_element(a),
         }
-        return OrderClassification(group.id, 3, (), witness, checks)
+        return report(3, (), witness)
 
     raise ValueError(f"no classification table for group {group!r}")
 

@@ -9,6 +9,7 @@ import functools
 from dataclasses import dataclass
 
 from .groups import NotInMonoidError
+from .report import Report, outcome
 from .scalars import QQ
 from .series import GradedSeries
 
@@ -218,35 +219,15 @@ def magnus_images(words, degree: int, field=QQ):
     return images, None
 
 
-@dataclass
-class MagnusReport:
-    injective: bool
-    alphabet_size: int
-    max_length: int
-    degree: int
-    word_count: int
-    collision: tuple | None = None
-
-    def to_json(self):
-        collision = None
-        if self.collision is not None:
-            collision = [str(self.collision[0]), str(self.collision[1])]
-        return {
-            "injective": self.injective,
-            "k": self.alphabet_size,
-            "L": self.max_length,
-            "D": self.degree,
-            "word_count": self.word_count,
-            "collision": collision,
-        }
-
-
-def verify_magnus_injectivity(size: int, max_length: int, degree: int, field=QQ) -> MagnusReport:
+def verify_magnus_injectivity(size: int, max_length: int, degree: int, field=QQ) -> Report:
     """Check that all reduced words of length at most max_length have
-    pairwise distinct truncated images. Requires degree >= max_length; the
-    separation at that degree is verified, not assumed."""
+    pairwise distinct truncated images; the first colliding pair is the
+    witness. Requires degree >= max_length; the separation at that degree is
+    verified, not assumed."""
     if degree < max_length:
         raise ValueError("degree must be at least the maximum word length")
     words = enumerate_reduced_words(size, max_length)
     collision = magnus_images(words, degree, field)[1]
-    return MagnusReport(collision is None, size, max_length, degree, len(words), collision)
+    witness = None if collision is None else [str(w) for w in collision]
+    return outcome("magnus", {"L": max_length, "D": degree, "N": None}, witness,
+                   {"k": size, "words": len(words)})

@@ -455,29 +455,6 @@ def parse_scalar(text: str):
     return parse_rational(text)
 
 
-def field_arithmetic(a, b, operation: str):
-    """Exact field arithmetic on two scalars of the same field."""
-    if isinstance(a, int):
-        a = Fraction(a)
-    if isinstance(b, int):
-        b = Fraction(b)
-    if field_of(a) != field_of(b):
-        raise FieldMismatchError(
-            f"operands lie in different fields: {field_of(a).name} vs {field_of(b).name}"
-        )
-    if operation == "add":
-        return a + b
-    if operation == "sub":
-        return a - b
-    if operation == "mul":
-        return a * b
-    if operation == "div":
-        if not b:
-            raise ZeroDivisionError(f"division by zero in {field_of(a).name}")
-        return a / b
-    raise ValueError(f"unknown operation {operation!r}")
-
-
 def rational_power(r: Fraction, k: int) -> Fraction:
     """Exact r**k for rational r and integer k."""
     r = Fraction(r)

@@ -41,45 +41,10 @@ class NoTruncatedInverseError(ValueError):
 
 
 @dataclass(frozen=True)
-class GroupRing:
-    """Ungraded support context over a whole group: finite-support exact mode."""
-
-    group: object
-
-    graded = False
-
-    @property
-    def id(self) -> str:
-        return f"ring:{self.group.id}"
-
-    def identity(self):
-        return self.group.identity()
-
-    def multiply(self, g, h):
-        return self.group.multiply(g, h)
-
-    def inverse(self, g):
-        return self.group.inverse(g)
-
-    def in_monoid(self, g) -> bool:
-        return self.group.contains(g)
-
-    def weight(self, g) -> int:
-        if not self.in_monoid(g):
-            raise NotInMonoidError(f"{g} is outside {self.id}")
-        return 0
-
-    def format_element(self, g) -> str:
-        return self.group.format_element(g)
-
-    def parse_element(self, text: str):
-        return self.group.parse_element(text)
-
-
-@dataclass(frozen=True)
 class SubgroupRing:
-    """Ungraded support context over a named subgroup (coefficients of
-    regrouped series live here)."""
+    """Ungraded support context over a named subgroup: finite-support exact
+    mode. Coefficients of regrouped series live here, and tag "G" gives the
+    whole group's ring."""
 
     group: object
     subgroup_tag: str
@@ -433,18 +398,6 @@ def _same_system(a, b) -> bool:
 # module-level operations
 
 
-def series_add(f: GradedSeries, g: GradedSeries) -> GradedSeries:
-    return f + g
-
-
-def series_multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
-    return f * g
-
-
-def series_invert(f: GradedSeries) -> GradedSeries:
-    return f.invert()
-
-
 def summable_sum(family) -> GradedSeries:
     """Termwise sum of a finite family sharing one context."""
     items = list(family)
@@ -525,7 +478,7 @@ def regroup(f: GradedSeries, descriptor) -> RegroupedSeries:
     if ctx.graded:
         quotient_ctx = descriptor.quotient
     else:
-        quotient_ctx = GroupRing(descriptor.quotient)
+        quotient_ctx = SubgroupRing(descriptor.quotient, "G")
     sub = SubgroupRing(group, descriptor.subgroup_tag)
     buckets = {}
     for g, a in f.terms.items():

@@ -15,7 +15,7 @@ row they update, with no skipping of zero entries or zero heads.
 
 from fractions import Fraction
 
-from mnseries.freeness import COUNTEREXAMPLE, VERIFIED, FreenessReport
+from mnseries.report import COUNTEREXAMPLE, VERIFIED, Report
 from mnseries.groups import HeisenbergElement, SemidirectElement, WreathElement
 from mnseries.magnus import LETTERS, FreeMonoid
 from mnseries.scalars import QQ
@@ -179,11 +179,11 @@ def reference_digit_sum_check(r, max_exponent):
         seen[total] = mask
     details = {"r": str(r), "sums": len(seen)}
     if collision is None:
-        return FreenessReport("digit-sum", VERIFIED, bounds, None, details)
+        return Report("digit-sum", VERIFIED, bounds, None, details)
     m1, m2, total = collision
     subsets = [[i for i in range(max_exponent + 1) if m >> i & 1] for m in (m1, m2)]
     witness = {"subsets": subsets, "sum": str(total)}
-    return FreenessReport("digit-sum", COUNTEREXAMPLE, bounds, witness, details)
+    return Report("digit-sum", COUNTEREXAMPLE, bounds, witness, details)
 
 
 def reference_enumerate_monoid(group, generators, max_length):

@@ -91,7 +91,7 @@ def test_criterion_01_order_axioms():
 def test_criterion_02_magnus_injectivity():
     with criterion(2, "161 reduced words of length <= 4 separate at degree 4", 5.0):
         report = verify_magnus_injectivity(2, 4, 4)
-        assert report.injective and report.word_count == 161
+        assert report.verified and report.details["words"] == 161
 
 
 def test_criterion_03_type2_free_monoid_and_negative_control():
@@ -193,7 +193,7 @@ def test_criterion_09_crossed_validity():
             quadratic_conj_z(2),
         ]
         for system in builtins:
-            assert check_crossed_system(system, 100, seed=9).valid, system.id
+            assert check_crossed_system(system, 100, seed=9).verified, system.id
         diagonals = [
             lambda g: Fraction(1),
             lambda g: Fraction(-1) if (g.coords[0] * g.coords[1]) % 2 else Fraction(1),
@@ -203,9 +203,9 @@ def test_criterion_09_crossed_validity():
         ]
         base = z2_sign_twist()
         for d in diagonals:
-            assert check_crossed_system(diagonal_change(base, d), 100, seed=9).valid
+            assert check_crossed_system(diagonal_change(base, d), 100, seed=9).verified
         corrupted = corrupt_twist(base, (Z2.element(1, 1), Z2.element(1, 0)), Fraction(2))
-        assert not check_crossed_system(corrupted, 300, seed=9).valid
+        assert not check_crossed_system(corrupted, 300, seed=9).verified
 
 
 def test_criterion_10_group_algebra_independence():
@@ -244,7 +244,7 @@ def test_criterion_11_augmentation_and_good_preimages():
             phi, lambda q: q, source, target, samples=60, seed=11,
             series_map=augment_coefficients,
         )
-        assert report.holds and report.multiplicative_pairs > 0
+        assert report.verified and report.details["multiplicative_pairs"] > 0
 
 
 DOCUMENTED_COMMANDS = (

@@ -178,14 +178,26 @@ def test_guard_limits_exit_65_and_override(capsys):
                        "--L", "2", "--D", "13")
     assert code == 65
     code, _, err = run(capsys, "digit-sum", "--r", "2", "--N", "21")
-    assert code == 65
-    # the module-level digit-sum guard stays even with the flag lifted
+    # the digit-sum guard is the library's and has no override, so the
+    # message must not offer one
+    assert code == 65 and "N=21" in err and "--unsafe-bounds" not in err
     code, _, err = run(capsys, "digit-sum", "--r", "2", "--N", "25", "--unsafe-bounds")
-    assert code == 65
+    assert code == 65 and "--unsafe-bounds" not in err
     # the flag does lift the CLI-level degree guard (cheap run: 5 words)
     code, report = run_json(capsys, "verify-group-algebra", "--c", "1", "--d", "1",
                             "--L", "1", "--D", "13", "--unsafe-bounds")
     assert code == 0 and report["bounds"]["D"] == 13
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-monoid", "--group", "bs12", "--gens", "B(1/1,1),B(0/1,1)", "--L", "-2"),
+    ("pingpong", "--r", "2", "--t", "1", "--L", "-1"),
+    ("check-crossed", "--system", "z2-sign-twist", "--samples", "-3"),
+])
+def test_negative_bounds_are_usage_errors(capsys, argv):
+    # a negative bound checks nothing, so it must not yield a certificate
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and not out and "must be nonnegative" in err
 
 
 def test_magnus_word_length_guard(capsys, monkeypatch):
@@ -334,11 +346,11 @@ def test_witness_reverification_runs_in_optimized_mode():
 
 
 def test_exit_code_3_for_inconclusive(capsys, monkeypatch):
-    from mnseries.freeness import FreenessReport, INCONCLUSIVE
+    from mnseries.report import INCONCLUSIVE, Report
 
     def fake(units, L, degree=None, names=None):
-        return FreenessReport("group-algebra", INCONCLUSIVE, {"L": L, "D": 2, "N": None},
-                              {"dependency": {"a": "1"}})
+        return Report("group-algebra", INCONCLUSIVE, {"L": L, "D": 2, "N": None},
+                       {"dependency": {"a": "1"}})
 
     monkeypatch.setattr(cli, "group_algebra_independence", fake)
     code, report = run_json(capsys, "verify-group-algebra", "--c", "1", "--d", "1",

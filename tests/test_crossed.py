@@ -52,15 +52,26 @@ BUILTIN_SYSTEMS = [
 @pytest.mark.parametrize("system", BUILTIN_SYSTEMS, ids=lambda s: f"{s.id}@{s.group.id}")
 def test_builtin_systems_valid(system):
     report = check_crossed_system(system, sample_count=150, seed=1)
-    assert report.valid, report.violation
+    assert report.verified, report.witness
 
 
 def test_corrupted_twist_caught():
     base = z2_sign_twist()
     bad = corrupt_twist(base, (Z2.element(1, 1), Z2.element(1, 0)), Fraction(2))
     report = check_crossed_system(bad, sample_count=300, seed=1)
-    assert not report.valid
-    assert report.violation["identity"] in ("cocycle", "action")
+    assert not report.verified
+    assert report.witness["identity"] in ("cocycle", "action")
+
+
+def test_negative_sample_count_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_crossed_system(z2_sign_twist(), sample_count=-3)
+
+
+def test_crossed_report_fields():
+    report = check_crossed_system(z2_sign_twist(), sample_count=10, seed=1)
+    assert (report.kind, report.bounds, report.witness) == ("crossed-validity", {"samples": 10}, None)
+    assert report.exit_code == 0 and report.details["checked"] > 10
 
 
 def test_diagonal_change_identity_map_is_noop():
@@ -92,7 +103,7 @@ def test_diagonal_change_outputs_valid(idx):
     system = z2_sign_twist()
     changed = diagonal_change(system, DIAGONALS[idx])
     report = check_crossed_system(changed, sample_count=150, seed=2)
-    assert report.valid, report.violation
+    assert report.verified, report.witness
 
 
 def test_diagonal_change_changes_the_twist_but_stays_valid():
@@ -105,7 +116,7 @@ def test_diagonal_change_changes_the_twist_but_stays_valid():
         for h in Z2.panel_elements()
     )
     assert differs
-    assert check_crossed_system(changed, 100, seed=3).valid
+    assert check_crossed_system(changed, 100, seed=3).verified
 
 
 def test_diagonal_change_basis_substitution_agreement():
@@ -277,15 +288,15 @@ def test_morphism_extension_augmentation_holds():
         phi, lambda q: q, source, target, samples=80, seed=1,
         series_map=augment_coefficients,
     )
-    assert report.holds, report.violation
-    assert report.multiplicative_pairs > 0
+    assert report.verified, report.witness
+    assert report.details["multiplicative_pairs"] > 0
 
 
 def test_morphism_extension_identity_holds():
     system = z2_sign_twist()
     side = ScalarSide(system, Z2)
     report = check_morphism_extension(lambda r: r, lambda g: g, side, side, samples=60, seed=2)
-    assert report.holds
+    assert report.verified
 
 
 def test_morphism_extension_detects_action_violation():
@@ -294,5 +305,5 @@ def test_morphism_extension_detects_action_violation():
     target = ScalarSide(trivial_system(Z1, QuadraticField(2)), Z1)
     phi = lambda r: r.conjugate()
     report = check_morphism_extension(phi, lambda g: g, source, target, samples=100, seed=3)
-    assert not report.holds
-    assert report.violation["condition"] == "action-compatibility"
+    assert not report.verified
+    assert report.witness["condition"] == "action-compatibility"

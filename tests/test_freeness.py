@@ -4,8 +4,6 @@ from fractions import Fraction
 import pytest
 
 from mnseries.freeness import (
-    COUNTEREXAMPLE,
-    INCONCLUSIVE,
     GuardLimitError,
     digit_sum_check,
     free_monoid_check,
@@ -16,6 +14,7 @@ from mnseries.freeness import (
     type3_generators,
 )
 from mnseries.groups import Heisenberg, SemidirectGroup, WreathGroup
+from mnseries.report import COUNTEREXAMPLE, INCONCLUSIVE, digest
 from mnseries.scalars import QQ, PrimeField
 from mnseries.series import GradedSeries
 
@@ -123,6 +122,14 @@ def test_pingpong_requires_integer_ratio():
 def test_pingpong_requires_ratio_at_least_two():
     with pytest.raises(ValueError):
         pingpong_check(SemidirectGroup(Fraction(1)), Fraction(1), 4)
+
+
+def test_negative_lengths_rejected():
+    # a negative bound enumerates nothing and must not certify anything
+    with pytest.raises(ValueError, match="nonnegative"):
+        free_monoid_check(BS, list(BS.monoid_generators()), -2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pingpong_check(BS, Fraction(1), -1)
 
 
 def test_pingpong_nontrivial_t():
@@ -272,6 +279,10 @@ def test_independence_over_prime_field():
 def test_report_digest_is_stable():
     r1 = digit_sum_check(Fraction(2), 5)
     r2 = digit_sum_check(Fraction(2), 5)
-    assert r1.digest() == r2.digest()
+    assert r1 == r2
     blob = r1.to_json()
-    assert set(blob) == {"kind", "verdict", "bounds", "witness", "details", "elapsed_ms", "digest"}
+    assert set(blob) == {"kind", "verdict", "bounds", "witness", "details"}
+    # the digest covers the content, not the timing or a previous digest
+    assert digest(blob) == digest(r2.to_json())
+    assert digest({**blob, "elapsed_ms": 7, "digest": "0" * 16}) == digest(blob)
+    assert digest({**blob, "details": {}}) != digest(blob)

@@ -18,8 +18,6 @@ from mnseries.groups import (
     digit_expansion,
     digit_sum_subset,
     enumerate_monoid,
-    group_compare,
-    group_multiply,
     quotient_descriptor,
 )
 
@@ -130,9 +128,6 @@ def test_weight_examples():
     assert HEIS.weight(HeisenbergElement(2, 3, 4)) == 5
     assert BS.weight(BS.element(1, 1)) == 1
     assert WREATH.weight(WREATH.element({0: 2, 1: 1}, 3)) == 6
-    from mnseries.groups import weight
-
-    assert weight(HEIS, HeisenbergElement(2, 3, 4)) == 5
 
 
 def test_weight_outside_monoid_raises():
@@ -174,21 +169,23 @@ def test_monoid_membership_digit_oracle_matches_subset_search(ratio, t):
 
 
 def test_compare_examples():
-    assert group_compare(HeisenbergElement(0, 0, 1), HeisenbergElement(0, 1, 0)) == "less"
+    assert HEIS.compare(HeisenbergElement(0, 0, 1), HeisenbergElement(0, 1, 0)) == -1
     g = BS.element(Fraction(5, 2), -1)
-    assert group_compare(g, g) == "equal"
-    assert group_compare(WREATH.element({0: 1}, 0), WREATH.element({}, 1)) == "less"
+    assert BS.compare(g, g) == 0
+    assert WREATH.compare(WREATH.element({0: 1}, 0), WREATH.element({}, 1)) == -1
 
 
 def test_mixed_group_instances_rejected():
     with pytest.raises(GroupMismatchError):
-        group_multiply(X, BS.element(0, 1))
+        X * BS.element(0, 1)
     with pytest.raises(GroupMismatchError):
-        group_multiply(BS.element(0, 1), SemidirectGroup(Fraction(3)).element(0, 1))
+        BS.multiply(BS.element(0, 1), SemidirectGroup(Fraction(3)).element(0, 1))
     with pytest.raises(GroupMismatchError):
-        group_compare(X, WREATH.element({}, 1))
+        HEIS.compare(X, WREATH.element({}, 1))
     with pytest.raises(GroupMismatchError):
-        group_compare(BS.element(0, 1), SemidirectGroup(Fraction(3)).element(0, 1))
+        WREATH.compare(X, WREATH.element({}, 1))
+    with pytest.raises(GroupMismatchError):
+        BS.compare(BS.element(0, 1), SemidirectGroup(Fraction(3)).element(0, 1))
 
 
 def test_heisenberg_centrality():
@@ -238,20 +235,21 @@ def test_enumerate_monoid_rejects_bad_generators():
 )
 def test_classification(group, expected):
     result = classify_order_type(group, samples=100, seed=0)
-    assert result.order_type == expected
+    assert result.verified and result.kind == "order-type"
+    assert result.details["type"] == expected and result.details["group"] == group.id
 
 
 def test_heisenberg_classification_witness_chain():
     result = classify_order_type(HEIS, samples=50)
     assert result.witness["chain"] == ["1", "center", "a=0", "G"]
-    assert all(j.central for j in result.jumps)
+    assert all(j["central"] for j in result.details["jumps"])
 
 
 def test_bs_classification_witness_ratio():
     result = classify_order_type(BS, samples=50)
-    jump = result.jumps[0]
-    assert (jump.lower, jump.upper, jump.central) == ("1", "base", False)
-    assert jump.action_ratio == 2
+    [jump] = result.details["jumps"]
+    assert (jump["lower"], jump["upper"], jump["central"]) == ("1", "base", False)
+    assert jump["action_ratio"] == "2"
 
 
 def test_wreath_classification_witness():

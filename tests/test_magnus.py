@@ -126,8 +126,8 @@ def test_image_weights_are_word_lengths():
 @pytest.mark.parametrize("size,length,degree,count", [(2, 3, 3, 53), (1, 2, 2, 5), (2, 4, 4, 161)])
 def test_injectivity_panels(size, length, degree, count):
     report = verify_magnus_injectivity(size, length, degree)
-    assert report.injective
-    assert report.word_count == count
+    assert report.verified and report.witness is None
+    assert report.details["words"] == count
 
 
 def test_injectivity_requires_degree_at_least_length():

@@ -10,7 +10,6 @@ from mnseries.scalars import (
     PrimeFieldElement,
     QuadraticField,
     QuadraticFieldElement,
-    field_arithmetic,
     field_from_spec,
     field_of,
     parse_scalar,
@@ -23,29 +22,33 @@ FIELDS = (QQ, F7, Q2)
 
 
 def test_add_fractions():
-    assert field_arithmetic(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
+    assert QQ.parse("1/2") + QQ.parse("1/3") == Fraction(5, 6)
 
 
 def test_quadratic_norm_identity():
     a = Q2.from_parts(1, 1)
     b = Q2.from_parts(1, -1)
-    assert field_arithmetic(a, b, "mul") == Q2.from_int(-1)
+    assert a * b == Q2.from_int(-1)
 
 
 def test_prime_field_division():
-    assert field_arithmetic(F7.from_int(3), F7.from_int(5), "div") == F7.from_int(2)
+    assert F7.from_int(3) / F7.from_int(5) == F7.from_int(2)
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        field_arithmetic(Fraction(1), Fraction(0), "div")
+        Fraction(1) / Fraction(0)
     with pytest.raises(ZeroDivisionError):
-        field_arithmetic(F7.from_int(1), F7.from_int(0), "div")
+        F7.from_int(1) / F7.from_int(0)
+    with pytest.raises(ZeroDivisionError):
+        Q2.from_int(1) / Q2.zero
 
 
 def test_mixed_fields_rejected():
     with pytest.raises(FieldMismatchError):
-        field_arithmetic(Fraction(1), F7.from_int(1), "add")
+        Fraction(1) + F7.from_int(1)
+    with pytest.raises(FieldMismatchError):
+        Q2.from_int(1) * F7.from_int(1)
     with pytest.raises(FieldMismatchError):
         F7.from_int(1) + PrimeFieldElement(1, 5)
     with pytest.raises(FieldMismatchError):
@@ -142,7 +145,3 @@ def test_prime_field_requires_prime():
     with pytest.raises(ValueError):
         PrimeField(9)
 
-
-def test_unknown_operation():
-    with pytest.raises(ValueError):
-        field_arithmetic(Fraction(1), Fraction(1), "pow")
