@@ -60,7 +60,7 @@ from .crossed import (
     z2_sign_twist,
 )
 from .linalg import InvariantError
-from .report import COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED, Report
+from .report import Report
 from .magnus import (
     FreeMonoid,
     FreeWord,
