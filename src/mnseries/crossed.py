@@ -41,9 +41,6 @@ class CrossedSystem:
     def is_trivial(self) -> bool:
         return self.id == "trivial"
 
-    def action_tag(self, g) -> str:
-        return self._action_tag(g)
-
     def action(self, g, value):
         return self.field.apply(self._action_tag(g), value)
 
@@ -299,12 +296,12 @@ class QuotientSystem:
 
 
 def quotient_system(group, subgroup, transversal=None, base: CrossedSystem | None = None,
-                    field=QQ, check_cosets: int = 50, seed: int = 0) -> QuotientSystem:
+                    field=QQ, seed: int = 0) -> QuotientSystem:
     """Build the induced system for one of the supported normal subgroups.
 
     subgroup may be a tag or a ready QuotientDescriptor; transversal, when
-    given, overrides the canonical representative map and is validated on a
-    sample of cosets (identity coset must map to the identity; every
+    given, overrides the canonical representative map and is validated on 50
+    sampled cosets (identity coset must map to the identity; every
     representative must project back to its coset)."""
     from .groups import quotient_descriptor as make_descriptor
 
@@ -323,7 +320,7 @@ def quotient_system(group, subgroup, transversal=None, base: CrossedSystem | Non
         raise ValueError("transversal must send the identity coset to the identity")
     rng = random.Random(seed)
     seen = {}
-    for _ in range(check_cosets):
+    for _ in range(50):
         q = quotient.sample_element(rng)
         rep = descriptor.representative(q)
         if descriptor.project(rep) != q:
@@ -390,7 +387,7 @@ def project_series(f: GradedSeries, descriptor) -> GradedSeries:
     return augment_coefficients(regroup(f, descriptor))
 
 
-def good_preimage(a: GradedSeries, descriptor, target_context=None) -> GradedSeries:
+def good_preimage(a: GradedSeries, descriptor) -> GradedSeries:
     """Lift a quotient series through the canonical transversal: each coset
     term alpha*c becomes rep(alpha)*c. The projection returns a exactly, and
     the lift is invertible whenever a has a nonzero identity coefficient."""
@@ -400,8 +397,7 @@ def good_preimage(a: GradedSeries, descriptor, target_context=None) -> GradedSer
         raise ContextMismatchError(
             f"series over {a.context.id} is not over the quotient of {descriptor.id}"
         )
-    if target_context is None:
-        target_context = descriptor.group if a.context.graded else SubgroupRing(descriptor.group, "G")
+    target_context = descriptor.group if a.context.graded else SubgroupRing(descriptor.group, "G")
     terms = {}
     for q, c in a.terms.items():
         terms[descriptor.representative(q)] = c
@@ -538,6 +534,8 @@ def check_morphism_extension(phi, eta, source, target, samples: int = 100, seed:
     (product computed on each side independently). The first failed
     condition is the witness; details count the samples checked and the
     multiplicative pairs."""
+    if samples < 0:
+        raise ValueError("sample count must be nonnegative")
     rng = random.Random(seed)
     checked = 0
     pairs = 0

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .groups import digit_expansion, enumerate_monoid
 from .linalg import InvariantError, rank_and_left_nullspace
-from .magnus import LETTERS, enumerate_reduced_words, word_images
+from .magnus import enumerate_reduced_words, word_images
 from .report import INCONCLUSIVE, VERIFIED, Report, outcome
 from .scalars import field_of, rational_power
 from .series import GradedSeries
@@ -41,7 +41,7 @@ def _default_names(count: int):
 # free monoids inside groups
 
 
-def free_monoid_check(group, generators, max_length: int, names=None) -> Report:
+def free_monoid_check(group, generators, max_length: int) -> Report:
     """Enumerate all generator words of length at most max_length; verified
     when the word-to-element map is injective, otherwise the first collision
     (in discovery order) is the witness."""
@@ -49,8 +49,7 @@ def free_monoid_check(group, generators, max_length: int, names=None) -> Report:
         raise ValueError("free monoid check needs at least two generators")
     if max_length < 0:
         raise ValueError("max length must be nonnegative")
-    if names is None:
-        names = _default_names(len(generators))
+    names = _default_names(len(generators))
     table = enumerate_monoid(group, generators, max_length)
     bounds = {"L": max_length, "D": None, "N": None}
     word_count = sum(len(words) for words in table.values())
@@ -152,13 +151,12 @@ def pingpong_check(group, t_value: Fraction, max_length: int) -> Report:
         raise ValueError("max length must be nonnegative")
     r = group.ratio
     if r.denominator != 1:
-        raise ValueError("membership oracle requires integer ratio")
+        raise ValueError("ping-pong certificate requires an integer ratio")
     if r < 2:
         raise ValueError("ping-pong certificate needs ratio at least 2")
     t_value = Fraction(t_value)
     if t_value == 0:
         raise ValueError("translation part t must be nonzero")
-    r_int = r.numerator
     bounds = {"L": max_length, "D": None, "N": None}
     tx = group.element(t_value, 1)
     x = group.element(0, 1)
@@ -167,7 +165,7 @@ def pingpong_check(group, t_value: Fraction, max_length: int) -> Report:
     def in_A(g):
         if g.n < 0:
             return None
-        return digit_expansion(g.h / t_value, r_int)
+        return digit_expansion(g.h / t_value, r)
 
     orbit = [seed]
     level = [seed]
@@ -264,8 +262,7 @@ def type1_unit_generators(group, c, d, degree: int):
 # exact linear independence of unit-group words
 
 
-def group_algebra_independence(units, max_length: int, degree: int | None = None,
-                               names=None) -> Report:
+def group_algebra_independence(units, max_length: int, degree: int | None = None) -> Report:
     """Evaluate every reduced word of length at most max_length in the given
     units (inverses through truncated series inversion), assemble the exact
     coefficient matrix over (weight, element) columns, and certify full rank
@@ -285,8 +282,6 @@ def group_algebra_independence(units, max_length: int, degree: int | None = None
     for u in units:
         if not u.identity_coefficient():
             raise ValueError("every unit needs a nonzero identity coefficient")
-    if names is None:
-        names = LETTERS[: len(units)]
 
     ctx = first.context
     fld = first.field

@@ -185,60 +185,48 @@ class LatticeElement:
 # ---------------------------------------------------------------------------
 # digit-sum membership for the semidirect monoid
 
-def digit_sum_subset(q: Fraction, ratio: Fraction, max_exponent: int):
-    """Exponents 0 <= e <= max_exponent with sum of distinct ratio**e equal to q.
 
-    Returns the ascending exponent tuple or None. Searches top exponent first
-    with interval pruning. For integer ratios >= 2 the representation is the
-    base-r expansion with digits in {0,1}; digit_expansion answers that case
-    without a search.
-    """
-    if q < 0:
+def digit_expansion(x, ratio):
+    """Ascending exponents e of the distinct powers ratio**e that sum to x,
+    or None when x is not such a sum (x <= 0 included); ratio is any positive
+    rational. Reads only .numerator and .denominator, so ints work too.
+
+    With ratio = p/q in lowest terms and p != q, a sum whose top exponent is
+    k has denominator exactly q**k, and x*q**k is the sum of p**e * q**(k-e)
+    over its exponents. For p >= 2 the exponent-0 digit is fixed mod p, as
+    q**k is a unit mod p: subtract it, divide by p and repeat. For p = 1 the
+    digits of x*q**k in base q sit at positions k - e. Either way the
+    expansion is unique when it exists. For ratio 1 the answer is the lowest
+    x exponents, as a range."""
+    p, q = ratio.numerator, ratio.denominator
+    value, den = x.numerator, x.denominator
+    if value <= 0:
         return None
-    if q == 0:
-        return ()
-    powers = [ratio**e for e in range(max_exponent + 1)]
-    suffix = [Fraction(0)] * (max_exponent + 2)
-    for e in range(max_exponent, -1, -1):
-        suffix[e] = suffix[e + 1] + powers[e]
-    # suffix[e] here is the sum of powers[e..max]; rebuild as sum of powers[0..e]
-    prefix = [Fraction(0)] * (max_exponent + 1)
-    running = Fraction(0)
-    for e in range(max_exponent + 1):
-        running += powers[e]
-        prefix[e] = running
-
-    def search(e, remaining, taken):
-        if remaining == 0:
-            return taken
-        if e < 0 or remaining < 0 or remaining > prefix[e]:
+    if p == q:
+        return range(value) if den == 1 else None
+    top, w = 0, 1
+    while w < den and q > 1:
+        top, w = top + 1, w * q
+    if w != den:
+        return None
+    if p == 1:
+        digits = digit_expansion(value, q)
+        if digits is None or digits[-1] > top:
             return None
-        with_e = search(e - 1, remaining - powers[e], taken + (e,))
-        if with_e is not None:
-            return with_e
-        return search(e - 1, remaining, taken)
-
-    result = search(max_exponent, q, ())
-    if result is None:
-        return None
-    return tuple(sorted(result))
-
-
-def digit_expansion(q: Fraction, r: int):
-    """Base-r expansion of a positive integer q with digits restricted to
-    {0,1}; returns the ascending exponent list or None. Valid for integer
-    r >= 2, where such a representation is unique when it exists."""
-    if q.denominator != 1 or q <= 0:
-        return None
-    value = q.numerator
+        return [top - j for j in reversed(digits)]
+    # value is x*q**top less the digits taken; w runs through q**(top-e) and
+    # is 0 past the top exponent, where no nonzero digit fits. Taking e
+    # leaves (p*value + digit - w)/p = value - w//p, as digit == w % p.
     exponents = []
     position = 0
     while value:
-        value, digit = divmod(value, r)
-        if digit == 1:
+        value, digit = divmod(value, p)
+        if digit:
+            if digit != w % p:
+                return None
             exponents.append(position)
-        elif digit != 0:
-            return None
+            value -= w // p
+        w //= q
         position += 1
     return exponents
 
@@ -247,9 +235,60 @@ def digit_expansion(q: Fraction, r: int):
 # group contexts
 
 
-@dataclass(frozen=True)
-class Heisenberg:
+class _Group:
+    """What the group contexts share. Each context keeps multiply, weight and
+    in_monoid in its own body and answers its own subgroup tags in
+    _subgroup_contains and _sample_subgroup; "1" and "G" are answered here."""
+
     graded = True
+
+    def inverse(self, g):
+        return g.inverse()
+
+    def compare(self, g, h) -> int:
+        if not (self.contains(g) and self.contains(h)):
+            raise GroupMismatchError(f"{self._noun} comparison on foreign elements")
+        return _cmp(g.order_key(), h.order_key())
+
+    def format_element(self, g) -> str:
+        return str(g)
+
+    def sample_monoid_element(self, rng, max_weight: int):
+        """A random product of at most max_weight monoid generators."""
+        n = rng.randint(0, max_weight)
+        g = self.identity()
+        gens = self.monoid_generators()
+        for _ in range(n):
+            g = g * gens[rng.randint(0, 1)]
+        return g
+
+    def subgroup_contains(self, tag: str, g) -> bool:
+        if tag == "1":
+            return g == self.identity()
+        if tag == "G":
+            return True
+        return self._subgroup_contains(tag, g)
+
+    def sample_subgroup(self, tag: str, rng):
+        if tag == "1":
+            return self.identity()
+        if tag == "G":
+            return self.sample_element(rng)
+        return self._sample_subgroup(tag, rng)
+
+    def _tag_index(self, pattern: str, tag: str) -> int:
+        m = re.match(pattern, tag)
+        if not m:
+            raise self._unknown(tag)
+        return int(m.group(1))
+
+    def _unknown(self, tag: str) -> ValueError:
+        return ValueError(f"unknown {self._noun} subgroup {tag!r}")
+
+
+@dataclass(frozen=True)
+class Heisenberg(_Group):
+    _noun = "Heisenberg"
 
     @property
     def id(self) -> str:
@@ -264,14 +303,6 @@ class Heisenberg:
     def multiply(self, g, h):
         return g * h
 
-    def inverse(self, g):
-        return g.inverse()
-
-    def compare(self, g, h) -> int:
-        if not (self.contains(g) and self.contains(h)):
-            raise GroupMismatchError("Heisenberg comparison on foreign elements")
-        return _cmp(g.order_key(), h.order_key())
-
     def monoid_generators(self):
         return (HeisenbergElement(1, 0, 0), HeisenbergElement(0, 1, 0))
 
@@ -282,9 +313,6 @@ class Heisenberg:
         if not self.in_monoid(g):
             raise NotInMonoidError(f"{g} is outside the monoid generated by x, y")
         return g.a + g.b
-
-    def format_element(self, g) -> str:
-        return str(g)
 
     def parse_element(self, text: str):
         m = re.match(r"^H\((-?\d+),(-?\d+),(-?\d+)\)$", text.strip())
@@ -312,31 +340,23 @@ class Heisenberg:
     def subgroup_tags(self):
         return ("1", "center", "a=0")
 
-    def subgroup_contains(self, tag: str, g) -> bool:
-        if tag == "1":
-            return g == self.identity()
+    def _subgroup_contains(self, tag: str, g) -> bool:
         if tag == "center":
             return g.a == 0 and g.b == 0
         if tag == "a=0":
             return g.a == 0
-        if tag == "G":
-            return True
-        raise ValueError(f"unknown Heisenberg subgroup {tag!r}")
+        raise self._unknown(tag)
 
-    def sample_subgroup(self, tag: str, rng):
-        if tag == "1":
-            return self.identity()
+    def _sample_subgroup(self, tag: str, rng):
         if tag == "center":
             return HeisenbergElement(0, 0, rng.randint(-5, 5))
         if tag == "a=0":
             return HeisenbergElement(0, rng.randint(-5, 5), rng.randint(-5, 5))
-        if tag == "G":
-            return self.sample_element(rng)
-        raise ValueError(f"unknown Heisenberg subgroup {tag!r}")
+        raise self._unknown(tag)
 
 
 @dataclass(frozen=True)
-class SemidirectGroup:
+class SemidirectGroup(_Group):
     """H x| C with H the rationals reachable from the generators and C = <x>,
     where x z x^-1 = ratio * z for z in H. With ratio 2, t_value 1 this is
     the Baumslag-Solitar group B(1,2) in its standard ordering."""
@@ -344,7 +364,7 @@ class SemidirectGroup:
     ratio: Fraction = Fraction(2)
     t_value: Fraction = Fraction(1)
 
-    graded = True
+    _noun = "semidirect"
 
     def __post_init__(self):
         object.__setattr__(self, "ratio", Fraction(self.ratio))
@@ -369,14 +389,6 @@ class SemidirectGroup:
     def multiply(self, g, h):
         return g * h
 
-    def inverse(self, g):
-        return g.inverse()
-
-    def compare(self, g, h) -> int:
-        if not (self.contains(g) and self.contains(h)):
-            raise GroupMismatchError("semidirect comparison on foreign elements")
-        return _cmp(g.order_key(), h.order_key())
-
     def element(self, h, n: int):
         return SemidirectElement(Fraction(h), n, self.ratio)
 
@@ -388,21 +400,13 @@ class SemidirectGroup:
             return False
         if g.h == 0:
             return True
-        if g.n == 0:
-            return False
-        q = g.h / self.t_value
-        if self.ratio.denominator == 1 and self.ratio >= 2:
-            digits = digit_expansion(q, self.ratio.numerator)
-            return digits is not None and digits[-1] <= g.n - 1
-        return digit_sum_subset(q, self.ratio, g.n - 1) is not None
+        digits = digit_expansion(g.h / self.t_value, self.ratio)
+        return digits is not None and digits[-1] <= g.n - 1
 
     def weight(self, g) -> int:
         if not self.in_monoid(g):
             raise NotInMonoidError(f"{g} is outside the monoid generated by tx, x")
         return g.n
-
-    def format_element(self, g) -> str:
-        return str(g)
 
     def parse_element(self, text: str):
         m = re.match(r"^B\((-?\d+(?:/\d+)?),(-?\d+)\)(?:@r=(-?\d+(?:/\d+)?))?$", text.strip())
@@ -416,14 +420,6 @@ class SemidirectGroup:
         h = Fraction(rng.randint(-20, 20), self.ratio.numerator ** rng.randint(0, 2))
         return self.element(h * self.t_value, rng.randint(-3, 3))
 
-    def sample_monoid_element(self, rng, max_weight: int):
-        n = rng.randint(0, max_weight)
-        g = self.identity()
-        gens = self.monoid_generators()
-        for _ in range(n):
-            g = g * gens[rng.randint(0, 1)]
-        return g
-
     def panel_elements(self):
         t = self.t_value
         out = []
@@ -435,29 +431,21 @@ class SemidirectGroup:
     def subgroup_tags(self):
         return ("1", "base")
 
-    def subgroup_contains(self, tag: str, g) -> bool:
-        if tag == "1":
-            return g == self.identity()
+    def _subgroup_contains(self, tag: str, g) -> bool:
         if tag == "base":
             return g.n == 0
-        if tag == "G":
-            return True
-        raise ValueError(f"unknown semidirect subgroup {tag!r}")
+        raise self._unknown(tag)
 
-    def sample_subgroup(self, tag: str, rng):
-        if tag == "1":
-            return self.identity()
+    def _sample_subgroup(self, tag: str, rng):
         if tag == "base":
             h = Fraction(rng.randint(-20, 20), self.ratio.numerator ** rng.randint(0, 2))
             return self.element(h * self.t_value, 0)
-        if tag == "G":
-            return self.sample_element(rng)
-        raise ValueError(f"unknown semidirect subgroup {tag!r}")
+        raise self._unknown(tag)
 
 
 @dataclass(frozen=True)
-class WreathGroup:
-    graded = True
+class WreathGroup(_Group):
+    _noun = "wreath"
 
     @property
     def id(self) -> str:
@@ -471,9 +459,6 @@ class WreathGroup:
 
     def multiply(self, g, h):
         return g * h
-
-    def inverse(self, g):
-        return g.inverse()
 
     def compare(self, g, h) -> int:
         if not (self.contains(g) and self.contains(h)):
@@ -499,9 +484,6 @@ class WreathGroup:
             raise NotInMonoidError(f"{g} is outside the monoid generated by a, t")
         return sum(v for _, v in g.cells) + g.n
 
-    def format_element(self, g) -> str:
-        return str(g)
-
     def parse_element(self, text: str):
         m = re.match(r"^W\(\{(.*)\},(-?\d+)\)$", text.strip())
         if not m:
@@ -520,14 +502,6 @@ class WreathGroup:
             mapping[rng.randint(-3, 3)] = rng.randint(-3, 3)
         return WreathElement.from_map(mapping, rng.randint(-3, 3))
 
-    def sample_monoid_element(self, rng, max_weight: int):
-        w = rng.randint(0, max_weight)
-        g = self.identity()
-        gens = self.monoid_generators()
-        for _ in range(w):
-            g = g * gens[rng.randint(0, 1)]
-        return g
-
     def panel_elements(self):
         a = WreathElement(((0, 1),), 0)
         t = WreathElement((), 1)
@@ -538,26 +512,12 @@ class WreathGroup:
     def subgroup_tags(self):
         return ("1", "B0")
 
-    def subgroup_contains(self, tag: str, g) -> bool:
-        if tag == "1":
-            return g == self.identity()
-        if tag == "G":
-            return True
-        m = re.match(r"^B(-?\d+)$", tag)
-        if not m:
-            raise ValueError(f"unknown wreath subgroup {tag!r}")
-        k = int(m.group(1))
+    def _subgroup_contains(self, tag: str, g) -> bool:
+        k = self._tag_index(r"^B(-?\d+)$", tag)
         return g.n == 0 and all(i <= k for i, _ in g.cells)
 
-    def sample_subgroup(self, tag: str, rng):
-        if tag == "1":
-            return self.identity()
-        if tag == "G":
-            return self.sample_element(rng)
-        m = re.match(r"^B(-?\d+)$", tag)
-        if not m:
-            raise ValueError(f"unknown wreath subgroup {tag!r}")
-        k = int(m.group(1))
+    def _sample_subgroup(self, tag: str, rng):
+        k = self._tag_index(r"^B(-?\d+)$", tag)
         mapping = {}
         for _ in range(rng.randint(0, 3)):
             mapping[rng.randint(k - 3, k)] = rng.randint(-3, 3)
@@ -565,10 +525,10 @@ class WreathGroup:
 
 
 @dataclass(frozen=True)
-class LatticeGroup:
+class LatticeGroup(_Group):
     rank: int = 1
 
-    graded = True
+    _noun = "lattice"
 
     def __post_init__(self):
         if self.rank < 1:
@@ -586,14 +546,6 @@ class LatticeGroup:
 
     def multiply(self, g, h):
         return g * h
-
-    def inverse(self, g):
-        return g.inverse()
-
-    def compare(self, g, h) -> int:
-        if not (self.contains(g) and self.contains(h)):
-            raise GroupMismatchError("lattice comparison on foreign elements")
-        return _cmp(g.order_key(), h.order_key())
 
     def element(self, *coords):
         return LatticeElement(tuple(int(c) for c in coords))
@@ -613,9 +565,6 @@ class LatticeGroup:
         if not self.in_monoid(g):
             raise NotInMonoidError(f"{g} has a negative coordinate")
         return sum(g.coords)
-
-    def format_element(self, g) -> str:
-        return str(g)
 
     def parse_element(self, text: str):
         prefix = "Z" if self.rank == 1 else f"Z{self.rank}"
@@ -654,26 +603,12 @@ class LatticeGroup:
     def subgroup_tags(self):
         return ("1",) + tuple(f"axis>{i}" for i in range(1, self.rank))
 
-    def subgroup_contains(self, tag: str, g) -> bool:
-        if tag == "1":
-            return g == self.identity()
-        if tag == "G":
-            return True
-        m = re.match(r"^axis>(\d+)$", tag)
-        if not m:
-            raise ValueError(f"unknown lattice subgroup {tag!r}")
-        k = int(m.group(1))
+    def _subgroup_contains(self, tag: str, g) -> bool:
+        k = self._tag_index(r"^axis>(\d+)$", tag)
         return all(c == 0 for c in g.coords[:k])
 
-    def sample_subgroup(self, tag: str, rng):
-        if tag == "1":
-            return self.identity()
-        if tag == "G":
-            return self.sample_element(rng)
-        m = re.match(r"^axis>(\d+)$", tag)
-        if not m:
-            raise ValueError(f"unknown lattice subgroup {tag!r}")
-        k = int(m.group(1))
+    def _sample_subgroup(self, tag: str, rng):
+        k = self._tag_index(r"^axis>(\d+)$", tag)
         return LatticeElement((0,) * k + tuple(rng.randint(-6, 6) for _ in range(self.rank - k)))
 
 
@@ -748,6 +683,8 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
     convex jumps and the number of sampled checks."""
     import random
 
+    if samples < 0:
+        raise ValueError("sample count must be nonnegative")
     rng = random.Random(seed)
     checks = 0
 
@@ -756,8 +693,13 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
                       {"group": group.id, "type": order_type,
                        "jumps": [j.to_json() for j in jumps], "checks": checks})
 
+    chain = None
     if isinstance(group, Heisenberg):
         chain = ("1", "center", "a=0", "G")
+    elif isinstance(group, LatticeGroup):
+        chain = ("1",) + tuple(f"axis>{i}" for i in range(group.rank - 1, 0, -1)) + ("G",)
+    if chain is not None:
+        # a central chain: [upper, G] lies in lower at every jump
         jumps = tuple(
             ConvexJumpDescriptor(group.id, lo, up, True)
             for lo, up in zip(chain, chain[1:])
@@ -768,21 +710,6 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
                 g = group.sample_element(rng)
                 if not group.subgroup_contains(jump.lower, _commutator(group, h, g)):
                     raise AssertionError(f"jump ({jump.lower},{jump.upper}) is not central")
-                checks += 1
-        return report(1, jumps, {"chain": list(chain)})
-
-    if isinstance(group, LatticeGroup):
-        chain = ("1",) + tuple(f"axis>{i}" for i in range(group.rank - 1, 0, -1)) + ("G",)
-        jumps = tuple(
-            ConvexJumpDescriptor(group.id, lo, up, True)
-            for lo, up in zip(chain, chain[1:])
-        )
-        for jump in jumps:
-            for _ in range(samples):
-                h = group.sample_subgroup(jump.upper, rng)
-                g = group.sample_element(rng)
-                if not group.subgroup_contains(jump.lower, _commutator(group, h, g)):
-                    raise AssertionError("abelian jump failed centrality")
                 checks += 1
         return report(1, jumps, {"chain": list(chain)})
 

@@ -18,10 +18,6 @@ class FieldMismatchError(ValueError):
     """Two scalars from different fields met in a single operation."""
 
 
-# The rational scalar type is stdlib Fraction: reduced, positive denominator,
-# arbitrary precision. str() already yields the "p/q" form with q omitted at 1.
-Rational = Fraction
-
 _RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 _MOD_RE = re.compile(r"^(\d+) mod (\d+)$")
 _QUAD_RE = re.compile(r"^(-?\d+(?:/\d+)?)([+-])(\d+(?:/\d+)?)\*sqrt\((-?\d+)\)$")
@@ -260,15 +256,10 @@ class RationalField:
     def format(self, x) -> str:
         return str(x)
 
-    automorphism_tags = ("id",)
-
     def apply(self, tag: str, x):
         if tag != "id":
             raise ValueError(f"unknown automorphism {tag!r} of Q")
         return x
-
-    def compose(self, tag1: str, tag2: str) -> str:
-        return "id"
 
     def sample(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
@@ -318,15 +309,10 @@ class PrimeField:
     def format(self, x) -> str:
         return str(x)
 
-    automorphism_tags = ("id",)
-
     def apply(self, tag: str, x):
         if tag != "id":
             raise ValueError(f"unknown automorphism {tag!r} of F_{self.p}")
         return x
-
-    def compose(self, tag1: str, tag2: str) -> str:
-        return "id"
 
     def sample(self, rng):
         return PrimeFieldElement(rng.randrange(self.p), self.p)
@@ -384,17 +370,12 @@ class QuadraticField:
     def format(self, x) -> str:
         return str(x)
 
-    automorphism_tags = ("id", "conj")
-
     def apply(self, tag: str, x):
         if tag == "id":
             return x
         if tag == "conj":
             return x.conjugate()
         raise ValueError(f"unknown automorphism {tag!r} of Q(sqrt {self.radicand})")
-
-    def compose(self, tag1: str, tag2: str) -> str:
-        return "id" if tag1 == tag2 else "conj"
 
     def sample(self, rng):
         return QuadraticFieldElement(

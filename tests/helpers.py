@@ -6,8 +6,10 @@ through the affine 2x2 representation, and wreath products through a direct
 dict-shift implementation. The series oracle inverts by the plain geometric
 expansion, built only from the public series operations. The word-image
 oracles build every word from scratch, one product per letter, and the Magnus
-oracle writes each inverse letter out as its truncated geometric series. The digit-sum
-oracle adds the powers of r in rational arithmetic, mask by mask, and the
+oracle writes each inverse letter out as its truncated geometric series.
+The digit-sum oracle adds the powers of r in rational arithmetic, mask by
+mask; the digit-membership oracle, reference_digit_sum_subset, searches the
+subsets of powers top exponent first in rational arithmetic; and the
 monoid-table oracle keys its entries by element strings, not by the
 elements' own hashing. The elimination oracles rewrite every entry of every
 row they update, with no skipping of zero entries or zero heads.
@@ -184,6 +186,44 @@ def reference_digit_sum_check(r, max_exponent):
     subsets = [[i for i in range(max_exponent + 1) if m >> i & 1] for m in (m1, m2)]
     witness = {"subsets": subsets, "sum": str(total)}
     return Report("digit-sum", COUNTEREXAMPLE, bounds, witness, details)
+
+
+def reference_digit_sum_subset(q: Fraction, ratio: Fraction, max_exponent: int):
+    """Exponents 0 <= e <= max_exponent with sum of distinct ratio**e equal to q.
+
+    Returns the ascending exponent tuple or None. Searches top exponent first
+    with interval pruning, in Fraction arithmetic; exponential in
+    max_exponent. The reference for groups.digit_expansion at every ratio.
+    """
+    if q < 0:
+        return None
+    if q == 0:
+        return ()
+    powers = [ratio**e for e in range(max_exponent + 1)]
+    suffix = [Fraction(0)] * (max_exponent + 2)
+    for e in range(max_exponent, -1, -1):
+        suffix[e] = suffix[e + 1] + powers[e]
+    # suffix[e] here is the sum of powers[e..max]; rebuild as sum of powers[0..e]
+    prefix = [Fraction(0)] * (max_exponent + 1)
+    running = Fraction(0)
+    for e in range(max_exponent + 1):
+        running += powers[e]
+        prefix[e] = running
+
+    def search(e, remaining, taken):
+        if remaining == 0:
+            return taken
+        if e < 0 or remaining < 0 or remaining > prefix[e]:
+            return None
+        with_e = search(e - 1, remaining - powers[e], taken + (e,))
+        if with_e is not None:
+            return with_e
+        return search(e - 1, remaining, taken)
+
+    result = search(max_exponent, q, ())
+    if result is None:
+        return None
+    return tuple(sorted(result))
 
 
 def reference_enumerate_monoid(group, generators, max_length):

@@ -299,6 +299,12 @@ def test_morphism_extension_identity_holds():
     assert report.verified
 
 
+def test_morphism_extension_rejects_negative_samples():
+    side = ScalarSide(z2_sign_twist(), Z2)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        check_morphism_extension(lambda r: r, lambda g: g, side, side, samples=-4)
+
+
 def test_morphism_extension_detects_action_violation():
     # conjugation does not intertwine the quadratic action with the trivial one
     source = ScalarSide(quadratic_conj_z(2), Z1)

@@ -115,7 +115,7 @@ def test_pingpong_seed_and_first_moves():
 
 def test_pingpong_requires_integer_ratio():
     group = SemidirectGroup(Fraction(5, 2))
-    with pytest.raises(ValueError, match="membership oracle requires integer ratio"):
+    with pytest.raises(ValueError, match="ping-pong certificate requires an integer ratio"):
         pingpong_check(group, Fraction(1), 4)
 
 

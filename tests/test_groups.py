@@ -1,9 +1,16 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from helpers import heis_product_oracle, semidirect_product_oracle, wreath_product_oracle
+from helpers import (
+    heis_product_oracle,
+    reference_digit_sum_subset,
+    semidirect_product_oracle,
+    wreath_product_oracle,
+)
 from mnseries.groups import (
     ConvexJumpDescriptor,
     GroupMismatchError,
@@ -16,7 +23,6 @@ from mnseries.groups import (
     WreathGroup,
     classify_order_type,
     digit_expansion,
-    digit_sum_subset,
     enumerate_monoid,
     quotient_descriptor,
 )
@@ -163,9 +169,50 @@ def test_monoid_membership_digit_oracle_matches_subset_search(ratio, t):
                 g = group.element(t * Fraction(k, den), n)
                 q = g.h / t
                 expected = g.h == 0 or (
-                    n > 0 and digit_sum_subset(q, Fraction(ratio), n - 1) is not None
+                    n > 0 and reference_digit_sum_subset(q, Fraction(ratio), n - 1) is not None
                 )
                 assert group.in_monoid(g) == expected, (ratio, t, g)
+
+
+@pytest.mark.parametrize("ratio", [Fraction(3, 2), Fraction(2, 5), Fraction(1, 3),
+                                   Fraction(5, 4), Fraction(1)], ids=str)
+def test_monoid_membership_digit_oracle_matches_subset_search_at_rational_ratios(ratio):
+    # every sum of distinct powers below n, each nudged by the smallest step
+    # of its grid, and plain rationals over 1, q, q^2 and 7
+    t = Fraction(-3, 2)
+    group = SemidirectGroup(ratio, t)
+    q = ratio.denominator
+    for n in range(0, 8):
+        sums = {sum((ratio**e for e in s), Fraction(0))
+                for k in range(n + 1) for s in combinations(range(n), k)}
+        step = Fraction(1, q ** max(n - 1, 0))
+        queries = sums | {s + step for s in sums} | {s - step for s in sums}
+        bound = math.ceil(max(sums)) + 2
+        for den in (1, q, q * q, 7):
+            queries.update(Fraction(k, den) for k in range(-2 * den, bound * den))
+        for x in queries:
+            expected = reference_digit_sum_subset(x, ratio, n - 1)
+            assert group.in_monoid(group.element(t * x, n)) == (expected is not None), (n, x)
+            digits = digit_expansion(x, ratio)
+            if ratio != 1 and x != 0:
+                # away from ratio 1 the expansion is unique, so the exponents agree too
+                fits = digits is not None and digits[-1] <= n - 1
+                assert (tuple(digits) if fits else None) == expected, (n, x)
+
+
+def test_digit_expansion_at_top_exponent_200():
+    ratio = Fraction(5, 4)
+    rng = random.Random(11)
+    exponents = sorted(rng.sample(range(200), 100))
+    total = sum((ratio**e for e in exponents), Fraction(0))
+    digits = digit_expansion(total, ratio)
+    assert digits == exponents
+    assert sum((ratio**e for e in digits), Fraction(0)) == total
+    near = total + Fraction(1, 4**199)
+    assert digit_expansion(near, ratio) is None
+    group = SemidirectGroup(ratio)
+    assert group.in_monoid(group.element(total, 200))
+    assert not group.in_monoid(group.element(near, 200))
 
 
 def test_compare_examples():
@@ -237,6 +284,11 @@ def test_classification(group, expected):
     result = classify_order_type(group, samples=100, seed=0)
     assert result.verified and result.kind == "order-type"
     assert result.details["type"] == expected and result.details["group"] == group.id
+
+
+def test_classification_rejects_negative_samples():
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        classify_order_type(HEIS, samples=-5)
 
 
 def test_heisenberg_classification_witness_chain():
