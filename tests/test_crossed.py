@@ -313,3 +313,31 @@ def test_morphism_extension_detects_action_violation():
     report = check_morphism_extension(phi, lambda g: g, source, target, samples=100, seed=3)
     assert not report.verified
     assert report.witness["condition"] == "action-compatibility"
+
+
+# non-constant diagonal changes: twisted base systems whose twist moves the
+# subgroup part, so regroup, flatten and the quotient twist all rescale
+TWISTED_BASES = [
+    (HEIS, "center", lambda g: Fraction(2) ** ((g.a * g.c) % 3) * Fraction(3) ** ((g.a * g.b) % 2)),
+    (SemidirectGroup(), "base", lambda g: Fraction(3) ** (g.n % 2) * (-1) ** (g.h.numerator % 2)),
+]
+
+
+@pytest.mark.parametrize("group,tag,d", TWISTED_BASES, ids=("heis-center", "bs12-base"))
+def test_regroup_under_a_twisted_base_system(group, tag, d):
+    base = diagonal_change(trivial_system(group), d)
+    qs = quotient_system(group, tag, base=base)
+    qd = qs.descriptor
+    panel = group.panel_elements()
+    assert any(base.twist(qd.representative(qd.project(x)), qd.subgroup_part(x)) != 1 for x in panel)
+    assert any(qs.twist(qd.project(x), qd.project(y)).terms != {qs.correction(qd.project(x), qd.project(y)): 1}
+               for x in panel for y in panel)
+    rng = random.Random(14)
+    for _ in range(60):
+        f, g, h = (random_series(group, 4, QQ, rng, system=base) for _ in range(3))
+        a, b, c = (regroup(s, qd) for s in (f, g, h))
+        assert flatten(a) == f
+        assert multiply_regrouped(a, b, qs) == regroup(f * g, qd)
+        left = multiply_regrouped(multiply_regrouped(a, b, qs), c, qs)
+        right = multiply_regrouped(a, multiply_regrouped(b, c, qs), qs)
+        assert left == right
