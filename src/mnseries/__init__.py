@@ -37,11 +37,8 @@ from .series import (
     ContextMismatchError,
     GradedSeries,
     NoTruncatedInverseError,
-    RegroupedSeries,
     SubgroupRing,
-    flatten,
     from_text,
-    regroup,
     summable_sum,
     to_text,
 )
@@ -51,11 +48,12 @@ from .crossed import (
     check_crossed_system,
     check_morphism_extension,
     diagonal_change,
+    flatten,
     good_preimage,
-    multiply_regrouped,
     project_series,
     quadratic_conj_z,
     quotient_system,
+    regroup,
     trivial_system,
     z2_sign_twist,
 )

@@ -765,24 +765,28 @@ class QuotientDescriptor:
 
     project sends g to its coset in the quotient group, representative picks
     the canonical coset representative (identity coset gets the identity),
-    and in_subgroup tests membership in N.
+    and in_subgroup tests membership in N. A derived descriptor (one whose
+    representative map overrides the canonical one) equals only itself.
     """
 
-    def __init__(self, group, subgroup_tag, quotient, project, representative):
+    def __init__(self, group, subgroup_tag, quotient, project, representative, derived=False):
         self.group = group
         self.subgroup_tag = subgroup_tag
         self.quotient = quotient
         self.project = project
         self.representative = representative
+        self.derived = derived
 
     def __eq__(self, other):
-        return (
-            isinstance(other, QuotientDescriptor)
-            and self.group == other.group
-            and self.subgroup_tag == other.subgroup_tag
-        )
+        if not isinstance(other, QuotientDescriptor):
+            return NotImplemented
+        if self.derived or other.derived:
+            return self is other
+        return (self.group, self.subgroup_tag) == (other.group, other.subgroup_tag)
 
     def __hash__(self):
+        if self.derived:
+            return object.__hash__(self)
         return hash((self.group, self.subgroup_tag))
 
     @property
@@ -793,12 +797,13 @@ class QuotientDescriptor:
         return self.group.subgroup_contains(self.subgroup_tag, g)
 
     def subgroup_part(self, g):
-        """The unique n in N with g = representative(project(g)) * n."""
+        """The representative rep of g's coset and the unique n in N with
+        g = rep * n."""
         rep = self.representative(self.project(g))
         n = self.group.multiply(self.group.inverse(rep), g)
         if not self.in_subgroup(n):
             raise AssertionError("transversal decomposition left the subgroup")
-        return n
+        return rep, n
 
 
 def quotient_descriptor(group, subgroup_tag: str) -> QuotientDescriptor:

@@ -6,6 +6,7 @@ from .crossed import CrossedSystem, quadratic_conj_z, trivial_system, z2_sign_tw
 from .groups import Heisenberg, LatticeGroup, SemidirectGroup, WreathGroup
 from .magnus import FreeMonoid
 from .scalars import QuadraticField
+from .series import group_of
 
 
 _GROUPS = {
@@ -42,7 +43,7 @@ CROSSED_IDS = ("trivial", "z2-sign-twist", "quadratic-conj-Z")
 def resolve_crossed(crossed_id: str, context, field) -> CrossedSystem | None:
     """Attach a built-in crossed system to a support context. Group and field
     compatibility is enforced here; "trivial" works everywhere."""
-    base = context.group if hasattr(context, "group") else context
+    base = group_of(context)
     if crossed_id == "trivial":
         return None
     if crossed_id == "z2-sign-twist":

@@ -43,8 +43,8 @@ class NoTruncatedInverseError(ValueError):
 @dataclass(frozen=True)
 class SubgroupRing:
     """Ungraded support context over a named subgroup: finite-support exact
-    mode. Coefficients of regrouped series live here, and tag "G" gives the
-    whole group's ring."""
+    mode. The coefficients of regrouped series are series over it, and tag
+    "G" gives the whole group's ring."""
 
     group: object
     subgroup_tag: str
@@ -79,6 +79,12 @@ class SubgroupRing:
         return self.group.parse_element(text)
 
 
+def group_of(context):
+    """The group under a support context: a subgroup ring's group, or the
+    context itself."""
+    return getattr(context, "group", context)
+
+
 def _system_id(system) -> str:
     return "trivial" if system is None else system.id
 
@@ -87,6 +93,8 @@ class GradedSeries:
     """Finite term map from support elements to nonzero scalars, truncated at
     a fixed degree, with the weight of every term in a parallel map. Immutable
     by convention; operations return new series.
+
+    Any trivial system is stored as None, so systems compare with ==.
 
     With validate, each term is checked and its weight computed here, once.
     Without it the caller vouches for the terms; weights, when given, must map
@@ -98,18 +106,18 @@ class GradedSeries:
         self.context = context
         self.degree = int(degree)
         self.field = field
+        if system is not None and system.is_trivial:
+            system = None
         self.system = system
         if validate:
             clean = {}
             weights = {}
             if self.degree < 0:
                 raise ValueError("degree must be nonnegative")
-            if system is not None and getattr(system, "group", None) is not None:
-                base = context.group if hasattr(context, "group") else context
-                if getattr(system, "group") != base and not getattr(system, "is_trivial", False):
-                    raise ContextMismatchError(
-                        f"crossed system {system.id} does not act on context {context.id}"
-                    )
+            if system is not None and system.group != group_of(context):
+                raise ContextMismatchError(
+                    f"crossed system {system.id} does not act on context {context.id}"
+                )
             for g, coeff in terms.items():
                 if not coeff:
                     continue
@@ -172,7 +180,7 @@ class GradedSeries:
             raise ContextMismatchError(
                 f"mixed coefficient fields {self.field.name} and {other.field.name}"
             )
-        if not _same_system(self.system, other.system):
+        if self.system != other.system:
             raise ContextMismatchError(
                 f"mixed crossed systems {_system_id(self.system)} and {_system_id(other.system)}"
             )
@@ -184,7 +192,7 @@ class GradedSeries:
             self.context == other.context
             and self.degree == other.degree
             and self.field == other.field
-            and _same_system(self.system, other.system)
+            and self.system == other.system
             and self.terms == other.terms
         )
 
@@ -372,26 +380,10 @@ class GradedSeries:
         if len(weights) != len(terms):
             weights = {g: weights[g] for g in terms}
         geom = GradedSeries(ctx, degree, terms, field, system, validate=False, weights=weights)
-        if _is_trivial(system):
+        if system is None:
             return geom.scale(u_inv)
         lead = GradedSeries.from_scalar(ctx, degree, u_inv, field, system)
         return lead * geom
-
-
-def _is_trivial(system) -> bool:
-    return system is None or getattr(system, "is_trivial", False)
-
-
-def _same_system(a, b) -> bool:
-    if a is b:
-        return True
-    if _is_trivial(a) and _is_trivial(b):
-        # the support contexts are compared separately, so any two trivial
-        # systems over the same field are interchangeable
-        return True
-    if a is None or b is None:
-        return False
-    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -407,122 +399,6 @@ def summable_sum(family) -> GradedSeries:
     for f in items[1:]:
         total = total + f
     return total
-
-
-# ---------------------------------------------------------------------------
-# regroup / flatten along a normal convex subgroup
-
-
-class RegroupedSeries:
-    """A series rewritten over coset representatives: for each coset a finite
-    subgroup-supported coefficient series. flatten is the exact inverse."""
-
-    __slots__ = ("descriptor", "source_context", "quotient_context", "degree",
-                 "field", "system", "cosets")
-
-    def __init__(self, descriptor, source_context, quotient_context, degree, field,
-                 system, cosets):
-        self.descriptor = descriptor
-        self.source_context = source_context
-        self.quotient_context = quotient_context
-        self.degree = degree
-        self.field = field
-        self.system = system
-        self.cosets = {q: s for q, s in cosets.items() if s}
-
-    def coefficient(self, q) -> GradedSeries:
-        sub = SubgroupRing(self.descriptor.group, self.descriptor.subgroup_tag)
-        empty = GradedSeries.zero(sub, 0, self.field, self.system)
-        return self.cosets.get(q, empty)
-
-    def __eq__(self, other):
-        if not isinstance(other, RegroupedSeries):
-            return NotImplemented
-        return (
-            self.descriptor == other.descriptor
-            and self.source_context == other.source_context
-            and self.degree == other.degree
-            and self.field == other.field
-            and _same_system(self.system, other.system)
-            and self.cosets == other.cosets
-        )
-
-    def sorted_cosets(self):
-        ctx = self.quotient_context
-        return sorted(
-            self.cosets.items(), key=lambda kv: (ctx.weight(kv[0]), ctx.format_element(kv[0]))
-        )
-
-    def __repr__(self):
-        parts = [
-            f"{self.quotient_context.format_element(q)} -> {s!r}"
-            for q, s in self.sorted_cosets()[:4]
-        ]
-        return f"<regrouped over {self.descriptor.id}: {'; '.join(parts)}>"
-
-
-def regroup(f: GradedSeries, descriptor) -> RegroupedSeries:
-    """Collect the terms of f per coset of the subgroup in the descriptor.
-
-    Each term x*a is rewritten through x = rep * n with rep the canonical
-    coset representative and n in the subgroup; with a twisted base system
-    the coefficient picks up twist(rep, n)^-1.
-    """
-    group = descriptor.group
-    ctx = f.context
-    base = ctx.group if hasattr(ctx, "group") else ctx
-    if base != group:
-        raise ContextMismatchError(
-            f"series over {ctx.id} cannot regroup along {descriptor.id}"
-        )
-    if ctx.graded:
-        quotient_ctx = descriptor.quotient
-    else:
-        quotient_ctx = SubgroupRing(descriptor.quotient, "G")
-    sub = SubgroupRing(group, descriptor.subgroup_tag)
-    buckets = {}
-    for g, a in f.terms.items():
-        q = descriptor.project(g)
-        rep = descriptor.representative(q)
-        n = group.multiply(group.inverse(rep), g)
-        if not descriptor.in_subgroup(n):
-            raise AssertionError("transversal decomposition left the subgroup")
-        coeff = a
-        if f.system is not None:
-            tw = f.system.twist(rep, n)
-            coeff = (f.field.one / tw) * a
-        bucket = buckets.setdefault(q, {})
-        s = bucket.get(n, f.field.zero) + coeff
-        if s:
-            bucket[n] = s
-        else:
-            bucket.pop(n, None)
-    cosets = {
-        q: GradedSeries(sub, 0, terms, f.field, f.system, validate=False)
-        for q, terms in buckets.items()
-        if terms
-    }
-    return RegroupedSeries(descriptor, ctx, quotient_ctx, f.degree, f.field, f.system, cosets)
-
-
-def flatten(rf: RegroupedSeries) -> GradedSeries:
-    """Exact inverse of regroup: expand every coset coefficient back."""
-    descriptor = rf.descriptor
-    group = descriptor.group
-    terms = {}
-    for q, coeff_series in rf.cosets.items():
-        rep = descriptor.representative(q)
-        for n, zeta in coeff_series.terms.items():
-            g = group.multiply(rep, n)
-            value = zeta
-            if rf.system is not None:
-                value = rf.system.twist(rep, n) * zeta
-            s = terms.get(g, rf.field.zero) + value
-            if s:
-                terms[g] = s
-            else:
-                terms.pop(g, None)
-    return GradedSeries(rf.source_context, rf.degree, terms, rf.field, rf.system)
 
 
 # ---------------------------------------------------------------------------

@@ -200,10 +200,7 @@ def reference_digit_sum_subset(q: Fraction, ratio: Fraction, max_exponent: int):
     if q == 0:
         return ()
     powers = [ratio**e for e in range(max_exponent + 1)]
-    suffix = [Fraction(0)] * (max_exponent + 2)
-    for e in range(max_exponent, -1, -1):
-        suffix[e] = suffix[e + 1] + powers[e]
-    # suffix[e] here is the sum of powers[e..max]; rebuild as sum of powers[0..e]
+    # prefix[e] is the sum of powers[0..e], the most that exponents <= e can add
     prefix = [Fraction(0)] * (max_exponent + 1)
     running = Fraction(0)
     for e in range(max_exponent + 1):

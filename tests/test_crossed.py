@@ -5,19 +5,18 @@ import pytest
 
 from helpers import random_series
 from mnseries.crossed import (
-    QuotientSide,
-    ScalarSide,
     augment_coefficients,
     change_basis,
     check_crossed_system,
     check_morphism_extension,
     corrupt_twist,
     diagonal_change,
+    flatten,
     good_preimage,
-    multiply_regrouped,
     project_series,
     quadratic_conj_z,
     quotient_system,
+    regroup,
     term_inverse,
     term_product,
     trivial_system,
@@ -32,7 +31,7 @@ from mnseries.groups import (
     quotient_descriptor,
 )
 from mnseries.scalars import QQ, QuadraticField
-from mnseries.series import GradedSeries, flatten, regroup
+from mnseries.series import ContextMismatchError, GradedSeries
 
 HEIS = Heisenberg()
 Z2 = LatticeGroup(2)
@@ -128,8 +127,8 @@ def test_diagonal_change_basis_substitution_agreement():
         for _ in range(25):
             f = random_series(Z2, 4, QQ, rng, system=system)
             g = random_series(Z2, 4, QQ, rng, system=system)
-            lhs = change_basis(f * g, system, changed, d)
-            rhs = change_basis(f, system, changed, d) * change_basis(g, system, changed, d)
+            lhs = change_basis(f * g, changed, d)
+            rhs = change_basis(f, changed, d) * change_basis(g, changed, d)
             assert lhs == rhs
 
 
@@ -205,7 +204,8 @@ def test_regroup_is_multiplicative_under_quotient_system(group, tag):
         f = random_series(group, 4, QQ, rng)
         g = random_series(group, 4, QQ, rng)
         lhs = regroup(f * g, qd)
-        rhs = multiply_regrouped(regroup(f, qd), regroup(g, qd), qs)
+        rhs = regroup(f, qd) * regroup(g, qd)
+        assert rhs.system == qs
         assert lhs == rhs
         assert flatten(rhs) == f * g
 
@@ -225,9 +225,8 @@ def test_regrouped_multiplication_is_associative(group, tag):
         a = regroup(random_series(group, 4, QQ, rng), qd)
         b = regroup(random_series(group, 4, QQ, rng), qd)
         c = regroup(random_series(group, 4, QQ, rng), qd)
-        left = multiply_regrouped(multiply_regrouped(a, b, qs), c, qs)
-        right = multiply_regrouped(a, multiply_regrouped(b, c, qs), qs)
-        assert left == right
+        assert a.system == qs
+        assert (a * b) * c == a * (b * c)
 
 
 def test_regroup_is_additive(subtests=None):
@@ -236,11 +235,11 @@ def test_regroup_is_additive(subtests=None):
     for _ in range(50):
         f = random_series(HEIS, 4, QQ, rng)
         g = random_series(HEIS, 4, QQ, rng)
-        summed = regroup(f, qd).cosets
-        for q, s in regroup(g, qd).cosets.items():
+        summed = regroup(f, qd).terms
+        for q, s in regroup(g, qd).terms.items():
             summed[q] = summed.get(q, s - s) + s
         summed = {q: s for q, s in summed.items() if s}
-        assert summed == regroup(f + g, qd).cosets
+        assert summed == regroup(f + g, qd).terms
 
 
 def test_good_preimage_lift_and_projection():
@@ -274,9 +273,8 @@ def test_good_preimage_multiplicativity_through_projection():
 
 
 def test_morphism_extension_augmentation_holds():
-    qs = quotient_system(HEIS, "center")
-    source = QuotientSide(qs)
-    target = ScalarSide(trivial_system(Z2, QQ), Z2)
+    source = quotient_system(HEIS, "center")
+    target = trivial_system(Z2, QQ)
 
     def phi(coeff):
         total = QQ.zero
@@ -294,21 +292,20 @@ def test_morphism_extension_augmentation_holds():
 
 def test_morphism_extension_identity_holds():
     system = z2_sign_twist()
-    side = ScalarSide(system, Z2)
-    report = check_morphism_extension(lambda r: r, lambda g: g, side, side, samples=60, seed=2)
+    report = check_morphism_extension(lambda r: r, lambda g: g, system, system, samples=60, seed=2)
     assert report.verified
 
 
 def test_morphism_extension_rejects_negative_samples():
-    side = ScalarSide(z2_sign_twist(), Z2)
+    system = z2_sign_twist()
     with pytest.raises(ValueError, match="must be nonnegative"):
-        check_morphism_extension(lambda r: r, lambda g: g, side, side, samples=-4)
+        check_morphism_extension(lambda r: r, lambda g: g, system, system, samples=-4)
 
 
 def test_morphism_extension_detects_action_violation():
     # conjugation does not intertwine the quadratic action with the trivial one
-    source = ScalarSide(quadratic_conj_z(2), Z1)
-    target = ScalarSide(trivial_system(Z1, QuadraticField(2)), Z1)
+    source = quadratic_conj_z(2)
+    target = trivial_system(Z1, QuadraticField(2))
     phi = lambda r: r.conjugate()
     report = check_morphism_extension(phi, lambda g: g, source, target, samples=100, seed=3)
     assert not report.verified
@@ -329,15 +326,31 @@ def test_regroup_under_a_twisted_base_system(group, tag, d):
     qs = quotient_system(group, tag, base=base)
     qd = qs.descriptor
     panel = group.panel_elements()
-    assert any(base.twist(qd.representative(qd.project(x)), qd.subgroup_part(x)) != 1 for x in panel)
+    assert any(base.twist(*qd.subgroup_part(x)) != 1 for x in panel)
     assert any(qs.twist(qd.project(x), qd.project(y)).terms != {qs.correction(qd.project(x), qd.project(y)): 1}
                for x in panel for y in panel)
     rng = random.Random(14)
     for _ in range(60):
         f, g, h = (random_series(group, 4, QQ, rng, system=base) for _ in range(3))
         a, b, c = (regroup(s, qd) for s in (f, g, h))
+        assert a.system == qs
         assert flatten(a) == f
-        assert multiply_regrouped(a, b, qs) == regroup(f * g, qd)
-        left = multiply_regrouped(multiply_regrouped(a, b, qs), c, qs)
-        right = multiply_regrouped(a, multiply_regrouped(b, c, qs), qs)
-        assert left == right
+        assert a * b == regroup(f * g, qd)
+        assert (a * b) * c == a * (b * c)
+
+
+def test_overriding_transversal_is_a_different_descriptor():
+    # the quotient product depends on the transversal, so series regrouped
+    # along two transversals must not multiply
+    custom = quotient_system(HEIS, "center", transversal=lambda q: HeisenbergElement(
+        q.coords[0], q.coords[1], q.coords[0] * q.coords[1]))
+    qd = quotient_descriptor(HEIS, "center")
+    assert custom.descriptor != qd and custom != quotient_system(HEIS, "center")
+    assert custom.descriptor == custom.descriptor
+    f = GradedSeries.monomial(HEIS, 4, HeisenbergElement(1, 0, 0), Fraction(1), QQ)
+    g = GradedSeries.monomial(HEIS, 4, HeisenbergElement(0, 1, 0), Fraction(1), QQ)
+    with pytest.raises(ContextMismatchError):
+        regroup(f, custom.descriptor) * regroup(g, qd)
+    product = flatten(regroup(f, custom.descriptor) * regroup(g, custom.descriptor))
+    assert product == f * g
+    assert product.terms == {HeisenbergElement(1, 1, 1): Fraction(1)}

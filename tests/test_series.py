@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import assert_one, random_series
-from mnseries.crossed import quadratic_conj_z, trivial_system, z2_sign_twist
+from mnseries.crossed import flatten, quadratic_conj_z, regroup, trivial_system, z2_sign_twist
 from mnseries.groups import (
     Heisenberg,
     HeisenbergElement,
@@ -20,9 +20,7 @@ from mnseries.series import (
     GradedSeries,
     NoTruncatedInverseError,
     SubgroupRing,
-    flatten,
     from_text,
-    regroup,
     summable_sum,
     to_text,
 )
@@ -206,9 +204,9 @@ def test_regroup_mixed_coset_support():
     f = GradedSeries(ring, 0, {X: Fraction(1), z: Fraction(1)}, QQ)
     qd = quotient_descriptor(HEIS, "center")
     rf = regroup(f, qd)
-    assert set(rf.cosets) == {Z2.element(1, 0), Z2.element(0, 0)}
-    assert rf.cosets[Z2.element(1, 0)].terms == {HEIS.identity(): Fraction(1)}
-    assert rf.cosets[Z2.element(0, 0)].terms == {z: Fraction(1)}
+    assert set(rf.terms) == {Z2.element(1, 0), Z2.element(0, 0)}
+    assert rf.terms[Z2.element(1, 0)].terms == {HEIS.identity(): Fraction(1)}
+    assert rf.terms[Z2.element(0, 0)].terms == {z: Fraction(1)}
     assert flatten(rf) == f
 
 
@@ -218,8 +216,19 @@ def test_regroup_subgroup_supported_series():
     z = HeisenbergElement(0, 0, 1)
     f = GradedSeries(ring, 0, {z: Fraction(2), HEIS.identity(): Fraction(3)}, QQ)
     rf = regroup(f, qd)
-    assert list(rf.cosets) == [Z2.element(0, 0)]
-    assert rf.cosets[Z2.element(0, 0)].terms == f.terms
+    assert list(rf.terms) == [Z2.element(0, 0)]
+    assert rf.terms[Z2.element(0, 0)].terms == f.terms
+
+
+def test_regroup_refuses_contexts_flatten_cannot_return_to():
+    qd = quotient_descriptor(HEIS, "center")
+    z = HeisenbergElement(0, 0, 1)
+    with pytest.raises(ContextMismatchError):
+        regroup(GradedSeries(SubgroupRing(HEIS, "center"), 0, {z: Fraction(1)}, QQ), qd)
+    with pytest.raises(ContextMismatchError):
+        regroup(GradedSeries.one(Z2, 4, QQ), qd)
+    with pytest.raises(ContextMismatchError):
+        flatten(GradedSeries.one(HEIS, 4, QQ))
 
 
 @pytest.mark.parametrize("group,tag", [(HEIS, "center"), (SemidirectGroup(), "base")],
@@ -236,9 +245,9 @@ def test_regroup_of_graded_series_keeps_quotient_grading():
     qd = quotient_descriptor(HEIS, "center")
     f = random_series(HEIS, 4, QQ, random.Random(5))
     rf = regroup(f, qd)
-    assert rf.quotient_context.graded
-    for q in rf.cosets:
-        assert rf.quotient_context.weight(q) <= 4
+    assert rf.context.graded
+    for q in rf.terms:
+        assert rf.context.weight(q) <= 4
 
 
 def test_text_round_trip():
