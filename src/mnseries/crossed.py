@@ -25,7 +25,8 @@ import random
 from .groups import LatticeGroup, QuotientDescriptor
 from .report import Report, outcome
 from .scalars import QQ, QuadraticField
-from .series import ContextMismatchError, GradedSeries, SubgroupRing, group_of
+from .series import (ContextMismatchError, GradedSeries, NoTruncatedInverseError, SubgroupRing,
+                     group_of)
 
 
 class CrossedSystem:
@@ -151,7 +152,7 @@ def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: i
         # conjugation by the twist (which is trivial in a commutative field,
         # but stated in full)
         tw = system.twist(x, y)
-        tw_inv = field.one / tw
+        tw_inv = field.inv(tw)
         xy = group.multiply(x, y)
         for r in scalars:
             lhs = system.action(y, system.action(x, r))
@@ -203,7 +204,7 @@ def diagonal_change(system: CrossedSystem, d) -> CrossedSystem:
 
     def twist(g, h):
         gh = group.multiply(g, h)
-        return (field.one / d(gh)) * system.twist(g, h) * system.action(h, d(g)) * d(h)
+        return field.inv(d(gh)) * system.twist(g, h) * system.action(h, d(g)) * d(h)
 
     return CrossedSystem(
         f"diag:{system.id}", group, field, system._action_tag, twist, derived=True
@@ -214,7 +215,7 @@ def change_basis(f: GradedSeries, system_new, d) -> GradedSeries:
     """Coefficients of f, written on the basis rescaled by d: the term at x
     becomes x~ * (d(x)^-1 * a_x)."""
     field = f.field
-    terms = {g: (field.one / d(g)) * c for g, c in f.terms.items()}
+    terms = {g: field.inv(d(g)) * c for g, c in f.terms.items()}
     return GradedSeries(f.context, f.degree, terms, field, system_new, validate=False)
 
 
@@ -234,7 +235,7 @@ def term_inverse(system, g, a):
     group = system.group
     ginv = group.inverse(g)
     denom = system.twist(g, ginv) * system.action(ginv, a)
-    return ginv, system.field.one / denom
+    return ginv, system.field.inv(denom)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +249,7 @@ class SubgroupSeriesRing:
     def __init__(self, subring: SubgroupRing, field, base: CrossedSystem):
         self.subring = subring
         self.field = field
+        self.base = base
         self.zero = GradedSeries.zero(subring, 0, field, base)
         self.one = GradedSeries.one(subring, 0, field, base)
         self.system = self.zero.system
@@ -264,6 +266,38 @@ class SubgroupSeriesRing:
     def format(self, value) -> str:
         fmt = self.field.format
         return "(" + " + ".join(f"{fmt(c)}*{elem_s}" for _, elem_s, c in value.rows()) + ")"
+
+    def inv(self, value) -> GradedSeries:
+        """Inverse of a unit N-series. The group ring of an ordered group has
+        only the trivial units, so exactly the single terms n*c invert,
+        through term_inverse under the base system."""
+        if len(value.terms) != 1:
+            raise NoTruncatedInverseError(
+                f"no inverse: {self.format(value)} is not a single term of {self.name}"
+            )
+        ((n, c),) = value.terms.items()
+        n_inv, c_inv = term_inverse(self.base, n, c)
+        return GradedSeries(self.subring, 0, {n_inv: c_inv}, self.field, self.system,
+                            validate=False, weights={n_inv: 0})
+
+    def panel(self) -> tuple:
+        """Fixed N-series for check_crossed_system: zero, one, each
+        nonidentity N-element of the group's panel alone, and two sums over
+        the first of them, n, with coefficients from the field's panel."""
+        group, tag = self.subring.group, self.subring.subgroup_tag
+        ident = group.identity()
+        ns = [g for g in group.panel_elements()
+              if g != ident and group.subgroup_contains(tag, g)]
+        scalars = [c for c in self.field.panel() if c]
+
+        def series(terms):
+            return GradedSeries(self.subring, 0, terms, self.field, self.system)
+
+        singles = tuple(series({n: self.field.one}) for n in ns)
+        n = ns[0]
+        pair = series({ident: scalars[-1], n: scalars[len(scalars) // 2]})
+        triple = series({ident: scalars[0], n: scalars[-1], group.inverse(n): scalars[len(scalars) // 2]})
+        return (self.zero, self.one) + singles + (pair, triple)
 
     def sample(self, rng) -> GradedSeries:
         """One to three random terms over N."""
@@ -321,7 +355,7 @@ class QuotientSystem:
         rep_b = d.representative(beta)
         rep_ab, n = d.subgroup_part(d.group.multiply(rep_a, rep_b))
         field = self.base.field
-        scalar = (field.one / self.base.twist(rep_ab, n)) * self.base.twist(rep_a, rep_b)
+        scalar = field.inv(self.base.twist(rep_ab, n)) * self.base.twist(rep_a, rep_b)
         return GradedSeries(self.subring, 0, {n: scalar}, field, self.base, validate=False)
 
     def action(self, gamma, f: GradedSeries) -> GradedSeries:
@@ -414,7 +448,7 @@ def regroup(f: GradedSeries, descriptor: QuotientDescriptor) -> GradedSeries:
     for g, a in f.terms.items():
         rep, n = descriptor.subgroup_part(g)
         bucket = buckets.setdefault(rep, {})
-        s = bucket.get(n, field.zero) + (field.one / base.twist(rep, n)) * a
+        s = bucket.get(n, field.zero) + field.inv(base.twist(rep, n)) * a
         if s:
             bucket[n] = s
         else:

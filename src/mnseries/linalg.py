@@ -19,7 +19,6 @@ multiply and divide it by the same pivot.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .scalars import QQ, field_of
@@ -30,10 +29,16 @@ class InvariantError(RuntimeError):
 
 
 def _clear_denominators(row):
+    """Integer row and the least common denominator d of a row of ints and
+    Fractions, whose entries are d times the given ones."""
     denom = 1
     for x in row:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    return [int(x * denom) for x in row], denom
+        d = x.denominator
+        if d != 1:
+            denom = denom * d // gcd(denom, d)
+    if denom == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (denom // x.denominator) for x in row], denom
 
 
 def _eliminate_int(rows, pivot_cols):
@@ -73,7 +78,9 @@ def _eliminate_int(rows, pivot_cols):
 
 def _eliminate_field(rows, pivot_cols, field):
     """Plain exact Gaussian elimination over a field (in place), updating only
-    the pivot row's nonzero columns; returns the rank."""
+    the pivot row's nonzero columns; each pivot is inverted once, through
+    field.inv, and the rows below take head * piv^-1 times the pivot row.
+    Returns the rank."""
     if not rows:
         return 0
     zero = field.zero
@@ -88,14 +95,14 @@ def _eliminate_field(rows, pivot_cols, field):
             continue
         if pivot_row != pr:
             rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        piv = rows[pr][pc]
         row_p = rows[pr]
+        piv_inv = field.inv(row_p[pc])
         support = [j for j, x in enumerate(row_p) if x != zero]
         for i in range(pr + 1, len(rows)):
             row_i = rows[i]
             head = row_i[pc]
             if head != zero:
-                factor = head / piv
+                factor = head * piv_inv
                 for j in support:
                     row_i[j] = row_i[j] - factor * row_p[j]
         pr += 1
@@ -112,7 +119,7 @@ def exact_rank(matrix, field=None) -> int:
     if field is None:
         field = field_of(matrix[0][0])
     if field == QQ:
-        rows = [_clear_denominators([Fraction(x) for x in row])[0] for row in matrix]
+        rows = [_clear_denominators(row)[0] for row in matrix]
         return _eliminate_int(rows, range(n_cols))
     rows = [list(row) for row in matrix]
     return _eliminate_field(rows, range(n_cols), field)
@@ -135,7 +142,7 @@ def rank_and_left_nullspace(matrix, field=None):
         rows = []
         denominators = []
         for i, row in enumerate(matrix):
-            cleared, denom = _clear_denominators([Fraction(x) for x in row])
+            cleared, denom = _clear_denominators(row)
             denominators.append(denom)
             aug = [0] * n_rows
             aug[i] = 1
@@ -146,7 +153,7 @@ def rank_and_left_nullspace(matrix, field=None):
         tail = rows[rank][n_cols:]
         # the augmented part combines the cleared rows d_i * M_i, so the
         # dependency on the original rows picks up the cleared denominators
-        dependency = [Fraction(c) * d for c, d in zip(tail, denominators)]
+        dependency = [c * d for c, d in zip(tail, denominators)]
         if not any(dependency):
             raise InvariantError("dependency vector is zero")
         return rank, dependency

@@ -2,9 +2,17 @@
 
 Everything is exact; no floating point is used anywhere. The three field kinds
 are closed, and the series/crossed machinery is written against the small
-contract the field objects expose: zero/one, arithmetic, text parsing, random
-sampling, and a named finite automorphism set (identity everywhere, plus
-conjugation on quadratic fields).
+contract the field objects expose: zero/one, arithmetic, inv, text parsing,
+random sampling, and a named finite automorphism set (identity everywhere,
+plus conjugation on quadratic fields).
+
+A rational, and each part of an element of Q(sqrt m), is an int when it is
+integral and a Fraction otherwise: int arithmetic is several times faster than
+Fraction arithmetic, and the Magnus images and unit words are integral. The
+two print the same (str(3) == str(Fraction(3))) and equal values hash equal.
+Products and sums of Fractions may stay Fractions even when integral; only
+parsing, sampling and inversion normalise. field.inv is the one coefficient
+division, since 1 / x on two ints would be a float.
 """
 
 from __future__ import annotations
@@ -29,6 +37,11 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational in p/q form: {text!r}")
     value = Fraction(text)
     return value
+
+
+def normal_rational(x):
+    """An int or Fraction as an int when it is integral, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def is_prime(n: int) -> bool:
@@ -141,16 +154,18 @@ class PrimeFieldElement:
 
 @dataclass(frozen=True, slots=True)
 class QuadraticFieldElement:
-    """u + v*sqrt(m) with exact rational parts; m square-free, not 0 or 1."""
+    """u + v*sqrt(m) with exact rational parts; m square-free, not 0 or 1.
+    Each part is stored as an int when integral, else as a Fraction."""
 
-    u: Fraction
-    v: Fraction
+    u: object
+    v: object
     radicand: int
 
     def __post_init__(self):
-        if not (isinstance(self.u, Fraction) and isinstance(self.v, Fraction)):
-            object.__setattr__(self, "u", Fraction(self.u))
-            object.__setattr__(self, "v", Fraction(self.v))
+        if type(self.u) is not int:
+            object.__setattr__(self, "u", normal_rational(self.u))
+        if type(self.v) is not int:
+            object.__setattr__(self, "v", normal_rational(self.v))
 
     def _coerce(self, other):
         if isinstance(other, QuadraticFieldElement):
@@ -160,7 +175,7 @@ class QuadraticFieldElement:
                 )
             return other
         if isinstance(other, int):
-            return QuadraticFieldElement(Fraction(other), Fraction(0), self.radicand)
+            return QuadraticFieldElement(other, 0, self.radicand)
         raise FieldMismatchError(
             f"cannot mix Q(sqrt {self.radicand}) with {type(other).__name__}"
         )
@@ -202,7 +217,7 @@ class QuadraticFieldElement:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = QuadraticFieldElement(Fraction(1), Fraction(0), self.radicand)
+        result = QuadraticFieldElement(1, 0, self.radicand)
         base = self
         while k:
             if k & 1:
@@ -219,7 +234,7 @@ class QuadraticFieldElement:
         norm = self.u * self.u - self.v * self.v * self.radicand
         if norm == 0:
             raise ZeroDivisionError(f"0 is not invertible in Q(sqrt {self.radicand})")
-        return QuadraticFieldElement(self.u / norm, -self.v / norm, self.radicand)
+        return QuadraticFieldElement(Fraction(self.u, norm), Fraction(-self.v, norm), self.radicand)
 
     def __bool__(self):
         return bool(self.u) or bool(self.v)
@@ -232,26 +247,33 @@ class QuadraticFieldElement:
 
 @dataclass(frozen=True)
 class RationalField:
+    """Q, with values int when integral and Fraction otherwise."""
+
     @property
     def name(self) -> str:
         return "Q"
 
     @property
     def zero(self):
-        return Fraction(0)
+        return 0
 
     @property
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def contains(self, x) -> bool:
-        return isinstance(x, Fraction)
+        return type(x) is int or isinstance(x, Fraction)
+
+    def inv(self, x):
+        if not x:
+            raise ZeroDivisionError("0 is not invertible in Q")
+        return normal_rational(Fraction(x.denominator, x.numerator))
 
     def parse(self, text: str):
-        return parse_rational(text)
+        return normal_rational(parse_rational(text))
 
     def format(self, x) -> str:
         return str(x)
@@ -262,7 +284,7 @@ class RationalField:
         return x
 
     def sample(self, rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return normal_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
 
     def sample_nonzero(self, rng):
         while True:
@@ -271,7 +293,7 @@ class RationalField:
                 return x
 
     def panel(self):
-        return (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2))
+        return (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
 
 
 @dataclass(frozen=True)
@@ -299,6 +321,9 @@ class PrimeField:
 
     def contains(self, x) -> bool:
         return isinstance(x, PrimeFieldElement) and x.modulus == self.p
+
+    def inv(self, x):
+        return x.inverse()
 
     def parse(self, text: str):
         m = _MOD_RE.match(text.strip())
@@ -338,24 +363,27 @@ class QuadraticField:
 
     @property
     def zero(self):
-        return QuadraticFieldElement(Fraction(0), Fraction(0), self.radicand)
+        return QuadraticFieldElement(0, 0, self.radicand)
 
     @property
     def one(self):
-        return QuadraticFieldElement(Fraction(1), Fraction(0), self.radicand)
+        return QuadraticFieldElement(1, 0, self.radicand)
 
     @property
     def sqrt(self):
-        return QuadraticFieldElement(Fraction(0), Fraction(1), self.radicand)
+        return QuadraticFieldElement(0, 1, self.radicand)
 
     def from_int(self, n: int):
-        return QuadraticFieldElement(Fraction(n), Fraction(0), self.radicand)
+        return QuadraticFieldElement(n, 0, self.radicand)
 
     def from_parts(self, u, v):
-        return QuadraticFieldElement(Fraction(u), Fraction(v), self.radicand)
+        return QuadraticFieldElement(u, v, self.radicand)
 
     def contains(self, x) -> bool:
         return isinstance(x, QuadraticFieldElement) and x.radicand == self.radicand
+
+    def inv(self, x):
+        return x.inverse()
 
     def parse(self, text: str):
         m = _QUAD_RE.match(text.strip())
@@ -433,7 +461,7 @@ def parse_scalar(text: str):
     m = _QUAD_RE.match(text)
     if m:
         return QuadraticField(int(m.group(4))).parse(text)
-    return parse_rational(text)
+    return QQ.parse(text)
 
 
 def rational_power(r: Fraction, k: int) -> Fraction:

@@ -37,7 +37,8 @@ class ContextMismatchError(ValueError):
 
 
 class NoTruncatedInverseError(ValueError):
-    """The identity coefficient is zero (or the context is ungraded)."""
+    """The identity coefficient is zero or not a unit (or the context is
+    ungraded)."""
 
 
 @dataclass(frozen=True)
@@ -339,7 +340,8 @@ class GradedSeries:
 
     def invert(self):
         """Truncated two-sided inverse, defined when the identity coefficient
-        is a nonzero scalar u. Writes f = (1 + n) * (identity * u) with n of
+        is a unit u of the coefficient field or ring (field.inv inverts it or
+        raises). Writes f = (1 + n) * (identity * u) with n of
         strictly positive weight and sums the powers of -n up to the
         truncation degree in one term map. The factor u^-1 goes on the left:
         a termwise scale under the trivial system, whose coefficients commute
@@ -358,7 +360,7 @@ class GradedSeries:
         degree = self.degree
         system = self.system
         ident = ctx.identity()
-        u_inv = field.one / u
+        u_inv = field.inv(u)
         step_terms = {g: -(c * u_inv) for g, c in self.terms.items() if g != ident}
         step = GradedSeries(ctx, degree, step_terms, field, system, validate=False,
                             weights={g: self.weights[g] for g in step_terms})

@@ -99,7 +99,7 @@ def reference_invert(f):
     and every partial sum a full series sum."""
     ctx, degree, field, system = f.context, f.degree, f.field, f.system
     ident = ctx.identity()
-    u_inv = field.one / f.coefficient(ident)
+    u_inv = field.inv(f.coefficient(ident))
     n = GradedSeries(ctx, degree, {g: c * u_inv for g, c in f.terms.items() if g != ident},
                      field, system)
     geom = GradedSeries.one(ctx, degree, field, system)

@@ -31,7 +31,7 @@ from mnseries.groups import (
     quotient_descriptor,
 )
 from mnseries.scalars import QQ, QuadraticField
-from mnseries.series import ContextMismatchError, GradedSeries
+from mnseries.series import ContextMismatchError, GradedSeries, NoTruncatedInverseError
 
 HEIS = Heisenberg()
 Z2 = LatticeGroup(2)
@@ -354,3 +354,67 @@ def test_overriding_transversal_is_a_different_descriptor():
     product = flatten(regroup(f, custom.descriptor) * regroup(g, custom.descriptor))
     assert product == f * g
     assert product.terms == {HeisenbergElement(1, 1, 1): Fraction(1)}
+
+
+def _heis_unit():
+    x, y = HEIS.monoid_generators()[:2]
+    return GradedSeries(HEIS, 4, {HEIS.identity(): 1, x: 2, y: Fraction(-1, 3)}, QQ)
+
+
+def test_regrouped_series_inverts_through_its_identity_term():
+    qd = quotient_descriptor(HEIS, "center")
+    f = _heis_unit()
+    r = regroup(f, qd)
+    one = regroup(GradedSeries.one(HEIS, 4, QQ), qd)
+    assert one.invert() == one
+    inverse = r.invert()
+    assert r * inverse == one and inverse * r == one
+    assert flatten(inverse) == f.invert()
+
+
+@pytest.mark.parametrize("group,tag,d", TWISTED_BASES, ids=("heis-center", "bs12-base"))
+def test_regrouped_series_inverts_under_a_twisted_base(group, tag, d):
+    base = diagonal_change(trivial_system(group), d)
+    qd = quotient_descriptor(group, tag)
+    rng = random.Random(15)
+    for _ in range(10):
+        f = random_series(group, 4, QQ, rng, system=base)
+        f = f + GradedSeries.from_scalar(group, 4, 1 - f.identity_coefficient(), QQ, base)
+        r = regroup(f, qd)
+        inverse = r.invert()
+        one = GradedSeries.one(r.context, 4, r.field, r.system)
+        assert r * inverse == one and inverse * r == one
+        assert flatten(inverse) == f.invert()
+
+
+def test_only_single_term_n_series_invert():
+    qs = quotient_system(HEIS, "center")
+    ring = qs.field
+    z = HeisenbergElement(0, 0, 1)
+    single = GradedSeries(qs.subring, 0, {z: Fraction(-2, 3)}, QQ)
+    assert ring.inv(single) * single == ring.one == single * ring.inv(single)
+    two_terms = ring.one + GradedSeries(qs.subring, 0, {z: 1}, QQ)
+    with pytest.raises(NoTruncatedInverseError):
+        ring.inv(two_terms)
+    with pytest.raises(NoTruncatedInverseError):
+        ring.inv(ring.zero)
+    # a quotient series whose identity coefficient is such a sum has no
+    # truncated inverse: K[N] of an ordered group has only trivial units
+    quotient = qs.group
+    f = GradedSeries(quotient, 4, {quotient.identity(): two_terms}, ring, qs)
+    with pytest.raises(NoTruncatedInverseError):
+        f.invert()
+
+
+@pytest.mark.parametrize("group,tag,d", TWISTED_BASES, ids=("heis-center", "bs12-base"))
+@pytest.mark.parametrize("twisted", (False, True), ids=("trivial-base", "diagonal-base"))
+def test_check_crossed_system_validates_quotient_systems(group, tag, d, twisted):
+    base = diagonal_change(trivial_system(group), d) if twisted else None
+    qs = quotient_system(group, tag, base=base)
+    panel = qs.field.panel()
+    assert panel[:2] == (qs.field.zero, qs.field.one)
+    assert len(set(panel)) == len(panel) and all(qs.field.contains(x) for x in panel)
+    report = check_crossed_system(qs, 10)
+    assert report.verified, report.witness
+    panel_size = len(qs.group.panel_elements())
+    assert report.details["checked"] == panel_size ** 2 + panel_size ** 3 + 20

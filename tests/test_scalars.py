@@ -12,6 +12,7 @@ from mnseries.scalars import (
     QuadraticFieldElement,
     field_from_spec,
     field_of,
+    parse_rational,
     parse_scalar,
     rational_power,
 )
@@ -77,6 +78,7 @@ def test_field_axioms(field):
         assert a * field.one == a
         if b:
             assert (a / b) * b == a
+            assert field.inv(b) * b == field.one and a * field.inv(b) * b == a
 
 
 def test_quadratic_conjugation_is_involutive_automorphism():
@@ -102,14 +104,15 @@ def test_canonical_text_round_trip(field):
 
 
 def test_quadratic_element_int_and_fraction_parts_agree():
-    # parts that are already Fractions are stored as given, others wrapped
+    # integral parts are stored as ints, whatever they were given as;
+    # non-integral Fractions are stored as given
     for u, v in ((3, -2), (0, 1), (-7, 0)):
         from_ints = QuadraticFieldElement(u, v, 2)
         from_fractions = QuadraticFieldElement(Fraction(u), Fraction(v), 2)
         mixed = QuadraticFieldElement(Fraction(u), v, 2)
-        for x in (from_ints, mixed):
+        for x in (from_ints, mixed, from_fractions):
             assert x == from_fractions and hash(x) == hash(from_fractions)
-            assert type(x.u) is Fraction and type(x.v) is Fraction
+            assert type(x.u) is int and type(x.v) is int
     half = Fraction(1, 2)
     x = QuadraticFieldElement(half, half, 2)
     assert x.u is half and x.v is half
@@ -145,3 +148,48 @@ def test_prime_field_requires_prime():
     with pytest.raises(ValueError):
         PrimeField(9)
 
+
+
+def test_rationals_are_ints_when_integral():
+    assert (QQ.zero, QQ.one, QQ.from_int(-4)) == (0, 1, -4)
+    assert all(type(x) is int for x in (QQ.zero, QQ.one, QQ.from_int(-4)))
+    for text, value in (("3", 3), ("-6/2", -3), ("0/5", 0), ("5/6", Fraction(5, 6))):
+        for parsed in (QQ.parse(text), parse_scalar(text)):
+            assert parsed == value and type(parsed) is type(value)
+    # ratios and translations feed the group code, which keeps Fractions
+    assert type(parse_rational("3")) is Fraction
+    assert QQ.contains(2) and QQ.contains(Fraction(1, 2)) and QQ.contains(Fraction(2))
+    assert not QQ.contains(True) and not QQ.contains(1.0) and not QQ.contains("1")
+    rng = random.Random(3)
+    samples = [QQ.sample(rng) for _ in range(200)]
+    assert all(type(x) is (int if x.denominator == 1 else Fraction) for x in samples)
+    assert str(3) == str(Fraction(3)) and hash(3) == hash(Fraction(3))
+
+
+def test_inv_is_exact_and_normalised():
+    for x, expected in ((1, 1), (-1, -1), (2, Fraction(1, 2)), (-3, Fraction(-1, 3)),
+                        (Fraction(1, 2), 2), (Fraction(-2, 3), Fraction(-3, 2)), (Fraction(5), Fraction(1, 5))):
+        y = QQ.inv(x)
+        assert y == expected and type(y) is type(expected)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    assert F7.inv(F7.from_int(3)) == F7.from_int(5)
+    x = Q2.from_parts(1, 1)
+    assert Q2.inv(x) == Q2.from_parts(-1, 1)
+    assert type(Q2.inv(x).u) is int
+    y = Q2.inv(Q2.from_parts(2, 0))
+    assert y.u == Fraction(1, 2) and type(y.v) is int
+    for field in FIELDS:
+        with pytest.raises(ZeroDivisionError):
+            field.inv(field.zero)
+
+
+def test_quadratic_parts_follow_the_rational_rule():
+    for x in (Q2.zero, Q2.one, Q2.sqrt, Q2.from_int(3), Q2.parse("2-3*sqrt(2)"),
+              Q2.from_int(1) + 2, Q2.from_parts(Fraction(4, 2), Fraction(-6, 3))):
+        assert type(x.u) is int and type(x.v) is int
+    half = Q2.parse("1/2+1/2*sqrt(2)")
+    assert half.u == Fraction(1, 2) and type(half.v) is Fraction
+    # a product of Fraction parts that is integral is stored as an int
+    assert type((half * Q2.from_int(2)).u) is int
+    assert str(Q2.from_parts(Fraction(3), Fraction(-2))) == "3-2*sqrt(2)"
