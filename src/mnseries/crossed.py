@@ -1,5 +1,5 @@
 """Crossed-product systems: an action of the group on the coefficient field
-(by named automorphisms) and a twisting into its nonzero scalars.
+(a function (g, x) -> x^g) and a twisting into its nonzero scalars.
 
 Validity is defined by the two identities equivalent to associativity on
 basis elements under the right-action convention (moving a scalar past a
@@ -21,8 +21,9 @@ multiply with the one crossed-product rule of GradedSeries.
 from __future__ import annotations
 
 import random
+from functools import cache
 
-from .groups import LatticeGroup, QuotientDescriptor
+from .groups import LatticeGroup, QuotientDescriptor, quotient_descriptor
 from .report import Report, outcome
 from .scalars import QQ, QuadraticField
 from .series import (ContextMismatchError, GradedSeries, NoTruncatedInverseError, SubgroupRing,
@@ -30,69 +31,62 @@ from .series import (ContextMismatchError, GradedSeries, NoTruncatedInverseError
 
 
 class CrossedSystem:
-    """Scalar-level system (action into the field's automorphism set, twist
-    into its nonzero elements) over one group and one field."""
+    """Scalar-level system over one group and one field: action(g, x) is x^g,
+    twist(g, h) a nonzero scalar. Systems compare by identity; the canonical
+    constructors below are cached, so equal arguments give one object."""
 
-    def __init__(self, system_id, group, field, action_tag, twist_fn, derived=False):
+    def __init__(self, system_id, group, field, action_fn, twist_fn):
         self.id = system_id
         self.group = group
         self.field = field
-        self._action_tag = action_tag
+        self._action = action_fn
         self._twist = twist_fn
-        self.derived = derived
 
     @property
     def is_trivial(self) -> bool:
         return self.id == "trivial"
 
     def action(self, g, value):
-        return self.field.apply(self._action_tag(g), value)
+        return self._action(g, value)
 
     def twist(self, g, h):
         return self._twist(g, h)
-
-    def __eq__(self, other):
-        if not isinstance(other, CrossedSystem):
-            return NotImplemented
-        if self.derived or other.derived:
-            return self is other
-        return (self.id, self.group, self.field) == (other.id, other.group, other.field)
-
-    def __hash__(self):
-        if self.derived:
-            return object.__hash__(self)
-        return hash((self.id, self.group, self.field))
 
     def __repr__(self):
         return f"<crossed system {self.id} on {self.group.id} over {self.field.name}>"
 
 
-def trivial_system(group, field=QQ) -> CrossedSystem:
+def _identity_action(g, x):
+    return x
+
+
+@cache
+def trivial_system(group, field, /) -> CrossedSystem:
     one = field.one
-    return CrossedSystem("trivial", group, field, lambda g: "id", lambda g, h: one)
+    return CrossedSystem("trivial", group, field, _identity_action, lambda g, h: one)
 
 
-def z2_sign_twist(field=QQ) -> CrossedSystem:
+@cache
+def z2_sign_twist(field, /) -> CrossedSystem:
     """Over Z^2: twist((a,b),(c,d)) = (-1)^(b*c), trivial action."""
-    group = LatticeGroup(2)
     one = field.one
 
     def twist(g, h):
         return one if (g.coords[1] * h.coords[0]) % 2 == 0 else -one
 
-    return CrossedSystem("z2-sign-twist", group, field, lambda g: "id", twist)
+    return CrossedSystem("z2-sign-twist", LatticeGroup(2), field, _identity_action, twist)
 
 
-def quadratic_conj_z(radicand: int = 2) -> CrossedSystem:
+@cache
+def quadratic_conj_z(radicand, /) -> CrossedSystem:
     """Over Z: odd powers of the generator act by quadratic conjugation."""
-    group = LatticeGroup(1)
     field = QuadraticField(radicand)
     one = field.one
     return CrossedSystem(
         "quadratic-conj-Z",
-        group,
+        LatticeGroup(1),
         field,
-        lambda g: "id" if g.coords[0] % 2 == 0 else "conj",
+        lambda g, x: x if g.coords[0] % 2 == 0 else x.conjugate(),
         lambda g, h: one,
     )
 
@@ -106,10 +100,8 @@ def corrupt_twist(system: CrossedSystem, at_pair, value) -> CrossedSystem:
             return value
         return system.twist(g, h)
 
-    return CrossedSystem(
-        f"corrupted:{system.id}", system.group, system.field,
-        system._action_tag, twist, derived=True,
-    )
+    return CrossedSystem(f"corrupted:{system.id}", system.group, system.field,
+                         system.action, twist)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +198,7 @@ def diagonal_change(system: CrossedSystem, d) -> CrossedSystem:
         gh = group.multiply(g, h)
         return field.inv(d(gh)) * system.twist(g, h) * system.action(h, d(g)) * d(h)
 
-    return CrossedSystem(
-        f"diag:{system.id}", group, field, system._action_tag, twist, derived=True
-    )
+    return CrossedSystem(f"diag:{system.id}", group, field, system.action, twist)
 
 
 def change_basis(f: GradedSeries, system_new, d) -> GradedSeries:
@@ -378,32 +368,24 @@ class QuotientSystem:
         return GradedSeries(self.subring, 0, out, field, self.base, validate=False)
 
 
-def quotient_system(group, subgroup, transversal=None, base: CrossedSystem | None = None,
-                    field=QQ, seed: int = 0) -> QuotientSystem:
-    """Build the induced system for one of the supported normal subgroups.
+def quotient_system(group, subgroup_tag, transversal=None,
+                    base: CrossedSystem | None = None) -> QuotientSystem:
+    """Build the induced system for one of the supported normal subgroups,
+    under base (the trivial system over Q when None).
 
-    subgroup may be a tag or a ready QuotientDescriptor; transversal, when
-    given, overrides the canonical representative map (the descriptor is then
-    derived: it equals only itself) and is validated on 50 sampled cosets
-    (identity coset must map to the identity; every representative must
-    project back to its coset)."""
-    from .groups import quotient_descriptor as make_descriptor
-
-    descriptor = subgroup if isinstance(subgroup, QuotientDescriptor) else make_descriptor(group, subgroup)
+    transversal, when given, overrides the canonical representative map in a
+    new descriptor, which equals only itself; it is validated on 50 sampled
+    cosets (identity coset must map to the identity; every representative
+    must project back to its coset)."""
+    descriptor = quotient_descriptor(group, subgroup_tag)
     if transversal is not None:
-        descriptor = QuotientDescriptor(
-            descriptor.group,
-            descriptor.subgroup_tag,
-            descriptor.quotient,
-            descriptor.project,
-            transversal,
-            derived=True,
-        )
+        descriptor = QuotientDescriptor(group, subgroup_tag, descriptor.quotient,
+                                        descriptor.project, transversal)
     quotient = descriptor.quotient
     ident_q = quotient.identity()
     if descriptor.representative(ident_q) != group.identity():
         raise ValueError("transversal must send the identity coset to the identity")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     seen = {}
     for _ in range(50):
         q = quotient.sample_element(rng)
@@ -414,7 +396,7 @@ def quotient_system(group, subgroup, transversal=None, base: CrossedSystem | Non
             raise ValueError("transversal is not a transversal: duplicate cosets")
         seen[rep] = q
     if base is None:
-        base = trivial_system(group, field)
+        base = trivial_system(group, QQ)
     return QuotientSystem(base, descriptor)
 
 

@@ -167,45 +167,44 @@ def pingpong_check(group, t_value: Fraction, max_length: int) -> Report:
             return None
         return digit_expansion(g.h / t_value, r)
 
-    orbit = [seed]
-    level = [seed]
-    for _ in range(max_length):
-        nxt = []
-        for e in level:
-            nxt.append(group.multiply(tx, e))
-            nxt.append(group.multiply(x, e))
-        orbit.extend(nxt)
-        level = nxt
-
     checked = 0
-    witness = None
     tx_images = set()
     x_images = set()
-    for e in orbit:
-        digits = in_A(e)
-        if digits is None:
-            witness = {"reason": "orbit element left A", "element": group.format_element(e)}
-            break
-        te = group.multiply(tx, e)
-        xe = group.multiply(x, e)
-        td = in_A(te)
-        xd = in_A(xe)
-        if td is None or 0 not in td:
-            witness = {"reason": "tx-image missing the exponent-0 digit",
-                       "element": group.format_element(te)}
-            break
-        if xd is None or 0 in xd:
-            witness = {"reason": "x-image carries the exponent-0 digit",
-                       "element": group.format_element(xe)}
-            break
-        tx_images.add(te)
-        x_images.add(xe)
-        checked += 1
-    if witness is None and tx_images & x_images:
-        clash = next(iter(tx_images & x_images))
-        witness = {"reason": "translate sets intersect", "element": group.format_element(clash)}
+
+    def first_failure():
+        # every orbit element past the seed is a tx- or x-image checked to
+        # lie in A one level up, so only the seed needs its own test
+        nonlocal checked
+        if in_A(seed) is None:
+            return {"reason": "orbit element left A", "element": group.format_element(seed)}
+        level = [seed]
+        for _ in range(max_length + 1):
+            nxt = []
+            for e in level:
+                te = group.multiply(tx, e)
+                td = in_A(te)
+                if td is None or 0 not in td:
+                    return {"reason": "tx-image missing the exponent-0 digit",
+                            "element": group.format_element(te)}
+                xe = group.multiply(x, e)
+                xd = in_A(xe)
+                if xd is None or 0 in xd:
+                    return {"reason": "x-image carries the exponent-0 digit",
+                            "element": group.format_element(xe)}
+                tx_images.add(te)
+                x_images.add(xe)
+                checked += 1
+                nxt += (te, xe)
+            level = nxt
+        if tx_images & x_images:
+            clash = next(iter(tx_images & x_images))
+            return {"reason": "translate sets intersect", "element": group.format_element(clash)}
+        return None
+
+    witness = first_failure()
     return outcome("ping-pong", bounds, witness,
-                   {"r": str(r), "t": str(t_value), "orbit": len(orbit), "checked": checked})
+                   {"r": str(r), "t": str(t_value), "orbit": 2 ** (max_length + 1) - 1,
+                    "checked": checked})
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .report import VERIFIED, Report
 from .scalars import parse_rational
@@ -337,9 +338,6 @@ class Heisenberg(_Group):
             for c in (0, 1)
         )
 
-    def subgroup_tags(self):
-        return ("1", "center", "a=0")
-
     def _subgroup_contains(self, tag: str, g) -> bool:
         if tag == "center":
             return g.a == 0 and g.b == 0
@@ -428,9 +426,6 @@ class SemidirectGroup(_Group):
                 out.append(self.element(h, n))
         return tuple(out)
 
-    def subgroup_tags(self):
-        return ("1", "base")
-
     def _subgroup_contains(self, tag: str, g) -> bool:
         if tag == "base":
             return g.n == 0
@@ -508,9 +503,6 @@ class WreathGroup(_Group):
         items = [self.identity(), a, t, a.inverse(), t.inverse(), a * t, t * a,
                  WreathElement(((1, -1),), 0), WreathElement(((-1, 2),), -1)]
         return tuple(items)
-
-    def subgroup_tags(self):
-        return ("1", "B0")
 
     def _subgroup_contains(self, tag: str, g) -> bool:
         k = self._tag_index(r"^B(-?\d+)$", tag)
@@ -599,9 +591,6 @@ class LatticeGroup(_Group):
             for b in vals:
                 out.append(LatticeElement((a, b) + (0,) * (self.rank - 2)))
         return tuple(out)
-
-    def subgroup_tags(self):
-        return ("1",) + tuple(f"axis>{i}" for i in range(1, self.rank))
 
     def _subgroup_contains(self, tag: str, g) -> bool:
         k = self._tag_index(r"^axis>(\d+)$", tag)
@@ -761,33 +750,21 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
 
 
 class QuotientDescriptor:
-    """A supported normal convex subgroup with a canonical transversal.
+    """A supported normal convex subgroup with a transversal.
 
     project sends g to its coset in the quotient group, representative picks
-    the canonical coset representative (identity coset gets the identity),
-    and in_subgroup tests membership in N. A derived descriptor (one whose
-    representative map overrides the canonical one) equals only itself.
+    the coset representative (identity coset gets the identity), and
+    in_subgroup tests membership in N. Descriptors compare by identity;
+    quotient_descriptor caches the canonical ones, so a descriptor with any
+    other representative map equals only itself.
     """
 
-    def __init__(self, group, subgroup_tag, quotient, project, representative, derived=False):
+    def __init__(self, group, subgroup_tag, quotient, project, representative):
         self.group = group
         self.subgroup_tag = subgroup_tag
         self.quotient = quotient
         self.project = project
         self.representative = representative
-        self.derived = derived
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientDescriptor):
-            return NotImplemented
-        if self.derived or other.derived:
-            return self is other
-        return (self.group, self.subgroup_tag) == (other.group, other.subgroup_tag)
-
-    def __hash__(self):
-        if self.derived:
-            return object.__hash__(self)
-        return hash((self.group, self.subgroup_tag))
 
     @property
     def id(self) -> str:
@@ -806,7 +783,9 @@ class QuotientDescriptor:
         return rep, n
 
 
-def quotient_descriptor(group, subgroup_tag: str) -> QuotientDescriptor:
+@cache
+def quotient_descriptor(group, subgroup_tag: str, /) -> QuotientDescriptor:
+    """The canonical descriptor of group / subgroup_tag, one object per pair."""
     if isinstance(group, Heisenberg) and subgroup_tag == "center":
         quotient = LatticeGroup(2)
         return QuotientDescriptor(

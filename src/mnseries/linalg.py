@@ -29,16 +29,16 @@ class InvariantError(RuntimeError):
 
 
 def _clear_denominators(row):
-    """Integer row and the least common denominator d of a row of ints and
-    Fractions, whose entries are d times the given ones."""
+    """The row of ints and Fractions times the least common denominator of
+    its entries, as ints."""
     denom = 1
     for x in row:
         d = x.denominator
         if d != 1:
             denom = denom * d // gcd(denom, d)
     if denom == 1:
-        return [x.numerator for x in row], 1
-    return [x.numerator * (denom // x.denominator) for x in row], denom
+        return [x.numerator for x in row]
+    return [x.numerator * (denom // x.denominator) for x in row]
 
 
 def _eliminate_int(rows, pivot_cols):
@@ -111,64 +111,34 @@ def _eliminate_field(rows, pivot_cols, field):
     return pr
 
 
-def exact_rank(matrix, field=None) -> int:
-    """Rank of a matrix of exact scalars over their common field."""
-    if not matrix or not matrix[0]:
-        return 0
-    n_cols = len(matrix[0])
-    if field is None:
-        field = field_of(matrix[0][0])
-    if field == QQ:
-        rows = [_clear_denominators(row)[0] for row in matrix]
-        return _eliminate_int(rows, range(n_cols))
-    rows = [list(row) for row in matrix]
-    return _eliminate_field(rows, range(n_cols), field)
-
-
 def rank_and_left_nullspace(matrix, field=None):
     """Rank, together with one nonzero vector y (if any) with y * M = 0.
 
     Elimination runs on [M | I]; the identity block records the row
     operations, so any row whose M-part vanished carries an exact dependency
-    among the original rows in its augmented part."""
+    among the original rows in its augmented part. Over Q each row of
+    [M | I] is cleared of denominators as a whole, so row i's identity entry
+    becomes its denominator d_i and the augmented part is already the
+    dependency on the original rows."""
     n_rows = len(matrix)
     if n_rows == 0:
         return 0, None
     n_cols = len(matrix[0])
     if field is None:
         field = field_of(matrix[0][0])
-
-    if field == QQ:
-        rows = []
-        denominators = []
-        for i, row in enumerate(matrix):
-            cleared, denom = _clear_denominators(row)
-            denominators.append(denom)
-            aug = [0] * n_rows
-            aug[i] = 1
-            rows.append(cleared + aug)
-        rank = _eliminate_int(rows, range(n_cols))
-        if rank == n_rows:
-            return rank, None
-        tail = rows[rank][n_cols:]
-        # the augmented part combines the cleared rows d_i * M_i, so the
-        # dependency on the original rows picks up the cleared denominators
-        dependency = [c * d for c, d in zip(tail, denominators)]
-        if not any(dependency):
-            raise InvariantError("dependency vector is zero")
-        return rank, dependency
-
-    one = field.one
-    zero = field.zero
     rows = []
     for i, row in enumerate(matrix):
-        aug = [zero] * n_rows
-        aug[i] = one
+        aug = [field.zero] * n_rows
+        aug[i] = field.one
         rows.append(list(row) + aug)
-    rank = _eliminate_field(rows, range(n_cols), field)
+    if field == QQ:
+        rows = [_clear_denominators(row) for row in rows]
+        rank = _eliminate_int(rows, range(n_cols))
+    else:
+        rank = _eliminate_field(rows, range(n_cols), field)
     if rank == n_rows:
         return rank, None
-    dependency = list(rows[rank][n_cols:])
-    if all(c == zero for c in dependency):
+    dependency = rows[rank][n_cols:]
+    if not any(dependency):
         raise InvariantError("dependency vector is zero")
     return rank, dependency

@@ -2,9 +2,10 @@
 
 Everything is exact; no floating point is used anywhere. The three field kinds
 are closed, and the series/crossed machinery is written against the small
-contract the field objects expose: zero/one, arithmetic, inv, text parsing,
-random sampling, and a named finite automorphism set (identity everywhere,
-plus conjugation on quadratic fields).
+contract the field objects expose: zero/one, arithmetic, inv, text parsing
+and random sampling. Fields carry no automorphisms: a crossed system's
+action is a function of its own (quadratic-conj-Z conjugates through
+QuadraticFieldElement.conjugate).
 
 A rational, and each part of an element of Q(sqrt m), is an int when it is
 integral and a Fraction otherwise: int arithmetic is several times faster than
@@ -278,11 +279,6 @@ class RationalField:
     def format(self, x) -> str:
         return str(x)
 
-    def apply(self, tag: str, x):
-        if tag != "id":
-            raise ValueError(f"unknown automorphism {tag!r} of Q")
-        return x
-
     def sample(self, rng):
         return normal_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
 
@@ -333,11 +329,6 @@ class PrimeField:
 
     def format(self, x) -> str:
         return str(x)
-
-    def apply(self, tag: str, x):
-        if tag != "id":
-            raise ValueError(f"unknown automorphism {tag!r} of F_{self.p}")
-        return x
 
     def sample(self, rng):
         return PrimeFieldElement(rng.randrange(self.p), self.p)
@@ -397,13 +388,6 @@ class QuadraticField:
 
     def format(self, x) -> str:
         return str(x)
-
-    def apply(self, tag: str, x):
-        if tag == "id":
-            return x
-        if tag == "conj":
-            return x.conjugate()
-        raise ValueError(f"unknown automorphism {tag!r} of Q(sqrt {self.radicand})")
 
     def sample(self, rng):
         return QuadraticFieldElement(

@@ -214,9 +214,6 @@ class GradedSeries:
     def identity_coefficient(self):
         return self.coefficient(self.context.identity())
 
-    def support(self):
-        return set(self.terms)
-
     def rows(self):
         """(weight, element string, coefficient) triples in canonical
         (weight, element string) order."""

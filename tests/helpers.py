@@ -8,7 +8,7 @@ expansion, built only from the public series operations. The word-image
 oracles build every word from scratch, one product per letter, and the Magnus
 oracle writes each inverse letter out as its truncated geometric series.
 The digit-sum oracle adds the powers of r in rational arithmetic, mask by
-mask; the digit-membership oracle, reference_digit_sum_subset, searches the
+mask; the ping-pong oracle builds the whole orbit before testing it; the digit-membership oracle, reference_digit_sum_subset, searches the
 subsets of powers top exponent first in rational arithmetic; and the
 monoid-table oracle keys its entries by element strings, not by the
 elements' own hashing. The elimination oracles rewrite every entry of every
@@ -221,6 +221,45 @@ def reference_digit_sum_subset(q: Fraction, ratio: Fraction, max_exponent: int):
     if result is None:
         return None
     return tuple(sorted(result))
+
+
+def reference_pingpong_check(group, t_value, max_length, digits):
+    """Slow reference for freeness.pingpong_check (valid inputs only), with
+    membership in A answered by digits(x, ratio): the whole orbit built first
+    through the affine product oracle, then every orbit element, its tx-image
+    and its x-image tested in orbit order, the first failure giving the
+    witness. The translate sets cannot meet once every tx-image carries the
+    exponent-0 digit and no x-image does, so that test is left out."""
+    r = group.ratio
+    t_value = Fraction(t_value)
+    tx = group.element(t_value, 1)
+    x = group.element(0, 1)
+    orbit = [group.element(t_value, 0)]
+    level = orbit
+    for _ in range(max_length):
+        level = [semidirect_product_oracle(a, e) for e in level for a in (tx, x)]
+        orbit = orbit + level
+
+    def in_A(g):
+        return None if g.n < 0 else digits(g.h / t_value, r)
+
+    witness = None
+    checked = 0
+    for e in orbit:
+        te, xe = semidirect_product_oracle(tx, e), semidirect_product_oracle(x, e)
+        td, xd = in_A(te), in_A(xe)
+        if in_A(e) is None:
+            witness = {"reason": "orbit element left A", "element": str(e)}
+        elif td is None or 0 not in td:
+            witness = {"reason": "tx-image missing the exponent-0 digit", "element": str(te)}
+        elif xd is None or 0 in xd:
+            witness = {"reason": "x-image carries the exponent-0 digit", "element": str(xe)}
+        if witness is not None:
+            break
+        checked += 1
+    details = {"r": str(r), "t": str(t_value), "orbit": len(orbit), "checked": checked}
+    return Report("ping-pong", VERIFIED if witness is None else COUNTEREXAMPLE,
+                  {"L": max_length, "D": None, "N": None}, witness, details)
 
 
 def reference_enumerate_monoid(group, generators, max_length):

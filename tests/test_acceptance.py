@@ -138,7 +138,7 @@ def test_criterion_06_pingpong():
 
 SERIES_CONTEXTS = (
     ("heisenberg-trivial", HEIS, QQ, None),
-    ("twisted-z2", Z2, QQ, z2_sign_twist()),
+    ("twisted-z2", Z2, QQ, z2_sign_twist(QQ)),
     ("quadratic-conj", Z1, QuadraticField(2), quadratic_conj_z(2)),
 )
 
@@ -188,7 +188,7 @@ def test_criterion_09_crossed_validity():
             trivial_system(WREATH, QQ),
             trivial_system(Z2, QQ),
             trivial_system(Z1, QQ),
-            z2_sign_twist(),
+            z2_sign_twist(QQ),
             quadratic_conj_z(2),
         ]
         for system in builtins:
@@ -200,7 +200,7 @@ def test_criterion_09_crossed_validity():
             lambda g: Fraction(2) ** (g.coords[0] % 3),
             lambda g: Fraction(1, 3) if (g.coords[0] + g.coords[1]) % 2 else Fraction(1),
         ]
-        base = z2_sign_twist()
+        base = z2_sign_twist(QQ)
         for d in diagonals:
             assert check_crossed_system(diagonal_change(base, d), 100, seed=9).verified
         corrupted = corrupt_twist(base, (Z2.element(1, 1), Z2.element(1, 0)), Fraction(2))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_series
+from mnseries import registry
 from mnseries.crossed import (
     augment_coefficients,
     change_basis,
@@ -30,8 +31,9 @@ from mnseries.groups import (
     WreathGroup,
     quotient_descriptor,
 )
-from mnseries.scalars import QQ, QuadraticField
-from mnseries.series import ContextMismatchError, GradedSeries, NoTruncatedInverseError
+from mnseries.scalars import QQ, QuadraticField, field_from_spec
+from mnseries.series import (ContextMismatchError, GradedSeries, NoTruncatedInverseError, from_text,
+                             to_text)
 
 HEIS = Heisenberg()
 Z2 = LatticeGroup(2)
@@ -43,7 +45,7 @@ BUILTIN_SYSTEMS = [
     trivial_system(WreathGroup(), QQ),
     trivial_system(Z2, QQ),
     trivial_system(Z1, QQ),
-    z2_sign_twist(),
+    z2_sign_twist(QQ),
     quadratic_conj_z(2),
 ]
 
@@ -55,7 +57,7 @@ def test_builtin_systems_valid(system):
 
 
 def test_corrupted_twist_caught():
-    base = z2_sign_twist()
+    base = z2_sign_twist(QQ)
     bad = corrupt_twist(base, (Z2.element(1, 1), Z2.element(1, 0)), Fraction(2))
     report = check_crossed_system(bad, sample_count=300, seed=1)
     assert not report.verified
@@ -64,17 +66,17 @@ def test_corrupted_twist_caught():
 
 def test_negative_sample_count_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
-        check_crossed_system(z2_sign_twist(), sample_count=-3)
+        check_crossed_system(z2_sign_twist(QQ), sample_count=-3)
 
 
 def test_crossed_report_fields():
-    report = check_crossed_system(z2_sign_twist(), sample_count=10, seed=1)
+    report = check_crossed_system(z2_sign_twist(QQ), sample_count=10, seed=1)
     assert (report.kind, report.bounds, report.witness) == ("crossed-validity", {"samples": 10}, None)
     assert report.exit_code == 0 and report.details["checked"] > 10
 
 
 def test_diagonal_change_identity_map_is_noop():
-    system = z2_sign_twist()
+    system = z2_sign_twist(QQ)
     changed = diagonal_change(system, lambda g: Fraction(1))
     rng = random.Random(0)
     for _ in range(100):
@@ -85,7 +87,7 @@ def test_diagonal_change_identity_map_is_noop():
 
 def test_diagonal_change_requires_unit_at_identity():
     with pytest.raises(ValueError):
-        diagonal_change(z2_sign_twist(), lambda g: Fraction(2))
+        diagonal_change(z2_sign_twist(QQ), lambda g: Fraction(2))
 
 
 DIAGONALS = [
@@ -99,14 +101,14 @@ DIAGONALS = [
 
 @pytest.mark.parametrize("idx", range(len(DIAGONALS)))
 def test_diagonal_change_outputs_valid(idx):
-    system = z2_sign_twist()
+    system = z2_sign_twist(QQ)
     changed = diagonal_change(system, DIAGONALS[idx])
     report = check_crossed_system(changed, sample_count=150, seed=2)
     assert report.verified, report.witness
 
 
 def test_diagonal_change_changes_the_twist_but_stays_valid():
-    system = z2_sign_twist()
+    system = z2_sign_twist(QQ)
     d = DIAGONALS[1]
     changed = diagonal_change(system, d)
     differs = any(
@@ -120,7 +122,7 @@ def test_diagonal_change_changes_the_twist_but_stays_valid():
 
 def test_diagonal_change_basis_substitution_agreement():
     # multiplying in the new basis then translating back agrees with the old product
-    system = z2_sign_twist()
+    system = z2_sign_twist(QQ)
     rng = random.Random(4)
     for d in DIAGONALS:
         changed = diagonal_change(system, d)
@@ -133,7 +135,7 @@ def test_diagonal_change_basis_substitution_agreement():
 
 
 def test_single_term_inverse():
-    system = z2_sign_twist()
+    system = z2_sign_twist(QQ)
     rng = random.Random(5)
     for _ in range(100):
         g = Z2.sample_element(rng)
@@ -291,13 +293,13 @@ def test_morphism_extension_augmentation_holds():
 
 
 def test_morphism_extension_identity_holds():
-    system = z2_sign_twist()
+    system = z2_sign_twist(QQ)
     report = check_morphism_extension(lambda r: r, lambda g: g, system, system, samples=60, seed=2)
     assert report.verified
 
 
 def test_morphism_extension_rejects_negative_samples():
-    system = z2_sign_twist()
+    system = z2_sign_twist(QQ)
     with pytest.raises(ValueError, match="must be nonnegative"):
         check_morphism_extension(lambda r: r, lambda g: g, system, system, samples=-4)
 
@@ -322,7 +324,7 @@ TWISTED_BASES = [
 
 @pytest.mark.parametrize("group,tag,d", TWISTED_BASES, ids=("heis-center", "bs12-base"))
 def test_regroup_under_a_twisted_base_system(group, tag, d):
-    base = diagonal_change(trivial_system(group), d)
+    base = diagonal_change(trivial_system(group, QQ), d)
     qs = quotient_system(group, tag, base=base)
     qd = qs.descriptor
     panel = group.panel_elements()
@@ -374,7 +376,7 @@ def test_regrouped_series_inverts_through_its_identity_term():
 
 @pytest.mark.parametrize("group,tag,d", TWISTED_BASES, ids=("heis-center", "bs12-base"))
 def test_regrouped_series_inverts_under_a_twisted_base(group, tag, d):
-    base = diagonal_change(trivial_system(group), d)
+    base = diagonal_change(trivial_system(group, QQ), d)
     qd = quotient_descriptor(group, tag)
     rng = random.Random(15)
     for _ in range(10):
@@ -409,7 +411,7 @@ def test_only_single_term_n_series_invert():
 @pytest.mark.parametrize("group,tag,d", TWISTED_BASES, ids=("heis-center", "bs12-base"))
 @pytest.mark.parametrize("twisted", (False, True), ids=("trivial-base", "diagonal-base"))
 def test_check_crossed_system_validates_quotient_systems(group, tag, d, twisted):
-    base = diagonal_change(trivial_system(group), d) if twisted else None
+    base = diagonal_change(trivial_system(group, QQ), d) if twisted else None
     qs = quotient_system(group, tag, base=base)
     panel = qs.field.panel()
     assert panel[:2] == (qs.field.zero, qs.field.one)
@@ -418,3 +420,70 @@ def test_check_crossed_system_validates_quotient_systems(group, tag, d, twisted)
     assert report.verified, report.witness
     panel_size = len(qs.group.panel_elements())
     assert report.details["checked"] == panel_size ** 2 + panel_size ** 3 + 20
+
+
+# ---------------------------------------------------------------------------
+# systems and descriptors compare by identity
+
+
+def test_cached_constructors_give_one_object_per_arguments():
+    assert trivial_system(HEIS, QQ) is trivial_system(Heisenberg(), QQ) is registry.trivial_on("heis")
+    assert registry.trivial_on("z2", QQ) is trivial_system(Z2, field_from_spec("Q"))
+    z2 = z2_sign_twist(QQ)
+    assert z2 is registry.builtin_system("z2-sign-twist") is registry.builtin_system("z2-sign-twist", QQ)
+    assert z2 is registry.resolve_crossed("z2-sign-twist", LatticeGroup(2), QQ)
+    conj = quadratic_conj_z(2)
+    assert conj is registry.builtin_system("quadratic-conj-Z")
+    assert conj is registry.builtin_system("quadratic-conj-Z", QuadraticField(2))
+    assert conj is registry.resolve_crossed("quadratic-conj-Z", LatticeGroup(1), field_from_spec("Qsqrt:2"))
+    for group, tag in ((HEIS, "center"), (SemidirectGroup(), "base")):
+        qd = quotient_descriptor(group, tag)
+        assert qd is quotient_descriptor(type(group)(), tag) is quotient_system(group, tag).descriptor
+        assert quotient_system(group, tag) == quotient_system(group, tag)
+    # keyword spellings would be separate cache entries, so they are refused
+    with pytest.raises(TypeError):
+        z2_sign_twist(field=QQ)
+    with pytest.raises(TypeError):
+        quotient_descriptor(HEIS, subgroup_tag="center")
+
+
+def test_two_parses_of_one_twisted_file_share_the_system():
+    text = "monoid=z2 D=3 crossed=z2-sign-twist\n0\tZ2(0,0)\t1\n1\tZ2(0,1)\t2\n1\tZ2(1,0)\t-1/2\n"
+    f = from_text(text, registry.resolve_monoid, registry.resolve_crossed)
+    g = from_text(text, registry.resolve_monoid, registry.resolve_crossed)
+    assert f.system is g.system is z2_sign_twist(QQ)
+    assert f == g and to_text(f) == text
+    h = GradedSeries(Z2, 3, dict(f.terms), QQ, z2_sign_twist(QQ))
+    assert f * g == h * h and f + g == h + h
+
+
+def _derived_systems():
+    base = z2_sign_twist(QQ)
+    return (diagonal_change(base, lambda g: Fraction(1)),
+            corrupt_twist(base, (Z2.element(1, 1), Z2.element(1, 0)), Fraction(2)))
+
+
+@pytest.mark.parametrize("which", (0, 1), ids=("diagonal-change", "corrupt-twist"))
+def test_derived_systems_equal_only_themselves(which):
+    base = z2_sign_twist(QQ)
+    derived = _derived_systems()[which]
+    assert derived == derived and derived != base and derived != _derived_systems()[which]
+    x = Z2.element(1, 0)
+    f = GradedSeries.monomial(Z2, 3, x, Fraction(1), QQ, derived)
+    g = GradedSeries.monomial(Z2, 3, x, Fraction(1), QQ, base)
+    with pytest.raises(ContextMismatchError):
+        f * g
+    with pytest.raises(ContextMismatchError):
+        f + g
+
+
+def test_custom_transversal_system_does_not_mix_with_the_canonical_one():
+    transversal = lambda q: HeisenbergElement(q.coords[0], q.coords[1], q.coords[0] * q.coords[1])  # noqa: E731
+    custom = quotient_system(HEIS, "center", transversal=transversal)
+    canonical = quotient_system(HEIS, "center")
+    assert custom == custom and custom != canonical
+    assert custom != quotient_system(HEIS, "center", transversal=transversal)
+    f = GradedSeries.one(custom.group, 2, custom.field, custom)
+    g = GradedSeries.one(canonical.group, 2, canonical.field, canonical)
+    with pytest.raises(ContextMismatchError):
+        f * g

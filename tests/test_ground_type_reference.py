@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from mnseries.linalg import exact_rank, rank_and_left_nullspace
+from mnseries.linalg import rank_and_left_nullspace
 from mnseries.magnus import FreeMonoid
 from mnseries.registry import resolve_crossed, resolve_monoid
 from mnseries.scalars import QQ, QuadraticField, QuadraticFieldElement
@@ -106,7 +106,6 @@ def test_int_matrices_match_the_fraction_path(field):
         slow_matrix = [[as_fraction(x) for x in row] for row in matrix]
         rank, dependency = rank_and_left_nullspace(matrix, field)
         assert (rank, dependency) == rank_and_left_nullspace(slow_matrix, field)
-        assert exact_rank(matrix, field) == exact_rank(slow_matrix, field) == rank
         if dependency is not None:
             deficient += 1
             if field == QQ:

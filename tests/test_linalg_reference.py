@@ -42,7 +42,6 @@ def assert_kernels_agree(matrix, field, monkeypatch):
                                  reference_eliminate_field, monkeypatch)
     assert fast == slow
     assert fast_rows == slow_rows
-    assert linalg.exact_rank(matrix, field) == fast[0]
     return fast
 
 

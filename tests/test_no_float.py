@@ -156,7 +156,7 @@ QUOTIENTS = (
 @pytest.mark.parametrize("group,tag,d", QUOTIENTS, ids=("heis-center", "bs12-base"))
 def test_regroup_and_flatten_build_no_float(no_float, group, tag, d):
     rng = random.Random(f"no-float-{tag}")
-    for base in (trivial_system(group), diagonal_change(trivial_system(group), d)):
+    for base in (trivial_system(group, QQ), diagonal_change(trivial_system(group, QQ), d)):
         qs = quotient_system(group, tag, base=base)
         assert check_crossed_system(qs, 5).verified
         for _ in range(5):

@@ -55,7 +55,7 @@ def test_multiply_heisenberg_against_group_law():
 
 
 def test_multiply_sign_twist():
-    system = z2_sign_twist()
+    system = z2_sign_twist(QQ)
     fx = mono(Z2, 4, Z2.element(1, 0), system=system)
     fy = mono(Z2, 4, Z2.element(0, 1), system=system)
     assert (fy * fx).terms == {Z2.element(1, 1): Fraction(-1)}
@@ -105,7 +105,7 @@ def test_invert_requires_unit_identity_coefficient():
 
 CONTEXTS = [
     ("heis-trivial", HEIS, QQ, None),
-    ("z2-sign", Z2, QQ, z2_sign_twist()),
+    ("z2-sign", Z2, QQ, z2_sign_twist(QQ)),
     ("quad-conj", LatticeGroup(1), QuadraticField(2), quadratic_conj_z(2)),
     ("f5", HEIS, PrimeField(5), None),
 ]
@@ -153,7 +153,7 @@ def test_degree_and_context_mixes_refused():
         f * GradedSeries.one(Z2, 4, QQ)
     with pytest.raises(ContextMismatchError):
         f * GradedSeries.one(HEIS, 4, PrimeField(5))
-    sys2 = z2_sign_twist()
+    sys2 = z2_sign_twist(QQ)
     a = GradedSeries.one(Z2, 4, QQ, sys2)
     b = GradedSeries.one(Z2, 4, QQ)
     with pytest.raises(ContextMismatchError):

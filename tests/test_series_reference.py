@@ -24,7 +24,7 @@ CONTEXTS = [
     ("heis-trivial-system", HEIS, QQ, trivial_system(HEIS, QQ)),
     ("free2", FreeMonoid(2), QQ, None),
     ("free3", FreeMonoid(3), QQ, None),
-    ("z2-sign-twist", LatticeGroup(2), QQ, z2_sign_twist()),
+    ("z2-sign-twist", LatticeGroup(2), QQ, z2_sign_twist(QQ)),
     ("z-quadratic-conj", LatticeGroup(1), QuadraticField(2), quadratic_conj_z(2)),
 ]
 IDS = [c[0] for c in CONTEXTS]
