@@ -91,19 +91,6 @@ def quadratic_conj_z(radicand, /) -> CrossedSystem:
     )
 
 
-def corrupt_twist(system: CrossedSystem, at_pair, value) -> CrossedSystem:
-    """Fuzz fixture: flip the twist at one ordered pair of group elements."""
-    x0, y0 = at_pair
-
-    def twist(g, h):
-        if (g, h) == (x0, y0):
-            return value
-        return system.twist(g, h)
-
-    return CrossedSystem(f"corrupted:{system.id}", system.group, system.field,
-                         system.action, twist)
-
-
 # ---------------------------------------------------------------------------
 # validity checking
 

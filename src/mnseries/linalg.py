@@ -1,144 +1,243 @@
 """Exact rank and left-nullspace computation.
 
-Over the rationals, rows are cleared to integers and eliminated with the
-fraction-free (Bareiss) single-step rule, so every intermediate value stays
-an integer and every division is exact. Over prime fields and quadratic
-fields, plain Gaussian elimination is already exact. Pivot columns are taken
-in the caller's column order and the pivot row is always the first row with a
-nonzero entry, so results are deterministic.
+Elimination runs on [M | I]; the identity block records the row operations,
+so the row whose M-part vanishes first carries a dependency among the
+original rows in its augmented part. Pivot columns are taken in the caller's
+column order and the pivot row is always the first row with a nonzero entry,
+so results are deterministic. A row below the pivot with a zero head is left
+as it is, and the others are updated only on the pivot row's support (its
+nonzero columns), since subtracting a multiple of zero changes nothing;
+word-image matrices are sparse, and the identity block mostly zero.
 
-Both kernels skip only work that cannot change a value, so every rank and
-dependency vector is the one dense elimination gives. The field kernel
-collects the pivot row's nonzero columns once per pivot and updates only
-those in the rows below it, since subtracting a multiple of zero leaves an
-entry as it is; word-image matrices are sparse, and the identity block of
-[M | I] mostly zero. The integer kernel rebuilds each row below the pivot in
-one pass, and leaves a zero-head row alone when the Bareiss step would only
-multiply and divide it by the same pivot.
+There are two kernels, both on plain Python ints:
+
+- The integer kernel, over Q and Q(sqrt m). Each row of [M | I] is cleared
+  of denominators, so row i becomes d_i * [M_i | e_i] with entries in Z, or
+  in Z[sqrt m] as int pairs (u, v) for u + v*sqrt(m). For pivot p and head
+  h, row i becomes N(p)/g * row_i - h*conj(p)/g * row_p, where
+  N(p) = p*conj(p) (over Z, conj(p) = 1 and N(p) = p) and g is the gcd of
+  the multipliers' parts; then row i is divided by the gcd of all its parts,
+  which keeps the entries small without any division in Z[sqrt m]. Each row
+  stays a nonzero multiple of the row Gaussian elimination over the field
+  gives, so every zero test, and with it every pivot row and the row k left
+  at position `rank`, is the same. A row is a dict of its nonzero entries:
+  the rows of a word-image matrix keep about a seventh of [M | I] nonzero,
+  and the content gcd then reads only those.
+- The mod-p kernel, over F_p: the entries become residues in dense lists
+  (there dicts measured slower), and the steps are Gaussian elimination
+  mod p.
+
+The dependency's scale. Over F_p and Q(sqrt m) it is the dependency with
+entry 1 at k, as Gaussian elimination over the field gives it: the mod-p
+kernel never scales a row, so that is row k's identity part; over Q(sqrt m)
+it is z * z_k^-1, with z the identity part of row k. Over Q it is the vector
+fraction-free (Bareiss) elimination of the cleared [M | I] leaves, whose
+entry at k is d_k * Delta, Delta the r x r pivot minor of the cleared M:
+y = z * d_k * Delta / z_k. Delta is the product of the pivots over the
+product of the pivot rows' own scales, s_i being row i's identity entry at
+column i over d_i (how many times the cleared row i the row holds). That
+division must come out exact; InvariantError when it does not.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
-from .scalars import QQ, field_of
+from .scalars import PrimeField, PrimeFieldElement, QuadraticField, field_of
 
 
 class InvariantError(RuntimeError):
     """An independent re-verification of a computed result failed."""
 
 
-def _clear_denominators(row):
-    """The row of ints and Fractions times the least common denominator of
-    its entries, as ints."""
+def _eliminate_integral(rows, n_cols, radicand):
+    """Fraction-free elimination with content removal, in place, pivoting on
+    columns 0 .. n_cols - 1. Each row is a dict from column to its nonzero
+    entry: an int over Z (radicand None), or an int pair (u, v) for
+    u + v*sqrt(radicand) over Z[sqrt radicand]. Returns the rank and, position
+    by position, the original index of the row there."""
+    n = len(rows)
+    order = list(range(n))
+    m = radicand
+    pr = 0
+    for pc in range(n_cols):
+        for i in range(pr, n):
+            if pc in rows[i]:
+                break
+        else:
+            continue
+        if i != pr:
+            rows[pr], rows[i] = rows[i], rows[pr]
+            order[pr], order[i] = order[i], order[pr]
+        row_p = rows[pr]
+        support = list(row_p.items())
+        if m is None:
+            p = row_p[pc]
+            for i in range(pr + 1, n):
+                row = rows[i]
+                h = row.get(pc)
+                if h is None:
+                    continue
+                g = gcd(p, h)
+                a, b = (p // g, h // g) if p > 0 else (-p // g, -h // g)
+                if a != 1:
+                    row = {j: a * x for j, x in row.items()}
+                get = row.get
+                for j, x in support:
+                    x = get(j, 0) - b * x
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                c = gcd(*row.values())
+                rows[i] = {j: x // c for j, x in row.items()} if c != 1 else row
+        else:
+            p_u, p_v = row_p[pc]
+            norm = p_u * p_u - m * p_v * p_v
+            for i in range(pr + 1, n):
+                row = rows[i]
+                head = row.get(pc)
+                if head is None:
+                    continue
+                # f = h * conj(p), so that N(p) * h - f * p = 0
+                h_u, h_v = head
+                f_u = h_u * p_u - m * h_v * p_v
+                f_v = h_v * p_u - h_u * p_v
+                g = gcd(norm, f_u, f_v)
+                if norm < 0:
+                    g = -g
+                a, f_u, f_v = norm // g, f_u // g, f_v // g
+                if a != 1:
+                    row = {j: (a * u, a * v) for j, (u, v) in row.items()}
+                mf_v = m * f_v
+                get = row.get
+                for j, (x_u, x_v) in support:
+                    u, v = get(j, (0, 0))
+                    u -= f_u * x_u + mf_v * x_v
+                    v -= f_u * x_v + f_v * x_u
+                    if u or v:
+                        row[j] = (u, v)
+                    else:
+                        del row[j]
+                c = gcd(*(x for pair in row.values() for x in pair))
+                rows[i] = {j: (u // c, v // c) for j, (u, v) in row.items()} if c != 1 else row
+        pr += 1
+        if pr == n:
+            break
+    return pr, order
+
+
+def _eliminate_mod_p(rows, n_cols, p):
+    """Gaussian elimination mod p, in place, on rows of residues (lists),
+    pivoting on columns 0 .. n_cols - 1; rows are never scaled. Returns the
+    rank."""
+    n = len(rows)
+    pr = 0
+    for pc in range(n_cols):
+        for i in range(pr, n):
+            if rows[i][pc]:
+                break
+        else:
+            continue
+        if i != pr:
+            rows[pr], rows[i] = rows[i], rows[pr]
+        row_p = rows[pr]
+        piv_inv = pow(row_p[pc], -1, p)
+        support = [(j, x) for j, x in enumerate(row_p) if x]
+        for i in range(pr + 1, n):
+            row = rows[i]
+            h = row[pc]
+            if h:
+                f = h * piv_inv % p
+                for j, x in support:
+                    row[j] = (row[j] - f * x) % p
+        pr += 1
+        if pr == n:
+            break
+    return pr
+
+
+def _lcm_of_denominators(values):
     denom = 1
-    for x in row:
+    for x in values:
         d = x.denominator
         if d != 1:
             denom = denom * d // gcd(denom, d)
-    if denom == 1:
-        return [x.numerator for x in row]
-    return [x.numerator * (denom // x.denominator) for x in row]
+    return denom
 
 
-def _eliminate_int(rows, pivot_cols):
-    """Fraction-free elimination on integer rows (in place), pivoting on the
-    given columns only; every row below the pivot is updated (also those with
-    a zero head, which rescale by piv/prev unless the two are equal) so the
-    Bareiss divisions stay exact. Returns the rank."""
-    if not rows:
-        return 0
-    pr = 0
-    prev = 1
-    for pc in pivot_cols:
-        pivot_row = None
-        for i in range(pr, len(rows)):
-            if rows[i][pc]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != pr:
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        piv = rows[pr][pc]
-        row_p = rows[pr]
-        for i in range(pr + 1, len(rows)):
-            row_i = rows[i]
-            head = row_i[pc]
-            if head:
-                rows[i] = [(a * piv - head * b) // prev for a, b in zip(row_i, row_p)]
-            elif piv != prev:
-                rows[i] = [a * piv // prev for a in row_i]
-        prev = piv
-        pr += 1
-        if pr == len(rows):
-            break
-    return pr
+def _rank_mod_p(matrix, n_cols, field):
+    p = field.p
+    rows = []
+    for i, row in enumerate(matrix):
+        residues = [x.residue for x in row] + [0] * len(matrix)
+        residues[n_cols + i] = 1
+        rows.append(residues)
+    rank = _eliminate_mod_p(rows, n_cols, p)
+    if rank == len(matrix):
+        return rank, None
+    return rank, [PrimeFieldElement(x, p) for x in rows[rank][n_cols:]]
 
 
-def _eliminate_field(rows, pivot_cols, field):
-    """Plain exact Gaussian elimination over a field (in place), updating only
-    the pivot row's nonzero columns; each pivot is inverted once, through
-    field.inv, and the rows below take head * piv^-1 times the pivot row.
-    Returns the rank."""
-    if not rows:
-        return 0
-    zero = field.zero
-    pr = 0
-    for pc in pivot_cols:
-        pivot_row = None
-        for i in range(pr, len(rows)):
-            if rows[i][pc] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != pr:
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        row_p = rows[pr]
-        piv_inv = field.inv(row_p[pc])
-        support = [j for j, x in enumerate(row_p) if x != zero]
-        for i in range(pr + 1, len(rows)):
-            row_i = rows[i]
-            head = row_i[pc]
-            if head != zero:
-                factor = head * piv_inv
-                for j in support:
-                    row_i[j] = row_i[j] - factor * row_p[j]
-        pr += 1
-        if pr == len(rows):
-            break
-    return pr
+def _rank_integral(matrix, n_cols, field):
+    """Over Q or Q(sqrt m): each row of [M | I] cleared of denominators, the
+    integer kernel, and the dependency at its scale (module docstring)."""
+    n_rows = len(matrix)
+    quadratic = isinstance(field, QuadraticField)
+    denoms = []
+    rows = []
+    for i, row in enumerate(matrix):
+        if quadratic:
+            denom = _lcm_of_denominators([part for x in row for part in (x.u, x.v)])
+            cleared = {j: (x.u.numerator * (denom // x.u.denominator),
+                           x.v.numerator * (denom // x.v.denominator))
+                       for j, x in enumerate(row) if x}
+            cleared[n_cols + i] = (denom, 0)
+        else:
+            denom = _lcm_of_denominators(row)
+            cleared = {j: x.numerator * (denom // x.denominator) for j, x in enumerate(row) if x}
+            cleared[n_cols + i] = denom
+        rows.append(cleared)
+        denoms.append(denom)
+    rank, order = _eliminate_integral(rows, n_cols, field.radicand if quadratic else None)
+    if rank == n_rows:
+        return rank, None
+    k = order[rank]
+    last = rows[rank]
+    if quadratic:
+        z = [field.from_parts(*last.get(n_cols + j, (0, 0))) for j in range(n_rows)]
+        scale = field.inv(z[k])
+        return rank, [x * scale for x in z]
+    # rescale to the fraction-free elimination's dependency: y = z*d_k*Delta/z_k
+    z = [last.get(n_cols + j, 0) for j in range(n_rows)]
+    num, den = denoms[k], z[k]
+    for row, o in zip(rows[:rank], order):
+        num *= row[min(row)] * denoms[o]
+        den *= row[n_cols + o]
+    scale = Fraction(num, den)
+    if any(x % scale.denominator for x in z):
+        raise InvariantError("dependency does not rescale to an integer vector")
+    return rank, [x // scale.denominator * scale.numerator for x in z]
 
 
 def rank_and_left_nullspace(matrix, field=None):
     """Rank, together with one nonzero vector y (if any) with y * M = 0.
 
-    Elimination runs on [M | I]; the identity block records the row
-    operations, so any row whose M-part vanished carries an exact dependency
-    among the original rows in its augmented part. Over Q each row of
-    [M | I] is cleared of denominators as a whole, so row i's identity entry
-    becomes its denominator d_i and the augmented part is already the
-    dependency on the original rows."""
+    Over Q the dependency is an int vector, the one fraction-free
+    elimination of the cleared [M | I] gives; over F_p and Q(sqrt m) it is
+    the dependency with entry 1 at the first row found dependent on the
+    pivot rows (see the module docstring)."""
     n_rows = len(matrix)
     if n_rows == 0:
         return 0, None
     n_cols = len(matrix[0])
     if field is None:
         field = field_of(matrix[0][0])
-    rows = []
-    for i, row in enumerate(matrix):
-        aug = [field.zero] * n_rows
-        aug[i] = field.one
-        rows.append(list(row) + aug)
-    if field == QQ:
-        rows = [_clear_denominators(row) for row in rows]
-        rank = _eliminate_int(rows, range(n_cols))
+    if isinstance(field, PrimeField):
+        rank, dependency = _rank_mod_p(matrix, n_cols, field)
     else:
-        rank = _eliminate_field(rows, range(n_cols), field)
-    if rank == n_rows:
-        return rank, None
-    dependency = rows[rank][n_cols:]
-    if not any(dependency):
+        rank, dependency = _rank_integral(matrix, n_cols, field)
+    if dependency is not None and not any(dependency):
         raise InvariantError("dependency vector is zero")
     return rank, dependency

@@ -322,18 +322,12 @@ class GradedSeries:
     def truncated(self, new_degree: int):
         """Explicit copy at a lower degree; refuses to drop nothing silently."""
         if new_degree > self.degree:
-            raise ValueError("use with_degree to raise the degree")
+            raise ValueError(f"cannot truncate degree {self.degree} to the higher "
+                             f"degree {new_degree}")
         weights = self.weights
         terms = {g: c for g, c in self.terms.items() if weights[g] <= new_degree}
         return GradedSeries(self.context, new_degree, terms, self.field, self.system,
                             validate=False, weights={g: weights[g] for g in terms})
-
-    def with_degree(self, new_degree: int):
-        """Recontextualize at a higher degree (terms are unchanged)."""
-        if new_degree < self.degree:
-            raise ValueError("use truncated to lower the degree")
-        return GradedSeries(self.context, new_degree, dict(self.terms), self.field, self.system,
-                            validate=False, weights=dict(self.weights))
 
     def invert(self):
         """Truncated two-sided inverse, defined when the identity coefficient

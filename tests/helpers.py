@@ -12,15 +12,20 @@ mask; the ping-pong oracle builds the whole orbit before testing it; the digit-m
 subsets of powers top exponent first in rational arithmetic; and the
 monoid-table oracle keys its entries by element strings, not by the
 elements' own hashing. The elimination oracles rewrite every entry of every
-row they update, with no skipping of zero entries or zero heads.
+row they update, with no skipping of zero entries or zero heads, and
+reference_rank_and_left_nullspace runs them on [M | I] in Fraction and field
+arithmetic. The test fixtures corrupt_twist and with_degree build objects the
+library itself never needs.
 """
 
 from fractions import Fraction
+from math import gcd
 
+from mnseries.crossed import CrossedSystem
 from mnseries.report import COUNTEREXAMPLE, VERIFIED, Report
 from mnseries.groups import HeisenbergElement, SemidirectElement, WreathElement
 from mnseries.magnus import LETTERS, FreeMonoid
-from mnseries.scalars import QQ
+from mnseries.scalars import QQ, field_of
 from mnseries.series import GradedSeries
 
 
@@ -82,6 +87,27 @@ def random_series(context, degree, field, rng, n_terms=5, system=None, unit=Fals
     if unit:
         terms[context.identity()] = field.sample_nonzero(rng)
     return GradedSeries(context, degree, terms, field, system)
+
+
+def with_degree(f, new_degree):
+    """f recontextualised at a degree at least its own, terms unchanged."""
+    assert new_degree >= f.degree
+    return GradedSeries(f.context, new_degree, dict(f.terms), f.field, f.system,
+                        validate=False, weights=dict(f.weights))
+
+
+def corrupt_twist(system, at_pair, value):
+    """Fuzz fixture: system with its twist set to value at one ordered pair
+    of group elements."""
+    x0, y0 = at_pair
+
+    def twist(g, h):
+        if (g, h) == (x0, y0):
+            return value
+        return system.twist(g, h)
+
+    return CrossedSystem(f"corrupted:{system.id}", system.group, system.field,
+                         system.action, twist)
 
 
 def assert_one(series):
@@ -286,8 +312,8 @@ def reference_enumerate_monoid(group, generators, max_length):
 # --- elimination oracles ---------------------------------------------------------
 
 def reference_eliminate_int(rows, pivot_cols):
-    """Dense reference for linalg._eliminate_int: the same fraction-free
-    (Bareiss) steps, every entry of every row below the pivot rewritten,
+    """Dense fraction-free (Bareiss) elimination on integer rows, pivoting on
+    the given columns: every entry of every row below the pivot rewritten,
     zero-head rows included. In place; returns the rank."""
     if not rows:
         return 0
@@ -319,9 +345,10 @@ def reference_eliminate_int(rows, pivot_cols):
 
 
 def reference_eliminate_field(rows, pivot_cols, field):
-    """Dense reference for linalg._eliminate_field: the same Gaussian steps,
-    every column of every row with a nonzero head rewritten, including those
-    where the pivot row is zero. In place; returns the rank."""
+    """Dense Gaussian elimination over a field, pivoting on the given
+    columns: every column of every row with a nonzero head rewritten,
+    including those where the pivot row is zero. In place; returns the
+    rank."""
     if not rows:
         return 0
     zero = field.zero
@@ -350,3 +377,33 @@ def reference_eliminate_field(rows, pivot_cols, field):
         if pr == len(rows):
             break
     return pr
+
+
+def reference_rank_and_left_nullspace(matrix, field=None):
+    """Slow reference for linalg.rank_and_left_nullspace: the dense kernels
+    above on [M | I]. Over Q each row is cleared of denominators as a whole
+    and eliminated fraction-free, so the dependency is the Bareiss row's
+    identity part; over the other fields it is the identity part left by
+    Gaussian elimination, with entry 1 at its own row."""
+    if not matrix:
+        return 0, None
+    n_rows, n_cols = len(matrix), len(matrix[0])
+    if field is None:
+        field = field_of(matrix[0][0])
+    rows = [list(row) + [field.one if j == i else field.zero for j in range(n_rows)]
+            for i, row in enumerate(matrix)]
+    if field == QQ:
+        rows = [[Fraction(x) for x in row] for row in rows]
+        cleared = []
+        for row in rows:
+            denom = 1
+            for x in row:
+                denom = denom * x.denominator // gcd(denom, x.denominator)
+            cleared.append([int(x * denom) for x in row])
+        rows = cleared
+        rank = reference_eliminate_int(rows, range(n_cols))
+    else:
+        rank = reference_eliminate_field(rows, range(n_cols), field)
+    if rank == n_rows:
+        return rank, None
+    return rank, rows[rank][n_cols:]

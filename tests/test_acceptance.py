@@ -13,13 +13,14 @@ import re
 import time
 from fractions import Fraction
 
-from helpers import random_series
+import pytest
+
+from helpers import corrupt_twist, random_series
 from mnseries import cli
 from mnseries.crossed import (
     augment_coefficients,
     check_crossed_system,
     check_morphism_extension,
-    corrupt_twist,
     diagonal_change,
     flatten,
     good_preimage,
@@ -307,6 +308,24 @@ PINNED_REPORTS = (
     (("classify", "--group", "bs12"), 0, "624d046eaf94a2e3"),
     (("classify", "--group", "wreath"), 0, "a477f297e79f67ad"),
 )
+
+
+# heis word-image ranks at L=5, D=8 (485 words, 255 columns, rank 249), pinned
+# by exit code and digest at the default seed: the largest matrices the
+# elimination kernels are checked on, one per kernel path.
+PINNED_L5_D8 = (
+    (("--field=Q", "--c=1", "--d=2"), "271596e86ab38cad"),
+    (("--field=Q", "--c=1", "--d=1"), "13bc7a5756e5203e"),
+    (("--field=Fp:5", "--c=1 mod 5", "--d=2 mod 5"), "b118cf730b86d142"),
+    (("--field=Qsqrt:2", "--c=1+1*sqrt(2)", "--d=1-1*sqrt(2)"), "4bd61ded465e631e"),
+)
+
+
+@pytest.mark.parametrize("flags,digest", PINNED_L5_D8, ids=("Q-d=2", "Q-d=1", "Fp:5", "Qsqrt:2"))
+def test_heis_L5_D8_digests(flags, digest):
+    code, out = _run_captured(("verify-group-algebra", "--group", "heis", *flags,
+                               "--L", "5", "--D", "8"))
+    assert (code, json.loads(out)["digest"]) == (3, digest)
 
 
 def _run_captured(argv):

@@ -345,6 +345,45 @@ def test_witness_reverification_runs_in_optimized_mode():
     assert proc.returncode == 70 and not proc.stdout, proc.stderr
 
 
+# A rank-deficient Q case (53 words, rank 28), and the integer kernel with the
+# dependency row's own entry multiplied by a prime, source text so that a
+# subprocess can run it too: the rescale to the fraction-free scale then
+# cannot divide exactly.
+DEFICIENT_Q = ["verify-group-algebra", "--group", "heis", "--field=Q", "--c=1", "--d=1",
+               "--L", "3", "--D", "4"]
+CORRUPTED_KERNEL = """
+def corrupted(eliminate):
+    def kernel(rows, n_cols, radicand):
+        rank, order = eliminate(rows, n_cols, radicand)
+        if rank < len(rows):
+            rows[rank][n_cols + order[rank]] *= 1000003
+        return rank, order
+    return kernel
+"""
+
+
+def test_inexact_dependency_rescale_exits_70(capsys, monkeypatch):
+    from mnseries import linalg
+
+    namespace = {}
+    exec(CORRUPTED_KERNEL, namespace)
+    monkeypatch.setattr(linalg, "_eliminate_integral",
+                        namespace["corrupted"](linalg._eliminate_integral))
+    code, out, err = run(capsys, *DEFICIENT_Q)
+    assert code == 70 and not out
+    assert "invariant failed: dependency does not rescale" in err
+
+
+def test_dependency_rescale_check_runs_in_optimized_mode():
+    script = (CORRUPTED_KERNEL + "from mnseries import cli, linalg\n"
+              "linalg._eliminate_integral = corrupted(linalg._eliminate_integral)\n"
+              f"raise SystemExit(cli.run_command({DEFICIENT_Q!r}))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC_DIR), check=False)
+    assert proc.returncode == 70 and not proc.stdout, proc.stderr
+    assert "dependency does not rescale" in proc.stderr
+
+
 def test_exit_code_3_for_inconclusive(capsys, monkeypatch):
     from mnseries.report import INCONCLUSIVE, Report
 

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_series
+from helpers import corrupt_twist, random_series
 from mnseries import registry
 from mnseries.crossed import (
     augment_coefficients,
     change_basis,
     check_crossed_system,
     check_morphism_extension,
-    corrupt_twist,
     diagonal_change,
     flatten,
     good_preimage,

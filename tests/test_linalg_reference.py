@@ -1,47 +1,39 @@
-"""Differential tests: the elimination kernels, which update only the pivot
-row's support and leave zero-head rows alone where the Bareiss step would
-not change them, against the dense kernels they replaced (tests/helpers.py).
-Ranks, eliminated rows and dependency vectors must agree value for value,
-not merely re-verify."""
+"""Differential tests: rank_and_left_nullspace, whose integer and mod-p
+kernels update only the pivot row's support and divide rows by their
+content, against the dense Bareiss and Gaussian elimination on [M | I] it
+replaced (reference_rank_and_left_nullspace in tests/helpers.py). Ranks,
+dependency values and the dependency's part types (int or Fraction) must
+agree, not merely re-verify."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import reference_eliminate_field, reference_eliminate_int
+from helpers import reference_rank_and_left_nullspace
 from mnseries import freeness, linalg, registry
-from mnseries.scalars import QQ, PrimeField, QuadraticField, field_from_spec
+from mnseries.scalars import (QQ, PrimeField, QuadraticField, QuadraticFieldElement,
+                              field_from_spec, normal_rational)
 
-FIELDS = (QQ, PrimeField(5), PrimeField(7), QuadraticField(2), QuadraticField(-1))
-
-
-def _eliminate(matrix, field, int_kernel, field_kernel, monkeypatch):
-    """rank_and_left_nullspace run on the given kernels, with the [M | I]
-    rows as elimination left them."""
-    eliminated = []
-
-    def keep(kernel):
-        def run(rows, *args):
-            eliminated.append(rows)
-            return kernel(rows, *args)
-        return run
-
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_eliminate_int", keep(int_kernel))
-        patch.setattr(linalg, "_eliminate_field", keep(field_kernel))
-        result = linalg.rank_and_left_nullspace(matrix, field)
-    return result, eliminated
+FIELDS = (QQ, PrimeField(5), PrimeField(7), QuadraticField(2), QuadraticField(-1),
+          QuadraticField(-3))
 
 
-def assert_kernels_agree(matrix, field, monkeypatch):
-    """Same rank, same dependency vector and the same eliminated rows, entry
-    for entry, from the library kernels and the dense reference kernels."""
-    fast, fast_rows = _eliminate(matrix, field, linalg._eliminate_int,
-                                 linalg._eliminate_field, monkeypatch)
-    slow, slow_rows = _eliminate(matrix, field, reference_eliminate_int,
-                                 reference_eliminate_field, monkeypatch)
+def part_types(dependency):
+    if dependency is None:
+        return None
+    return [(type(x),) + ((type(x.u), type(x.v)) if isinstance(x, QuadraticFieldElement) else ())
+            for x in dependency]
+
+
+def assert_matches_reference(matrix, field):
+    """Same rank, same dependency vector and the same part types from the
+    library and from the dense reference elimination."""
+    fast = linalg.rank_and_left_nullspace(matrix, field)
+    slow = reference_rank_and_left_nullspace(matrix, field)
     assert fast == slow
-    assert fast_rows == slow_rows
+    assert part_types(fast[1]) == part_types(slow[1])
     return fast
 
 
@@ -64,18 +56,27 @@ def random_sparse_matrix(field, rng):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-def test_kernels_match_dense_reference_on_sparse_matrices(field, monkeypatch):
+def test_kernels_match_dense_reference_on_sparse_matrices(field):
     rng = random.Random(f"sparse-{field.name}")
     deficient = 0
     for _ in range(150):
-        rank, dependency = assert_kernels_agree(random_sparse_matrix(field, rng), field,
-                                                monkeypatch)
+        rank, dependency = assert_matches_reference(random_sparse_matrix(field, rng), field)
         deficient += dependency is not None
     assert deficient > 30
 
 
+# Integer rows where a row below the pivot has a zero head: Bareiss rescales
+# it by piv/prev, the library leaves it alone, and the dependency must still
+# come out at the Bareiss scale. The last row of each depends on the others.
+ZERO_HEAD_ROWS = (
+    [[2, 1, 0], [0, 3, 1], [0, 0, 4], [2, 4, 5]],
+    [[1, 1, 0], [0, 1, 1], [0, 0, 1], [1, 2, 2]],
+    [[3, 0, 1], [0, 0, 2], [6, 1, 0], [0, 5, 5], [9, 1, 3]],
+)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-def test_kernels_match_dense_reference_on_edge_cases(field, monkeypatch):
+def test_kernels_match_dense_reference_on_edge_cases(field):
     zero, one = field.zero, field.one
     two = one + one
     cases = [
@@ -87,22 +88,10 @@ def test_kernels_match_dense_reference_on_edge_cases(field, monkeypatch):
         [[zero, one], [zero, two], [zero, zero]],
         [[one, zero, zero], [zero, zero, zero], [zero, zero, two]],
     ]
+    cases += [[[field.from_int(x) for x in row] for row in rows] for rows in ZERO_HEAD_ROWS]
     for matrix in cases:
-        assert_kernels_agree(matrix, field, monkeypatch)
+        assert_matches_reference(matrix, field)
     assert linalg.rank_and_left_nullspace([[zero, zero]], field) == (0, [one])
-
-
-@pytest.mark.parametrize("rows", [
-    [[2, 1, 0], [0, 3, 1], [0, 0, 4]],  # each pivot differs from the last: rescale
-    [[1, 1, 0], [0, 1, 1], [0, 0, 1]],  # every pivot equals the last: rows kept
-    [[3, 0, 1], [0, 0, 2], [6, 1, 0], [0, 5, 5]],
-])
-def test_integer_kernel_zero_head_rows(rows):
-    # a zero-head row below a pivot is rescaled by piv/prev, which must stay
-    # exact, and is left as it is when the pivot equals the previous one
-    expected = [list(row) for row in rows]
-    assert linalg._eliminate_int(rows, range(3)) == reference_eliminate_int(expected, range(3))
-    assert rows == expected
 
 
 # (field, c, d, L, D): word-image matrices of the units 1 + c*x, 1 + d*y over
@@ -133,6 +122,48 @@ def test_kernels_match_dense_reference_on_group_algebra_matrices(spec, c, d, L, 
         units = freeness.type1_unit_generators(heis, field.parse(c), field.parse(d), D)
         report = freeness.group_algebra_independence(list(units), L)
     (matrix,) = matrices
-    rank, dependency = assert_kernels_agree(matrix, field, monkeypatch)
+    rank, dependency = assert_matches_reference(matrix, field)
     assert report.details["rank"] == rank
     assert (dependency is None) == report.verified
+
+
+# Large denominators, and over Q(sqrt 2) pivots of negative norm: a unit such
+# as 1 + sqrt(2) (norm -1) or 1 + 2*sqrt(2) (norm -7) times a rational.
+LARGE = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**12)
+SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+UNITS_OF_NEGATIVE_NORM = ((1, 1), (1, 2), (-3, 5))
+
+
+@st.composite
+def scalars(draw, field):
+    if draw(st.integers(0, 3)) == 0:
+        return field.zero
+    if field == QQ:
+        return normal_rational(draw(st.one_of(LARGE, SMALL)))
+    if field.radicand > 0 and draw(st.booleans()):
+        u, v = draw(st.sampled_from(UNITS_OF_NEGATIVE_NORM))
+        return field.from_parts(u, v) * field.from_parts(draw(LARGE), 0)
+    return field.from_parts(draw(st.one_of(LARGE, SMALL)), draw(st.one_of(LARGE, SMALL)))
+
+
+@st.composite
+def matrices(draw, field):
+    """A small matrix over field, sometimes with one row a combination of two
+    others, so that about half are rank deficient."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    matrix = [[draw(scalars(field)) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+        a, b = draw(scalars(field)), draw(scalars(field))
+        matrix[k] = [a * x + b * y for x, y in zip(matrix[i], matrix[j])]
+    return matrix
+
+
+PROPERTY_FIELDS = (QQ, QuadraticField(2), QuadraticField(-3))
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=lambda f: f.name)
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernels_match_dense_reference_on_large_denominators(field, data):
+    assert_matches_reference(data.draw(matrices(field)), field)

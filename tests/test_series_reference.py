@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import assert_one, assert_weights, random_series, reference_invert
+from helpers import assert_one, assert_weights, random_series, reference_invert, with_degree
 from mnseries.crossed import quadratic_conj_z, trivial_system, z2_sign_twist
 from mnseries.groups import Heisenberg, LatticeGroup, SemidirectGroup, WreathGroup
 from mnseries.magnus import FreeMonoid
@@ -94,7 +94,7 @@ def test_stored_weights_follow_every_operation(name, ctx, field, system):
         assert parsed == f
         assert_weights(parsed)
         for h in (f * g, g * f, f + g, f - g, f - f, -g, g.scale(field.sample_nonzero(rng)),
-                  f.invert(), (f * g).truncated(degree - 3), g.with_degree(degree + 2)):
+                  f.invert(), (f * g).truncated(degree - 3), with_degree(g, degree + 2)):
             assert_weights(h)
 
 
