@@ -28,7 +28,7 @@ from .freeness import (
     pingpong_check,
     type1_unit_generators,
 )
-from .groups import SemidirectGroup, classify_order_type
+from .groups import SemidirectGroup, classify_order_type, monoid_word_count
 from .linalg import InvariantError
 from .magnus import FreeWord, magnus_images, parse_word, reduced_word_count
 from .report import digest
@@ -38,8 +38,10 @@ from .series import from_text, to_text
 SCHEMA = "mnseries-report/1"
 # "words" bounds the reduced words verify-group-algebra enumerates: 1457 is
 # the count at L=6 for two units, and L=16 alone would allow about 86 million.
+# "monoid_words" bounds the words verify-monoid checks: 131071 = 2^17 - 1 is
+# the count at L=16 for two generators, where four would mean about 5.7e9.
 # digit-sum's N <= 20 is not here: digit_sum_check enforces it, with no override
-GUARDS = {"L": 16, "D": 12, "words": 1457}
+GUARDS = {"L": 16, "D": 12, "words": 1457, "monoid_words": 131071}
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
@@ -65,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report to a file instead of stdout")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--unsafe-bounds", action="store_true",
-                       help="lift the default guard limits (L<=16, D<=12, words<=1457); "
-                            "digit-sum's N<=20 always holds")
+                       help="lift the default guard limits (L<=16, D<=12, group-algebra "
+                            "words<=1457, monoid words<=131071); digit-sum's N<=20 always holds")
 
     p = sub.add_parser("verify-monoid", help="collision-check generator words in a built-in group")
     p.add_argument("--group", required=True, choices=registry.group_ids())
@@ -209,6 +211,7 @@ def _split_elements(spec: str):
 def _run_verify_monoid(args):
     group = registry.resolve_group(args.group)
     gens = [group.parse_element(s) for s in _split_elements(args.gens)]
+    _check_guard(args, "monoid_words", monoid_word_count(len(gens), args.L), f" at L={args.L}")
     report = free_monoid_check(group, gens, args.L)
     return {"group": args.group, "gens": args.gens, "L": args.L}, report.to_json(), report.exit_code
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .groups import digit_expansion, enumerate_monoid
+from .groups import digit_expansion, enumerate_monoid, monoid_word_count
 from .linalg import InvariantError, rank_and_left_nullspace
 from .magnus import enumerate_reduced_words, word_images
 from .report import INCONCLUSIVE, VERIFIED, Report, outcome
@@ -42,7 +42,7 @@ def _default_names(count: int):
 
 
 def free_monoid_check(group, generators, max_length: int) -> Report:
-    """Enumerate all generator words of length at most max_length; verified
+    """Check every generator word of length at most max_length; verified
     when the word-to-element map is injective, otherwise the first collision
     (in discovery order) is the witness."""
     if len(generators) < 2:
@@ -50,17 +50,11 @@ def free_monoid_check(group, generators, max_length: int) -> Report:
     if max_length < 0:
         raise ValueError("max length must be nonnegative")
     names = _default_names(len(generators))
-    table = enumerate_monoid(group, generators, max_length)
+    elements, collision = enumerate_monoid(group, generators, max_length)
     bounds = {"L": max_length, "D": None, "N": None}
-    word_count = sum(len(words) for words in table.values())
-    collision = None
-    for elt, words in table.items():
-        if len(words) > 1:
-            collision = (words[0], words[1], elt)
-            break
     witness = None
     if collision is not None:
-        w1, w2, elt = collision
+        elt, w1, w2 = collision
         # the witness re-verifies: both words multiply back to the same element
         product = _evaluate_word(group, generators, w1)
         if not product == _evaluate_word(group, generators, w2) == elt:
@@ -71,7 +65,8 @@ def free_monoid_check(group, generators, max_length: int) -> Report:
         }
     return outcome("monoid", bounds, witness,
                    {"generators": [group.format_element(g) for g in generators],
-                    "group": group.id, "elements": len(table), "words": word_count})
+                    "group": group.id, "elements": elements,
+                    "words": monoid_word_count(len(generators), max_length)})
 
 
 def _evaluate_word(group, generators, word):

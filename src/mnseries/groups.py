@@ -12,7 +12,7 @@ with indices ascending, "Z(n)" and "Z2(a,b)" for the lattice groups.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -67,14 +67,20 @@ class SemidirectElement:
 
     h: Fraction
     n: int
-    # elements of one group share the ratio, so it is compared but not hashed
-    ratio: Fraction = field(hash=False)
+    ratio: Fraction
 
     def __post_init__(self):
         if not isinstance(self.h, Fraction):
             object.__setattr__(self, "h", Fraction(self.h))
         if not isinstance(self.ratio, Fraction):
             object.__setattr__(self, "ratio", Fraction(self.ratio))
+
+    def __hash__(self):
+        # elements of one group share the ratio, so it is compared but not
+        # hashed; a reduced Fraction is canonical, so its two ints stand in
+        # for Fraction.__hash__, which computes a modular inverse
+        h = self.h
+        return hash((h.numerator, h.denominator, self.n))
 
     def _check(self, other):
         if not isinstance(other, SemidirectElement) or (
@@ -128,15 +134,24 @@ class WreathElement:
     def __mul__(self, other):
         if not isinstance(other, WreathElement):
             raise GroupMismatchError(f"cannot multiply wreath element by {type(other).__name__}")
-        merged = self.as_map()
+        # both cell tuples ascend: merge other's cells, shifted by self.n,
+        # into self's, dropping a cell whose values cancel
+        shift, mine = self.n, self.cells
+        cells = []
+        a, size = 0, len(mine)
         for i, v in other.cells:
-            j = i + self.n
-            w = merged.get(j, 0) + v
-            if w:
-                merged[j] = w
-            else:
-                merged.pop(j, None)
-        return WreathElement.from_map(merged, self.n + other.n)
+            j = i + shift
+            while a < size and mine[a][0] < j:
+                cells.append(mine[a])
+                a += 1
+            if a < size and mine[a][0] == j:
+                v += mine[a][1]
+                a += 1
+                if not v:
+                    continue
+            cells.append((j, v))
+        cells.extend(mine[a:])
+        return WreathElement(tuple(cells), shift + other.n)
 
     def inverse(self):
         return WreathElement(
@@ -605,12 +620,39 @@ class LatticeGroup(_Group):
 # monoid enumeration
 
 
-def enumerate_monoid(group, generators, max_length: int) -> dict:
-    """All products of at most max_length generators, keyed by canonical form.
+def monoid_word_count(generators: int, max_length: int) -> int:
+    """The number of words of length at most max_length in the given number
+    of generators, (k**(L+1) - 1)/(k - 1), in closed form."""
+    if max_length < 0:
+        raise ValueError("max length must be nonnegative")
+    if generators == 1:
+        return max_length + 1
+    return (generators ** (max_length + 1) - 1) // (generators - 1)
 
-    Every word (as a tuple of generator indices) evaluating to an element is
-    recorded, in (length, lexicographic) discovery order, so collisions keep
-    full bookkeeping. Generators must be positive and share one weight.
+
+def enumerate_monoid(group, generators, max_length: int):
+    """Count the distinct products of at most max_length generators and find
+    the first collision of two words.
+
+    The generators must be positive and share one weight w. Weight is a
+    homomorphism on every built-in group, so a word of length n reaches
+    weight n*w and words of different lengths never meet: the element sets
+    of the levels are disjoint. Level n+1 is built from the distinct
+    elements of level n alone, one product per (element, generator) pair.
+
+    Words of one length are numbered lexicographically, the word
+    (i_1, ..., i_n) being the base-k numeral i_1...i_n, k = len(generators).
+    Each level maps its elements to the smallest number of a word reaching
+    them; the parents are taken in that order, so a new element's first word
+    extends its parent's and the levels keep (length, lex) discovery order.
+    Below the first colliding level every element has one word, so there the
+    first repeat of an element is its second word.
+
+    Returns (elements, collision): elements is the number of distinct
+    elements, identity included; collision is None when the word map is
+    injective, else (element, word1, word2) for the first element in
+    discovery order with two words, and its first two words as tuples of
+    generator indices. The words counted are monoid_word_count(k, L).
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -625,18 +667,37 @@ def enumerate_monoid(group, generators, max_length: int) -> dict:
     if len(weights) != 1 or next(iter(weights)) < 1:
         raise ValueError("generators must all have one equal positive weight")
 
-    result = {identity: [()]}
-    level = [(identity, ())]
-    for _ in range(max_length):
-        next_level = []
-        for elt, word in level:
+    k = len(generators)
+    multiply = group.multiply
+    level = {identity: 0}
+    elements = 1
+    collision = None
+    for length in range(1, max_length + 1):
+        nxt = {}
+        first = nxt.setdefault
+        second = {} if collision is None else None
+        for elt, number in level.items():
+            base = number * k
             for i, gen in enumerate(generators):
-                ne = group.multiply(elt, gen)
-                nw = word + (i,)
-                result.setdefault(ne, []).append(nw)
-                next_level.append((ne, nw))
-        level = next_level
-    return result
+                product = multiply(elt, gen)
+                word = base + i
+                if first(product, word) != word and second is not None:
+                    second.setdefault(product, word)
+        if second:
+            elt = min(second, key=nxt.__getitem__)
+            collision = (elt, _word(nxt[elt], length, k), _word(second[elt], length, k))
+        elements += len(nxt)
+        level = nxt
+    return elements, collision
+
+
+def _word(number: int, length: int, k: int) -> tuple:
+    """The word of the given length whose base-k numeral is number."""
+    digits = []
+    for _ in range(length):
+        number, digit = divmod(number, k)
+        digits.append(digit)
+    return tuple(reversed(digits))
 
 
 # ---------------------------------------------------------------------------

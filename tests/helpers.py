@@ -66,7 +66,9 @@ def semidirect_product_oracle(g, h):
 
 # --- wreath oracle: direct shift-merge on plain dicts ----------------------
 
-def wreath_product_oracle(g, h):
+def reference_wreath_mul(g, h):
+    """g * h by a dict merge and from_map's sort, independent of the
+    two-pointer cell merge in WreathElement.__mul__."""
     merged = dict(g.cells)
     for i, v in h.cells:
         j = i + g.n
@@ -289,9 +291,11 @@ def reference_pingpong_check(group, t_value, max_length, digits):
 
 
 def reference_enumerate_monoid(group, generators, max_length):
-    """Slow reference for groups.enumerate_monoid: the same breadth-first
-    word order, with the table keyed by canonical element strings. Returns
-    (element string, word list) pairs in discovery order."""
+    """Slow reference for groups.enumerate_monoid: every word, not only those
+    of distinct elements, multiplied out in (length, lex) order, with the
+    table keyed by canonical element strings. Returns (element string, word
+    list) pairs in discovery order; its length is the element count, and its
+    first entry with two words is the collision."""
     identity = group.identity()
     table = {group.format_element(identity): [()]}
     level = [(identity, ())]

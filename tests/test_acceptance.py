@@ -328,6 +328,26 @@ def test_heis_L5_D8_digests(flags, digest):
     assert (code, json.loads(out)["digest"]) == (3, digest)
 
 
+# verify-monoid at the L=16 ceiling (131071 words for two generators), and
+# three heis generators at L=9, pinned by exit code and digest at the default
+# seed: the full-table enumeration gave these reports.
+PINNED_MONOID_CEILING = (
+    (("bs12", "B(1/1,1),B(0/1,1)", "16"), 0, "b61a0ae6dbba724c"),
+    (("wreath", "W({0:1},0),W({},1)", "16"), 0, "1f1f65a102752002"),
+    (("heis", "H(1,0,0),H(0,1,0)", "16"), 2, "b3b86d0853fb9105"),
+    (("z2", "Z2(1,0),Z2(0,1)", "16"), 2, "c1cf79cdc5e904a7"),
+    (("heis", "H(1,1,0),H(1,1,1),H(2,0,0)", "9"), 2, "22059a01c555ff06"),
+)
+
+
+@pytest.mark.parametrize("args,code,digest", PINNED_MONOID_CEILING,
+                         ids=("bs12-16", "wreath-16", "heis-16", "z2-16", "heis-3gens-9"))
+def test_verify_monoid_ceiling_digests(args, code, digest):
+    group, gens, length = args
+    got, out = _run_captured(("verify-monoid", "--group", group, "--gens", gens, "--L", length))
+    assert (got, json.loads(out)["digest"]) == (code, digest)
+
+
 def _run_captured(argv):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):

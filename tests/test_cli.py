@@ -246,6 +246,30 @@ def test_group_algebra_word_count_guard(capsys, monkeypatch):
     assert code == 70 and "past the word-count guard" in err and not out
 
 
+def test_monoid_word_count_guard(capsys, monkeypatch):
+    # four weight-2 bs12 generators at L=16 pass the length guard but mean
+    # 5,726,623,061 words; the count is guarded in closed form, so an
+    # enumeration that starts fails
+    from mnseries import freeness
+
+    def no_enumeration(group, generators, max_length):
+        raise RuntimeError("words enumerated past the monoid word guard")
+
+    monkeypatch.setattr(freeness, "enumerate_monoid", no_enumeration)
+    four = "B(0/1,2),B(1/1,2),B(2/1,2),B(3/1,2)"
+    code, out, err = run(capsys, "verify-monoid", "--group", "bs12", "--gens", four, "--L", "16")
+    assert code == 65 and "guard" in err and "monoid_words=5726623061" in err and not out
+    # the flag lifts the guard: the enumeration starts
+    code, out, err = run(capsys, "verify-monoid", "--group", "bs12", "--gens", four, "--L", "16",
+                         "--unsafe-bounds")
+    assert code == 70 and "past the monoid word guard" in err and not out
+    # the ceiling itself, two generators at L=16 with 131071 words, passes
+    # without the flag
+    code, out, err = run(capsys, "verify-monoid", "--group", "bs12",
+                         "--gens", "B(1/1,1),B(0/1,1)", "--L", "16")
+    assert code == 70 and "past the monoid word guard" in err and not out
+
+
 def test_guard_applies_to_series_file_degree(tmp_path, capsys, monkeypatch):
     # inverting this file at D=40 would need 2^41 terms; the header's degree is
     # guarded before any inversion starts, so one that starts fails the test

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reference_enumerate_monoid
 from mnseries.freeness import (
     GuardLimitError,
     digit_sum_check,
@@ -46,13 +47,14 @@ def test_wreath_generators_free_up_to_8():
 
 
 def test_verified_report_injectivity_recheck():
-    # independent re-check by hashing canonical element strings
-    from mnseries.groups import enumerate_monoid
-
+    # independent re-check by the full table keyed by canonical element
+    # strings: every word reaches its own element
     gens = list(BS.monoid_generators())
-    table = enumerate_monoid(BS, gens, 6)
-    strings = {BS.format_element(g) for g in table}
-    assert len(strings) == sum(len(ws) for ws in table.values())
+    table = reference_enumerate_monoid(BS, gens, 6)
+    assert all(len(words) == 1 for _, words in table)
+    report = free_monoid_check(BS, gens, 6)
+    assert report.verified
+    assert report.details["elements"] == report.details["words"] == len(table) == 2**7 - 1
 
 
 def test_free_monoid_check_preconditions():

@@ -9,7 +9,7 @@ from helpers import (
     heis_product_oracle,
     reference_digit_sum_subset,
     semidirect_product_oracle,
-    wreath_product_oracle,
+    reference_wreath_mul,
 )
 from mnseries.groups import (
     ConvexJumpDescriptor,
@@ -24,6 +24,7 @@ from mnseries.groups import (
     classify_order_type,
     digit_expansion,
     enumerate_monoid,
+    monoid_word_count,
     quotient_descriptor,
 )
 
@@ -92,7 +93,7 @@ def test_wreath_products_match_shift_oracle():
     for _ in range(300):
         g = WREATH.sample_element(rng)
         h = WREATH.sample_element(rng)
-        assert g * h == wreath_product_oracle(g, h)
+        assert g * h == reference_wreath_mul(g, h)
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.id)
@@ -246,24 +247,30 @@ def test_heisenberg_centrality():
 
 
 def test_enumerate_monoid_weight_two():
-    table = enumerate_monoid(HEIS, [X, Y], 2)
-    assert len(table) == 7
-    assert sum(len(words) for words in table.values()) == 7
-    assert HeisenbergElement(1, 1, 1) in table  # xy
-    assert HeisenbergElement(1, 1, 0) in table  # yx
+    # x, y, xx, xy, yx, yy and the identity are distinct; xy = H(1,1,1),
+    # yx = H(1,1,0)
+    assert enumerate_monoid(HEIS, [X, Y], 2) == (7, None)
+    assert monoid_word_count(2, 2) == 7
 
 
 def test_enumerate_monoid_collision_bookkeeping():
-    table = enumerate_monoid(HEIS, [X, Y], 4)
-    words = table[HeisenbergElement(2, 2, 2)]
-    assert words == [(0, 1, 1, 0), (1, 0, 0, 1)]  # xyyx and yxxy
+    # xyyx and yxxy are the first two words of H(2,2,2); 30 distinct elements
+    assert enumerate_monoid(HEIS, [X, Y], 4) == (
+        30, (HeisenbergElement(2, 2, 2), (0, 1, 1, 0), (1, 0, 0, 1)))
 
 
 def test_enumerate_monoid_bs_level3():
-    table = enumerate_monoid(BS, list(BS.monoid_generators()), 3)
-    level3 = {g: ws for g, ws in table.items() if g.n == 3}
-    assert len(level3) == 8
-    assert sum(len(ws) for ws in level3.values()) == 8
+    # the eight words of length 3 reach eight new elements
+    gens = list(BS.monoid_generators())
+    assert enumerate_monoid(BS, gens, 2) == (7, None)
+    assert enumerate_monoid(BS, gens, 3) == (15, None)
+
+
+def test_monoid_word_count_closed_form():
+    assert [monoid_word_count(k, 3) for k in (1, 2, 3, 4)] == [4, 15, 40, 85]
+    assert monoid_word_count(4, 16) == 5726623061
+    with pytest.raises(ValueError):
+        monoid_word_count(2, -1)
 
 
 def test_enumerate_monoid_rejects_bad_generators():

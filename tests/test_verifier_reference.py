@@ -5,12 +5,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import reference_digit_sum_check, reference_enumerate_monoid, reference_pingpong_check
 from mnseries import freeness
 from mnseries.freeness import digit_sum_check, pingpong_check
-from mnseries.groups import (Heisenberg, LatticeGroup, SemidirectGroup, WreathGroup, digit_expansion,
-                             enumerate_monoid)
+from mnseries.groups import (Heisenberg, HeisenbergElement, LatticeElement, LatticeGroup, SemidirectGroup,
+                             WreathGroup, digit_expansion, enumerate_monoid)
 
 _RATIOS = [Fraction(p, q) for p in range(2, 10) for q in range(1, p) if gcd(p, q) == 1]
 DIGIT_SUM_RATIOS = [Fraction(1)] + _RATIOS + [1 / r for r in _RATIOS]
@@ -22,18 +24,84 @@ def test_digit_sum_check_matches_rational_reference(r):
         assert digit_sum_check(r, n) == reference_digit_sum_check(r, n), f"r={r} N={n}"
 
 
-@pytest.mark.parametrize("group,length", [
-    (SemidirectGroup(), 9),
-    (SemidirectGroup(Fraction(3, 2)), 7),
-    (WreathGroup(), 8),
-    (Heisenberg(), 7),
-    (LatticeGroup(2), 8),
-], ids=lambda v: getattr(v, "id", str(v)))
-def test_enumerate_monoid_matches_reference_table(group, length):
-    gens = list(group.monoid_generators()[:2])
-    table = enumerate_monoid(group, gens, length)
-    got = [(group.format_element(g), words) for g, words in table.items()]
-    assert got == reference_enumerate_monoid(group, gens, length)
+def _expected_enumeration(group, gens, length):
+    """(elements, collision) read off the full reference table: its length,
+    and the first entry in discovery order with two words, with those two."""
+    table = reference_enumerate_monoid(group, gens, length)
+    collision = next(((key, words[0], words[1]) for key, words in table if len(words) > 1), None)
+    return len(table), collision
+
+
+def _enumeration(group, gens, length):
+    elements, collision = enumerate_monoid(group, gens, length)
+    if collision is not None:
+        element, w1, w2 = collision
+        collision = (group.format_element(element), w1, w2)
+    return elements, collision
+
+
+_MONOID_CASES = [
+    # the default generator pairs: bs12 and wreath free, heis and z2 colliding
+    (SemidirectGroup(), None, 9, "bs12-9"),
+    (SemidirectGroup(Fraction(3, 2)), None, 7, "bs(r=3/2,t=1)-7"),
+    (WreathGroup(), None, 8, "wreath-8"),
+    (Heisenberg(), None, 7, "heis-7"),
+    (LatticeGroup(2), None, 8, "z2-8"),
+    # three and four generators
+    (Heisenberg(), ("H(1,1,0)", "H(1,1,1)", "H(2,0,0)"), 5, "heis-3gens-5"),
+    (SemidirectGroup(), ("B(0/1,2)", "B(1/1,2)", "B(2/1,2)", "B(3/1,2)"), 4, "bs12-4gens-4"),
+    (WreathGroup(), ("W({0:2},0)", "W({},2)", "W({0:1},1)"), 4, "wreath-3gens-4"),
+    # a repeated generator: the collision is at level 1; mirrored, the first
+    # repeat seen (y) is not the first element in discovery order (x)
+    (Heisenberg(), ("H(1,0,0)", "H(0,1,0)", "H(1,0,0)"), 5, "heis-repeated-5"),
+    (Heisenberg(), ("H(1,0,0)", "H(0,1,0)", "H(0,1,0)", "H(1,0,0)"), 4, "heis-mirrored-4"),
+    # first collisions at level 2 and 3; in the last three the first repeat
+    # seen is not the witness
+    (LatticeGroup(2), ("Z2(2,0)", "Z2(1,1)", "Z2(0,2)"), 5, "z2-level2-5"),
+    (LatticeGroup(2), ("Z2(1,1)", "Z2(0,2)", "Z2(2,0)"), 5, "z2-level2-order-5"),
+    (Heisenberg(), ("H(1,2,1)", "H(1,2,0)", "H(1,2,2)"), 4, "heis-level2-order-4"),
+    (Heisenberg(), ("H(0,3,0)", "H(2,1,1)", "H(1,2,1)"), 4, "heis-level3-order-4"),
+]
+
+
+@pytest.mark.parametrize("group,gens,length", [case[:3] for case in _MONOID_CASES],
+                         ids=[case[3] for case in _MONOID_CASES])
+def test_enumerate_monoid_matches_reference_table(group, gens, length):
+    if gens is None:
+        gens = list(group.monoid_generators()[:2])
+    else:
+        gens = [group.parse_element(g) for g in gens]
+    assert _enumeration(group, gens, length) == _expected_enumeration(group, gens, length)
+
+
+def _pool(name, weight):
+    """The positive elements of one weight that the strategy draws from."""
+    if name == "heis":
+        return [HeisenbergElement(a, weight - a, c)
+                for a in range(weight + 1) for c in range(a * (weight - a) + 1)]
+    if name == "z2":
+        return [LatticeElement((a, weight - a)) for a in range(weight + 1)]
+    if name == "z":
+        return [LatticeElement((weight,))]
+    return [SemidirectGroup().element(h, weight) for h in range(1 << weight)]
+
+
+_GROUPS = {"heis": Heisenberg(), "z2": LatticeGroup(2), "z": LatticeGroup(1),
+           "bs12": SemidirectGroup()}
+
+
+@st.composite
+def _generator_tuples(draw):
+    name = draw(st.sampled_from(sorted(_GROUPS)))
+    pool = _pool(name, draw(st.integers(1, 3)))
+    return _GROUPS[name], draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_generator_tuples(), st.integers(0, 6))
+def test_enumerate_monoid_matches_reference_on_random_generators(case, length):
+    group, gens = case
+    assert _enumeration(group, gens, length) == _expected_enumeration(group, gens, length)
 
 
 def _poisoned(value, kind):
