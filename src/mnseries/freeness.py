@@ -256,23 +256,20 @@ def type1_unit_generators(group, c, d, degree: int):
 # exact linear independence of unit-group words
 
 
-def group_algebra_independence(units, max_length: int, degree: int | None = None) -> Report:
+def group_algebra_independence(units, max_length: int) -> Report:
     """Evaluate every reduced word of length at most max_length in the given
-    units (inverses through truncated series inversion), assemble the exact
-    coefficient matrix over (weight, element) columns, and certify full rank
-    by exact elimination. Rank deficiency yields "inconclusive-at-D" with a
-    dependency vector that re-verifies by direct evaluation; truncation can
-    destroy independence but never fabricates it, so this is not a
-    counterexample verdict."""
+    units (inverses through truncated series inversion) at the units' common
+    degree D, assemble the exact coefficient matrix over (weight, element)
+    columns, and certify full rank by exact elimination. Rank deficiency
+    yields "inconclusive-at-D" with a dependency vector that re-verifies by
+    direct evaluation; truncation can destroy independence but never
+    fabricates it, so this is not a counterexample verdict."""
     if not units:
         raise ValueError("need at least one unit")
     first = units[0]
     for u in units[1:]:
         first._compatible(u)
-    if degree is None:
-        degree = first.degree
-    elif degree != first.degree:
-        raise ValueError(f"units carry degree {first.degree}, not {degree}")
+    degree = first.degree
     for u in units:
         if not u.identity_coefficient():
             raise ValueError("every unit needs a nonzero identity coefficient")

@@ -36,8 +36,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RAT_RE.match(text):
         raise ValueError(f"not a rational in p/q form: {text!r}")
-    value = Fraction(text)
-    return value
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def normal_rational(x):
@@ -380,8 +382,8 @@ class QuadraticField:
         m = _QUAD_RE.match(text.strip())
         if not m or int(m.group(4)) != self.radicand:
             raise ValueError(f"not an element of Q(sqrt {self.radicand}): {text!r}")
-        u = Fraction(m.group(1))
-        v = Fraction(m.group(3))
+        u = parse_rational(m.group(1))
+        v = parse_rational(m.group(3))
         if m.group(2) == "-":
             v = -v
         return QuadraticFieldElement(u, v, self.radicand)

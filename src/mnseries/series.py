@@ -332,12 +332,14 @@ class GradedSeries:
     def invert(self):
         """Truncated two-sided inverse, defined when the identity coefficient
         is a unit u of the coefficient field or ring (field.inv inverts it or
-        raises). Writes f = (1 + n) * (identity * u) with n of
-        strictly positive weight and sums the powers of -n up to the
-        truncation degree in one term map. The factor u^-1 goes on the left:
-        a termwise scale under the trivial system, whose coefficients commute
-        with every term, and a series product under a crossed system, whose
-        action moves it."""
+        raises). Solves g * f = 1 weight by weight. Write f = identity * u + n
+        with n of strictly positive weight. Every system has twist(h, 1) = 1
+        and action(1) = id, so g * (identity * u) scales each term of g on the
+        right by u, and g = identity * u^-1 + g * m with m = -n * u^-1, scaled
+        termwise on the right (quotient-system coefficients do not commute).
+        The terms of g * m of weight w read only the layers of g below w, so
+        each finished layer below the degree, times m, feeds the layers above
+        it."""
         ctx = self.context
         if not ctx.graded:
             raise NoTruncatedInverseError(
@@ -352,31 +354,28 @@ class GradedSeries:
         system = self.system
         ident = ctx.identity()
         u_inv = field.inv(u)
-        step_terms = {g: -(c * u_inv) for g, c in self.terms.items() if g != ident}
-        step = GradedSeries(ctx, degree, step_terms, field, system, validate=False,
-                            weights={g: self.weights[g] for g in step_terms})
-        terms = {ident: field.one}
-        weights = {ident: 0}
-        power = GradedSeries.one(ctx, degree, field, system)
-        for _ in range(degree):
-            power = step * power
-            if not power:
+        m_terms = {g: -(c * u_inv) for g, c in self.terms.items() if g != ident}
+        m = GradedSeries(ctx, degree, m_terms, field, system, validate=False,
+                         weights={g: self.weights[g] for g in m_terms})
+        layers = [{ident: u_inv}] + [{} for _ in range(degree)]
+        terms = {}
+        weights = {}
+        for w, bucket in enumerate(layers):
+            layer = {g: c for g, c in bucket.items() if c}
+            if not layer:
+                continue
+            layer_weights = dict.fromkeys(layer, w)
+            terms.update(layer)
+            weights.update(layer_weights)
+            if w == degree:
                 break
-            power_weights = power.weights
-            for g, c in power.terms.items():
-                s = terms.get(g, zero) + c
-                if s:
-                    terms[g] = s
-                    weights[g] = power_weights[g]
-                else:
-                    terms.pop(g, None)
-        if len(weights) != len(terms):
-            weights = {g: weights[g] for g in terms}
-        geom = GradedSeries(ctx, degree, terms, field, system, validate=False, weights=weights)
-        if system is None:
-            return geom.scale(u_inv)
-        lead = GradedSeries.from_scalar(ctx, degree, u_inv, field, system)
-        return lead * geom
+            product = GradedSeries(ctx, degree, layer, field, system, validate=False,
+                                   weights=layer_weights) * m
+            product_weights = product.weights
+            for g, c in product.terms.items():
+                above = layers[product_weights[g]]
+                above[g] = above.get(g, zero) + c
+        return GradedSeries(ctx, degree, terms, field, system, validate=False, weights=weights)
 
 
 # ---------------------------------------------------------------------------

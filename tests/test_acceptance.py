@@ -265,7 +265,8 @@ DOCUMENTED_COMMANDS = (
 # Series files whose `expand --invert` reports are pinned by digest: two runs
 # of one build agreeing cannot show that a change to the series core kept the
 # report bytes, a fixed digest can. The digests are those of the
-# geometric-expansion inversion (params: --format json --seed 5, these names).
+# geometric-expansion inversion that the weight-by-weight solve replaced
+# (params: --format json --seed 5, these names).
 PINNED_EXPANDS = (
     ("bs12-inv.mns",
      "monoid=bs12 D=12 crossed=trivial\n0\tB(0/1,0)@r=2/1\t2\n1\tB(1/1,1)@r=2/1\t-1\n"
@@ -275,6 +276,14 @@ PINNED_EXPANDS = (
      "monoid=z D=12 crossed=quadratic-conj-Z\n0\tZ(0)\t1+1*sqrt(2)\n1\tZ(1)\t-1/2+1*sqrt(2)\n"
      "2\tZ(2)\t1-2*sqrt(2)\n3\tZ(3)\t1/2+1/2*sqrt(2)\n",
      "f139c3b06041e863"),
+    ("twist-inv.mns",
+     "monoid=z2 D=12 crossed=z2-sign-twist\n0\tZ2(0,0)\t2\n1\tZ2(0,1)\t1\n"
+     "1\tZ2(1,0)\t-1/2\n2\tZ2(1,1)\t3\n",
+     "5b456772b8f1b0ed"),
+    ("heis-inv.mns",
+     "monoid=heis D=12 crossed=trivial\n0\tH(0,0,0)\t3\n1\tH(0,1,0)\t-1\n"
+     "1\tH(1,0,0)\t1/2\n2\tH(1,1,0)\t2\n2\tH(1,1,1)\t-1/3\n",
+     "77d18dfd66a16af9"),
 )
 
 # Verifier reports pinned by exit code and digest, as computed by the

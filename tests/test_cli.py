@@ -200,6 +200,32 @@ def test_negative_bounds_are_usage_errors(capsys, argv):
     assert code == 64 and not out and "must be nonnegative" in err
 
 
+ZERO_DENOMINATOR_FILES = {
+    "q.mns": "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1/0\n",
+    "qsqrt.mns": "monoid=z D=4 crossed=quadratic-conj-Z\n0\tZ(0)\t1/0+1*sqrt(2)\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("digit-sum", "--r", "1/0", "--N", "3"),
+    ("pingpong", "--r", "2", "--t=1/0", "--L", "2"),
+    ("verify-group-algebra", "--c", "1/0", "--d", "1", "--L", "1", "--D", "2"),
+    ("verify-group-algebra", "--field", "Qsqrt:2", "--c", "1/0+1*sqrt(2)",
+     "--d", "1+1*sqrt(2)", "--L", "1", "--D", "2"),
+    ("verify-monoid", "--group", "bs12", "--gens", "B(1/0,1),B(0/1,1)", "--L", "2"),
+    ("expand", "--series-file", "q.mns"),
+    ("expand", "--series-file", "qsqrt.mns"),
+])
+def test_zero_denominator_is_a_usage_error(capsys, tmp_path, argv):
+    # a rational p/0 is malformed input, not an internal error
+    if argv[0] == "expand":
+        path = tmp_path / argv[-1]
+        path.write_text(ZERO_DENOMINATOR_FILES[argv[-1]])
+        argv = argv[:-1] + (str(path),)
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and not out and "zero denominator" in err
+
+
 def test_magnus_word_length_guard(capsys, monkeypatch):
     # the L guard applies to the words themselves; an evaluation that starts
     # fails, so a missing guard cannot pass by running

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import assert_one, random_series, with_degree
+from helpers import assert_one, random_series, reference_invert, with_degree
 from mnseries.crossed import flatten, quadratic_conj_z, regroup, trivial_system, z2_sign_twist
 from mnseries.groups import (
     Heisenberg,
@@ -92,6 +92,27 @@ def test_invert_one_and_alternating():
         X: Fraction(-1),
         HeisenbergElement(2, 0, 0): Fraction(1),
     }
+
+
+def test_invert_multiplies_each_layer_once(monkeypatch):
+    # each layer of the inverse of 2 + x + x^2 + x^3 is one term, times the
+    # three positive terms: at most 3 group products per weight, where summing
+    # the powers of the positive part took 133 at D = 12
+    z = LatticeGroup(1)
+    degree = 12
+    f = GradedSeries(z, degree, {z.element(k): c for k, c in enumerate((2, 1, 1, 1))}, QQ)
+    calls = []
+    multiply = LatticeGroup.multiply
+
+    def counted(self, g, h):
+        calls.append((g, h))
+        return multiply(self, g, h)
+
+    monkeypatch.setattr(LatticeGroup, "multiply", counted)
+    inv = f.invert()
+    monkeypatch.undo()
+    assert len(calls) <= 3 * degree
+    assert inv.terms == reference_invert(f).terms
 
 
 def test_invert_requires_unit_identity_coefficient():

@@ -1,6 +1,7 @@
 """Differential tests of the weight-carrying series core against the slow
 geometric-expansion oracle in helpers, in every context the series file
-format reaches, at the CLI's whole degree range D = 6..12."""
+format reaches and in a diagonal change of quadratic-conj-Z, at the CLI's
+whole degree range D = 6..12."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import assert_one, assert_weights, random_series, reference_invert, with_degree
-from mnseries.crossed import quadratic_conj_z, trivial_system, z2_sign_twist
+from mnseries.crossed import diagonal_change, quadratic_conj_z, trivial_system, z2_sign_twist
 from mnseries.groups import Heisenberg, LatticeGroup, SemidirectGroup, WreathGroup
 from mnseries.magnus import FreeMonoid
 from mnseries.registry import resolve_crossed, resolve_monoid
@@ -16,6 +17,11 @@ from mnseries.scalars import QQ, QuadraticField
 from mnseries.series import GradedSeries, from_text, to_text
 
 HEIS = Heisenberg()
+QSQRT2 = QuadraticField(2)
+# a nonconstant basis change of quadratic-conj-Z, d(Z(k)) = k + sqrt 2 for
+# k != 0: its twist and its action are both nontrivial
+DIAG_QUAD = diagonal_change(
+    quadratic_conj_z(2), lambda g: QSQRT2.from_parts(g.coords[0], 1) if g.coords[0] else QSQRT2.one)
 
 CONTEXTS = [
     ("bs12", SemidirectGroup(), QQ, None),
@@ -25,10 +31,18 @@ CONTEXTS = [
     ("free2", FreeMonoid(2), QQ, None),
     ("free3", FreeMonoid(3), QQ, None),
     ("z2-sign-twist", LatticeGroup(2), QQ, z2_sign_twist(QQ)),
-    ("z-quadratic-conj", LatticeGroup(1), QuadraticField(2), quadratic_conj_z(2)),
+    ("z-quadratic-conj", LatticeGroup(1), QSQRT2, quadratic_conj_z(2)),
+    ("z-diag-quadratic-conj", LatticeGroup(1), QSQRT2, DIAG_QUAD),
 ]
 IDS = [c[0] for c in CONTEXTS]
 DEGREES = range(6, 13)
+
+
+def _resolve_crossed(crossed_id, context, field):
+    """resolve_crossed, and the diagonal change, which no series file names."""
+    if crossed_id == DIAG_QUAD.id:
+        return DIAG_QUAD
+    return resolve_crossed(crossed_id, context, field)
 
 
 def _generators(ctx):
@@ -90,7 +104,7 @@ def test_stored_weights_follow_every_operation(name, ctx, field, system):
         f = prefix_code_unit(ctx, degree, field, system, rng)
         g = random_series(ctx, degree, field, rng, n_terms=6, system=system)
         assert_weights(f)
-        parsed = from_text(to_text(f), resolve_monoid, resolve_crossed)
+        parsed = from_text(to_text(f), resolve_monoid, _resolve_crossed)
         assert parsed == f
         assert_weights(parsed)
         for h in (f * g, g * f, f + g, f - g, f - f, -g, g.scale(field.sample_nonzero(rng)),
