@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("check-crossed", help="verify the crossed-system validity identities")
-    p.add_argument("--system", required=True, choices=("trivial",) + registry.CROSSED_IDS[1:])
+    p.add_argument("--system", required=True, choices=registry.CROSSED_IDS)
     p.add_argument("--group", default="heis", choices=registry.group_ids(),
                    help="home group for the trivial system")
     p.add_argument("--samples", type=int, default=200)
@@ -259,9 +259,8 @@ def _run_expand(args):
         text = handle.read()
     series = from_text(text, registry.resolve_monoid, registry.resolve_crossed)
     _check_guard(args, "D", series.degree, " in the series-file header")
-    if args.invert:
-        series = series.invert()
-    rendered = to_text(series)
+    # an accepted file is exactly what to_text writes for its series
+    rendered = to_text(series.invert()) if args.invert else text
     params = {"series_file": os.path.basename(args.series_file), "invert": args.invert}
     # the text format prints the series file itself
     return params, rendered if args.format == "text" else {"series": rendered}, EXIT_OK

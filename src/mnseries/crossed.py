@@ -285,46 +285,29 @@ class SubgroupSeriesRing:
             terms[n] = terms.get(n, self.field.zero) + self.field.sample(rng)
         return GradedSeries(self.subring, 0, terms, self.field, self.system)
 
-    def __eq__(self, other):
-        if not isinstance(other, SubgroupSeriesRing):
-            return NotImplemented
-        return (self.subring, self.field, self.system) == (other.subring, other.field, other.system)
 
-
-class QuotientSystem:
+class QuotientSystem(CrossedSystem):
     """The induced crossed system of G/N: its group is the quotient, its
     field the ring of finite N-series, its twist the correction elements and
-    its action conjugation by coset representatives."""
-
-    is_trivial = False
+    its action conjugation by coset representatives. Build it through
+    induced_system, which gives one object per base and descriptor."""
 
     def __init__(self, base: CrossedSystem, descriptor: QuotientDescriptor):
         if base.group != descriptor.group:
             raise ContextMismatchError("base system and quotient descriptor disagree on the group")
         self.base = base
         self.descriptor = descriptor
-        self.group = descriptor.quotient
         self.subring = SubgroupRing(descriptor.group, descriptor.subgroup_tag)
-        self.field = SubgroupSeriesRing(self.subring, base.field, base)
-
-    @property
-    def id(self) -> str:
-        return f"quotient:{self.base.id}:{self.descriptor.id}"
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientSystem):
-            return NotImplemented
-        return (self.base, self.descriptor) == (other.base, other.descriptor)
-
-    def __hash__(self):
-        return hash((self.base, self.descriptor))
+        super().__init__(f"quotient:{base.id}:{descriptor.id}", descriptor.quotient,
+                         SubgroupSeriesRing(self.subring, base.field, base),
+                         self._induced_action, self._induced_twist)
 
     def correction(self, alpha, beta):
         """The unique n in N with rep(alpha*beta) * n = rep(alpha) * rep(beta)."""
         d = self.descriptor
         return d.subgroup_part(d.group.multiply(d.representative(alpha), d.representative(beta)))[1]
 
-    def twist(self, alpha, beta) -> GradedSeries:
+    def _induced_twist(self, alpha, beta) -> GradedSeries:
         """Unit of the N-series ring: the correction element n with scalar
         twist(rep_ab, n)^-1 * twist(rep_a, rep_b)."""
         d = self.descriptor
@@ -335,7 +318,7 @@ class QuotientSystem:
         scalar = field.inv(self.base.twist(rep_ab, n)) * self.base.twist(rep_a, rep_b)
         return GradedSeries(self.subring, 0, {n: scalar}, field, self.base, validate=False)
 
-    def action(self, gamma, f: GradedSeries) -> GradedSeries:
+    def _induced_action(self, gamma, f: GradedSeries) -> GradedSeries:
         """Conjugation of an N-series by the representative of gamma,
         computed termwise in the crossed ring."""
         field = self.base.field
@@ -353,6 +336,12 @@ class QuotientSystem:
             else:
                 out.pop(g2, None)
         return GradedSeries(self.subring, 0, out, field, self.base, validate=False)
+
+
+@cache
+def induced_system(base: CrossedSystem, descriptor: QuotientDescriptor, /) -> QuotientSystem:
+    """The one quotient system of base along descriptor."""
+    return QuotientSystem(base, descriptor)
 
 
 def quotient_system(group, subgroup_tag, transversal=None,
@@ -384,7 +373,7 @@ def quotient_system(group, subgroup_tag, transversal=None,
         seen[rep] = q
     if base is None:
         base = trivial_system(group, QQ)
-    return QuotientSystem(base, descriptor)
+    return induced_system(base, descriptor)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +401,7 @@ def regroup(f: GradedSeries, descriptor: QuotientDescriptor) -> GradedSeries:
         raise ContextMismatchError(f"series over {ctx.id} cannot regroup along {descriptor.id}")
     field = f.field
     base = trivial_system(descriptor.group, field) if f.system is None else f.system
-    qsys = QuotientSystem(base, descriptor)
+    qsys = induced_system(base, descriptor)
     buckets = {}
     for g, a in f.terms.items():
         rep, n = descriptor.subgroup_part(g)

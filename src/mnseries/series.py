@@ -240,10 +240,10 @@ class GradedSeries:
         self._compatible(other)
         terms = dict(self.terms)
         weights = dict(self.weights)
-        zero = self.field.zero
         other_weights = other.weights
         for g, c in other.terms.items():
-            s = terms.get(g, zero) + c
+            s = terms.get(g)
+            s = c if s is None else s + c
             if s:
                 terms[g] = s
                 weights[g] = other_weights[g]
@@ -288,7 +288,6 @@ class GradedSeries:
         ctx = self.context
         multiply = ctx.multiply
         field = self.field
-        zero = field.zero
         system = self.system
         degree = self.degree
         out = {}
@@ -309,7 +308,8 @@ class GradedSeries:
                     contrib = a * b
                 else:
                     contrib = system.twist(g, h) * system.action(h, a) * b
-                s = out.get(x, zero) + contrib
+                s = out.get(x)
+                s = contrib if s is None else s + contrib
                 if s:
                     out[x] = s
                     weights[x] = w
@@ -349,7 +349,6 @@ class GradedSeries:
         if not u:
             raise NoTruncatedInverseError("no truncated inverse: identity coefficient is zero")
         field = self.field
-        zero = field.zero
         degree = self.degree
         system = self.system
         ident = ctx.identity()
@@ -374,7 +373,8 @@ class GradedSeries:
             product_weights = product.weights
             for g, c in product.terms.items():
                 above = layers[product_weights[g]]
-                above[g] = above.get(g, zero) + c
+                s = above.get(g)
+                above[g] = c if s is None else s + c
         return GradedSeries(ctx, degree, terms, field, system, validate=False, weights=weights)
 
 
@@ -408,60 +408,52 @@ def to_text(f: GradedSeries) -> str:
 
 
 def from_text(text: str, monoid_resolver, crossed_resolver=None):
-    """Parse the text format. The coefficient field is inferred from the
-    coefficient syntax (rationals by default); input must already be in
-    canonical sorted order so that accepted files round-trip byte-exactly.
+    """Parse the text format and accept it only as the exact bytes to_text
+    writes for the parsed series, so accepted files round-trip byte-exactly.
+    The coefficient field is inferred from the first coefficient's syntax
+    (rationals when there is none); a coefficient from another field fails
+    validation.
 
     Returns the parsed series; the crossed system is attached through
     crossed_resolver(crossed_id, context, field) when given, else must be
     "trivial"."""
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     if not lines:
         raise ValueError("empty series text")
-    header = lines[0].strip()
-    m = re.match(r"^monoid=(\S+) D=(\d+) crossed=(\S+)$", header)
+    m = re.match(r"^monoid=(\S+) D=(\d+) crossed=(\S+)$", lines[0])
     if not m:
-        raise ValueError(f"bad series header: {header!r}")
+        raise ValueError(f"bad series header: {lines[0]!r}")
     context = monoid_resolver(m.group(1))
-    degree = int(m.group(2))
     crossed_id = m.group(3)
-
-    parsed = []
+    rows = []
     for ln in lines[1:]:
-        if not ln.strip():
-            continue
         parts = ln.split("\t")
         if len(parts) != 3:
             raise ValueError(f"bad series line: {ln!r}")
-        w, elem_s, coeff_s = parts
-        g = context.parse_element(elem_s)
-        coeff = parse_scalar(coeff_s)
-        parsed.append((int(w), elem_s, g, coeff))
-
-    field = field_of(parsed[0][3]) if parsed else QQ
-    terms = {}
-    previous = None
-    for w, elem_s, g, coeff in parsed:
-        if field_of(coeff) != field:
-            raise ValueError("mixed coefficient fields in series file")
-        key = (w, elem_s)
-        if previous is not None and key <= previous:
-            raise ValueError("series file terms are not in canonical (weight, element) order")
-        previous = key
-        if g in terms:
-            raise ValueError(f"duplicate element {elem_s}")
-        if not coeff:
-            raise ValueError(f"zero coefficient stored for {elem_s}")
-        terms[g] = coeff
-
+        rows.append((context.parse_element(parts[1]), parse_scalar(parts[2])))
+    field = field_of(rows[0][1]) if rows else QQ
     system = None
     if crossed_id != "trivial":
         if crossed_resolver is None:
             raise ValueError(f"no resolver for crossed system {crossed_id!r}")
         system = crossed_resolver(crossed_id, context, field)
     # validation computes each term's weight, the one membership search per term
-    series = GradedSeries(context, degree, terms, field, system)
-    for w, elem_s, g, _ in parsed:
-        if series.weights[g] != w:
-            raise ValueError(f"declared weight {w} does not match element {elem_s}")
+    series = GradedSeries(context, int(m.group(2)), dict(rows), field, system)
+    canonical = to_text(series)
+    if canonical != text:
+        raise ValueError(f"series text is not in canonical form: {_first_difference(text, canonical)}")
     return series
+
+
+def _first_difference(text: str, canonical: str) -> str:
+    """The first line (1-based, with its line end) where text departs from
+    the canonical text."""
+    read = text.splitlines(keepends=True)
+    written = canonical.splitlines(keepends=True)
+    for number, (got, want) in enumerate(zip(read, written), 1):
+        if got != want:
+            return f"line {number} reads {got!r} where the canonical line is {want!r}"
+    number = min(len(read), len(written)) + 1
+    if len(read) < len(written):
+        return f"line {number} is missing; the canonical line is {written[number - 1]!r}"
+    return f"line {number} is extra: {read[number - 1]!r}"

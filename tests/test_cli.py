@@ -11,6 +11,7 @@ import mnseries
 from mnseries import cli
 from mnseries.series import GradedSeries, from_text
 from mnseries.registry import resolve_crossed, resolve_monoid
+from test_acceptance import PINNED_EXPANDS
 
 
 SRC_DIR = os.path.dirname(os.path.dirname(mnseries.__file__))
@@ -140,6 +141,28 @@ def test_expand_round_trip(tmp_path, capsys):
     # the inverted output parses back exactly
     series = from_text(out, resolve_monoid, resolve_crossed)
     assert series.degree == 3
+
+
+@pytest.mark.parametrize("line", ("1\tZ(01)\t2", "1\tZ(1)\t2/4", "1\tB(0/2,1)@r=2/1\t1"),
+                         ids=("element-z", "coefficient-Q", "element-bs12"))
+def test_expand_refuses_non_canonical_files(tmp_path, capsys, line):
+    # each file spells a valid series other than the way to_text writes it
+    monoid = "bs12" if line.startswith("1\tB") else "z"
+    path = tmp_path / "series.mns"
+    path.write_text(f"monoid={monoid} D=4 crossed=trivial\n{line}\n")
+    code, out, err = run(capsys, "expand", "--series-file", str(path))
+    assert code == 64 and not out and "line 2" in err
+
+
+@pytest.mark.parametrize("name,text", [(name, text) for name, text, _ in PINNED_EXPANDS],
+                         ids=[name for name, _, _ in PINNED_EXPANDS])
+def test_expand_returns_the_file_it_read(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    code, out, _ = run(capsys, "expand", "--series-file", str(path), "--format", "text")
+    assert code == 0 and out == text
+    code, report = run_json(capsys, "expand", "--series-file", str(path))
+    assert code == 0 and report["series"] == text
 
 
 def test_expand_writes_output_file_atomically(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from helpers import corrupt_twist, random_series
 from mnseries import registry
 from mnseries.crossed import (
+    CrossedSystem,
     augment_coefficients,
     change_basis,
     check_crossed_system,
@@ -438,7 +439,9 @@ def test_cached_constructors_give_one_object_per_arguments():
     for group, tag in ((HEIS, "center"), (SemidirectGroup(), "base")):
         qd = quotient_descriptor(group, tag)
         assert qd is quotient_descriptor(type(group)(), tag) is quotient_system(group, tag).descriptor
-        assert quotient_system(group, tag) == quotient_system(group, tag)
+        qs = quotient_system(group, tag)
+        assert isinstance(qs, CrossedSystem) and qs is quotient_system(type(group)(), tag)
+        assert regroup(GradedSeries.one(group, 2, QQ), qd).system is qs
     # keyword spellings would be separate cache entries, so they are refused
     with pytest.raises(TypeError):
         z2_sign_twist(field=QQ)

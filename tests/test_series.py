@@ -20,6 +20,7 @@ from mnseries.series import (
     GradedSeries,
     NoTruncatedInverseError,
     SubgroupRing,
+    _first_difference,
     from_text,
     summable_sum,
     to_text,
@@ -292,16 +293,64 @@ def test_text_round_trip_other_fields():
     assert parsed == g
 
 
-def test_text_rejects_non_canonical_input():
-    bad_order = "monoid=heis D=2 crossed=trivial\n1\tH(1,0,0)\t1\n0\tH(0,0,0)\t1\n"
+# (case, refused text, the canonical text it departs from or None when the
+# text has no canonical neighbour); a file is accepted only as the exact bytes
+# to_text writes, so every spelling other than the canonical one is refused
+NON_CANONICAL_TEXTS = (
+    ("order", "monoid=heis D=2 crossed=trivial\n1\tH(1,0,0)\t1\n0\tH(0,0,0)\t1\n",
+     "monoid=heis D=2 crossed=trivial\n0\tH(0,0,0)\t1\n1\tH(1,0,0)\t1\n"),
+    ("weight", "monoid=heis D=2 crossed=trivial\n2\tH(1,0,0)\t1\n",
+     "monoid=heis D=2 crossed=trivial\n1\tH(1,0,0)\t1\n"),
+    ("header", "monoid heis D=2\n", None),
+    ("zero", "monoid=heis D=2 crossed=trivial\n0\tH(0,0,0)\t0\n",
+     "monoid=heis D=2 crossed=trivial\n"),
+    ("duplicate", "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1\n0\tZ(0)\t1\n",
+     "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1\n"),
+    ("mixed-fields", "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1\n1\tZ(1)\t1+1*sqrt(2)\n", None),
+    ("element-z", "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1\n1\tZ(01)\t2\n",
+     "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1\n1\tZ(1)\t2\n"),
+    ("element-bs12", "monoid=bs12 D=4 crossed=trivial\n1\tB(0/2,1)@r=2/1\t1\n",
+     "monoid=bs12 D=4 crossed=trivial\n1\tB(0/1,1)@r=2/1\t1\n"),
+    ("element-bs12-no-ratio", "monoid=bs12 D=4 crossed=trivial\n1\tB(0/1,1)\t1\n",
+     "monoid=bs12 D=4 crossed=trivial\n1\tB(0/1,1)@r=2/1\t1\n"),
+    ("coefficient-Q", "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1\n1\tZ(1)\t2/4\n",
+     "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1\n1\tZ(1)\t1/2\n"),
+    ("coefficient-Fp", "monoid=z D=4 crossed=trivial\n0\tZ(0)\t7 mod 5\n",
+     "monoid=z D=4 crossed=trivial\n0\tZ(0)\t2 mod 5\n"),
+    ("coefficient-Qsqrt", "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1/1+2*sqrt(2)\n",
+     "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1+2*sqrt(2)\n"),
+    ("header-degree", "monoid=z D=06 crossed=trivial\n0\tZ(0)\t1\n",
+     "monoid=z D=6 crossed=trivial\n0\tZ(0)\t1\n"),
+    ("header-monoid", "monoid=free:03 D=2 crossed=trivial\n0\t1\t1\n",
+     "monoid=free:3 D=2 crossed=trivial\n0\t1\t1\n"),
+    ("header-trailing-spaces", "monoid=z D=4 crossed=trivial  \n0\tZ(0)\t1\n",
+     "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1\n"),
+    ("blank-line", "monoid=z D=4 crossed=trivial\n\n0\tZ(0)\t1\n",
+     "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1\n"),
+    ("no-final-newline", "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1",
+     "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1\n"),
+    ("crlf", "monoid=z D=4 crossed=trivial\r\n0\tZ(0)\t1\r\n",
+     "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1\n"),
+)
+
+
+@pytest.mark.parametrize("text,canonical", [case[1:] for case in NON_CANONICAL_TEXTS],
+                         ids=[case[0] for case in NON_CANONICAL_TEXTS])
+def test_text_rejects_non_canonical_input(text, canonical):
     with pytest.raises(ValueError):
-        from_text(bad_order, resolve_monoid, resolve_crossed)
-    bad_weight = "monoid=heis D=2 crossed=trivial\n2\tH(1,0,0)\t1\n"
-    with pytest.raises(ValueError):
-        from_text(bad_weight, resolve_monoid, resolve_crossed)
-    bad_header = "monoid heis D=2\n"
-    with pytest.raises(ValueError):
-        from_text(bad_header, resolve_monoid, resolve_crossed)
-    zero_coeff = "monoid=heis D=2 crossed=trivial\n0\tH(0,0,0)\t0\n"
-    with pytest.raises(ValueError):
-        from_text(zero_coeff, resolve_monoid, resolve_crossed)
+        from_text(text, resolve_monoid, resolve_crossed)
+    if canonical is not None:
+        assert to_text(from_text(canonical, resolve_monoid, resolve_crossed)) == canonical
+
+
+def test_text_refusal_names_the_first_differing_line():
+    header = "monoid=z D=4 crossed=trivial\n"
+    with pytest.raises(ValueError, match=r"line 3 reads '1\\tZ\(01\)\\t2/4\\n' where "
+                                         r"the canonical line is '1\\tZ\(1\)\\t1/2\\n'$"):
+        from_text(header + "0\tZ(0)\t1\n1\tZ(01)\t2/4\n", resolve_monoid, resolve_crossed)
+    with pytest.raises(ValueError, match=r"line 3 is extra: '1\\tZ\(1\)\\t0\\n'$"):
+        from_text(header + "0\tZ(0)\t1\n1\tZ(1)\t0\n", resolve_monoid, resolve_crossed)
+    # parsing makes a line of every line it reads, so only the helper can
+    # meet a text shorter than its canonical form
+    assert _first_difference(header, header + "0\tZ(0)\t1\n") == (
+        "line 2 is missing; the canonical line is '0\\tZ(0)\\t1\\n'")
