@@ -18,7 +18,6 @@ from .scalars import (
     rational_power,
 )
 from .groups import (
-    ConvexJumpDescriptor,
     GroupMismatchError,
     Heisenberg,
     HeisenbergElement,

@@ -202,9 +202,7 @@ def _split_elements(spec: str):
             current = []
         else:
             current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
+    parts.append("".join(current).strip())
     return parts
 
 

@@ -193,7 +193,7 @@ def change_basis(f: GradedSeries, system_new, d) -> GradedSeries:
     becomes x~ * (d(x)^-1 * a_x)."""
     field = f.field
     terms = {g: field.inv(d(g)) * c for g, c in f.terms.items()}
-    return GradedSeries(f.context, f.degree, terms, field, system_new, validate=False)
+    return GradedSeries(f.context, f.degree, terms, field, system_new, weights=f.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ class SubgroupSeriesRing:
         ((n, c),) = value.terms.items()
         n_inv, c_inv = term_inverse(self.base, n, c)
         return GradedSeries(self.subring, 0, {n_inv: c_inv}, self.field, self.system,
-                            validate=False, weights={n_inv: 0})
+                            weights={n_inv: 0})
 
     def panel(self) -> tuple:
         """Fixed N-series for check_crossed_system: zero, one, each
@@ -316,7 +316,7 @@ class QuotientSystem(CrossedSystem):
         rep_ab, n = d.subgroup_part(d.group.multiply(rep_a, rep_b))
         field = self.base.field
         scalar = field.inv(self.base.twist(rep_ab, n)) * self.base.twist(rep_a, rep_b)
-        return GradedSeries(self.subring, 0, {n: scalar}, field, self.base, validate=False)
+        return GradedSeries(self.subring, 0, {n: scalar}, field, self.base, weights={n: 0})
 
     def _induced_action(self, gamma, f: GradedSeries) -> GradedSeries:
         """Conjugation of an N-series by the representative of gamma,
@@ -335,7 +335,8 @@ class QuotientSystem(CrossedSystem):
                 out[g2] = s
             else:
                 out.pop(g2, None)
-        return GradedSeries(self.subring, 0, out, field, self.base, validate=False)
+        return GradedSeries(self.subring, 0, out, field, self.base,
+                            weights=dict.fromkeys(out, 0))
 
 
 @cache
@@ -344,36 +345,11 @@ def induced_system(base: CrossedSystem, descriptor: QuotientDescriptor, /) -> Qu
     return QuotientSystem(base, descriptor)
 
 
-def quotient_system(group, subgroup_tag, transversal=None,
-                    base: CrossedSystem | None = None) -> QuotientSystem:
-    """Build the induced system for one of the supported normal subgroups,
-    under base (the trivial system over Q when None).
-
-    transversal, when given, overrides the canonical representative map in a
-    new descriptor, which equals only itself; it is validated on 50 sampled
-    cosets (identity coset must map to the identity; every representative
-    must project back to its coset)."""
-    descriptor = quotient_descriptor(group, subgroup_tag)
-    if transversal is not None:
-        descriptor = QuotientDescriptor(group, subgroup_tag, descriptor.quotient,
-                                        descriptor.project, transversal)
-    quotient = descriptor.quotient
-    ident_q = quotient.identity()
-    if descriptor.representative(ident_q) != group.identity():
-        raise ValueError("transversal must send the identity coset to the identity")
-    rng = random.Random(0)
-    seen = {}
-    for _ in range(50):
-        q = quotient.sample_element(rng)
-        rep = descriptor.representative(q)
-        if descriptor.project(rep) != q:
-            raise ValueError("transversal is not a transversal: representative projects to a different coset")
-        if rep in seen and seen[rep] != q:
-            raise ValueError("transversal is not a transversal: duplicate cosets")
-        seen[rep] = q
-    if base is None:
-        base = trivial_system(group, QQ)
-    return induced_system(base, descriptor)
+def quotient_system(group, subgroup_tag, base: CrossedSystem | None = None) -> QuotientSystem:
+    """The induced system of base (the trivial system over Q when None) along
+    the canonical descriptor of one of the supported normal subgroups."""
+    return induced_system(base or trivial_system(group, QQ),
+                          quotient_descriptor(group, subgroup_tag))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +388,8 @@ def regroup(f: GradedSeries, descriptor: QuotientDescriptor) -> GradedSeries:
         else:
             bucket.pop(n, None)
     terms = {
-        descriptor.project(rep): GradedSeries(qsys.subring, 0, bucket, field, base, validate=False)
+        descriptor.project(rep): GradedSeries(qsys.subring, 0, bucket, field, base,
+                                              weights=dict.fromkeys(bucket, 0))
         for rep, bucket in buckets.items()
         if bucket
     }
@@ -458,7 +435,8 @@ def augment_coefficients(rf: GradedSeries) -> GradedSeries:
             total = total + zeta
         if total:
             terms[q] = total
-    return GradedSeries(rf.context, rf.degree, terms, field, None, validate=False)
+    return GradedSeries(rf.context, rf.degree, terms, field, None,
+                        weights={q: rf.weights[q] for q in terms})
 
 
 def project_series(f: GradedSeries, descriptor) -> GradedSeries:

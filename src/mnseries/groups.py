@@ -704,23 +704,16 @@ def _word(number: int, length: int, k: int) -> tuple:
 # convex jumps and classification
 
 
-@dataclass(frozen=True)
-class ConvexJumpDescriptor:
-    group_id: str
-    lower: str
-    upper: str
-    central: bool
-    action_ratio: Fraction | None = None
-
-    def to_json(self):
-        ratio = None if self.action_ratio is None else str(self.action_ratio)
-        return {
-            "group": self.group_id,
-            "lower": self.lower,
-            "upper": self.upper,
-            "central": self.central,
-            "action_ratio": ratio,
-        }
+def _jump(group, lower, upper, action_ratio=None):
+    """The report entry of the convex jump lower < upper: central when no
+    action ratio is given, else the base is scaled by action_ratio."""
+    return {
+        "group": group.id,
+        "lower": lower,
+        "upper": upper,
+        "central": action_ratio is None,
+        "action_ratio": None if action_ratio is None else str(action_ratio),
+    }
 
 
 def _commutator(group, g, h):
@@ -740,8 +733,7 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
 
     def report(order_type, jumps, witness):
         return Report("order-type", VERIFIED, {"samples": samples}, witness,
-                      {"group": group.id, "type": order_type,
-                       "jumps": [j.to_json() for j in jumps], "checks": checks})
+                      {"group": group.id, "type": order_type, "jumps": jumps, "checks": checks})
 
     chain = None
     if isinstance(group, Heisenberg):
@@ -750,22 +742,20 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
         chain = ("1",) + tuple(f"axis>{i}" for i in range(group.rank - 1, 0, -1)) + ("G",)
     if chain is not None:
         # a central chain: [upper, G] lies in lower at every jump
-        jumps = tuple(
-            ConvexJumpDescriptor(group.id, lo, up, True)
-            for lo, up in zip(chain, chain[1:])
-        )
-        for jump in jumps:
+        jumps = []
+        for lower, upper in zip(chain, chain[1:]):
             for _ in range(samples):
-                h = group.sample_subgroup(jump.upper, rng)
+                h = group.sample_subgroup(upper, rng)
                 g = group.sample_element(rng)
-                if not group.subgroup_contains(jump.lower, _commutator(group, h, g)):
-                    raise AssertionError(f"jump ({jump.lower},{jump.upper}) is not central")
+                if not group.subgroup_contains(lower, _commutator(group, h, g)):
+                    raise AssertionError(f"jump ({lower},{upper}) is not central")
                 checks += 1
+            jumps.append(_jump(group, lower, upper))
         return report(1, jumps, {"chain": list(chain)})
 
     if isinstance(group, SemidirectGroup):
         conjugator = group.element(0, 1)
-        jump = ConvexJumpDescriptor(group.id, "1", "base", False, group.ratio)
+        jump = _jump(group, "1", "base", group.ratio)
         for _ in range(samples):
             z = group.sample_subgroup("base", rng)
             conj = group.multiply(group.multiply(conjugator, z), group.inverse(conjugator))
@@ -779,10 +769,10 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
         if group.ratio == 1:
             raise AssertionError("ratio 1 gives a central jump, not type 2")
         witness = {
-            "jump": jump.to_json(),
+            "jump": jump,
             "conjugator": group.format_element(conjugator),
         }
-        return report(2, (jump,), witness)
+        return report(2, [jump], witness)
 
     if isinstance(group, WreathGroup):
         b = group.inverse(WreathElement((), 1))  # t^-1 shrinks B_0 to B_-1
@@ -801,7 +791,7 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
             "conjugated_into": "B-1",
             "separating_element": group.format_element(a),
         }
-        return report(3, (), witness)
+        return report(3, [], witness)
 
     raise ValueError(f"no classification table for group {group!r}")
 
@@ -816,8 +806,7 @@ class QuotientDescriptor:
     project sends g to its coset in the quotient group, representative picks
     the coset representative (identity coset gets the identity), and
     in_subgroup tests membership in N. Descriptors compare by identity;
-    quotient_descriptor caches the canonical ones, so a descriptor with any
-    other representative map equals only itself.
+    quotient_descriptor builds them and caches one per group and subgroup.
     """
 
     def __init__(self, group, subgroup_tag, quotient, project, representative):

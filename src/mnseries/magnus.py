@@ -118,8 +118,11 @@ def word_reduce(raw, size: int) -> FreeWord:
 
 def parse_word(text: str, size: int | None = None) -> FreeWord:
     """Word syntax: letters a..z, inverse marked with a trailing apostrophe,
-    "1" for the identity. Letters beyond the alphabet are rejected."""
+    "1" for the identity. Empty text and letters beyond the alphabet are
+    rejected."""
     text = text.strip()
+    if not text:
+        raise ValueError("empty word (the identity is written 1)")
     letters = []
     if text != "1":
         i = 0
@@ -188,27 +191,27 @@ def word_images(words, units) -> list:
     return [images[word.letters] for word in words]
 
 
-def magnus_image(word: FreeWord, degree: int, field=QQ) -> GradedSeries:
+def magnus_image(word: FreeWord, degree: int) -> GradedSeries:
     """Image of a reduced word under the Magnus map letter -> 1 + letter,
     inverse letter -> (1 + letter)^-1, in the series over the free monoid on
-    word.size letters truncated at degree; evaluated by word_images."""
+    word.size letters truncated at degree over Q; evaluated by word_images."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     monoid = FreeMonoid(word.size)
-    one = field.one
-    units = [GradedSeries(monoid, degree, {"": one, letter: one}, field,
-                          validate=False, weights={"": 0, letter: 1})
+    one = QQ.one
+    units = [GradedSeries(monoid, degree, {"": one, letter: one}, QQ,
+                          weights={"": 0, letter: 1})
              for letter in monoid.alphabet]
     return word_images([word], units)[0]
 
 
-def magnus_images(words, degree: int, field=QQ):
+def magnus_images(words, degree: int):
     """Magnus images of a nonempty list of words over one alphabet, evaluated
     together by word_images (the map is fixed by the images of the letters),
     and the first pair (earlier word, later word) in list order whose images
     have equal term maps, or None."""
     size = words[0].size
-    letters = [magnus_image(FreeWord(size, ((sym, 1),)), degree, field) for sym in range(size)]
+    letters = [magnus_image(FreeWord(size, ((sym, 1),)), degree) for sym in range(size)]
     images = word_images(words, letters)
     seen = {}
     for word, image in zip(words, images):
@@ -219,7 +222,7 @@ def magnus_images(words, degree: int, field=QQ):
     return images, None
 
 
-def verify_magnus_injectivity(size: int, max_length: int, degree: int, field=QQ) -> Report:
+def verify_magnus_injectivity(size: int, max_length: int, degree: int) -> Report:
     """Check that all reduced words of length at most max_length have
     pairwise distinct truncated images; the first colliding pair is the
     witness. Requires degree >= max_length; the separation at that degree is
@@ -227,7 +230,7 @@ def verify_magnus_injectivity(size: int, max_length: int, degree: int, field=QQ)
     if degree < max_length:
         raise ValueError("degree must be at least the maximum word length")
     words = enumerate_reduced_words(size, max_length)
-    collision = magnus_images(words, degree, field)[1]
+    collision = magnus_images(words, degree)[1]
     witness = None if collision is None else [str(w) for w in collision]
     return outcome("magnus", {"L": max_length, "D": degree, "N": None}, witness,
                    {"k": size, "words": len(words)})

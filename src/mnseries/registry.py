@@ -5,7 +5,7 @@ from __future__ import annotations
 from .crossed import CrossedSystem, quadratic_conj_z, trivial_system, z2_sign_twist
 from .groups import Heisenberg, LatticeGroup, SemidirectGroup, WreathGroup
 from .magnus import FreeMonoid
-from .scalars import QuadraticField
+from .scalars import QQ, QuadraticField
 from .series import group_of
 
 
@@ -61,18 +61,14 @@ def resolve_crossed(crossed_id: str, context, field) -> CrossedSystem | None:
     raise ValueError(f"unknown crossed system {crossed_id!r} (one of {', '.join(CROSSED_IDS)})")
 
 
-def builtin_system(crossed_id: str, field=None) -> CrossedSystem:
+def builtin_system(crossed_id: str) -> CrossedSystem:
     """A built-in crossed system on its home group (for the checker CLI)."""
-    from .scalars import QQ
-
     if crossed_id == "z2-sign-twist":
-        return z2_sign_twist(QQ if field is None else field)
+        return z2_sign_twist(QQ)
     if crossed_id == "quadratic-conj-Z":
-        return quadratic_conj_z(2 if field is None else field.radicand)
+        return quadratic_conj_z(2)
     raise ValueError(f"unknown crossed system {crossed_id!r} (one of {', '.join(CROSSED_IDS)})")
 
 
-def trivial_on(group_id: str, field=None) -> CrossedSystem:
-    from .scalars import QQ
-
-    return trivial_system(resolve_group(group_id), QQ if field is None else field)
+def trivial_on(group_id: str) -> CrossedSystem:
+    return trivial_system(resolve_group(group_id), QQ)

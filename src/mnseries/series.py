@@ -97,20 +97,20 @@ class GradedSeries:
 
     Any trivial system is stored as None, so systems compare with ==.
 
-    With validate, each term is checked and its weight computed here, once.
-    Without it the caller vouches for the terms; weights, when given, must map
-    each element of terms to its weight, and are computed when omitted."""
+    Without weights, each term is checked and its weight computed here, once.
+    With weights the caller vouches for the terms, and weights must map each
+    element of terms to its weight."""
 
     __slots__ = ("context", "degree", "field", "system", "terms", "weights")
 
-    def __init__(self, context, degree, terms, field, system=None, validate=True, weights=None):
+    def __init__(self, context, degree, terms, field, system=None, weights=None):
         self.context = context
         self.degree = int(degree)
         self.field = field
         if system is not None and system.is_trivial:
             system = None
         self.system = system
-        if validate:
+        if weights is None:
             clean = {}
             weights = {}
             if self.degree < 0:
@@ -141,24 +141,23 @@ class GradedSeries:
             self.terms = clean
         else:
             self.terms = terms
-            if weights is None:
-                weights = {g: context.weight(g) for g in terms}
         self.weights = weights
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, context, degree, field, system=None):
-        return cls(context, degree, {}, field, system, validate=False)
+        return cls(context, degree, {}, field, system, weights={})
 
     @classmethod
     def one(cls, context, degree, field, system=None):
-        return cls(context, degree, {context.identity(): field.one}, field, system, validate=False)
+        ident = context.identity()
+        return cls(context, degree, {ident: field.one}, field, system, weights={ident: 0})
 
     @classmethod
     def from_scalar(cls, context, degree, value, field, system=None):
         terms = {context.identity(): value} if value else {}
-        return cls(context, degree, terms, field, system, validate=False)
+        return cls(context, degree, terms, field, system, weights=dict.fromkeys(terms, 0))
 
     @classmethod
     def monomial(cls, context, degree, g, coeff, field, system=None):
@@ -251,7 +250,7 @@ class GradedSeries:
                 terms.pop(g, None)
                 weights.pop(g, None)
         return GradedSeries(self.context, self.degree, terms, self.field, self.system,
-                            validate=False, weights=weights)
+                            weights=weights)
 
     def __neg__(self):
         return GradedSeries(
@@ -260,7 +259,6 @@ class GradedSeries:
             {g: -c for g, c in self.terms.items()},
             self.field,
             self.system,
-            validate=False,
             weights=self.weights,
         )
 
@@ -279,7 +277,6 @@ class GradedSeries:
             {g: c * value for g, c in self.terms.items()},
             self.field,
             self.system,
-            validate=False,
             weights=self.weights,
         )
 
@@ -317,7 +314,7 @@ class GradedSeries:
                     out.pop(x, None)
         if len(weights) != len(out):
             weights = {x: weights[x] for x in out}
-        return GradedSeries(ctx, degree, out, field, system, validate=False, weights=weights)
+        return GradedSeries(ctx, degree, out, field, system, weights=weights)
 
     def truncated(self, new_degree: int):
         """Explicit copy at a lower degree; refuses to drop nothing silently."""
@@ -327,7 +324,7 @@ class GradedSeries:
         weights = self.weights
         terms = {g: c for g, c in self.terms.items() if weights[g] <= new_degree}
         return GradedSeries(self.context, new_degree, terms, self.field, self.system,
-                            validate=False, weights={g: weights[g] for g in terms})
+                            weights={g: weights[g] for g in terms})
 
     def invert(self):
         """Truncated two-sided inverse, defined when the identity coefficient
@@ -354,7 +351,7 @@ class GradedSeries:
         ident = ctx.identity()
         u_inv = field.inv(u)
         m_terms = {g: -(c * u_inv) for g, c in self.terms.items() if g != ident}
-        m = GradedSeries(ctx, degree, m_terms, field, system, validate=False,
+        m = GradedSeries(ctx, degree, m_terms, field, system,
                          weights={g: self.weights[g] for g in m_terms})
         layers = [{ident: u_inv}] + [{} for _ in range(degree)]
         terms = {}
@@ -368,14 +365,13 @@ class GradedSeries:
             weights.update(layer_weights)
             if w == degree:
                 break
-            product = GradedSeries(ctx, degree, layer, field, system, validate=False,
-                                   weights=layer_weights) * m
+            product = GradedSeries(ctx, degree, layer, field, system, weights=layer_weights) * m
             product_weights = product.weights
             for g, c in product.terms.items():
                 above = layers[product_weights[g]]
                 s = above.get(g)
                 above[g] = c if s is None else s + c
-        return GradedSeries(ctx, degree, terms, field, system, validate=False, weights=weights)
+        return GradedSeries(ctx, degree, terms, field, system, weights=weights)
 
 
 # ---------------------------------------------------------------------------

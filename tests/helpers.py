@@ -95,7 +95,7 @@ def with_degree(f, new_degree):
     """f recontextualised at a degree at least its own, terms unchanged."""
     assert new_degree >= f.degree
     return GradedSeries(f.context, new_degree, dict(f.terms), f.field, f.system,
-                        validate=False, weights=dict(f.weights))
+                        weights=dict(f.weights))
 
 
 def corrupt_twist(system, at_pair, value):
@@ -162,7 +162,7 @@ def reference_magnus_image(word, degree, field=QQ):
         # letter^j has weight j
         if sign == 1:
             factor = GradedSeries(monoid, degree, {"": one, letter: one}, field,
-                                  validate=False, weights={"": 0, letter: 1})
+                                  weights={"": 0, letter: 1})
         else:
             terms = {}
             weights = {}
@@ -171,7 +171,7 @@ def reference_magnus_image(word, degree, field=QQ):
                 terms[letter * j] = coeff
                 weights[letter * j] = j
                 coeff = -coeff
-            factor = GradedSeries(monoid, degree, terms, field, validate=False, weights=weights)
+            factor = GradedSeries(monoid, degree, terms, field, weights=weights)
         image = image * factor
     return image
 

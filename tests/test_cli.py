@@ -223,6 +223,21 @@ def test_negative_bounds_are_usage_errors(capsys, argv):
     assert code == 64 and not out and "must be nonnegative" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("magnus", "--words", "", "--D", "3"),
+    ("magnus", "--words", ",", "--D", "3"),
+    ("magnus", "--words", "ab,", "--D", "3"),
+    ("magnus", "--words", "ab,,ba", "--D", "3"),
+    ("verify-monoid", "--group", "heis", "--gens", "H(1,0,0),H(0,1,0),", "--L", "3"),
+    ("verify-monoid", "--group", "heis", "--gens", "H(1,0,0),,H(0,1,0)", "--L", "3"),
+])
+def test_empty_list_items_are_usage_errors(capsys, argv):
+    # an empty item names no word and no element (the identity word is
+    # written 1), so it is refused wherever it stands in the list
+    code, out, _ = run(capsys, *argv)
+    assert code == 64 and not out
+
+
 ZERO_DENOMINATOR_FILES = {
     "q.mns": "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1/0\n",
     "qsqrt.mns": "monoid=z D=4 crossed=quadratic-conj-Z\n0\tZ(0)\t1/0+1*sqrt(2)\n",

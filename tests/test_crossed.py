@@ -180,17 +180,9 @@ def test_group_ring_quotient_twist_is_the_correction_element():
 def test_quotient_action_by_conjugation():
     qs = quotient_system(HEIS, "center")
     z = HeisenbergElement(0, 0, 1)
-    f = GradedSeries(qs.subring, 0, {z: Fraction(3)}, QQ, qs.base, validate=False)
+    f = GradedSeries(qs.subring, 0, {z: Fraction(3)}, QQ, qs.base)
     moved = qs.action(Z2.element(1, 0), f)
     assert moved.terms == {z: Fraction(3)}  # the center is fixed by conjugation
-
-
-def test_quotient_system_transversal_validation():
-    with pytest.raises(ValueError):
-        quotient_system(HEIS, "center", transversal=lambda q: HeisenbergElement(q.coords[0], q.coords[1], 1))
-    # projecting somewhere else must be caught
-    with pytest.raises(ValueError):
-        quotient_system(HEIS, "center", transversal=lambda q: HeisenbergElement(q.coords[0], 0, 0))
 
 
 @pytest.mark.parametrize(
@@ -341,21 +333,32 @@ def test_regroup_under_a_twisted_base_system(group, tag, d):
         assert (a * b) * c == a * (b * c)
 
 
-def test_overriding_transversal_is_a_different_descriptor():
-    # the quotient product depends on the transversal, so series regrouped
-    # along two transversals must not multiply
-    custom = quotient_system(HEIS, "center", transversal=lambda q: HeisenbergElement(
-        q.coords[0], q.coords[1], q.coords[0] * q.coords[1]))
-    qd = quotient_descriptor(HEIS, "center")
-    assert custom.descriptor != qd and custom != quotient_system(HEIS, "center")
-    assert custom.descriptor == custom.descriptor
-    f = GradedSeries.monomial(HEIS, 4, HeisenbergElement(1, 0, 0), Fraction(1), QQ)
-    g = GradedSeries.monomial(HEIS, 4, HeisenbergElement(0, 1, 0), Fraction(1), QQ)
-    with pytest.raises(ContextMismatchError):
-        regroup(f, custom.descriptor) * regroup(g, qd)
-    product = flatten(regroup(f, custom.descriptor) * regroup(g, custom.descriptor))
-    assert product == f * g
-    assert product.terms == {HeisenbergElement(1, 1, 1): Fraction(1)}
+@pytest.mark.parametrize("group,tag,d", TWISTED_BASES, ids=("heis-center", "bs12-base"))
+@pytest.mark.parametrize("twisted", (False, True), ids=("trivial-base", "diagonal-base"))
+def test_trusted_series_match_the_validating_constructor(group, tag, d, twisted):
+    # series built with their weights given, rebuilt from their terms by the
+    # validating constructor, keep their terms and weights (== ignores weights)
+    base = diagonal_change(trivial_system(group, QQ), d) if twisted else trivial_system(group, QQ)
+    qs = quotient_system(group, tag, base=base)
+    ring = qs.field
+    quotient_panel = qs.group.panel_elements()
+    built = [GradedSeries.zero(group, 4, QQ, base), GradedSeries.one(group, 4, QQ, base),
+             GradedSeries.from_scalar(group, 4, Fraction(-2, 3), QQ, base),
+             GradedSeries.from_scalar(group, 4, 0, QQ, base), ring.zero, ring.one]
+    built += [qs.twist(alpha, beta) for alpha in quotient_panel for beta in quotient_panel]
+    for value in ring.panel():
+        built += [qs.action(gamma, value) for gamma in quotient_panel]
+        if len(value.terms) == 1:
+            built.append(ring.inv(value))
+    rng = random.Random(16)
+    for _ in range(10):
+        f = random_series(group, 4, QQ, rng, system=base, unit=True)
+        r = regroup(f, qs.descriptor)
+        built += [change_basis(f, diagonal_change(base, d), d), r, *r.terms.values(),
+                  augment_coefficients(r)]
+    for f in built:
+        rebuilt = GradedSeries(f.context, f.degree, dict(f.terms), f.field, f.system)
+        assert rebuilt.terms == f.terms and rebuilt.weights == f.weights, f
 
 
 def _heis_unit():
@@ -428,13 +431,12 @@ def test_check_crossed_system_validates_quotient_systems(group, tag, d, twisted)
 
 def test_cached_constructors_give_one_object_per_arguments():
     assert trivial_system(HEIS, QQ) is trivial_system(Heisenberg(), QQ) is registry.trivial_on("heis")
-    assert registry.trivial_on("z2", QQ) is trivial_system(Z2, field_from_spec("Q"))
+    assert registry.trivial_on("z2") is trivial_system(Z2, field_from_spec("Q"))
     z2 = z2_sign_twist(QQ)
-    assert z2 is registry.builtin_system("z2-sign-twist") is registry.builtin_system("z2-sign-twist", QQ)
+    assert z2 is registry.builtin_system("z2-sign-twist")
     assert z2 is registry.resolve_crossed("z2-sign-twist", LatticeGroup(2), QQ)
     conj = quadratic_conj_z(2)
     assert conj is registry.builtin_system("quadratic-conj-Z")
-    assert conj is registry.builtin_system("quadratic-conj-Z", QuadraticField(2))
     assert conj is registry.resolve_crossed("quadratic-conj-Z", LatticeGroup(1), field_from_spec("Qsqrt:2"))
     for group, tag in ((HEIS, "center"), (SemidirectGroup(), "base")):
         qd = quotient_descriptor(group, tag)
@@ -477,15 +479,3 @@ def test_derived_systems_equal_only_themselves(which):
         f * g
     with pytest.raises(ContextMismatchError):
         f + g
-
-
-def test_custom_transversal_system_does_not_mix_with_the_canonical_one():
-    transversal = lambda q: HeisenbergElement(q.coords[0], q.coords[1], q.coords[0] * q.coords[1])  # noqa: E731
-    custom = quotient_system(HEIS, "center", transversal=transversal)
-    canonical = quotient_system(HEIS, "center")
-    assert custom == custom and custom != canonical
-    assert custom != quotient_system(HEIS, "center", transversal=transversal)
-    f = GradedSeries.one(custom.group, 2, custom.field, custom)
-    g = GradedSeries.one(canonical.group, 2, canonical.field, canonical)
-    with pytest.raises(ContextMismatchError):
-        f * g

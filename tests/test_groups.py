@@ -12,7 +12,6 @@ from helpers import (
     reference_wreath_mul,
 )
 from mnseries.groups import (
-    ConvexJumpDescriptor,
     GroupMismatchError,
     Heisenberg,
     HeisenbergElement,
@@ -370,9 +369,3 @@ def test_quotient_descriptor_decomposition():
     assert qd2.representative(qd2.quotient.identity()) == BS.identity()
     with pytest.raises(ValueError):
         quotient_descriptor(HEIS, "a=0")
-
-
-def test_convex_jump_descriptor_json():
-    jump = ConvexJumpDescriptor("bs12", "1", "base", False, Fraction(2))
-    blob = jump.to_json()
-    assert blob["action_ratio"] == "2" and blob["central"] is False

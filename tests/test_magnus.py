@@ -47,6 +47,8 @@ def test_word_parse_and_str():
         parse_word("ab", size=1)
     with pytest.raises(ValueError):
         parse_word("a2")
+    with pytest.raises(ValueError):
+        parse_word(" ")
 
 
 def test_enumerate_counts():
