@@ -30,8 +30,8 @@ from .freeness import (
 )
 from .groups import SemidirectGroup, classify_order_type, monoid_word_count
 from .linalg import InvariantError
-from .magnus import FreeWord, magnus_images, parse_word, reduced_word_count
-from .report import digest
+from .magnus import FreeWord, magnus_images, magnus_term_bound, parse_word, reduced_word_count
+from .report import digest, render_json
 from .scalars import field_from_spec, parse_rational
 from .series import from_text, to_text
 
@@ -40,8 +40,10 @@ SCHEMA = "mnseries-report/1"
 # the count at L=6 for two units, and L=16 alone would allow about 86 million.
 # "monoid_words" bounds the words verify-monoid checks: 131071 = 2^17 - 1 is
 # the count at L=16 for two generators, where four would mean about 5.7e9.
+# "magnus_terms" bounds the terms of a magnus image: 125970 = C(20, 8) is the
+# count for 8 inverse letters at D=12, where 16 would mean 30,421,755.
 # digit-sum's N <= 20 is not here: digit_sum_check enforces it, with no override
-GUARDS = {"L": 16, "D": 12, "words": 1457, "monoid_words": 131071}
+GUARDS = {"L": 16, "D": 12, "words": 1457, "monoid_words": 131071, "magnus_terms": 125970}
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
@@ -68,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--unsafe-bounds", action="store_true",
                        help="lift the default guard limits (L<=16, D<=12, group-algebra "
-                            "words<=1457, monoid words<=131071); digit-sum's N<=20 always holds")
+                            "words<=1457, monoid words<=131071, magnus terms<=125970); "
+                            "digit-sum's N<=20 always holds")
 
     p = sub.add_parser("verify-monoid", help="collision-check generator words in a built-in group")
     p.add_argument("--group", required=True, choices=registry.group_ids())
@@ -182,7 +185,7 @@ def _render(args, params: dict, body, elapsed_ms: int) -> str:
                "schema": SCHEMA, "elapsed_ms": elapsed_ms}
     payload["digest"] = digest(payload)
     if args.format == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return render_json(payload) + "\n"
     return _render_text(payload)
 
 
@@ -238,6 +241,8 @@ def _run_magnus(args):
     words = [FreeWord(size, w.letters) for w in words]
     longest = max(len(w) for w in words)
     _check_guard(args, "L", longest, " in --words")
+    _check_guard(args, "magnus_terms", max(magnus_term_bound(w, args.D) for w in words),
+                 f" at D={args.D}")
     images, collision = magnus_images(words, args.D)
     body = {
         "kind": "magnus",

@@ -7,8 +7,10 @@ Every verdict is scoped by explicit bounds (word length L, truncation degree
 D, exponent range N) recorded in the report. "verified-up-to-bound" means an
 exhaustive check below those bounds passed; "counterexample" carries a
 witness that re-verifies independently; "inconclusive-at-D" (group-algebra
-checks only) means the truncations became dependent, which a larger degree
-may still separate, so it is not a counterexample.
+checks only) means the truncations became dependent. That is not a
+counterexample, and no larger degree is promised to separate the words: a
+dependency can be an exact relation of the monoid algebra, as xyyx = yxxy in
+heis makes the words of length at most 4 dependent at every D >= 4.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ def digit_sum_check(r: Fraction, max_exponent: int) -> Report:
     sum of r**i over S; verified when all 2^(N+1)-1 sums are pairwise
     distinct, otherwise the first repeated sum in increasing mask order is
     the witness. The sums are exact integers over the common denominator
-    q**N of r = p/q; the witness re-verifies in rational arithmetic. N above
-    20 is rejected (exponential blowup guard)."""
+    q**N of r = p/q; the witness re-verifies in rational arithmetic, and the
+    verdict is checked against the rational root theorem. N above 20 is
+    rejected (exponential blowup guard)."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("digit-sum ratio must be positive")
@@ -99,26 +102,12 @@ def digit_sum_check(r: Fraction, max_exponent: int) -> Report:
     # these weights over the common denominator q**N
     p, q = r.numerator, r.denominator
     weights = [p**i * q ** (max_exponent - i) for i in range(max_exponent + 1)]
-    # sums[mask] is the scaled sum over mask; masks run in increasing order,
-    # and the masks with highest bit i are those below 2**i plus weights[i]
-    sums = [0]
-    seen = set()
-    collision = None
-    for w in weights:
-        block = [s + w for s in sums]
-        seen.update(block)
-        if len(seen) < len(sums) - 1 + len(block):
-            # a sum in this block repeats (for rational r only when r = 1, by
-            # the rational root theorem): rescan the block for the first
-            seen = set(sums[1:])
-            for total in block:
-                if total in seen:
-                    collision = (sums.index(total), len(sums), total)
-                    break
-                seen.add(total)
-                sums.append(total)
-            break
-        sums += block
+    collision, distinct = _first_repeated_sum(weights)
+    # the second route: by the rational root theorem, two subset sums of
+    # powers of a positive rational r are equal exactly when r = 1 and N >= 1
+    if (collision is not None) != (r == 1 and max_exponent >= 1):
+        raise InvariantError(f"digit-sum scan at r={r}, N={max_exponent} disagrees with "
+                             "the rational root theorem")
     witness = None
     if collision is not None:
         m1, m2, total = collision
@@ -130,7 +119,29 @@ def digit_sum_check(r: Fraction, max_exponent: int) -> Report:
         if not sum(powers[i] for i in s1) == sum(powers[i] for i in s2) == total:
             raise InvariantError("digit-sum witness failed re-verification")
         witness = {"subsets": [s1, s2], "sum": str(total)}
-    return outcome("digit-sum", bounds, witness, {"r": str(r), "sums": len(seen)})
+    return outcome("digit-sum", bounds, witness, {"r": str(r), "sums": distinct})
+
+
+def _first_repeated_sum(weights):
+    """Scan the subset sums of the weights in increasing mask order: the
+    first repeated sum as (earlier mask, later mask, sum), or None, and the
+    number of distinct nonempty sums scanned."""
+    # sums[mask] is the sum over mask; the masks with highest bit i are those
+    # below 2**i plus weights[i]
+    sums = [0]
+    seen = set()
+    for w in weights:
+        block = [s + w for s in sums]
+        seen.update(block)
+        if len(seen) < len(sums) - 1 + len(block):
+            # a sum in this block repeats: rescan the block for the first
+            seen = set(sums[1:])
+            for i, total in enumerate(block):
+                if total in seen:
+                    return ((sums + block).index(total), len(sums) + i, total), len(seen)
+                seen.add(total)
+        sums += block
+    return None, len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +274,9 @@ def group_algebra_independence(units, max_length: int) -> Report:
     columns, and certify full rank by exact elimination. Rank deficiency
     yields "inconclusive-at-D" with a dependency vector that re-verifies by
     direct evaluation; truncation can destroy independence but never
-    fabricates it, so this is not a counterexample verdict."""
+    fabricates it, so this is not a counterexample verdict. Nor does a larger
+    degree always separate the words: the dependency may hold exactly in the
+    monoid algebra, as for heis at L >= 4 (xyyx = yxxy in its monoid)."""
     if not units:
         raise ValueError("need at least one unit")
     first = units[0]

@@ -6,6 +6,7 @@ inverse generator to the truncated geometric series.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .groups import NotInMonoidError
@@ -153,6 +154,18 @@ def reduced_word_count(size: int, max_length: int) -> int:
     if size == 1:
         return 1 + 2 * max_length
     return 1 + size * ((2 * size - 1) ** max_length - 1) // (size - 1)
+
+
+def magnus_term_bound(word: FreeWord, degree: int) -> int:
+    """Upper bound on the terms of a word's Magnus image at this degree, in
+    closed form: the exponent vectors of total at most degree, where each
+    positive letter takes 0 or 1 and each inverse letter any e >= 0. With p
+    positive and k inverse letters that is the sum over j of
+    C(p, j) * C(degree - j + k, k); for k inverse letters alone, C(degree + k, k)."""
+    positive = sum(1 for _, sign in word.letters if sign == 1)
+    inverse = len(word) - positive
+    return sum(math.comb(positive, j) * math.comb(degree - j + inverse, inverse)
+               for j in range(min(positive, degree) + 1))
 
 
 def enumerate_reduced_words(size: int, max_length: int) -> list:

@@ -1,5 +1,5 @@
-"""The one report type every verifier returns, and the content digest of the
-CLI's reports.
+"""The one report type every verifier returns, and the two encodings of the
+CLI's reports: the content digest and the indented JSON text.
 
 A report is a verdict scoped by the bounds it was checked under: its kind,
 the verdict, the bounds, a witness (the collision, violation or dependency
@@ -9,9 +9,13 @@ verdicts map to the CLI's exit codes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 VERIFIED = "verified-up-to-bound"
 COUNTEREXAMPLE = "counterexample"
@@ -58,3 +62,83 @@ def digest(payload: dict) -> str:
     scrubbed = {k: v for k, v in payload.items() if k not in ("elapsed_ms", "digest")}
     blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def render_json(payload) -> str:
+    """The report text: exactly json.dumps(payload, sort_keys=True, indent=2)."""
+    # from 3.13 json.dumps runs the C encoder with indent as well; the writer
+    # goes when requires-python reaches 3.13
+    if sys.version_info >= (3, 13):
+        return json.dumps(payload, sort_keys=True, indent=2)
+    return write_indented(payload)
+
+
+# the value types of a report that are not containers
+_SCALARS = frozenset((str, int, bool, type(None)))
+_ROWS = frozenset((list, tuple))
+
+
+@functools.cache
+def _encode_items(depth: int):
+    """json's C encoder with indent=2's separators between items at this
+    depth; the newlines after the opening bracket and before the closing one
+    are left to the caller."""
+    return json.JSONEncoder(sort_keys=True, check_circular=False,
+                            separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def write_indented(value, depth: int = 0) -> str:
+    """The bytes of json.dumps(value, sort_keys=True, indent=2) for a value
+    made of str-keyed dicts, lists, tuples, str, int, bool and None, written
+    at the given nesting depth; any other type, or a non-str key, raises
+    TypeError.
+
+    A container whose items are all scalars, and a list of nonempty such
+    lists, is one call of json's C encoder: JSON string escaping never writes
+    a raw newline, so every newline in its output is a separator, and the
+    newlines around the brackets are patched in by slicing and replace."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        if _SCALARS.issuperset(map(type, value.values())):
+            return _bracket(_encode_items(depth + 1)(value), depth)
+        inner = "  " * (depth + 1)
+        items = [f"{inner}{encode_basestring_ascii(key)}: {write_indented(value[key], depth + 1)}"
+                 for key in sorted(value)]
+        return "{\n" + ",\n".join(items) + "\n" + "  " * depth + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _SCALARS.issuperset(map(type, value)):
+            return _bracket(_encode_items(depth + 1)(value), depth)
+        if (_ROWS.issuperset(map(type, value)) and all(value)
+                and _SCALARS.issuperset(map(type, chain.from_iterable(value)))):
+            # "],\n" can only end a row: a scalar ends in a digit, a letter
+            # or a quote
+            outer, inner = "  " * (depth + 1), "  " * (depth + 2)
+            rows = _encode_items(depth + 2)(value)[2:-2].replace(
+                "],\n" + inner + "[", f"\n{outer}],\n{outer}[\n{inner}")
+            return f"[\n{outer}[\n{inner}{rows}\n{outer}]\n{'  ' * depth}]"
+        inner = "  " * (depth + 1)
+        items = [inner + write_indented(item, depth + 1) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + "  " * depth + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _bracket(encoded: str, depth: int) -> str:
+    """Put indent=2's newlines inside the outer brackets of the encoder's
+    output for a container at this depth."""
+    return f"{encoded[0]}\n{'  ' * (depth + 1)}{encoded[1:-1]}\n{'  ' * depth}{encoded[-1]}"

@@ -334,7 +334,32 @@ PINNED_L5_D8 = (
 def test_heis_L5_D8_digests(flags, digest):
     code, out = _run_captured(("verify-group-algebra", "--group", "heis", *flags,
                                "--L", "5", "--D", "8"))
-    assert (code, json.loads(out)["digest"]) == (3, digest)
+    assert (code, _parse_report(out)["digest"]) == (3, digest)
+
+
+def test_heis_L4_dependency_is_the_monoid_identity():
+    # the heis monoid satisfies xyyx = yxxy, so (X-1)(Y-1)(Y-1)(X-1) =
+    # (Y-1)(X-1)(X-1)(Y-1) for X = 1+x, Y = 1+y at every D >= 4: the words of
+    # length at most 4 are dependent however large D is, and the witness is
+    # -8 times the expansion of that identity in the free monoid algebra
+    code, out = _run_captured(("verify-group-algebra", "--c=1", "--d=1", "--L", "4",
+                               "--D", "10", "--field", "Q"))
+    report = _parse_report(out)
+    assert (code, report["digest"]) == (3, "4c950fb9a8101cc9")
+
+    def expand(letters):
+        # (l1 - 1)(l2 - 1)... as {word: coefficient} over the free monoid
+        terms = {}
+        for mask in range(2 ** len(letters)):
+            word = "".join(ch for i, ch in enumerate(letters) if mask >> i & 1)
+            terms[word] = terms.get(word, 0) + (-1) ** (len(letters) - len(word))
+        return terms
+
+    lhs, rhs = expand("abba"), expand("baab")
+    relation = {w or "1": lhs.get(w, 0) - rhs.get(w, 0) for w in lhs.keys() | rhs.keys()}
+    expected = {w: str(-8 * c) for w, c in relation.items() if c}
+    assert report["witness"] == {"dependency": expected}
+    assert len(expected) == 8 and min(expected) == "aab" and max(expected) == "bba"
 
 
 # verify-monoid at the L=16 ceiling (131071 words for two generators), and
@@ -354,7 +379,7 @@ PINNED_MONOID_CEILING = (
 def test_verify_monoid_ceiling_digests(args, code, digest):
     group, gens, length = args
     got, out = _run_captured(("verify-monoid", "--group", group, "--gens", gens, "--L", length))
-    assert (got, json.loads(out)["digest"]) == (code, digest)
+    assert (got, _parse_report(out)["digest"]) == (code, digest)
 
 
 def _run_captured(argv):
@@ -362,6 +387,14 @@ def _run_captured(argv):
     with contextlib.redirect_stdout(buffer):
         code = cli.run_command(list(argv))
     return code, buffer.getvalue()
+
+
+def _parse_report(out):
+    """The parsed report, once its text is checked to be the bytes of
+    json.dumps(report, sort_keys=True, indent=2) and a newline."""
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return report
 
 
 def test_criterion_12_cli_determinism(tmp_path):
@@ -386,7 +419,7 @@ def test_criterion_12_cli_determinism(tmp_path):
                 assert first_code == second_code, argv
                 assert strip(first_out) == strip(second_out), argv
             code, out = _run_captured(argv + ("--format", "json", "--seed", "5"))
-            report = json.loads(out)
+            report = _parse_report(out)
             assert report["schema"] == "mnseries-report/1"
             if argv in pinned:
                 assert (code, report["digest"]) == pinned[argv], argv

@@ -81,6 +81,20 @@ def test_digit_sum(capsys):
     assert report["witness"]["subsets"] == [[0], [1]]
 
 
+@pytest.mark.parametrize("argv,forged", [
+    # a scan that finds no repeat at r = 1, and one that finds a repeat at r = 5/2
+    (("--r", "1", "--N", "12"), (None, 13)),
+    (("--r", "5/2", "--N", "14"), ((1, 2, 2), 2)),
+])
+def test_digit_sum_verdict_is_checked_by_the_rational_root_theorem(capsys, monkeypatch, argv,
+                                                                    forged):
+    from mnseries import freeness
+
+    monkeypatch.setattr(freeness, "_first_repeated_sum", lambda weights: forged)
+    code, out, err = run(capsys, "digit-sum", *argv)
+    assert code == 70 and "rational root theorem" in err and not out
+
+
 def test_magnus_distinct_and_collision(capsys):
     code, report = run_json(capsys, *DOCUMENTED[4])
     assert code == 0 and report["distinct"]
@@ -283,6 +297,45 @@ def test_magnus_word_length_guard(capsys, monkeypatch):
     # the ceiling itself, L=16, passes without the flag
     code, out, err = run(capsys, "magnus", "--words", "a'b" * 8, "--D", "4")
     assert code == 70 and "past the length guard" in err and not out
+
+
+def test_magnus_term_count_guard(capsys, monkeypatch):
+    # 16 inverse letters fit the L guard but mean C(28, 12) = 30,421,755
+    # terms at D=12; the count is guarded in closed form, so an evaluation
+    # that starts fails
+    from mnseries import magnus
+
+    def no_evaluation(words, units):
+        raise RuntimeError("words evaluated past the term guard")
+
+    monkeypatch.setattr(magnus, "word_images", no_evaluation)
+    inverses = "".join(ch + "'" for ch in "abcdefghijklmnop")
+    code, out, err = run(capsys, "magnus", "--words", "ab," + inverses, "--D", "12")
+    assert code == 65 and "magnus_terms=30421755" in err and not out
+    # 9 inverse letters are one over the limit C(20, 8) = 125970 at D=12
+    code, out, err = run(capsys, "magnus", "--words", inverses[:18], "--D", "12")
+    assert code == 65 and "magnus_terms=293930" in err and not out
+    # the flag lifts the guard: the evaluation starts
+    code, out, err = run(capsys, "magnus", "--words", inverses, "--D", "12", "--unsafe-bounds")
+    assert code == 70 and "past the term guard" in err and not out
+    # 8 inverse letters, and a 16-letter positive word (64,839 terms), pass
+    for words in (inverses[:16], "abcdefghijklmnop"):
+        code, out, err = run(capsys, "magnus", "--words", words, "--D", "12")
+        assert code == 70 and "past the term guard" in err and not out
+
+
+def test_magnus_term_bound_bounds_the_images():
+    from mnseries.magnus import (enumerate_reduced_words, magnus_image, magnus_term_bound,
+                                 parse_word)
+
+    assert magnus_term_bound(parse_word("a'b'c'd'e'f'g'h'"), 12) == 125970
+    assert magnus_term_bound(parse_word("abcdefghijklmnop"), 12) == 64839
+    for degree in range(6):
+        for word in enumerate_reduced_words(2, 4) + [parse_word("a'a'b'c"), parse_word("abca'")]:
+            assert len(magnus_image(word, degree).terms) <= magnus_term_bound(word, degree)
+    # one inverse letter's image reaches the bound: 1 - a + a^2 - ... - a^5
+    inverse = parse_word("a'")
+    assert len(magnus_image(inverse, 5).terms) == magnus_term_bound(inverse, 5) == 6
 
 
 def test_group_algebra_word_count_guard(capsys, monkeypatch):

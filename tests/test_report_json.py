@@ -1,0 +1,74 @@
+"""Differential tests: the report writer gives exactly the bytes of
+json.dumps(value, sort_keys=True, indent=2), the oracle. The writer is called
+directly, so every Python runs it, including those where render_json returns
+json.dumps itself; the CLI tests check render_json through every pinned
+report."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mnseries.report import write_indented
+
+# strings that look like the writer's own separators and brackets, escapes,
+# control characters, non-ASCII text and lone surrogates
+AWKWARD = ('"', "\\", "\n", "],\n    [", "],\n[", "[", "]", "{", "}", ",", ": ",
+           "\x00", "\x1f", "\x7f", "é", "日本", "\U0001f600", "\ud800", "\udfff", "")
+TEXT = st.one_of(st.sampled_from(AWKWARD),
+                 st.text(st.characters(exclude_categories=()), max_size=8))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                    st.sampled_from((0, 1, True, False)), TEXT)
+# the magnus rows: [weight, element, coefficient]
+ROW = st.lists(SCALARS, min_size=1, max_size=4)
+ROWS = st.lists(ROW | ROW.map(tuple), max_size=6)
+VALUES = st.recursive(
+    SCALARS | ROWS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(TEXT, inner, max_size=5)),
+    max_leaves=30,
+)
+
+
+def oracle(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(VALUES)
+def test_writer_matches_json_dumps(value):
+    assert write_indented(value) == oracle(value)
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(ROWS, st.lists(SCALARS, max_size=4), TEXT)
+def test_rows_among_scalars_and_containers(rows, scalars, key):
+    # rows alone, rows next to scalars, and rows deeper inside a report
+    for value in (rows, rows + scalars, scalars + rows, [rows, scalars],
+                  {key: rows, "images": [{"word": key, "terms": rows}]}):
+        assert write_indented(value) == oracle(value)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), [[]], [{}], {"a": []}, {"a": {}}, [[], [1]], [[1], []], [[1, [2]]],
+    [[0, "1", "1"], [1, "a", "-1/2"], [2, "ab", "3"]], [[True], [1], [False, 0]],
+    [True, 1, False, 0, None], {"true": True, "one": 1, "zero": 0, "false": False},
+    [["],\n    [", "x"], ["\n", "]"]], ("t", (1, 2), ((3,), (4, 5))),
+    {"b": 1, "a": [1, 2, {"c": None}], "c": [[True, None], ['"\\']]},
+    "\ud800", 5, None, True,
+])
+def test_writer_matches_json_dumps_on_examples(value):
+    assert write_indented(value) == oracle(value)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), [Fraction(1, 2)], {"a": Fraction(1, 2)}, [[1, Fraction(1, 2)]],
+    {1: "a"}, {"a": {2: []}}, [{None: 1}],
+    # reports hold exact values only: a float is refused as well
+    1.5, [[0.5]],
+])
+def test_writer_refuses_other_types_and_keys(value):
+    with pytest.raises(TypeError):
+        write_indented(value)
