@@ -40,8 +40,9 @@ SCHEMA = "mnseries-report/1"
 # the count at L=6 for two units, and L=16 alone would allow about 86 million.
 # "monoid_words" bounds the words verify-monoid checks: 131071 = 2^17 - 1 is
 # the count at L=16 for two generators, where four would mean about 5.7e9.
-# "magnus_terms" bounds the terms of a magnus image: 125970 = C(20, 8) is the
-# count for 8 inverse letters at D=12, where 16 would mean 30,421,755.
+# "magnus_terms" bounds the terms of the magnus images of all --words
+# together, as they are held at once: 125970 = C(20, 8) is the count for one
+# word of 8 inverse letters at D=12, where 16 would mean 30,421,755.
 # digit-sum's N <= 20 is not here: digit_sum_check enforces it, with no override
 GUARDS = {"L": 16, "D": 12, "words": 1457, "monoid_words": 131071, "magnus_terms": 125970}
 
@@ -241,7 +242,7 @@ def _run_magnus(args):
     words = [FreeWord(size, w.letters) for w in words]
     longest = max(len(w) for w in words)
     _check_guard(args, "L", longest, " in --words")
-    _check_guard(args, "magnus_terms", max(magnus_term_bound(w, args.D) for w in words),
+    _check_guard(args, "magnus_terms", sum(magnus_term_bound(w, args.D) for w in words),
                  f" at D={args.D}")
     images, collision = magnus_images(words, args.D)
     body = {

@@ -167,11 +167,14 @@ def pingpong_check(group, t_value: Fraction, max_length: int) -> Report:
     tx = group.element(t_value, 1)
     x = group.element(0, 1)
     seed = group.element(t_value, 0)
+    p, tp, tq = r.numerator, t_value.numerator, t_value.denominator
 
     def in_A(g):
         if g.n < 0:
             return None
-        return digit_expansion(g.h / t_value, r)
+        # h/t on ints: the seed's h is t, and tx and x map h to t + r*h and
+        # r*h, so with r an integer every orbit element's h/t is an integer
+        return digit_expansion(g.num * tq // (g.den * tp), p)
 
     checked = 0
     tx_images = set()

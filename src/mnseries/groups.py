@@ -12,9 +12,10 @@ with indices ascending, "Z(n)" and "Z2(a,b)" for the lattice groups.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from .report import VERIFIED, Report
 from .scalars import parse_rational
@@ -61,44 +62,73 @@ class HeisenbergElement:
         return f"H({self.a},{self.b},{self.c})"
 
 
-@dataclass(frozen=True, slots=True)
 class SemidirectElement:
-    """Element (h, n) of H x| C where the generator of C scales H by ratio."""
+    """Element (h, n) of H x| C where the generator of C scales H by ratio.
 
-    h: Fraction
-    n: int
-    ratio: Fraction
+    h is held as the ints num/den in lowest terms with den > 0, and the
+    property h builds its Fraction when asked; ratio is a positive Fraction,
+    shared by every element of one group. Instances are immutable."""
 
-    def __post_init__(self):
-        if not isinstance(self.h, Fraction):
-            object.__setattr__(self, "h", Fraction(self.h))
-        if not isinstance(self.ratio, Fraction):
-            object.__setattr__(self, "ratio", Fraction(self.ratio))
+    __slots__ = ("num", "den", "n", "ratio")
+
+    def __init__(self, h, n, ratio):
+        if not isinstance(ratio, Fraction):
+            ratio = Fraction(ratio)
+        if ratio.numerator <= 0:
+            raise ValueError("ratio must be positive")
+        if not isinstance(h, (int, Fraction)):
+            h = Fraction(h)
+        _set_num(self, h.numerator)
+        _set_den(self, h.denominator)
+        _set_n(self, n)
+        _set_ratio(self, ratio)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def h(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den and self.n == other.n
+                and (self.ratio is other.ratio or self.ratio == other.ratio))
 
     def __hash__(self):
         # elements of one group share the ratio, so it is compared but not
-        # hashed; a reduced Fraction is canonical, so its two ints stand in
-        # for Fraction.__hash__, which computes a modular inverse
-        h = self.h
-        return hash((h.numerator, h.denominator, self.n))
+        # hashed
+        return hash((self.num, self.den, self.n))
 
-    def _check(self, other):
-        if not isinstance(other, SemidirectElement) or (
-                other.ratio is not self.ratio and other.ratio != self.ratio):
-            raise GroupMismatchError("cannot mix semidirect-product groups with different ratios")
+    def __repr__(self):
+        return f"SemidirectElement(h={self.h!r}, n={self.n!r}, ratio={self.ratio!r})"
 
     def __mul__(self, other):
-        self._check(other)
+        ratio = self.ratio
+        if not isinstance(other, SemidirectElement) or (
+                other.ratio is not ratio and other.ratio != ratio):
+            raise GroupMismatchError("cannot mix semidirect-product groups with different ratios")
         # h + ratio**n * other.h = h + (s/t) * other.h over one denominator,
-        # reduced once by the Fraction constructor
-        r, n, h, k = self.ratio, self.n, self.h, other.h
+        # reduced by one gcd; p, q > 0, so the denominator is positive
+        n = self.n
         if n >= 0:
-            s, t = r.numerator**n, r.denominator**n
+            s, t = ratio.numerator ** n, ratio.denominator ** n
         else:
-            s, t = r.denominator**-n, r.numerator**-n
-        hd, kd = h.denominator, k.denominator
-        return SemidirectElement(Fraction(h.numerator * t * kd + s * k.numerator * hd, hd * t * kd),
-                                 n + other.n, r)
+            s, t = ratio.denominator ** -n, ratio.numerator ** -n
+        hd, kd = self.den, other.den
+        num, den = self.num * t * kd + s * other.num * hd, hd * t * kd
+        c = gcd(num, den)
+        # __init__ would check and convert what is already known good
+        g = _new(SemidirectElement)
+        _set_num(g, num // c)
+        _set_den(g, den // c)
+        _set_n(g, n + other.n)
+        _set_ratio(g, ratio)
+        return g
 
     def inverse(self):
         return SemidirectElement(-(self.ratio ** (-self.n)) * self.h, -self.n, self.ratio)
@@ -107,9 +137,15 @@ class SemidirectElement:
         return (self.n, self.h)
 
     def __str__(self):
-        h = self.h
         r = self.ratio
-        return f"B({h.numerator}/{h.denominator},{self.n})@r={r.numerator}/{r.denominator}"
+        return f"B({self.num}/{self.den},{self.n})@r={r.numerator}/{r.denominator}"
+
+
+# the slots' own setters: the class refuses attribute assignment, and these
+# are what __init__ and __mul__ fill a new element through
+_new = object.__new__
+_set_num, _set_den, _set_n, _set_ratio = (
+    SemidirectElement.__dict__[name].__set__ for name in SemidirectElement.__slots__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,8 +250,11 @@ def digit_expansion(x, ratio):
     digits of x*q**k in base q sit at positions k - e. Either way the
     expansion is unique when it exists. For ratio 1 the answer is the lowest
     x exponents, as a range."""
-    p, q = ratio.numerator, ratio.denominator
-    value, den = x.numerator, x.denominator
+    return _expansion(x.numerator, x.denominator, ratio.numerator, ratio.denominator)
+
+
+def _expansion(value, den, p, q):
+    # digit_expansion of value/den (lowest terms, den > 0) at ratio p/q
     if value <= 0:
         return None
     if p == q:
@@ -226,7 +265,7 @@ def digit_expansion(x, ratio):
     if w != den:
         return None
     if p == 1:
-        digits = digit_expansion(value, q)
+        digits = _expansion(value, 1, q, 1)
         if digits is None or digits[-1] > top:
             return None
         return [top - j for j in reversed(digits)]
@@ -386,6 +425,9 @@ class SemidirectGroup(_Group):
             raise ValueError("ratio must be positive")
         if self.t_value == 0:
             raise ValueError("t_value must be nonzero")
+        # the ints that in_monoid reads
+        object.__setattr__(self, "_ints", (self.ratio.numerator, self.ratio.denominator,
+                                          self.t_value.numerator, self.t_value.denominator))
 
     @property
     def id(self) -> str:
@@ -394,16 +436,16 @@ class SemidirectGroup(_Group):
         return f"bs(r={self.ratio},t={self.t_value})"
 
     def identity(self):
-        return SemidirectElement(Fraction(0), 0, self.ratio)
+        return SemidirectElement(0, 0, self.ratio)
 
     def contains(self, g) -> bool:
-        return isinstance(g, SemidirectElement) and g.ratio == self.ratio
+        return isinstance(g, SemidirectElement) and (g.ratio is self.ratio or g.ratio == self.ratio)
 
     def multiply(self, g, h):
         return g * h
 
     def element(self, h, n: int):
-        return SemidirectElement(Fraction(h), n, self.ratio)
+        return SemidirectElement(h, n, self.ratio)
 
     def monoid_generators(self):
         return (self.element(self.t_value, 1), self.element(0, 1))
@@ -411,9 +453,15 @@ class SemidirectGroup(_Group):
     def in_monoid(self, g) -> bool:
         if not self.contains(g) or g.n < 0:
             return False
-        if g.h == 0:
+        if not g.num:
             return True
-        digits = digit_expansion(g.h / self.t_value, self.ratio)
+        # h/t in lowest terms, on ints
+        p, q, tp, tq = self._ints
+        num, den = g.num * tq, g.den * tp
+        if den < 0:
+            num, den = -num, -den
+        c = gcd(num, den)
+        digits = _expansion(num // c, den // c, p, q)
         return digits is not None and digits[-1] <= g.n - 1
 
     def weight(self, g) -> int:
@@ -756,10 +804,12 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
     if isinstance(group, SemidirectGroup):
         conjugator = group.element(0, 1)
         jump = _jump(group, "1", "base", group.ratio)
+        p, q = group.ratio.numerator, group.ratio.denominator
         for _ in range(samples):
             z = group.sample_subgroup("base", rng)
             conj = group.multiply(group.multiply(conjugator, z), group.inverse(conjugator))
-            if conj != group.element(group.ratio * z.h, 0):
+            # conj == (ratio * z.h, 0), cross-multiplied on ints
+            if conj.n or conj.num * q * z.den != p * z.num * conj.den:
                 raise AssertionError("conjugation does not scale the base by the ratio")
             g = group.sample_element(rng)
             moved = group.multiply(group.multiply(g, z), group.inverse(g))

@@ -316,6 +316,12 @@ PINNED_REPORTS = (
     (("classify", "--group", "heis"), 0, "efbb3ef4e2197ebd"),
     (("classify", "--group", "bs12"), 0, "624d046eaf94a2e3"),
     (("classify", "--group", "wreath"), 0, "a477f297e79f67ad"),
+    # semidirect products at a negative non-integer t, at ratio 3 and on
+    # generators of weight 2
+    (("pingpong", "--r", "3", "--t=-7/4", "--L", "10"), 0, "5d5299f1ca2efb08"),
+    (("pingpong", "--r", "2", "--t=5/3", "--L", "12"), 0, "5988303e40a5b022"),
+    (("verify-monoid", "--group", "bs12", "--gens", "B(3/1,2),B(1/1,2)", "--L", "10"),
+     0, "4127f7ca6860fde3"),
 )
 
 

@@ -301,8 +301,8 @@ def test_magnus_word_length_guard(capsys, monkeypatch):
 
 def test_magnus_term_count_guard(capsys, monkeypatch):
     # 16 inverse letters fit the L guard but mean C(28, 12) = 30,421,755
-    # terms at D=12; the count is guarded in closed form, so an evaluation
-    # that starts fails
+    # terms at D=12; the count, summed over the words, is guarded in closed
+    # form, so an evaluation that starts fails
     from mnseries import magnus
 
     def no_evaluation(words, units):
@@ -311,7 +311,10 @@ def test_magnus_term_count_guard(capsys, monkeypatch):
     monkeypatch.setattr(magnus, "word_images", no_evaluation)
     inverses = "".join(ch + "'" for ch in "abcdefghijklmnop")
     code, out, err = run(capsys, "magnus", "--words", "ab," + inverses, "--D", "12")
-    assert code == 65 and "magnus_terms=30421755" in err and not out
+    assert code == 65 and "magnus_terms=30421759" in err and not out
+    # two words at the limit are held at once: 2 * 125970 terms
+    code, out, err = run(capsys, "magnus", "--words", f"{inverses[:16]},{inverses[:16]}", "--D", "12")
+    assert code == 65 and "magnus_terms=251940" in err and not out
     # 9 inverse letters are one over the limit C(20, 8) = 125970 at D=12
     code, out, err = run(capsys, "magnus", "--words", inverses[:18], "--D", "12")
     assert code == 65 and "magnus_terms=293930" in err and not out

@@ -1,16 +1,19 @@
 """Property tests for what the level-by-level monoid enumeration and the
-element products rely on: the weight grading, the merged wreath product and
-the semidirect-element hash."""
+element products rely on: the weight grading, the merged wreath product, the
+semidirect product on ints against the affine oracle and the
+semidirect-element hash."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_wreath_mul
-from mnseries.groups import (Heisenberg, LatticeGroup, SemidirectElement, SemidirectGroup, WreathElement,
-                             WreathGroup)
+from helpers import reference_wreath_mul, semidirect_product_oracle, semidirect_to_affine
+from mnseries.groups import (GroupMismatchError, Heisenberg, LatticeGroup, SemidirectElement, SemidirectGroup,
+                             WreathElement, WreathGroup)
 
 GRADED = (Heisenberg(), SemidirectGroup(), SemidirectGroup(Fraction(3, 2)), WreathGroup(),
           LatticeGroup(1), LatticeGroup(2))
@@ -74,3 +77,50 @@ def test_semidirect_hash_of_a_half():
     two_quarters = SemidirectElement(Fraction(2, 4), 1, Fraction(4, 2))
     assert half == two_quarters and hash(half) == hash(two_quarters)
     assert {half: 0}[two_quarters] == 0
+
+
+# ratios with p or q above 1, h with denominators the products cannot clear
+# at once, and n on both sides of 0
+RATIOS = (Fraction(2), Fraction(3), Fraction(3, 2), Fraction(2, 5), Fraction(1, 3))
+semidirect_parts = st.tuples(st.integers(-40, 40), st.sampled_from((1, 2, 3, 4, 5, 7, 9, 25)),
+                             st.integers(-4, 4))
+
+
+@PROPERTY
+@given(st.sampled_from(RATIOS), semidirect_parts, semidirect_parts)
+def test_semidirect_product_matches_affine_oracle(ratio, first, second):
+    g, h = (SemidirectElement(Fraction(a, b), n, ratio) for a, b, n in (first, second))
+    for left, right in ((g, h), (h, g), (g, g), (g.inverse(), h), (g, h.inverse())):
+        product = left * right
+        expected = semidirect_product_oracle(left, right)
+        assert product == expected and hash(product) == hash(expected)
+        assert str(product) == str(expected) and product.order_key() == expected.order_key()
+        assert type(product.num) is int and type(product.den) is int
+        assert product.den > 0 and gcd(product.num, product.den) == 1
+        # the affine map z -> s*z + t inverts to z -> z/s - t/s
+        s, t = semidirect_to_affine(product)
+        assert product.inverse() == SemidirectElement(-t / s, -product.n, ratio)
+    identity = SemidirectElement(0, 0, ratio)
+    assert g * g.inverse() == identity == g.inverse() * g
+
+
+def test_semidirect_element_contract():
+    g = SemidirectElement(Fraction(3, 4), -2, Fraction(3, 2))
+    h = SemidirectElement(5, 1, Fraction(3, 2))
+    assert type(g.h) is Fraction and g.h == Fraction(3, 4)
+    assert type(h.h) is Fraction and type(h.ratio) is Fraction
+    # the product keeps the ratio object, so the identity fast path holds
+    assert (g * h).ratio is g.ratio
+    for name in ("n", "h", "num", "den", "ratio"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert (g.num, g.den, g.n) == (3, 4, -2)
+    with pytest.raises(GroupMismatchError):
+        g * SemidirectElement(5, 1, Fraction(2))
+    with pytest.raises(GroupMismatchError):
+        g * Heisenberg().identity()
+    for ratio in (0, -2, Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            SemidirectElement(1, 0, ratio)
