@@ -122,7 +122,8 @@ def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: i
             payload["z"] = fmt(z)
         return report(payload)
 
-    def check_pairs(x, y):
+    def check_pairs(x, y, xy, tw):
+        # xy and tw are multiply(x, y) and twist(x, y)
         nonlocal checked
         checked += 1
         if system.twist(ident, x) != field.one or system.twist(x, ident) != field.one:
@@ -130,9 +131,7 @@ def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: i
         # action consistency: acting by x then y equals acting by xy up to
         # conjugation by the twist (which is trivial in a commutative field,
         # but stated in full)
-        tw = system.twist(x, y)
         tw_inv = field.inv(tw)
-        xy = group.multiply(x, y)
         for r in scalars:
             lhs = system.action(y, system.action(x, r))
             rhs = tw_inv * system.action(xy, r) * tw
@@ -140,33 +139,46 @@ def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: i
                 return violation_at("action", x, y)
         return None
 
-    def check_triple(x, y, z):
+    def check_triple(x, y, z, xy, tw, yz, tw_yz):
+        # yz and tw_yz are multiply(y, z) and twist(y, z)
         nonlocal checked
         checked += 1
-        lhs = system.twist(group.multiply(x, y), z) * system.action(z, system.twist(x, y))
-        rhs = system.twist(x, group.multiply(y, z)) * system.twist(y, z)
+        lhs = system.twist(xy, z) * system.action(z, tw)
+        rhs = system.twist(x, yz) * tw_yz
         if lhs != rhs:
             return violation_at("cocycle", x, y, z)
         return None
+
+    def product_and_twist(x, y):
+        return group.multiply(x, y), system.twist(x, y)
 
     if system.action(ident, scalars[-1]) != scalars[-1]:
         return report({"identity": "normalization", "x": fmt(ident)})
 
     panel = group.panel_elements()
+    # (multiply(y, z), twist(y, z)) for every z in the panel, one row per y,
+    # each row made when first needed
+    rows = [None] * len(panel)
     for x in panel:
-        for y in panel:
-            bad = check_pairs(x, y)
+        for j, y in enumerate(panel):
+            xy, tw = product_and_twist(x, y)
+            bad = check_pairs(x, y, xy, tw)
             if bad:
                 return bad
-            for z in panel:
-                bad = check_triple(x, y, z)
+            row = rows[j]
+            if row is None:
+                row = rows[j] = [product_and_twist(y, z) for z in panel]
+            for z, (yz, tw_yz) in zip(panel, row):
+                bad = check_triple(x, y, z, xy, tw, yz, tw_yz)
                 if bad:
                     return bad
     for _ in range(sample_count):
         x = group.sample_element(rng)
         y = group.sample_element(rng)
         z = group.sample_element(rng)
-        bad = check_pairs(x, y) or check_triple(x, y, z)
+        xy, tw = product_and_twist(x, y)
+        bad = (check_pairs(x, y, xy, tw)
+               or check_triple(x, y, z, xy, tw, *product_and_twist(y, z)))
         if bad:
             return bad
     return report()

@@ -12,13 +12,15 @@ with indices ascending, "Z(n)" and "Z2(a,b)" for the lattice groups.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from operator import add, neg
 
 from .report import VERIFIED, Report
-from .scalars import parse_rational
+from .scalars import TupleValue, parse_rational
 
 
 class GroupMismatchError(ValueError):
@@ -37,29 +39,32 @@ def _cmp(a, b) -> int:
 # elements
 
 
-@dataclass(frozen=True, slots=True)
-class HeisenbergElement:
+class HeisenbergElement(TupleValue):
     """Upper unitriangular 3x3 integer matrix with entries (1,2)=a, (2,3)=b, (1,3)=c."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
+    _fields = ("a", "b", "c")
+
+    def __new__(cls, a, b, c):
+        return _value(cls, (a, b, c))
 
     def __mul__(self, other):
         if not isinstance(other, HeisenbergElement):
             raise GroupMismatchError(f"cannot multiply Heisenberg element by {type(other).__name__}")
-        return HeisenbergElement(
-            self.a + other.a, self.b + other.b, self.c + other.c + self.a * other.b
-        )
+        a, b, c = self
+        x, y, z = other
+        return _value(HeisenbergElement, (a + x, b + y, c + z + a * y))
 
     def inverse(self):
-        return HeisenbergElement(-self.a, -self.b, self.a * self.b - self.c)
+        a, b, c = self
+        return _value(HeisenbergElement, (-a, -b, a * b - c))
 
     def order_key(self):
-        return (self.a, self.b, self.c)
+        return tuple(self)
 
     def __str__(self):
-        return f"H({self.a},{self.b},{self.c})"
+        a, b, c = self
+        return f"H({a},{b},{c})"
 
 
 class SemidirectElement:
@@ -148,16 +153,18 @@ _set_num, _set_den, _set_n, _set_ratio = (
     SemidirectElement.__dict__[name].__set__ for name in SemidirectElement.__slots__)
 
 
-@dataclass(frozen=True, slots=True)
-class WreathElement:
+class WreathElement(TupleValue):
     """Element (f, n) of the restricted wreath product Z wr Z.
 
     cells holds the finitely supported map f as (index, value) pairs with
     ascending indices and no zero values.
     """
 
-    cells: tuple
-    n: int
+    __slots__ = ()
+    _fields = ("cells", "n")
+
+    def __new__(cls, cells, n):
+        return _value(cls, (cells, n))
 
     @staticmethod
     def from_map(mapping, n: int) -> "WreathElement":
@@ -170,29 +177,30 @@ class WreathElement:
     def __mul__(self, other):
         if not isinstance(other, WreathElement):
             raise GroupMismatchError(f"cannot multiply wreath element by {type(other).__name__}")
-        # both cell tuples ascend: merge other's cells, shifted by self.n,
-        # into self's, dropping a cell whose values cancel
-        shift, mine = self.n, self.cells
-        cells = []
-        a, size = 0, len(mine)
-        for i, v in other.cells:
+        cells, shift = self
+        theirs, n = other
+        # other's cells, shifted by shift, go in one at a time at the place
+        # bisect finds among the ascending indices ((j,) sorts before every
+        # cell at j); a cell whose values cancel is dropped. A generator has
+        # at most one cell.
+        at = 0
+        for i, v in theirs:
             j = i + shift
-            while a < size and mine[a][0] < j:
-                cells.append(mine[a])
-                a += 1
-            if a < size and mine[a][0] == j:
-                v += mine[a][1]
-                a += 1
+            at = bisect_left(cells, (j,), at)
+            if at < len(cells) and cells[at][0] == j:
+                v += cells[at][1]
                 if not v:
+                    cells = cells[:at] + cells[at + 1:]
                     continue
-            cells.append((j, v))
-        cells.extend(mine[a:])
-        return WreathElement(tuple(cells), shift + other.n)
+                cells = cells[:at] + ((j, v),) + cells[at + 1:]
+            else:
+                cells = cells[:at] + ((j, v),) + cells[at:]
+            at += 1
+        return _value(WreathElement, (cells, shift + n))
 
     def inverse(self):
-        return WreathElement(
-            tuple(sorted((i - self.n, -v) for i, v in self.cells)), -self.n
-        )
+        cells, n = self
+        return _value(WreathElement, (tuple((i - n, -v) for i, v in cells), -n))
 
     def compare_cells(self, other) -> int:
         # sign of the difference at the largest index where the maps differ
@@ -212,26 +220,34 @@ class WreathElement:
         return f"W({{{inner}}},{self.n})"
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeElement:
+class LatticeElement(TupleValue):
     """Element of Z^rank, ordered lexicographically."""
 
-    coords: tuple
+    __slots__ = ()
+    _fields = ("coords",)
+
+    def __new__(cls, coords):
+        return _value(cls, (coords,))
 
     def __mul__(self, other):
-        if not isinstance(other, LatticeElement) or len(other.coords) != len(self.coords):
+        mine = self.coords
+        if not isinstance(other, LatticeElement) or len(other.coords) != len(mine):
             raise GroupMismatchError("cannot mix lattice groups of different rank")
-        return LatticeElement(tuple(x + y for x, y in zip(self.coords, other.coords)))
+        return _value(LatticeElement, (tuple(map(add, mine, other.coords)),))
 
     def inverse(self):
-        return LatticeElement(tuple(-x for x in self.coords))
+        return _value(LatticeElement, (tuple(map(neg, self.coords)),))
 
     def order_key(self):
         return self.coords
 
     def __str__(self):
-        prefix = "Z" if len(self.coords) == 1 else f"Z{len(self.coords)}"
-        return f"{prefix}({','.join(str(x) for x in self.coords)})"
+        coords = self.coords
+        prefix = "Z" if len(coords) == 1 else f"Z{len(coords)}"
+        return f"{prefix}({','.join(str(x) for x in coords)})"
+
+
+_value = tuple.__new__
 
 
 # ---------------------------------------------------------------------------

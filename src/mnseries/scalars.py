@@ -19,6 +19,7 @@ division, since 1 / x on two ints would be a float.
 from __future__ import annotations
 
 import re
+from collections import _tuplegetter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,43 +87,98 @@ def is_square_free(m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class PrimeFieldElement:
+class TupleValue(tuple):
+    """An immutable value held as the tuple of its fields: the base of the
+    group and field element classes.
+
+    A subclass names its fields in _fields, declares __slots__ = () and
+    builds its elements through tuple.__new__; each field reads as a
+    read-only attribute. The hash is the tuple's own, run in C, so an element
+    hashes as the tuple of its fields. Equality compares the fields as the
+    tuple does, but an element equals only an element of its own class,
+    never a plain tuple; the tuple's arithmetic and order are refused.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(index, f"The field {name}."))
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _tuple_eq(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return _tuple_ne(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    def __lt__(self, other):
+        raise TypeError(f"{type(self).__name__} values are not ordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__qualname__}({fields})"
+
+
+_value = tuple.__new__
+_tuple_eq = tuple.__eq__
+_tuple_ne = tuple.__ne__
+
+
+class PrimeFieldElement(TupleValue):
     """Residue in [0, p); arithmetic is field arithmetic mod p."""
 
-    residue: int
-    modulus: int
+    __slots__ = ()
+    _fields = ("residue", "modulus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+    def __new__(cls, residue, modulus):
+        return _value(cls, (residue % modulus, modulus))
 
     def _coerce(self, other):
         if isinstance(other, PrimeFieldElement):
             if other.modulus != self.modulus:
-                raise FieldMismatchError(
-                    f"mixed prime fields F_{self.modulus} and F_{other.modulus}"
-                )
+                raise FieldMismatchError(f"mixed prime fields F_{self.modulus} and F_{other.modulus}")
             return other
         if isinstance(other, int):
             return PrimeFieldElement(other, self.modulus)
         raise FieldMismatchError(f"cannot mix F_{self.modulus} with {type(other).__name__}")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return PrimeFieldElement(self.residue + other.residue, self.modulus)
+        r, p = self
+        s, _ = self._coerce(other)
+        return _value(PrimeFieldElement, ((r + s) % p, p))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return PrimeFieldElement(self.residue - other.residue, self.modulus)
+        r, p = self
+        s, _ = self._coerce(other)
+        return _value(PrimeFieldElement, ((r - s) % p, p))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return PrimeFieldElement(self.residue * other.residue, self.modulus)
+        r, p = self
+        s, _ = self._coerce(other)
+        return _value(PrimeFieldElement, (r * s % p, p))
 
     __rmul__ = __mul__
 
@@ -136,17 +192,20 @@ class PrimeFieldElement:
         return self._coerce(other) / self
 
     def __neg__(self):
-        return PrimeFieldElement(-self.residue, self.modulus)
+        r, p = self
+        return _value(PrimeFieldElement, (-r % p, p))
 
     def __pow__(self, k: int):
-        if self.residue == 0 and k < 0:
-            raise ZeroDivisionError(f"0 has no negative power in F_{self.modulus}")
-        return PrimeFieldElement(pow(self.residue, k, self.modulus), self.modulus)
+        r, p = self
+        if r == 0 and k < 0:
+            raise ZeroDivisionError(f"0 has no negative power in F_{p}")
+        return _value(PrimeFieldElement, (pow(r, k, p), p))
 
     def inverse(self) -> "PrimeFieldElement":
-        if self.residue == 0:
-            raise ZeroDivisionError(f"0 is not invertible in F_{self.modulus}")
-        return PrimeFieldElement(pow(self.residue, -1, self.modulus), self.modulus)
+        r, p = self
+        if r == 0:
+            raise ZeroDivisionError(f"0 is not invertible in F_{p}")
+        return _value(PrimeFieldElement, (pow(r, -1, p), p))
 
     def __bool__(self):
         return self.residue != 0
@@ -155,20 +214,19 @@ class PrimeFieldElement:
         return f"{self.residue} mod {self.modulus}"
 
 
-@dataclass(frozen=True, slots=True)
-class QuadraticFieldElement:
+class QuadraticFieldElement(TupleValue):
     """u + v*sqrt(m) with exact rational parts; m square-free, not 0 or 1.
     Each part is stored as an int when integral, else as a Fraction."""
 
-    u: object
-    v: object
-    radicand: int
+    __slots__ = ()
+    _fields = ("u", "v", "radicand")
 
-    def __post_init__(self):
-        if type(self.u) is not int:
-            object.__setattr__(self, "u", normal_rational(self.u))
-        if type(self.v) is not int:
-            object.__setattr__(self, "v", normal_rational(self.v))
+    def __new__(cls, u, v, radicand):
+        if type(u) is not int:
+            u = normal_rational(u)
+        if type(v) is not int:
+            v = normal_rational(v)
+        return _value(cls, (u, v, radicand))
 
     def _coerce(self, other):
         if isinstance(other, QuadraticFieldElement):
@@ -179,31 +237,27 @@ class QuadraticFieldElement:
             return other
         if isinstance(other, int):
             return QuadraticFieldElement(other, 0, self.radicand)
-        raise FieldMismatchError(
-            f"cannot mix Q(sqrt {self.radicand}) with {type(other).__name__}"
-        )
+        raise FieldMismatchError(f"cannot mix Q(sqrt {self.radicand}) with {type(other).__name__}")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return QuadraticFieldElement(self.u + other.u, self.v + other.v, self.radicand)
+        u, v, m = self
+        x, y, _ = self._coerce(other)
+        return QuadraticFieldElement(u + x, v + y, m)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return QuadraticFieldElement(self.u - other.u, self.v - other.v, self.radicand)
+        u, v, m = self
+        x, y, _ = self._coerce(other)
+        return QuadraticFieldElement(u - x, v - y, m)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        m = self.radicand
-        return QuadraticFieldElement(
-            self.u * other.u + self.v * other.v * m,
-            self.u * other.v + other.u * self.v,
-            m,
-        )
+        u, v, m = self
+        x, y, _ = self._coerce(other)
+        return QuadraticFieldElement(u * x + v * y * m, u * y + x * v, m)
 
     __rmul__ = __mul__
 
@@ -215,7 +269,9 @@ class QuadraticFieldElement:
         return self._coerce(other) / self
 
     def __neg__(self):
-        return QuadraticFieldElement(-self.u, -self.v, self.radicand)
+        u, v, m = self
+        # negation keeps a part's type, so the parts stay normal
+        return _value(QuadraticFieldElement, (-u, -v, m))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -230,22 +286,25 @@ class QuadraticFieldElement:
         return result
 
     def conjugate(self) -> "QuadraticFieldElement":
-        return QuadraticFieldElement(self.u, -self.v, self.radicand)
+        u, v, m = self
+        return _value(QuadraticFieldElement, (u, -v, m))
 
     def inverse(self) -> "QuadraticFieldElement":
         # norm u^2 - m v^2 vanishes only at 0 because m is square-free, not 0 or 1
-        norm = self.u * self.u - self.v * self.v * self.radicand
+        u, v, m = self
+        norm = u * u - v * v * m
         if norm == 0:
-            raise ZeroDivisionError(f"0 is not invertible in Q(sqrt {self.radicand})")
-        return QuadraticFieldElement(Fraction(self.u, norm), Fraction(-self.v, norm), self.radicand)
+            raise ZeroDivisionError(f"0 is not invertible in Q(sqrt {m})")
+        return QuadraticFieldElement(Fraction(u, norm), Fraction(-v, norm), m)
 
     def __bool__(self):
         return bool(self.u) or bool(self.v)
 
     def __str__(self):
-        if self.v >= 0:
-            return f"{self.u}+{self.v}*sqrt({self.radicand})"
-        return f"{self.u}-{-self.v}*sqrt({self.radicand})"
+        u, v, m = self
+        if v >= 0:
+            return f"{u}+{v}*sqrt({m})"
+        return f"{u}-{-v}*sqrt({m})"
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 The oracles deliberately avoid the library's own arithmetic: Heisenberg
 products go through literal 3x3 matrix multiplication, semidirect products
 through the affine 2x2 representation, and wreath products through a direct
-dict-shift implementation. The series oracle inverts by the plain geometric
+dict-shift implementation. The value-class oracles work on plain fields:
+the Heisenberg product formula on int triples, wreath products of cell
+dicts, lattice sums of coordinate tuples, int residues mod p and Q(sqrt m)
+as pairs of Fractions. The series oracle inverts by the plain geometric
 expansion, built only from the public series operations. The word-image
 oracles build every word from scratch, one product per letter, and the Magnus
 oracle writes each inverse letter out as its truncated geometric series.
@@ -66,14 +69,78 @@ def semidirect_product_oracle(g, h):
 
 # --- wreath oracle: direct shift-merge on plain dicts ----------------------
 
+def wreath_dict_product(f, n, g, m):
+    """(f, n) * (g, m) on cell dicts: g's cells move up by n and add to f's,
+    and a cell that reaches 0 goes."""
+    out = dict(f)
+    for i, v in g.items():
+        out[i + n] = out.get(i + n, 0) + v
+    return {i: v for i, v in out.items() if v}, n + m
+
+
 def reference_wreath_mul(g, h):
-    """g * h by a dict merge and from_map's sort, independent of the
-    two-pointer cell merge in WreathElement.__mul__."""
-    merged = dict(g.cells)
-    for i, v in h.cells:
-        j = i + g.n
-        merged[j] = merged.get(j, 0) + v
-    return WreathElement.from_map(merged, g.n + h.n)
+    """g * h by wreath_dict_product and from_map's sort, independent of the
+    bisect splice in WreathElement.__mul__."""
+    return WreathElement.from_map(*wreath_dict_product(g.as_map(), g.n, h.as_map(), h.n))
+
+
+# --- value-class oracles: plain ints, dicts and Fractions --------------------
+# Each takes and returns the fields of an element as plain values, so the
+# element classes are checked against arithmetic that never builds one.
+
+def heis_formula_product(g, h):
+    """(a, b, c) * (x, y, z) = (a + x, b + y, c + z + a*y)."""
+    (a, b, c), (x, y, z) = g, h
+    return a + x, b + y, c + z + a * y
+
+
+def heis_formula_inverse(g):
+    a, b, c = g
+    return -a, -b, a * b - c
+
+
+def heis_formula_str(g):
+    return "H(%d,%d,%d)" % tuple(g)
+
+
+def wreath_dict_inverse(f, n):
+    return {i - n: -v for i, v in f.items()}, -n
+
+
+def wreath_dict_str(f, n):
+    return "W({" + ",".join(f"{i}:{f[i]}" for i in sorted(f)) + f"}},{n})"
+
+
+def lattice_sum(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def lattice_str(x):
+    return ("Z(" if len(x) == 1 else f"Z{len(x)}(") + ",".join(map(str, x)) + ")"
+
+
+def fp_ops(r, s, p):
+    """Sum, difference, product, negation of r and r's inverse mod p (by
+    Fermat, None at 0), all as residues in [0, p)."""
+    return ((r + s) % p, (r - s) % p, r * s % p, -r % p,
+            pow(r, p - 2, p) if r % p else None)
+
+
+def quad_product(x, y, m):
+    """(u + v sqrt m)(u' + v' sqrt m) on Fraction pairs."""
+    (u, v), (s, t) = x, y
+    return u * s + m * v * t, u * t + v * s
+
+
+def quad_inverse(x, m):
+    u, v = x
+    norm = u * u - m * v * v
+    return u / norm, -v / norm
+
+
+def quad_str(x, m):
+    u, v = x
+    return f"{u}+{v}*sqrt({m})" if v >= 0 else f"{u}-{-v}*sqrt({m})"
 
 
 # --- random series ----------------------------------------------------------

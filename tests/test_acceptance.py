@@ -284,6 +284,11 @@ PINNED_EXPANDS = (
      "monoid=heis D=12 crossed=trivial\n0\tH(0,0,0)\t3\n1\tH(0,1,0)\t-1\n"
      "1\tH(1,0,0)\t1/2\n2\tH(1,1,0)\t2\n2\tH(1,1,1)\t-1/3\n",
      "77d18dfd66a16af9"),
+    # computed before the wreath elements were held as tuples
+    ("wreath-inv.mns",
+     "monoid=wreath D=10 crossed=trivial\n0\tW({},0)\t2\n1\tW({0:1},0)\t-1\n"
+     "1\tW({},1)\t1/2\n2\tW({1:1},1)\t3\n",
+     "49b0cdb022f9e749"),
 )
 
 # Verifier reports pinned by exit code and digest, as computed by the
@@ -322,6 +327,17 @@ PINNED_REPORTS = (
     (("pingpong", "--r", "2", "--t=5/3", "--L", "12"), 0, "5988303e40a5b022"),
     (("verify-monoid", "--group", "bs12", "--gens", "B(3/1,2),B(1/1,2)", "--L", "10"),
      0, "4127f7ca6860fde3"),
+    # the lattice and wreath elements, computed before they were held as
+    # tuples: classification and the crossed-system check on the lattices,
+    # the check on wreath products and a wreath monoid on weight-3 generators
+    (("classify", "--group", "z2"), 0, "47d7092e275edeb3"),
+    (("classify", "--group", "z"), 0, "33c00f384f18c663"),
+    (("check-crossed", "--system", "trivial", "--group", "wreath", "--samples", "200"),
+     0, "beaad774715c813c"),
+    (("check-crossed", "--system", "trivial", "--group", "z2", "--samples", "200"),
+     0, "fde59b3ca94db14b"),
+    (("verify-monoid", "--group", "wreath", "--gens", "W({0:3},0),W({},3)", "--L", "12"),
+     0, "9a46e9227797bb5a"),
 )
 
 

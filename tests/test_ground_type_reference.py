@@ -23,12 +23,9 @@ CONTEXTS = (("bs12", "trivial"), ("heis", "trivial"), ("wreath", "trivial"),
 
 def as_fraction(c):
     """c with every rational stored as a Fraction, integral or not; a
-    quadratic element's parts are set past its int-normalising constructor."""
+    quadratic element is built past its int-normalising constructor."""
     if isinstance(c, QuadraticFieldElement):
-        x = QuadraticFieldElement(c.u, c.v, c.radicand)
-        object.__setattr__(x, "u", Fraction(c.u))
-        object.__setattr__(x, "v", Fraction(c.v))
-        return x
+        return tuple.__new__(QuadraticFieldElement, (Fraction(c.u), Fraction(c.v), c.radicand))
     return Fraction(c)
 
 
