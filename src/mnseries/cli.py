@@ -30,7 +30,7 @@ from .freeness import (
 )
 from .groups import SemidirectGroup, classify_order_type, monoid_word_count
 from .linalg import InvariantError
-from .magnus import FreeWord, magnus_images, magnus_term_bound, parse_word, reduced_word_count
+from .magnus import FreeMonoid, FreeWord, magnus_images, magnus_term_bound, parse_word, reduced_word_count
 from .report import digest, render_json
 from .scalars import field_from_spec, parse_rational
 from .series import from_text, to_text
@@ -43,8 +43,14 @@ SCHEMA = "mnseries-report/1"
 # "magnus_terms" bounds the terms of the magnus images of all --words
 # together, as they are held at once: 125970 = C(20, 8) is the count for one
 # word of 8 inverse letters at D=12, where 16 would mean 30,421,755.
+# "samples" bounds check-crossed's sampled triples: 100000 took 5 s on the
+# slowest built-in system, quadratic-conj-Z (Python 3.11.7, 2 cores).
+# "terms" bounds the series expand --invert builds on free:<k>, the words of
+# length at most D: 797161 is free:3 at D=12, where free:26 at D=5 would
+# mean 12,356,631.
 # digit-sum's N <= 20 is not here: digit_sum_check enforces it, with no override
-GUARDS = {"L": 16, "D": 12, "words": 1457, "monoid_words": 131071, "magnus_terms": 125970}
+GUARDS = {"L": 16, "D": 12, "words": 1457, "monoid_words": 131071, "magnus_terms": 125970,
+          "samples": 100000, "terms": 797161}
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
@@ -71,8 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--unsafe-bounds", action="store_true",
                        help="lift the default guard limits (L<=16, D<=12, group-algebra "
-                            "words<=1457, monoid words<=131071, magnus terms<=125970); "
-                            "digit-sum's N<=20 always holds")
+                            "words<=1457, monoid words<=131071, magnus terms<=125970, "
+                            "check-crossed samples<=100000, free-monoid inverse "
+                            "terms<=797161); digit-sum's N<=20 always holds")
 
     p = sub.add_parser("verify-monoid", help="collision-check generator words in a built-in group")
     p.add_argument("--group", required=True, choices=registry.group_ids())
@@ -140,7 +147,7 @@ def _check_guard(args, name, value, where=""):
 
 
 def _check_guards(args):
-    for name in ("L", "D"):
+    for name in ("L", "D", "samples"):
         _check_guard(args, name, getattr(args, name, None))
 
 
@@ -263,6 +270,12 @@ def _run_expand(args):
         text = handle.read()
     series = from_text(text, registry.resolve_monoid, registry.resolve_crossed)
     _check_guard(args, "D", series.degree, " in the series-file header")
+    # only a free monoid's weight ball outgrows memory inside the D guard: at
+    # D <= 12 every built-in group's ball holds at most 8,191 elements (bs12
+    # and wreath; heis 1,092)
+    if args.invert and isinstance(series.context, FreeMonoid):
+        _check_guard(args, "terms", monoid_word_count(series.context.size, series.degree),
+                     f" in {series.context.id} at D={series.degree}")
     # an accepted file is exactly what to_text writes for its series
     rendered = to_text(series.invert()) if args.invert else text
     params = {"series_file": os.path.basename(args.series_file), "invert": args.invert}

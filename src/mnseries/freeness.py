@@ -170,11 +170,12 @@ def pingpong_check(group, t_value: Fraction, max_length: int) -> Report:
     p, tp, tq = r.numerator, t_value.numerator, t_value.denominator
 
     def in_A(g):
-        if g.n < 0:
+        num, den, n, _ = g
+        if n < 0:
             return None
         # h/t on ints: the seed's h is t, and tx and x map h to t + r*h and
         # r*h, so with r an integer every orbit element's h/t is an integer
-        return digit_expansion(g.num * tq // (g.den * tp), p)
+        return digit_expansion(num * tq // (den * tp), p)
 
     checked = 0
     tx_images = set()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -67,73 +67,55 @@ class HeisenbergElement(TupleValue):
         return f"H({a},{b},{c})"
 
 
-class SemidirectElement:
+class SemidirectElement(TupleValue):
     """Element (h, n) of H x| C where the generator of C scales H by ratio.
 
     h is held as the ints num/den in lowest terms with den > 0, and the
     property h builds its Fraction when asked; ratio is a positive Fraction,
-    shared by every element of one group. Instances are immutable."""
+    shared by every element of one group."""
 
-    __slots__ = ("num", "den", "n", "ratio")
+    __slots__ = ()
+    _fields = ("num", "den", "n", "ratio")
 
-    def __init__(self, h, n, ratio):
+    def __new__(cls, h, n, ratio):
         if not isinstance(ratio, Fraction):
             ratio = Fraction(ratio)
         if ratio.numerator <= 0:
             raise ValueError("ratio must be positive")
         if not isinstance(h, (int, Fraction)):
             h = Fraction(h)
-        _set_num(self, h.numerator)
-        _set_den(self, h.denominator)
-        _set_n(self, n)
-        _set_ratio(self, ratio)
+        return _value(cls, (h.numerator, h.denominator, n, ratio))
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    def __getnewargs__(self):
+        # copy and pickle call the constructor, which takes h, not num and den
+        return (self.h, self.n, self.ratio)
 
     @property
     def h(self) -> Fraction:
         return Fraction(self.num, self.den)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.num == other.num and self.den == other.den and self.n == other.n
-                and (self.ratio is other.ratio or self.ratio == other.ratio))
-
     def __hash__(self):
-        # elements of one group share the ratio, so it is compared but not
-        # hashed
-        return hash((self.num, self.den, self.n))
+        # one group's elements share the ratio: it is compared, not hashed
+        return hash(self[:3])
 
     def __repr__(self):
         return f"SemidirectElement(h={self.h!r}, n={self.n!r}, ratio={self.ratio!r})"
 
     def __mul__(self, other):
-        ratio = self.ratio
+        hn, hd, n, ratio = self
         if not isinstance(other, SemidirectElement) or (
                 other.ratio is not ratio and other.ratio != ratio):
             raise GroupMismatchError("cannot mix semidirect-product groups with different ratios")
+        kn, kd, m, _ = other
         # h + ratio**n * other.h = h + (s/t) * other.h over one denominator,
         # reduced by one gcd; p, q > 0, so the denominator is positive
-        n = self.n
         if n >= 0:
             s, t = ratio.numerator ** n, ratio.denominator ** n
         else:
             s, t = ratio.denominator ** -n, ratio.numerator ** -n
-        hd, kd = self.den, other.den
-        num, den = self.num * t * kd + s * other.num * hd, hd * t * kd
+        num, den = hn * t * kd + s * kn * hd, hd * t * kd
         c = gcd(num, den)
-        # __init__ would check and convert what is already known good
-        g = _new(SemidirectElement)
-        _set_num(g, num // c)
-        _set_den(g, den // c)
-        _set_n(g, n + other.n)
-        _set_ratio(g, ratio)
-        return g
+        return _value(SemidirectElement, (num // c, den // c, n + m, ratio))
 
     def inverse(self):
         return SemidirectElement(-(self.ratio ** (-self.n)) * self.h, -self.n, self.ratio)
@@ -142,15 +124,8 @@ class SemidirectElement:
         return (self.n, self.h)
 
     def __str__(self):
-        r = self.ratio
-        return f"B({self.num}/{self.den},{self.n})@r={r.numerator}/{r.denominator}"
-
-
-# the slots' own setters: the class refuses attribute assignment, and these
-# are what __init__ and __mul__ fill a new element through
-_new = object.__new__
-_set_num, _set_den, _set_n, _set_ratio = (
-    SemidirectElement.__dict__[name].__set__ for name in SemidirectElement.__slots__)
+        num, den, n, r = self
+        return f"B({num}/{den},{n})@r={r.numerator}/{r.denominator}"
 
 
 class WreathElement(TupleValue):
@@ -467,18 +442,21 @@ class SemidirectGroup(_Group):
         return (self.element(self.t_value, 1), self.element(0, 1))
 
     def in_monoid(self, g) -> bool:
-        if not self.contains(g) or g.n < 0:
+        if not self.contains(g):
             return False
-        if not g.num:
+        num, den, n, _ = g
+        if n < 0:
+            return False
+        if not num:
             return True
         # h/t in lowest terms, on ints
         p, q, tp, tq = self._ints
-        num, den = g.num * tq, g.den * tp
+        num, den = num * tq, den * tp
         if den < 0:
             num, den = -num, -den
         c = gcd(num, den)
         digits = _expansion(num // c, den // c, p, q)
-        return digits is not None and digits[-1] <= g.n - 1
+        return digits is not None and digits[-1] <= n - 1
 
     def weight(self, g) -> int:
         if not self.in_monoid(g):

@@ -94,9 +94,11 @@ class TupleValue(tuple):
     A subclass names its fields in _fields, declares __slots__ = () and
     builds its elements through tuple.__new__; each field reads as a
     read-only attribute. The hash is the tuple's own, run in C, so an element
-    hashes as the tuple of its fields. Equality compares the fields as the
-    tuple does, but an element equals only an element of its own class,
-    never a plain tuple; the tuple's arithmetic and order are refused.
+    hashes as the tuple of its fields; a subclass may hash fewer of them
+    (SemidirectElement leaves out the ratio its group shares, as a Fraction
+    hashes in Python). Equality compares the fields as the tuple does, but
+    an element equals only an element of its own class, never a plain tuple;
+    the tuple's arithmetic and order are refused.
     """
 
     __slots__ = ()

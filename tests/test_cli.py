@@ -417,6 +417,48 @@ def test_guard_applies_to_series_file_degree(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_free_monoid_inverse_term_guard(tmp_path, capsys, monkeypatch):
+    # free:4 at D=12 and free:26 at D=5 pass the degree guard, but their
+    # inverses would reach 22,369,621 and 12,356,631 terms; the weight ball is
+    # guarded in closed form, so an inversion that starts fails the test
+    def no_inversion(self):
+        raise RuntimeError("inversion started past the term guard")
+
+    monkeypatch.setattr(GradedSeries, "invert", no_inversion)
+    for monoid, degree, terms in (("free:4", 12, 22369621), ("free:26", 5, 12356631)):
+        path = tmp_path / f"{monoid[5:]}.mns"
+        path.write_text(f"monoid={monoid} D={degree} crossed=trivial\n0\t1\t1\n1\ta\t1\n")
+        code, out, err = run(capsys, "expand", "--series-file", str(path), "--invert")
+        assert code == 65 and "guard" in err and f"terms={terms}" in err and not out
+        # the file is read back without --invert, and the flag lifts the guard
+        code, out, _ = run(capsys, "expand", "--series-file", str(path), "--format", "text")
+        assert code == 0 and out == path.read_text()
+        code, out, err = run(capsys, "expand", "--series-file", str(path), "--invert",
+                             "--unsafe-bounds")
+        assert code == 70 and "past the term guard" in err and not out
+    # the ceiling itself, free:3 at D=12 with 797,161 words, passes without
+    # the flag, and so does a group context at D=12
+    path = tmp_path / "edge.mns"
+    for monoid, identity in (("free:3", "1"), ("bs12", "B(0/1,0)@r=2/1")):
+        path.write_text(f"monoid={monoid} D=12 crossed=trivial\n0\t{identity}\t1\n")
+        code, out, err = run(capsys, "expand", "--series-file", str(path), "--invert")
+        assert code == 70 and "past the term guard" in err and not out
+
+
+def test_check_crossed_sample_guard(capsys, monkeypatch):
+    # 100001 samples exceed the guard, which holds before any check runs
+    def no_check(system, samples, seed):
+        raise RuntimeError("crossed system checked past the sample guard")
+
+    monkeypatch.setattr(cli, "check_crossed_system", no_check)
+    code, out, err = run(capsys, "check-crossed", "--system", "z2-sign-twist", "--samples", "100001")
+    assert code == 65 and "guard" in err and "samples=100001" in err and not out
+    # the flag lifts the guard, and the ceiling itself passes without it
+    for argv in (("--samples", "100001", "--unsafe-bounds"), ("--samples", "100000")):
+        code, out, err = run(capsys, "check-crossed", "--system", "z2-sign-twist", *argv)
+        assert code == 70 and "past the sample guard" in err and not out
+
+
 def test_parser_built_once_per_process(capsys, monkeypatch):
     calls = []
 

@@ -1,11 +1,12 @@
-"""The tuple-backed value classes: HeisenbergElement, WreathElement and
-LatticeElement in groups, PrimeFieldElement and QuadraticFieldElement in
-scalars. Products, inverses and str are differential-tested against the
-plain-value oracles in helpers. The contract test pins the element
-behaviour set orders, reports and callers rely on (the hash of the field
-tuple, repr, keyword construction, read-only fields) and what a tuple would
-add that the classes refuse (equality with other tuples, tuple order and
-tuple arithmetic)."""
+"""The tuple-backed value classes: HeisenbergElement, WreathElement,
+LatticeElement and SemidirectElement in groups, PrimeFieldElement and
+QuadraticFieldElement in scalars. Products, inverses and str are
+differential-tested against the plain-value oracles in helpers (the
+semidirect products in test_group_element_properties). The contract test
+pins the element behaviour set orders, reports and callers rely on (the hash
+of the field tuple, repr, keyword construction, read-only fields) and what a
+tuple would add that the classes refuse (equality with other tuples, tuple
+order and tuple arithmetic)."""
 
 import copy
 import operator
@@ -151,32 +152,45 @@ CASES = (
     (WreathElement, {"cells": ((0, 1), (2, -3)), "n": 2},
      "WreathElement(cells=((0, 1), (2, -3)), n=2)"),
     (LatticeElement, {"coords": (1, -2)}, "LatticeElement(coords=(1, -2))"),
+    (SemidirectElement, {"num": 3, "den": 4, "n": -2, "ratio": Fraction(3, 2)},
+     "SemidirectElement(h=Fraction(3, 4), n=-2, ratio=Fraction(3, 2))"),
     (PrimeFieldElement, {"residue": 3, "modulus": 7}, "PrimeFieldElement(residue=3, modulus=7)"),
     (QuadraticFieldElement, {"u": Fraction(1, 2), "v": -2, "radicand": 2},
      "QuadraticFieldElement(u=Fraction(1, 2), v=-2, radicand=2)"),
 )
-GROUP_CLASSES = (HeisenbergElement, WreathElement, LatticeElement)
+# a class whose constructor does not take its fields: the arguments by name
+CONSTRUCTOR_ARGS = {SemidirectElement: {"h": Fraction(3, 4), "n": -2, "ratio": Fraction(3, 2)}}
+# a class that hashes a prefix of its fields: the prefix length (the ratio a
+# semidirect group shares is compared, not hashed)
+HASHED_FIELDS = {SemidirectElement: 3}
+GROUP_CLASSES = (HeisenbergElement, WreathElement, LatticeElement, SemidirectElement)
 ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def _build(cls, named):
+    return cls(*CONSTRUCTOR_ARGS.get(cls, named).values())
 
 
 @pytest.mark.parametrize("cls,named,text", CASES, ids=[case[0].__name__ for case in CASES])
 def test_tuple_value_contract(cls, named, text):
     fields = tuple(named.values())
-    g = cls(*fields)
+    args = CONSTRUCTOR_ARGS.get(cls, named)
+    g = cls(*args.values())
     # the hash of the field tuple, the fields by name
-    assert hash(g) == hash(fields)
+    assert hash(g) == hash(fields[:HASHED_FIELDS.get(cls, len(fields))])
+    assert tuple(g) == fields
     assert tuple(getattr(g, name) for name in named) == fields
     assert repr(g) == text
-    assert cls(**named) == g
+    assert cls(**args) == g
     # equal only to its own class
-    twin = cls(*fields)
+    twin = cls(*args.values())
     assert g == twin and not g != twin and twin is not g
     assert g != tuple(g) and tuple(g) != g
     assert not g == tuple(g) and not tuple(g) == g
     assert len({g, twin, tuple(g)}) == 2
     for other_cls, other_fields, _ in CASES:
         if other_cls is not cls:
-            other = other_cls(*other_fields.values())
+            other = _build(other_cls, other_fields)
             assert g != other and not g == other
     # no tuple order, and a group element no tuple arithmetic
     for op in ORDER:
@@ -189,12 +203,14 @@ def test_tuple_value_contract(cls, named, text):
         with pytest.raises(TypeError):
             3 * g
     # read-only fields, and no others
-    for name in (*named, "extra"):
+    for name in (*named, *CONSTRUCTOR_ARGS.get(cls, ()), "extra"):
         with pytest.raises(AttributeError):
             setattr(g, name, 0)
         with pytest.raises(AttributeError):
             delattr(g, name)
-    assert copy.copy(g) == g and copy.deepcopy(g) == g and pickle.loads(pickle.dumps(g)) == g
+    for clone in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert clone == g and type(clone) is cls and tuple(clone) == fields
+        assert hash(clone) == hash(g)
 
 
 def test_elements_with_equal_fields_of_different_classes_stay_apart():
