@@ -31,7 +31,7 @@ from .freeness import (
 from .groups import SemidirectGroup, classify_order_type, monoid_word_count
 from .linalg import InvariantError
 from .magnus import FreeMonoid, FreeWord, magnus_images, magnus_term_bound, parse_word, reduced_word_count
-from .report import digest, render_json
+from .report import COUNTEREXAMPLE, EXIT_CODES, VERIFIED, digest, render_json
 from .scalars import field_from_spec, parse_rational
 from .series import from_text, to_text
 
@@ -48,16 +48,23 @@ SCHEMA = "mnseries-report/1"
 # "terms" bounds the series expand --invert builds on free:<k>, the words of
 # length at most D: 797161 is free:3 at D=12, where free:26 at D=5 would
 # mean 12,356,631.
+# "ratio_bits" bounds the larger bit length of --r's numerator and
+# denominator in digit-sum and pingpong: at r = 10^1000 digit-sum ran out of
+# memory at N=18 and pingpong took 182 s at L=14, where 64-bit ratios took
+# 1.9 s at N=20 and 4.9 s at L=16 (Python 3.11.7, 2 cores).
 # digit-sum's N <= 20 is not here: digit_sum_check enforces it, with no override
 GUARDS = {"L": 16, "D": 12, "words": 1457, "monoid_words": 131071, "magnus_terms": 125970,
-          "samples": 100000, "terms": 797161}
+          "samples": 100000, "terms": 797161, "ratio_bits": 64}
 
-EXIT_OK = 0
-EXIT_COUNTEREXAMPLE = 2
-EXIT_INCONCLUSIVE = 3
+# the verdicts' exit codes are report.EXIT_CODES
 EXIT_USAGE = 64
 EXIT_GUARD = 65
 EXIT_INTERNAL = 70
+
+
+_UNSAFE_HELP = ("lift the default guard limits ("
+                + ", ".join(f"{name}<={limit}" for name, limit in GUARDS.items())
+                + "); digit-sum's N<=20 always holds")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,11 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None, help="write the report to a file instead of stdout")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--unsafe-bounds", action="store_true",
-                       help="lift the default guard limits (L<=16, D<=12, group-algebra "
-                            "words<=1457, monoid words<=131071, magnus terms<=125970, "
-                            "check-crossed samples<=100000, free-monoid inverse "
-                            "terms<=797161); digit-sum's N<=20 always holds")
+        p.add_argument("--unsafe-bounds", action="store_true", help=_UNSAFE_HELP)
 
     p = sub.add_parser("verify-monoid", help="collision-check generator words in a built-in group")
     p.add_argument("--group", required=True, choices=registry.group_ids())
@@ -238,8 +241,16 @@ def _run_verify_group_algebra(args):
     return params, report.to_json(), report.exit_code
 
 
+def _parse_ratio(args):
+    """--r as a Fraction, held to the ratio_bits guard."""
+    r = parse_rational(args.r)
+    _check_guard(args, "ratio_bits", max(r.numerator.bit_length(), r.denominator.bit_length()),
+                 " in --r")
+    return r
+
+
 def _run_digit_sum(args):
-    report = digit_sum_check(parse_rational(args.r), args.N)
+    report = digit_sum_check(_parse_ratio(args), args.N)
     return {"r": args.r, "N": args.N}, report.to_json(), report.exit_code
 
 
@@ -261,7 +272,7 @@ def _run_magnus(args):
                                               for weight, elem_s, coeff in img.rows()]}
                    for w, img in zip(words, images)],
     }
-    code = EXIT_OK if collision is None else EXIT_COUNTEREXAMPLE
+    code = EXIT_CODES[VERIFIED if collision is None else COUNTEREXAMPLE]
     return {"words": args.words, "D": args.D}, body, code
 
 
@@ -280,7 +291,7 @@ def _run_expand(args):
     rendered = to_text(series.invert()) if args.invert else text
     params = {"series_file": os.path.basename(args.series_file), "invert": args.invert}
     # the text format prints the series file itself
-    return params, rendered if args.format == "text" else {"series": rendered}, EXIT_OK
+    return params, rendered if args.format == "text" else {"series": rendered}, EXIT_CODES[VERIFIED]
 
 
 def _run_check_crossed(args):
@@ -296,7 +307,7 @@ def _run_check_crossed(args):
 
 
 def _run_pingpong(args):
-    r = parse_rational(args.r)
+    r = _parse_ratio(args)
     t = parse_rational(args.t)
     report = pingpong_check(SemidirectGroup(r, t), t, args.L)
     return {"r": args.r, "t": args.t, "L": args.L}, report.to_json(), report.exit_code

@@ -146,9 +146,6 @@ class WreathElement(TupleValue):
         cells = tuple(sorted((i, v) for i, v in mapping.items() if v != 0))
         return WreathElement(cells, n)
 
-    def as_map(self) -> dict:
-        return dict(self.cells)
-
     def __mul__(self, other):
         if not isinstance(other, WreathElement):
             raise GroupMismatchError(f"cannot multiply wreath element by {type(other).__name__}")
@@ -177,18 +174,13 @@ class WreathElement(TupleValue):
         cells, n = self
         return _value(WreathElement, (tuple((i - n, -v) for i, v in cells), -n))
 
-    def compare_cells(self, other) -> int:
-        # sign of the difference at the largest index where the maps differ
-        mine = self.as_map()
-        theirs = other.as_map()
-        diff = [i for i in set(mine) | set(theirs) if mine.get(i, 0) != theirs.get(i, 0)]
-        if not diff:
-            return 0
-        top = max(diff)
-        return _cmp(mine.get(top, 0), theirs.get(top, 0))
-
     def order_key(self):
-        raise NotImplementedError("wreath order is not a plain tuple order")
+        # n first, then the sign of the difference at the largest index where
+        # the maps differ: the cells are read from the top index down, and
+        # the sentinel (0,) sorts a missing cell between a negative value
+        # (-1, -i, v) and a positive one (1, i, v)
+        cells, n = self
+        return (n, tuple((1, i, v) if v > 0 else (-1, -i, v) for i, v in reversed(cells)) + ((0,),))
 
     def __str__(self):
         inner = ",".join(f"{i}:{v}" for i, v in self.cells)
@@ -305,7 +297,7 @@ class _Group:
         g = self.identity()
         gens = self.monoid_generators()
         for _ in range(n):
-            g = g * gens[rng.randint(0, 1)]
+            g = g * gens[rng.randrange(len(gens))]
         return g
 
     def subgroup_contains(self, tag: str, g) -> bool:
@@ -368,12 +360,6 @@ class Heisenberg(_Group):
 
     def sample_element(self, rng):
         return HeisenbergElement(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
-
-    def sample_monoid_element(self, rng, max_weight: int):
-        w = rng.randint(0, max_weight)
-        a = rng.randint(0, w)
-        b = w - a
-        return HeisenbergElement(a, b, rng.randint(0, a * b))
 
     def panel_elements(self):
         return tuple(
@@ -512,14 +498,6 @@ class WreathGroup(_Group):
     def multiply(self, g, h):
         return g * h
 
-    def compare(self, g, h) -> int:
-        if not (self.contains(g) and self.contains(h)):
-            raise GroupMismatchError("wreath comparison on foreign elements")
-        by_n = _cmp(g.n, h.n)
-        if by_n:
-            return by_n
-        return g.compare_cells(h)
-
     def element(self, mapping, n: int):
         return WreathElement.from_map(mapping, n)
 
@@ -627,17 +605,6 @@ class LatticeGroup(_Group):
 
     def sample_element(self, rng):
         return LatticeElement(tuple(rng.randint(-6, 6) for _ in range(self.rank)))
-
-    def sample_monoid_element(self, rng, max_weight: int):
-        w = rng.randint(0, max_weight)
-        cuts = sorted(rng.randint(0, w) for _ in range(self.rank - 1))
-        parts = []
-        prev = 0
-        for c in cuts:
-            parts.append(c - prev)
-            prev = c
-        parts.append(w - prev)
-        return LatticeElement(tuple(parts))
 
     def panel_elements(self):
         if self.rank == 1:

@@ -42,7 +42,7 @@ division must come out exact; InvariantError when it does not.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import PrimeField, PrimeFieldElement, QuadraticField, field_of
 
@@ -158,15 +158,6 @@ def _eliminate_mod_p(rows, n_cols, p):
     return pr
 
 
-def _lcm_of_denominators(values):
-    denom = 1
-    for x in values:
-        d = x.denominator
-        if d != 1:
-            denom = denom * d // gcd(denom, d)
-    return denom
-
-
 def _rank_mod_p(matrix, n_cols, field):
     p = field.p
     rows = []
@@ -189,13 +180,13 @@ def _rank_integral(matrix, n_cols, field):
     rows = []
     for i, row in enumerate(matrix):
         if quadratic:
-            denom = _lcm_of_denominators([part for x in row for part in (x.u, x.v)])
+            denom = lcm(*{part.denominator for x in row for part in (x.u, x.v)})
             cleared = {j: (x.u.numerator * (denom // x.u.denominator),
                            x.v.numerator * (denom // x.v.denominator))
                        for j, x in enumerate(row) if x}
             cleared[n_cols + i] = (denom, 0)
         else:
-            denom = _lcm_of_denominators(row)
+            denom = lcm(*{x.denominator for x in row})
             cleared = {j: x.numerator * (denom // x.denominator) for j, x in enumerate(row) if x}
             cleared[n_cols + i] = denom
         rows.append(cleared)

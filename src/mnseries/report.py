@@ -21,7 +21,7 @@ VERIFIED = "verified-up-to-bound"
 COUNTEREXAMPLE = "counterexample"
 INCONCLUSIVE = "inconclusive-at-D"
 
-_EXIT_CODES = {VERIFIED: 0, COUNTEREXAMPLE: 2, INCONCLUSIVE: 3}
+EXIT_CODES = {VERIFIED: 0, COUNTEREXAMPLE: 2, INCONCLUSIVE: 3}
 
 
 @dataclass
@@ -38,7 +38,7 @@ class Report:
 
     @property
     def exit_code(self) -> int:
-        return _EXIT_CODES[self.verdict]
+        return EXIT_CODES[self.verdict]
 
     def to_json(self) -> dict:
         return {

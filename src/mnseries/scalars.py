@@ -48,13 +48,19 @@ def normal_rational(x):
     return x.numerator if x.denominator == 1 else x
 
 
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+# is_square_free trial-divides up to the square root: below 2**31 that stops by 46,341
+RADICAND_LIMIT = 2 ** 31
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
-    # deterministic Miller-Rabin, valid far beyond any modulus used here
+    # Miller-Rabin on the 12 bases 2..37: exact below PSI_12, the least
+    # strong pseudoprime to all of them (Sorenson and Webster 2015)
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -360,6 +366,9 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        if self.p >= PSI_12:
+            raise ValueError(f"modulus {self.p} is outside p < {PSI_12}, the range of the "
+                             "primality test")
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
@@ -408,6 +417,9 @@ class QuadraticField:
     radicand: int
 
     def __post_init__(self):
+        if abs(self.radicand) >= RADICAND_LIMIT:
+            raise ValueError(f"radicand {self.radicand} is outside |m| < 2**31, the range of "
+                             "the square-free test")
         if self.radicand in (0, 1) or not is_square_free(self.radicand):
             raise ValueError(f"radicand must be square-free and not 0 or 1: {self.radicand}")
 

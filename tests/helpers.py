@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own arithmetic: Heisenberg
 products go through literal 3x3 matrix multiplication, semidirect products
 through the affine 2x2 representation, and wreath products through a direct
-dict-shift implementation. The value-class oracles work on plain fields:
+dict-shift implementation, and the wreath order compares cell dicts at
+their largest differing index. The value-class oracles work on plain fields:
 the Heisenberg product formula on int triples, wreath products of cell
 dicts, lattice sums of coordinate tuples, int residues mod p and Q(sqrt m)
 as pairs of Fractions. The series oracle inverts by the plain geometric
@@ -81,7 +82,20 @@ def wreath_dict_product(f, n, g, m):
 def reference_wreath_mul(g, h):
     """g * h by wreath_dict_product and from_map's sort, independent of the
     bisect splice in WreathElement.__mul__."""
-    return WreathElement.from_map(*wreath_dict_product(g.as_map(), g.n, h.as_map(), h.n))
+    return WreathElement.from_map(*wreath_dict_product(dict(g.cells), g.n, dict(h.cells), h.n))
+
+
+def reference_wreath_compare(g, h):
+    """The sign of g - h in the wreath order on cell dicts: n first, then the
+    sign of the difference at the largest index where the maps differ."""
+    if g.n != h.n:
+        return 1 if g.n > h.n else -1
+    mine, theirs = dict(g.cells), dict(h.cells)
+    diff = [i for i in set(mine) | set(theirs) if mine.get(i, 0) != theirs.get(i, 0)]
+    if not diff:
+        return 0
+    top = max(diff)
+    return 1 if mine.get(top, 0) > theirs.get(top, 0) else -1
 
 
 # --- value-class oracles: plain ints, dicts and Fractions --------------------

@@ -459,6 +459,66 @@ def test_check_crossed_sample_guard(capsys, monkeypatch):
         assert code == 70 and "past the sample guard" in err and not out
 
 
+def test_ratio_bits_guard(capsys, monkeypatch):
+    # a 65-bit --r numerator or denominator exceeds the guard, which holds
+    # before either verifier runs; a long --t is not guarded
+    def no_check(*args):
+        raise RuntimeError("verifier ran past the ratio guard")
+
+    monkeypatch.setattr(cli, "digit_sum_check", no_check)
+    monkeypatch.setattr(cli, "pingpong_check", no_check)
+    for r in (str(2 ** 64), f"1/{2 ** 64}", f"{10 ** 1000}/3"):
+        for argv in (("digit-sum", "--r", r, "--N", "3"),
+                     ("pingpong", "--r", r, "--t", "1", "--L", "3")):
+            code, out, err = run(capsys, *argv)
+            assert code == 65 and "ratio_bits=" in err and "in --r" in err and not out
+            code, out, err = run(capsys, *argv, "--unsafe-bounds")
+            assert code == 70 and "past the ratio guard" in err and not out
+    # the ceiling itself, 64 bits, passes without the flag
+    for argv in (("digit-sum", "--r", f"{2 ** 64 - 1}/{2 ** 63}", "--N", "3"),
+                 ("pingpong", "--r", str(2 ** 64 - 1), "--t", str(10 ** 4000), "--L", "3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 70 and "past the ratio guard" in err and not out
+
+
+def test_field_parameters_out_of_range_exit_64(tmp_path, capsys, monkeypatch):
+    # a modulus from PSI_12 up and a radicand from 2**31 up are refused before
+    # any primality or square-free test runs, from --field and from series files
+    from mnseries import scalars
+
+    def no_test(n):
+        raise RuntimeError("field parameter tested past its range")
+
+    monkeypatch.setattr(scalars, "is_prime", no_test)
+    monkeypatch.setattr(scalars, "is_square_free", no_test)
+    psi = scalars.PSI_12
+    radicand = 10 ** 30 + 57
+    for field, c in ((f"Fp:{psi}", f"1 mod {psi}"), (f"Qsqrt:{radicand}", "1")):
+        code, out, err = run(capsys, "verify-group-algebra", "--field", field, "--c", c,
+                             "--d", c, "--L", "1", "--D", "1")
+        assert code == 64 and "outside" in err and not out
+    for coefficient in (f"1 mod {psi}", f"1+1*sqrt({radicand})"):
+        path = tmp_path / "field.mns"
+        path.write_text(f"monoid=z D=2 crossed=trivial\n0\tZ(0)\t{coefficient}\n")
+        code, out, err = run(capsys, "expand", "--series-file", str(path))
+        assert code == 64 and "outside" in err and not out
+
+
+def test_zero_series_under_quadratic_conj_z_is_refused(tmp_path, capsys):
+    # a series with no coefficient reads back over Q, which quadratic-conj-Z refuses
+    path = tmp_path / "zero.mns"
+    path.write_text("monoid=z D=3 crossed=quadratic-conj-Z\n")
+    code, out, err = run(capsys, "expand", "--series-file", str(path))
+    assert code == 64 and "quadratic coefficients" in err and not out
+
+
+def test_unsafe_bounds_help_names_every_guard(capsys):
+    code, out, _ = run(capsys, "digit-sum", "--help")
+    assert code == 0
+    for name, limit in cli.GUARDS.items():
+        assert f"{name}<={limit}" in out
+
+
 def test_parser_built_once_per_process(capsys, monkeypatch):
     calls = []
 

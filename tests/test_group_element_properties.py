@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_wreath_mul, semidirect_product_oracle, semidirect_to_affine
+from helpers import (reference_wreath_compare, reference_wreath_mul, semidirect_product_oracle,
+                     semidirect_to_affine)
 from mnseries.groups import (GroupMismatchError, Heisenberg, LatticeGroup, SemidirectElement, SemidirectGroup,
                              WreathElement, WreathGroup)
 
@@ -48,6 +49,26 @@ def test_wreath_product_matches_dict_merge(g, h):
         assert product == reference_wreath_mul(left, right)
         indices = [i for i, _ in product.cells]
         assert indices == sorted(set(indices)) and all(v for _, v in product.cells)
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+@PROPERTY
+@given(st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=5), st.integers(-1, 1),
+       st.integers(-4, 4), st.integers(-3, 3), st.booleans(), wreath_elements)
+def test_wreath_order_key_matches_cell_comparison(f, n, i, v, same_n, other):
+    g = WreathElement.from_map(f, n)
+    # h is g with the cell at i set to v: the maps differ at one index, often
+    # below the top one, and v = 0 or a new index leaves one side without a cell
+    h = WreathElement.from_map({**f, i: v}, n if same_n else n + 1)
+    group = WreathGroup()
+    for x, y in ((g, h), (h, g), (g, g), (g, other), (other, h)):
+        expected = reference_wreath_compare(x, y)
+        assert type(x.order_key()) is tuple
+        assert _sign(x.order_key(), y.order_key()) == expected
+        assert group.compare(x, y) == expected
 
 
 @PROPERTY

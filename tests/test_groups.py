@@ -130,6 +130,41 @@ def test_weight_is_additive_on_the_monoid(group):
         assert group.compare(group.identity(), gen) < 0
 
 
+@pytest.mark.parametrize("group", ALL_GROUPS + (LatticeGroup(3),), ids=lambda g: g.id)
+def test_sampled_monoid_elements_stay_within_max_weight(group):
+    rng = random.Random(9)
+    for max_weight in range(5):
+        for _ in range(50):
+            assert group.weight(group.sample_monoid_element(rng, max_weight)) <= max_weight
+
+
+def test_monoid_sampler_reaches_every_generator():
+    z3 = LatticeGroup(3)
+    rng = random.Random(10)
+    seen = {z3.sample_monoid_element(rng, 1) for _ in range(200)}
+    assert seen == {z3.identity(), *z3.monoid_generators()}
+
+
+@pytest.mark.parametrize("group", (BS, WREATH, Z2), ids=lambda g: g.id)
+def test_two_generator_samples_draw_one_bit_per_factor(group):
+    # a product of n factors, each picked by randint(0, 1): the draws of
+    # randrange(2), so the samples of two-generator groups keep their values
+    rng, twin = random.Random(11), random.Random(11)
+    gens = group.monoid_generators()
+    for _ in range(100):
+        expected = group.identity()
+        for _ in range(twin.randint(0, 6)):
+            expected = expected * gens[twin.randint(0, 1)]
+        assert group.sample_monoid_element(rng, 6) == expected
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.id)
+def test_order_keys_are_tuples(group):
+    rng = random.Random(12)
+    for _ in range(50):
+        assert type(group.sample_element(rng).order_key()) is tuple
+
+
 def test_weight_examples():
     assert HEIS.weight(HeisenbergElement(2, 3, 4)) == 5
     assert BS.weight(BS.element(1, 1)) == 1
@@ -220,6 +255,12 @@ def test_compare_examples():
     g = BS.element(Fraction(5, 2), -1)
     assert BS.compare(g, g) == 0
     assert WREATH.compare(WREATH.element({0: 1}, 0), WREATH.element({}, 1)) == -1
+    # the maps differ first at index 1 from the top: a missing cell sits
+    # between a negative and a positive value
+    for low, high in (({1: -1, 2: 1}, {2: 1}), ({2: 1}, {1: 1, 2: 1}), ({1: -2, 2: 1}, {0: 3, 2: 1}),
+                      ({0: 5, 1: 1}, {1: 2}), ({3: -1}, {})):
+        assert WREATH.compare(WREATH.element(low, 0), WREATH.element(high, 0)) == -1
+        assert WREATH.compare(WREATH.element(high, 0), WREATH.element(low, 0)) == 1
 
 
 def test_mixed_group_instances_rejected():

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from mnseries import scalars
 from mnseries.scalars import (
+    PSI_12,
     QQ,
     FieldMismatchError,
     PrimeField,
@@ -12,6 +14,7 @@ from mnseries.scalars import (
     QuadraticFieldElement,
     field_from_spec,
     field_of,
+    is_prime,
     parse_rational,
     parse_scalar,
     rational_power,
@@ -149,6 +152,41 @@ def test_field_from_spec():
 def test_prime_field_requires_prime():
     with pytest.raises(ValueError):
         PrimeField(9)
+
+
+def _refuse(name):
+    def refuse(n):
+        raise AssertionError(f"{name} ran past the field parameter range")
+    return refuse
+
+
+def test_prime_field_modulus_range(monkeypatch):
+    # PSI_12 is composite, yet the 12-base Miller-Rabin test passes it
+    assert PSI_12 == 399165290221 * 798330580441 and is_prime(PSI_12)
+    monkeypatch.setattr(scalars, "is_prime", _refuse("is_prime"))
+    for p in (PSI_12, PSI_12 + 2, 2 ** 127 - 1):
+        with pytest.raises(ValueError, match="outside p < "):
+            PrimeField(p)
+    with pytest.raises(ValueError, match="outside p < "):
+        parse_scalar(f"1 mod {PSI_12}")
+    # below the bound the primality test runs
+    with pytest.raises(AssertionError, match="is_prime ran"):
+        PrimeField(PSI_12 - 2)
+
+
+def test_quadratic_field_radicand_range(monkeypatch):
+    monkeypatch.setattr(scalars, "is_square_free", _refuse("is_square_free"))
+    for m in (2 ** 31, -2 ** 31, 10 ** 30 + 57):
+        with pytest.raises(ValueError, match=r"outside \|m\| < 2\*\*31"):
+            QuadraticField(m)
+    with pytest.raises(ValueError, match="outside"):
+        parse_scalar("1+1*sqrt(1000000000000000000000000000057)")
+    for m in (2 ** 31 - 1, -(2 ** 31 - 1)):
+        with pytest.raises(AssertionError, match="is_square_free ran"):
+            QuadraticField(m)
+    monkeypatch.undo()
+    # the largest radicands in range are decided by trial division up to 46,341
+    assert QuadraticField(2 ** 31 - 1).radicand == 2 ** 31 - 1
 
 
 

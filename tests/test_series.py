@@ -285,12 +285,27 @@ def test_text_round_trip():
 
 def test_text_round_trip_other_fields():
     rng = random.Random(7)
-    f = random_series(HEIS, 3, PrimeField(5), rng)
+    # this seed draws the zero series over F_5: its text has no coefficient
+    # to name the field, so it reads back over Q (test_zero_series_reads_back_over_q)
+    zero = random_series(HEIS, 3, PrimeField(5), rng)
+    assert not zero and to_text(zero) == "monoid=heis D=3 crossed=trivial\n"
+    f = random_series(HEIS, 3, PrimeField(5), rng, unit=True)
+    assert f.coefficient(HEIS.identity())
     assert from_text(to_text(f), resolve_monoid, resolve_crossed) == f
     system = quadratic_conj_z(2)
-    g = random_series(LatticeGroup(1), 3, QuadraticField(2), rng, system=system)
+    g = random_series(LatticeGroup(1), 3, QuadraticField(2), rng, system=system, unit=True)
+    assert g.coefficient(LatticeGroup(1).identity())
     parsed = from_text(to_text(g), resolve_monoid, resolve_crossed)
     assert parsed == g
+
+
+@pytest.mark.parametrize("field", (PrimeField(5), QuadraticField(2)))
+def test_zero_series_reads_back_over_q(field):
+    # a series with no coefficient keeps its bytes, and its field is Q by design
+    text = to_text(GradedSeries(HEIS, 3, {}, field))
+    parsed = from_text(text, resolve_monoid, resolve_crossed)
+    assert parsed.field == QQ and not parsed
+    assert to_text(parsed) == text
 
 
 # (case, refused text, the canonical text it departs from or None when the

@@ -56,7 +56,7 @@ shifts = st.integers(-4, 4)
 
 
 def _wreath_fields(g):
-    return g.as_map(), g.n
+    return dict(g.cells), g.n
 
 
 @PROPERTY
