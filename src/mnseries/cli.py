@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
 import time
 
 from . import registry
@@ -30,7 +29,8 @@ from .freeness import (
 )
 from .groups import SemidirectGroup, classify_order_type, monoid_word_count
 from .linalg import InvariantError
-from .magnus import FreeMonoid, FreeWord, magnus_images, magnus_term_bound, parse_word, reduced_word_count
+from .magnus import (LETTERS, FreeMonoid, magnus_images, magnus_term_bound, parse_word,
+                     reduced_word_count)
 from .report import COUNTEREXAMPLE, EXIT_CODES, VERIFIED, digest, render_json
 from .scalars import field_from_spec, parse_rational
 from .series import from_text, to_text
@@ -174,6 +174,9 @@ def _write_output(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
         return
+    # only a run that writes a file pays for importing tempfile
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mnseries-")
     try:
@@ -255,9 +258,9 @@ def _run_digit_sum(args):
 
 
 def _run_magnus(args):
-    words = [parse_word(w.strip()) for w in args.words.split(",")]
-    size = max(w.size for w in words)
-    words = [FreeWord(size, w.letters) for w in words]
+    # one alphabet for all the words, up to the last letter any of them uses
+    size = max((LETTERS.index(ch) + 1 for ch in args.words if ch in LETTERS), default=1)
+    words = [parse_word(w, size) for w in args.words.split(",")]
     longest = max(len(w) for w in words)
     _check_guard(args, "L", longest, " in --words")
     _check_guard(args, "magnus_terms", sum(magnus_term_bound(w, args.D) for w in words),

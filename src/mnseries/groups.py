@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import _tuplegetter
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -273,12 +273,19 @@ def _expansion(value, den, p, q):
 # group contexts
 
 
-class _Group:
+class _Group(TupleValue):
     """What the group contexts share. Each context keeps multiply, weight and
     in_monoid in its own body and answers its own subgroup tags in
     _subgroup_contains and _sample_subgroup; "1" and "G" are answered here."""
 
+    __slots__ = ()
     graded = True
+
+    def __new__(cls):
+        return _value(cls, ())
+
+    def __bool__(self):
+        return True
 
     def inverse(self, g):
         return g.inverse()
@@ -324,8 +331,8 @@ class _Group:
         return ValueError(f"unknown {self._noun} subgroup {tag!r}")
 
 
-@dataclass(frozen=True)
 class Heisenberg(_Group):
+    __slots__ = ()
     _noun = "Heisenberg"
 
     @property
@@ -384,27 +391,31 @@ class Heisenberg(_Group):
         raise self._unknown(tag)
 
 
-@dataclass(frozen=True)
 class SemidirectGroup(_Group):
     """H x| C with H the rationals reachable from the generators and C = <x>,
     where x z x^-1 = ratio * z for z in H. With ratio 2, t_value 1 this is
     the Baumslag-Solitar group B(1,2) in its standard ordering."""
 
-    ratio: Fraction = Fraction(2)
-    t_value: Fraction = Fraction(1)
+    __slots__ = ()
+    _fields = ("ratio", "t_value")
 
     _noun = "semidirect"
 
-    def __post_init__(self):
-        object.__setattr__(self, "ratio", Fraction(self.ratio))
-        object.__setattr__(self, "t_value", Fraction(self.t_value))
-        if self.ratio <= 0:
+    def __new__(cls, ratio=Fraction(2), t_value=Fraction(1)):
+        ratio = Fraction(ratio)
+        t_value = Fraction(t_value)
+        if ratio <= 0:
             raise ValueError("ratio must be positive")
-        if self.t_value == 0:
+        if t_value == 0:
             raise ValueError("t_value must be nonzero")
-        # the ints that in_monoid reads
-        object.__setattr__(self, "_ints", (self.ratio.numerator, self.ratio.denominator,
-                                          self.t_value.numerator, self.t_value.denominator))
+        # the ints that in_monoid reads follow the two fields
+        ints = (ratio.numerator, ratio.denominator, t_value.numerator, t_value.denominator)
+        return _value(cls, (ratio, t_value, ints))
+
+    _ints = _tuplegetter(2, "ratio and t_value as the ints p, q, tp, tq.")
+
+    def __getnewargs__(self):
+        return self[:2]
 
     @property
     def id(self) -> str:
@@ -481,8 +492,8 @@ class SemidirectGroup(_Group):
         raise self._unknown(tag)
 
 
-@dataclass(frozen=True)
 class WreathGroup(_Group):
+    __slots__ = ()
     _noun = "wreath"
 
     @property
@@ -551,15 +562,16 @@ class WreathGroup(_Group):
         return WreathElement.from_map(mapping, 0)
 
 
-@dataclass(frozen=True)
 class LatticeGroup(_Group):
-    rank: int = 1
+    __slots__ = ()
+    _fields = ("rank",)
 
     _noun = "lattice"
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __new__(cls, rank=1):
+        if rank < 1:
             raise ValueError("rank must be at least 1")
+        return _value(cls, (rank,))
 
     @property
     def id(self) -> str:

@@ -7,28 +7,28 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .groups import NotInMonoidError
 from .report import Report, outcome
-from .scalars import QQ
+from .scalars import QQ, TupleValue
 from .series import GradedSeries
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
-class FreeMonoid:
+class FreeMonoid(TupleValue):
     """Support context for the free monoid on a finite alphabet; elements are
     plain strings, the identity is the empty string, weight is the length."""
 
-    size: int
+    __slots__ = ()
+    _fields = ("size",)
 
     graded = True
 
-    def __post_init__(self):
-        if not 1 <= self.size <= len(LETTERS):
+    def __new__(cls, size):
+        if not 1 <= size <= len(LETTERS):
             raise ValueError(f"alphabet size must be in 1..{len(LETTERS)}")
+        return tuple.__new__(cls, (size,))
 
     @property
     def id(self) -> str:
@@ -71,21 +71,22 @@ class FreeMonoid:
         return "".join(rng.choice(self.alphabet) for _ in range(length))
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(TupleValue):
     """Reduced word in the free group on `size` letters: a tuple of
-    (symbol index, sign) pairs with no adjacent cancelling pair."""
+    (symbol index, sign) pairs with no adjacent cancelling pair. Its length
+    is the number of letters, so the identity word is false."""
 
-    size: int
-    letters: tuple
+    __slots__ = ()
+    _fields = ("size", "letters")
 
-    def __post_init__(self):
-        for sym, sign in self.letters:
-            if not (0 <= sym < self.size) or sign not in (1, -1):
-                raise ValueError(f"bad letter ({sym}, {sign}) for alphabet size {self.size}")
-        for (s1, e1), (s2, e2) in zip(self.letters, self.letters[1:]):
+    def __new__(cls, size, letters):
+        for sym, sign in letters:
+            if not (0 <= sym < size) or sign not in (1, -1):
+                raise ValueError(f"bad letter ({sym}, {sign}) for alphabet size {size}")
+        for (s1, e1), (s2, e2) in zip(letters, letters[1:]):
             if s1 == s2 and e1 == -e2:
                 raise ValueError("word is not reduced")
+        return tuple.__new__(cls, (size, letters))
 
     def __len__(self):
         return len(self.letters)

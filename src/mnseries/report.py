@@ -13,9 +13,10 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+
+from .scalars import TupleValue
 
 VERIFIED = "verified-up-to-bound"
 COUNTEREXAMPLE = "counterexample"
@@ -24,13 +25,14 @@ INCONCLUSIVE = "inconclusive-at-D"
 EXIT_CODES = {VERIFIED: 0, COUNTEREXAMPLE: 2, INCONCLUSIVE: 3}
 
 
-@dataclass
-class Report:
-    kind: str
-    verdict: str
-    bounds: dict
-    witness: object = None
-    details: dict = field(default_factory=dict)
+class Report(TupleValue):
+    __slots__ = ()
+    _fields = ("kind", "verdict", "bounds", "witness", "details")
+
+    def __new__(cls, kind, verdict, bounds, witness=None, details=None):
+        if details is None:
+            details = {}
+        return tuple.__new__(cls, (kind, verdict, bounds, witness, details))
 
     @property
     def verified(self) -> bool:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from collections import _tuplegetter
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -94,17 +93,20 @@ def is_square_free(m: int) -> bool:
 
 
 class TupleValue(tuple):
-    """An immutable value held as the tuple of its fields: the base of the
-    group and field element classes.
+    """An immutable value held as the tuple of its fields: the base of every
+    immutable value in the package, the group and field elements, the group,
+    field, subgroup-ring and free-monoid contexts, free words and reports.
 
     A subclass names its fields in _fields, declares __slots__ = () and
-    builds its elements through tuple.__new__; each field reads as a
-    read-only attribute. The hash is the tuple's own, run in C, so an element
-    hashes as the tuple of its fields; a subclass may hash fewer of them
-    (SemidirectElement leaves out the ratio its group shares, as a Fraction
-    hashes in Python). Equality compares the fields as the tuple does, but
-    an element equals only an element of its own class, never a plain tuple;
-    the tuple's arithmetic and order are refused.
+    builds its values through tuple.__new__, validating its arguments in
+    __new__; each field reads as a read-only attribute. The hash is the
+    tuple's own, run in C, so a value hashes as the tuple of its fields; a
+    subclass may hash fewer of them (SemidirectElement leaves out the ratio
+    its group shares, as a Fraction hashes in Python). Equality compares the
+    fields as the tuple does, but a value equals only a value of its own
+    class, never a plain tuple; the tuple's arithmetic and order are refused.
+    A value with no fields is an empty tuple, so such a class defines
+    __bool__ to stay true.
     """
 
     __slots__ = ()
@@ -315,9 +317,16 @@ class QuadraticFieldElement(TupleValue):
         return f"{u}-{-v}*sqrt({m})"
 
 
-@dataclass(frozen=True)
-class RationalField:
+class RationalField(TupleValue):
     """Q, with values int when integral and Fraction otherwise."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return _value(cls, ())
+
+    def __bool__(self):
+        return True
 
     @property
     def name(self) -> str:
@@ -361,16 +370,17 @@ class RationalField:
         return (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    p: int
+class PrimeField(TupleValue):
+    __slots__ = ()
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p >= PSI_12:
-            raise ValueError(f"modulus {self.p} is outside p < {PSI_12}, the range of the "
+    def __new__(cls, p):
+        if p >= PSI_12:
+            raise ValueError(f"modulus {p} is outside p < {PSI_12}, the range of the "
                              "primality test")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        return _value(cls, (p,))
 
     @property
     def name(self) -> str:
@@ -412,16 +422,17 @@ class PrimeField:
         return tuple(PrimeFieldElement(r, self.p) for r in range(min(self.p, 5)))
 
 
-@dataclass(frozen=True)
-class QuadraticField:
-    radicand: int
+class QuadraticField(TupleValue):
+    __slots__ = ()
+    _fields = ("radicand",)
 
-    def __post_init__(self):
-        if abs(self.radicand) >= RADICAND_LIMIT:
-            raise ValueError(f"radicand {self.radicand} is outside |m| < 2**31, the range of "
+    def __new__(cls, radicand):
+        if abs(radicand) >= RADICAND_LIMIT:
+            raise ValueError(f"radicand {radicand} is outside |m| < 2**31, the range of "
                              "the square-free test")
-        if self.radicand in (0, 1) or not is_square_free(self.radicand):
-            raise ValueError(f"radicand must be square-free and not 0 or 1: {self.radicand}")
+        if radicand in (0, 1) or not is_square_free(radicand):
+            raise ValueError(f"radicand must be square-free and not 0 or 1: {radicand}")
+        return _value(cls, (radicand,))
 
     @property
     def name(self) -> str:

@@ -25,11 +25,10 @@ is what makes this worth keeping.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .groups import NotInMonoidError
-from .scalars import field_of, parse_scalar, QQ
+from .scalars import TupleValue, field_of, parse_scalar, QQ
 
 
 class ContextMismatchError(ValueError):
@@ -41,16 +40,18 @@ class NoTruncatedInverseError(ValueError):
     ungraded)."""
 
 
-@dataclass(frozen=True)
-class SubgroupRing:
+class SubgroupRing(TupleValue):
     """Ungraded support context over a named subgroup: finite-support exact
     mode. The coefficients of regrouped series are series over it, and tag
     "G" gives the whole group's ring."""
 
-    group: object
-    subgroup_tag: str
+    __slots__ = ()
+    _fields = ("group", "subgroup_tag")
 
     graded = False
+
+    def __new__(cls, group, subgroup_tag):
+        return tuple.__new__(cls, (group, subgroup_tag))
 
     @property
     def id(self) -> str:

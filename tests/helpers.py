@@ -19,9 +19,12 @@ elements' own hashing. The elimination oracles rewrite every entry of every
 row they update, with no skipping of zero entries or zero heads, and
 reference_rank_and_left_nullspace runs them on [M | I] in Fraction and field
 arithmetic. The test fixtures corrupt_twist and with_degree build objects the
-library itself never needs.
+library itself never needs. The dataclass twins are the value contract the
+context, field and word classes and Report had as dataclasses: repr, ==,
+hash and bool, to hold the tuple-backed classes to.
 """
 
+from dataclasses import field, fields, make_dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -155,6 +158,48 @@ def quad_inverse(x, m):
 def quad_str(x, m):
     u, v = x
     return f"{u}+{v}*sqrt({m})" if v >= 0 else f"{u}-{-v}*sqrt({m})"
+
+
+# --- dataclass twins: the contract of the tuple-backed contexts --------------
+# Each twin has the fields, defaults and class name of the class it stands
+# for; all are frozen but Report's, which was a plain dataclass. FreeWord's
+# length is its letter count, so the identity word is false.
+
+def _frozen(name, *spec, **kwargs):
+    return make_dataclass(name, spec, frozen=True, **kwargs)
+
+
+DATACLASS_TWINS = {
+    twin.__name__: twin
+    for twin in (
+        _frozen("Heisenberg"),
+        _frozen("SemidirectGroup", ("ratio", Fraction, field(default=Fraction(2))),
+                ("t_value", Fraction, field(default=Fraction(1)))),
+        _frozen("WreathGroup"),
+        _frozen("LatticeGroup", ("rank", int, field(default=1))),
+        _frozen("RationalField"),
+        _frozen("PrimeField", ("p", int)),
+        _frozen("QuadraticField", ("radicand", int)),
+        _frozen("SubgroupRing", ("group", object), ("subgroup_tag", str)),
+        _frozen("FreeMonoid", ("size", int)),
+        _frozen("FreeWord", ("size", int), ("letters", tuple),
+                namespace={"__len__": lambda self: len(self.letters)}),
+        make_dataclass("Report", (("kind", str), ("verdict", str), ("bounds", dict),
+                                  ("witness", object, field(default=None)),
+                                  ("details", dict, field(default_factory=dict)))),
+    )
+}
+
+
+def dataclass_twin(value):
+    """The dataclass twin of a context, field, word or report, built from its
+    fields by name; a field holding such a value holds its twin."""
+    twin = DATACLASS_TWINS[type(value).__name__]
+
+    def convert(item):
+        return dataclass_twin(item) if type(item).__name__ in DATACLASS_TWINS else item
+
+    return twin(**{f.name: convert(getattr(value, f.name)) for f in fields(twin)})
 
 
 # --- random series ----------------------------------------------------------

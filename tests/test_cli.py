@@ -103,6 +103,25 @@ def test_magnus_distinct_and_collision(capsys):
     assert report["collision"] == ["ab", "ab"]
 
 
+def test_magnus_parses_each_word_once_over_one_alphabet(capsys, monkeypatch):
+    # the alphabet runs to the last letter of any word, so every word is
+    # built once, at that size, and the report is unchanged
+    calls = []
+    parse_word = cli.parse_word
+
+    def counting_parse_word(text, size=None):
+        calls.append((text, size))
+        return parse_word(text, size)
+
+    monkeypatch.setattr(cli, "parse_word", counting_parse_word)
+    code, report = run_json(capsys, "magnus", "--words", "ab,c'a, 1", "--D", "2")
+    assert code == 0 and calls == [("ab", 3), ("c'a", 3), (" 1", 3)]
+    assert [image["word"] for image in report["images"]] == ["ab", "c'a", "1"]
+    calls.clear()
+    code, report = run_json(capsys, "magnus", "--words", "1,1", "--D", "2")
+    assert code == 2 and calls == [("1", 1), ("1", 1)]
+
+
 def test_check_crossed(capsys):
     code, report = run_json(capsys, *DOCUMENTED[5])
     assert code == 0 and report["valid"]
@@ -579,6 +598,19 @@ def test_reports_survive_optimized_mode(argv):
         assert proc.returncode == 2, proc.stderr
         digests.append(json.loads(proc.stdout)["digest"])
     assert digests[0] == digests[1]
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_tempfile():
+    """A fresh interpreter, isolated and without site, imports the CLI without
+    the modules that made most of its cold start: dataclasses (with inspect)
+    and tempfile, which only a run with --out imports."""
+    script = ("import sys\n"
+              f"sys.path.insert(0, {SRC_DIR!r})\n"
+              "import mnseries.cli\n"
+              "print(','.join(m for m in ('dataclasses', 'inspect', 'tempfile') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "", proc.stdout
 
 
 def test_witness_reverification_runs_in_optimized_mode():
