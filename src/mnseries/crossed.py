@@ -205,7 +205,7 @@ def change_basis(f: GradedSeries, system_new, d) -> GradedSeries:
     becomes x~ * (d(x)^-1 * a_x)."""
     field = f.field
     terms = {g: field.inv(d(g)) * c for g, c in f.terms.items()}
-    return GradedSeries(f.context, f.degree, terms, field, system_new, weights=f.weights)
+    return GradedSeries(f.context, f.degree, terms, field, system_new)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +266,7 @@ class SubgroupSeriesRing:
             )
         ((n, c),) = value.terms.items()
         n_inv, c_inv = term_inverse(self.base, n, c)
-        return GradedSeries(self.subring, 0, {n_inv: c_inv}, self.field, self.system,
-                            weights={n_inv: 0})
+        return GradedSeries(self.subring, 0, {n_inv: c_inv}, self.field, self.system)
 
     def panel(self) -> tuple:
         """Fixed N-series for check_crossed_system: zero, one, each
@@ -328,7 +327,7 @@ class QuotientSystem(CrossedSystem):
         rep_ab, n = d.subgroup_part(d.group.multiply(rep_a, rep_b))
         field = self.base.field
         scalar = field.inv(self.base.twist(rep_ab, n)) * self.base.twist(rep_a, rep_b)
-        return GradedSeries(self.subring, 0, {n: scalar}, field, self.base, weights={n: 0})
+        return GradedSeries(self.subring, 0, {n: scalar}, field, self.base)
 
     def _induced_action(self, gamma, f: GradedSeries) -> GradedSeries:
         """Conjugation of an N-series by the representative of gamma,
@@ -342,13 +341,8 @@ class QuotientSystem(CrossedSystem):
             g2, c2 = term_product(self.base, g1, c1, rep, field.one)
             if not self.descriptor.in_subgroup(g2):
                 raise AssertionError("conjugated support left the subgroup")
-            s = out.get(g2, field.zero) + c2
-            if s:
-                out[g2] = s
-            else:
-                out.pop(g2, None)
-        return GradedSeries(self.subring, 0, out, field, self.base,
-                            weights=dict.fromkeys(out, 0))
+            out[g2] = out.get(g2, field.zero) + c2
+        return GradedSeries(self.subring, 0, out, field, self.base)
 
 
 @cache
@@ -394,17 +388,9 @@ def regroup(f: GradedSeries, descriptor: QuotientDescriptor) -> GradedSeries:
     for g, a in f.terms.items():
         rep, n = descriptor.subgroup_part(g)
         bucket = buckets.setdefault(rep, {})
-        s = bucket.get(n, field.zero) + field.inv(base.twist(rep, n)) * a
-        if s:
-            bucket[n] = s
-        else:
-            bucket.pop(n, None)
-    terms = {
-        descriptor.project(rep): GradedSeries(qsys.subring, 0, bucket, field, base,
-                                              weights=dict.fromkeys(bucket, 0))
-        for rep, bucket in buckets.items()
-        if bucket
-    }
+        bucket[n] = bucket.get(n, field.zero) + field.inv(base.twist(rep, n)) * a
+    terms = {descriptor.project(rep): GradedSeries(qsys.subring, 0, bucket, field, base)
+             for rep, bucket in buckets.items()}
     return GradedSeries(_context_over(descriptor.quotient, ctx.graded), f.degree, terms,
                         qsys.field, qsys)
 
@@ -423,11 +409,7 @@ def flatten(rf: GradedSeries) -> GradedSeries:
         rep = descriptor.representative(q)
         for n, zeta in coeff.terms.items():
             g = group.multiply(rep, n)
-            s = terms.get(g, field.zero) + base.twist(rep, n) * zeta
-            if s:
-                terms[g] = s
-            else:
-                terms.pop(g, None)
+            terms[g] = terms.get(g, field.zero) + base.twist(rep, n) * zeta
     return GradedSeries(_context_over(group, rf.context.graded), rf.degree, terms, field, base)
 
 
@@ -440,15 +422,8 @@ def augment_coefficients(rf: GradedSeries) -> GradedSeries:
     coefficient of a regrouped series, yielding a plain series over the
     quotient group."""
     field = rf.system.base.field
-    terms = {}
-    for q, coeff in rf.terms.items():
-        total = field.zero
-        for zeta in coeff.terms.values():
-            total = total + zeta
-        if total:
-            terms[q] = total
-    return GradedSeries(rf.context, rf.degree, terms, field, None,
-                        weights={q: rf.weights[q] for q in terms})
+    terms = {q: sum(coeff.terms.values(), field.zero) for q, coeff in rf.terms.items()}
+    return GradedSeries(rf.context, rf.degree, terms, field, None)
 
 
 def project_series(f: GradedSeries, descriptor) -> GradedSeries:

@@ -258,7 +258,7 @@ def type1_unit_generators(group, c, d, degree: int):
     if not c or not d:
         raise ValueError("unit generators need nonzero scalars")
     fld = field_of(c)
-    if field_of(d) != fld:
+    if not fld.contains(d):
         raise ValueError("the two scalars must lie in one field")
     x, y = group.monoid_generators()[:2]
     one = GradedSeries.one(group, degree, fld)

@@ -213,8 +213,7 @@ def magnus_image(word: FreeWord, degree: int) -> GradedSeries:
         raise ValueError("degree must be nonnegative")
     monoid = FreeMonoid(word.size)
     one = QQ.one
-    units = [GradedSeries(monoid, degree, {"": one, letter: one}, QQ,
-                          weights={"": 0, letter: 1})
+    units = [GradedSeries(monoid, degree, {"": one, letter: one} if degree else {"": one}, QQ)
              for letter in monoid.alphabet]
     return word_images([word], units)[0]
 

@@ -19,7 +19,9 @@ context's weight is computed once, when a term enters through validation;
 products add the weights of their factors (the weight is additive) and every
 other operation copies them across, so arithmetic never asks the context
 again. For the semidirect monoids the weight is a membership search, which
-is what makes this worth keeping.
+is what makes this worth keeping. Only this module vouches for weights: its
+arithmetic and constructors pass the private _weights map, and every series
+built elsewhere goes through validation.
 """
 
 from __future__ import annotations
@@ -98,22 +100,24 @@ class GradedSeries:
 
     Any trivial system is stored as None, so systems compare with ==.
 
-    Without weights, each term is checked and its weight computed here, once.
-    With weights the caller vouches for the terms, and weights must map each
-    element of terms to its weight."""
+    Each term is checked and its weight computed here, once: zero
+    coefficients are dropped, and a term outside the context, off the field
+    or above the degree is refused. The keyword-only _weights is private to
+    this module, whose arithmetic vouches for the terms it passes; it must
+    map each element of terms to its weight."""
 
     __slots__ = ("context", "degree", "field", "system", "terms", "weights")
 
-    def __init__(self, context, degree, terms, field, system=None, weights=None):
+    def __init__(self, context, degree, terms, field, system=None, *, _weights=None):
         self.context = context
         self.degree = int(degree)
         self.field = field
         if system is not None and system.is_trivial:
             system = None
         self.system = system
-        if weights is None:
+        if _weights is None:
             clean = {}
-            weights = {}
+            _weights = {}
             if self.degree < 0:
                 raise ValueError("degree must be nonnegative")
             if system is not None and system.group != group_of(context):
@@ -129,7 +133,7 @@ class GradedSeries:
                     raise ValueError(
                         f"support element {context.format_element(g)} outside context {context.id}"
                     ) from None
-                if field is not None and not field.contains(coeff):
+                if not field.contains(coeff):
                     raise ContextMismatchError(
                         f"coefficient {coeff!r} is not in field {field.name}"
                     )
@@ -138,27 +142,27 @@ class GradedSeries:
                         f"term {context.format_element(g)} exceeds degree {self.degree}"
                     )
                 clean[g] = coeff
-                weights[g] = w
+                _weights[g] = w
             self.terms = clean
         else:
             self.terms = terms
-        self.weights = weights
+        self.weights = _weights
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, context, degree, field, system=None):
-        return cls(context, degree, {}, field, system, weights={})
+        return cls(context, degree, {}, field, system, _weights={})
 
     @classmethod
     def one(cls, context, degree, field, system=None):
         ident = context.identity()
-        return cls(context, degree, {ident: field.one}, field, system, weights={ident: 0})
+        return cls(context, degree, {ident: field.one}, field, system, _weights={ident: 0})
 
     @classmethod
     def from_scalar(cls, context, degree, value, field, system=None):
         terms = {context.identity(): value} if value else {}
-        return cls(context, degree, terms, field, system, weights=dict.fromkeys(terms, 0))
+        return cls(context, degree, terms, field, system, _weights=dict.fromkeys(terms, 0))
 
     @classmethod
     def monomial(cls, context, degree, g, coeff, field, system=None):
@@ -251,7 +255,7 @@ class GradedSeries:
                 terms.pop(g, None)
                 weights.pop(g, None)
         return GradedSeries(self.context, self.degree, terms, self.field, self.system,
-                            weights=weights)
+                            _weights=weights)
 
     def __neg__(self):
         return GradedSeries(
@@ -260,7 +264,7 @@ class GradedSeries:
             {g: -c for g, c in self.terms.items()},
             self.field,
             self.system,
-            weights=self.weights,
+            _weights=self.weights,
         )
 
     def __sub__(self, other):
@@ -278,7 +282,7 @@ class GradedSeries:
             {g: c * value for g, c in self.terms.items()},
             self.field,
             self.system,
-            weights=self.weights,
+            _weights=self.weights,
         )
 
     def __mul__(self, other):
@@ -315,7 +319,7 @@ class GradedSeries:
                     out.pop(x, None)
         if len(weights) != len(out):
             weights = {x: weights[x] for x in out}
-        return GradedSeries(ctx, degree, out, field, system, weights=weights)
+        return GradedSeries(ctx, degree, out, field, system, _weights=weights)
 
     def truncated(self, new_degree: int):
         """Explicit copy at a lower degree; refuses to drop nothing silently."""
@@ -325,7 +329,7 @@ class GradedSeries:
         weights = self.weights
         terms = {g: c for g, c in self.terms.items() if weights[g] <= new_degree}
         return GradedSeries(self.context, new_degree, terms, self.field, self.system,
-                            weights={g: weights[g] for g in terms})
+                            _weights={g: weights[g] for g in terms})
 
     def invert(self):
         """Truncated two-sided inverse, defined when the identity coefficient
@@ -353,7 +357,7 @@ class GradedSeries:
         u_inv = field.inv(u)
         m_terms = {g: -(c * u_inv) for g, c in self.terms.items() if g != ident}
         m = GradedSeries(ctx, degree, m_terms, field, system,
-                         weights={g: self.weights[g] for g in m_terms})
+                         _weights={g: self.weights[g] for g in m_terms})
         layers = [{ident: u_inv}] + [{} for _ in range(degree)]
         terms = {}
         weights = {}
@@ -366,13 +370,13 @@ class GradedSeries:
             weights.update(layer_weights)
             if w == degree:
                 break
-            product = GradedSeries(ctx, degree, layer, field, system, weights=layer_weights) * m
+            product = GradedSeries(ctx, degree, layer, field, system, _weights=layer_weights) * m
             product_weights = product.weights
             for g, c in product.terms.items():
                 above = layers[product_weights[g]]
                 s = above.get(g)
                 above[g] = c if s is None else s + c
-        return GradedSeries(ctx, degree, terms, field, system, weights=weights)
+        return GradedSeries(ctx, degree, terms, field, system, _weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +412,8 @@ def from_text(text: str, monoid_resolver, crossed_resolver=None):
     """Parse the text format and accept it only as the exact bytes to_text
     writes for the parsed series, so accepted files round-trip byte-exactly.
     The coefficient field is inferred from the first coefficient's syntax
-    (rationals when there is none); a coefficient from another field fails
-    validation.
+    (rationals when there is none), and that field parses every coefficient,
+    so a coefficient from another field is refused.
 
     Returns the parsed series; the crossed system is attached through
     crossed_resolver(crossed_id, context, field) when given, else must be
@@ -422,20 +426,24 @@ def from_text(text: str, monoid_resolver, crossed_resolver=None):
         raise ValueError(f"bad series header: {lines[0]!r}")
     context = monoid_resolver(m.group(1))
     crossed_id = m.group(3)
-    rows = []
+    field = QQ
+    terms = {}
     for ln in lines[1:]:
         parts = ln.split("\t")
         if len(parts) != 3:
             raise ValueError(f"bad series line: {ln!r}")
-        rows.append((context.parse_element(parts[1]), parse_scalar(parts[2])))
-    field = field_of(rows[0][1]) if rows else QQ
+        g = context.parse_element(parts[1])
+        if not terms:
+            # the first coefficient's syntax names the field, built once
+            field = field_of(parse_scalar(parts[2]))
+        terms[g] = field.parse(parts[2])
     system = None
     if crossed_id != "trivial":
         if crossed_resolver is None:
             raise ValueError(f"no resolver for crossed system {crossed_id!r}")
         system = crossed_resolver(crossed_id, context, field)
     # validation computes each term's weight, the one membership search per term
-    series = GradedSeries(context, int(m.group(2)), dict(rows), field, system)
+    series = GradedSeries(context, int(m.group(2)), terms, field, system)
     canonical = to_text(series)
     if canonical != text:
         raise ValueError(f"series text is not in canonical form: {_first_difference(text, canonical)}")

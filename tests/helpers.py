@@ -220,8 +220,7 @@ def random_series(context, degree, field, rng, n_terms=5, system=None, unit=Fals
 def with_degree(f, new_degree):
     """f recontextualised at a degree at least its own, terms unchanged."""
     assert new_degree >= f.degree
-    return GradedSeries(f.context, new_degree, dict(f.terms), f.field, f.system,
-                        weights=dict(f.weights))
+    return GradedSeries(f.context, new_degree, dict(f.terms), f.field, f.system)
 
 
 def corrupt_twist(system, at_pair, value):
@@ -285,19 +284,16 @@ def reference_magnus_image(word, degree, field=QQ):
     one = field.one
     for sym, sign in word.letters:
         letter = LETTERS[sym]
-        # letter^j has weight j
+        # letter^j has weight j, so at degree 0 the letter factor is 1
         if sign == 1:
-            factor = GradedSeries(monoid, degree, {"": one, letter: one}, field,
-                                  weights={"": 0, letter: 1})
+            terms = {"": one, letter: one} if degree else {"": one}
         else:
             terms = {}
-            weights = {}
             coeff = one
             for j in range(degree + 1):
                 terms[letter * j] = coeff
-                weights[letter * j] = j
                 coeff = -coeff
-            factor = GradedSeries(monoid, degree, terms, field, weights=weights)
+        factor = GradedSeries(monoid, degree, terms, field)
         image = image * factor
     return image
 

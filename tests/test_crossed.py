@@ -221,6 +221,8 @@ def test_regrouped_multiplication_is_associative(group, tag):
         c = regroup(random_series(group, 4, QQ, rng), qd)
         assert a.system == qs
         assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
 
 
 def test_regroup_is_additive(subtests=None):
@@ -336,8 +338,9 @@ def test_regroup_under_a_twisted_base_system(group, tag, d):
 @pytest.mark.parametrize("group,tag,d", TWISTED_BASES, ids=("heis-center", "bs12-base"))
 @pytest.mark.parametrize("twisted", (False, True), ids=("trivial-base", "diagonal-base"))
 def test_trusted_series_match_the_validating_constructor(group, tag, d, twisted):
-    # series built with their weights given, rebuilt from their terms by the
-    # validating constructor, keep their terms and weights (== ignores weights)
+    # series from the constructors that pass their own weights, and from the
+    # crossed builders, rebuilt from their terms by the validating constructor,
+    # keep their terms and weights (== ignores weights)
     base = diagonal_change(trivial_system(group, QQ), d) if twisted else trivial_system(group, QQ)
     qs = quotient_system(group, tag, base=base)
     ring = qs.field

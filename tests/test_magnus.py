@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import assert_weights
+from mnseries import magnus
 from mnseries.magnus import (
     FreeMonoid,
     FreeWord,
     enumerate_reduced_words,
     magnus_image,
+    magnus_images,
     parse_word,
     reduced_word_count,
     verify_magnus_injectivity,
@@ -120,9 +122,28 @@ def test_image_has_unit_identity_coefficient():
 
 
 def test_image_weights_are_word_lengths():
-    # the factor series carry their weights instead of computing them
+    # products carry the weights of their factors instead of computing them
     for w in enumerate_reduced_words(2, 3):
         assert_weights(magnus_image(w, 4))
+
+
+def test_letter_units_hold_no_term_above_the_degree(monkeypatch):
+    # the letter units 1 + letter are built through validation, so at degree
+    # 0 the unit is 1
+    units = []
+    word_images = magnus.word_images
+
+    def recording(words, given):
+        units.extend(given)
+        return word_images(words, given)
+
+    monkeypatch.setattr(magnus, "word_images", recording)
+    magnus_image(parse_word("a"), 0)
+    magnus_images([parse_word("ab", 2), parse_word("a'b", 2)], 0)
+    assert units
+    for unit in units:
+        assert_weights(unit)
+        assert all(w <= unit.degree for w in unit.weights.values()), unit
 
 
 @pytest.mark.parametrize("size,length,degree,count", [(2, 3, 3, 53), (1, 2, 2, 5), (2, 4, 4, 161)])

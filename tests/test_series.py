@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from helpers import assert_one, random_series, reference_invert, with_degree
+from mnseries import scalars
 from mnseries.crossed import flatten, quadratic_conj_z, regroup, trivial_system, z2_sign_twist
 from mnseries.groups import (
     Heisenberg,
     HeisenbergElement,
     LatticeGroup,
     SemidirectGroup,
+    WreathGroup,
     quotient_descriptor,
 )
 from mnseries.magnus import FreeMonoid
@@ -130,6 +132,9 @@ CONTEXTS = [
     ("z2-sign", Z2, QQ, z2_sign_twist(QQ)),
     ("quad-conj", LatticeGroup(1), QuadraticField(2), quadratic_conj_z(2)),
     ("f5", HEIS, PrimeField(5), None),
+    ("bs12", SemidirectGroup(), QQ, None),
+    ("wreath", WreathGroup(), QQ, None),
+    ("free2", FreeMonoid(2), QQ, None),
 ]
 
 
@@ -369,3 +374,30 @@ def test_text_refusal_names_the_first_differing_line():
     # meet a text shorter than its canonical form
     assert _first_difference(header, header + "0\tZ(0)\t1\n") == (
         "line 2 is missing; the canonical line is '0\\tZ(0)\\t1\\n'")
+
+
+def test_weights_are_private_to_the_series_module():
+    # every series built outside series.py goes through validation
+    with pytest.raises(TypeError):
+        GradedSeries(HEIS, 2, {}, QQ, **{"weights": {}})
+    with pytest.raises(TypeError):
+        GradedSeries(HEIS, 2, {}, QQ, None, {})
+
+
+def test_series_file_builds_its_field_once(monkeypatch):
+    # the first coefficient names the field; every other row is parsed by it,
+    # so the square-free test runs as often for 30 rows as for 3
+    field = QuadraticField(2)
+    z = LatticeGroup(1)
+    texts = [to_text(GradedSeries(z, 29, {z.element(j): field.from_parts(j + 1, 1)
+                                          for j in range(rows)}, field))
+             for rows in (3, 30)]
+    calls = []
+    is_square_free = scalars.is_square_free
+    monkeypatch.setattr(scalars, "is_square_free", lambda m: calls.append(m) or is_square_free(m))
+    counts = []
+    for text in texts:
+        calls.clear()
+        assert to_text(from_text(text, resolve_monoid, resolve_crossed)) == text
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
