@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from operator import attrgetter
 
 from . import registry
 from .crossed import check_crossed_system
@@ -231,11 +232,20 @@ def _run_verify_monoid(args):
     return {"group": args.group, "gens": args.gens, "L": args.L}, report.to_json(), report.exit_code
 
 
+def _canonical(flag: str, text: str, parse, write=str):
+    """parse(text), refused unless write gives text back: the round-trip rule
+    of series files, so a value has one spelling and one digest."""
+    value = parse(text)
+    if write(value) != text:
+        raise ValueError(f"{flag} {text!r} is not in canonical form; write {write(value)!r}")
+    return value
+
+
 def _run_verify_group_algebra(args):
     group = registry.resolve_group(args.group)
-    fld = field_from_spec(args.field)
-    c = fld.parse(args.c)
-    d = fld.parse(args.d)
+    fld = _canonical("--field", args.field, field_from_spec, attrgetter("name"))
+    c = _canonical("--c", args.c, fld.parse, fld.format)
+    d = _canonical("--d", args.d, fld.parse, fld.format)
     units = type1_unit_generators(group, c, d, args.D)
     _check_guard(args, "words", reduced_word_count(len(units), args.L), f" at L={args.L}")
     report = group_algebra_independence(list(units), args.L)
@@ -246,7 +256,7 @@ def _run_verify_group_algebra(args):
 
 def _parse_ratio(args):
     """--r as a Fraction, held to the ratio_bits guard."""
-    r = parse_rational(args.r)
+    r = _canonical("--r", args.r, parse_rational)
     _check_guard(args, "ratio_bits", max(r.numerator.bit_length(), r.denominator.bit_length()),
                  " in --r")
     return r
@@ -311,7 +321,7 @@ def _run_check_crossed(args):
 
 def _run_pingpong(args):
     r = _parse_ratio(args)
-    t = parse_rational(args.t)
+    t = _canonical("--t", args.t, parse_rational)
     report = pingpong_check(SemidirectGroup(r, t), t, args.L)
     return {"r": args.r, "t": args.t, "L": args.L}, report.to_json(), report.exit_code
 

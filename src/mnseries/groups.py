@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections import _tuplegetter
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -408,14 +407,7 @@ class SemidirectGroup(_Group):
             raise ValueError("ratio must be positive")
         if t_value == 0:
             raise ValueError("t_value must be nonzero")
-        # the ints that in_monoid reads follow the two fields
-        ints = (ratio.numerator, ratio.denominator, t_value.numerator, t_value.denominator)
-        return _value(cls, (ratio, t_value, ints))
-
-    _ints = _tuplegetter(2, "ratio and t_value as the ints p, q, tp, tq.")
-
-    def __getnewargs__(self):
-        return self[:2]
+        return _value(cls, (ratio, t_value))
 
     @property
     def id(self) -> str:
@@ -447,12 +439,12 @@ class SemidirectGroup(_Group):
         if not num:
             return True
         # h/t in lowest terms, on ints
-        p, q, tp, tq = self._ints
-        num, den = num * tq, den * tp
+        ratio, t = self
+        num, den = num * t.denominator, den * t.numerator
         if den < 0:
             num, den = -num, -den
         c = gcd(num, den)
-        digits = _expansion(num // c, den // c, p, q)
+        digits = _expansion(num // c, den // c, ratio.numerator, ratio.denominator)
         return digits is not None and digits[-1] <= n - 1
 
     def weight(self, g) -> int:

@@ -43,13 +43,7 @@ class Report(TupleValue):
         return EXIT_CODES[self.verdict]
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "bounds": self.bounds,
-            "witness": self.witness,
-            "details": self.details,
-        }
+        return dict(zip(self._fields, self))
 
 
 def outcome(kind: str, bounds: dict, witness, details: dict) -> Report:

@@ -95,18 +95,21 @@ def is_square_free(m: int) -> bool:
 class TupleValue(tuple):
     """An immutable value held as the tuple of its fields: the base of every
     immutable value in the package, the group and field elements, the group,
-    field, subgroup-ring and free-monoid contexts, free words and reports.
+    field, subgroup-ring and free-monoid contexts, free words, series and
+    reports.
 
     A subclass names its fields in _fields, declares __slots__ = () and
     builds its values through tuple.__new__, validating its arguments in
     __new__; each field reads as a read-only attribute. The hash is the
     tuple's own, run in C, so a value hashes as the tuple of its fields; a
     subclass may hash fewer of them (SemidirectElement leaves out the ratio
-    its group shares, as a Fraction hashes in Python). Equality compares the
-    fields as the tuple does, but a value equals only a value of its own
-    class, never a plain tuple; the tuple's arithmetic and order are refused.
-    A value with no fields is an empty tuple, so such a class defines
-    __bool__ to stay true.
+    its group shares, as a Fraction hashes in Python), and GradedSeries
+    hashes its context, degree and the items of its term dict, as a dict
+    has no hash. Equality compares the fields as the tuple does, but a value
+    equals only a value of its own class, never a plain tuple; the tuple's
+    arithmetic and order are refused. A value with no fields is an empty
+    tuple, so such a class defines __bool__ to stay true; GradedSeries
+    defines it as having a term.
     """
 
     __slots__ = ()
@@ -317,7 +320,29 @@ class QuadraticFieldElement(TupleValue):
         return f"{u}-{-v}*sqrt({m})"
 
 
-class RationalField(TupleValue):
+class _Field(TupleValue):
+    """What the three fields share: values print as str, nonzero values
+    invert through their inverse(), and a nonzero sample is drawn from
+    sample until one is nonzero. Q overrides inv, as an int has no
+    inverse(), and F_p draws a nonzero residue directly. Each field keeps
+    its own zero, one, contains, parse, sample and panel."""
+
+    __slots__ = ()
+
+    def format(self, x) -> str:
+        return str(x)
+
+    def inv(self, x):
+        return x.inverse()
+
+    def sample_nonzero(self, rng):
+        while True:
+            x = self.sample(rng)
+            if x:
+                return x
+
+
+class RationalField(_Field):
     """Q, with values int when integral and Fraction otherwise."""
 
     __slots__ = ()
@@ -354,23 +379,14 @@ class RationalField(TupleValue):
     def parse(self, text: str):
         return normal_rational(parse_rational(text))
 
-    def format(self, x) -> str:
-        return str(x)
-
     def sample(self, rng):
         return normal_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
-
-    def sample_nonzero(self, rng):
-        while True:
-            x = self.sample(rng)
-            if x:
-                return x
 
     def panel(self):
         return (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
 
 
-class PrimeField(TupleValue):
+class PrimeField(_Field):
     __slots__ = ()
     _fields = ("p",)
 
@@ -400,17 +416,11 @@ class PrimeField(TupleValue):
     def contains(self, x) -> bool:
         return isinstance(x, PrimeFieldElement) and x.modulus == self.p
 
-    def inv(self, x):
-        return x.inverse()
-
     def parse(self, text: str):
         m = _MOD_RE.match(text.strip())
         if not m or int(m.group(2)) != self.p:
             raise ValueError(f"not an element of F_{self.p}: {text!r}")
         return PrimeFieldElement(int(m.group(1)), self.p)
-
-    def format(self, x) -> str:
-        return str(x)
 
     def sample(self, rng):
         return PrimeFieldElement(rng.randrange(self.p), self.p)
@@ -422,7 +432,7 @@ class PrimeField(TupleValue):
         return tuple(PrimeFieldElement(r, self.p) for r in range(min(self.p, 5)))
 
 
-class QuadraticField(TupleValue):
+class QuadraticField(_Field):
     __slots__ = ()
     _fields = ("radicand",)
 
@@ -459,9 +469,6 @@ class QuadraticField(TupleValue):
     def contains(self, x) -> bool:
         return isinstance(x, QuadraticFieldElement) and x.radicand == self.radicand
 
-    def inv(self, x):
-        return x.inverse()
-
     def parse(self, text: str):
         m = _QUAD_RE.match(text.strip())
         if not m or int(m.group(4)) != self.radicand:
@@ -472,21 +479,12 @@ class QuadraticField(TupleValue):
             v = -v
         return QuadraticFieldElement(u, v, self.radicand)
 
-    def format(self, x) -> str:
-        return str(x)
-
     def sample(self, rng):
         return QuadraticFieldElement(
             Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
             Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
             self.radicand,
         )
-
-    def sample_nonzero(self, rng):
-        while True:
-            x = self.sample(rng)
-            if x:
-                return x
 
     def panel(self):
         one = self.one
@@ -522,16 +520,22 @@ def field_from_spec(spec: str):
     raise ValueError(f"unknown field spec {spec!r}")
 
 
-def parse_scalar(text: str):
-    """Parse a scalar, inferring its field from the syntax."""
+def field_of_text(text: str):
+    """The field a scalar's text names by its syntax: F_p for "r mod p",
+    Q(sqrt m) for "u+v*sqrt(m)" or "u-v*sqrt(m)", and Q otherwise."""
     text = text.strip()
     m = _MOD_RE.match(text)
     if m:
-        return PrimeField(int(m.group(2))).parse(text)
+        return PrimeField(int(m.group(2)))
     m = _QUAD_RE.match(text)
     if m:
-        return QuadraticField(int(m.group(4))).parse(text)
-    return QQ.parse(text)
+        return QuadraticField(int(m.group(4)))
+    return QQ
+
+
+def parse_scalar(text: str):
+    """Parse a scalar, inferring its field from the syntax."""
+    return field_of_text(text).parse(text)
 
 
 def rational_power(r: Fraction, k: int) -> Fraction:

@@ -30,7 +30,7 @@ import re
 from operator import itemgetter
 
 from .groups import NotInMonoidError
-from .scalars import TupleValue, field_of, parse_scalar, QQ
+from .scalars import QQ, TupleValue, field_of_text
 
 
 class ContextMismatchError(ValueError):
@@ -93,32 +93,35 @@ def _system_id(system) -> str:
     return "trivial" if system is None else system.id
 
 
-class GradedSeries:
+class GradedSeries(TupleValue):
     """Finite term map from support elements to nonzero scalars, truncated at
-    a fixed degree, with the weight of every term in a parallel map. Immutable
-    by convention; operations return new series.
+    a fixed degree, with the weight of every term in a parallel map: a
+    TupleValue of (context, degree, terms, field, system, weights), so
+    operations return new series. Any trivial system is stored as None, so
+    systems compare with ==.
 
-    Any trivial system is stored as None, so systems compare with ==.
-
-    Each term is checked and its weight computed here, once: zero
+    Each term is checked and its weight computed in __new__, once: zero
     coefficients are dropped, and a term outside the context, off the field
     or above the degree is refused. The keyword-only _weights is private to
     this module, whose arithmetic vouches for the terms it passes; it must
-    map each element of terms to its weight."""
+    map each element of terms to its weight. Copies and pickles rebuild a
+    series from its first five fields, through validation.
 
-    __slots__ = ("context", "degree", "field", "system", "terms", "weights")
+    A series hashes on its context, degree and terms: the term map is a
+    dict, so the tuple's own hash would refuse it. It is true when it has a
+    term, where a 6-tuple is always true."""
 
-    def __init__(self, context, degree, terms, field, system=None, *, _weights=None):
-        self.context = context
-        self.degree = int(degree)
-        self.field = field
+    __slots__ = ()
+    _fields = ("context", "degree", "terms", "field", "system", "weights")
+
+    def __new__(cls, context, degree, terms, field, system=None, *, _weights=None):
+        degree = int(degree)
         if system is not None and system.is_trivial:
             system = None
-        self.system = system
         if _weights is None:
             clean = {}
             _weights = {}
-            if self.degree < 0:
+            if degree < 0:
                 raise ValueError("degree must be nonnegative")
             if system is not None and system.group != group_of(context):
                 raise ContextMismatchError(
@@ -137,16 +140,23 @@ class GradedSeries:
                     raise ContextMismatchError(
                         f"coefficient {coeff!r} is not in field {field.name}"
                     )
-                if w > self.degree:
+                if w > degree:
                     raise ValueError(
-                        f"term {context.format_element(g)} exceeds degree {self.degree}"
+                        f"term {context.format_element(g)} exceeds degree {degree}"
                     )
                 clean[g] = coeff
                 _weights[g] = w
-            self.terms = clean
-        else:
-            self.terms = terms
-        self.weights = _weights
+            terms = clean
+        return tuple.__new__(cls, (context, degree, terms, field, system, _weights))
+
+    def __getnewargs__(self):
+        return self[:5]
+
+    def __hash__(self):
+        return hash((self.context, self.degree, frozenset(self.terms.items())))
+
+    def __bool__(self):
+        return bool(self.terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -189,28 +199,6 @@ class GradedSeries:
             raise ContextMismatchError(
                 f"mixed crossed systems {_system_id(self.system)} and {_system_id(other.system)}"
             )
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedSeries):
-            return NotImplemented
-        return (
-            self.context == other.context
-            and self.degree == other.degree
-            and self.field == other.field
-            and self.system == other.system
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def key(self):
-        """Canonical hashable key: the sorted term list."""
-        fmt = self.field.format
-        return (self.context.id, self.degree, tuple((w, s, fmt(c)) for w, s, c in self.rows()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def coefficient(self, g):
         return self.terms.get(g, self.field.zero)
@@ -435,7 +423,7 @@ def from_text(text: str, monoid_resolver, crossed_resolver=None):
         g = context.parse_element(parts[1])
         if not terms:
             # the first coefficient's syntax names the field, built once
-            field = field_of(parse_scalar(parts[2]))
+            field = field_of_text(parts[2])
         terms[g] = field.parse(parts[2])
     system = None
     if crossed_id != "trivial":

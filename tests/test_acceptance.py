@@ -312,6 +312,8 @@ PINNED_REPORTS = (
       "--L", "3", "--D", "8"), 0, "fbe5c301268193b5"),
     (("magnus", "--words", "b'a,ab,a'b'ab,1,ba'", "--D", "5"), 0, "4d208412d03d33dd"),
     (("magnus", "--words", "ab,a'b,ab", "--D", "4"), 2, "9efb88e038d862c0"),
+    # at D=0 every letter unit is 1, so all four images are 1 and collide
+    (("magnus", "--words", "ab,a'b,1,b'", "--D", "0"), 2, "557a13848a811b4c"),
     # the documented check-crossed, pingpong and classify commands (the
     # appended --seed 5 overrides their --seed 7)
     (DOCUMENTED_COMMANDS[5], 0, "8dc365c5e63e684a"),

@@ -297,6 +297,31 @@ def test_zero_denominator_is_a_usage_error(capsys, tmp_path, argv):
     assert code == 64 and not out and "zero denominator" in err
 
 
+@pytest.mark.parametrize("argv,flag,text,canonical", [
+    (("verify-group-algebra", "--field", "Fp:5", "--c", "6 mod 5", "--d", "2 mod 5",
+      "--L", "2", "--D", "3"), "--c", "6 mod 5", "1 mod 5"),
+    (("verify-group-algebra", "--c", "1", "--d", "2/4", "--L", "2", "--D", "3"),
+     "--d", "2/4", "1/2"),
+    (("verify-group-algebra", "--field", "Qsqrt:2", "--c", "1+1*sqrt(2)", "--d", "1/1-1*sqrt(2)",
+      "--L", "2", "--D", "3"), "--d", "1/1-1*sqrt(2)", "1-1*sqrt(2)"),
+    (("verify-group-algebra", "--field", "Fp:05", "--c", "1 mod 5", "--d", "2 mod 5",
+      "--L", "2", "--D", "3"), "--field", "Fp:05", "Fp:5"),
+    (("digit-sum", "--r", "10/4", "--N", "3"), "--r", "10/4", "5/2"),
+    (("pingpong", "--r", "02", "--t", "1", "--L", "3"), "--r", "02", "2"),
+    (("pingpong", "--r", "2", "--t=-3/6", "--L", "3"), "--t", "-3/6", "-1/2"),
+    (("pingpong", "--r", "2", "--t", " 3/2", "--L", "3"), "--t", " 3/2", "3/2"),
+], ids=("c", "d-Q", "d-Qsqrt", "field", "r-digit-sum", "r-pingpong", "t", "t-space"))
+def test_non_canonical_flag_values_are_usage_errors(capsys, argv, flag, text, canonical):
+    # a value must read back as itself, as series-file coefficients must, so
+    # each computation has one spelling and one digest; the message names
+    # the canonical spelling
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and not out
+    assert f"{flag} {text!r} is not in canonical form; write {canonical!r}" in err
+    code, out, _ = run(capsys, *(a.replace(text, canonical) for a in argv))
+    assert code != 64 and out
+
+
 def test_magnus_word_length_guard(capsys, monkeypatch):
     # the L guard applies to the words themselves; an evaluation that starts
     # fails, so a missing guard cannot pass by running

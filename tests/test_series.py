@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from mnseries.groups import (
 )
 from mnseries.magnus import FreeMonoid
 from mnseries.registry import resolve_crossed, resolve_monoid
-from mnseries.scalars import QQ, PrimeField, QuadraticField
+from mnseries.scalars import QQ, PrimeField, QuadraticField, TupleValue
 from mnseries.series import (
     ContextMismatchError,
     GradedSeries,
@@ -385,8 +387,8 @@ def test_weights_are_private_to_the_series_module():
 
 
 def test_series_file_builds_its_field_once(monkeypatch):
-    # the first coefficient names the field; every other row is parsed by it,
-    # so the square-free test runs as often for 30 rows as for 3
+    # the first coefficient's text names the field, which is built once and
+    # parses every row, so the square-free test runs once per file
     field = QuadraticField(2)
     z = LatticeGroup(1)
     texts = [to_text(GradedSeries(z, 29, {z.element(j): field.from_parts(j + 1, 1)
@@ -400,4 +402,65 @@ def test_series_file_builds_its_field_once(monkeypatch):
         calls.clear()
         assert to_text(from_text(text, resolve_monoid, resolve_crossed)) == text
         counts.append(len(calls))
-    assert counts[0] == counts[1], counts
+    assert counts == [1, 1], counts
+
+
+def _contract_series():
+    """Pairs of equal series built two ways: over Q (ints against Fractions,
+    terms in another order), over F_5, over Q(sqrt 2) and regrouped along the
+    centre of heis, with N-series coefficients."""
+    f5, q2 = PrimeField(5), QuadraticField(2)
+    ident = HEIS.identity()
+    rational = {ident: 1, X: Fraction(1, 2), Y: -3}
+    fractions = {Y: Fraction(-3), X: Fraction(2, 4), ident: Fraction(1)}
+    pairs = [(GradedSeries(HEIS, 3, rational, QQ), GradedSeries(HEIS, 3, fractions, QQ)),
+             (GradedSeries(Z2, 4, {Z2.element(1, 0): f5.from_int(2), Z2.element(0, 2): f5.one},
+                           f5, z2_sign_twist(f5)),
+              mono(Z2, 4, Z2.element(0, 2), f5.from_int(6), f5, z2_sign_twist(f5))
+              + mono(Z2, 4, Z2.element(1, 0), f5.from_int(-3), f5, z2_sign_twist(f5))),
+             (GradedSeries(HEIS, 2, {X: q2.sqrt, ident: q2.one}, q2),
+              mono(HEIS, 2, ident, q2.one, q2) + mono(HEIS, 2, X, q2.sqrt, q2))]
+    center = quotient_descriptor(HEIS, "center")
+    pairs.append(tuple(regroup(f, center) for f in pairs[0]))
+    return pairs
+
+
+def test_series_are_tuple_values_equal_and_hashed_by_their_terms():
+    for first, second in _contract_series():
+        assert isinstance(first, TupleValue) and first is not second
+        assert first == second and not first != second
+        assert hash(first) == hash(second) and len({first, second}) == 1
+        assert first != -first and first != first.truncated(first.degree - 1)
+        # never equal to a plain tuple, in either order
+        assert first != tuple(first) and tuple(first) != first
+        assert not first == tuple(first) and not tuple(first) == first
+
+
+def test_series_copies_and_pickles_rebuild_through_validation():
+    for series in [first for first, _ in _contract_series()]:
+        clones = [copy.copy(series)]
+        if series.system is None:
+            # crossed systems compare by identity and hold closures, so only
+            # a series over the trivial system deep-copies equal and pickles
+            clones += [copy.deepcopy(series), pickle.loads(pickle.dumps(series))]
+        for clone in clones:
+            assert type(clone) is GradedSeries and clone == series
+            assert tuple(clone) == tuple(series) and clone.weights == series.weights
+            assert hash(clone) == hash(series) and to_text(clone) == to_text(series)
+        # copies call the constructor on the first five fields, so they
+        # validate and weigh every term again
+        assert series.__getnewargs__() == (series.context, series.degree, series.terms,
+                                           series.field, series.system)
+
+
+def test_series_fields_are_read_only_and_true_when_it_has_a_term():
+    series = _contract_series()[0][0]
+    for name in [*GradedSeries._fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(series, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(series, name)
+    assert series and GradedSeries.one(HEIS, 0, QQ)
+    assert not GradedSeries.zero(HEIS, 3, QQ)
+    assert not GradedSeries(HEIS, 3, {X: 0, Y: Fraction(0)}, QQ)
+    assert not series - series

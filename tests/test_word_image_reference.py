@@ -24,14 +24,15 @@ from mnseries.magnus import (
     word_images,
 )
 from mnseries.scalars import field_from_spec
+from mnseries.series import to_text
 
 
 def reference_first_collision(words, images):
-    """The first later word whose image's canonical key an earlier word's
-    image already had, as (earlier, later), or None."""
+    """The first later word whose image's text an earlier word's image
+    already had, as (earlier, later), or None."""
     seen = {}
     for word, image in zip(words, images):
-        key = image.key()
+        key = to_text(image)
         if key in seen:
             return seen[key], word
         seen[key] = word
