@@ -226,10 +226,19 @@ def _split_elements(spec: str):
 
 def _run_verify_monoid(args):
     group = registry.resolve_group(args.group)
-    gens = [group.parse_element(s) for s in _split_elements(args.gens)]
+
+    def spelling(text):
+        # a bs12 element may leave out its @r= suffix: the group fixes the ratio
+        if "@" in text:
+            return group.format_element
+        return lambda g: group.format_element(g).partition("@")[0]
+
+    items = _split_elements(args.gens)
+    gens = [_canonical("--gens", s, group.parse_element, spelling(s)) for s in items]
     _check_guard(args, "monoid_words", monoid_word_count(len(gens), args.L), f" at L={args.L}")
     report = free_monoid_check(group, gens, args.L)
-    return {"group": args.group, "gens": args.gens, "L": args.L}, report.to_json(), report.exit_code
+    params = {"group": args.group, "gens": ",".join(items), "L": args.L}
+    return params, report.to_json(), report.exit_code
 
 
 def _canonical(flag: str, text: str, parse, write=str):
@@ -270,7 +279,10 @@ def _run_digit_sum(args):
 def _run_magnus(args):
     # one alphabet for all the words, up to the last letter any of them uses
     size = max((LETTERS.index(ch) + 1 for ch in args.words if ch in LETTERS), default=1)
-    words = [parse_word(w, size) for w in args.words.split(",")]
+    # parse_word reads each item as given, spaces and all; the spelling is
+    # checked on the item without its spaces, which the report leaves out
+    words = [_canonical("--words", w.strip(), lambda _, w=w: parse_word(w, size))
+             for w in args.words.split(",")]
     longest = max(len(w) for w in words)
     _check_guard(args, "L", longest, " in --words")
     _check_guard(args, "magnus_terms", sum(magnus_term_bound(w, args.D) for w in words),
@@ -286,7 +298,7 @@ def _run_magnus(args):
                    for w, img in zip(words, images)],
     }
     code = EXIT_CODES[VERIFIED if collision is None else COUNTEREXAMPLE]
-    return {"words": args.words, "D": args.D}, body, code
+    return {"words": ",".join(map(str, words)), "D": args.D}, body, code
 
 
 def _run_expand(args):

@@ -23,17 +23,19 @@ from __future__ import annotations
 import random
 from functools import cache
 
-from .groups import LatticeGroup, QuotientDescriptor, quotient_descriptor
+from .groups import IdentityCompared, LatticeGroup, QuotientDescriptor, quotient_descriptor
 from .report import Report, outcome
 from .scalars import QQ, QuadraticField
 from .series import (ContextMismatchError, GradedSeries, NoTruncatedInverseError, SubgroupRing,
                      group_of)
 
 
-class CrossedSystem:
+class CrossedSystem(IdentityCompared):
     """Scalar-level system over one group and one field: action(g, x) is x^g,
     twist(g, h) a nonzero scalar. Systems compare by identity; the canonical
-    constructors below are cached, so equal arguments give one object."""
+    constructors below are cached, so equal arguments give one object. A
+    system holds functions, so only a series over the trivial system, which
+    it stores as None, pickles."""
 
     def __init__(self, system_id, group, field, action_fn, twist_fn):
         self.id = system_id
@@ -231,9 +233,10 @@ def term_inverse(system, g, a):
 # quotient systems
 
 
-class SubgroupSeriesRing:
+class SubgroupSeriesRing(IdentityCompared):
     """The coefficient ring of a quotient system: finite series over the
-    subgroup N, with the base system's scalars and twist."""
+    subgroup N, with the base system's scalars and twist. Its system owns it,
+    so it compares by identity."""
 
     def __init__(self, subring: SubgroupRing, field, base: CrossedSystem):
         self.subring = subring

@@ -261,10 +261,9 @@ def type1_unit_generators(group, c, d, degree: int):
     if not fld.contains(d):
         raise ValueError("the two scalars must lie in one field")
     x, y = group.monoid_generators()[:2]
-    one = GradedSeries.one(group, degree, fld)
-    ux = one + GradedSeries.monomial(group, degree, x, c, fld)
-    uy = one + GradedSeries.monomial(group, degree, y, d, fld)
-    return ux, uy
+    ident = group.identity()
+    return (GradedSeries(group, degree, {ident: fld.one, x: c}, fld),
+            GradedSeries(group, degree, {ident: fld.one, y: d}, fld))
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +295,9 @@ def group_algebra_independence(units, max_length: int) -> Report:
     words = enumerate_reduced_words(len(units), max_length)
     ordered_images = word_images(words, units)
 
-    weights = {}
-    for img in ordered_images:
-        weights.update(img.weights)
-    columns = sorted(weights, key=lambda g: (weights[g], ctx.format_element(g)))
+    grade, fmt = ctx.grade, ctx.format_element
+    support = set().union(*(img.terms for img in ordered_images))
+    columns = sorted(support, key=lambda g: (grade(g), fmt(g)))
     col_index = {g: j for j, g in enumerate(columns)}
     zero = fld.zero
     matrix = []

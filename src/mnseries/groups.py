@@ -274,8 +274,10 @@ def _expansion(value, den, p, q):
 
 class _Group(TupleValue):
     """What the group contexts share. Each context keeps multiply, weight and
-    in_monoid in its own body and answers its own subgroup tags in
-    _subgroup_contains and _sample_subgroup; "1" and "G" are answered here."""
+    in_monoid in its own body, beside grade: the additive weight of a monoid
+    element, unchecked, which weight returns after the membership check. It
+    answers its own subgroup tags in _subgroup_contains and _sample_subgroup;
+    "1" and "G" are answered here."""
 
     __slots__ = ()
     graded = True
@@ -356,6 +358,9 @@ class Heisenberg(_Group):
     def weight(self, g) -> int:
         if not self.in_monoid(g):
             raise NotInMonoidError(f"{g} is outside the monoid generated by x, y")
+        return self.grade(g)
+
+    def grade(self, g) -> int:
         return g.a + g.b
 
     def parse_element(self, text: str):
@@ -450,6 +455,9 @@ class SemidirectGroup(_Group):
     def weight(self, g) -> int:
         if not self.in_monoid(g):
             raise NotInMonoidError(f"{g} is outside the monoid generated by tx, x")
+        return self.grade(g)
+
+    def grade(self, g) -> int:
         return g.n
 
     def parse_element(self, text: str):
@@ -515,6 +523,9 @@ class WreathGroup(_Group):
     def weight(self, g) -> int:
         if not self.in_monoid(g):
             raise NotInMonoidError(f"{g} is outside the monoid generated by a, t")
+        return self.grade(g)
+
+    def grade(self, g) -> int:
         return sum(v for _, v in g.cells) + g.n
 
     def parse_element(self, text: str):
@@ -595,6 +606,9 @@ class LatticeGroup(_Group):
     def weight(self, g) -> int:
         if not self.in_monoid(g):
             raise NotInMonoidError(f"{g} has a negative coordinate")
+        return self.grade(g)
+
+    def grade(self, g) -> int:
         return sum(g.coords)
 
     def parse_element(self, text: str):
@@ -815,7 +829,18 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
 # normal-subgroup quotients with canonical transversals
 
 
-class QuotientDescriptor:
+class IdentityCompared:
+    """Base of the objects that compare by identity and hold functions: a
+    copy or deep copy of one is the object itself."""
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class QuotientDescriptor(IdentityCompared):
     """A supported normal convex subgroup with a transversal.
 
     project sends g to its coset in the quotient group, representative picks

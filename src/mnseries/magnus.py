@@ -53,6 +53,9 @@ class FreeMonoid(TupleValue):
     def weight(self, w) -> int:
         if not self.contains(w):
             raise NotInMonoidError(f"{w!r} is not a word over {self.alphabet!r}")
+        return self.grade(w)
+
+    def grade(self, w) -> int:
         return len(w)
 
     def format_element(self, w) -> str:

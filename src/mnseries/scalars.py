@@ -106,10 +106,13 @@ class TupleValue(tuple):
     its group shares, as a Fraction hashes in Python), and GradedSeries
     hashes its context, degree and the items of its term dict, as a dict
     has no hash. Equality compares the fields as the tuple does, but a value
-    equals only a value of its own class, never a plain tuple; the tuple's
-    arithmetic and order are refused. A value with no fields is an empty
-    tuple, so such a class defines __bool__ to stay true; GradedSeries
-    defines it as having a term.
+    equals only a value of its own class, never a plain tuple. The value's
+    own + and * (where a subclass defines no arithmetic) and the order
+    comparisons are refused, but len and iteration read the fields, and a
+    plain tuple on the left still concatenates: (4,) + HeisenbergElement(1,
+    2, 3) is (4, 1, 2, 3). A value with no fields is an empty tuple, so such
+    a class defines __bool__ to stay true; GradedSeries defines it as having
+    a term.
     """
 
     __slots__ = ()

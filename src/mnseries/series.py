@@ -14,14 +14,13 @@ is the sum of twist(y,z) * action(z)(a_y) * b_z over factorizations yz = x.
 A series with no attached system multiplies as a plain (monoid or group)
 ring element.
 
-Every series stores the weight of each of its terms beside the term map. A
-context's weight is computed once, when a term enters through validation;
-products add the weights of their factors (the weight is additive) and every
-other operation copies them across, so arithmetic never asks the context
-again. For the semidirect monoids the weight is a membership search, which
-is what makes this worth keeping. Only this module vouches for weights: its
-arithmetic and constructors pass the private _weights map, and every series
-built elsewhere goes through validation.
+A series is exactly its five constructor fields. The weight of a term is a
+function of the element alone, so nothing stores it: each context has an
+unchecked grade(g), the additive weight of an element already known to lie in
+it, and a checked weight(g), membership first and then the grade. Validation
+asks weight once per term; the arithmetic, whose terms come from validated
+series, reads grade. Only this module's arithmetic passes the private _trusted
+flag that skips validation, and every series built elsewhere is validated.
 """
 
 from __future__ import annotations
@@ -74,6 +73,9 @@ class SubgroupRing(TupleValue):
     def weight(self, g) -> int:
         if not self.in_monoid(g):
             raise NotInMonoidError(f"{g} is outside {self.id}")
+        return self.grade(g)
+
+    def grade(self, g) -> int:
         return 0
 
     def format_element(self, g) -> str:
@@ -95,38 +97,35 @@ def _system_id(system) -> str:
 
 class GradedSeries(TupleValue):
     """Finite term map from support elements to nonzero scalars, truncated at
-    a fixed degree, with the weight of every term in a parallel map: a
-    TupleValue of (context, degree, terms, field, system, weights), so
-    operations return new series. Any trivial system is stored as None, so
-    systems compare with ==.
+    a fixed degree: a TupleValue of (context, degree, terms, field, system),
+    so operations return new series. Any trivial system is stored as None,
+    so systems compare with ==.
 
-    Each term is checked and its weight computed in __new__, once: zero
-    coefficients are dropped, and a term outside the context, off the field
-    or above the degree is refused. The keyword-only _weights is private to
-    this module, whose arithmetic vouches for the terms it passes; it must
-    map each element of terms to its weight. Copies and pickles rebuild a
-    series from its first five fields, through validation.
+    Each term is checked in __new__: zero coefficients are dropped, and a
+    term outside the context, off the field or above the degree is refused.
+    The keyword-only _trusted is private to this module, whose arithmetic
+    vouches for the terms it passes. Copies and pickles rebuild a series from
+    its fields, through validation.
 
     A series hashes on its context, degree and terms: the term map is a
     dict, so the tuple's own hash would refuse it. It is true when it has a
-    term, where a 6-tuple is always true."""
+    term, where a 5-tuple is always true."""
 
     __slots__ = ()
-    _fields = ("context", "degree", "terms", "field", "system", "weights")
+    _fields = ("context", "degree", "terms", "field", "system")
 
-    def __new__(cls, context, degree, terms, field, system=None, *, _weights=None):
+    def __new__(cls, context, degree, terms, field, system=None, *, _trusted=False):
         degree = int(degree)
         if system is not None and system.is_trivial:
             system = None
-        if _weights is None:
-            clean = {}
-            _weights = {}
+        if not _trusted:
             if degree < 0:
                 raise ValueError("degree must be nonnegative")
             if system is not None and system.group != group_of(context):
                 raise ContextMismatchError(
                     f"crossed system {system.id} does not act on context {context.id}"
                 )
+            clean = {}
             for g, coeff in terms.items():
                 if not coeff:
                     continue
@@ -145,12 +144,8 @@ class GradedSeries(TupleValue):
                         f"term {context.format_element(g)} exceeds degree {degree}"
                     )
                 clean[g] = coeff
-                _weights[g] = w
             terms = clean
-        return tuple.__new__(cls, (context, degree, terms, field, system, _weights))
-
-    def __getnewargs__(self):
-        return self[:5]
+        return tuple.__new__(cls, (context, degree, terms, field, system))
 
     def __hash__(self):
         return hash((self.context, self.degree, frozenset(self.terms.items())))
@@ -162,21 +157,11 @@ class GradedSeries(TupleValue):
 
     @classmethod
     def zero(cls, context, degree, field, system=None):
-        return cls(context, degree, {}, field, system, _weights={})
+        return cls(context, degree, {}, field, system)
 
     @classmethod
     def one(cls, context, degree, field, system=None):
-        ident = context.identity()
-        return cls(context, degree, {ident: field.one}, field, system, _weights={ident: 0})
-
-    @classmethod
-    def from_scalar(cls, context, degree, value, field, system=None):
-        terms = {context.identity(): value} if value else {}
-        return cls(context, degree, terms, field, system, _weights=dict.fromkeys(terms, 0))
-
-    @classmethod
-    def monomial(cls, context, degree, g, coeff, field, system=None):
-        return cls(context, degree, {g: coeff}, field, system)
+        return cls(context, degree, {context.identity(): field.one}, field, system)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -209,9 +194,8 @@ class GradedSeries(TupleValue):
     def rows(self):
         """(weight, element string, coefficient) triples in canonical
         (weight, element string) order."""
-        fmt = self.context.format_element
-        weights = self.weights
-        return sorted(((weights[g], fmt(g), c) for g, c in self.terms.items()),
+        ctx, terms = self.context, self.terms
+        return sorted(zip(map(ctx.grade, terms), map(ctx.format_element, terms), terms.values()),
                       key=itemgetter(0, 1))
 
     def __repr__(self):
@@ -228,32 +212,26 @@ class GradedSeries(TupleValue):
 
     # -- arithmetic --------------------------------------------------------
 
+    def _with(self, terms, degree=None):
+        """A series like self with the given terms, which the caller vouches
+        for, at self's degree unless another is given."""
+        return GradedSeries(self.context, self.degree if degree is None else degree, terms,
+                            self.field, self.system, _trusted=True)
+
     def __add__(self, other):
         self._compatible(other)
         terms = dict(self.terms)
-        weights = dict(self.weights)
-        other_weights = other.weights
         for g, c in other.terms.items():
             s = terms.get(g)
             s = c if s is None else s + c
             if s:
                 terms[g] = s
-                weights[g] = other_weights[g]
             else:
                 terms.pop(g, None)
-                weights.pop(g, None)
-        return GradedSeries(self.context, self.degree, terms, self.field, self.system,
-                            _weights=weights)
+        return self._with(terms)
 
     def __neg__(self):
-        return GradedSeries(
-            self.context,
-            self.degree,
-            {g: -c for g, c in self.terms.items()},
-            self.field,
-            self.system,
-            _weights=self.weights,
-        )
+        return self._with({g: -c for g, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -262,36 +240,24 @@ class GradedSeries(TupleValue):
         """Right multiplication by a scalar (termwise, exact)."""
         if not self.field.contains(value):
             raise ContextMismatchError(f"scalar {value!r} is not in field {self.field.name}")
-        if not value:
-            return GradedSeries.zero(self.context, self.degree, self.field, self.system)
-        return GradedSeries(
-            self.context,
-            self.degree,
-            {g: c * value for g, c in self.terms.items()},
-            self.field,
-            self.system,
-            _weights=self.weights,
-        )
+        return self._with({g: c * value for g, c in self.terms.items()} if value else {})
 
     def __mul__(self, other):
         self._compatible(other)
         ctx = self.context
         multiply = ctx.multiply
-        field = self.field
         system = self.system
         degree = self.degree
+        grade = ctx.grade
         out = {}
-        weights = {}
-        # by ascending weight, so the scan over the left factor stops at the
+        # by ascending grade, so the scan over the left factor stops at the
         # first term whose product with h would exceed the degree
-        left_weights = self.weights
-        left = sorted(((left_weights[g], g, c) for g, c in self.terms.items()), key=itemgetter(0))
-        right_weights = other.weights
+        terms = self.terms
+        left = sorted(zip(map(grade, terms), terms, terms.values()), key=itemgetter(0))
         for h, b in other.terms.items():
-            wh = right_weights[h]
+            top = degree - grade(h)
             for wg, g, a in left:
-                w = wg + wh
-                if w > degree:
+                if wg > top:
                     break
                 x = multiply(g, h)
                 if system is None:
@@ -302,22 +268,18 @@ class GradedSeries(TupleValue):
                 s = contrib if s is None else s + contrib
                 if s:
                     out[x] = s
-                    weights[x] = w
                 else:
                     out.pop(x, None)
-        if len(weights) != len(out):
-            weights = {x: weights[x] for x in out}
-        return GradedSeries(ctx, degree, out, field, system, _weights=weights)
+        return self._with(out)
 
     def truncated(self, new_degree: int):
         """Explicit copy at a lower degree; refuses to drop nothing silently."""
         if new_degree > self.degree:
             raise ValueError(f"cannot truncate degree {self.degree} to the higher "
                              f"degree {new_degree}")
-        weights = self.weights
-        terms = {g: c for g, c in self.terms.items() if weights[g] <= new_degree}
-        return GradedSeries(self.context, new_degree, terms, self.field, self.system,
-                            _weights={g: weights[g] for g in terms})
+        grade = self.context.grade
+        return self._with({g: c for g, c in self.terms.items() if grade(g) <= new_degree},
+                          new_degree)
 
     def invert(self):
         """Truncated two-sided inverse, defined when the identity coefficient
@@ -338,33 +300,26 @@ class GradedSeries(TupleValue):
         u = self.identity_coefficient()
         if not u:
             raise NoTruncatedInverseError("no truncated inverse: identity coefficient is zero")
-        field = self.field
         degree = self.degree
-        system = self.system
         ident = ctx.identity()
-        u_inv = field.inv(u)
-        m_terms = {g: -(c * u_inv) for g, c in self.terms.items() if g != ident}
-        m = GradedSeries(ctx, degree, m_terms, field, system,
-                         _weights={g: self.weights[g] for g in m_terms})
+        u_inv = self.field.inv(u)
+        m = self._with({g: -(c * u_inv) for g, c in self.terms.items() if g != ident})
+        grade = ctx.grade
         layers = [{ident: u_inv}] + [{} for _ in range(degree)]
         terms = {}
-        weights = {}
         for w, bucket in enumerate(layers):
             layer = {g: c for g, c in bucket.items() if c}
             if not layer:
                 continue
-            layer_weights = dict.fromkeys(layer, w)
             terms.update(layer)
-            weights.update(layer_weights)
             if w == degree:
                 break
-            product = GradedSeries(ctx, degree, layer, field, system, _weights=layer_weights) * m
-            product_weights = product.weights
+            product = self._with(layer) * m
             for g, c in product.terms.items():
-                above = layers[product_weights[g]]
+                above = layers[grade(g)]
                 s = above.get(g)
                 above[g] = c if s is None else s + c
-        return GradedSeries(ctx, degree, terms, field, system, _weights=weights)
+        return self._with(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +385,7 @@ def from_text(text: str, monoid_resolver, crossed_resolver=None):
         if crossed_resolver is None:
             raise ValueError(f"no resolver for crossed system {crossed_id!r}")
         system = crossed_resolver(crossed_id, context, field)
-    # validation computes each term's weight, the one membership search per term
+    # validation checks each term's membership, the one search per term
     series = GradedSeries(context, int(m.group(2)), terms, field, system)
     canonical = to_text(series)
     if canonical != text:

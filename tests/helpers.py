@@ -262,15 +262,16 @@ def reference_invert(f):
         if not power:
             break
         geom = geom + power
-    return GradedSeries.from_scalar(ctx, degree, u_inv, field, system) * geom
+    return GradedSeries(ctx, degree, {ident: u_inv}, field, system) * geom
 
 
-def assert_weights(series):
-    """The stored weights cover exactly the terms and agree with the context."""
-    ctx = series.context
-    assert set(series.weights) == set(series.terms), f"weights and terms disagree in {series!r}"
-    for g, w in series.weights.items():
-        assert w == ctx.weight(g), f"stored weight {w} for {ctx.format_element(g)}"
+def assert_valid(series):
+    """The validating constructor, given the terms of a series the trusted
+    arithmetic built, rebuilds the same series: every term is nonzero, on
+    the field, inside the context and within the degree."""
+    rebuilt = GradedSeries(series.context, series.degree, dict(series.terms), series.field,
+                           series.system)
+    assert rebuilt == series, f"{series!r} does not survive validation"
 
 
 # --- word-image oracles --------------------------------------------------------

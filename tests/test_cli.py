@@ -322,6 +322,43 @@ def test_non_canonical_flag_values_are_usage_errors(capsys, argv, flag, text, ca
     assert code != 64 and out
 
 
+@pytest.mark.parametrize("argv,text,canonical", [
+    (("verify-monoid", "--group", "heis", "--gens", "H(01,0,0),H(0,1,0)", "--L", "3"),
+     "H(01,0,0)", "H(1,0,0)"),
+    (("verify-monoid", "--group", "bs12", "--gens", "B(1/1,1),B(0/2,1)", "--L", "3"),
+     "B(0/2,1)", "B(0/1,1)"),
+    (("verify-monoid", "--group", "bs12", "--gens", "B(1/1,1)@r=4/2,B(0/1,1)", "--L", "3"),
+     "B(1/1,1)@r=4/2", "B(1/1,1)@r=2/1"),
+    (("verify-monoid", "--group", "wreath", "--gens", "W({0:1,1:0},0),W({},1)", "--L", "3"),
+     "W({0:1,1:0},0)", "W({0:1},0)"),
+    (("magnus", "--words", "aa'b,ab", "--D", "3"), "aa'b", "b"),
+    (("magnus", "--words", "ab,a'a", "--D", "3"), "a'a", "1"),
+], ids=("heis", "bs12", "bs12-ratio", "wreath", "word", "identity"))
+def test_non_canonical_elements_and_words_are_usage_errors(capsys, argv, text, canonical):
+    # each element of --gens and each word of --words reads back as itself
+    flag = "--gens" if "--gens" in argv else "--words"
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and not out
+    assert f"{flag} {text!r} is not in canonical form; write {canonical!r}" in err
+    code, out, _ = run(capsys, *(a.replace(text, canonical) for a in argv))
+    assert code != 64 and out
+
+
+def test_element_and_word_lists_have_one_digest(capsys):
+    # a bs12 element may leave out its @r= suffix; spaces around the items
+    # of a list are read past and left out of the report
+    short = ("verify-monoid", "--group", "bs12", "--gens", "B(1/1,1),B(0/1,1)", "--L", "4")
+    full = ("verify-monoid", "--group", "bs12", "--gens", "B(1/1,1)@r=2/1,B(0/1,1)", "--L", "4")
+    code, report = run_json(capsys, *short)
+    code_full, report_full = run_json(capsys, *full)
+    assert code == code_full == 0 and report["details"] == report_full["details"]
+    for argv in (("verify-monoid", "--group", "heis", "--gens", "H(1,0,0), H(0,1,0)", "--L", "4"),
+                 ("magnus", "--words", "ab, ba ,1", "--D", "3")):
+        spaced = run_json(capsys, *argv)[1]
+        tight = run_json(capsys, *(a.replace(" ", "") for a in argv))[1]
+        assert spaced["digest"] == tight["digest"]
+
+
 def test_magnus_word_length_guard(capsys, monkeypatch):
     # the L guard applies to the words themselves; an evaluation that starts
     # fails, so a missing guard cannot pass by running

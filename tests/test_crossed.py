@@ -338,16 +338,16 @@ def test_regroup_under_a_twisted_base_system(group, tag, d):
 @pytest.mark.parametrize("group,tag,d", TWISTED_BASES, ids=("heis-center", "bs12-base"))
 @pytest.mark.parametrize("twisted", (False, True), ids=("trivial-base", "diagonal-base"))
 def test_trusted_series_match_the_validating_constructor(group, tag, d, twisted):
-    # series from the constructors that pass their own weights, and from the
-    # crossed builders, rebuilt from their terms by the validating constructor,
-    # keep their terms and weights (== ignores weights)
+    # series from the constructors, the crossed builders and the trusted
+    # arithmetic, rebuilt from their terms by the validating constructor, are
+    # the same series
     base = diagonal_change(trivial_system(group, QQ), d) if twisted else trivial_system(group, QQ)
     qs = quotient_system(group, tag, base=base)
     ring = qs.field
     quotient_panel = qs.group.panel_elements()
     built = [GradedSeries.zero(group, 4, QQ, base), GradedSeries.one(group, 4, QQ, base),
-             GradedSeries.from_scalar(group, 4, Fraction(-2, 3), QQ, base),
-             GradedSeries.from_scalar(group, 4, 0, QQ, base), ring.zero, ring.one]
+             GradedSeries(group, 4, {group.identity(): Fraction(-2, 3)}, QQ, base),
+             GradedSeries(group, 4, {group.identity(): 0}, QQ, base), ring.zero, ring.one]
     built += [qs.twist(alpha, beta) for alpha in quotient_panel for beta in quotient_panel]
     for value in ring.panel():
         built += [qs.action(gamma, value) for gamma in quotient_panel]
@@ -358,10 +358,11 @@ def test_trusted_series_match_the_validating_constructor(group, tag, d, twisted)
         f = random_series(group, 4, QQ, rng, system=base, unit=True)
         r = regroup(f, qs.descriptor)
         built += [change_basis(f, diagonal_change(base, d), d), r, *r.terms.values(),
-                  augment_coefficients(r)]
+                  augment_coefficients(r), f * f, f.invert(), f.truncated(2), r * r,
+                  r.invert(), -r, r + r, f.scale(Fraction(1, 2))]
     for f in built:
         rebuilt = GradedSeries(f.context, f.degree, dict(f.terms), f.field, f.system)
-        assert rebuilt.terms == f.terms and rebuilt.weights == f.weights, f
+        assert rebuilt == f, f
 
 
 def _heis_unit():
@@ -387,7 +388,7 @@ def test_regrouped_series_inverts_under_a_twisted_base(group, tag, d):
     rng = random.Random(15)
     for _ in range(10):
         f = random_series(group, 4, QQ, rng, system=base)
-        f = f + GradedSeries.from_scalar(group, 4, 1 - f.identity_coefficient(), QQ, base)
+        f = f + GradedSeries(group, 4, {group.identity(): 1 - f.identity_coefficient()}, QQ, base)
         r = regroup(f, qd)
         inverse = r.invert()
         one = GradedSeries.one(r.context, 4, r.field, r.system)
@@ -476,8 +477,8 @@ def test_derived_systems_equal_only_themselves(which):
     derived = _derived_systems()[which]
     assert derived == derived and derived != base and derived != _derived_systems()[which]
     x = Z2.element(1, 0)
-    f = GradedSeries.monomial(Z2, 3, x, Fraction(1), QQ, derived)
-    g = GradedSeries.monomial(Z2, 3, x, Fraction(1), QQ, base)
+    f = GradedSeries(Z2, 3, {x: Fraction(1)}, QQ, derived)
+    g = GradedSeries(Z2, 3, {x: Fraction(1)}, QQ, base)
     with pytest.raises(ContextMismatchError):
         f * g
     with pytest.raises(ContextMismatchError):

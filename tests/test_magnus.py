@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import assert_weights
+from helpers import assert_valid
 from mnseries import magnus
 from mnseries.magnus import (
     FreeMonoid,
@@ -122,9 +122,11 @@ def test_image_has_unit_identity_coefficient():
 
 
 def test_image_weights_are_word_lengths():
-    # products carry the weights of their factors instead of computing them
+    # the weight of each row is read from the term, a word of that length
     for w in enumerate_reduced_words(2, 3):
-        assert_weights(magnus_image(w, 4))
+        image = magnus_image(w, 4)
+        assert_valid(image)
+        assert all(weight == (0 if elem == "1" else len(elem)) for weight, elem, _ in image.rows())
 
 
 def test_letter_units_hold_no_term_above_the_degree(monkeypatch):
@@ -142,8 +144,8 @@ def test_letter_units_hold_no_term_above_the_degree(monkeypatch):
     magnus_images([parse_word("ab", 2), parse_word("a'b", 2)], 0)
     assert units
     for unit in units:
-        assert_weights(unit)
-        assert all(w <= unit.degree for w in unit.weights.values()), unit
+        assert_valid(unit)
+        assert all(len(w) <= unit.degree for w in unit.terms), unit
 
 
 @pytest.mark.parametrize("size,length,degree,count", [(2, 3, 3, 53), (1, 2, 2, 5), (2, 4, 4, 161)])

@@ -37,13 +37,13 @@ Y = HeisenbergElement(0, 1, 0)
 
 
 def mono(ctx, deg, g, c=Fraction(1), field=QQ, system=None):
-    return GradedSeries.monomial(ctx, deg, g, c, field, system)
+    return GradedSeries(ctx, deg, {g: c}, field, system)
 
 
 def test_add_examples():
     one = GradedSeries.one(HEIS, 4, QQ)
     fx = mono(HEIS, 4, X)
-    assert (one + fx) + (one - fx) == GradedSeries.from_scalar(HEIS, 4, Fraction(2), QQ)
+    assert (one + fx) + (one - fx) == GradedSeries(HEIS, 4, {HEIS.identity(): Fraction(2)}, QQ)
     f = one + fx
     assert f + GradedSeries.zero(HEIS, 4, QQ) == f
     fy = mono(HEIS, 4, Y)
@@ -378,6 +378,24 @@ def test_text_refusal_names_the_first_differing_line():
         "line 2 is missing; the canonical line is '0\\tZ(0)\\t1\\n'")
 
 
+GRADED_IDS = ["bs12", "heis", "wreath", "free:2", "free:3", "z2", "z"]
+
+
+@pytest.mark.parametrize("ctx", [*map(resolve_monoid, GRADED_IDS), SubgroupRing(HEIS, "center")],
+                         ids=[*GRADED_IDS, "ring:heis:center"])
+def test_grade_is_the_weight_and_additive(ctx):
+    # grade skips the membership check weight makes, and nothing else
+    rng = random.Random(f"grade:{ctx.id}")
+    for _ in range(40):
+        if ctx.graded:
+            g, h = (ctx.sample_monoid_element(rng, 6) for _ in range(2))
+        else:
+            g, h = (ctx.group.sample_subgroup(ctx.subgroup_tag, rng) for _ in range(2))
+        assert ctx.grade(g) == ctx.weight(g)
+        assert ctx.grade(ctx.multiply(g, h)) == ctx.grade(g) + ctx.grade(h)
+    assert ctx.grade(ctx.identity()) == 0
+
+
 def test_weights_are_private_to_the_series_module():
     # every series built outside series.py goes through validation
     with pytest.raises(TypeError):
@@ -438,19 +456,34 @@ def test_series_are_tuple_values_equal_and_hashed_by_their_terms():
 
 def test_series_copies_and_pickles_rebuild_through_validation():
     for series in [first for first, _ in _contract_series()]:
-        clones = [copy.copy(series)]
+        clones = [copy.copy(series), copy.deepcopy(series)]
         if series.system is None:
-            # crossed systems compare by identity and hold closures, so only
-            # a series over the trivial system deep-copies equal and pickles
-            clones += [copy.deepcopy(series), pickle.loads(pickle.dumps(series))]
+            # crossed systems hold functions, so only a series over the
+            # trivial system pickles
+            clones.append(pickle.loads(pickle.dumps(series)))
         for clone in clones:
             assert type(clone) is GradedSeries and clone == series
-            assert tuple(clone) == tuple(series) and clone.weights == series.weights
+            assert tuple(clone) == tuple(series)
             assert hash(clone) == hash(series) and to_text(clone) == to_text(series)
-        # copies call the constructor on the first five fields, so they
-        # validate and weigh every term again
+        # copies call the constructor on the five fields, so they validate
+        # every term again
         assert series.__getnewargs__() == (series.context, series.degree, series.terms,
                                            series.field, series.system)
+
+
+def test_identity_compared_objects_copy_as_themselves():
+    # a twisted series and a regrouped one: their systems, the regrouped
+    # series' coefficient ring and its quotient descriptor compare by
+    # identity, so a deep copy of the series keeps them and stays equal
+    twisted, regrouped = _contract_series()[1][0], _contract_series()[3][0]
+    system = regrouped.system
+    for thing in (twisted.system, system, system.base, system.field, system.descriptor):
+        assert copy.copy(thing) is thing and copy.deepcopy(thing) is thing
+    for series in (twisted, regrouped):
+        clone = copy.deepcopy(series)
+        assert clone == series and clone.system is series.system
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            pickle.dumps(series)
 
 
 def test_series_fields_are_read_only_and_true_when_it_has_a_term():
