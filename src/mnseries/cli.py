@@ -280,9 +280,12 @@ def _run_magnus(args):
     # one alphabet for all the words, up to the last letter any of them uses
     size = max((LETTERS.index(ch) + 1 for ch in args.words if ch in LETTERS), default=1)
     # parse_word reads each item as given, spaces and all; the spelling is
-    # checked on the item without its spaces, which the report leaves out
-    words = [_canonical("--words", w.strip(), lambda _, w=w: parse_word(w, size))
-             for w in args.words.split(",")]
+    # checked on the item without its spaces, which the report leaves out and
+    # which, once checked, is the word's canonical spelling
+    raw = args.words.split(",")
+    items = [w.strip() for w in raw]
+    words = [_canonical("--words", item, lambda _, w=w: parse_word(w, size))
+             for w, item in zip(raw, items)]
     longest = max(len(w) for w in words)
     _check_guard(args, "L", longest, " in --words")
     _check_guard(args, "magnus_terms", sum(magnus_term_bound(w, args.D) for w in words),
@@ -293,12 +296,11 @@ def _run_magnus(args):
         "bounds": {"L": longest, "D": args.D, "N": None},
         "distinct": collision is None,
         "collision": None if collision is None else [str(w) for w in collision],
-        "images": [{"word": str(w), "terms": [[weight, elem_s, img.field.format(coeff)]
-                                              for weight, elem_s, coeff in img.rows()]}
-                   for w, img in zip(words, images)],
+        # a row tuple is written as a JSON array
+        "images": [{"word": item, "terms": img.rows()} for item, img in zip(items, images)],
     }
     code = EXIT_CODES[VERIFIED if collision is None else COUNTEREXAMPLE]
-    return {"words": ",".join(map(str, words)), "D": args.D}, body, code
+    return {"words": ",".join(items), "D": args.D}, body, code
 
 
 def _run_expand(args):

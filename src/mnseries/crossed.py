@@ -256,8 +256,7 @@ class SubgroupSeriesRing(IdentityCompared):
         ) == (self.subring, 0, self.field, self.system)
 
     def format(self, value) -> str:
-        fmt = self.field.format
-        return "(" + " + ".join(f"{fmt(c)}*{elem_s}" for _, elem_s, c in value.rows()) + ")"
+        return "(" + " + ".join(f"{c}*{elem_s}" for _, elem_s, c in value.rows()) + ")"
 
     def inv(self, value) -> GradedSeries:
         """Inverse of a unit N-series. The group ring of an ordered group has

@@ -296,8 +296,8 @@ class _Group(TupleValue):
             raise GroupMismatchError(f"{self._noun} comparison on foreign elements")
         return _cmp(g.order_key(), h.order_key())
 
-    def format_element(self, g) -> str:
-        return str(g)
+    # a builtin, so printing a series' support makes no Python call
+    format_element = staticmethod(str)
 
     def sample_monoid_element(self, rng, max_weight: int):
         """A random product of at most max_weight monoid generators."""

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import itemgetter
 
 from .groups import NotInMonoidError
 from .report import Report, outcome
@@ -14,6 +15,10 @@ from .scalars import QQ, TupleValue
 from .series import GradedSeries
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
+# each letter's spellings, "a" and "a'", to its (symbol index, sign), and back
+_LETTER_SIGNS = {**{ch: (sym, 1) for sym, ch in enumerate(LETTERS)},
+                 **{ch + "'": (sym, -1) for sym, ch in enumerate(LETTERS)}}
+_LETTER_SPELLINGS = {letter: text for text, letter in _LETTER_SIGNS.items()}
 
 
 class FreeMonoid(TupleValue):
@@ -55,8 +60,8 @@ class FreeMonoid(TupleValue):
             raise NotInMonoidError(f"{w!r} is not a word over {self.alphabet!r}")
         return self.grade(w)
 
-    def grade(self, w) -> int:
-        return len(w)
+    # a builtin: the arithmetic and rows() read it once per term
+    grade = staticmethod(len)
 
     def format_element(self, w) -> str:
         return w if w else "1"
@@ -103,10 +108,7 @@ class FreeWord(TupleValue):
         return FreeWord(self.size, tuple((s, -e) for s, e in reversed(self.letters)))
 
     def __str__(self):
-        out = []
-        for sym, sign in self.letters:
-            out.append(LETTERS[sym] + ("" if sign == 1 else "'"))
-        return "".join(out) if out else "1"
+        return "".join(map(_LETTER_SPELLINGS.__getitem__, self.letters)) or "1"
 
 
 def word_reduce(raw, size: int) -> FreeWord:
@@ -130,18 +132,15 @@ def parse_word(text: str, size: int | None = None) -> FreeWord:
         raise ValueError("empty word (the identity is written 1)")
     letters = []
     if text != "1":
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch not in LETTERS:
-                raise ValueError(f"bad letter {ch!r} in word {text!r}")
-            sym = LETTERS.index(ch)
-            sign = 1
-            if i + 1 < len(text) and text[i + 1] == "'":
-                sign = -1
-                i += 1
-            letters.append((sym, sign))
-            i += 1
+        i, n = 0, len(text)
+        while i < n:
+            # a letter and its apostrophe are one key of the table
+            end = i + 2 if text.startswith("'", i + 1) else i + 1
+            letter = _LETTER_SIGNS.get(text[i:end])
+            if letter is None:
+                raise ValueError(f"bad letter {text[i]!r} in word {text!r}")
+            letters.append(letter)
+            i = end
     if size is None:
         size = max((s for s, _ in letters), default=0) + 1
     for sym, _ in letters:
@@ -165,9 +164,14 @@ def magnus_term_bound(word: FreeWord, degree: int) -> int:
     closed form: the exponent vectors of total at most degree, where each
     positive letter takes 0 or 1 and each inverse letter any e >= 0. With p
     positive and k inverse letters that is the sum over j of
-    C(p, j) * C(degree - j + k, k); for k inverse letters alone, C(degree + k, k)."""
-    positive = sum(1 for _, sign in word.letters if sign == 1)
-    inverse = len(word) - positive
+    C(p, j) * C(degree - j + k, k); for k inverse letters alone, C(degree + k, k).
+    The signs sum to p - k, and the sum is computed once per (p, k, degree)."""
+    inverse = (len(word) - sum(map(itemgetter(1), word.letters))) // 2
+    return _term_bound(len(word) - inverse, inverse, degree)
+
+
+@functools.cache
+def _term_bound(positive: int, inverse: int, degree: int) -> int:
     return sum(math.comb(positive, j) * math.comb(degree - j + inverse, inverse)
                for j in range(min(positive, degree) + 1))
 

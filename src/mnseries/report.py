@@ -92,7 +92,8 @@ def write_indented(value, depth: int = 0) -> str:
     A container whose items are all scalars, and a list of nonempty such
     lists, is one call of json's C encoder: JSON string escaping never writes
     a raw newline, so every newline in its output is a separator, and the
-    newlines around the brackets are patched in by slicing and replace."""
+    newlines around the brackets are patched in by slicing and replace. A str
+    value of any other dict is encoded in place, without a recursive call."""
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -102,8 +103,10 @@ def write_indented(value, depth: int = 0) -> str:
         if _SCALARS.issuperset(map(type, value.values())):
             return _bracket(_encode_items(depth + 1)(value), depth)
         inner = "  " * (depth + 1)
-        items = [f"{inner}{encode_basestring_ascii(key)}: {write_indented(value[key], depth + 1)}"
-                 for key in sorted(value)]
+        items = [f"{inner}{encode_basestring_ascii(key)}: "
+                 + (encode_basestring_ascii(item) if type(item) is str
+                    else write_indented(item, depth + 1))
+                 for key, item in sorted(value.items())]
         return "{\n" + ",\n".join(items) + "\n" + "  " * depth + "}"
     if isinstance(value, (list, tuple)):
         if not value:

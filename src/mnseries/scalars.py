@@ -332,8 +332,8 @@ class _Field(TupleValue):
 
     __slots__ = ()
 
-    def format(self, x) -> str:
-        return str(x)
+    # a builtin, so formatting a series' coefficients makes no Python call
+    format = staticmethod(str)
 
     def inv(self, x):
         return x.inverse()

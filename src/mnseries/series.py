@@ -29,7 +29,7 @@ import re
 from operator import itemgetter
 
 from .groups import NotInMonoidError
-from .scalars import QQ, TupleValue, field_of_text
+from .scalars import QQ, TupleValue, field_from_spec, field_of_text
 
 
 class ContextMismatchError(ValueError):
@@ -192,20 +192,18 @@ class GradedSeries(TupleValue):
         return self.coefficient(self.context.identity())
 
     def rows(self):
-        """(weight, element string, coefficient) triples in canonical
-        (weight, element string) order."""
+        """(weight, element string, coefficient string) triples in canonical
+        (weight, element string) order. No two terms print alike, so the
+        coefficient string never decides the order of the plain tuples."""
         ctx, terms = self.context, self.terms
-        return sorted(zip(map(ctx.grade, terms), map(ctx.format_element, terms), terms.values()),
-                      key=itemgetter(0, 1))
+        return sorted(zip(map(ctx.grade, terms), map(ctx.format_element, terms),
+                          map(self.field.format, terms.values())))
 
     def __repr__(self):
         if not self.terms:
             body = "0"
         else:
-            parts = []
-            for _, elem_s, c in self.rows()[:6]:
-                parts.append(f"{self.field.format(c)}*{elem_s}")
-            body = " + ".join(parts)
+            body = " + ".join(f"{c}*{elem_s}" for _, elem_s, c in self.rows()[:6])
             if len(self.terms) > 6:
                 body += " + ..."
         return f"<series deg {self.degree} over {self.context.id}: {body}>"
@@ -343,20 +341,22 @@ def summable_sum(family) -> GradedSeries:
 def to_text(f: GradedSeries) -> str:
     """One term per line "weight<TAB>element<TAB>coefficient", sorted by
     (weight, element string), under a header naming monoid, degree and
-    crossed system."""
-    lines = [f"monoid={f.context.id} D={f.degree} crossed={_system_id(f.system)}"]
-    fmt = f.field.format
-    for w, elem_s, c in f.rows():
-        lines.append(f"{w}\t{elem_s}\t{fmt(c)}")
-    return "\n".join(lines) + "\n"
+    crossed system. A series with no term has no coefficient to name its
+    field, so its header ends in " field=<name>" unless the field is Q."""
+    header = f"monoid={f.context.id} D={f.degree} crossed={_system_id(f.system)}"
+    if not f.terms and f.field != QQ:
+        header += f" field={f.field.name}"
+    return "\n".join([header, *(f"{w}\t{elem_s}\t{c}" for w, elem_s, c in f.rows())]) + "\n"
 
 
 def from_text(text: str, monoid_resolver, crossed_resolver=None):
     """Parse the text format and accept it only as the exact bytes to_text
     writes for the parsed series, so accepted files round-trip byte-exactly.
-    The coefficient field is inferred from the first coefficient's syntax
-    (rationals when there is none), and that field parses every coefficient,
-    so a coefficient from another field is refused.
+    The coefficient field is inferred from the first coefficient's syntax,
+    and that field parses every coefficient, so a coefficient from another
+    field is refused. A series with no term is over the field its header's
+    optional " field=<spec>" names, and over Q without one; to_text writes
+    field= nowhere else, so the round-trip check refuses it there.
 
     Returns the parsed series; the crossed system is attached through
     crossed_resolver(crossed_id, context, field) when given, else must be
@@ -364,12 +364,12 @@ def from_text(text: str, monoid_resolver, crossed_resolver=None):
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty series text")
-    m = re.match(r"^monoid=(\S+) D=(\d+) crossed=(\S+)$", lines[0])
+    m = re.match(r"^monoid=(\S+) D=(\d+) crossed=(\S+)(?: field=(\S+))?$", lines[0])
     if not m:
         raise ValueError(f"bad series header: {lines[0]!r}")
     context = monoid_resolver(m.group(1))
     crossed_id = m.group(3)
-    field = QQ
+    field = QQ if m.group(4) is None else field_from_spec(m.group(4))
     terms = {}
     for ln in lines[1:]:
         parts = ln.split("\t")

@@ -11,7 +11,11 @@ as pairs of Fractions. The series oracle inverts by the plain geometric
 expansion, built only from the public series operations. The word-image
 oracles build every word from scratch, one product per letter, and the Magnus
 oracle writes each inverse letter out as its truncated geometric series.
-The digit-sum oracle adds the powers of r in rational arithmetic, mask by
+The report oracles write rows, series files, reprs and the magnus report
+the way the library did before rows() printed its own rows: each row's
+coefficient formatted on its own after a sort keyed on (weight, element
+string), every word spelled by str, and the digest and indented JSON taken
+from json.dumps. The digit-sum oracle adds the powers of r in rational arithmetic, mask by
 mask; the ping-pong oracle builds the whole orbit before testing it; the digit-membership oracle, reference_digit_sum_subset, searches the
 subsets of powers top exponent first in rational arithmetic; and the
 monoid-table oracle keys its entries by element strings, not by the
@@ -24,11 +28,14 @@ context, field and word classes and Report had as dataclasses: repr, ==,
 hash and bool, to hold the tuple-backed classes to.
 """
 
+import hashlib
+import json
 from dataclasses import field, fields, make_dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
-from mnseries.crossed import CrossedSystem
+from mnseries.crossed import CrossedSystem, SubgroupSeriesRing
 from mnseries.report import COUNTEREXAMPLE, VERIFIED, Report
 from mnseries.groups import HeisenbergElement, SemidirectElement, WreathElement
 from mnseries.magnus import LETTERS, FreeMonoid
@@ -308,6 +315,78 @@ def reference_word_image(word, units):
     for sym, sign in word.letters:
         image = image * (units[sym] if sign == 1 else reference_invert(units[sym]))
     return image
+
+
+# --- report oracles ------------------------------------------------------------
+
+def reference_format(field, value):
+    """A coefficient's text: str for the three fields, and for the N-series
+    coefficient of a regrouped series "(c*n + ...)" over its reference rows."""
+    if isinstance(field, SubgroupSeriesRing):
+        return "(" + " + ".join(f"{c}*{elem_s}" for _, elem_s, c in reference_rows(value)) + ")"
+    return str(value)
+
+
+def reference_rows(f):
+    """Slow reference for GradedSeries.rows: (checked weight, element string,
+    coefficient) sorted by (weight, element string) alone, then each
+    coefficient formatted on its own row."""
+    ctx = f.context
+    rows = sorted(((ctx.weight(g), ctx.format_element(g), c) for g, c in f.terms.items()),
+                  key=itemgetter(0, 1))
+    return [(w, elem_s, reference_format(f.field, c)) for w, elem_s, c in rows]
+
+
+def reference_to_text(f):
+    """The series file of a nonzero series: the header, then one line per
+    reference row."""
+    system = "trivial" if f.system is None else f.system.id
+    lines = [f"monoid={f.context.id} D={f.degree} crossed={system}"]
+    for w, elem_s, c in reference_rows(f):
+        lines.append(f"{w}\t{elem_s}\t{c}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_repr(f):
+    """A series' repr: its first six reference rows as c*element."""
+    if not f.terms:
+        body = "0"
+    else:
+        body = " + ".join(f"{c}*{elem_s}" for _, elem_s, c in reference_rows(f)[:6])
+        if len(f.terms) > 6:
+            body += " + ..."
+    return f"<series deg {f.degree} over {f.context.id}: {body}>"
+
+
+def reference_magnus_report(words, degree, seed=0):
+    """Slow reference for the JSON text of the magnus command on reduced
+    words over one alphabet, with elapsed_ms 0: each image built by
+    reference_magnus_image, each word spelled by str, the images' rows by
+    reference_rows, the first pair (earlier word, later word) with equal
+    images as the collision, and the digest and the text taken from
+    json.dumps."""
+    images = [reference_magnus_image(w, degree) for w in words]
+    collision = None
+    for j, later in enumerate(images):
+        earlier = [i for i in range(j) if images[i].terms == later.terms]
+        if earlier:
+            collision = [str(words[earlier[0]]), str(words[j])]
+            break
+    payload = {
+        "command": "magnus",
+        "params": {"words": ",".join(str(w) for w in words), "D": degree, "seed": seed},
+        "kind": "magnus",
+        "bounds": {"L": max(len(w) for w in words), "D": degree, "N": None},
+        "distinct": collision is None,
+        "collision": collision,
+        "images": [{"word": str(w), "terms": [list(row) for row in reference_rows(image)]}
+                   for w, image in zip(words, images)],
+        "schema": "mnseries-report/1",
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    payload["digest"] = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    payload["elapsed_ms"] = 0
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # --- verifier oracles ----------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -8,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 import mnseries
+from helpers import reference_magnus_report
 from mnseries import cli
+from mnseries.magnus import FreeWord
 from mnseries.series import GradedSeries, from_text
 from mnseries.registry import resolve_crossed, resolve_monoid
 from test_acceptance import PINNED_EXPANDS
@@ -359,6 +362,47 @@ def test_element_and_word_lists_have_one_digest(capsys):
         assert spaced["digest"] == tight["digest"]
 
 
+def _random_magnus_words(rng):
+    """One to five reduced words over an alphabet of one to three letters,
+    the identity among them at times, and at times one word twice."""
+    k = rng.randint(1, 3)
+    words = []
+    for _ in range(rng.randint(1, 5)):
+        letters = []
+        for _ in range(rng.randint(0, 5)):
+            letter = (rng.randrange(k), rng.choice((1, -1)))
+            if not letters or letters[-1] != (letter[0], -letter[1]):
+                letters.append(letter)
+        words.append(tuple(letters))
+    if rng.random() < 0.3:
+        words.insert(rng.randrange(len(words) + 1), rng.choice(words))
+    size = max((sym for letters in words for sym, _ in letters), default=0) + 1
+    return [FreeWord(size, letters) for letters in words]
+
+
+def test_magnus_report_matches_the_reference_report(capsys):
+    # the printed rows, the words spelled once and the inline word strings
+    # give the bytes and the digest of the reference report, item spaces aside
+    rng = random.Random("magnus-report")
+    seen = {"inverse": 0, "identity": 0, "collision": 0, "sizes": set()}
+    for case in range(72):
+        degree = case % 6
+        words = _random_magnus_words(rng)
+        spelled = [f" {w} " if rng.random() < 0.2 else str(w) for w in words]
+        code, out, err = run(capsys, "magnus", "--words", ",".join(spelled), "--D", str(degree))
+        want = reference_magnus_report(words, degree)
+        assert strip_elapsed(out) == strip_elapsed(want), (spelled, degree)
+        assert json.loads(out)["digest"] == json.loads(want)["digest"]
+        distinct = json.loads(want)["distinct"]
+        assert code == (0 if distinct else 2) and not err
+        seen["inverse"] += any(sign == -1 for w in words for _, sign in w.letters)
+        seen["identity"] += any(not w for w in words)
+        seen["collision"] += not distinct
+        seen["sizes"].add(words[0].size)
+    assert min(seen["inverse"], seen["identity"], seen["collision"]) > 0, seen
+    assert seen["sizes"] == {1, 2, 3}
+
+
 def test_magnus_word_length_guard(capsys, monkeypatch):
     # the L guard applies to the words themselves; an evaluation that starts
     # fails, so a missing guard cannot pass by running
@@ -586,11 +630,17 @@ def test_field_parameters_out_of_range_exit_64(tmp_path, capsys, monkeypatch):
 
 
 def test_zero_series_under_quadratic_conj_z_is_refused(tmp_path, capsys):
-    # a series with no coefficient reads back over Q, which quadratic-conj-Z refuses
+    # a series with no coefficient and no field= in its header reads back
+    # over Q, which quadratic-conj-Z refuses; with field=Qsqrt:2 it is the
+    # zero series over its own field, and expand prints the file back
     path = tmp_path / "zero.mns"
     path.write_text("monoid=z D=3 crossed=quadratic-conj-Z\n")
     code, out, err = run(capsys, "expand", "--series-file", str(path))
     assert code == 64 and "quadratic coefficients" in err and not out
+    text = "monoid=z D=3 crossed=quadratic-conj-Z field=Qsqrt:2\n"
+    path.write_text(text)
+    code, out, err = run(capsys, "expand", "--series-file", str(path), "--format", "text")
+    assert code == 0 and out == text and not err
 
 
 def test_unsafe_bounds_help_names_every_guard(capsys):

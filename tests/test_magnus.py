@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -45,12 +46,20 @@ def test_word_parse_and_str():
     w = parse_word("aba'b'")
     assert str(w) == "aba'b'"
     assert str(parse_word("1")) == "1"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^letter 'b' exceeds alphabet of size 1$"):
         parse_word("ab", size=1)
-    with pytest.raises(ValueError):
-        parse_word("a2")
-    with pytest.raises(ValueError):
-        parse_word(" ")
+    with pytest.raises(ValueError, match=r"^letter 'c' exceeds alphabet of size 2$"):
+        parse_word("abc", 2)
+    for text in ("", "   "):
+        with pytest.raises(ValueError, match=r"^empty word \(the identity is written 1\)$"):
+            parse_word(text)
+    # the first character that does not start a letter is named, an
+    # apostrophe included when no letter comes before it
+    for text, bad in (("a2", "2"), ("aA", "A"), ("'a", "'"), ("a''", "'")):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'bad letter {bad!r} in word {text!r}')}$"):
+            parse_word(text)
+    # the letters are read before the word is reduced
+    assert parse_word("aa'b") == parse_word("b") and str(parse_word("aa'b")) == "b"
 
 
 def test_enumerate_counts():

@@ -5,9 +5,25 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import assert_one, random_series, reference_invert, with_degree
+from helpers import (
+    assert_one,
+    random_series,
+    reference_format,
+    reference_invert,
+    reference_repr,
+    reference_rows,
+    reference_to_text,
+    with_degree,
+)
 from mnseries import scalars
-from mnseries.crossed import flatten, quadratic_conj_z, regroup, trivial_system, z2_sign_twist
+from mnseries.crossed import (
+    SubgroupSeriesRing,
+    flatten,
+    quadratic_conj_z,
+    regroup,
+    trivial_system,
+    z2_sign_twist,
+)
 from mnseries.groups import (
     Heisenberg,
     HeisenbergElement,
@@ -163,6 +179,42 @@ def test_truncated_inverse(name, ctx, field, system):
         assert inv * f == one
 
 
+@pytest.mark.parametrize("name,ctx,field,system", CONTEXTS, ids=lambda v: v if isinstance(v, str) else "")
+def test_rows_are_printed_in_the_reference_order(name, ctx, field, system):
+    # rows() prints each term once, and to_text and repr read its strings
+    # as they are: the bytes of the per-row formatting in the reference
+    rng = random.Random(f"rows:{name}")
+    for _ in range(30):
+        f = random_series(ctx, 4, field, rng, n_terms=8, system=system, unit=True)
+        assert f.rows() == reference_rows(f)
+        assert to_text(f) == reference_to_text(f)
+        assert repr(f) == reference_repr(f)
+
+
+def test_regrouped_rows_print_their_coefficients_through_the_n_series_ring():
+    # a regrouped series' coefficients are N-series, printed by
+    # SubgroupSeriesRing.format from their own rows; the ring series put
+    # several central terms in one coset
+    center = quotient_descriptor(HEIS, "center")
+    ring = SubgroupRing(HEIS, "G")
+    rng = random.Random("rows:regrouped")
+    widest = 0
+    for _ in range(30):
+        graded = random_series(HEIS, 4, QQ, rng, n_terms=8, unit=True)
+        spread = GradedSeries(ring, 0, {HeisenbergElement(rng.randint(0, 1), rng.randint(-1, 1),
+                                                          rng.randint(-2, 2)): QQ.sample(rng)
+                                        for _ in range(8)}, QQ)
+        for rf in (regroup(graded, center), regroup(spread, center)):
+            assert isinstance(rf.field, SubgroupSeriesRing) and rf
+            assert rf.rows() == reference_rows(rf)
+            assert to_text(rf) == reference_to_text(rf)
+            assert repr(rf) == reference_repr(rf)
+            assert [rf.field.format(c) for c in rf.terms.values()] == [
+                reference_format(rf.field, c) for c in rf.terms.values()]
+            widest = max([widest, *(len(c.terms) for c in rf.terms.values())])
+    assert widest > 2
+
+
 def test_truncation_coherence():
     rng = random.Random(9)
     for _ in range(60):
@@ -292,10 +344,11 @@ def test_text_round_trip():
 
 def test_text_round_trip_other_fields():
     rng = random.Random(7)
-    # this seed draws the zero series over F_5: its text has no coefficient
-    # to name the field, so it reads back over Q (test_zero_series_reads_back_over_q)
+    # this seed draws the zero series over F_5: its text has no coefficient,
+    # so its header names the field (test_zero_series_reads_back_over_its_field)
     zero = random_series(HEIS, 3, PrimeField(5), rng)
-    assert not zero and to_text(zero) == "monoid=heis D=3 crossed=trivial\n"
+    assert not zero and to_text(zero) == "monoid=heis D=3 crossed=trivial field=Fp:5\n"
+    assert from_text(to_text(zero), resolve_monoid, resolve_crossed) == zero
     f = random_series(HEIS, 3, PrimeField(5), rng, unit=True)
     assert f.coefficient(HEIS.identity())
     assert from_text(to_text(f), resolve_monoid, resolve_crossed) == f
@@ -307,11 +360,14 @@ def test_text_round_trip_other_fields():
 
 
 @pytest.mark.parametrize("field", (PrimeField(5), QuadraticField(2)))
-def test_zero_series_reads_back_over_q(field):
-    # a series with no coefficient keeps its bytes, and its field is Q by design
-    text = to_text(GradedSeries(HEIS, 3, {}, field))
+def test_zero_series_reads_back_over_its_field(field):
+    # a series with no coefficient names its field in the header, and the
+    # text reads back to the same series, byte for byte
+    zero = GradedSeries(HEIS, 3, {}, field)
+    text = to_text(zero)
+    assert text == f"monoid=heis D=3 crossed=trivial field={field.name}\n"
     parsed = from_text(text, resolve_monoid, resolve_crossed)
-    assert parsed.field == QQ and not parsed
+    assert parsed == zero and parsed.field == field and not parsed
     assert to_text(parsed) == text
 
 
@@ -353,6 +409,12 @@ NON_CANONICAL_TEXTS = (
      "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1\n"),
     ("crlf", "monoid=z D=4 crossed=trivial\r\n0\tZ(0)\t1\r\n",
      "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1\n"),
+    ("field-Q", "monoid=z D=4 crossed=trivial field=Q\n", "monoid=z D=4 crossed=trivial\n"),
+    ("field-nonzero", "monoid=z D=4 crossed=trivial field=Fp:5\n0\tZ(0)\t1 mod 5\n",
+     "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1 mod 5\n"),
+    ("field-spelling", "monoid=z D=4 crossed=trivial field=Fp:05\n",
+     "monoid=z D=4 crossed=trivial field=Fp:5\n"),
+    ("field-unknown", "monoid=z D=4 crossed=trivial field=R\n", None),
 )
 
 

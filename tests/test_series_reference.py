@@ -101,9 +101,9 @@ def test_invert_matches_reference_on_random_units(name, ctx, field, system):
 def test_stored_weights_follow_every_operation(name, ctx, field, system):
     # a series stores no weights; the weight column its file stores is read
     # from the context's grade, so every result of the trusted arithmetic
-    # survives validation and the text of a nonzero one, whose weights
-    # from_text checks byte for byte, parses back to it (a zero series has
-    # no coefficient to name its field)
+    # survives validation and its text, whose weights from_text checks byte
+    # for byte, parses back to it (f - f included: a zero series' header
+    # names its field)
     rng = random.Random(f"weights:{name}")
     for degree in (6, 12):
         f = prefix_code_unit(ctx, degree, field, system, rng)
@@ -111,7 +111,7 @@ def test_stored_weights_follow_every_operation(name, ctx, field, system):
         for h in (f, f * g, g * f, f + g, f - g, f - f, -g, g.scale(field.sample_nonzero(rng)),
                   f.invert(), (f * g).truncated(degree - 3), with_degree(g, degree + 2)):
             assert_valid(h)
-            assert not h or from_text(to_text(h), resolve_monoid, _resolve_crossed) == h
+            assert from_text(to_text(h), resolve_monoid, _resolve_crossed) == h
             assert [w for w, _, _ in h.rows()] == sorted(ctx.weight(x) for x in h.terms)
 
 
