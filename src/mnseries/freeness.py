@@ -170,7 +170,7 @@ def pingpong_check(group, t_value: Fraction, max_length: int) -> Report:
     p, tp, tq = r.numerator, t_value.numerator, t_value.denominator
 
     def in_A(g):
-        num, den, n, _ = g
+        num, den, n, _, _ = g
         if n < 0:
             return None
         # h/t on ints: the seed's h is t, and tx and x map h to t + r*h and

@@ -38,11 +38,18 @@ def _cmp(a, b) -> int:
 # elements
 
 
+def _heis_product(g, h):
+    a, b, c = g
+    x, y, z = h
+    return (a + x, b + y, c + z + a * y)
+
+
 class HeisenbergElement(TupleValue):
     """Upper unitriangular 3x3 integer matrix with entries (1,2)=a, (2,3)=b, (1,3)=c."""
 
     __slots__ = ()
     _fields = ("a", "b", "c")
+    _product = staticmethod(_heis_product)
 
     def __new__(cls, a, b, c):
         return _value(cls, (a, b, c))
@@ -50,9 +57,7 @@ class HeisenbergElement(TupleValue):
     def __mul__(self, other):
         if not isinstance(other, HeisenbergElement):
             raise GroupMismatchError(f"cannot multiply Heisenberg element by {type(other).__name__}")
-        a, b, c = self
-        x, y, z = other
-        return _value(HeisenbergElement, (a + x, b + y, c + z + a * y))
+        return _value(HeisenbergElement, _heis_product(self, other))
 
     def inverse(self):
         a, b, c = self
@@ -66,15 +71,33 @@ class HeisenbergElement(TupleValue):
         return f"H({a},{b},{c})"
 
 
-class SemidirectElement(TupleValue):
-    """Element (h, n) of H x| C where the generator of C scales H by ratio.
+def _semidirect_product(g, h):
+    hn, hd, n, p, q = g
+    kn, kd, m, p2, q2 = h
+    if p2 != p or q2 != q:
+        raise GroupMismatchError("cannot mix semidirect-product groups with different ratios")
+    # h + r**n * k = h + (s/t) * k over one denominator, reduced by one gcd;
+    # p, q > 0, so the denominator is positive
+    if n >= 0:
+        s, t = p ** n, q ** n
+    else:
+        s, t = q ** -n, p ** -n
+    num, den = hn * t * kd + s * kn * hd, hd * t * kd
+    c = gcd(num, den)
+    return (num // c, den // c, n + m, p, q)
 
-    h is held as the ints num/den in lowest terms with den > 0, and the
-    property h builds its Fraction when asked; ratio is a positive Fraction,
-    shared by every element of one group."""
+
+class SemidirectElement(TupleValue):
+    """Element (h, n) of H x| C where the generator of C scales H by the
+    ratio r.
+
+    h is held as the ints num/den in lowest terms with den > 0, and r as the
+    ints p/q in lowest terms with p, q > 0; the properties h and ratio build
+    their Fractions when asked. An element hashes as its five ints."""
 
     __slots__ = ()
-    _fields = ("num", "den", "n", "ratio")
+    _fields = ("num", "den", "n", "p", "q")
+    _product = staticmethod(_semidirect_product)
 
     def __new__(cls, h, n, ratio):
         if not isinstance(ratio, Fraction):
@@ -83,48 +106,67 @@ class SemidirectElement(TupleValue):
             raise ValueError("ratio must be positive")
         if not isinstance(h, (int, Fraction)):
             h = Fraction(h)
-        return _value(cls, (h.numerator, h.denominator, n, ratio))
+        return _value(cls, (h.numerator, h.denominator, n, ratio.numerator, ratio.denominator))
 
     def __getnewargs__(self):
-        # copy and pickle call the constructor, which takes h, not num and den
+        # copy and pickle call the constructor, which takes h and the ratio
         return (self.h, self.n, self.ratio)
 
     @property
     def h(self) -> Fraction:
         return Fraction(self.num, self.den)
 
-    def __hash__(self):
-        # one group's elements share the ratio: it is compared, not hashed
-        return hash(self[:3])
+    @property
+    def ratio(self) -> Fraction:
+        return Fraction(self.p, self.q)
 
     def __repr__(self):
         return f"SemidirectElement(h={self.h!r}, n={self.n!r}, ratio={self.ratio!r})"
 
     def __mul__(self, other):
-        hn, hd, n, ratio = self
-        if not isinstance(other, SemidirectElement) or (
-                other.ratio is not ratio and other.ratio != ratio):
+        if not isinstance(other, SemidirectElement):
             raise GroupMismatchError("cannot mix semidirect-product groups with different ratios")
-        kn, kd, m, _ = other
-        # h + ratio**n * other.h = h + (s/t) * other.h over one denominator,
-        # reduced by one gcd; p, q > 0, so the denominator is positive
-        if n >= 0:
-            s, t = ratio.numerator ** n, ratio.denominator ** n
-        else:
-            s, t = ratio.denominator ** -n, ratio.numerator ** -n
-        num, den = hn * t * kd + s * kn * hd, hd * t * kd
-        c = gcd(num, den)
-        return _value(SemidirectElement, (num // c, den // c, n + m, ratio))
+        return _value(SemidirectElement, _semidirect_product(self, other))
 
     def inverse(self):
-        return SemidirectElement(-(self.ratio ** (-self.n)) * self.h, -self.n, self.ratio)
+        # -(r**-n) * h = -(s/t) * h
+        num, den, n, p, q = self
+        if n >= 0:
+            s, t = q ** n, p ** n
+        else:
+            s, t = p ** -n, q ** -n
+        num, den = -s * num, t * den
+        c = gcd(num, den)
+        return _value(SemidirectElement, (num // c, den // c, -n, p, q))
 
     def order_key(self):
         return (self.n, self.h)
 
     def __str__(self):
-        num, den, n, r = self
-        return f"B({num}/{den},{n})@r={r.numerator}/{r.denominator}"
+        num, den, n, p, q = self
+        return f"B({num}/{den},{n})@r={p}/{q}"
+
+
+def _wreath_product(g, h):
+    cells, shift = g
+    theirs, n = h
+    # h's cells, shifted by shift, go in one at a time at the place bisect
+    # finds among the ascending indices ((j,) sorts before every cell at j);
+    # a cell whose values cancel is dropped. A generator has at most one cell.
+    at = 0
+    for i, v in theirs:
+        j = i + shift
+        at = bisect_left(cells, (j,), at)
+        if at < len(cells) and cells[at][0] == j:
+            v += cells[at][1]
+            if not v:
+                cells = cells[:at] + cells[at + 1:]
+                continue
+            cells = cells[:at] + ((j, v),) + cells[at + 1:]
+        else:
+            cells = cells[:at] + ((j, v),) + cells[at:]
+        at += 1
+    return (cells, shift + n)
 
 
 class WreathElement(TupleValue):
@@ -136,6 +178,7 @@ class WreathElement(TupleValue):
 
     __slots__ = ()
     _fields = ("cells", "n")
+    _product = staticmethod(_wreath_product)
 
     def __new__(cls, cells, n):
         return _value(cls, (cells, n))
@@ -148,26 +191,7 @@ class WreathElement(TupleValue):
     def __mul__(self, other):
         if not isinstance(other, WreathElement):
             raise GroupMismatchError(f"cannot multiply wreath element by {type(other).__name__}")
-        cells, shift = self
-        theirs, n = other
-        # other's cells, shifted by shift, go in one at a time at the place
-        # bisect finds among the ascending indices ((j,) sorts before every
-        # cell at j); a cell whose values cancel is dropped. A generator has
-        # at most one cell.
-        at = 0
-        for i, v in theirs:
-            j = i + shift
-            at = bisect_left(cells, (j,), at)
-            if at < len(cells) and cells[at][0] == j:
-                v += cells[at][1]
-                if not v:
-                    cells = cells[:at] + cells[at + 1:]
-                    continue
-                cells = cells[:at] + ((j, v),) + cells[at + 1:]
-            else:
-                cells = cells[:at] + ((j, v),) + cells[at:]
-            at += 1
-        return _value(WreathElement, (cells, shift + n))
+        return _value(WreathElement, _wreath_product(self, other))
 
     def inverse(self):
         cells, n = self
@@ -186,11 +210,16 @@ class WreathElement(TupleValue):
         return f"W({{{inner}}},{self.n})"
 
 
+def _lattice_product(g, h):
+    return (tuple(map(add, g[0], h[0])),)
+
+
 class LatticeElement(TupleValue):
     """Element of Z^rank, ordered lexicographically."""
 
     __slots__ = ()
     _fields = ("coords",)
+    _product = staticmethod(_lattice_product)
 
     def __new__(cls, coords):
         return _value(cls, (coords,))
@@ -199,7 +228,7 @@ class LatticeElement(TupleValue):
         mine = self.coords
         if not isinstance(other, LatticeElement) or len(other.coords) != len(mine):
             raise GroupMismatchError("cannot mix lattice groups of different rank")
-        return _value(LatticeElement, (tuple(map(add, mine, other.coords)),))
+        return _value(LatticeElement, _lattice_product(self, other))
 
     def inverse(self):
         return _value(LatticeElement, (tuple(map(neg, self.coords)),))
@@ -424,7 +453,8 @@ class SemidirectGroup(_Group):
         return SemidirectElement(0, 0, self.ratio)
 
     def contains(self, g) -> bool:
-        return isinstance(g, SemidirectElement) and (g.ratio is self.ratio or g.ratio == self.ratio)
+        ratio = self.ratio
+        return isinstance(g, SemidirectElement) and g.p == ratio.numerator and g.q == ratio.denominator
 
     def multiply(self, g, h):
         return g * h
@@ -438,7 +468,7 @@ class SemidirectGroup(_Group):
     def in_monoid(self, g) -> bool:
         if not self.contains(g):
             return False
-        num, den, n, _ = g
+        num, den, n, _, _ = g
         if n < 0:
             return False
         if not num:
@@ -675,6 +705,11 @@ def enumerate_monoid(group, generators, max_length: int):
     Below the first colliding level every element has one word, so there the
     first repeat of an element is its second word.
 
+    The levels hold plain field tuples, multiplied by the element class's
+    field-level product (its _product, the function its __mul__ wraps), so
+    hashing and equality run in C; the generators are checked as elements
+    first, and only the collision element is built as a group element.
+
     Returns (elements, collision): elements is the number of distinct
     elements, identity included; collision is None when the word map is
     injective, else (element, word1, word2) for the first element in
@@ -695,8 +730,10 @@ def enumerate_monoid(group, generators, max_length: int):
         raise ValueError("generators must all have one equal positive weight")
 
     k = len(generators)
-    multiply = group.multiply
-    level = {identity: 0}
+    cls = type(identity)
+    product = cls._product
+    gens = [tuple(g) for g in generators]
+    level = {tuple(identity): 0}
     elements = 1
     collision = None
     for length in range(1, max_length + 1):
@@ -704,15 +741,15 @@ def enumerate_monoid(group, generators, max_length: int):
         first = nxt.setdefault
         second = {} if collision is None else None
         for elt, number in level.items():
-            base = number * k
-            for i, gen in enumerate(generators):
-                product = multiply(elt, gen)
-                word = base + i
-                if first(product, word) != word and second is not None:
-                    second.setdefault(product, word)
+            word = number * k
+            for gen in gens:
+                fields = product(elt, gen)
+                if first(fields, word) != word and second is not None:
+                    second.setdefault(fields, word)
+                word += 1
         if second:
-            elt = min(second, key=nxt.__getitem__)
-            collision = (elt, _word(nxt[elt], length, k), _word(second[elt], length, k))
+            fields = min(second, key=nxt.__getitem__)
+            collision = (_value(cls, fields), _word(nxt[fields], length, k), _word(second[fields], length, k))
         elements += len(nxt)
         level = nxt
     return elements, collision

@@ -101,18 +101,18 @@ class TupleValue(tuple):
     A subclass names its fields in _fields, declares __slots__ = () and
     builds its values through tuple.__new__, validating its arguments in
     __new__; each field reads as a read-only attribute. The hash is the
-    tuple's own, run in C, so a value hashes as the tuple of its fields; a
-    subclass may hash fewer of them (SemidirectElement leaves out the ratio
-    its group shares, as a Fraction hashes in Python), and GradedSeries
-    hashes its context, degree and the items of its term dict, as a dict
-    has no hash. Equality compares the fields as the tuple does, but a value
-    equals only a value of its own class, never a plain tuple. The value's
-    own + and * (where a subclass defines no arithmetic) and the order
-    comparisons are refused, but len and iteration read the fields, and a
-    plain tuple on the left still concatenates: (4,) + HeisenbergElement(1,
-    2, 3) is (4, 1, 2, 3). A value with no fields is an empty tuple, so such
-    a class defines __bool__ to stay true; GradedSeries defines it as having
-    a term.
+    tuple's own, run in C, so a value hashes as the tuple of its fields;
+    only GradedSeries hashes otherwise, on its context, degree and the items
+    of its term dict, as a dict has no hash. Equality compares the fields as
+    the tuple does, but a value equals only a value of its own class, never
+    a plain tuple; that test runs in Python, so a hot loop that only needs
+    the fields (groups.enumerate_monoid) keys its dicts by plain field
+    tuples instead. The value's own + and * (where a subclass defines no
+    arithmetic) and the order comparisons are refused, but len and iteration
+    read the fields, and a plain tuple on the left still concatenates:
+    (4,) + HeisenbergElement(1, 2, 3) is (4, 1, 2, 3). A value with no
+    fields is an empty tuple, so such a class defines __bool__ to stay true;
+    GradedSeries defines it as having a term.
     """
 
     __slots__ = ()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,7 @@ from mnseries.freeness import (
     type2_generators,
     type3_generators,
 )
-from mnseries.groups import Heisenberg, SemidirectGroup, WreathGroup
+from mnseries.groups import Heisenberg, LatticeGroup, SemidirectGroup, WreathGroup, enumerate_monoid
 from mnseries.report import COUNTEREXAMPLE, INCONCLUSIVE, digest
 from mnseries.scalars import QQ, PrimeField
 from mnseries.series import GradedSeries
@@ -55,6 +56,49 @@ def test_verified_report_injectivity_recheck():
     report = free_monoid_check(BS, gens, 6)
     assert report.verified
     assert report.details["elements"] == report.details["words"] == len(table) == 2**7 - 1
+
+
+def _monoid_cases(rng):
+    """(group, generators) pairs: the free pairs of bs12, wreath and
+    bs(r=3/2,t=1/3) (whose products reduce denominators other than 1), the
+    colliding pairs of heis and z2 and bs12 with two equal generators, and,
+    for every group, seeded sets of three products of three distinct words
+    of one length in its monoid generators."""
+    z2 = LatticeGroup(2)
+    thirds = SemidirectGroup(Fraction(3, 2), Fraction(1, 3))
+    tx, _ = BS.monoid_generators()
+    cases = [(HEIS, HEIS.monoid_generators()), (BS, BS.monoid_generators()),
+             (WREATH, type3_generators(WREATH)), (z2, z2.monoid_generators()),
+             (thirds, type2_generators(thirds)), (BS, (tx, tx))]
+    for group in (HEIS, BS, WREATH, z2, thirds):
+        gens = group.monoid_generators()
+        for weight in (2, 3):
+            three = []
+            for word in rng.sample(list(product(gens, repeat=weight)), 3):
+                g = group.identity()
+                for letter in word:
+                    g = g * letter
+                three.append(g)
+            cases.append((group, tuple(three)))
+    return cases
+
+
+def test_enumerate_monoid_matches_the_reference_table():
+    # the walk on plain field tuples against the full table of every word,
+    # keyed by element strings: the element count, the first collision's two
+    # words, and the collision element's string and class
+    for group, gens in _monoid_cases(random.Random(26)):
+        for length in range(8):
+            elements, collision = enumerate_monoid(group, gens, length)
+            table = reference_enumerate_monoid(group, gens, length)
+            assert elements == len(table), (group.id, gens, length)
+            expected = next(((key, words[0], words[1]) for key, words in table if len(words) > 1), None)
+            if expected is None:
+                assert collision is None, (group.id, gens, length)
+                continue
+            element, w1, w2 = collision
+            assert (group.format_element(element), w1, w2) == expected, (group.id, gens, length)
+            assert type(element) is type(group.identity()) and group.contains(element)
 
 
 def test_free_monoid_check_preconditions():

@@ -130,9 +130,10 @@ def test_semidirect_element_contract():
     h = SemidirectElement(5, 1, Fraction(3, 2))
     assert type(g.h) is Fraction and g.h == Fraction(3, 4)
     assert type(h.h) is Fraction and type(h.ratio) is Fraction
-    # the product keeps the ratio object, so the identity fast path holds
-    assert (g * h).ratio is g.ratio
-    for name in ("n", "h", "num", "den", "ratio"):
+    # the product carries the ratio as its two ints p, q
+    assert (g * h).ratio == g.ratio and type((g * h).ratio) is Fraction
+    assert (g * h)[3:] == (3, 2)
+    for name in ("n", "h", "num", "den", "p", "q", "ratio"):
         with pytest.raises(AttributeError):
             setattr(g, name, 1)
         with pytest.raises(AttributeError):
@@ -145,3 +146,20 @@ def test_semidirect_element_contract():
     for ratio in (0, -2, Fraction(-1, 3)):
         with pytest.raises(ValueError):
             SemidirectElement(1, 0, ratio)
+
+
+def test_semidirect_inverse_on_ints_matches_the_fraction_formula():
+    # the inverse (-(r**-n) * h, -n) computed on ints, against the same
+    # formula in Fraction arithmetic; ratios above and below 1, n of both signs
+    rng = random.Random(26)
+    for ratio in (Fraction(2), Fraction(3, 2), Fraction(2, 5), Fraction(1, 3)):
+        for _ in range(100):
+            h = Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 5, 9, 25)))
+            n = rng.randint(-5, 5)
+            g = SemidirectElement(h, n, ratio)
+            inverse = g.inverse()
+            expected = SemidirectElement(-(ratio ** -n) * h, -n, ratio)
+            assert inverse == expected and hash(inverse) == hash(expected)
+            assert type(inverse.num) is int and type(inverse.den) is int
+            assert inverse.den > 0 and gcd(inverse.num, inverse.den) == 1
+            assert g * inverse == SemidirectElement(0, 0, ratio) == inverse * g
