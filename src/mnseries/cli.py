@@ -279,13 +279,8 @@ def _run_digit_sum(args):
 def _run_magnus(args):
     # one alphabet for all the words, up to the last letter any of them uses
     size = max((LETTERS.index(ch) + 1 for ch in args.words if ch in LETTERS), default=1)
-    # parse_word reads each item as given, spaces and all; the spelling is
-    # checked on the item without its spaces, which the report leaves out and
-    # which, once checked, is the word's canonical spelling
-    raw = args.words.split(",")
-    items = [w.strip() for w in raw]
-    words = [_canonical("--words", item, lambda _, w=w: parse_word(w, size))
-             for w, item in zip(raw, items)]
+    items = [w.strip() for w in args.words.split(",")]
+    words = [_canonical("--words", item, lambda w: parse_word(w, size)) for item in items]
     longest = max(len(w) for w in words)
     _check_guard(args, "L", longest, " in --words")
     _check_guard(args, "magnus_terms", sum(magnus_term_bound(w, args.D) for w in words),

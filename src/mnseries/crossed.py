@@ -98,92 +98,69 @@ def quadratic_conj_z(radicand, /) -> CrossedSystem:
 
 
 def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: int = 0) -> Report:
-    """Verify the two validity identities and the normalization on the
-    group's small fixed panel (all triples) plus sampled random triples; the
-    first violated identity is the witness and details.checked counts the
-    pairs and triples checked."""
+    """Verify the two validity identities and the normalization case by case.
+    A case is a pair (x, y), checked for the normalization at x and the
+    action identity, followed by its triples (x, y, z), each checked for the
+    cocycle identity. Every pair of the group's fixed panel is a case with
+    the whole panel as its z, then each of sample_count random triples is
+    one. The first violated identity is the witness, and details.checked
+    counts the pairs and triples checked."""
     if sample_count < 0:
         raise ValueError("sample count must be nonnegative")
-    group = system.group
     field = system.field
-    rng = random.Random(seed)
-    ident = group.identity()
+    ident = system.group.identity()
     scalars = field.panel()
     checked = 0
-
-    def fmt(g):
-        return group.format_element(g)
-
-    def report(violation=None):
-        return outcome("crossed-validity", {"samples": sample_count}, violation,
-                       {"checked": checked})
-
-    def violation_at(kind, x, y, z=None):
-        payload = {"identity": kind, "x": fmt(x), "y": fmt(y)}
-        if z is not None:
-            payload["z"] = fmt(z)
-        return report(payload)
-
-    def check_pairs(x, y, xy, tw):
-        # xy and tw are multiply(x, y) and twist(x, y)
-        nonlocal checked
-        checked += 1
-        if system.twist(ident, x) != field.one or system.twist(x, ident) != field.one:
-            return violation_at("normalization", ident, x)
-        # action consistency: acting by x then y equals acting by xy up to
-        # conjugation by the twist (which is trivial in a commutative field,
-        # but stated in full)
-        tw_inv = field.inv(tw)
-        for r in scalars:
-            lhs = system.action(y, system.action(x, r))
-            rhs = tw_inv * system.action(xy, r) * tw
-            if lhs != rhs:
-                return violation_at("action", x, y)
-        return None
-
-    def check_triple(x, y, z, xy, tw, yz, tw_yz):
-        # yz and tw_yz are multiply(y, z) and twist(y, z)
-        nonlocal checked
-        checked += 1
-        lhs = system.twist(xy, z) * system.action(z, tw)
-        rhs = system.twist(x, yz) * tw_yz
-        if lhs != rhs:
-            return violation_at("cocycle", x, y, z)
-        return None
-
-    def product_and_twist(x, y):
-        return group.multiply(x, y), system.twist(x, y)
-
+    witness = None
     if system.action(ident, scalars[-1]) != scalars[-1]:
-        return report({"identity": "normalization", "x": fmt(ident)})
+        witness = ("normalization", ident)
+    else:
+        for x, y, zs, product_and_twist in _cases(system, sample_count, seed):
+            checked += 1
+            xy, tw = product_and_twist(system, x, y)
+            if system.twist(ident, x) != field.one or system.twist(x, ident) != field.one:
+                witness = ("normalization", ident, x)
+                break
+            # acting by x then y is acting by xy up to conjugation by the
+            # twist (trivial over a commutative field, but stated in full)
+            tw_inv = field.inv(tw)
+            if any(system.action(y, system.action(x, r)) != tw_inv * system.action(xy, r) * tw
+                   for r in scalars):
+                witness = ("action", x, y)
+                break
+            for z in zs:
+                checked += 1
+                yz, tw_yz = product_and_twist(system, y, z)
+                if system.twist(xy, z) * system.action(z, tw) != system.twist(x, yz) * tw_yz:
+                    witness = ("cocycle", x, y, z)
+                    break
+            if witness:
+                break
+    violation = None if witness is None else {
+        "identity": witness[0], **dict(zip("xyz", map(system.group.format_element, witness[1:])))}
+    return outcome("crossed-validity", {"samples": sample_count}, violation, {"checked": checked})
 
+
+def _product_and_twist(system, x, y):
+    return system.group.multiply(x, y), system.twist(x, y)
+
+
+def _cases(system, sample_count: int, seed: int):
+    """check_crossed_system's cases in order, each (x, y, zs, f) with f
+    giving (multiply, twist) of two elements: every pair of panel elements
+    with the whole panel as zs, with f cached, so each panel pair is
+    multiplied and twisted once; then sample_count random triples x, y, z,
+    drawn in that order, with f uncached."""
+    group = system.group
     panel = group.panel_elements()
-    # (multiply(y, z), twist(y, z)) for every z in the panel, one row per y,
-    # each row made when first needed
-    rows = [None] * len(panel)
+    panel_pair = cache(_product_and_twist)
     for x in panel:
-        for j, y in enumerate(panel):
-            xy, tw = product_and_twist(x, y)
-            bad = check_pairs(x, y, xy, tw)
-            if bad:
-                return bad
-            row = rows[j]
-            if row is None:
-                row = rows[j] = [product_and_twist(y, z) for z in panel]
-            for z, (yz, tw_yz) in zip(panel, row):
-                bad = check_triple(x, y, z, xy, tw, yz, tw_yz)
-                if bad:
-                    return bad
+        for y in panel:
+            yield x, y, panel, panel_pair
+    rng = random.Random(seed)
     for _ in range(sample_count):
-        x = group.sample_element(rng)
-        y = group.sample_element(rng)
-        z = group.sample_element(rng)
-        xy, tw = product_and_twist(x, y)
-        bad = (check_pairs(x, y, xy, tw)
-               or check_triple(x, y, z, xy, tw, *product_and_twist(y, z)))
-        if bad:
-            return bad
-    return report()
+        x, y, z = (group.sample_element(rng) for _ in "xyz")
+        yield x, y, (z,), _product_and_twist
 
 
 def diagonal_change(system: CrossedSystem, d) -> CrossedSystem:

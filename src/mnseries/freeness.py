@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .groups import digit_expansion, enumerate_monoid, monoid_word_count
+from .groups import enumerate_monoid, monoid_word_count
 from .linalg import InvariantError, rank_and_left_nullspace
 from .magnus import enumerate_reduced_words, word_images
 from .report import INCONCLUSIVE, VERIFIED, Report, outcome
@@ -152,7 +152,9 @@ def pingpong_check(group, t_value: Fraction, max_length: int) -> Report:
     """Certify the two-generator ping-pong on the semidirect product: orbit
     elements of the seed t*x^0 under words in {tx, x} must stay inside the
     digit-sum set A, the tx-image always carries the exponent-0 digit and the
-    x-image never does, so the two translates of A are disjoint."""
+    x-image never does, so the two translates of A are disjoint. A holds the
+    elements with n >= 0 and h/t a sum of distinct powers of r, so h/t is an
+    integer there; group.digits answers it."""
     if max_length < 0:
         raise ValueError("max length must be nonnegative")
     r = group.ratio
@@ -167,15 +169,9 @@ def pingpong_check(group, t_value: Fraction, max_length: int) -> Report:
     tx = group.element(t_value, 1)
     x = group.element(0, 1)
     seed = group.element(t_value, 0)
-    p, tp, tq = r.numerator, t_value.numerator, t_value.denominator
 
     def in_A(g):
-        num, den, n, _, _ = g
-        if n < 0:
-            return None
-        # h/t on ints: the seed's h is t, and tx and x map h to t + r*h and
-        # r*h, so with r an integer every orbit element's h/t is an integer
-        return digit_expansion(num * tq // (den * tp), p)
+        return None if g.n < 0 else group.digits(g, t_value)
 
     checked = 0
     tx_images = set()

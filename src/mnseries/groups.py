@@ -466,21 +466,24 @@ class SemidirectGroup(_Group):
         return (self.element(self.t_value, 1), self.element(0, 1))
 
     def in_monoid(self, g) -> bool:
-        if not self.contains(g):
+        if not self.contains(g) or g.n < 0:
             return False
-        num, den, n, _, _ = g
-        if n < 0:
-            return False
-        if not num:
+        if not g.num:
             return True
-        # h/t in lowest terms, on ints
-        ratio, t = self
-        num, den = num * t.denominator, den * t.numerator
+        digits = self.digits(g, self.t_value)
+        return digits is not None and digits[-1] <= g.n - 1
+
+    def digits(self, g, t):
+        """digit_expansion of h/t at the ratio, for g = (h, n) and t nonzero,
+        on ints: the ascending exponents of the distinct ratio powers summing
+        to h/t, or None when there are none (so for h = 0, and for every
+        non-integral h/t at an integer ratio)."""
+        num, den = g.num * t.denominator, g.den * t.numerator
         if den < 0:
             num, den = -num, -den
         c = gcd(num, den)
-        digits = _expansion(num // c, den // c, ratio.numerator, ratio.denominator)
-        return digits is not None and digits[-1] <= n - 1
+        ratio = self.ratio
+        return _expansion(num // c, den // c, ratio.numerator, ratio.denominator)
 
     def weight(self, g) -> int:
         if not self.in_monoid(g):

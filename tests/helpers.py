@@ -19,7 +19,8 @@ from json.dumps. The digit-sum oracle adds the powers of r in rational arithmeti
 mask; the ping-pong oracle builds the whole orbit before testing it; the digit-membership oracle, reference_digit_sum_subset, searches the
 subsets of powers top exponent first in rational arithmetic; and the
 monoid-table oracle keys its entries by element strings, not by the
-elements' own hashing. The elimination oracles rewrite every entry of every
+elements' own hashing. The crossed-validity oracle is the checker as it was
+written with nested closures and a row table of panel products. The elimination oracles rewrite every entry of every
 row they update, with no skipping of zero entries or zero heads, and
 reference_rank_and_left_nullspace runs them on [M | I] in Fraction and field
 arithmetic. The test fixtures corrupt_twist and with_degree build objects the
@@ -30,13 +31,14 @@ hash and bool, to hold the tuple-backed classes to.
 
 import hashlib
 import json
+import random
 from dataclasses import field, fields, make_dataclass
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 
 from mnseries.crossed import CrossedSystem, SubgroupSeriesRing
-from mnseries.report import COUNTEREXAMPLE, VERIFIED, Report
+from mnseries.report import COUNTEREXAMPLE, VERIFIED, Report, outcome
 from mnseries.groups import HeisenbergElement, SemidirectElement, WreathElement
 from mnseries.magnus import LETTERS, FreeMonoid
 from mnseries.scalars import QQ, field_of
@@ -390,6 +392,95 @@ def reference_magnus_report(words, degree, seed=0):
 
 
 # --- verifier oracles ----------------------------------------------------------
+
+def reference_check_crossed_system(system, sample_count=200, seed=0):
+    """crossed.check_crossed_system as it was written before it became one
+    case loop: nested closures, a row table of panel products and twists,
+    and separate panel and sample call sequences. Kept verbatim as the
+    oracle its whole reports are compared against."""
+    if sample_count < 0:
+        raise ValueError("sample count must be nonnegative")
+    group = system.group
+    field = system.field
+    rng = random.Random(seed)
+    ident = group.identity()
+    scalars = field.panel()
+    checked = 0
+
+    def fmt(g):
+        return group.format_element(g)
+
+    def report(violation=None):
+        return outcome("crossed-validity", {"samples": sample_count}, violation,
+                       {"checked": checked})
+
+    def violation_at(kind, x, y, z=None):
+        payload = {"identity": kind, "x": fmt(x), "y": fmt(y)}
+        if z is not None:
+            payload["z"] = fmt(z)
+        return report(payload)
+
+    def check_pairs(x, y, xy, tw):
+        # xy and tw are multiply(x, y) and twist(x, y)
+        nonlocal checked
+        checked += 1
+        if system.twist(ident, x) != field.one or system.twist(x, ident) != field.one:
+            return violation_at("normalization", ident, x)
+        # action consistency: acting by x then y equals acting by xy up to
+        # conjugation by the twist (which is trivial in a commutative field,
+        # but stated in full)
+        tw_inv = field.inv(tw)
+        for r in scalars:
+            lhs = system.action(y, system.action(x, r))
+            rhs = tw_inv * system.action(xy, r) * tw
+            if lhs != rhs:
+                return violation_at("action", x, y)
+        return None
+
+    def check_triple(x, y, z, xy, tw, yz, tw_yz):
+        # yz and tw_yz are multiply(y, z) and twist(y, z)
+        nonlocal checked
+        checked += 1
+        lhs = system.twist(xy, z) * system.action(z, tw)
+        rhs = system.twist(x, yz) * tw_yz
+        if lhs != rhs:
+            return violation_at("cocycle", x, y, z)
+        return None
+
+    def product_and_twist(x, y):
+        return group.multiply(x, y), system.twist(x, y)
+
+    if system.action(ident, scalars[-1]) != scalars[-1]:
+        return report({"identity": "normalization", "x": fmt(ident)})
+
+    panel = group.panel_elements()
+    # (multiply(y, z), twist(y, z)) for every z in the panel, one row per y,
+    # each row made when first needed
+    rows = [None] * len(panel)
+    for x in panel:
+        for j, y in enumerate(panel):
+            xy, tw = product_and_twist(x, y)
+            bad = check_pairs(x, y, xy, tw)
+            if bad:
+                return bad
+            row = rows[j]
+            if row is None:
+                row = rows[j] = [product_and_twist(y, z) for z in panel]
+            for z, (yz, tw_yz) in zip(panel, row):
+                bad = check_triple(x, y, z, xy, tw, yz, tw_yz)
+                if bad:
+                    return bad
+    for _ in range(sample_count):
+        x = group.sample_element(rng)
+        y = group.sample_element(rng)
+        z = group.sample_element(rng)
+        xy, tw = product_and_twist(x, y)
+        bad = (check_pairs(x, y, xy, tw)
+               or check_triple(x, y, z, xy, tw, *product_and_twist(y, z)))
+        if bad:
+            return bad
+    return report()
+
 
 def reference_digit_sum_check(r, max_exponent):
     """Slow reference for freeness.digit_sum_check (valid inputs only): every

@@ -108,7 +108,8 @@ def test_magnus_distinct_and_collision(capsys):
 
 def test_magnus_parses_each_word_once_over_one_alphabet(capsys, monkeypatch):
     # the alphabet runs to the last letter of any word, so every word is
-    # built once, at that size, and the report is unchanged
+    # built once, at that size, from its item without spaces, and the report
+    # is unchanged
     calls = []
     parse_word = cli.parse_word
 
@@ -118,7 +119,7 @@ def test_magnus_parses_each_word_once_over_one_alphabet(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "parse_word", counting_parse_word)
     code, report = run_json(capsys, "magnus", "--words", "ab,c'a, 1", "--D", "2")
-    assert code == 0 and calls == [("ab", 3), ("c'a", 3), (" 1", 3)]
+    assert code == 0 and calls == [("ab", 3), ("c'a", 3), ("1", 3)]
     assert [image["word"] for image in report["images"]] == ["ab", "c'a", "1"]
     calls.clear()
     code, report = run_json(capsys, "magnus", "--words", "1,1", "--D", "2")

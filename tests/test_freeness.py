@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
 from helpers import reference_enumerate_monoid
+from mnseries import groups
 from mnseries.freeness import (
     GuardLimitError,
     digit_sum_check,
@@ -181,6 +183,27 @@ def test_negative_lengths_rejected():
 def test_pingpong_nontrivial_t():
     report = pingpong_check(SemidirectGroup(Fraction(3), Fraction(5, 7)), Fraction(5, 7), 5)
     assert report.verified
+
+
+def test_pingpong_puts_a_non_integral_h_over_t_outside_A(monkeypatch):
+    # a product fault adding t/3 to h at n = 2 leaves h/t non-integral; a
+    # floored h/t would read as a valid digit set and certify the fault
+    exact = groups._semidirect_product
+
+    def faulty(g, h):
+        num, den, n, p, q = exact(g, h)
+        if n == 2:
+            num, den = 3 * num + den, 3 * den
+            c = gcd(num, den)
+            num, den = num // c, den // c
+        return num, den, n, p, q
+
+    monkeypatch.setattr(groups, "_semidirect_product", faulty)
+    for length in (1, 2):
+        report = pingpong_check(SemidirectGroup(2, 1), 1, length)
+        assert report.verdict == COUNTEREXAMPLE
+        assert report.witness == {"reason": "tx-image missing the exponent-0 digit",
+                                  "element": "B(22/3,2)@r=2/1"}
 
 
 # --- generator constructions --------------------------------------------------

@@ -1,6 +1,7 @@
 """Differential tests of the combinatorial verifiers' fast paths against the
 slow reference oracles in helpers.py."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -8,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_digit_sum_check, reference_enumerate_monoid, reference_pingpong_check
-from mnseries import freeness
+from helpers import (reference_check_crossed_system, reference_digit_sum_check, reference_enumerate_monoid,
+                     reference_pingpong_check)
+from mnseries import registry
+from mnseries.crossed import CrossedSystem, check_crossed_system, quadratic_conj_z, quotient_system, z2_sign_twist
 from mnseries.freeness import digit_sum_check, pingpong_check
 from mnseries.groups import (Heisenberg, HeisenbergElement, LatticeElement, LatticeGroup, SemidirectGroup,
                              WreathGroup, digit_expansion, enumerate_monoid)
+from mnseries.scalars import QQ, field_from_spec
 
 _RATIOS = [Fraction(p, q) for p in range(2, 10) for q in range(1, p) if gcd(p, q) == 1]
 DIGIT_SUM_RATIOS = [Fraction(1)] + _RATIOS + [1 / r for r in _RATIOS]
@@ -127,15 +131,75 @@ def test_pingpong_matches_two_pass_reference(group, t, monkeypatch):
     # witness and count the same elements as the orbit-first reference
     length = 4
     asked = []
-    monkeypatch.setattr(freeness, "digit_expansion", lambda x, r: asked.append(x) or digit_expansion(x, r))
+    group_digits = SemidirectGroup.digits
+    monkeypatch.setattr(SemidirectGroup, "digits",
+                        lambda self, g, t: asked.append(g.h / t) or group_digits(self, g, t))
     assert pingpong_check(group, t, length) == reference_pingpong_check(group, t, length, digit_expansion)
     assert len(asked) == len(set(asked)) == 2 ** (length + 2) - 1
     witnesses = set()
     for value in asked:
         for kind in ("none", "drop0", "add0"):
             digits = _poisoned(value, kind)
-            monkeypatch.setattr(freeness, "digit_expansion", digits)
+            monkeypatch.setattr(SemidirectGroup, "digits",
+                                lambda self, g, t, digits=digits: digits(g.h / t, self.ratio))
             got = pingpong_check(group, t, length)
             assert got == reference_pingpong_check(group, t, length, digits), (value, kind)
             witnesses.add((got.witness or {}).get("reason"))
     assert len(witnesses) == 4
+
+
+CROSSED_BASES = ([z2_sign_twist(QQ), z2_sign_twist(field_from_spec("Fp:5")), quadratic_conj_z(2)]
+                 + [registry.trivial_on(g) for g in registry.group_ids()]
+                 + [quotient_system(Heisenberg(), "center"), quotient_system(SemidirectGroup(), "base")])
+
+
+def _corrupted(base, pairs=(), acted=None):
+    """base with its twist negated at each of the given pairs of elements and
+    its action negated at the element acted."""
+    def twist(g, h):
+        value = base.twist(g, h)
+        return -value if (g, h) in pairs else value
+
+    def action(g, r):
+        value = base.action(g, r)
+        return -value if g == acted else value
+
+    return CrossedSystem(f"corrupted:{base.id}", base.group, base.field, action, twist)
+
+
+def _crossed_runs(base, rng):
+    """(kind, system, samples, seed) runs on base: the base itself, its twist
+    corrupted at a panel pair, at pairs its sampler draws, and its action
+    corrupted at a panel element and at a drawn one."""
+    group = base.group
+    panel = group.panel_elements()
+    for kind in ("valid",) + ("panel-twist",) * 4 + ("sampled-twist", "panel-action", "sampled-action") * 2:
+        samples, seed = rng.randint(0, 25), rng.randrange(10**6)
+        draw = random.Random(seed)
+        drawn = [group.sample_element(draw) for _ in range(3 * samples)] or list(panel)
+        if kind == "valid":
+            system = base
+        elif kind == "panel-twist":
+            system = _corrupted(base, {(rng.choice(panel), rng.choice(panel))})
+        elif kind == "sampled-twist":
+            starts = [rng.randrange(len(drawn) - 1) for _ in range(2)]
+            system = _corrupted(base, {(drawn[i], drawn[i + 1]) for i in starts})
+        else:
+            system = _corrupted(base, acted=rng.choice(panel if kind == "panel-action" else drawn))
+        yield kind, system, samples, seed
+
+
+def test_check_crossed_system_matches_the_reference_checker():
+    # whole reports, verdict, witness and checked count, on the built-in
+    # and quotient systems and on corruptions of each
+    rng = random.Random(27)
+    found = set()
+    for base in CROSSED_BASES:
+        for kind, system, samples, seed in _crossed_runs(base, rng):
+            got = check_crossed_system(system, samples, seed)
+            assert got == reference_check_crossed_system(system, samples, seed), (base.id, base.group.id,
+                                                                                  kind, samples, seed)
+            if kind == "valid":
+                assert got.verified, (base.id, base.group.id)
+            found.add((got.witness or {}).get("identity"))
+    assert found == {None, "normalization", "action", "cocycle"}
