@@ -108,59 +108,56 @@ def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: i
     if sample_count < 0:
         raise ValueError("sample count must be nonnegative")
     field = system.field
+    fmt = system.group.format_element
     ident = system.group.identity()
     scalars = field.panel()
     checked = 0
-    witness = None
+    violation = None
     if system.action(ident, scalars[-1]) != scalars[-1]:
-        witness = ("normalization", ident)
+        violation = {"identity": "normalization", "x": fmt(ident)}
     else:
-        for x, y, zs, product_and_twist in _cases(system, sample_count, seed):
+        for x, y, (xy, tw), triples in _cases(system, sample_count, seed):
             checked += 1
-            xy, tw = product_and_twist(system, x, y)
             if system.twist(ident, x) != field.one or system.twist(x, ident) != field.one:
-                witness = ("normalization", ident, x)
+                violation = {"identity": "normalization", "x": fmt(ident), "y": fmt(x)}
                 break
             # acting by x then y is acting by xy up to conjugation by the
             # twist (trivial over a commutative field, but stated in full)
             tw_inv = field.inv(tw)
             if any(system.action(y, system.action(x, r)) != tw_inv * system.action(xy, r) * tw
                    for r in scalars):
-                witness = ("action", x, y)
+                violation = {"identity": "action", "x": fmt(x), "y": fmt(y)}
                 break
-            for z in zs:
+            for z, (yz, tw_yz) in triples:
                 checked += 1
-                yz, tw_yz = product_and_twist(system, y, z)
                 if system.twist(xy, z) * system.action(z, tw) != system.twist(x, yz) * tw_yz:
-                    witness = ("cocycle", x, y, z)
+                    violation = {"identity": "cocycle", "x": fmt(x), "y": fmt(y), "z": fmt(z)}
                     break
-            if witness:
+            if violation:
                 break
-    violation = None if witness is None else {
-        "identity": witness[0], **dict(zip("xyz", map(system.group.format_element, witness[1:])))}
     return outcome("crossed-validity", {"samples": sample_count}, violation, {"checked": checked})
 
 
-def _product_and_twist(system, x, y):
-    return system.group.multiply(x, y), system.twist(x, y)
-
-
 def _cases(system, sample_count: int, seed: int):
-    """check_crossed_system's cases in order, each (x, y, zs, f) with f
-    giving (multiply, twist) of two elements: every pair of panel elements
-    with the whole panel as zs, with f cached, so each panel pair is
-    multiplied and twisted once; then sample_count random triples x, y, z,
-    drawn in that order, with f uncached."""
+    """check_crossed_system's cases in order, each (x, y, (xy, twist(x, y)),
+    triples of (z, (yz, twist(y, z)))): the panel pairs, each multiplied and
+    twisted once, then sample_count triples drawn x, y, z and not kept."""
     group = system.group
+
+    def pair(x, y):
+        return group.multiply(x, y), system.twist(x, y)
+
     panel = group.panel_elements()
-    panel_pair = cache(_product_and_twist)
+    panel_pair = cache(pair)
     for x in panel:
         for y in panel:
-            yield x, y, panel, panel_pair
+            yield x, y, panel_pair(x, y), ((z, panel_pair(y, z)) for z in panel)
     rng = random.Random(seed)
     for _ in range(sample_count):
-        x, y, z = (group.sample_element(rng) for _ in "xyz")
-        yield x, y, (z,), _product_and_twist
+        x = group.sample_element(rng)
+        y = group.sample_element(rng)
+        z = group.sample_element(rng)
+        yield x, y, pair(x, y), ((z, pair(y, z)),)
 
 
 def diagonal_change(system: CrossedSystem, d) -> CrossedSystem:

@@ -154,7 +154,8 @@ def pingpong_check(group, t_value: Fraction, max_length: int) -> Report:
     digit-sum set A, the tx-image always carries the exponent-0 digit and the
     x-image never does, so the two translates of A are disjoint. A holds the
     elements with n >= 0 and h/t a sum of distinct powers of r, so h/t is an
-    integer there; group.digits answers it."""
+    integer there; group.digit_reader() answers it. t_value must be the
+    group's."""
     if max_length < 0:
         raise ValueError("max length must be nonnegative")
     r = group.ratio
@@ -165,21 +166,25 @@ def pingpong_check(group, t_value: Fraction, max_length: int) -> Report:
     t_value = Fraction(t_value)
     if t_value == 0:
         raise ValueError("translation part t must be nonzero")
+    if t_value != group.t_value:
+        raise ValueError("translation part t must be the group's t_value")
     bounds = {"L": max_length, "D": None, "N": None}
     tx = group.element(t_value, 1)
     x = group.element(0, 1)
     seed = group.element(t_value, 0)
+    digits = group.digit_reader()
 
     def in_A(g):
-        return None if g.n < 0 else group.digits(g, t_value)
+        return None if g.n < 0 else digits(g)
 
     checked = 0
-    tx_images = set()
-    x_images = set()
 
     def first_failure():
         # every orbit element past the seed is a tx- or x-image checked to
-        # lie in A one level up, so only the seed needs its own test
+        # lie in A one level up, so only the seed needs its own test. The two
+        # image sets cannot meet: an element's digits are a function of the
+        # element, and every tx-image carries the exponent-0 digit while no
+        # x-image does
         nonlocal checked
         if in_A(seed) is None:
             return {"reason": "orbit element left A", "element": group.format_element(seed)}
@@ -197,14 +202,9 @@ def pingpong_check(group, t_value: Fraction, max_length: int) -> Report:
                 if xd is None or 0 in xd:
                     return {"reason": "x-image carries the exponent-0 digit",
                             "element": group.format_element(xe)}
-                tx_images.add(te)
-                x_images.add(xe)
                 checked += 1
                 nxt += (te, xe)
             level = nxt
-        if tx_images & x_images:
-            clash = next(iter(tx_images & x_images))
-            return {"reason": "translate sets intersect", "element": group.format_element(clash)}
         return None
 
     witness = first_failure()

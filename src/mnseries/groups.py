@@ -470,20 +470,26 @@ class SemidirectGroup(_Group):
             return False
         if not g.num:
             return True
-        digits = self.digits(g, self.t_value)
+        digits = self.digit_reader()(g)
         return digits is not None and digits[-1] <= g.n - 1
 
-    def digits(self, g, t):
-        """digit_expansion of h/t at the ratio, for g = (h, n) and t nonzero,
-        on ints: the ascending exponents of the distinct ratio powers summing
-        to h/t, or None when there are none (so for h = 0, and for every
-        non-integral h/t at an integer ratio)."""
-        num, den = g.num * t.denominator, g.den * t.numerator
-        if den < 0:
-            num, den = -num, -den
-        c = gcd(num, den)
-        ratio = self.ratio
-        return _expansion(num // c, den // c, ratio.numerator, ratio.denominator)
+    def digit_reader(self):
+        """The group's one h/t digit routine: a function taking g = (h, n) to
+        digit_expansion(h/t, ratio), on ints, that is the ascending exponents
+        of the distinct ratio powers summing to h/t, or None when there are
+        none (so for h = 0, and for every non-integral h/t at an integer
+        ratio). The ints of t and the ratio are read once, here."""
+        ratio, t = self
+        p, q, tp, tq = ratio.numerator, ratio.denominator, t.numerator, t.denominator
+
+        def digits(g):
+            num, den = g.num * tq, g.den * tp
+            if den < 0:
+                num, den = -num, -den
+            c = gcd(num, den)
+            return _expansion(num // c, den // c, p, q)
+
+        return digits
 
     def weight(self, g) -> int:
         if not self.in_monoid(g):

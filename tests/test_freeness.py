@@ -172,6 +172,12 @@ def test_pingpong_requires_ratio_at_least_two():
         pingpong_check(SemidirectGroup(Fraction(1)), Fraction(1), 4)
 
 
+def test_pingpong_requires_the_groups_t():
+    # A is read at the group's t, so the seed and generators must use it too
+    with pytest.raises(ValueError, match="the group's t_value"):
+        pingpong_check(SemidirectGroup(2, 1), Fraction(3), 4)
+
+
 def test_negative_lengths_rejected():
     # a negative bound enumerates nothing and must not certify anything
     with pytest.raises(ValueError, match="nonnegative"):

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from helpers import (reference_check_crossed_system, reference_digit_sum_check, reference_enumerate_monoid,
                      reference_pingpong_check)
-from mnseries import registry
+from mnseries import groups, registry
 from mnseries.crossed import CrossedSystem, check_crossed_system, quadratic_conj_z, quotient_system, z2_sign_twist
 from mnseries.freeness import digit_sum_check, pingpong_check
 from mnseries.groups import (Heisenberg, HeisenbergElement, LatticeElement, LatticeGroup, SemidirectGroup,
-                             WreathGroup, digit_expansion, enumerate_monoid)
+                             WreathGroup, enumerate_monoid)
 from mnseries.scalars import QQ, field_from_spec
 
 _RATIOS = [Fraction(p, q) for p in range(2, 10) for q in range(1, p) if gcd(p, q) == 1]
@@ -108,42 +108,51 @@ def test_enumerate_monoid_matches_reference_on_random_generators(case, length):
     assert _enumeration(group, gens, length) == _expected_enumeration(group, gens, length)
 
 
+_EXPANSION = groups._expansion
+
+
 def _poisoned(value, kind):
-    """digit_expansion with one answer changed: at x == value it reports no
+    """groups._expansion(num, den, p, q), the expansion of num/den at the
+    ratio p/q, with one answer changed: at num/den == value it reports no
     expansion, drops the exponent-0 digit or adds it."""
-    def digits(x, ratio):
-        found = digit_expansion(x, ratio)
-        if x != value:
+    def expansion(num, den, p, q):
+        found = _EXPANSION(num, den, p, q)
+        if Fraction(num, den) != value:
             return found
         if kind == "none":
             return None
         if kind == "drop0":
             return [e for e in found if e]
         return [0] + [e for e in found if e]
-    return digits
+    return expansion
 
 
-@pytest.mark.parametrize("group,t", [(SemidirectGroup(), 1), (SemidirectGroup(3, Fraction(5, 7)), Fraction(5, 7))],
-                         ids=("bs12", "r3"))
+def _digits(expansion):
+    """The digit_expansion(x, ratio) of an expansion kernel."""
+    return lambda x, ratio: expansion(x.numerator, x.denominator, ratio.numerator, ratio.denominator)
+
+
+@pytest.mark.parametrize("group,t", [(SemidirectGroup(), 1), (SemidirectGroup(3, Fraction(5, 7)), Fraction(5, 7)),
+                                     (SemidirectGroup(2, -1), -1)], ids=("bs12", "r3", "t-negative"))
 def test_pingpong_matches_two_pass_reference(group, t, monkeypatch):
     # every orbit element's h/t is hit once, so each poisoned value makes
     # one element fail in one way; the one-pass check must name the same
-    # witness and count the same elements as the orbit-first reference
+    # witness and count the same elements as the orbit-first reference.
+    # The patch sits under the group's h/t reduction, which so runs in every
+    # check and hands its ints to the kernel as it made them.
     length = 4
     asked = []
-    group_digits = SemidirectGroup.digits
-    monkeypatch.setattr(SemidirectGroup, "digits",
-                        lambda self, g, t: asked.append(g.h / t) or group_digits(self, g, t))
-    assert pingpong_check(group, t, length) == reference_pingpong_check(group, t, length, digit_expansion)
+    monkeypatch.setattr(groups, "_expansion",
+                        lambda num, den, p, q: asked.append(Fraction(num, den)) or _EXPANSION(num, den, p, q))
+    assert pingpong_check(group, t, length) == reference_pingpong_check(group, t, length, _digits(_EXPANSION))
     assert len(asked) == len(set(asked)) == 2 ** (length + 2) - 1
     witnesses = set()
     for value in asked:
         for kind in ("none", "drop0", "add0"):
-            digits = _poisoned(value, kind)
-            monkeypatch.setattr(SemidirectGroup, "digits",
-                                lambda self, g, t, digits=digits: digits(g.h / t, self.ratio))
+            expansion = _poisoned(value, kind)
+            monkeypatch.setattr(groups, "_expansion", expansion)
             got = pingpong_check(group, t, length)
-            assert got == reference_pingpong_check(group, t, length, digits), (value, kind)
+            assert got == reference_pingpong_check(group, t, length, _digits(expansion)), (value, kind)
             witnesses.add((got.witness or {}).get("reason"))
     assert len(witnesses) == 4
 
