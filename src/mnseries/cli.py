@@ -278,21 +278,22 @@ def _run_digit_sum(args):
 
 def _run_magnus(args):
     # one alphabet for all the words, up to the last letter any of them uses
-    size = max((LETTERS.index(ch) + 1 for ch in args.words if ch in LETTERS), default=1)
+    # (find gives -1 for any other character)
+    size = max([0, *map(LETTERS.find, args.words)]) + 1
     items = [w.strip() for w in args.words.split(",")]
     words = [_canonical("--words", item, lambda w: parse_word(w, size)) for item in items]
     longest = max(len(w) for w in words)
     _check_guard(args, "L", longest, " in --words")
     _check_guard(args, "magnus_terms", sum(magnus_term_bound(w, args.D) for w in words),
                  f" at D={args.D}")
-    images, collision = magnus_images(words, args.D)
+    _, rows, collision = magnus_images(words, args.D)
     body = {
         "kind": "magnus",
         "bounds": {"L": longest, "D": args.D, "N": None},
         "distinct": collision is None,
         "collision": None if collision is None else [str(w) for w in collision],
         # a row tuple is written as a JSON array
-        "images": [{"word": item, "terms": img.rows()} for item, img in zip(items, images)],
+        "images": [{"word": item, "terms": terms} for item, terms in zip(items, rows)],
     }
     code = EXIT_CODES[VERIFIED if collision is None else COUNTEREXAMPLE]
     return {"words": ",".join(items), "D": args.D}, body, code

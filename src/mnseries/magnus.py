@@ -126,11 +126,19 @@ def word_reduce(raw, size: int) -> FreeWord:
 def parse_word(text: str, size: int | None = None) -> FreeWord:
     """Word syntax: letters a..z, inverse marked with a trailing apostrophe,
     "1" for the identity. Empty text and letters beyond the alphabet are
-    rejected."""
+    rejected; a bad letter anywhere is reported before the first letter
+    beyond the alphabet.
+
+    One walk reads, range-checks and freely reduces the letters, so the
+    word is built as it is, without FreeWord's re-checks."""
     text = text.strip()
     if not text:
         raise ValueError("empty word (the identity is written 1)")
-    letters = []
+    # the reduced letters; the highest symbol read, which sets a missing
+    # size; and the first symbol read beyond a given size
+    stack = []
+    high = -1
+    beyond = None
     if text != "1":
         i, n = 0, len(text)
         while i < n:
@@ -139,14 +147,21 @@ def parse_word(text: str, size: int | None = None) -> FreeWord:
             letter = _LETTER_SIGNS.get(text[i:end])
             if letter is None:
                 raise ValueError(f"bad letter {text[i]!r} in word {text!r}")
-            letters.append(letter)
+            sym, sign = letter
+            if sym > high:
+                high = sym
+                if beyond is None and size is not None and sym >= size:
+                    beyond = sym
+            if stack and stack[-1] == (sym, -sign):
+                stack.pop()
+            else:
+                stack.append(letter)
             i = end
     if size is None:
-        size = max((s for s, _ in letters), default=0) + 1
-    for sym, _ in letters:
-        if sym >= size:
-            raise ValueError(f"letter {LETTERS[sym]!r} exceeds alphabet of size {size}")
-    return word_reduce(letters, size)
+        size = max(high, 0) + 1
+    elif beyond is not None:
+        raise ValueError(f"letter {LETTERS[beyond]!r} exceeds alphabet of size {size}")
+    return tuple.__new__(FreeWord, (size, tuple(stack)))
 
 
 def reduced_word_count(size: int, max_length: int) -> int:
@@ -227,19 +242,22 @@ def magnus_image(word: FreeWord, degree: int) -> GradedSeries:
 
 def magnus_images(words, degree: int):
     """Magnus images of a nonempty list of words over one alphabet, evaluated
-    together by word_images (the map is fixed by the images of the letters),
-    and the first pair (earlier word, later word) in list order whose images
-    have equal term maps, or None."""
+    together by word_images (the map is fixed by the images of the letters);
+    their printed rows, rows[i] = images[i].rows(); and the first pair
+    (earlier word, later word) in list order whose images print the same
+    rows, or None. Equal rows mean equal term maps: no two terms print
+    alike, and a coefficient's string is exact."""
     size = words[0].size
     letters = [magnus_image(FreeWord(size, ((sym, 1),)), degree) for sym in range(size)]
     images = word_images(words, letters)
+    rows = [image.rows() for image in images]
     seen = {}
-    for word, image in zip(words, images):
-        key = frozenset(image.terms.items())
+    for word, image_rows in zip(words, rows):
+        key = tuple(image_rows)
         if key in seen:
-            return images, (seen[key], word)
+            return images, rows, (seen[key], word)
         seen[key] = word
-    return images, None
+    return images, rows, None
 
 
 def verify_magnus_injectivity(size: int, max_length: int, degree: int) -> Report:
@@ -250,7 +268,7 @@ def verify_magnus_injectivity(size: int, max_length: int, degree: int) -> Report
     if degree < max_length:
         raise ValueError("degree must be at least the maximum word length")
     words = enumerate_reduced_words(size, max_length)
-    collision = magnus_images(words, degree)[1]
+    collision = magnus_images(words, degree)[2]
     witness = None if collision is None else [str(w) for w in collision]
     return outcome("magnus", {"L": max_length, "D": degree, "N": None}, witness,
                    {"k": size, "words": len(words)})

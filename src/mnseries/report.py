@@ -69,6 +69,14 @@ def render_json(payload) -> str:
     return write_indented(payload)
 
 
+class Rows(list):
+    """A series' printed rows, [(weight, element string, coefficient string)],
+    which series.GradedSeries.rows() builds from int grades and str
+    formats: write_indented writes them without checking their types."""
+
+    __slots__ = ()
+
+
 # the value types of a report that are not containers
 _SCALARS = frozenset((str, int, bool, type(None)))
 _ROWS = frozenset((list, tuple))
@@ -87,54 +95,77 @@ def write_indented(value, depth: int = 0) -> str:
     """The bytes of json.dumps(value, sort_keys=True, indent=2) for a value
     made of str-keyed dicts, lists, tuples, str, int, bool and None, written
     at the given nesting depth; any other type, or a non-str key, raises
-    TypeError.
+    TypeError. A Rows is taken as it is, without checking its items.
 
-    A container whose items are all scalars, and a list of nonempty such
-    lists, is one call of json's C encoder: JSON string escaping never writes
-    a raw newline, so every newline in its output is a separator, and the
-    newlines around the brackets are patched in by slicing and replace. A str
-    value of any other dict is encoded in place, without a recursive call."""
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
+    A container whose items are all scalars, a list of nonempty such lists,
+    and a Rows, is one call of json's C encoder: JSON string escaping never
+    writes a raw newline, so every newline in its output is a separator, and
+    the newlines around the brackets are patched in by slicing and replace.
+    A str value of any other dict is encoded in place, without a recursive
+    call. Every fragment goes to one list, joined once."""
+    out = []
+    _write(value, depth, out)
+    return "".join(out)
+
+
+def _write(value, depth: int, out: list) -> None:
+    if type(value) is Rows:
+        out.append(_write_rows(value, depth) if value else "[]")
+    elif isinstance(value, dict):
         for key in value:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-        if _SCALARS.issuperset(map(type, value.values())):
-            return _bracket(_encode_items(depth + 1)(value), depth)
-        inner = "  " * (depth + 1)
-        items = [f"{inner}{encode_basestring_ascii(key)}: "
-                 + (encode_basestring_ascii(item) if type(item) is str
-                    else write_indented(item, depth + 1))
-                 for key, item in sorted(value.items())]
-        return "{\n" + ",\n".join(items) + "\n" + "  " * depth + "}"
-    if isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        if _SCALARS.issuperset(map(type, value)):
-            return _bracket(_encode_items(depth + 1)(value), depth)
-        if (_ROWS.issuperset(map(type, value)) and all(value)
+            out.append("{}")
+        elif _SCALARS.issuperset(map(type, value.values())):
+            out.append(_bracket(_encode_items(depth + 1)(value), depth))
+        else:
+            separator = "{\n" + "  " * (depth + 1)
+            for key, item in sorted(value.items()):
+                out += (separator, encode_basestring_ascii(key), ": ")
+                if type(item) is str:
+                    out.append(encode_basestring_ascii(item))
+                else:
+                    _write(item, depth + 1, out)
+                separator = ",\n" + "  " * (depth + 1)
+            out.append("\n" + "  " * depth + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+        elif _SCALARS.issuperset(map(type, value)):
+            out.append(_bracket(_encode_items(depth + 1)(value), depth))
+        elif (_ROWS.issuperset(map(type, value)) and all(value)
                 and _SCALARS.issuperset(map(type, chain.from_iterable(value)))):
-            # "],\n" can only end a row: a scalar ends in a digit, a letter
-            # or a quote
-            outer, inner = "  " * (depth + 1), "  " * (depth + 2)
-            rows = _encode_items(depth + 2)(value)[2:-2].replace(
-                "],\n" + inner + "[", f"\n{outer}],\n{outer}[\n{inner}")
-            return f"[\n{outer}[\n{inner}{rows}\n{outer}]\n{'  ' * depth}]"
-        inner = "  " * (depth + 1)
-        items = [inner + write_indented(item, depth + 1) for item in value]
-        return "[\n" + ",\n".join(items) + "\n" + "  " * depth + "]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            out.append(_write_rows(value, depth))
+        else:
+            separator = "[\n" + "  " * (depth + 1)
+            for item in value:
+                out.append(separator)
+                _write(item, depth + 1, out)
+                separator = ",\n" + "  " * (depth + 1)
+            out.append("\n" + "  " * depth + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_rows(rows, depth: int) -> str:
+    """A nonempty list of nonempty lists or tuples of scalars at this depth,
+    in one encoder call."""
+    # "],\n" can only end a row: a scalar ends in a digit, a letter or a quote
+    outer, inner = "  " * (depth + 1), "  " * (depth + 2)
+    body = _encode_items(depth + 2)(rows)[2:-2].replace(
+        "],\n" + inner + "[", f"\n{outer}],\n{outer}[\n{inner}")
+    return f"[\n{outer}[\n{inner}{body}\n{outer}]\n{'  ' * depth}]"
 
 
 def _bracket(encoded: str, depth: int) -> str:

@@ -27,19 +27,23 @@ class FieldMismatchError(ValueError):
     """Two scalars from different fields met in a single operation."""
 
 
-_RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 _MOD_RE = re.compile(r"^(\d+) mod (\d+)$")
 _QUAD_RE = re.compile(r"^(-?\d+(?:/\d+)?)([+-])(\d+(?:/\d+)?)\*sqrt\((-?\d+)\)$")
 
 
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
-    if not _RAT_RE.match(text):
+    match = _RAT_RE.match(text)
+    if match is None:
         raise ValueError(f"not a rational in p/q form: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    # the two parts are validated digit strings, which int reads as
+    # Fraction(text) would
+    numerator, denominator = match.groups("1")
+    denominator = int(denominator)
+    if not denominator:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(numerator), denominator)
 
 
 def normal_rational(x):

@@ -29,6 +29,7 @@ import re
 from operator import itemgetter
 
 from .groups import NotInMonoidError
+from .report import Rows
 from .scalars import QQ, TupleValue, field_from_spec, field_of_text
 
 
@@ -193,11 +194,15 @@ class GradedSeries(TupleValue):
 
     def rows(self):
         """(weight, element string, coefficient string) triples in canonical
-        (weight, element string) order. No two terms print alike, so the
-        coefficient string never decides the order of the plain tuples."""
+        (weight, element string) order, as report.Rows: every context's grade
+        is an int and its element and coefficient strings are str, which the
+        report writer trusts. No two terms print alike, so the coefficient
+        string never decides the order of the plain tuples."""
         ctx, terms = self.context, self.terms
-        return sorted(zip(map(ctx.grade, terms), map(ctx.format_element, terms),
-                          map(self.field.format, terms.values())))
+        rows = Rows(zip(map(ctx.grade, terms), map(ctx.format_element, terms),
+                        map(self.field.format, terms.values())))
+        rows.sort()
+        return rows
 
     def __repr__(self):
         if not self.terms:

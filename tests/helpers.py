@@ -11,6 +11,8 @@ as pairs of Fractions. The series oracle inverts by the plain geometric
 expansion, built only from the public series operations. The word-image
 oracles build every word from scratch, one product per letter, and the Magnus
 oracle writes each inverse letter out as its truncated geometric series.
+The word-parsing oracle reads a word's letters, checks their range, reduces
+them and validates the word, each in its own pass.
 The report oracles write rows, series files, reprs and the magnus report
 the way the library did before rows() printed its own rows: each row's
 coefficient formatted on its own after a sort keyed on (weight, element
@@ -40,7 +42,7 @@ from operator import itemgetter
 from mnseries.crossed import CrossedSystem, SubgroupSeriesRing
 from mnseries.report import COUNTEREXAMPLE, VERIFIED, Report, outcome
 from mnseries.groups import HeisenbergElement, SemidirectElement, WreathElement
-from mnseries.magnus import LETTERS, FreeMonoid
+from mnseries.magnus import LETTERS, FreeMonoid, FreeWord
 from mnseries.scalars import QQ, field_of
 from mnseries.series import GradedSeries
 
@@ -317,6 +319,60 @@ def reference_word_image(word, units):
     for sym, sign in word.letters:
         image = image * (units[sym] if sign == 1 else reference_invert(units[sym]))
     return image
+
+
+# --- word parsing oracle ----------------------------------------------------------
+
+def _reference_free_word(size, letters):
+    """FreeWord's validation as magnus.parse_word met it: the range and sign
+    of each letter, then reducedness."""
+    for sym, sign in letters:
+        if not (0 <= sym < size) or sign not in (1, -1):
+            raise ValueError(f"bad letter ({sym}, {sign}) for alphabet size {size}")
+    for (s1, e1), (s2, e2) in zip(letters, letters[1:]):
+        if s1 == s2 and e1 == -e2:
+            raise ValueError("word is not reduced")
+    return FreeWord(size, letters)
+
+
+def _reference_word_reduce(raw, size: int):
+    stack = []
+    for sym, sign in raw:
+        if stack and stack[-1][0] == sym and stack[-1][1] == -sign:
+            stack.pop()
+        else:
+            stack.append((sym, sign))
+    return _reference_free_word(size, tuple(stack))
+
+
+def reference_parse_word(text: str, size: int | None = None):
+    """magnus.parse_word as it was before it read a word in one walk: the
+    letters first, then the size check, then word_reduce and FreeWord's
+    validation, each its own pass."""
+    text = text.strip()
+    if not text:
+        raise ValueError("empty word (the identity is written 1)")
+    letters = []
+    if text != "1":
+        i, n = 0, len(text)
+        while i < n:
+            # a letter and its apostrophe are one key of the table
+            end = i + 2 if text.startswith("'", i + 1) else i + 1
+            letter = _REFERENCE_LETTER_SIGNS.get(text[i:end])
+            if letter is None:
+                raise ValueError(f"bad letter {text[i]!r} in word {text!r}")
+            letters.append(letter)
+            i = end
+    if size is None:
+        size = max((s for s, _ in letters), default=0) + 1
+    for sym, _ in letters:
+        if sym >= size:
+            raise ValueError(f"letter {LETTERS[sym]!r} exceeds alphabet of size {size}")
+    return _reference_word_reduce(letters, size)
+
+
+_REFERENCE_LETTER_SIGNS = {**{ch: (sym, 1) for sym, ch in enumerate(LETTERS)},
+                           **{ch + "'": (sym, -1) for sym, ch in enumerate(LETTERS)}}
 
 
 # --- report oracles ------------------------------------------------------------

@@ -3,8 +3,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import assert_valid
+from helpers import assert_valid, reference_parse_word
 from mnseries import magnus
 from mnseries.magnus import (
     FreeMonoid,
@@ -60,6 +62,46 @@ def test_word_parse_and_str():
             parse_word(text)
     # the letters are read before the word is reduced
     assert parse_word("aa'b") == parse_word("b") and str(parse_word("aa'b")) == "b"
+
+
+# words of letters a..e and their inverses, and texts that also hold the
+# identity, blanks, a letter beyond every size drawn, stray apostrophes and
+# digits
+WORD_LETTERS = st.sampled_from([*"abcde", *(ch + "'" for ch in "abcde")])
+WORD_PIECES = WORD_LETTERS | st.sampled_from(["1", " ", "\t", "x", "'", "''", "0", "2", "9"])
+WORD_TEXTS = (st.lists(WORD_LETTERS, max_size=8).map("".join)
+              | st.lists(WORD_PIECES, max_size=10).map("".join))
+
+
+def _parsed(parse, text, size):
+    try:
+        word = parse(text, size)
+    except ValueError as exc:
+        return "error", str(exc)
+    return word, str(word)
+
+
+@settings(derandomize=True, database=None, max_examples=500)
+@given(WORD_TEXTS, st.none() | st.integers(1, 5))
+def test_parse_word_matches_reference(text, size):
+    # the one-walk parser gives the reference's word and spelling, or its
+    # error: a bad letter anywhere first, then the first letter beyond the
+    # alphabet in text order
+    word, spelled = _parsed(parse_word, text, size)
+    assert (word, spelled) == _parsed(reference_parse_word, text, size)
+    if word != "error":
+        assert type(word) is FreeWord and FreeWord(word.size, word.letters) == word
+
+
+def test_parse_word_error_precedence():
+    for text, size, message in (("ca2", 2, "bad letter '2' in word 'ca2'"),
+                                ("dcA", 2, "bad letter 'A' in word 'dcA'"),
+                                ("adc", 2, "letter 'd' exceeds alphabet of size 2"),
+                                ("acd", 2, "letter 'c' exceeds alphabet of size 2"),
+                                ("cc'a", 2, "letter 'c' exceeds alphabet of size 2")):
+        for parse in (parse_word, reference_parse_word):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse(text, size)
 
 
 def test_enumerate_counts():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnseries.report import write_indented
+from mnseries.report import Rows, write_indented
 
 # strings that look like the writer's own separators and brackets, escapes,
 # control characters, non-ASCII text and lone surrogates
@@ -30,6 +30,18 @@ VALUES = st.recursive(
                    | st.dictionaries(TEXT, inner, max_size=5)),
     max_leaves=30,
 )
+
+
+# series rows as GradedSeries.rows() types them: int weights, str element
+# and coefficient columns; the writer takes them unchecked
+TYPED_ROWS = st.lists(st.tuples(st.integers(-2**70, 2**70), TEXT, TEXT), max_size=6).map(Rows)
+
+
+def nested(value, depth):
+    """value at this depth inside lists and dicts, alternately."""
+    for level in range(depth):
+        value = [value] if level % 2 else {"x": value, "y": 1}
+    return value
 
 
 def oracle(value) -> str:
@@ -72,3 +84,24 @@ def test_writer_matches_json_dumps_on_examples(value):
 def test_writer_refuses_other_types_and_keys(value):
     with pytest.raises(TypeError):
         write_indented(value)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(TYPED_ROWS, st.integers(0, 3), TEXT, SCALARS)
+def test_typed_rows_at_every_depth(rows, depth, word, scalar):
+    # typed rows alone and nested up to depth 3, beside scalars, and in the
+    # magnus body shape, empty rows included
+    body = {"images": [{"terms": rows, "word": word}, {"terms": Rows(), "word": word}]}
+    for value in (rows, [rows, scalar], {word: rows, "s": scalar}, body):
+        value = nested(value, depth)
+        assert write_indented(value) == oracle(value)
+
+
+@pytest.mark.parametrize("value", [
+    Rows(), [Rows()], {"terms": Rows()},
+    Rows([(0, "1", "1"), (1, "a", "-1/2"), (2, "ab", "3")]),
+    Rows([(1, "],\n    [", "\n"), (-5, "]", "")]),
+    {"images": [{"terms": Rows([(0, "1", "1")]), "word": "1"}]},
+])
+def test_typed_rows_examples(value):
+    assert write_indented(value) == oracle(value)

@@ -1,7 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mnseries import scalars
 from mnseries.scalars import (
@@ -233,3 +236,59 @@ def test_quadratic_parts_follow_the_rational_rule():
     # a product of Fraction parts that is integral is stored as an int
     assert type((half * Q2.from_int(2)).u) is int
     assert str(Q2.from_parts(Fraction(3), Fraction(-2))) == "3-2*sqrt(2)"
+
+
+def _rational_or_error(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return value, type(value)
+
+
+def reference_parse_rational(text):
+    """parse_rational as it was: the pattern check, then Fraction(text)."""
+    text = text.strip()
+    if not re.match(r"^-?\d+(?:/\d+)?$", text):
+        raise ValueError(f"not a rational in p/q form: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+# digit runs of ASCII digits with leading zeros, Arabic-Indic, Devanagari
+# and fullwidth digits (which \d accepts), possibly empty; p/q-shaped texts
+# of them with signs and blanks, and texts that mix in other characters
+DIGITS = st.lists(st.sampled_from(["0", "00", "1", "7", "12", "\u0663", "\u0967", "\uff15"]),
+                  max_size=3).map("".join)
+BLANKS = st.sampled_from(["", " ", "\t", "\n "])
+RATIONAL_TEXTS = (
+    st.builds(lambda pre, sign, num, den, post: f"{pre}{sign}{num}{'' if den is None else '/' + den}{post}",
+              BLANKS, st.sampled_from(["", "-", "+", "--"]), DIGITS, st.none() | DIGITS, BLANKS)
+    | st.lists(st.sampled_from(["0", "7", "\u0663", "-", "/", " ", ".", "_", "e", "x"]),
+               max_size=7).map("".join))
+
+
+@settings(derandomize=True, database=None, max_examples=600)
+@given(RATIONAL_TEXTS)
+def test_parse_rational_matches_fraction(text):
+    # int on the two validated parts gives Fraction(text), or the same error
+    assert _rational_or_error(parse_rational, text) == _rational_or_error(reference_parse_rational, text)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("007", 7), ("-0", 0), ("-0/5", 0), ("0012/0018", Fraction(2, 3)), (" 3/4 ", Fraction(3, 4)),
+    ("\u0663/\u0967\u0967", Fraction(3, 11)), ("-\uff15", -5), ("\t-6/4\n", Fraction(-3, 2)),
+])
+def test_parse_rational_reads_validated_digits(text, value):
+    parsed = parse_rational(text)
+    assert parsed == value == Fraction(text) and type(parsed) is Fraction
+
+
+@pytest.mark.parametrize("text", ["1/0", "-0/0", " 5/00 ", "\u0663/\u0660"])
+def test_parse_rational_refuses_zero_denominators(text):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'zero denominator in {text.strip()!r}')}$"):
+        parse_rational(text)
+    with pytest.raises(ZeroDivisionError):
+        Fraction(text)

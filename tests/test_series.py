@@ -1,7 +1,9 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from helpers import (
     reference_to_text,
     with_degree,
 )
-from mnseries import scalars
+from mnseries import scalars, series
 from mnseries.crossed import (
     SubgroupSeriesRing,
     flatten,
@@ -34,6 +36,7 @@ from mnseries.groups import (
 )
 from mnseries.magnus import FreeMonoid
 from mnseries.registry import resolve_crossed, resolve_monoid
+from mnseries.report import Rows
 from mnseries.scalars import QQ, PrimeField, QuadraticField, TupleValue
 from mnseries.series import (
     ContextMismatchError,
@@ -189,6 +192,44 @@ def test_rows_are_printed_in_the_reference_order(name, ctx, field, system):
         assert f.rows() == reference_rows(f)
         assert to_text(f) == reference_to_text(f)
         assert repr(f) == reference_repr(f)
+
+
+def assert_typed_rows(rows):
+    # the report writer trusts these types: exactly int, str, str
+    assert type(rows) is Rows
+    assert all(type(row) is tuple and len(row) == 3 for row in rows), rows
+    assert all(list(map(type, row)) == [int, str, str] for row in rows), rows
+
+
+@pytest.mark.parametrize("name,ctx,field,system", CONTEXTS, ids=lambda v: v if isinstance(v, str) else "")
+def test_rows_are_typed_rows(name, ctx, field, system):
+    rng = random.Random(f"typed:{name}")
+    assert_typed_rows(GradedSeries.zero(ctx, 4, field, system).rows())
+    for _ in range(20):
+        f = random_series(ctx, 4, field, rng, n_terms=8, system=system, unit=True)
+        assert f.rows()
+        assert_typed_rows(f.rows())
+        assert_typed_rows((f * f).rows())
+
+
+def test_regrouped_rows_are_typed_rows():
+    # a regrouped series prints its N-series coefficients as str
+    rng = random.Random("typed:regrouped")
+    center = quotient_descriptor(HEIS, "center")
+    for _ in range(10):
+        rf = regroup(random_series(HEIS, 4, QQ, rng, n_terms=8, unit=True), center)
+        assert rf.rows()
+        assert_typed_rows(rf.rows())
+        assert_typed_rows(rf.invert().rows())
+
+
+def test_only_the_series_module_builds_rows():
+    # every Rows the report writer takes unchecked comes from
+    # GradedSeries.rows(), whose types the test above holds
+    package = Path(series.__file__).parent
+    builders = sorted(path.name for path in package.glob("*.py")
+                      if re.search(r"(?<!class )\bRows\(", path.read_text()))
+    assert builders == ["series.py"], builders
 
 
 def test_regrouped_rows_print_their_coefficients_through_the_n_series_ring():

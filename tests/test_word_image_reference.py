@@ -51,7 +51,7 @@ def test_magnus_images_match_per_word_reference(size):
     words = enumerate_reduced_words(size, 4)
     for degree in range(7):
         expected = [reference_magnus_image(w, degree) for w in words]
-        images, collision = magnus_images(words, degree)
+        images, _, collision = magnus_images(words, degree)
         assert_same_images(images, expected)
         assert collision == reference_first_collision(words, expected)
         if degree >= 4:
@@ -78,18 +78,18 @@ def test_magnus_images_of_shuffled_lists_with_repeats_and_identity():
         rng.shuffle(words)
         degree = rng.randint(0, 6)
         expected = [reference_magnus_image(w, degree) for w in words]
-        images, collision = magnus_images(words, degree)
+        images, _, collision = magnus_images(words, degree)
         assert_same_images(images, expected)
         assert collision == reference_first_collision(words, expected)
 
 
 def test_magnus_images_of_documented_lists():
     words = [parse_word(w, 2) for w in "b'a,ab,a'b'ab,1,ba'".split(",")]
-    images, collision = magnus_images(words, 5)
+    images, _, collision = magnus_images(words, 5)
     assert_same_images(images, [reference_magnus_image(w, 5) for w in words])
     assert collision is None
     words = [parse_word(w, 2) for w in "ab,a'b,ab".split(",")]
-    images, collision = magnus_images(words, 4)
+    images, _, collision = magnus_images(words, 4)
     assert [str(w) for w in collision] == ["ab", "ab"]
     # one repeated word is one image, multiplied once
     assert images[0] is images[2]
@@ -120,3 +120,24 @@ def test_word_images_of_the_empty_word_is_the_identity():
     units = list(type1_unit_generators(heis, Fraction(1), Fraction(2), 3))
     (image,) = word_images([FreeWord(2, ())], units)
     assert image.terms == {heis.identity(): 1}
+
+
+def test_magnus_rows_are_the_printed_rows_of_the_images():
+    # rows[i] is images[i].rows(), and the first collision in list order is
+    # keyed on them: at D=1, ab and ba agree only after truncation, and the
+    # earlier pair of words wins over the later repeat of a
+    words = [parse_word(w, 2) for w in "b'a,ab,ba,a,ab".split(",")]
+    for degree in (1, 2):
+        images, rows, collision = magnus_images(words, degree)
+        assert rows == [image.rows() for image in images]
+        assert collision == reference_first_collision(words, images)
+    assert [str(w) for w in magnus_images(words, 1)[2]] == ["ab", "ba"]
+    assert [str(w) for w in magnus_images(words, 2)[2]] == ["ab", "ab"]
+    rng = random.Random(3)
+    pool = enumerate_reduced_words(3, 3)
+    for _ in range(40):
+        words = [rng.choice(pool) for _ in range(rng.randint(1, 10))]
+        degree = rng.randint(0, 4)
+        images, rows, collision = magnus_images(words, degree)
+        assert rows == [image.rows() for image in images]
+        assert collision == reference_first_collision(words, images)
