@@ -56,8 +56,7 @@ from .crossed import (
     trivial_system,
     z2_sign_twist,
 )
-from .linalg import InvariantError
-from .report import Report
+from .report import InvariantError, Report
 from .magnus import (
     FreeMonoid,
     FreeWord,

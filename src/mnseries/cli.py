@@ -332,7 +332,7 @@ def _run_check_crossed(args):
 def _run_pingpong(args):
     r = _parse_ratio(args)
     t = _canonical("--t", args.t, parse_rational)
-    report = pingpong_check(SemidirectGroup(r, t), t, args.L)
+    report = pingpong_check(SemidirectGroup(r, t), args.L)
     return {"r": args.r, "t": args.t, "L": args.L}, report.to_json(), report.exit_code
 
 

@@ -24,7 +24,7 @@ import random
 from functools import cache
 
 from .groups import IdentityCompared, LatticeGroup, QuotientDescriptor, quotient_descriptor
-from .report import Report, outcome
+from .report import InvariantError, Report, outcome
 from .scalars import QQ, QuadraticField
 from .series import (ContextMismatchError, GradedSeries, NoTruncatedInverseError, SubgroupRing,
                      group_of)
@@ -316,7 +316,7 @@ class QuotientSystem(CrossedSystem):
             g1, c1 = term_product(self.base, rep_inv, lead, n, zeta)
             g2, c2 = term_product(self.base, g1, c1, rep, field.one)
             if not self.descriptor.in_subgroup(g2):
-                raise AssertionError("conjugated support left the subgroup")
+                raise InvariantError("conjugated support left the subgroup")
             out[g2] = out.get(g2, field.zero) + c2
         return GradedSeries(self.subring, 0, out, field, self.base)
 

@@ -15,12 +15,13 @@ heis makes the words of length at most 4 dependent at every D >= 4.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 from .groups import enumerate_monoid, monoid_word_count
-from .linalg import InvariantError, rank_and_left_nullspace
+from .linalg import rank_and_left_nullspace
 from .magnus import enumerate_reduced_words, word_images
-from .report import INCONCLUSIVE, VERIFIED, Report, outcome
+from .report import INCONCLUSIVE, VERIFIED, InvariantError, Report, outcome
 from .scalars import field_of, rational_power
 from .series import GradedSeries
 
@@ -148,69 +149,53 @@ def _first_repeated_sum(weights):
 # ping-pong on the semidirect product
 
 
-def pingpong_check(group, t_value: Fraction, max_length: int) -> Report:
+def pingpong_check(group, max_length: int) -> Report:
     """Certify the two-generator ping-pong on the semidirect product: orbit
     elements of the seed t*x^0 under words in {tx, x} must stay inside the
     digit-sum set A, the tx-image always carries the exponent-0 digit and the
     x-image never does, so the two translates of A are disjoint. A holds the
     elements with n >= 0 and h/t a sum of distinct powers of r, so h/t is an
-    integer there; group.digit_reader() answers it. t_value must be the
-    group's."""
+    integer there; group.digit_reader() answers it. The ratio r, the
+    translation t and the pair (tx, x) are the group's."""
     if max_length < 0:
         raise ValueError("max length must be nonnegative")
-    r = group.ratio
+    r, t = group.ratio, group.t_value
     if r.denominator != 1:
         raise ValueError("ping-pong certificate requires an integer ratio")
     if r < 2:
         raise ValueError("ping-pong certificate needs ratio at least 2")
-    t_value = Fraction(t_value)
-    if t_value == 0:
-        raise ValueError("translation part t must be nonzero")
-    if t_value != group.t_value:
-        raise ValueError("translation part t must be the group's t_value")
     bounds = {"L": max_length, "D": None, "N": None}
-    tx = group.element(t_value, 1)
-    x = group.element(0, 1)
-    seed = group.element(t_value, 0)
+    orbit = 2 ** (max_length + 1) - 1
+    details = {"r": str(r), "t": str(t), "orbit": orbit, "checked": 0}
+    tx, x = group.monoid_generators()
+    seed = group.element(t, 0)
     digits = group.digit_reader()
-
-    def in_A(g):
-        return None if g.n < 0 else digits(g)
-
-    checked = 0
-
-    def first_failure():
-        # every orbit element past the seed is a tx- or x-image checked to
-        # lie in A one level up, so only the seed needs its own test. The two
-        # image sets cannot meet: an element's digits are a function of the
-        # element, and every tx-image carries the exponent-0 digit while no
-        # x-image does
-        nonlocal checked
-        if in_A(seed) is None:
-            return {"reason": "orbit element left A", "element": group.format_element(seed)}
-        level = [seed]
-        for _ in range(max_length + 1):
-            nxt = []
-            for e in level:
-                te = group.multiply(tx, e)
-                td = in_A(te)
-                if td is None or 0 not in td:
-                    return {"reason": "tx-image missing the exponent-0 digit",
-                            "element": group.format_element(te)}
-                xe = group.multiply(x, e)
-                xd = in_A(xe)
-                if xd is None or 0 in xd:
-                    return {"reason": "x-image carries the exponent-0 digit",
-                            "element": group.format_element(xe)}
-                checked += 1
-                nxt += (te, xe)
-            level = nxt
-        return None
-
-    witness = first_failure()
-    return outcome("ping-pong", bounds, witness,
-                   {"r": str(r), "t": str(t_value), "orbit": 2 ** (max_length + 1) - 1,
-                    "checked": checked})
+    # every orbit element past the seed is a tx- or x-image checked to lie in
+    # A one level up, so only the seed needs its own test (its n is 0). The
+    # two image sets cannot meet: an element's digits are a function of the
+    # element, and every tx-image carries the exponent-0 digit while no
+    # x-image does
+    if digits(seed) is None:
+        return outcome("ping-pong", bounds,
+                       {"reason": "orbit element left A", "element": group.format_element(seed)},
+                       details)
+    witness = None
+    queue = deque([seed])  # the orbit in level order, from the next element to check
+    for checked in range(orbit):
+        e = queue.popleft()
+        te = group.multiply(tx, e)
+        if te.n < 0 or (td := digits(te)) is None or 0 not in td:
+            witness = {"reason": "tx-image missing the exponent-0 digit",
+                       "element": group.format_element(te)}
+            break
+        xe = group.multiply(x, e)
+        if xe.n < 0 or (xd := digits(xe)) is None or 0 in xd:
+            witness = {"reason": "x-image carries the exponent-0 digit",
+                       "element": group.format_element(xe)}
+            break
+        queue += (te, xe)
+    details["checked"] = orbit if witness is None else checked
+    return outcome("ping-pong", bounds, witness, details)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +226,10 @@ def type3_generators(group):
     b = group.inverse(t)  # b < 1 and b B_0 b^-1 = B_-1, strictly below B_0
     a = group.element({0: -1}, 0)  # a < 1, in B_0, not in B_-1
     if not group.subgroup_contains("B0", a) or group.subgroup_contains("B-1", a):
-        raise AssertionError("separating element must lie in B0 and outside B-1")
+        raise InvariantError("separating element must lie in B0 and outside B-1")
     conj = group.multiply(group.multiply(b, group.element({0: 1}, 0)), group.inverse(b))
     if not group.subgroup_contains("B-1", conj):
-        raise AssertionError("conjugation by b must shift B0 into B-1")
+        raise InvariantError("conjugation by b must shift B0 into B-1")
     return (group.inverse(a), group.inverse(b))
 
 

@@ -11,6 +11,7 @@ with indices ascending, "Z(n)" and "Z2(a,b)" for the lattice groups.
 
 from __future__ import annotations
 
+import random
 import re
 from bisect import bisect_left
 from fractions import Fraction
@@ -18,7 +19,7 @@ from functools import cache
 from math import gcd
 from operator import add, neg
 
-from .report import VERIFIED, Report
+from .report import VERIFIED, InvariantError, Report
 from .scalars import TupleValue, parse_rational
 
 
@@ -797,23 +798,15 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
     """Table-driven classification with witness re-verification by sampling.
     The report's details give the group, the order type (1, 2 or 3), the
     convex jumps and the number of sampled checks."""
-    import random
-
     if samples < 0:
         raise ValueError("sample count must be nonnegative")
     rng = random.Random(seed)
-    checks = 0
-
-    def report(order_type, jumps, witness):
-        return Report("order-type", VERIFIED, {"samples": samples}, witness,
-                      {"group": group.id, "type": order_type, "jumps": jumps, "checks": checks})
-
-    chain = None
-    if isinstance(group, Heisenberg):
-        chain = ("1", "center", "a=0", "G")
-    elif isinstance(group, LatticeGroup):
-        chain = ("1",) + tuple(f"axis>{i}" for i in range(group.rank - 1, 0, -1)) + ("G",)
-    if chain is not None:
+    # a failed sampled check raises, so checks is the number of samples drawn
+    if isinstance(group, (Heisenberg, LatticeGroup)):
+        if isinstance(group, Heisenberg):
+            chain = ("1", "center", "a=0", "G")
+        else:
+            chain = ("1",) + tuple(f"axis>{i}" for i in range(group.rank - 1, 0, -1)) + ("G",)
         # a central chain: [upper, G] lies in lower at every jump
         jumps = []
         for lower, upper in zip(chain, chain[1:]):
@@ -821,54 +814,47 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
                 h = group.sample_subgroup(upper, rng)
                 g = group.sample_element(rng)
                 if not group.subgroup_contains(lower, _commutator(group, h, g)):
-                    raise AssertionError(f"jump ({lower},{upper}) is not central")
-                checks += 1
+                    raise InvariantError(f"jump ({lower},{upper}) is not central")
             jumps.append(_jump(group, lower, upper))
-        return report(1, jumps, {"chain": list(chain)})
-
-    if isinstance(group, SemidirectGroup):
+        order_type, checks, witness = 1, samples * len(jumps), {"chain": list(chain)}
+    elif isinstance(group, SemidirectGroup) and group.ratio != 1:
         conjugator = group.element(0, 1)
-        jump = _jump(group, "1", "base", group.ratio)
         p, q = group.ratio.numerator, group.ratio.denominator
         for _ in range(samples):
             z = group.sample_subgroup("base", rng)
             conj = group.multiply(group.multiply(conjugator, z), group.inverse(conjugator))
             # conj == (ratio * z.h, 0), cross-multiplied on ints
             if conj.n or conj.num * q * z.den != p * z.num * conj.den:
-                raise AssertionError("conjugation does not scale the base by the ratio")
+                raise InvariantError("conjugation does not scale the base by the ratio")
             g = group.sample_element(rng)
             moved = group.multiply(group.multiply(g, z), group.inverse(g))
             if not group.subgroup_contains("base", moved):
-                raise AssertionError("base subgroup is not normal")
-            checks += 1
-        if group.ratio == 1:
-            raise AssertionError("ratio 1 gives a central jump, not type 2")
-        witness = {
-            "jump": jump,
-            "conjugator": group.format_element(conjugator),
-        }
-        return report(2, [jump], witness)
-
-    if isinstance(group, WreathGroup):
+                raise InvariantError("base subgroup is not normal")
+        jumps = [_jump(group, "1", "base", group.ratio)]
+        order_type, checks = 2, samples
+        witness = {"jump": jumps[0], "conjugator": group.format_element(conjugator)}
+    elif isinstance(group, WreathGroup):
         b = group.inverse(WreathElement((), 1))  # t^-1 shrinks B_0 to B_-1
         a = WreathElement(((0, 1),), 0)
         for _ in range(samples):
             c = group.sample_subgroup("B0", rng)
             inside = group.multiply(group.multiply(b, c), group.inverse(b))
             if not group.subgroup_contains("B-1", inside):
-                raise AssertionError("conjugate of B0 does not land in B-1")
-            checks += 1
+                raise InvariantError("conjugate of B0 does not land in B-1")
         if group.subgroup_contains("B-1", a) or not group.subgroup_contains("B0", a):
-            raise AssertionError("witness element must lie in B0 but not in B-1")
-        witness = {
+            raise InvariantError("witness element must lie in B0 but not in B-1")
+        jumps = []
+        order_type, checks, witness = 3, samples, {
             "subgroup": "B0",
             "conjugator": group.format_element(b),
             "conjugated_into": "B-1",
             "separating_element": group.format_element(a),
         }
-        return report(3, [], witness)
-
-    raise ValueError(f"no classification table for group {group!r}")
+    else:
+        # ratio 1 makes the semidirect product abelian: it has no table either
+        raise ValueError(f"no classification table for group {group!r}")
+    return Report("order-type", VERIFIED, {"samples": samples}, witness,
+                  {"group": group.id, "type": order_type, "jumps": jumps, "checks": checks})
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +901,7 @@ class QuotientDescriptor(IdentityCompared):
         rep = self.representative(self.project(g))
         n = self.group.multiply(self.group.inverse(rep), g)
         if not self.in_subgroup(n):
-            raise AssertionError("transversal decomposition left the subgroup")
+            raise InvariantError("transversal decomposition left the subgroup")
         return rep, n
 
 

@@ -44,11 +44,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .report import InvariantError
 from .scalars import PrimeField, PrimeFieldElement, QuadraticField, field_of
-
-
-class InvariantError(RuntimeError):
-    """An independent re-verification of a computed result failed."""
 
 
 def _eliminate_integral(rows, n_cols, radicand):

@@ -13,7 +13,6 @@ import functools
 import hashlib
 import json
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .scalars import TupleValue
@@ -23,6 +22,10 @@ COUNTEREXAMPLE = "counterexample"
 INCONCLUSIVE = "inconclusive-at-D"
 
 EXIT_CODES = {VERIFIED: 0, COUNTEREXAMPLE: 2, INCONCLUSIVE: 3}
+
+
+class InvariantError(RuntimeError):
+    """An independent re-verification of a computed result failed."""
 
 
 class Report(TupleValue):
@@ -79,7 +82,6 @@ class Rows(list):
 
 # the value types of a report that are not containers
 _SCALARS = frozenset((str, int, bool, type(None)))
-_ROWS = frozenset((list, tuple))
 
 
 @functools.cache
@@ -97,10 +99,10 @@ def write_indented(value, depth: int = 0) -> str:
     at the given nesting depth; any other type, or a non-str key, raises
     TypeError. A Rows is taken as it is, without checking its items.
 
-    A container whose items are all scalars, a list of nonempty such lists,
-    and a Rows, is one call of json's C encoder: JSON string escaping never
-    writes a raw newline, so every newline in its output is a separator, and
-    the newlines around the brackets are patched in by slicing and replace.
+    A container whose items are all scalars, and a Rows, is one call of
+    json's C encoder: JSON string escaping never writes a raw newline, so
+    every newline in its output is a separator, and the newlines around the
+    brackets are patched in by slicing and replace.
     A str value of any other dict is encoded in place, without a recursive
     call. Every fragment goes to one list, joined once."""
     out = []
@@ -134,9 +136,6 @@ def _write(value, depth: int, out: list) -> None:
             out.append("[]")
         elif _SCALARS.issuperset(map(type, value)):
             out.append(_bracket(_encode_items(depth + 1)(value), depth))
-        elif (_ROWS.issuperset(map(type, value)) and all(value)
-                and _SCALARS.issuperset(map(type, chain.from_iterable(value)))):
-            out.append(_write_rows(value, depth))
         else:
             separator = "[\n" + "  " * (depth + 1)
             for item in value:
@@ -159,8 +158,7 @@ def _write(value, depth: int, out: list) -> None:
 
 
 def _write_rows(rows, depth: int) -> str:
-    """A nonempty list of nonempty lists or tuples of scalars at this depth,
-    in one encoder call."""
+    """A nonempty Rows at this depth, in one encoder call."""
     # "],\n" can only end a row: a scalar ends in a digit, a letter or a quote
     outer, inner = "  " * (depth + 1), "  " * (depth + 2)
     body = _encode_items(depth + 2)(rows)[2:-2].replace(

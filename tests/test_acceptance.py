@@ -132,7 +132,7 @@ def test_criterion_05_digit_sums():
 
 def test_criterion_06_pingpong():
     with criterion(6, "ping-pong certificate at r=2, t=1, L=8", 2.0):
-        report = pingpong_check(BS, Fraction(1), 8)
+        report = pingpong_check(BS, 8)
         assert report.verified
         assert report.details["orbit"] == 2**9 - 1
 
@@ -410,6 +410,31 @@ PINNED_MONOID_CEILING = (
 def test_verify_monoid_ceiling_digests(args, code, digest):
     group, gens, length = args
     got, out = _run_captured(("verify-monoid", "--group", group, "--gens", gens, "--L", length))
+    assert (got, _parse_report(out)["digest"]) == (code, digest)
+
+
+# the digests the installed console script is held to in CI
+# (.github/workflows/tier1.yml), run in process on the same argv, without an
+# appended --seed; twist.mns is the file CI writes, the text of twist-inv.mns
+PINNED_CONSOLE_REPORTS = (
+    (("check-crossed", "--system", "z2-sign-twist"), 0, "f69d07f3859d1ee3"),
+    (("check-crossed", "--system", "quadratic-conj-Z"), 0, "fc04ffdf37acae23"),
+    (("expand", "--series-file", "twist.mns", "--invert"), 0, "39428344e1200e0b"),
+    (("verify-monoid", "--group", "wreath", "--gens", "W({0:1},0),W({},1)", "--L", "16",
+      "--seed", "5"), 0, "20c99314ff81772b"),
+    (("magnus", "--words", "ab'a,b'a'b,1,ba,a'", "--D", "5"), 0, "eafd99d94ae0a29e"),
+    (("magnus", "--words", "b'a,ab,ba,a", "--D", "1"), 2, "7ccd7cfbe47a72cf"),
+)
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED_CONSOLE_REPORTS,
+                         ids=("z2-sign-twist", "quadratic-conj-Z", "expand-twist",
+                              "wreath-16-seed-5", "magnus-D5", "magnus-D1"))
+def test_console_script_digests(argv, code, digest, tmp_path, monkeypatch):
+    [twist] = [text for name, text, _ in PINNED_EXPANDS if name == "twist-inv.mns"]
+    (tmp_path / "twist.mns").write_text(twist)
+    monkeypatch.chdir(tmp_path)
+    got, out = _run_captured(argv)
     assert (got, _parse_report(out)["digest"]) == (code, digest)
 
 

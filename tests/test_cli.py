@@ -696,6 +696,30 @@ def test_failed_witness_reverification_exits_70(capsys, monkeypatch):
     assert "invariant failed" in err and not out
 
 
+def test_failed_classification_check_is_an_invariant_failure(capsys, monkeypatch):
+    # a Heisenberg product with an extra c*x term no longer has a central
+    # center, and classify reports that as a failed invariant, not as a bare
+    # assertion
+    from mnseries import groups
+
+    def skewed(g, h):
+        a, b, c = g
+        x, y, z = h
+        return (a + x, b + y, c + z + a * y + c * x)
+
+    monkeypatch.setattr(groups, "_heis_product", skewed)
+    code, out, err = run(capsys, "classify", "--group", "heis")
+    assert code == 70 and not out
+    assert "invariant failed: jump (1,center) is not central" in err
+
+
+def test_one_invariant_error():
+    from mnseries import crossed, freeness, groups, linalg, report
+
+    for module in (mnseries, crossed, freeness, groups, linalg, cli):
+        assert module.InvariantError is report.InvariantError
+
+
 @pytest.mark.parametrize("argv", [
     ("digit-sum", "--r", "1", "--N", "12"),
     ("verify-monoid", "--group", "heis", "--gens", "H(1,0,0),H(0,1,0)", "--L", "6"),

@@ -146,7 +146,7 @@ def test_digit_sum_guard_and_domain():
 # --- ping-pong ---------------------------------------------------------------
 
 def test_pingpong_verified():
-    report = pingpong_check(BS, Fraction(1), 6)
+    report = pingpong_check(BS, 6)
     assert report.verified
     assert report.details["orbit"] == 2**7 - 1
 
@@ -157,25 +157,19 @@ def test_pingpong_seed_and_first_moves():
     seed = BS.element(1, 0)
     assert BS.multiply(tx, seed) == BS.element(3, 1)
     assert BS.multiply(x, seed) == BS.element(2, 1)
-    report = pingpong_check(BS, Fraction(1), 0)
+    report = pingpong_check(BS, 0)
     assert report.verified  # the empty application: the seed itself is in A
 
 
 def test_pingpong_requires_integer_ratio():
     group = SemidirectGroup(Fraction(5, 2))
     with pytest.raises(ValueError, match="ping-pong certificate requires an integer ratio"):
-        pingpong_check(group, Fraction(1), 4)
+        pingpong_check(group, 4)
 
 
 def test_pingpong_requires_ratio_at_least_two():
     with pytest.raises(ValueError):
-        pingpong_check(SemidirectGroup(Fraction(1)), Fraction(1), 4)
-
-
-def test_pingpong_requires_the_groups_t():
-    # A is read at the group's t, so the seed and generators must use it too
-    with pytest.raises(ValueError, match="the group's t_value"):
-        pingpong_check(SemidirectGroup(2, 1), Fraction(3), 4)
+        pingpong_check(SemidirectGroup(Fraction(1)), 4)
 
 
 def test_negative_lengths_rejected():
@@ -183,11 +177,11 @@ def test_negative_lengths_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         free_monoid_check(BS, list(BS.monoid_generators()), -2)
     with pytest.raises(ValueError, match="nonnegative"):
-        pingpong_check(BS, Fraction(1), -1)
+        pingpong_check(BS, -1)
 
 
 def test_pingpong_nontrivial_t():
-    report = pingpong_check(SemidirectGroup(Fraction(3), Fraction(5, 7)), Fraction(5, 7), 5)
+    report = pingpong_check(SemidirectGroup(Fraction(3), Fraction(5, 7)), 5)
     assert report.verified
 
 
@@ -206,7 +200,7 @@ def test_pingpong_puts_a_non_integral_h_over_t_outside_A(monkeypatch):
 
     monkeypatch.setattr(groups, "_semidirect_product", faulty)
     for length in (1, 2):
-        report = pingpong_check(SemidirectGroup(2, 1), 1, length)
+        report = pingpong_check(SemidirectGroup(2, 1), length)
         assert report.verdict == COUNTEREXAMPLE
         assert report.witness == {"reason": "tx-image missing the exponent-0 digit",
                                   "element": "B(22/3,2)@r=2/1"}

@@ -338,6 +338,18 @@ def test_classification_rejects_negative_samples():
         classify_order_type(HEIS, samples=-5)
 
 
+def test_classification_has_no_table_for_ratio_one(monkeypatch):
+    # ratio 1 makes the semidirect product abelian: refused before sampling
+    def no_sampling(*args):
+        raise AssertionError("sampled a group without a classification table")
+
+    group = SemidirectGroup(Fraction(1))
+    monkeypatch.setattr(SemidirectGroup, "sample_subgroup", no_sampling)
+    monkeypatch.setattr(SemidirectGroup, "sample_element", no_sampling)
+    with pytest.raises(ValueError, match="no classification table"):
+        classify_order_type(group)
+
+
 def test_heisenberg_classification_witness_chain():
     result = classify_order_type(HEIS, samples=50)
     assert result.witness["chain"] == ["1", "center", "a=0", "G"]

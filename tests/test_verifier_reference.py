@@ -144,14 +144,14 @@ def test_pingpong_matches_two_pass_reference(group, t, monkeypatch):
     asked = []
     monkeypatch.setattr(groups, "_expansion",
                         lambda num, den, p, q: asked.append(Fraction(num, den)) or _EXPANSION(num, den, p, q))
-    assert pingpong_check(group, t, length) == reference_pingpong_check(group, t, length, _digits(_EXPANSION))
+    assert pingpong_check(group, length) == reference_pingpong_check(group, t, length, _digits(_EXPANSION))
     assert len(asked) == len(set(asked)) == 2 ** (length + 2) - 1
     witnesses = set()
     for value in asked:
         for kind in ("none", "drop0", "add0"):
             expansion = _poisoned(value, kind)
             monkeypatch.setattr(groups, "_expansion", expansion)
-            got = pingpong_check(group, t, length)
+            got = pingpong_check(group, length)
             assert got == reference_pingpong_check(group, t, length, _digits(expansion)), (value, kind)
             witnesses.add((got.witness or {}).get("reason"))
     assert len(witnesses) == 4
