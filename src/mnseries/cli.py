@@ -29,10 +29,9 @@ from .freeness import (
     type1_unit_generators,
 )
 from .groups import SemidirectGroup, classify_order_type, monoid_word_count
-from .linalg import InvariantError
 from .magnus import (LETTERS, FreeMonoid, magnus_images, magnus_term_bound, parse_word,
                      reduced_word_count)
-from .report import COUNTEREXAMPLE, EXIT_CODES, VERIFIED, digest, render_json
+from .report import COUNTEREXAMPLE, EXIT_CODES, VERIFIED, InvariantError, digest, render_json
 from .scalars import field_from_spec, parse_rational
 from .series import from_text, to_text
 

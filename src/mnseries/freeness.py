@@ -254,13 +254,14 @@ def type1_unit_generators(group, c, d, degree: int):
 def group_algebra_independence(units, max_length: int) -> Report:
     """Evaluate every reduced word of length at most max_length in the given
     units (inverses through truncated series inversion) at the units' common
-    degree D, assemble the exact coefficient matrix over (weight, element)
-    columns, and certify full rank by exact elimination. Rank deficiency
-    yields "inconclusive-at-D" with a dependency vector that re-verifies by
-    direct evaluation; truncation can destroy independence but never
-    fabricates it, so this is not a counterexample verdict. Nor does a larger
-    degree always separate the words: the dependency may hold exactly in the
-    monoid algebra, as for heis at L >= 4 (xyyx = yxxy in its monoid)."""
+    degree D, write each image's terms as one sparse row over the
+    (weight, element) columns of their joint support, and certify full rank
+    by exact elimination. Rank deficiency yields "inconclusive-at-D" with a
+    dependency vector that re-verifies by direct evaluation; truncation can
+    destroy independence but never fabricates it, so this is not a
+    counterexample verdict. Nor does a larger degree always separate the
+    words: the dependency may hold exactly in the monoid algebra, as for heis
+    at L >= 4 (xyyx = yxxy in its monoid)."""
     if not units:
         raise ValueError("need at least one unit")
     first = units[0]
@@ -280,15 +281,8 @@ def group_algebra_independence(units, max_length: int) -> Report:
     support = set().union(*(img.terms for img in ordered_images))
     columns = sorted(support, key=lambda g: (grade(g), fmt(g)))
     col_index = {g: j for j, g in enumerate(columns)}
-    zero = fld.zero
-    matrix = []
-    for img in ordered_images:
-        row = [zero] * len(columns)
-        for g, coeff in img.terms.items():
-            row[col_index[g]] = coeff
-        matrix.append(row)
-
-    rank, dependency = rank_and_left_nullspace(matrix, fld)
+    rows = [{col_index[g]: coeff for g, coeff in img.terms.items()} for img in ordered_images]
+    rank, dependency = rank_and_left_nullspace(rows, len(columns), fld)
     bounds = {"L": max_length, "D": degree, "N": None}
     details = {
         "units": len(units),
@@ -305,7 +299,7 @@ def group_algebra_independence(units, max_length: int) -> Report:
     combo = GradedSeries.zero(ctx, degree, fld, first.system)
     nonzero_entries = {}
     for coeff, w, img in zip(dependency, words, ordered_images):
-        if coeff != zero:
+        if coeff != fld.zero:
             nonzero_entries[str(w)] = fld.format(coeff)
             combo = combo + img.scale(coeff)
     if combo:

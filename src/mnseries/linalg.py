@@ -9,6 +9,11 @@ as it is, and the others are updated only on the pivot row's support (its
 nonzero columns), since subtracting a multiple of zero changes nothing;
 word-image matrices are sparse, and the identity block mostly zero.
 
+The input is sparse too: row i of M is a dict from a column index in
+range(n_cols) to a field element, and it holds the nonzero entries only,
+since the integer kernel would take a stored zero for a pivot. The caller
+names the field; an all-zero row is {}.
+
 There are two kernels, both on plain Python ints:
 
 - The integer kernel, over Q and Q(sqrt m). Each row of [M | I] is cleared
@@ -45,7 +50,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .report import InvariantError
-from .scalars import PrimeField, PrimeFieldElement, QuadraticField, field_of
+from .scalars import PrimeField, PrimeFieldElement, QuadraticField
 
 
 def _eliminate_integral(rows, n_cols, radicand):
@@ -159,8 +164,10 @@ def _rank_mod_p(matrix, n_cols, field):
     p = field.p
     rows = []
     for i, row in enumerate(matrix):
-        residues = [x.residue for x in row] + [0] * len(matrix)
+        residues = [0] * (n_cols + len(matrix))
         residues[n_cols + i] = 1
+        for j, x in row.items():
+            residues[j] = x.residue
         rows.append(residues)
     rank = _eliminate_mod_p(rows, n_cols, p)
     if rank == len(matrix):
@@ -177,14 +184,14 @@ def _rank_integral(matrix, n_cols, field):
     rows = []
     for i, row in enumerate(matrix):
         if quadratic:
-            denom = lcm(*{part.denominator for x in row for part in (x.u, x.v)})
+            denom = lcm(*{part.denominator for x in row.values() for part in (x.u, x.v)})
             cleared = {j: (x.u.numerator * (denom // x.u.denominator),
                            x.v.numerator * (denom // x.v.denominator))
-                       for j, x in enumerate(row) if x}
+                       for j, x in row.items()}
             cleared[n_cols + i] = (denom, 0)
         else:
-            denom = lcm(*{x.denominator for x in row})
-            cleared = {j: x.numerator * (denom // x.denominator) for j, x in enumerate(row) if x}
+            denom = lcm(*{x.denominator for x in row.values()})
+            cleared = {j: x.numerator * (denom // x.denominator) for j, x in row.items()}
             cleared[n_cols + i] = denom
         rows.append(cleared)
         denoms.append(denom)
@@ -209,23 +216,20 @@ def _rank_integral(matrix, n_cols, field):
     return rank, [x // scale.denominator * scale.numerator for x in z]
 
 
-def rank_and_left_nullspace(matrix, field=None):
-    """Rank, together with one nonzero vector y (if any) with y * M = 0.
+def rank_and_left_nullspace(rows, n_cols, field):
+    """Rank, together with one nonzero vector y (if any) with y * M = 0, for
+    M given as its sparse rows and n_cols (module docstring).
 
     Over Q the dependency is an int vector, the one fraction-free
     elimination of the cleared [M | I] gives; over F_p and Q(sqrt m) it is
     the dependency with entry 1 at the first row found dependent on the
     pivot rows (see the module docstring)."""
-    n_rows = len(matrix)
-    if n_rows == 0:
+    if not rows:
         return 0, None
-    n_cols = len(matrix[0])
-    if field is None:
-        field = field_of(matrix[0][0])
     if isinstance(field, PrimeField):
-        rank, dependency = _rank_mod_p(matrix, n_cols, field)
+        rank, dependency = _rank_mod_p(rows, n_cols, field)
     else:
-        rank, dependency = _rank_integral(matrix, n_cols, field)
+        rank, dependency = _rank_integral(rows, n_cols, field)
     if dependency is not None and not any(dependency):
         raise InvariantError("dependency vector is zero")
     return rank, dependency

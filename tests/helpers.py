@@ -25,7 +25,8 @@ elements' own hashing. The crossed-validity oracle is the checker as it was
 written with nested closures and a row table of panel products. The elimination oracles rewrite every entry of every
 row they update, with no skipping of zero entries or zero heads, and
 reference_rank_and_left_nullspace runs them on [M | I] in Fraction and field
-arithmetic. The test fixtures corrupt_twist and with_degree build objects the
+arithmetic; sparse_rows gives the library the same matrix as sparse rows.
+The test fixtures corrupt_twist and with_degree build objects the
 library itself never needs. The dataclass twins are the value contract the
 context, field and word classes and Report had as dataclasses: repr, ==,
 hash and bool, to hold the tuple-backed classes to.
@@ -730,6 +731,14 @@ def reference_eliminate_field(rows, pivot_cols, field):
         if pr == len(rows):
             break
     return pr
+
+
+def sparse_rows(matrix):
+    """A dense matrix as linalg.rank_and_left_nullspace takes it: each row
+    as a dict of its nonzero entries by column index ({} for an all-zero
+    row), and the column count."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+    return rows, len(matrix[0]) if matrix else 0
 
 
 def reference_rank_and_left_nullspace(matrix, field=None):

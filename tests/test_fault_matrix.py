@@ -1,0 +1,98 @@
+"""The fault matrix: verdict paths against faults patched in process.
+
+Each cell runs one verdict path at a pinned input under one fault and pins
+what it gives: the exit code and, when a report is printed, its verdict and
+digest. A fault is caught when the run exits 70 (a re-check failed) or its
+verdict is other than verified. A cell that still exits 0 under its fault
+is marked xfail(strict=True): the fault passes as verified, and catching it
+is the work of a re-check of the verified verdict (ROADMAP direction 3),
+which will change that cell's pin.
+
+The first row is verify-group-algebra on the units 1 + x, 1 + 2y of heis
+over Q at D=6. Honestly it is verified at L=3 (53 words of rank 53, exit 0,
+digest 23b709100c952058) and rank deficient at L=4 (161 words of rank 94,
+exit 3, digest 45bc06ed6a5477e5), the input CI also runs under python -O.
+"""
+
+import json
+
+import pytest
+
+from mnseries import cli, freeness, groups
+from mnseries.report import INCONCLUSIVE, VERIFIED
+from mnseries.series import GradedSeries
+
+ALGEBRA = ("verify-group-algebra", "--group", "heis", "--field=Q", "--c=1", "--d=2",
+           "--D", "6", "--seed", "5")
+INPUTS = {"verified": ALGEBRA + ("--L", "3"), "deficient": ALGEBRA + ("--L", "4")}
+
+
+def claim_full_rank(monkeypatch):
+    """The elimination claims full rank, with no dependency."""
+    monkeypatch.setattr(freeness, "rank_and_left_nullspace", lambda rows, *args: (len(rows), None))
+
+
+def drop_top_term(monkeypatch):
+    """The series product loses one term at the truncation degree (the
+    greatest by element string), as an off-by-one in truncation would."""
+    mul = GradedSeries.__mul__
+
+    def dropping(self, other):
+        product = mul(self, other)
+        ctx, degree = product.context, product.degree
+        top = [g for g in product.terms if ctx.grade(g) == degree]
+        if not top:
+            return product
+        terms = dict(product.terms)
+        del terms[max(top, key=ctx.format_element)]
+        return GradedSeries(ctx, degree, terms, product.field, product.system)
+
+    monkeypatch.setattr(GradedSeries, "__mul__", dropping)
+
+
+def skew_heis_product(monkeypatch):
+    """The heis product is off by one term: an extra c*x in the center."""
+    def skewed(g, h):
+        a, b, c = g
+        x, y, z = h
+        return (a + x, b + y, c + z + a * y + c * x)
+
+    monkeypatch.setattr(groups, "_heis_product", skewed)
+
+
+FAULTS = {"full-rank": claim_full_rank, "drop-term": drop_top_term,
+          "heis-off": skew_heis_product}
+
+
+def run(argv, capsys):
+    """Exit code, verdict and digest of one CLI run (None for no report)."""
+    code = cli.run_command(list(argv))
+    out = capsys.readouterr().out
+    report = json.loads(out) if out else {}
+    return code, report.get("verdict"), report.get("digest")
+
+
+class FaultPassedAsVerified(Exception):
+    """A run under a fault exited 0 with a verified report."""
+
+
+PASSES = pytest.mark.xfail(strict=True, raises=FaultPassedAsVerified,
+                           reason="no re-check of a verified group-algebra verdict "
+                                  "(ROADMAP direction 3)")
+
+
+@pytest.mark.parametrize("path,fault,code,verdict,digest", [
+    pytest.param("verified", "full-rank", 0, VERIFIED, "23b709100c952058", marks=PASSES),
+    pytest.param("deficient", "full-rank", 0, VERIFIED, "1f0ad354438ea086", marks=PASSES),
+    ("verified", "drop-term", 3, INCONCLUSIVE, "2a3952138969e031"),
+    ("deficient", "drop-term", 3, INCONCLUSIVE, "7a0801cada4c87ee"),
+    ("verified", "heis-off", 3, INCONCLUSIVE, "3cd5324f49556799"),
+    ("deficient", "heis-off", 3, INCONCLUSIVE, "043b17915fac8ab9"),
+])
+def test_verify_group_algebra_under_faults(path, fault, code, verdict, digest, capsys,
+                                           monkeypatch):
+    FAULTS[fault](monkeypatch)
+    result = run(INPUTS[path], capsys)
+    assert result == (code, verdict, digest)
+    if code == 0 and verdict == VERIFIED:
+        raise FaultPassedAsVerified(f"{fault} passes as verified at the {path} input")

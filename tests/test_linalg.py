@@ -1,8 +1,16 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from helpers import sparse_rows
 from mnseries.linalg import rank_and_left_nullspace
-from mnseries.scalars import PrimeField, QuadraticField
+from mnseries.scalars import QQ, PrimeField, QuadraticField
+
+
+def eliminate(matrix, field=QQ):
+    """rank_and_left_nullspace on a dense matrix, over Q unless told."""
+    return rank_and_left_nullspace(*sparse_rows(matrix), field)
 
 
 def gauss_rank_oracle(matrix):
@@ -38,7 +46,7 @@ def test_rank_matches_oracle_on_random_rational_matrices():
         if rng.random() < 0.5 and m >= 2:
             c = Fraction(rng.randint(-3, 3))
             matrix[-1] = [c * x for x in matrix[0]]
-        assert rank_and_left_nullspace(matrix)[0] == gauss_rank_oracle(matrix)
+        assert eliminate(matrix)[0] == gauss_rank_oracle(matrix)
 
 
 def test_left_nullspace_vectors_re_verify():
@@ -51,7 +59,7 @@ def test_left_nullspace_vectors_re_verify():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
             for _ in range(m)
         ]
-        rank, dep = rank_and_left_nullspace(matrix)
+        rank, dep = eliminate(matrix)
         assert rank == gauss_rank_oracle(matrix)
         if dep is not None:
             found += 1
@@ -70,7 +78,7 @@ def test_prime_field_rank_and_nullspace():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         matrix = [[F5.from_int(rng.randint(0, 4)) for _ in range(n)] for _ in range(m)]
-        rank, dep = rank_and_left_nullspace(matrix, F5)
+        rank, dep = eliminate(matrix, F5)
         # rank mod 5 can differ from the rank of integer lifts, so re-verify
         # the dependency directly instead of comparing against an oracle
         if dep is not None:
@@ -87,7 +95,7 @@ def test_quadratic_field_rank():
     Q2 = QuadraticField(2)
     a = Q2.from_parts(1, 1)
     matrix = [[Q2.one, a], [a, a * a]]  # second row is a * first row
-    rank, dep = rank_and_left_nullspace(matrix, Q2)
+    rank, dep = eliminate(matrix, Q2)
     assert rank == 1 and dep is not None
     for j in range(2):
         total = Q2.zero
@@ -100,12 +108,22 @@ def test_rank_five_in_characteristic_five():
     # 5 * identity has rank 0 mod 5 but rank 1 over Q: exercise the F_p path
     F5 = PrimeField(5)
     matrix = [[F5.from_int(5)]]
-    assert rank_and_left_nullspace(matrix, F5)[0] == 0
-    assert rank_and_left_nullspace([[Fraction(5)]])[0] == 1
+    assert eliminate(matrix, F5)[0] == 0
+    assert eliminate([[Fraction(5)]])[0] == 1
 
 
 def test_empty_and_degenerate():
-    assert rank_and_left_nullspace([])[0] == 0
-    assert rank_and_left_nullspace([[Fraction(0), Fraction(0)]])[0] == 0
-    rank, dep = rank_and_left_nullspace([[Fraction(0)]])
+    assert eliminate([])[0] == 0
+    assert eliminate([[Fraction(0), Fraction(0)]])[0] == 0
+    rank, dep = eliminate([[Fraction(0)]])
     assert rank == 0 and dep == [Fraction(1)]
+    # rows are sparse: an all-zero row is {}, and a matrix may have no columns
+    assert rank_and_left_nullspace([{}], 2, QQ) == (0, [QQ.one])
+    assert rank_and_left_nullspace([{}, {}], 0, QQ) == (0, [QQ.one, QQ.zero])
+    assert rank_and_left_nullspace([{}], 0, PrimeField(5)) == (0, [PrimeField(5).one])
+
+
+def test_field_is_required():
+    # the field is named by the caller, never guessed from an entry
+    with pytest.raises(TypeError):
+        rank_and_left_nullspace([{0: Fraction(1)}], 1)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_rank_and_left_nullspace
+from helpers import reference_rank_and_left_nullspace, sparse_rows
 from mnseries import freeness, linalg, registry
 from mnseries.scalars import (QQ, PrimeField, QuadraticField, QuadraticFieldElement,
                               field_from_spec, normal_rational)
@@ -29,8 +29,9 @@ def part_types(dependency):
 
 def assert_matches_reference(matrix, field):
     """Same rank, same dependency vector and the same part types from the
-    library and from the dense reference elimination."""
-    fast = linalg.rank_and_left_nullspace(matrix, field)
+    library, on the matrix's sparse rows, and from the dense reference
+    elimination."""
+    fast = linalg.rank_and_left_nullspace(*sparse_rows(matrix), field)
     slow = reference_rank_and_left_nullspace(matrix, field)
     assert fast == slow
     assert part_types(fast[1]) == part_types(slow[1])
@@ -91,7 +92,8 @@ def test_kernels_match_dense_reference_on_edge_cases(field):
     cases += [[[field.from_int(x) for x in row] for row in rows] for rows in ZERO_HEAD_ROWS]
     for matrix in cases:
         assert_matches_reference(matrix, field)
-    assert linalg.rank_and_left_nullspace([[zero, zero]], field) == (0, [one])
+    assert linalg.rank_and_left_nullspace([{}], 2, field) == (0, [one])
+    assert linalg.rank_and_left_nullspace([{}], 0, field) == (0, [one])
 
 
 # (field, c, d, L, D): word-image matrices of the units 1 + c*x, 1 + d*y over
@@ -110,18 +112,24 @@ HEIS_CELLS = (
 def test_kernels_match_dense_reference_on_group_algebra_matrices(spec, c, d, L, D,
                                                                   monkeypatch):
     field = field_from_spec(spec)
-    matrices = []
+    calls = []
 
-    def capture(matrix, fld):
-        matrices.append(matrix)
-        return linalg.rank_and_left_nullspace(matrix, fld)
+    def capture(rows, n_cols, fld):
+        calls.append((rows, n_cols))
+        return linalg.rank_and_left_nullspace(rows, n_cols, fld)
 
     with monkeypatch.context() as patch:
         patch.setattr(freeness, "rank_and_left_nullspace", capture)
         heis = registry.resolve_group("heis")
         units = freeness.type1_unit_generators(heis, field.parse(c), field.parse(d), D)
         report = freeness.group_algebra_independence(list(units), L)
-    (matrix,) = matrices
+    ((rows, n_cols),) = calls
+    # the row contract the kernels rely on: a stored zero would be taken for
+    # a pivot
+    for row in rows:
+        assert all(type(j) is int and 0 <= j < n_cols for j in row)
+        assert all(row.values())
+    matrix = [[row.get(j, field.zero) for j in range(n_cols)] for row in rows]
     rank, dependency = assert_matches_reference(matrix, field)
     assert report.details["rank"] == rank
     assert (dependency is None) == report.verified

@@ -73,11 +73,11 @@ def no_float(monkeypatch):
 
     rank = linalg.rank_and_left_nullspace
 
-    def guarded_rank(matrix, field=None):
-        for row in matrix:
-            for x in row:
+    def guarded_rank(rows, n_cols, field):
+        for row in rows:
+            for x in row.values():
                 _check(x, "a matrix entry")
-        result = rank(matrix, field)
+        result = rank(rows, n_cols, field)
         for x in result[1] or ():
             _check(x, "a dependency entry")
         seen["matrices"] += 1
