@@ -30,7 +30,6 @@ from .groups import (
     WreathGroup,
     classify_order_type,
     enumerate_monoid,
-    quotient_descriptor,
 )
 from .series import (
     ContextMismatchError,

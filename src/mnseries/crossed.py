@@ -10,12 +10,14 @@ basis element applies the action):
 
 together with the normalization twist(1, x) = twist(x, 1) = 1 and
 action(1) = id. Quotient systems along a normal convex subgroup N are crossed
-systems over G/N whose coefficients are finite N-series: they carry the
-induced action (conjugation by coset representatives) and the induced twist,
-whose value at (alpha, beta) is the correction element of N scaled by
-twist(rep_ab, n)^-1 * twist(rep_a, rep_b). regroup rewrites a series over G
-as a plain series over G/N under its quotient system, so regrouped series
-multiply with the one crossed-product rule of GradedSeries.
+systems over G/N whose coefficients are finite N-series. Each holds its
+quotient's canonical transversal: the projection to the lattice G/N and the
+coset representatives (heis / center gives Z^2, bs / base gives Z). They
+carry the induced action (conjugation by coset representatives) and the
+induced twist, whose value at (alpha, beta) is the correction element of N
+scaled by twist(rep_ab, n)^-1 * twist(rep_a, rep_b). regroup rewrites a
+series over G as a plain series over G/N under its quotient system, so
+regrouped series multiply with the one crossed-product rule of GradedSeries.
 """
 
 from __future__ import annotations
@@ -23,11 +25,22 @@ from __future__ import annotations
 import random
 from functools import cache
 
-from .groups import IdentityCompared, LatticeGroup, QuotientDescriptor, quotient_descriptor
+from .groups import Heisenberg, HeisenbergElement, LatticeElement, LatticeGroup, SemidirectGroup
 from .report import InvariantError, Report, outcome
 from .scalars import QQ, QuadraticField
 from .series import (ContextMismatchError, GradedSeries, NoTruncatedInverseError, SubgroupRing,
                      group_of)
+
+
+class IdentityCompared:
+    """Base of the objects that compare by identity and hold functions: a
+    copy or deep copy of one is the object itself."""
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 class CrossedSystem(IdentityCompared):
@@ -273,34 +286,63 @@ class SubgroupSeriesRing(IdentityCompared):
         return GradedSeries(self.subring, 0, terms, self.field, self.system)
 
 
+# the supported quotients G/N by (group class, tag of N): the rank of the
+# lattice G/N, the coset of g as its coordinates, and the canonical
+# representative in the group of the coset at coordinates q, the identity
+# coset's being the identity
+_QUOTIENTS = {
+    (Heisenberg, "center"): (2, lambda g: (g.a, g.b), lambda group, q: HeisenbergElement(*q, 0)),
+    (SemidirectGroup, "base"): (1, lambda g: (g.n,), lambda group, q: group.element(0, *q)),
+}
+
+
 class QuotientSystem(CrossedSystem):
     """The induced crossed system of G/N: its group is the quotient, its
     field the ring of finite N-series, its twist the correction elements and
     its action conjugation by coset representatives. Build it through
-    induced_system, which gives one object per base and descriptor."""
+    quotient_system, which gives one object per base and subgroup."""
 
-    def __init__(self, base: CrossedSystem, descriptor: QuotientDescriptor):
-        if base.group != descriptor.group:
-            raise ContextMismatchError("base system and quotient descriptor disagree on the group")
+    def __init__(self, base: CrossedSystem, subgroup_tag: str):
+        group = base.group
+        try:
+            rank, self._coset, self._representative = _QUOTIENTS[type(group), subgroup_tag]
+        except KeyError:
+            raise ValueError(f"unsupported quotient: {group.id} / {subgroup_tag}") from None
         self.base = base
-        self.descriptor = descriptor
-        self.subring = SubgroupRing(descriptor.group, descriptor.subgroup_tag)
-        super().__init__(f"quotient:{base.id}:{descriptor.id}", descriptor.quotient,
+        self.subring = SubgroupRing(group, subgroup_tag)
+        super().__init__(f"quotient:{base.id}:{group.id}/{subgroup_tag}", LatticeGroup(rank),
                          SubgroupSeriesRing(self.subring, base.field, base),
                          self._induced_action, self._induced_twist)
 
+    def project(self, g):
+        """The coset of g in the quotient group."""
+        return LatticeElement(self._coset(g))
+
+    def representative(self, q):
+        """The canonical representative of the coset q."""
+        return self._representative(self.base.group, q.coords)
+
+    def subgroup_part(self, g):
+        """The representative rep of g's coset and the unique n in N with
+        g = rep * n."""
+        group = self.base.group
+        rep = self.representative(self.project(g))
+        n = group.multiply(group.inverse(rep), g)
+        if not self.subring.in_monoid(n):
+            raise InvariantError("transversal decomposition left the subgroup")
+        return rep, n
+
     def correction(self, alpha, beta):
         """The unique n in N with rep(alpha*beta) * n = rep(alpha) * rep(beta)."""
-        d = self.descriptor
-        return d.subgroup_part(d.group.multiply(d.representative(alpha), d.representative(beta)))[1]
+        return self.subgroup_part(self.base.group.multiply(self.representative(alpha),
+                                                           self.representative(beta)))[1]
 
     def _induced_twist(self, alpha, beta) -> GradedSeries:
         """Unit of the N-series ring: the correction element n with scalar
         twist(rep_ab, n)^-1 * twist(rep_a, rep_b)."""
-        d = self.descriptor
-        rep_a = d.representative(alpha)
-        rep_b = d.representative(beta)
-        rep_ab, n = d.subgroup_part(d.group.multiply(rep_a, rep_b))
+        rep_a = self.representative(alpha)
+        rep_b = self.representative(beta)
+        rep_ab, n = self.subgroup_part(self.base.group.multiply(rep_a, rep_b))
         field = self.base.field
         scalar = field.inv(self.base.twist(rep_ab, n)) * self.base.twist(rep_a, rep_b)
         return GradedSeries(self.subring, 0, {n: scalar}, field, self.base)
@@ -309,29 +351,30 @@ class QuotientSystem(CrossedSystem):
         """Conjugation of an N-series by the representative of gamma,
         computed termwise in the crossed ring."""
         field = self.base.field
-        rep = self.descriptor.representative(gamma)
+        rep = self.representative(gamma)
         rep_inv, lead = term_inverse(self.base, rep, field.one)
         out = {}
         for n, zeta in f.terms.items():
             g1, c1 = term_product(self.base, rep_inv, lead, n, zeta)
             g2, c2 = term_product(self.base, g1, c1, rep, field.one)
-            if not self.descriptor.in_subgroup(g2):
+            if not self.subring.in_monoid(g2):
                 raise InvariantError("conjugated support left the subgroup")
             out[g2] = out.get(g2, field.zero) + c2
         return GradedSeries(self.subring, 0, out, field, self.base)
 
 
 @cache
-def induced_system(base: CrossedSystem, descriptor: QuotientDescriptor, /) -> QuotientSystem:
-    """The one quotient system of base along descriptor."""
-    return QuotientSystem(base, descriptor)
+def _quotient_system(base: CrossedSystem, subgroup_tag: str, /) -> QuotientSystem:
+    return QuotientSystem(base, subgroup_tag)
 
 
 def quotient_system(group, subgroup_tag, base: CrossedSystem | None = None) -> QuotientSystem:
-    """The induced system of base (the trivial system over Q when None) along
-    the canonical descriptor of one of the supported normal subgroups."""
-    return induced_system(base or trivial_system(group, QQ),
-                          quotient_descriptor(group, subgroup_tag))
+    """The one induced system of base (the trivial system over Q when None)
+    along one of the supported normal subgroups of group."""
+    base = base or trivial_system(group, QQ)
+    if base.group != group:
+        raise ContextMismatchError("base system and quotient disagree on the group")
+    return _quotient_system(base, subgroup_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +387,7 @@ def _context_over(group, graded: bool):
     return group if graded else SubgroupRing(group, "G")
 
 
-def regroup(f: GradedSeries, descriptor: QuotientDescriptor) -> GradedSeries:
+def regroup(f: GradedSeries, subgroup_tag: str) -> GradedSeries:
     """f as a series over the quotient G/N under the quotient system of its
     own system: the coefficient of each coset is the N-series of the terms
     of f in that coset. flatten is the exact inverse.
@@ -355,19 +398,20 @@ def regroup(f: GradedSeries, descriptor: QuotientDescriptor) -> GradedSeries:
     monoid, a whole-group ring series over the quotient's ring.
     """
     ctx = f.context
-    if group_of(ctx) != descriptor.group or not (ctx.graded or ctx.subgroup_tag == "G"):
-        raise ContextMismatchError(f"series over {ctx.id} cannot regroup along {descriptor.id}")
+    if not (ctx.graded or ctx.subgroup_tag == "G"):
+        raise ContextMismatchError(f"series over {ctx.id} cannot regroup along {subgroup_tag}")
+    group = group_of(ctx)
     field = f.field
-    base = trivial_system(descriptor.group, field) if f.system is None else f.system
-    qsys = induced_system(base, descriptor)
+    base = trivial_system(group, field) if f.system is None else f.system
+    qsys = quotient_system(group, subgroup_tag, base)
     buckets = {}
     for g, a in f.terms.items():
-        rep, n = descriptor.subgroup_part(g)
+        rep, n = qsys.subgroup_part(g)
         bucket = buckets.setdefault(rep, {})
         bucket[n] = bucket.get(n, field.zero) + field.inv(base.twist(rep, n)) * a
-    terms = {descriptor.project(rep): GradedSeries(qsys.subring, 0, bucket, field, base)
+    terms = {qsys.project(rep): GradedSeries(qsys.subring, 0, bucket, field, base)
              for rep, bucket in buckets.items()}
-    return GradedSeries(_context_over(descriptor.quotient, ctx.graded), f.degree, terms,
+    return GradedSeries(_context_over(qsys.group, ctx.graded), f.degree, terms,
                         qsys.field, qsys)
 
 
@@ -376,13 +420,12 @@ def flatten(rf: GradedSeries) -> GradedSeries:
     qsys = rf.system
     if not isinstance(qsys, QuotientSystem):
         raise ContextMismatchError(f"series over {rf.context.id} is not a regrouped series")
-    descriptor = qsys.descriptor
     base = qsys.base
-    group = descriptor.group
+    group = base.group
     field = base.field
     terms = {}
     for q, coeff in rf.terms.items():
-        rep = descriptor.representative(q)
+        rep = qsys.representative(q)
         for n, zeta in coeff.terms.items():
             g = group.multiply(rep, n)
             terms[g] = terms.get(g, field.zero) + base.twist(rep, n) * zeta
@@ -402,25 +445,24 @@ def augment_coefficients(rf: GradedSeries) -> GradedSeries:
     return GradedSeries(rf.context, rf.degree, terms, field, None)
 
 
-def project_series(f: GradedSeries, descriptor) -> GradedSeries:
+def project_series(f: GradedSeries, subgroup_tag: str) -> GradedSeries:
     """The induced ring morphism into the plain quotient series ring: each
     term is sent to its coset, coefficients through the augmentation."""
-    return augment_coefficients(regroup(f, descriptor))
+    return augment_coefficients(regroup(f, subgroup_tag))
 
 
-def good_preimage(a: GradedSeries, descriptor) -> GradedSeries:
-    """Lift a quotient series through the canonical transversal: each coset
-    term alpha*c becomes rep(alpha)*c. The projection returns a exactly, and
-    the lift is invertible whenever a has a nonzero identity coefficient."""
-    if group_of(a.context) != descriptor.quotient:
+def good_preimage(a: GradedSeries, group, subgroup_tag: str) -> GradedSeries:
+    """Lift a series over the quotient of group by the subgroup through the
+    canonical transversal: each coset term alpha*c becomes rep(alpha)*c. The
+    projection returns a exactly, and the lift is invertible whenever a has
+    a nonzero identity coefficient."""
+    qsys = quotient_system(group, subgroup_tag)
+    if group_of(a.context) != qsys.group:
         raise ContextMismatchError(
-            f"series over {a.context.id} is not over the quotient of {descriptor.id}"
+            f"series over {a.context.id} is not over the quotient {group.id}/{subgroup_tag}"
         )
-    terms = {}
-    for q, c in a.terms.items():
-        terms[descriptor.representative(q)] = c
-    return GradedSeries(_context_over(descriptor.group, a.context.graded), a.degree, terms,
-                        a.field, None)
+    terms = {qsys.representative(q): c for q, c in a.terms.items()}
+    return GradedSeries(_context_over(group, a.context.graded), a.degree, terms, a.field, None)
 
 
 # ---------------------------------------------------------------------------

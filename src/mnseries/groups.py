@@ -15,7 +15,6 @@ import random
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache
 from math import gcd
 from operator import add, neg
 
@@ -39,13 +38,28 @@ def _cmp(a, b) -> int:
 # elements
 
 
+class _Element(TupleValue):
+    """What the four group element classes share: one product. It refuses an
+    element of another class, and otherwise wraps the field tuple that the
+    class's _product computes (which makes any further check, of the ratio
+    or the rank)."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        cls = self.__class__
+        if other.__class__ is not cls:
+            raise GroupMismatchError(f"cannot multiply {cls.__name__} by {type(other).__name__}")
+        return _value(cls, cls._product(self, other))
+
+
 def _heis_product(g, h):
     a, b, c = g
     x, y, z = h
     return (a + x, b + y, c + z + a * y)
 
 
-class HeisenbergElement(TupleValue):
+class HeisenbergElement(_Element):
     """Upper unitriangular 3x3 integer matrix with entries (1,2)=a, (2,3)=b, (1,3)=c."""
 
     __slots__ = ()
@@ -54,11 +68,6 @@ class HeisenbergElement(TupleValue):
 
     def __new__(cls, a, b, c):
         return _value(cls, (a, b, c))
-
-    def __mul__(self, other):
-        if not isinstance(other, HeisenbergElement):
-            raise GroupMismatchError(f"cannot multiply Heisenberg element by {type(other).__name__}")
-        return _value(HeisenbergElement, _heis_product(self, other))
 
     def inverse(self):
         a, b, c = self
@@ -88,7 +97,7 @@ def _semidirect_product(g, h):
     return (num // c, den // c, n + m, p, q)
 
 
-class SemidirectElement(TupleValue):
+class SemidirectElement(_Element):
     """Element (h, n) of H x| C where the generator of C scales H by the
     ratio r.
 
@@ -123,11 +132,6 @@ class SemidirectElement(TupleValue):
 
     def __repr__(self):
         return f"SemidirectElement(h={self.h!r}, n={self.n!r}, ratio={self.ratio!r})"
-
-    def __mul__(self, other):
-        if not isinstance(other, SemidirectElement):
-            raise GroupMismatchError("cannot mix semidirect-product groups with different ratios")
-        return _value(SemidirectElement, _semidirect_product(self, other))
 
     def inverse(self):
         # -(r**-n) * h = -(s/t) * h
@@ -170,7 +174,7 @@ def _wreath_product(g, h):
     return (cells, shift + n)
 
 
-class WreathElement(TupleValue):
+class WreathElement(_Element):
     """Element (f, n) of the restricted wreath product Z wr Z.
 
     cells holds the finitely supported map f as (index, value) pairs with
@@ -188,11 +192,6 @@ class WreathElement(TupleValue):
     def from_map(mapping, n: int) -> "WreathElement":
         cells = tuple(sorted((i, v) for i, v in mapping.items() if v != 0))
         return WreathElement(cells, n)
-
-    def __mul__(self, other):
-        if not isinstance(other, WreathElement):
-            raise GroupMismatchError(f"cannot multiply wreath element by {type(other).__name__}")
-        return _value(WreathElement, _wreath_product(self, other))
 
     def inverse(self):
         cells, n = self
@@ -212,10 +211,13 @@ class WreathElement(TupleValue):
 
 
 def _lattice_product(g, h):
-    return (tuple(map(add, g[0], h[0])),)
+    mine, theirs = g[0], h[0]
+    if len(mine) != len(theirs):
+        raise GroupMismatchError("cannot mix lattice groups of different rank")
+    return (tuple(map(add, mine, theirs)),)
 
 
-class LatticeElement(TupleValue):
+class LatticeElement(_Element):
     """Element of Z^rank, ordered lexicographically."""
 
     __slots__ = ()
@@ -224,12 +226,6 @@ class LatticeElement(TupleValue):
 
     def __new__(cls, coords):
         return _value(cls, (coords,))
-
-    def __mul__(self, other):
-        mine = self.coords
-        if not isinstance(other, LatticeElement) or len(other.coords) != len(mine):
-            raise GroupMismatchError("cannot mix lattice groups of different rank")
-        return _value(LatticeElement, _lattice_product(self, other))
 
     def inverse(self):
         return _value(LatticeElement, (tuple(map(neg, self.coords)),))
@@ -855,75 +851,3 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
         raise ValueError(f"no classification table for group {group!r}")
     return Report("order-type", VERIFIED, {"samples": samples}, witness,
                   {"group": group.id, "type": order_type, "jumps": jumps, "checks": checks})
-
-
-# ---------------------------------------------------------------------------
-# normal-subgroup quotients with canonical transversals
-
-
-class IdentityCompared:
-    """Base of the objects that compare by identity and hold functions: a
-    copy or deep copy of one is the object itself."""
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
-
-class QuotientDescriptor(IdentityCompared):
-    """A supported normal convex subgroup with a transversal.
-
-    project sends g to its coset in the quotient group, representative picks
-    the coset representative (identity coset gets the identity), and
-    in_subgroup tests membership in N. Descriptors compare by identity;
-    quotient_descriptor builds them and caches one per group and subgroup.
-    """
-
-    def __init__(self, group, subgroup_tag, quotient, project, representative):
-        self.group = group
-        self.subgroup_tag = subgroup_tag
-        self.quotient = quotient
-        self.project = project
-        self.representative = representative
-
-    @property
-    def id(self) -> str:
-        return f"{self.group.id}/{self.subgroup_tag}"
-
-    def in_subgroup(self, g) -> bool:
-        return self.group.subgroup_contains(self.subgroup_tag, g)
-
-    def subgroup_part(self, g):
-        """The representative rep of g's coset and the unique n in N with
-        g = rep * n."""
-        rep = self.representative(self.project(g))
-        n = self.group.multiply(self.group.inverse(rep), g)
-        if not self.in_subgroup(n):
-            raise InvariantError("transversal decomposition left the subgroup")
-        return rep, n
-
-
-@cache
-def quotient_descriptor(group, subgroup_tag: str, /) -> QuotientDescriptor:
-    """The canonical descriptor of group / subgroup_tag, one object per pair."""
-    if isinstance(group, Heisenberg) and subgroup_tag == "center":
-        quotient = LatticeGroup(2)
-        return QuotientDescriptor(
-            group,
-            "center",
-            quotient,
-            lambda g: LatticeElement((g.a, g.b)),
-            lambda q: HeisenbergElement(q.coords[0], q.coords[1], 0),
-        )
-    if isinstance(group, SemidirectGroup) and subgroup_tag == "base":
-        quotient = LatticeGroup(1)
-        return QuotientDescriptor(
-            group,
-            "base",
-            quotient,
-            lambda g: LatticeElement((g.n,)),
-            lambda q: group.element(0, q.coords[0]),
-        )
-    raise ValueError(f"unsupported quotient: {getattr(group, 'id', group)} / {subgroup_tag}")

@@ -354,7 +354,7 @@ def to_text(f: GradedSeries) -> str:
     return "\n".join([header, *(f"{w}\t{elem_s}\t{c}" for w, elem_s, c in f.rows())]) + "\n"
 
 
-def from_text(text: str, monoid_resolver, crossed_resolver=None):
+def from_text(text: str, monoid_resolver, crossed_resolver):
     """Parse the text format and accept it only as the exact bytes to_text
     writes for the parsed series, so accepted files round-trip byte-exactly.
     The coefficient field is inferred from the first coefficient's syntax,
@@ -363,9 +363,8 @@ def from_text(text: str, monoid_resolver, crossed_resolver=None):
     optional " field=<spec>" names, and over Q without one; to_text writes
     field= nowhere else, so the round-trip check refuses it there.
 
-    Returns the parsed series; the crossed system is attached through
-    crossed_resolver(crossed_id, context, field) when given, else must be
-    "trivial"."""
+    Returns the parsed series; a crossed system other than "trivial" is
+    attached through crossed_resolver(crossed_id, context, field)."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty series text")
@@ -385,11 +384,7 @@ def from_text(text: str, monoid_resolver, crossed_resolver=None):
             # the first coefficient's syntax names the field, built once
             field = field_of_text(parts[2])
         terms[g] = field.parse(parts[2])
-    system = None
-    if crossed_id != "trivial":
-        if crossed_resolver is None:
-            raise ValueError(f"no resolver for crossed system {crossed_id!r}")
-        system = crossed_resolver(crossed_id, context, field)
+    system = None if crossed_id == "trivial" else crossed_resolver(crossed_id, context, field)
     # validation checks each term's membership, the one search per term
     series = GradedSeries(context, int(m.group(2)), terms, field, system)
     canonical = to_text(series)

@@ -707,7 +707,7 @@ def test_failed_classification_check_is_an_invariant_failure(capsys, monkeypatch
         x, y, z = h
         return (a + x, b + y, c + z + a * y + c * x)
 
-    monkeypatch.setattr(groups, "_heis_product", skewed)
+    monkeypatch.setattr(groups.HeisenbergElement, "_product", staticmethod(skewed))
     code, out, err = run(capsys, "classify", "--group", "heis")
     assert code == 70 and not out
     assert "invariant failed: jump (1,center) is not central" in err

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import mnseries
 from helpers import corrupt_twist, random_series
-from mnseries import registry
+from mnseries import crossed, registry
 from mnseries.crossed import (
     CrossedSystem,
     augment_coefficients,
@@ -29,8 +33,8 @@ from mnseries.groups import (
     LatticeGroup,
     SemidirectGroup,
     WreathGroup,
-    quotient_descriptor,
 )
+from mnseries.report import InvariantError
 from mnseries.scalars import QQ, QuadraticField, field_from_spec
 from mnseries.series import (ContextMismatchError, GradedSeries, NoTruncatedInverseError, from_text,
                              to_text)
@@ -177,6 +181,82 @@ def test_group_ring_quotient_twist_is_the_correction_element():
     assert qs.twist(alpha, beta).terms == {n: Fraction(1)}
 
 
+def test_quotient_system_decomposition():
+    qs = quotient_system(HEIS, "center")
+    rng = random.Random(10)
+    for _ in range(100):
+        g = HEIS.sample_element(rng)
+        rep, n = qs.subgroup_part(g)
+        assert rep == qs.representative(qs.project(g))
+        assert HEIS.multiply(rep, n) == g
+    assert qs.representative(qs.group.identity()) == HEIS.identity()
+    bs = quotient_system(SemidirectGroup(), "base")
+    assert bs.representative(bs.group.identity()) == SemidirectGroup().identity()
+    with pytest.raises(ValueError, match="unsupported quotient: heis / a=0"):
+        quotient_system(HEIS, "a=0")
+    with pytest.raises(ValueError, match="unsupported quotient: z2 / center"):
+        regroup(GradedSeries.one(Z2, 2, QQ), "center")
+    with pytest.raises(ContextMismatchError):
+        quotient_system(HEIS, "center", base=trivial_system(Z2, QQ))
+
+
+# A transversal fault, each coset's representative moved off its coset by y,
+# as source text so that a subprocess can run it too.
+SHIFTED_REPRESENTATIVE = """
+from mnseries.groups import HeisenbergElement
+
+def shifted_representative(q):
+    return HeisenbergElement(q.coords[0], q.coords[1] + 1, 0)
+"""
+
+
+def test_a_transversal_off_its_coset_is_an_invariant_failure(monkeypatch):
+    namespace = {}
+    exec(SHIFTED_REPRESENTATIVE, namespace)
+    # monkeypatch puts the cached system's own representative back afterwards
+    monkeypatch.setattr(quotient_system(HEIS, "center"), "representative",
+                        namespace["shifted_representative"])
+    with pytest.raises(InvariantError, match="transversal decomposition left the subgroup"):
+        regroup(GradedSeries.one(HEIS, 2, QQ), "center")
+
+
+def test_transversal_recheck_runs_in_optimized_mode():
+    script = SHIFTED_REPRESENTATIVE + (
+        "from mnseries.crossed import quotient_system, regroup\n"
+        "from mnseries.groups import Heisenberg\n"
+        "from mnseries.report import InvariantError\n"
+        "from mnseries.scalars import QQ\n"
+        "from mnseries.series import GradedSeries\n"
+        "quotient_system(Heisenberg(), 'center').representative = shifted_representative\n"
+        "try:\n"
+        "    regroup(GradedSeries.one(Heisenberg(), 2, QQ), 'center')\n"
+        "except InvariantError as error:\n"
+        "    print(error)\n"
+        "    raise SystemExit(70)\n")
+    src = os.path.dirname(os.path.dirname(mnseries.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=False)
+    assert (proc.returncode, proc.stdout) == (70, "transversal decomposition left the subgroup\n"), \
+        proc.stderr
+
+
+def test_conjugated_support_off_the_subgroup_is_an_invariant_failure(monkeypatch):
+    # a crossed-ring term product that moves each element by y takes the
+    # conjugate of a central term out of the center
+    product = crossed.term_product
+    y = HEIS.monoid_generators()[1]
+
+    def shifted(system, g, a, h, b):
+        x, c = product(system, g, a, h, b)
+        return x * y, c
+
+    monkeypatch.setattr(crossed, "term_product", shifted)
+    qs = quotient_system(HEIS, "center")
+    f = GradedSeries(qs.subring, 0, {HeisenbergElement(0, 0, 1): Fraction(3)}, QQ, qs.base)
+    with pytest.raises(InvariantError, match="conjugated support left the subgroup"):
+        qs.action(Z2.element(1, 0), f)
+
+
 def test_quotient_action_by_conjugation():
     qs = quotient_system(HEIS, "center")
     z = HeisenbergElement(0, 0, 1)
@@ -192,13 +272,12 @@ def test_quotient_action_by_conjugation():
 )
 def test_regroup_is_multiplicative_under_quotient_system(group, tag):
     qs = quotient_system(group, tag)
-    qd = qs.descriptor
     rng = random.Random(6)
     for _ in range(100):
         f = random_series(group, 4, QQ, rng)
         g = random_series(group, 4, QQ, rng)
-        lhs = regroup(f * g, qd)
-        rhs = regroup(f, qd) * regroup(g, qd)
+        lhs = regroup(f * g, tag)
+        rhs = regroup(f, tag) * regroup(g, tag)
         assert rhs.system == qs
         assert lhs == rhs
         assert flatten(rhs) == f * g
@@ -213,12 +292,11 @@ def test_regrouped_multiplication_is_associative(group, tag):
     # associativity of the induced product is the series-level statement of
     # the quotient system's validity identities
     qs = quotient_system(group, tag)
-    qd = qs.descriptor
     rng = random.Random(13)
     for _ in range(40):
-        a = regroup(random_series(group, 4, QQ, rng), qd)
-        b = regroup(random_series(group, 4, QQ, rng), qd)
-        c = regroup(random_series(group, 4, QQ, rng), qd)
+        a = regroup(random_series(group, 4, QQ, rng), tag)
+        b = regroup(random_series(group, 4, QQ, rng), tag)
+        c = regroup(random_series(group, 4, QQ, rng), tag)
         assert a.system == qs
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
@@ -226,45 +304,42 @@ def test_regrouped_multiplication_is_associative(group, tag):
 
 
 def test_regroup_is_additive(subtests=None):
-    qd = quotient_descriptor(HEIS, "center")
     rng = random.Random(7)
     for _ in range(50):
         f = random_series(HEIS, 4, QQ, rng)
         g = random_series(HEIS, 4, QQ, rng)
-        summed = regroup(f, qd).terms
-        for q, s in regroup(g, qd).terms.items():
+        summed = regroup(f, "center").terms
+        for q, s in regroup(g, "center").terms.items():
             summed[q] = summed.get(q, s - s) + s
         summed = {q: s for q, s in summed.items() if s}
-        assert summed == regroup(f + g, qd).terms
+        assert summed == regroup(f + g, "center").terms
 
 
 def test_good_preimage_lift_and_projection():
-    qd = quotient_descriptor(HEIS, "center")
     A = GradedSeries(Z2, 4, {Z2.identity(): Fraction(1), Z2.element(1, 0): Fraction(1)}, QQ)
-    lifted = good_preimage(A, qd)
+    lifted = good_preimage(A, HEIS, "center")
     assert lifted.terms == {HEIS.identity(): Fraction(1), HeisenbergElement(1, 0, 0): Fraction(1)}
-    assert project_series(lifted, qd) == A
+    assert project_series(lifted, "center") == A
 
 
 def test_good_preimage_random_round_trip_and_invertibility():
-    qd = quotient_descriptor(HEIS, "center")
     rng = random.Random(8)
     one = GradedSeries.one(HEIS, 4, QQ)
     for _ in range(100):
         A = random_series(Z2, 4, QQ, rng, unit=True)
-        lifted = good_preimage(A, qd)
-        assert project_series(lifted, qd) == A
+        lifted = good_preimage(A, HEIS, "center")
+        assert project_series(lifted, "center") == A
         inv = lifted.invert()
         assert lifted * inv == one
 
 
 def test_good_preimage_multiplicativity_through_projection():
-    qd = quotient_descriptor(HEIS, "center")
     rng = random.Random(9)
     for _ in range(100):
         A = random_series(Z2, 4, QQ, rng)
         B = random_series(Z2, 4, QQ, rng)
-        lhs = project_series(good_preimage(A, qd) * good_preimage(B, qd), qd)
+        lhs = project_series(good_preimage(A, HEIS, "center") * good_preimage(B, HEIS, "center"),
+                             "center")
         assert lhs == A * B
 
 
@@ -320,18 +395,17 @@ TWISTED_BASES = [
 def test_regroup_under_a_twisted_base_system(group, tag, d):
     base = diagonal_change(trivial_system(group, QQ), d)
     qs = quotient_system(group, tag, base=base)
-    qd = qs.descriptor
     panel = group.panel_elements()
-    assert any(base.twist(*qd.subgroup_part(x)) != 1 for x in panel)
-    assert any(qs.twist(qd.project(x), qd.project(y)).terms != {qs.correction(qd.project(x), qd.project(y)): 1}
+    assert any(base.twist(*qs.subgroup_part(x)) != 1 for x in panel)
+    assert any(qs.twist(qs.project(x), qs.project(y)).terms != {qs.correction(qs.project(x), qs.project(y)): 1}
                for x in panel for y in panel)
     rng = random.Random(14)
     for _ in range(60):
         f, g, h = (random_series(group, 4, QQ, rng, system=base) for _ in range(3))
-        a, b, c = (regroup(s, qd) for s in (f, g, h))
+        a, b, c = (regroup(s, tag) for s in (f, g, h))
         assert a.system == qs
         assert flatten(a) == f
-        assert a * b == regroup(f * g, qd)
+        assert a * b == regroup(f * g, tag)
         assert (a * b) * c == a * (b * c)
 
 
@@ -356,7 +430,7 @@ def test_trusted_series_match_the_validating_constructor(group, tag, d, twisted)
     rng = random.Random(16)
     for _ in range(10):
         f = random_series(group, 4, QQ, rng, system=base, unit=True)
-        r = regroup(f, qs.descriptor)
+        r = regroup(f, tag)
         built += [change_basis(f, diagonal_change(base, d), d), r, *r.terms.values(),
                   augment_coefficients(r), f * f, f.invert(), f.truncated(2), r * r,
                   r.invert(), -r, r + r, f.scale(Fraction(1, 2))]
@@ -371,10 +445,9 @@ def _heis_unit():
 
 
 def test_regrouped_series_inverts_through_its_identity_term():
-    qd = quotient_descriptor(HEIS, "center")
     f = _heis_unit()
-    r = regroup(f, qd)
-    one = regroup(GradedSeries.one(HEIS, 4, QQ), qd)
+    r = regroup(f, "center")
+    one = regroup(GradedSeries.one(HEIS, 4, QQ), "center")
     assert one.invert() == one
     inverse = r.invert()
     assert r * inverse == one and inverse * r == one
@@ -384,12 +457,11 @@ def test_regrouped_series_inverts_through_its_identity_term():
 @pytest.mark.parametrize("group,tag,d", TWISTED_BASES, ids=("heis-center", "bs12-base"))
 def test_regrouped_series_inverts_under_a_twisted_base(group, tag, d):
     base = diagonal_change(trivial_system(group, QQ), d)
-    qd = quotient_descriptor(group, tag)
     rng = random.Random(15)
     for _ in range(10):
         f = random_series(group, 4, QQ, rng, system=base)
         f = f + GradedSeries(group, 4, {group.identity(): 1 - f.identity_coefficient()}, QQ, base)
-        r = regroup(f, qd)
+        r = regroup(f, tag)
         inverse = r.invert()
         one = GradedSeries.one(r.context, 4, r.field, r.system)
         assert r * inverse == one and inverse * r == one
@@ -430,7 +502,7 @@ def test_check_crossed_system_validates_quotient_systems(group, tag, d, twisted)
 
 
 # ---------------------------------------------------------------------------
-# systems and descriptors compare by identity
+# systems compare by identity
 
 
 def test_cached_constructors_give_one_object_per_arguments():
@@ -443,16 +515,15 @@ def test_cached_constructors_give_one_object_per_arguments():
     assert conj is registry.builtin_system("quadratic-conj-Z")
     assert conj is registry.resolve_crossed("quadratic-conj-Z", LatticeGroup(1), field_from_spec("Qsqrt:2"))
     for group, tag in ((HEIS, "center"), (SemidirectGroup(), "base")):
-        qd = quotient_descriptor(group, tag)
-        assert qd is quotient_descriptor(type(group)(), tag) is quotient_system(group, tag).descriptor
         qs = quotient_system(group, tag)
         assert isinstance(qs, CrossedSystem) and qs is quotient_system(type(group)(), tag)
-        assert regroup(GradedSeries.one(group, 2, QQ), qd).system is qs
-    # keyword spellings would be separate cache entries, so they are refused
+        assert qs is quotient_system(group, tag, trivial_system(group, QQ))
+        assert regroup(GradedSeries.one(group, 2, QQ), tag).system is qs
+    # keyword spellings would be separate cache entries, so the cached calls
+    # refuse them; quotient_system makes its one cached call positionally
     with pytest.raises(TypeError):
         z2_sign_twist(field=QQ)
-    with pytest.raises(TypeError):
-        quotient_descriptor(HEIS, subgroup_tag="center")
+    assert quotient_system(HEIS, subgroup_tag="center") is quotient_system(HEIS, "center")
 
 
 def test_two_parses_of_one_twisted_file_share_the_system():

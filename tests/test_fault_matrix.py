@@ -12,6 +12,12 @@ The first row is verify-group-algebra on the units 1 + x, 1 + 2y of heis
 over Q at D=6. Honestly it is verified at L=3 (53 words of rank 53, exit 0,
 digest 23b709100c952058) and rank deficient at L=4 (161 words of rank 94,
 exit 3, digest 45bc06ed6a5477e5), the input CI also runs under python -O.
+Its four faults: the elimination claims full rank; the series product drops
+its top-weight term, or the second of its terms in (grade, element string)
+order; the heis product gains a term. 5 of its 8 cells catch their fault.
+The dropped second term leaves the L=3 run verified with the honest digest:
+the rank survives that fault, so only a re-check of the verified verdict
+can catch it.
 """
 
 import json
@@ -50,6 +56,23 @@ def drop_top_term(monkeypatch):
     monkeypatch.setattr(GradedSeries, "__mul__", dropping)
 
 
+def drop_second_term(monkeypatch):
+    """The series product loses its second term in (grade, element string)
+    order whenever it has at least three, a fault below the top weight."""
+    mul = GradedSeries.__mul__
+
+    def dropping(self, other):
+        product = mul(self, other)
+        if len(product.terms) < 3:
+            return product
+        ctx = product.context
+        terms = dict(product.terms)
+        del terms[sorted(terms, key=lambda g: (ctx.grade(g), ctx.format_element(g)))[1]]
+        return GradedSeries(ctx, product.degree, terms, product.field, product.system)
+
+    monkeypatch.setattr(GradedSeries, "__mul__", dropping)
+
+
 def skew_heis_product(monkeypatch):
     """The heis product is off by one term: an extra c*x in the center."""
     def skewed(g, h):
@@ -57,11 +80,11 @@ def skew_heis_product(monkeypatch):
         x, y, z = h
         return (a + x, b + y, c + z + a * y + c * x)
 
-    monkeypatch.setattr(groups, "_heis_product", skewed)
+    monkeypatch.setattr(groups.HeisenbergElement, "_product", staticmethod(skewed))
 
 
 FAULTS = {"full-rank": claim_full_rank, "drop-term": drop_top_term,
-          "heis-off": skew_heis_product}
+          "drop-second": drop_second_term, "heis-off": skew_heis_product}
 
 
 def run(argv, capsys):
@@ -86,6 +109,8 @@ PASSES = pytest.mark.xfail(strict=True, raises=FaultPassedAsVerified,
     pytest.param("deficient", "full-rank", 0, VERIFIED, "1f0ad354438ea086", marks=PASSES),
     ("verified", "drop-term", 3, INCONCLUSIVE, "2a3952138969e031"),
     ("deficient", "drop-term", 3, INCONCLUSIVE, "7a0801cada4c87ee"),
+    pytest.param("verified", "drop-second", 0, VERIFIED, "23b709100c952058", marks=PASSES),
+    ("deficient", "drop-second", 3, INCONCLUSIVE, "2de4d1c4591f324c"),
     ("verified", "heis-off", 3, INCONCLUSIVE, "3cd5324f49556799"),
     ("deficient", "heis-off", 3, INCONCLUSIVE, "043b17915fac8ab9"),
 ])

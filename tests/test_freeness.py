@@ -198,7 +198,7 @@ def test_pingpong_puts_a_non_integral_h_over_t_outside_A(monkeypatch):
             num, den = num // c, den // c
         return num, den, n, p, q
 
-    monkeypatch.setattr(groups, "_semidirect_product", faulty)
+    monkeypatch.setattr(groups.SemidirectElement, "_product", staticmethod(faulty))
     for length in (1, 2):
         report = pingpong_check(SemidirectGroup(2, 1), length)
         assert report.verdict == COUNTEREXAMPLE

@@ -15,6 +15,7 @@ from mnseries.groups import (
     GroupMismatchError,
     Heisenberg,
     HeisenbergElement,
+    LatticeElement,
     LatticeGroup,
     NotInMonoidError,
     SemidirectElement,
@@ -24,7 +25,6 @@ from mnseries.groups import (
     digit_expansion,
     enumerate_monoid,
     monoid_word_count,
-    quotient_descriptor,
 )
 
 HEIS = Heisenberg()
@@ -263,6 +263,20 @@ def test_compare_examples():
         assert WREATH.compare(WREATH.element(high, 0), WREATH.element(low, 0)) == 1
 
 
+@pytest.mark.parametrize("left,right,message", [
+    (SemidirectElement(1, 0, 2), X, "cannot multiply SemidirectElement by HeisenbergElement"),
+    (LatticeElement((1,)), X, "cannot multiply LatticeElement by HeisenbergElement"),
+    (X, WREATH.element({}, 1), "cannot multiply HeisenbergElement by WreathElement"),
+    (SemidirectElement(1, 0, 2), SemidirectElement(1, 0, 3), "semidirect-product groups with different ratios"),
+    (LatticeElement((1,)), LatticeElement((1, 2)), "lattice groups of different rank"),
+], ids=("semidirect-heis", "lattice-heis", "heis-wreath", "ratios", "ranks"))
+def test_element_product_mismatch_messages(left, right, message):
+    # another class is named as such; within one class the product names
+    # the ratio or rank that differs
+    with pytest.raises(GroupMismatchError, match=message):
+        left * right
+
+
 def test_mixed_group_instances_rejected():
     with pytest.raises(GroupMismatchError):
         X * BS.element(0, 1)
@@ -408,17 +422,3 @@ def test_wreath_element_strings_ascending_indices():
     g = WREATH.element({2: 1, 0: 2}, 3)
     assert WREATH.format_element(g) == "W({0:2,2:1},3)"
 
-
-def test_quotient_descriptor_decomposition():
-    qd = quotient_descriptor(HEIS, "center")
-    rng = random.Random(10)
-    for _ in range(100):
-        g = HEIS.sample_element(rng)
-        rep, n = qd.subgroup_part(g)
-        assert rep == qd.representative(qd.project(g))
-        assert HEIS.multiply(rep, n) == g
-    assert qd.representative(qd.quotient.identity()) == HEIS.identity()
-    qd2 = quotient_descriptor(BS, "base")
-    assert qd2.representative(qd2.quotient.identity()) == BS.identity()
-    with pytest.raises(ValueError):
-        quotient_descriptor(HEIS, "a=0")

@@ -162,7 +162,7 @@ def test_regroup_and_flatten_build_no_float(no_float, group, tag, d):
         assert check_crossed_system(qs, 5).verified
         for _ in range(5):
             f = random_series(group, 4, QQ, rng, system=base, unit=True)
-            r = regroup(f, qs.descriptor)
+            r = regroup(f, tag)
             assert flatten(r) == f
             assert flatten(r.invert()) == f.invert()
     assert no_float["series"] and no_float["twists"] and no_float["inverses"]
