@@ -50,8 +50,8 @@ SCHEMA = "mnseries-report/1"
 # mean 12,356,631.
 # "ratio_bits" bounds the larger bit length of --r's numerator and
 # denominator in digit-sum and pingpong: at r = 10^1000 digit-sum ran out of
-# memory at N=18 and pingpong took 182 s at L=14, where 64-bit ratios took
-# 1.9 s at N=20 and 4.9 s at L=16 (Python 3.11.7, 2 cores).
+# memory at N=18 and pingpong takes 23 s at L=14, where 64-bit ratios took
+# 1.9 s at N=20 and take 0.6 s at L=16 (Python 3.11.7, 2 cores).
 # digit-sum's N <= 20 is not here: digit_sum_check enforces it, with no override
 GUARDS = {"L": 16, "D": 12, "words": 1457, "monoid_words": 131071, "magnus_terms": 125970,
           "samples": 100000, "terms": 797161, "ratio_bits": 64}

@@ -156,7 +156,17 @@ def pingpong_check(group, max_length: int) -> Report:
     x-image never does, so the two translates of A are disjoint. A holds the
     elements with n >= 0 and h/t a sum of distinct powers of r, so h/t is an
     integer there; group.digit_reader() answers it. The ratio r, the
-    translation t and the pair (tx, x) are the group's."""
+    translation t and the pair (tx, x) are the group's.
+
+    The orbit is checked by induction. If e = (h, n) is in A with h/t = N,
+    then tx*e = (t*(r*N + 1), n + 1) and x*e = (t*r*N, n + 1) are in A, with
+    e's digits shifted up one and the exponent-0 digit added to the tx-image
+    alone. So an image the group's product gives is accepted when it meets
+    its relation, cross-multiplied on ints, and the walk carries each
+    element's integer h/t along. The digit routine is asked about the seed
+    and about an image that breaks its relation only, and the walk goes on
+    from that image's own h/t: the verdict, witness and checked count are
+    those of asking it about every image."""
     if max_length < 0:
         raise ValueError("max length must be nonnegative")
     r, t = group.ratio, group.t_value
@@ -171,29 +181,50 @@ def pingpong_check(group, max_length: int) -> Report:
     seed = group.element(t, 0)
     digits = group.digit_reader()
     # every orbit element past the seed is a tx- or x-image checked to lie in
-    # A one level up, so only the seed needs its own test (its n is 0). The
-    # two image sets cannot meet: an element's digits are a function of the
-    # element, and every tx-image carries the exponent-0 digit while no
-    # x-image does
+    # A one level up, so only the seed needs its own test (its n is 0, its
+    # h/t is 1). The two image sets cannot meet: an element's digits are a
+    # function of the element, and every tx-image carries the exponent-0
+    # digit while no x-image does
     if digits(seed) is None:
         return outcome("ping-pong", bounds,
                        {"reason": "orbit element left A", "element": group.format_element(seed)},
                        details)
+    # the walk runs on field tuples (num, den, n, p, q) through the element
+    # class's own product, as groups.enumerate_monoid does; an image off its
+    # relation is built as the element group.multiply would return
+    cls = type(seed)
+    product = cls._product
+    r, tn, td = r.numerator, t.numerator, t.denominator
+
+    def own_value(image, zero):
+        # the h/t of an image off its relation when the digit routine puts it
+        # in A with the exponent-0 digit exactly when zero, else None
+        element = tuple.__new__(cls, image)
+        if element.n < 0 or (found := digits(element)) is None or (0 in found) != zero:
+            return None
+        return element.num * td // (element.den * tn)
+
     witness = None
-    queue = deque([seed])  # the orbit in level order, from the next element to check
+    # plain tuples unpack faster than elements in the product
+    tx, x = tuple(tx), tuple(x)
+    # the orbit in level order from the next element to check, as flat
+    # (fields, h/t) pairs
+    queue = deque((tuple(seed), 1))
+    pop = queue.popleft
     for checked in range(orbit):
-        e = queue.popleft()
-        te = group.multiply(tx, e)
-        if te.n < 0 or (td := digits(te)) is None or 0 not in td:
+        e, value = pop(), pop()
+        n = e[2] + 1
+        te, tv = product(tx, e), r * value + 1
+        if (te[2] != n or te[0] * td != tn * tv * te[1]) and (tv := own_value(te, True)) is None:
             witness = {"reason": "tx-image missing the exponent-0 digit",
-                       "element": group.format_element(te)}
+                       "element": group.format_element(tuple.__new__(cls, te))}
             break
-        xe = group.multiply(x, e)
-        if xe.n < 0 or (xd := digits(xe)) is None or 0 in xd:
+        xe, xv = product(x, e), r * value
+        if (xe[2] != n or xe[0] * td != tn * xv * xe[1]) and (xv := own_value(xe, False)) is None:
             witness = {"reason": "x-image carries the exponent-0 digit",
-                       "element": group.format_element(xe)}
+                       "element": group.format_element(tuple.__new__(cls, xe))}
             break
-        queue += (te, xe)
+        queue += (te, tv, xe, xv)
     details["checked"] = orbit if witness is None else checked
     return outcome("ping-pong", bounds, witness, details)
 

@@ -601,13 +601,14 @@ def reference_digit_sum_subset(q: Fraction, ratio: Fraction, max_exponent: int):
     return tuple(sorted(result))
 
 
-def reference_pingpong_check(group, t_value, max_length, digits):
+def reference_pingpong_check(group, t_value, max_length, digits, product=semidirect_product_oracle):
     """Slow reference for freeness.pingpong_check (valid inputs only), with
     membership in A answered by digits(x, ratio): the whole orbit built first
-    through the affine product oracle, then every orbit element, its tx-image
-    and its x-image tested in orbit order, the first failure giving the
-    witness. The translate sets cannot meet once every tx-image carries the
-    exponent-0 digit and no x-image does, so that test is left out."""
+    through product (the affine product oracle unless a test hands in a
+    faulty one), then every orbit element, its tx-image and its x-image
+    asked about in orbit order, the first failure giving the witness. The
+    translate sets cannot meet once every tx-image carries the exponent-0
+    digit and no x-image does, so that test is left out."""
     r = group.ratio
     t_value = Fraction(t_value)
     tx = group.element(t_value, 1)
@@ -615,7 +616,7 @@ def reference_pingpong_check(group, t_value, max_length, digits):
     orbit = [group.element(t_value, 0)]
     level = orbit
     for _ in range(max_length):
-        level = [semidirect_product_oracle(a, e) for e in level for a in (tx, x)]
+        level = [product(a, e) for e in level for a in (tx, x)]
         orbit = orbit + level
 
     def in_A(g):
@@ -624,7 +625,7 @@ def reference_pingpong_check(group, t_value, max_length, digits):
     witness = None
     checked = 0
     for e in orbit:
-        te, xe = semidirect_product_oracle(tx, e), semidirect_product_oracle(x, e)
+        te, xe = product(tx, e), product(x, e)
         td, xd = in_A(te), in_A(xe)
         if in_A(e) is None:
             witness = {"reason": "orbit element left A", "element": str(e)}

@@ -346,6 +346,25 @@ PINNED_REPORTS = (
 )
 
 
+# pingpong at the L=14 and L=16 ceilings, r = 2 and 3 and the largest ratio
+# the ratio_bits guard admits, pinned by exit code and digest at the default
+# seed: the check that expanded every orbit image's h/t afresh gave these
+# reports.
+PINNED_PINGPONG_CEILING = (
+    (("--r", "2", "--t", "1", "--L", "14"), "b60ac3809ba380ec"),
+    (("--r", "3", "--t=-7/4", "--L", "14"), "1336c461af070904"),
+    (("--r", "2", "--t", "1", "--L", "16"), "c92a8d5df5eeb386"),
+    (("--r", str(2 ** 64 - 1), "--t", "1", "--L", "16"), "cc4bbd8648e5d395"),
+)
+
+
+@pytest.mark.parametrize("args,digest", PINNED_PINGPONG_CEILING,
+                         ids=("r2-14", "r3-14", "r2-16", "r64bit-16"))
+def test_pingpong_ceiling_digests(args, digest):
+    code, out = _run_captured(("pingpong", *args))
+    assert (code, _parse_report(out)["digest"]) == (0, digest)
+
+
 # heis word-image ranks at L=5, D=8 (485 words, 255 columns, rank 249), pinned
 # by exit code and digest at the default seed: the largest matrices the
 # elimination kernels are checked on, one per kernel path.
@@ -411,7 +430,8 @@ def test_verify_monoid_ceiling_digests(args, code, digest):
 
 # the digests the installed console script is held to in CI
 # (.github/workflows/tier1.yml), run in process on the same argv, without an
-# appended --seed; twist.mns is the file CI writes, the text of twist-inv.mns
+# appended --seed; twist.mns is the file CI writes, the text of twist-inv.mns.
+# CI's pingpong at L=16 is the r2-16 case of PINNED_PINGPONG_CEILING
 PINNED_CONSOLE_REPORTS = (
     (("check-crossed", "--system", "z2-sign-twist"), 0, "f69d07f3859d1ee3"),
     (("check-crossed", "--system", "quadratic-conj-Z"), 0, "fc04ffdf37acae23"),

@@ -18,14 +18,22 @@ order; the heis product gains a term. 5 of its 8 cells catch their fault.
 The dropped second term leaves the L=3 run verified with the honest digest:
 the rank survives that fault, so only a re-check of the verified verdict
 can catch it.
+
+The second row is pingpong at r=2, t=1, L=4, honestly verified on its 31
+orbit elements (exit 0, digest 4b54b07364842cdb). Its three faults are in
+the semidirect product: h gains t/3 at n=2, which leaves h/t non-integral;
+the tx-image B(13/1,3) loses t, which drops its exponent-0 digit; the
+x-image B(10/1,3) gains t, which adds it. All 3 cells catch their fault
+(exit 2, counterexample).
 """
 
 import json
+from math import gcd
 
 import pytest
 
 from mnseries import cli, freeness, groups
-from mnseries.report import INCONCLUSIVE, VERIFIED
+from mnseries.report import COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED
 from mnseries.series import GradedSeries
 
 ALGEBRA = ("verify-group-algebra", "--group", "heis", "--field=Q", "--c=1", "--d=2",
@@ -87,12 +95,38 @@ FAULTS = {"full-rank": claim_full_rank, "drop-term": drop_top_term,
           "drop-second": drop_second_term, "heis-off": skew_heis_product}
 
 
+def semidirect_fault(change):
+    """A patch making the semidirect product pass each answer (num, den, n)
+    through change, as ints in lowest terms."""
+    exact = groups._semidirect_product
+
+    def faulty(g, h):
+        num, den, n, p, q = exact(g, h)
+        num, den = change(num, den, n)
+        c = gcd(num, den)
+        return num // c, den // c, n, p, q
+
+    return lambda monkeypatch: monkeypatch.setattr(groups.SemidirectElement, "_product",
+                                                   staticmethod(faulty))
+
+
+def shifted(h, n, delta):
+    """change for semidirect_fault: the answer (h/1, n) moves to h + delta."""
+    return lambda num, den, m: (num + delta * den, den) if (num, den, m) == (h, 1, n) else (num, den)
+
+
+PINGPONG_FAULTS = {
+    "third-at-n2": semidirect_fault(lambda num, den, n: (3 * num + den, 3 * den) if n == 2 else (num, den)),
+    "tx-drop0": semidirect_fault(shifted(13, 3, -1)),
+    "x-add0": semidirect_fault(shifted(10, 3, 1)),
+}
+
+
 def run(argv, capsys):
-    """Exit code, verdict and digest of one CLI run (None for no report)."""
+    """Exit code and report of one CLI run ({} for no report)."""
     code = cli.run_command(list(argv))
     out = capsys.readouterr().out
-    report = json.loads(out) if out else {}
-    return code, report.get("verdict"), report.get("digest")
+    return code, json.loads(out) if out else {}
 
 
 class FaultPassedAsVerified(Exception):
@@ -117,7 +151,24 @@ PASSES = pytest.mark.xfail(strict=True, raises=FaultPassedAsVerified,
 def test_verify_group_algebra_under_faults(path, fault, code, verdict, digest, capsys,
                                            monkeypatch):
     FAULTS[fault](monkeypatch)
-    result = run(INPUTS[path], capsys)
-    assert result == (code, verdict, digest)
+    got, report = run(INPUTS[path], capsys)
+    assert (got, report.get("verdict"), report.get("digest")) == (code, verdict, digest)
     if code == 0 and verdict == VERIFIED:
         raise FaultPassedAsVerified(f"{fault} passes as verified at the {path} input")
+
+
+@pytest.mark.parametrize("fault,code,verdict,witness,digest", [
+    ("third-at-n2", 2, COUNTEREXAMPLE,
+     {"reason": "tx-image missing the exponent-0 digit", "element": "B(22/3,2)@r=2/1"}, "753706f8d06a2df9"),
+    ("tx-drop0", 2, COUNTEREXAMPLE,
+     {"reason": "tx-image missing the exponent-0 digit", "element": "B(12/1,3)@r=2/1"}, "eddc4bdf35fe7066"),
+    ("x-add0", 2, COUNTEREXAMPLE,
+     {"reason": "x-image carries the exponent-0 digit", "element": "B(11/1,3)@r=2/1"}, "02c248509f56e129"),
+])
+def test_pingpong_under_faults(fault, code, verdict, witness, digest, capsys, monkeypatch):
+    PINGPONG_FAULTS[fault](monkeypatch)
+    got, report = run(("pingpong", "--r", "2", "--t", "1", "--L", "4"), capsys)
+    assert (got, report.get("verdict"), report.get("witness"), report.get("digest")) == (code, verdict, witness,
+                                                                                          digest)
+    if code == 0 and verdict == VERIFIED:
+        raise FaultPassedAsVerified(f"{fault} passes as verified at the pingpong input")

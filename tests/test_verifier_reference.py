@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (reference_check_crossed_system, reference_digit_sum_check, reference_enumerate_monoid,
-                     reference_pingpong_check)
+from helpers import (reference_check_crossed_system, reference_digit_sum_check, reference_digit_sum_subset,
+                     reference_enumerate_monoid, reference_pingpong_check, semidirect_product_oracle)
 from mnseries import groups, registry
 from mnseries.crossed import CrossedSystem, check_crossed_system, quadratic_conj_z, quotient_system, z2_sign_twist
 from mnseries.freeness import digit_sum_check, pingpong_check
-from mnseries.groups import (Heisenberg, HeisenbergElement, LatticeElement, LatticeGroup, SemidirectGroup,
-                             WreathGroup, enumerate_monoid)
+from mnseries.groups import (Heisenberg, HeisenbergElement, LatticeElement, LatticeGroup, SemidirectElement,
+                             SemidirectGroup, WreathGroup, enumerate_monoid)
 from mnseries.scalars import QQ, field_from_spec
 
 _RATIOS = [Fraction(p, q) for p in range(2, 10) for q in range(1, p) if gcd(p, q) == 1]
@@ -109,6 +109,7 @@ def test_enumerate_monoid_matches_reference_on_random_generators(case, length):
 
 
 _EXPANSION = groups._expansion
+_PRODUCT = groups._semidirect_product
 
 
 def _poisoned(value, kind):
@@ -132,29 +133,108 @@ def _digits(expansion):
     return lambda x, ratio: expansion(x.numerator, x.denominator, ratio.numerator, ratio.denominator)
 
 
+def _faulted(target, kind, t):
+    """A fault on semidirect field tuples (num, den, n, p, q): the tuple
+    target, an orbit element with integral h/t, is pushed out of A (h
+    negated, or n set to -1), or its h/t loses the exponent-0 digit (h - t),
+    gains it (h + t), or gains the digit p**(n + 1), above its own, which
+    keeps it in A ("move"); the exponent-0 digit of h/t is h/t mod p. Every
+    other tuple passes unchanged."""
+    def fault(fields):
+        if fields != target:
+            return fields
+        num, den, n, p, q = fields
+        h = Fraction(num, den)
+        digit0 = h / t % p == 1
+        if kind == "none":
+            h = -h
+        elif kind == "below":
+            n = -1
+        elif kind == "drop0" and digit0:
+            h -= t
+        elif kind == "add0" and not digit0:
+            h += t
+        elif kind == "move":
+            h += t * p ** (n + 1)
+        return h.numerator, h.denominator, n, p, q
+    return fault
+
+
+def _oracle_under(fault):
+    """The affine product oracle with the fault applied to its answers."""
+    def product(g, h):
+        num, den, n, p, q = fault(tuple(semidirect_product_oracle(g, h)))
+        return SemidirectElement(Fraction(num, den), n, Fraction(p, q))
+    return product
+
+
 @pytest.mark.parametrize("group,t", [(SemidirectGroup(), 1), (SemidirectGroup(3, Fraction(5, 7)), Fraction(5, 7)),
                                      (SemidirectGroup(2, -1), -1)], ids=("bs12", "r3", "t-negative"))
 def test_pingpong_matches_two_pass_reference(group, t, monkeypatch):
-    # every orbit element's h/t is hit once, so each poisoned value makes
-    # one element fail in one way; the one-pass check must name the same
-    # witness and count the same elements as the orbit-first reference.
-    # The patch sits under the group's h/t reduction, which so runs in every
-    # check and hands its ints to the kernel as it made them.
+    # an honest check asks the digit kernel about the seed alone (h/t = 1)
+    # and takes every image on its relation. Each fault makes one orbit
+    # position fail in one way: at the seed the kernel reports no expansion,
+    # drops the exponent-0 digit or adds it; at each image, hit once by the
+    # product, the product does the same to the image, or moves it inside
+    # A. The one-pass check must name the same witness and count the
+    # same elements as the orbit-first reference handed the same product,
+    # and ask the kernel about no more than the seed and the image the fault
+    # changed: the walk goes on from a moved image's own h/t, so its
+    # descendants meet their relations. The kernel patch sits under the
+    # group's h/t reduction, which so runs in every check and hands its
+    # ints to the kernel as it made them.
     length = 4
-    asked = []
-    monkeypatch.setattr(groups, "_expansion",
-                        lambda num, den, p, q: asked.append(Fraction(num, den)) or _EXPANSION(num, den, p, q))
-    assert pingpong_check(group, length) == reference_pingpong_check(group, t, length, _digits(_EXPANSION))
-    assert len(asked) == len(set(asked)) == 2 ** (length + 2) - 1
+    asked, images = [], []
+
+    def recorded(num, den, p, q):
+        asked.append(Fraction(num, den))
+        return _EXPANSION(num, den, p, q)
+
+    monkeypatch.setattr(groups, "_expansion", recorded)
+    monkeypatch.setattr(SemidirectElement, "_product",
+                        staticmethod(lambda g, h: images.append(_PRODUCT(g, h)) or images[-1]))
+    got = pingpong_check(group, length)
+    assert asked == [1]
+    assert len(images) == len(set(images)) == 2 ** (length + 2) - 2
+    monkeypatch.setattr(SemidirectElement, "_product", staticmethod(_PRODUCT))
+    assert got == reference_pingpong_check(group, t, length, _digits(_EXPANSION))
     witnesses = set()
-    for value in asked:
-        for kind in ("none", "drop0", "add0"):
-            expansion = _poisoned(value, kind)
-            monkeypatch.setattr(groups, "_expansion", expansion)
+    for kind in ("none", "drop0", "add0"):
+        expansion = _poisoned(asked[0], kind)
+        monkeypatch.setattr(groups, "_expansion", expansion)
+        got = pingpong_check(group, length)
+        assert got == reference_pingpong_check(group, t, length, _digits(expansion)), ("seed", kind)
+        witnesses.add((got.witness or {}).get("reason"))
+    monkeypatch.setattr(groups, "_expansion", recorded)
+    for target in images:
+        for kind in ("none", "below", "drop0", "add0", "move"):
+            fault = _faulted(target, kind, Fraction(t))
+            monkeypatch.setattr(SemidirectElement, "_product", staticmethod(lambda g, h: fault(_PRODUCT(g, h))))
+            asked.clear()
             got = pingpong_check(group, length)
-            assert got == reference_pingpong_check(group, t, length, _digits(expansion)), (value, kind)
+            assert (len(asked) == 2) if kind == "move" else (len(asked) <= 2), (target, kind)
+            assert got == reference_pingpong_check(group, t, length, _digits(_EXPANSION),
+                                                   _oracle_under(fault)), (target, kind)
             witnesses.add((got.witness or {}).get("reason"))
     assert len(witnesses) == 4
+
+
+def _pingpong_grid(rng, count):
+    """count distinct (r, t, L) drawn from r in 2..9, t = +-a/b with
+    1 <= a, b <= 9 and L <= 6."""
+    grid = sorted({(r, sign * Fraction(a, b), length) for r in range(2, 10) for sign in (1, -1)
+                   for a in range(1, 10) for b in range(1, 10) for length in range(7)})
+    return rng.sample(grid, count)
+
+
+@pytest.mark.parametrize("r,t,length", _pingpong_grid(random.Random(34), 60), ids=str)
+def test_pingpong_matches_reference_on_honest_digits(r, t, length):
+    # the digits are the independent subset search's, top exponent first in
+    # rational arithmetic; an orbit image at level n has exponents <= n
+    digits = lambda x, ratio: reference_digit_sum_subset(x, ratio, length + 1)
+    report = pingpong_check(SemidirectGroup(r, t), length)
+    assert report == reference_pingpong_check(SemidirectGroup(r, t), t, length, digits)
+    assert report.verified
 
 
 CROSSED_BASES = ([z2_sign_twist(QQ), z2_sign_twist(field_from_spec("Fp:5")), quadratic_conj_z(2)]
