@@ -317,10 +317,8 @@ def _run_expand(args):
 
 
 def _run_check_crossed(args):
-    if args.system == "trivial":
-        system = registry.trivial_on(args.group)
-    else:
-        system = registry.builtin_system(args.system)
+    system = (registry.trivial_on(args.group) if args.system == "trivial"
+              else registry.builtin_system(args.system))
     report = check_crossed_system(system, args.samples, args.seed)
     body = {"kind": report.kind, "valid": report.verified,
             "checked": report.details["checked"], "violation": report.witness}

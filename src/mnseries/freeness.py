@@ -155,7 +155,7 @@ def pingpong_check(group, max_length: int) -> Report:
     digit-sum set A, the tx-image always carries the exponent-0 digit and the
     x-image never does, so the two translates of A are disjoint. A holds the
     elements with n >= 0 and h/t a sum of distinct powers of r, so h/t is an
-    integer there; group.digit_reader() answers it. The ratio r, the
+    integer there; group.digits answers it. The ratio r, the
     translation t and the pair (tx, x) are the group's.
 
     The orbit is checked by induction. If e = (h, n) is in A with h/t = N,
@@ -179,7 +179,7 @@ def pingpong_check(group, max_length: int) -> Report:
     details = {"r": str(r), "t": str(t), "orbit": orbit, "checked": 0}
     tx, x = group.monoid_generators()
     seed = group.element(t, 0)
-    digits = group.digit_reader()
+    digits = group.digits
     # every orbit element past the seed is a tx- or x-image checked to lie in
     # A one level up, so only the seed needs its own test (its n is 0, its
     # h/t is 1). The two image sets cannot meet: an element's digits are a
@@ -266,16 +266,17 @@ def type3_generators(group):
 
 def type1_unit_generators(group, c, d, degree: int):
     """The unit pair (1 + c*x, 1 + d*y) in the truncated series ring over the
-    group's positive monoid; both are invertible at any degree."""
+    group's positive monoid; both are invertible at any degree. At degree 0
+    each is 1, as x and y have weight 1."""
     if not c or not d:
         raise ValueError("unit generators need nonzero scalars")
     fld = field_of(c)
     if not fld.contains(d):
         raise ValueError("the two scalars must lie in one field")
     x, y = group.monoid_generators()[:2]
-    ident = group.identity()
-    return (GradedSeries(group, degree, {ident: fld.one, x: c}, fld),
-            GradedSeries(group, degree, {ident: fld.one, y: d}, fld))
+    one = {group.identity(): fld.one}
+    return tuple(GradedSeries(group, degree, {**one, g: s} if degree else one, fld)
+                 for g, s in ((x, c), (y, d)))
 
 
 # ---------------------------------------------------------------------------

@@ -467,26 +467,20 @@ class SemidirectGroup(_Group):
             return False
         if not g.num:
             return True
-        digits = self.digit_reader()(g)
+        digits = self.digits(g)
         return digits is not None and digits[-1] <= g.n - 1
 
-    def digit_reader(self):
-        """The group's one h/t digit routine: a function taking g = (h, n) to
-        digit_expansion(h/t, ratio), on ints, that is the ascending exponents
-        of the distinct ratio powers summing to h/t, or None when there are
-        none (so for h = 0, and for every non-integral h/t at an integer
-        ratio). The ints of t and the ratio are read once, here."""
+    def digits(self, g):
+        """The group's one h/t digit routine: digit_expansion(h/t, ratio) of
+        g = (h, n), on ints, that is the ascending exponents of the distinct
+        ratio powers summing to h/t, or None when there are none (so for
+        h = 0, and for every non-integral h/t at an integer ratio)."""
         ratio, t = self
-        p, q, tp, tq = ratio.numerator, ratio.denominator, t.numerator, t.denominator
-
-        def digits(g):
-            num, den = g.num * tq, g.den * tp
-            if den < 0:
-                num, den = -num, -den
-            c = gcd(num, den)
-            return _expansion(num // c, den // c, p, q)
-
-        return digits
+        num, den = g.num * t.denominator, g.den * t.numerator
+        if den < 0:
+            num, den = -num, -den
+        c = gcd(num, den)
+        return _expansion(num // c, den // c, ratio.numerator, ratio.denominator)
 
     def weight(self, g) -> int:
         if not self.in_monoid(g):

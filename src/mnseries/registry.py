@@ -1,4 +1,6 @@
-"""String-id resolution shared by the CLI and the series file format."""
+"""String-id resolution shared by the CLI and the series file format. Each
+built-in is named once, by the id its object carries: a series header or a
+report writes that id, and the tables below are keyed by it."""
 
 from __future__ import annotations
 
@@ -6,16 +8,26 @@ from .crossed import CrossedSystem, quadratic_conj_z, trivial_system, z2_sign_tw
 from .groups import Heisenberg, LatticeGroup, SemidirectGroup, WreathGroup
 from .magnus import FreeMonoid
 from .scalars import QQ, QuadraticField
-from .series import group_of
 
 
-_GROUPS = {
-    "heis": Heisenberg,
-    "bs12": SemidirectGroup,
-    "wreath": WreathGroup,
-    "z2": lambda: LatticeGroup(2),
-    "z": lambda: LatticeGroup(1),
-}
+# groups are immutable values, so every resolution shares one object
+_GROUPS = {g.id: g for g in (Heisenberg(), SemidirectGroup(), WreathGroup(), LatticeGroup(2),
+                             LatticeGroup(1))}
+
+
+def _quadratic_conj_z(field) -> CrossedSystem:
+    if not isinstance(field, QuadraticField):
+        raise ValueError("quadratic-conj-Z needs quadratic coefficients")
+    return quadratic_conj_z(field.radicand)
+
+
+# each crossed system other than trivial: its constructor over a coefficient
+# field, and the field check-crossed checks it over. Whether it acts on a
+# series' context is series validation's check
+_CROSSED = {make(field).id: (make, field)
+            for make, field in ((z2_sign_twist, QQ), (_quadratic_conj_z, QuadraticField(2)))}
+
+CROSSED_IDS = ("trivial", *_CROSSED)
 
 
 def group_ids():
@@ -24,7 +36,7 @@ def group_ids():
 
 def resolve_group(group_id: str):
     try:
-        return _GROUPS[group_id]()
+        return _GROUPS[group_id]
     except KeyError:
         raise ValueError(f"unknown group id {group_id!r} (one of {', '.join(_GROUPS)})") from None
 
@@ -37,37 +49,29 @@ def resolve_monoid(monoid_id: str):
     return resolve_group(monoid_id)
 
 
-CROSSED_IDS = ("trivial", "z2-sign-twist", "quadratic-conj-Z")
+def _crossed(crossed_id: str):
+    try:
+        return _CROSSED[crossed_id]
+    except KeyError:
+        raise ValueError(
+            f"unknown crossed system {crossed_id!r} (one of {', '.join(CROSSED_IDS)})"
+        ) from None
 
 
-def resolve_crossed(crossed_id: str, context, field) -> CrossedSystem | None:
-    """Attach a built-in crossed system to a support context. Group and field
-    compatibility is enforced here; "trivial" works everywhere."""
-    base = group_of(context)
+def resolve_crossed(crossed_id: str, field) -> CrossedSystem | None:
+    """A built-in crossed system over the given field; None for "trivial",
+    which works everywhere."""
     if crossed_id == "trivial":
         return None
-    if crossed_id == "z2-sign-twist":
-        system = z2_sign_twist(field)
-        if base != system.group:
-            raise ValueError("z2-sign-twist lives on the z2 lattice group")
-        return system
-    if crossed_id == "quadratic-conj-Z":
-        if not isinstance(field, QuadraticField):
-            raise ValueError("quadratic-conj-Z needs quadratic coefficients")
-        system = quadratic_conj_z(field.radicand)
-        if base != system.group:
-            raise ValueError("quadratic-conj-Z lives on the z lattice group")
-        return system
-    raise ValueError(f"unknown crossed system {crossed_id!r} (one of {', '.join(CROSSED_IDS)})")
+    make, _ = _crossed(crossed_id)
+    return make(field)
 
 
 def builtin_system(crossed_id: str) -> CrossedSystem:
-    """A built-in crossed system on its home group (for the checker CLI)."""
-    if crossed_id == "z2-sign-twist":
-        return z2_sign_twist(QQ)
-    if crossed_id == "quadratic-conj-Z":
-        return quadratic_conj_z(2)
-    raise ValueError(f"unknown crossed system {crossed_id!r} (one of {', '.join(CROSSED_IDS)})")
+    """A built-in crossed system over the field the checker CLI checks it
+    over."""
+    make, field = _crossed(crossed_id)
+    return make(field)
 
 
 def trivial_on(group_id: str) -> CrossedSystem:

@@ -364,7 +364,8 @@ def from_text(text: str, monoid_resolver, crossed_resolver):
     field= nowhere else, so the round-trip check refuses it there.
 
     Returns the parsed series; a crossed system other than "trivial" is
-    attached through crossed_resolver(crossed_id, context, field)."""
+    attached through crossed_resolver(crossed_id, field), and validation
+    refuses it when it does not act on the header's monoid."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty series text")
@@ -384,7 +385,7 @@ def from_text(text: str, monoid_resolver, crossed_resolver):
             # the first coefficient's syntax names the field, built once
             field = field_of_text(parts[2])
         terms[g] = field.parse(parts[2])
-    system = None if crossed_id == "trivial" else crossed_resolver(crossed_id, context, field)
+    system = None if crossed_id == "trivial" else crossed_resolver(crossed_id, field)
     # validation checks each term's membership, the one search per term
     series = GradedSeries(context, int(m.group(2)), terms, field, system)
     canonical = to_text(series)

@@ -310,6 +310,10 @@ PINNED_REPORTS = (
     (("magnus", "--words", "ab,a'b,ab", "--D", "4"), 2, "9efb88e038d862c0"),
     # at D=0 every letter unit is 1, so all four images are 1 and collide
     (("magnus", "--words", "ab,a'b,1,b'", "--D", "0"), 2, "557a13848a811b4c"),
+    # at D=0 both type-1 units are 1 as well, so the empty word alone is
+    # independent (CI pins the dependent L=2 case)
+    (("verify-group-algebra", "--group", "heis", "--field=Q", "--c=1", "--d=1",
+      "--L", "0", "--D", "0"), 0, "849925794d81fccf"),
     # the documented check-crossed, pingpong and classify commands (the
     # appended --seed 5 overrides their --seed 7)
     (DOCUMENTED_COMMANDS[5], 0, "8dc365c5e63e684a"),
@@ -440,12 +444,15 @@ PINNED_CONSOLE_REPORTS = (
       "--seed", "5"), 0, "20c99314ff81772b"),
     (("magnus", "--words", "ab'a,b'a'b,1,ba,a'", "--D", "5"), 0, "eafd99d94ae0a29e"),
     (("magnus", "--words", "b'a,ab,ba,a", "--D", "1"), 2, "7ccd7cfbe47a72cf"),
+    # both units are 1 at D=0, so every word of length at most 2 has image 1
+    (("verify-group-algebra", "--field=Q", "--c=1", "--d=1", "--L", "2", "--D", "0"),
+     3, "4eb5b89588b3fa21"),
 )
 
 
 @pytest.mark.parametrize("argv,code,digest", PINNED_CONSOLE_REPORTS,
                          ids=("z2-sign-twist", "quadratic-conj-Z", "expand-twist",
-                              "wreath-16-seed-5", "magnus-D5", "magnus-D1"))
+                              "wreath-16-seed-5", "magnus-D5", "magnus-D1", "group-algebra-D0"))
 def test_console_script_digests(argv, code, digest, tmp_path, monkeypatch):
     [twist] = [text for name, text, _ in PINNED_EXPANDS if name == "twist-inv.mns"]
     (tmp_path / "twist.mns").write_text(twist)

@@ -644,6 +644,19 @@ def test_zero_series_under_quadratic_conj_z_is_refused(tmp_path, capsys):
     assert code == 0 and out == text and not err
 
 
+@pytest.mark.parametrize("text", [
+    "monoid=heis D=2 crossed=z2-sign-twist\n0\tH(0,0,0)\t1\n",
+    "monoid=z2 D=2 crossed=quadratic-conj-Z\n0\tZ2(0,0)\t1+1*sqrt(2)\n",
+], ids=("heis-z2-sign-twist", "z2-quadratic-conj-Z"))
+def test_crossed_system_on_another_group_is_refused(tmp_path, capsys, text):
+    # the registry builds the named system over the file's field, and series
+    # validation refuses it on a context it does not act on
+    path = tmp_path / "foreign.mns"
+    path.write_text(text)
+    code, out, err = run(capsys, "expand", "--series-file", str(path))
+    assert code == 64 and "does not act on context" in err and not out
+
+
 def test_unsafe_bounds_help_names_every_guard(capsys):
     code, out, _ = run(capsys, "digit-sum", "--help")
     assert code == 0

@@ -510,10 +510,10 @@ def test_cached_constructors_give_one_object_per_arguments():
     assert registry.trivial_on("z2") is trivial_system(Z2, field_from_spec("Q"))
     z2 = z2_sign_twist(QQ)
     assert z2 is registry.builtin_system("z2-sign-twist")
-    assert z2 is registry.resolve_crossed("z2-sign-twist", LatticeGroup(2), QQ)
+    assert z2 is registry.resolve_crossed("z2-sign-twist", QQ)
     conj = quadratic_conj_z(2)
     assert conj is registry.builtin_system("quadratic-conj-Z")
-    assert conj is registry.resolve_crossed("quadratic-conj-Z", LatticeGroup(1), field_from_spec("Qsqrt:2"))
+    assert conj is registry.resolve_crossed("quadratic-conj-Z", field_from_spec("Qsqrt:2"))
     for group, tag in ((HEIS, "center"), (SemidirectGroup(), "base")):
         qs = quotient_system(group, tag)
         assert isinstance(qs, CrossedSystem) and qs is quotient_system(type(group)(), tag)

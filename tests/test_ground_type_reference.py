@@ -66,7 +66,7 @@ def assert_same(fast, slow):
 def test_int_series_match_the_fraction_path(monoid_id, crossed_id):
     ctx = resolve_monoid(monoid_id)
     field = Q2 if crossed_id == "quadratic-conj-Z" else QQ
-    system = resolve_crossed(crossed_id, ctx, field)
+    system = resolve_crossed(crossed_id, field)
     rng = random.Random(f"ground-{monoid_id}-{crossed_id}")
     degree = 6 if isinstance(ctx, FreeMonoid) or monoid_id in ("z", "z2") else 5
     for _ in range(8):

@@ -127,7 +127,7 @@ def test_criterion_12_commands_build_no_float(no_float, tmp_path):
 def test_expand_invert_builds_no_float(no_float, tmp_path, monoid_id, crossed_id):
     ctx = resolve_monoid(monoid_id)
     field = QuadraticField(2) if crossed_id == "quadratic-conj-Z" else QQ
-    system = resolve_crossed(crossed_id, ctx, field)
+    system = resolve_crossed(crossed_id, field)
     rng = random.Random(f"no-float-{monoid_id}")
     for k in range(3):
         f = random_series(ctx, 6, field, rng, n_terms=4, system=system, unit=True)

@@ -38,11 +38,11 @@ IDS = [c[0] for c in CONTEXTS]
 DEGREES = range(6, 13)
 
 
-def _resolve_crossed(crossed_id, context, field):
+def _resolve_crossed(crossed_id, field):
     """resolve_crossed, and the diagonal change, which no series file names."""
     if crossed_id == DIAG_QUAD.id:
         return DIAG_QUAD
-    return resolve_crossed(crossed_id, context, field)
+    return resolve_crossed(crossed_id, field)
 
 
 def _generators(ctx):
