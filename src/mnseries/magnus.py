@@ -12,7 +12,7 @@ from operator import itemgetter
 from .groups import NotInMonoidError
 from .report import Report, outcome
 from .scalars import QQ, TupleValue
-from .series import GradedSeries
+from .series import GradedSeries, shared_products
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 # each letter's spellings, "a" and "a'", to its (symbol index, sign), and back
@@ -214,16 +214,20 @@ def enumerate_reduced_words(size: int, max_length: int) -> list:
 def word_images(words, units) -> list:
     """Images of reduced words, in any order, under i -> units[i] and i' ->
     units[i].invert() for units of one context, degree, field and system: a
-    word's image is its prefix's times its last letter's, left to right."""
+    word's image is its prefix's times its last letter's, left to right.
+
+    The products run under series.shared_products, so each group product of
+    the evaluation is made once; the table goes when the evaluation ends."""
     first = units[0]
     images = {(): GradedSeries.one(first.context, first.degree, first.field, first.system)}
     inverse = functools.cache(lambda sym: units[sym].invert())
-    for word in words:
-        for end in range(1, len(word) + 1):
-            prefix = word.letters[:end]
-            if prefix not in images:
-                sym, sign = prefix[-1]
-                images[prefix] = images[prefix[:-1]] * (units[sym] if sign == 1 else inverse(sym))
+    with shared_products(first.context):
+        for word in words:
+            for end in range(1, len(word) + 1):
+                prefix = word.letters[:end]
+                if prefix not in images:
+                    sym, sign = prefix[-1]
+                    images[prefix] = images[prefix[:-1]] * (units[sym] if sign == 1 else inverse(sym))
     return [images[word.letters] for word in words]
 
 
@@ -240,6 +244,25 @@ def magnus_image(word: FreeWord, degree: int) -> GradedSeries:
     return word_images([word], units)[0]
 
 
+def _magnus_images(words, degree: int) -> list:
+    """The Magnus images of words over one alphabet, evaluated together by
+    word_images from the images of the letters, which fix the map."""
+    size = words[0].size
+    return word_images(words, [magnus_image(FreeWord(size, ((sym, 1),)), degree)
+                               for sym in range(size)])
+
+
+def _first_collision(words, keys):
+    """The first pair (earlier word, later word) in list order whose keys are
+    equal, or None; keys[i] belongs to words[i] and is hashable."""
+    seen = {}
+    for word, key in zip(words, keys):
+        if key in seen:
+            return seen[key], word
+        seen[key] = word
+    return None
+
+
 def magnus_images(words, degree: int):
     """Magnus images of a nonempty list of words over one alphabet, evaluated
     together by word_images (the map is fixed by the images of the letters);
@@ -247,28 +270,22 @@ def magnus_images(words, degree: int):
     (earlier word, later word) in list order whose images print the same
     rows, or None. Equal rows mean equal term maps: no two terms print
     alike, and a coefficient's string is exact."""
-    size = words[0].size
-    letters = [magnus_image(FreeWord(size, ((sym, 1),)), degree) for sym in range(size)]
-    images = word_images(words, letters)
+    images = _magnus_images(words, degree)
     rows = [image.rows() for image in images]
-    seen = {}
-    for word, image_rows in zip(words, rows):
-        key = tuple(image_rows)
-        if key in seen:
-            return images, rows, (seen[key], word)
-        seen[key] = word
-    return images, rows, None
+    return images, rows, _first_collision(words, map(tuple, rows))
 
 
 def verify_magnus_injectivity(size: int, max_length: int, degree: int) -> Report:
     """Check that all reduced words of length at most max_length have
     pairwise distinct truncated images; the first colliding pair is the
     witness. Requires degree >= max_length; the separation at that degree is
-    verified, not assumed."""
+    verified, not assumed. The collision is keyed on the images themselves:
+    a series hashes on its term items, and equal images have equal term
+    maps, so it is the pair magnus_images finds on the printed rows."""
     if degree < max_length:
         raise ValueError("degree must be at least the maximum word length")
     words = enumerate_reduced_words(size, max_length)
-    collision = magnus_images(words, degree)[2]
+    collision = _first_collision(words, _magnus_images(words, degree))
     witness = None if collision is None else [str(w) for w in collision]
     return outcome("magnus", {"L": max_length, "D": degree, "N": None}, witness,
                    {"k": size, "words": len(words)})

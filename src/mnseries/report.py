@@ -59,8 +59,15 @@ def digest(payload: dict) -> str:
     """Content digest of a report payload: everything but elapsed_ms and the
     digest itself, as compact sorted JSON, sha256, first 16 hex digits."""
     scrubbed = {k: v for k, v in payload.items() if k not in ("elapsed_ms", "digest")}
-    blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return hashlib.sha256(_encode_compact()(scrubbed).encode()).hexdigest()[:16]
+
+
+@functools.cache
+def _encode_compact():
+    """json.dumps(value, sort_keys=True, separators=(",", ":")) without its
+    circular-reference check, which a report, a tree of fresh containers,
+    never needs: the same bytes from one encoder built on first use."""
+    return json.JSONEncoder(sort_keys=True, check_circular=False, separators=(",", ":")).encode
 
 
 def render_json(payload) -> str:

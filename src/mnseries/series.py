@@ -96,6 +96,37 @@ def _system_id(system) -> str:
     return "trivial" if system is None else system.id
 
 
+# the product table of the word-image evaluation under way, as (context,
+# rows h -> {g: g*h}, intern x -> x), or None. It is module state, not a
+# parameter, so that word_images multiplies with * and whatever wraps or
+# patches __mul__ or a group's multiply still sees every product; the
+# process runs one evaluation at a time.
+_shared = None
+
+
+class shared_products:
+    """Context manager under which every product of two series over context
+    takes each group product g*h from one table: made by context.multiply on
+    its first use only, and kept as one object per distinct product, so the
+    term maps' dict hits compare keys by identity. Products over any other
+    context are made as outside it. On exit, also on an exception, the table
+    is dropped and the one open before it, if any, is restored."""
+
+    __slots__ = ("context", "previous")
+
+    def __init__(self, context):
+        self.context = context
+
+    def __enter__(self):
+        global _shared
+        self.previous = _shared
+        _shared = (self.context, {}, {})
+
+    def __exit__(self, *exc_info):
+        global _shared
+        _shared = self.previous
+
+
 class GradedSeries(TupleValue):
     """Finite term map from support elements to nonzero scalars, truncated at
     a fixed degree: a TupleValue of (context, degree, terms, field, system),
@@ -169,7 +200,7 @@ class GradedSeries(TupleValue):
     def _compatible(self, other):
         if not isinstance(other, GradedSeries):
             raise ContextMismatchError(f"not a series: {other!r}")
-        if self.context != other.context:
+        if self.context is not other.context and self.context != other.context:
             raise ContextMismatchError(
                 f"mixed support contexts {self.context.id} and {other.context.id}"
             )
@@ -177,7 +208,7 @@ class GradedSeries(TupleValue):
             raise ContextMismatchError(
                 f"mixed truncation degrees {self.degree} and {other.degree}"
             )
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ContextMismatchError(
                 f"mixed coefficient fields {self.field.name} and {other.field.name}"
             )
@@ -252,6 +283,13 @@ class GradedSeries(TupleValue):
         system = self.system
         degree = self.degree
         grade = ctx.grade
+        # while word_images evaluates over this context, g*h is row[g] of
+        # the table's row for h, made once and interned; elsewhere row is None
+        if _shared is not None and _shared[0] is ctx:
+            _, rows, intern = _shared
+        else:
+            rows = None
+        row = None
         out = {}
         # by ascending grade, so the scan over the left factor stops at the
         # first term whose product with h would exceed the degree
@@ -259,10 +297,18 @@ class GradedSeries(TupleValue):
         left = sorted(zip(map(grade, terms), terms, terms.values()), key=itemgetter(0))
         for h, b in other.terms.items():
             top = degree - grade(h)
+            if rows is not None:
+                row = rows.setdefault(h, {})
             for wg, g, a in left:
                 if wg > top:
                     break
-                x = multiply(g, h)
+                if row is None:
+                    x = multiply(g, h)
+                else:
+                    x = row.get(g)
+                    if x is None:
+                        x = multiply(g, h)
+                        x = row[g] = intern.setdefault(x, x)
                 if system is None:
                     contrib = a * b
                 else:

@@ -4,6 +4,7 @@ directly, so every Python runs it, including those where render_json returns
 json.dumps itself; the CLI tests check render_json through every pinned
 report."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnseries.report import Rows, write_indented
+from mnseries.report import Rows, digest, write_indented
 
 # strings that look like the writer's own separators and brackets, escapes,
 # control characters, non-ASCII text and lone surrogates
@@ -105,3 +106,18 @@ def test_typed_rows_at_every_depth(rows, depth, word, scalar):
 ])
 def test_typed_rows_examples(value):
     assert write_indented(value) == oracle(value)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.dictionaries(TEXT | st.sampled_from(("elapsed_ms", "digest")), VALUES, max_size=6),
+       st.one_of(st.none(), st.integers(0, 10**6)), st.one_of(st.none(), TEXT))
+def test_digest_is_sha256_of_compact_sorted_json(payload, elapsed_ms, old_digest):
+    # the digest's encoder against json.dumps, with the two scrubbed keys
+    # mixed into the payload or not
+    if elapsed_ms is not None:
+        payload["elapsed_ms"] = elapsed_ms
+    if old_digest is not None:
+        payload["digest"] = old_digest
+    scrubbed = {k: v for k, v in payload.items() if k not in ("elapsed_ms", "digest")}
+    blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
+    assert digest(payload) == hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -4,7 +4,9 @@ magnus.word_images multiplies each distinct prefix once, in any word order;
 the oracles in helpers.py build every word from scratch. Images must agree
 term for term, and survive validation, for the Magnus map and for the
 group-algebra units, and the Magnus first collision must be the one a
-per-word scan finds.
+per-word scan finds. The evaluator takes each group product from one table
+per evaluation: its images must equal plain products on every group and
+crossed system, and no table may outlive the evaluation, returned or raised.
 """
 
 import random
@@ -13,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import assert_valid, reference_magnus_image, reference_word_image
-from mnseries import registry
+from mnseries import magnus, registry, series
 from mnseries.freeness import type1_unit_generators
 from mnseries.magnus import (
     FreeWord,
@@ -21,10 +23,11 @@ from mnseries.magnus import (
     magnus_image,
     magnus_images,
     parse_word,
+    verify_magnus_injectivity,
     word_images,
 )
 from mnseries.scalars import field_from_spec
-from mnseries.series import to_text
+from mnseries.series import GradedSeries, NoTruncatedInverseError, to_text
 
 
 def reference_first_collision(words, images):
@@ -141,3 +144,131 @@ def test_magnus_rows_are_the_printed_rows_of_the_images():
         images, rows, collision = magnus_images(words, degree)
         assert rows == [image.rows() for image in images]
         assert collision == reference_first_collision(words, images)
+
+
+def _units(group_id, spec, c, d, degree, system_id="trivial"):
+    """The units 1 + c*x, 1 + d*y over the group's first two monoid
+    generators, or 1 + c*x alone on a group with one generator, under the
+    named crossed system."""
+    group = registry.resolve_group(group_id)
+    field = field_from_spec(spec)
+    system = registry.resolve_crossed(system_id, field)
+    one = {group.identity(): field.one}
+    return [GradedSeries(group, degree, {**one, g: field.parse(s)}, field, system)
+            for g, s in zip(group.monoid_generators()[:2], (c, d))]
+
+
+# each group product of word_images comes from its evaluation's table; the
+# reference multiplies every word from scratch with no table open
+@pytest.mark.parametrize("group_id,spec,c,d,system_id,L,D", [
+    ("bs12", "Q", "1", "2", "trivial", 4, 5),
+    ("bs12", "Fp:5", "1 mod 5", "2 mod 5", "trivial", 4, 5),
+    ("wreath", "Q", "1", "-1/2", "trivial", 4, 5),
+    ("wreath", "Fp:5", "3 mod 5", "2 mod 5", "trivial", 4, 5),
+    ("z2", "Q", "1", "2", "trivial", 4, 6),
+    ("z2", "Fp:5", "1 mod 5", "4 mod 5", "trivial", 4, 6),
+    ("z2", "Q", "1", "-3", "z2-sign-twist", 4, 6),
+    ("z", "Qsqrt:2", "1+1*sqrt(2)", None, "quadratic-conj-Z", 6, 7),
+])
+def test_word_images_match_plain_products(group_id, spec, c, d, system_id, L, D):
+    units = _units(group_id, spec, c, d, D, system_id)
+    words = enumerate_reduced_words(len(units), L)
+    expected = [reference_word_image(w, units) for w in words]
+    assert_same_images(word_images(words, units), expected)
+    assert series._shared is None
+
+
+def test_word_images_share_one_object_per_product():
+    # within one evaluation equal products are one object, across images
+    # too; the next evaluation makes its own. The empty word's image is no
+    # product, so only the other words count
+    units = _units("heis", "Q", "1", "2", 5)
+    words = enumerate_reduced_words(2, 3)[1:]
+    keys = {}
+    for image in word_images(words, units):
+        for g in image.terms:
+            assert keys.setdefault(g, g) is g
+    again = word_images(words, units)
+    assert any(keys[g] is not g for image in again for g in image.terms)
+
+
+def _count_products(monkeypatch, group):
+    made = []
+    multiply = type(group).multiply
+
+    def counted(self, g, h):
+        made.append((g, h))
+        return multiply(self, g, h)
+
+    monkeypatch.setattr(type(group), "multiply", counted)
+    return made
+
+
+def _pairs_within_degree(f, g):
+    grade = f.context.grade
+    return sum(grade(x) + grade(y) <= f.degree for x in f.terms for y in g.terms)
+
+
+def test_no_table_is_open_after_word_images_returns(monkeypatch):
+    units = _units("heis", "Fp:5", "1 mod 5", "2 mod 5", 4)
+    words = enumerate_reduced_words(2, 3)
+    made = _count_products(monkeypatch, units[0].context)
+    images = word_images(words, units)
+    assert series._shared is None
+    # fewer products than pairs: each distinct (g, h) was made once
+    inside = len(made)
+    assert inside == len(set(made))
+    f, g = images[-1], images[-2]
+    product = f * g
+    assert len(made) - inside == _pairs_within_degree(f, g)
+    assert product == reference_word_image(words[-1], units) * reference_word_image(
+        words[-2], units)
+
+
+def test_no_table_is_open_after_word_images_raises(monkeypatch):
+    # 1 + c*x with its identity term dropped has no truncated inverse, and
+    # its inverse is first asked for inside the evaluation
+    group = registry.resolve_group("heis")
+    field = field_from_spec("Q")
+    x, y = group.monoid_generators()[:2]
+    units = [GradedSeries(group, 4, {x: field.one}, field),
+             GradedSeries(group, 4, {group.identity(): field.one, y: field.one}, field)]
+    with pytest.raises(NoTruncatedInverseError):
+        word_images([parse_word("ba'", 2)], units)
+    assert series._shared is None
+    made = _count_products(monkeypatch, group)
+    f = units[1] * units[1]
+    product = f * units[1]
+    assert len(made) == _pairs_within_degree(units[1], units[1]) + _pairs_within_degree(
+        f, units[1])
+    assert product.terms == reference_word_image(parse_word("bbb", 2), units).terms
+
+
+def test_a_product_over_another_context_inside_an_evaluation_makes_its_own():
+    # a table serves only the context it was opened for
+    heis = _units("heis", "Q", "1", "2", 3)
+    z2 = _units("z2", "Q", "1", "2", 3)
+    with series.shared_products(heis[0].context):
+        assert series._shared[0] is heis[0].context
+        assert z2[0] * z2[1] == reference_word_image(parse_word("ab", 2), z2)
+        assert series._shared[1] == {}
+    assert series._shared is None
+
+
+@pytest.mark.parametrize("size,L,D", [(2, 6, 6), (2, 4, 4), (3, 3, 3), (2, 5, 5), (1, 4, 6),
+                                      (2, 4, 1), (3, 3, 0), (1, 3, 2)])
+def test_a_collision_keyed_on_images_is_the_first_collision_on_rows(size, L, D):
+    # verify_magnus_injectivity keys its collision on the images; below the
+    # word length (which it refuses) images collide, and the pair must be
+    # the one magnus_images finds on the printed rows
+    words = enumerate_reduced_words(size, L)
+    collision = magnus_images(words, D)[2]
+    assert magnus._first_collision(words, magnus._magnus_images(words, D)) == collision
+    if D >= L:
+        assert collision is None
+        report = verify_magnus_injectivity(size, L, D)
+        assert report.witness is None
+        assert report.details == {"k": size, "words": len(words)}
+    elif D <= 1 < size:
+        # ab and ba agree up to degree 1
+        assert collision is not None
