@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 from operator import attrgetter
@@ -55,6 +56,14 @@ SCHEMA = "mnseries-report/1"
 # digit-sum's N <= 20 is not here: digit_sum_check enforces it, with no override
 GUARDS = {"L": 16, "D": 12, "words": 1457, "monoid_words": 131071, "magnus_terms": 125970,
           "samples": 100000, "terms": 797161, "ratio_bits": 64}
+
+# the most digits one run of digits may have in an argument or a series
+# file: Python's default int_max_str_digits. run_command lifts that limit so
+# that a report can print the big integers exact elimination and inversion
+# make (the Q dependency of c = 7777777777 at L=4, D=8 has an entry of 4522
+# digits), and this bound keeps the inputs as they were: a huge --c would
+# otherwise run for minutes instead of failing at parse
+MAX_INPUT_DIGITS = 4300
 
 # the verdicts' exit codes are report.EXIT_CODES
 EXIT_USAGE = 64
@@ -147,6 +156,15 @@ def _check_guard(args, name, value, where=""):
             f"{name}={value}{where} exceeds the guard limit {GUARDS[name]} "
             "(pass --unsafe-bounds to override)"
         )
+
+
+def _check_digits(where, text):
+    """Refuse a run of more than MAX_INPUT_DIGITS digits in text."""
+    if len(text) > MAX_INPUT_DIGITS:
+        match = re.search(r"\d{%d,}" % (MAX_INPUT_DIGITS + 1), text)
+        if match:
+            raise ValueError(f"{where} holds a run of {len(match[0])} digits, over the "
+                             f"limit of {MAX_INPUT_DIGITS}")
 
 
 def _check_guards(args):
@@ -301,6 +319,7 @@ def _run_magnus(args):
 def _run_expand(args):
     with open(args.series_file) as handle:
         text = handle.read()
+    _check_digits("the series file", text)
     series = from_text(text, registry.resolve_monoid, registry.resolve_crossed)
     _check_guard(args, "D", series.degree, " in the series-file header")
     # only a free monoid's weight ball outgrows memory inside the D guard: at
@@ -353,13 +372,21 @@ _RUNNERS = {
 
 
 def run_command(argv) -> int:
-    """Parse and dispatch; never writes partial output on failure."""
+    """Parse and dispatch; never writes partial output on failure. Python's
+    limit on int-string conversions is lifted while the command runs (see
+    MAX_INPUT_DIGITS) and restored after it, also on failure."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     started = time.perf_counter()
+    # Python before 3.10.7 has no such limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        for item in argv:
+            _check_digits("an argument", item)
         _check_guards(args)
         params, body, code = _RUNNERS[args.command](args)
         elapsed_ms = int((time.perf_counter() - started) * 1000)
@@ -378,6 +405,9 @@ def run_command(argv) -> int:
     except Exception as exc:  # internal invariant failure
         print(f"mnseries: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main(argv=None) -> int:

@@ -21,13 +21,22 @@ There are two kernels, both on plain Python ints:
   in Z[sqrt m] as int pairs (u, v) for u + v*sqrt(m). For pivot p and head
   h, row i becomes N(p)/g * row_i - h*conj(p)/g * row_p, where
   N(p) = p*conj(p) (over Z, conj(p) = 1 and N(p) = p) and g is the gcd of
-  the multipliers' parts; then row i is divided by the gcd of all its parts,
-  which keeps the entries small without any division in Z[sqrt m]. Each row
-  stays a nonzero multiple of the row Gaussian elimination over the field
-  gives, so every zero test, and with it every pivot row and the row k left
-  at position `rank`, is the same. A row is a dict of its nonzero entries:
-  the rows of a word-image matrix keep about a seventh of [M | I] nonzero,
-  and the content gcd then reads only those.
+  the multipliers' parts, signed so that N(p)/g > 0. A row is divided by its
+  content, the gcd of all its parts, when it becomes the pivot row, before
+  its support is read. That keeps the entries it spreads into the rows
+  below small without any division in Z[sqrt m], at one gcd per pivot
+  where a gcd after every update cost about as much as the updates. A row
+  that never becomes a pivot row, such as each dependent row, is updated by
+  every pivot and would grow without bound, so a row whose head has more
+  than twice the pivot's bits plus 128 is divided by its content before its
+  update (the largest part's bits, over Z[sqrt m]). Each row stays a
+  positive multiple of the row Gaussian elimination over the field gives,
+  so every zero test, and with it every pivot row and the row k left at
+  position `rank`, is the same. The dependency's scale below reads only
+  ratios within one row, a pivot over its row's own identity entry and z
+  over z_k, so no row's content changes it. A row is a dict of its nonzero
+  entries: the rows of a word-image matrix keep about a seventh of [M | I]
+  nonzero, and the content gcd then reads only those.
 - The mod-p kernel, over F_p: the entries become residues in dense lists
   (there dicts measured slower), and the steps are Gaussian elimination
   mod p.
@@ -53,12 +62,24 @@ from .report import InvariantError
 from .scalars import PrimeField, PrimeFieldElement, QuadraticField
 
 
+def _primitive(row, radicand):
+    """The row divided by its content, the gcd of all its parts: a new dict,
+    or the row itself when the content is 1. Over Z[sqrt radicand] (radicand
+    not None) the parts are both ints of each pair."""
+    if radicand is None:
+        c = gcd(*row.values())
+        return row if c == 1 else {j: x // c for j, x in row.items()}
+    c = gcd(*(x for pair in row.values() for x in pair))
+    return row if c == 1 else {j: (u // c, v // c) for j, (u, v) in row.items()}
+
+
 def _eliminate_integral(rows, n_cols, radicand):
-    """Fraction-free elimination with content removal, in place, pivoting on
-    columns 0 .. n_cols - 1. Each row is a dict from column to its nonzero
-    entry: an int over Z (radicand None), or an int pair (u, v) for
-    u + v*sqrt(radicand) over Z[sqrt radicand]. Returns the rank and, position
-    by position, the original index of the row there."""
+    """Fraction-free elimination, in place, pivoting on columns
+    0 .. n_cols - 1; each pivot row, and each row below that has outgrown
+    its pivot, is divided by its content. Each row is a dict from
+    column to its nonzero entry: an int over Z (radicand None), or an int
+    pair (u, v) for u + v*sqrt(radicand) over Z[sqrt radicand]. Returns the
+    rank and, position by position, the original index of the row there."""
     n = len(rows)
     order = list(range(n))
     m = radicand
@@ -72,19 +93,25 @@ def _eliminate_integral(rows, n_cols, radicand):
         if i != pr:
             rows[pr], rows[i] = rows[i], rows[pr]
             order[pr], order[i] = order[i], order[pr]
-        row_p = rows[pr]
+        row_p = rows[pr] = _primitive(rows[pr], m)
         support = list(row_p.items())
+        # a row below whose head has more bits than limit is made primitive
+        # before its update (module docstring)
         if m is None:
             p = row_p[pc]
+            limit = 2 * p.bit_length() + 128
             for i in range(pr + 1, n):
                 row = rows[i]
                 h = row.get(pc)
                 if h is None:
                     continue
+                if h.bit_length() > limit:
+                    row = rows[i] = _primitive(row, m)
+                    h = row[pc]
                 g = gcd(p, h)
                 a, b = (p // g, h // g) if p > 0 else (-p // g, -h // g)
                 if a != 1:
-                    row = {j: a * x for j, x in row.items()}
+                    row = rows[i] = {j: a * x for j, x in row.items()}
                 get = row.get
                 for j, x in support:
                     x = get(j, 0) - b * x
@@ -92,18 +119,20 @@ def _eliminate_integral(rows, n_cols, radicand):
                         row[j] = x
                     else:
                         del row[j]
-                c = gcd(*row.values())
-                rows[i] = {j: x // c for j, x in row.items()} if c != 1 else row
         else:
             p_u, p_v = row_p[pc]
             norm = p_u * p_u - m * p_v * p_v
+            limit = 2 * max(p_u.bit_length(), p_v.bit_length()) + 128
             for i in range(pr + 1, n):
                 row = rows[i]
                 head = row.get(pc)
                 if head is None:
                     continue
-                # f = h * conj(p), so that N(p) * h - f * p = 0
                 h_u, h_v = head
+                if max(h_u.bit_length(), h_v.bit_length()) > limit:
+                    row = rows[i] = _primitive(row, m)
+                    h_u, h_v = row[pc]
+                # f = h * conj(p), so that N(p) * h - f * p = 0
                 f_u = h_u * p_u - m * h_v * p_v
                 f_v = h_v * p_u - h_u * p_v
                 g = gcd(norm, f_u, f_v)
@@ -111,7 +140,7 @@ def _eliminate_integral(rows, n_cols, radicand):
                     g = -g
                 a, f_u, f_v = norm // g, f_u // g, f_v // g
                 if a != 1:
-                    row = {j: (a * u, a * v) for j, (u, v) in row.items()}
+                    row = rows[i] = {j: (a * u, a * v) for j, (u, v) in row.items()}
                 mf_v = m * f_v
                 get = row.get
                 for j, (x_u, x_v) in support:
@@ -122,8 +151,6 @@ def _eliminate_integral(rows, n_cols, radicand):
                         row[j] = (u, v)
                     else:
                         del row[j]
-                c = gcd(*(x for pair in row.values() for x in pair))
-                rows[i] = {j: (u // c, v // c) for j, (u, v) in row.items()} if c != 1 else row
         pr += 1
         if pr == n:
             break

@@ -79,6 +79,14 @@ class FreeMonoid(TupleValue):
         return "".join(rng.choice(self.alphabet) for _ in range(length))
 
 
+@functools.cache
+def free_monoid(size: int) -> FreeMonoid:
+    """The free monoid on size letters, one object per size, built on first
+    use: series over it then share their context object, which
+    GradedSeries._compatible and series.shared_products test with `is`."""
+    return FreeMonoid(size)
+
+
 class FreeWord(TupleValue):
     """Reduced word in the free group on `size` letters: a tuple of
     (symbol index, sign) pairs with no adjacent cancelling pair. Its length
@@ -237,7 +245,7 @@ def magnus_image(word: FreeWord, degree: int) -> GradedSeries:
     word.size letters truncated at degree over Q; evaluated by word_images."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    monoid = FreeMonoid(word.size)
+    monoid = free_monoid(word.size)
     one = QQ.one
     units = [GradedSeries(monoid, degree, {"": one, letter: one} if degree else {"": one}, QQ)
              for letter in monoid.alphabet]

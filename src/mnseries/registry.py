@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from .crossed import CrossedSystem, quadratic_conj_z, trivial_system, z2_sign_twist
 from .groups import Heisenberg, LatticeGroup, SemidirectGroup, WreathGroup
-from .magnus import FreeMonoid
+from .magnus import free_monoid
 from .scalars import QQ, QuadraticField
 
 
@@ -45,7 +45,7 @@ def resolve_monoid(monoid_id: str):
     """A graded support context: a built-in group's designated monoid or the
     free monoid "free:<k>"."""
     if monoid_id.startswith("free:"):
-        return FreeMonoid(int(monoid_id[5:]))
+        return free_monoid(int(monoid_id[5:]))
     return resolve_group(monoid_id)
 
 

@@ -26,11 +26,11 @@ flag that skips validation, and every series built elsewhere is validated.
 from __future__ import annotations
 
 import re
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .groups import NotInMonoidError
 from .report import Rows
-from .scalars import QQ, TupleValue, field_from_spec, field_of_text
+from .scalars import QQ, PrimeField, PrimeFieldElement, TupleValue, field_from_spec, field_of_text
 
 
 class ContextMismatchError(ValueError):
@@ -94,6 +94,9 @@ def group_of(context):
 
 def _system_id(system) -> str:
     return "trivial" if system is None else system.id
+
+
+_residue = attrgetter("residue")
 
 
 # the product table of the word-image evaluation under way, as (context,
@@ -291,11 +294,18 @@ class GradedSeries(TupleValue):
             rows = None
         row = None
         out = {}
+        # over F_p with no system the loop multiplies and sums the terms'
+        # int residues, and each output sum is reduced mod p once at the end
+        residues = system is None and isinstance(self.field, PrimeField)
+        terms = self.terms
+        values, right = terms.values(), other.terms.items()
+        if residues:
+            values = map(_residue, values)
+            right = zip(other.terms, map(_residue, other.terms.values()))
         # by ascending grade, so the scan over the left factor stops at the
         # first term whose product with h would exceed the degree
-        terms = self.terms
-        left = sorted(zip(map(grade, terms), terms, terms.values()), key=itemgetter(0))
-        for h, b in other.terms.items():
+        left = sorted(zip(map(grade, terms), terms, values), key=itemgetter(0))
+        for h, b in right:
             top = degree - grade(h)
             if rows is not None:
                 row = rows.setdefault(h, {})
@@ -319,6 +329,9 @@ class GradedSeries(TupleValue):
                     out[x] = s
                 else:
                     out.pop(x, None)
+        if residues:
+            p = self.field.p
+            out = {x: PrimeFieldElement(r, p) for x, s in out.items() if (r := s % p)}
         return self._with(out)
 
     def truncated(self, new_degree: int):

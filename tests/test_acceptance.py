@@ -10,13 +10,14 @@ import io
 import json
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 from helpers import corrupt_twist, random_series
-from mnseries import cli
+from mnseries import cli, linalg
 from mnseries.crossed import (
     augment_coefficients,
     check_crossed_system,
@@ -387,6 +388,22 @@ def test_heis_L5_D8_digests(flags, digest):
     assert (code, _parse_report(out)["digest"]) == (3, digest)
 
 
+def test_heis_L5_D9_rows_that_outgrow_their_pivot(monkeypatch):
+    # at L=5, D=9 over Q (485 words, rank 357) rows that stay below the
+    # pivots outgrow them, and the integer kernel makes 257 of them
+    # primitive before their update; the digest is the one the kernel that
+    # took every row's content after every update gave
+    calls = []
+    primitive = linalg._primitive
+    monkeypatch.setattr(linalg, "_primitive",
+                        lambda row, radicand: calls.append(1) or primitive(row, radicand))
+    code, out = _run_captured(("verify-group-algebra", "--field=Q", "--c=1", "--d=2",
+                               "--L", "5", "--D", "9"))
+    report = _parse_report(out)
+    assert (code, report["digest"]) == (3, "d384468295eda5eb")
+    assert len(calls) > report["details"]["rank"] == 357
+
+
 def test_heis_L4_dependency_is_the_monoid_identity():
     # the heis monoid satisfies xyyx = yxxy, so (X-1)(Y-1)(Y-1)(X-1) =
     # (Y-1)(X-1)(X-1)(Y-1) for X = 1+x, Y = 1+y at every D >= 4: the words of
@@ -447,18 +464,52 @@ PINNED_CONSOLE_REPORTS = (
     # both units are 1 at D=0, so every word of length at most 2 has image 1
     (("verify-group-algebra", "--field=Q", "--c=1", "--d=1", "--L", "2", "--D", "0"),
      3, "4eb5b89588b3fa21"),
+    # reports that print integers of more than 4300 digits, Python's default
+    # limit on int-string conversion: a dependency entry of 4522 digits, and
+    # inverse coefficients of up to 4801 digits
+    (("verify-group-algebra", "--field=Q", "--c=7777777777", "--d=1", "--L", "4", "--D", "8"),
+     3, "28f89f006ef81efb"),
+    (("expand", "--series-file", "big.mns", "--invert"), 0, "d89e53d2359dfbe8"),
 )
+
+# the 447-byte free:2 series 1 + (10^400 + 1)*a, as CI writes big.mns
+BIGINT_SERIES = f"monoid=free:2 D=12 crossed=trivial\n0\t1\t1\n1\ta\t{10 ** 400 + 1}\n"
 
 
 @pytest.mark.parametrize("argv,code,digest", PINNED_CONSOLE_REPORTS,
                          ids=("z2-sign-twist", "quadratic-conj-Z", "expand-twist",
-                              "wreath-16-seed-5", "magnus-D5", "magnus-D1", "group-algebra-D0"))
+                              "wreath-16-seed-5", "magnus-D5", "magnus-D1", "group-algebra-D0",
+                              "group-algebra-bigint", "expand-bigint"))
 def test_console_script_digests(argv, code, digest, tmp_path, monkeypatch):
     [twist] = [text for name, text, _ in PINNED_EXPANDS if name == "twist-inv.mns"]
     (tmp_path / "twist.mns").write_text(twist)
+    (tmp_path / "big.mns").write_text(BIGINT_SERIES)
     monkeypatch.chdir(tmp_path)
     got, out = _run_captured(argv)
     assert (got, _parse_report(out)["digest"]) == (code, digest)
+
+
+def test_digit_runs_past_the_limit_are_usage_errors(tmp_path, capsys):
+    # inputs stay bounded at 4300 digits, now that run_command lifts the
+    # interpreter's limit while it runs; the limit is restored after every
+    # run, failed or not
+    limit = sys.get_int_max_str_digits()
+    digits = "7" * (cli.MAX_INPUT_DIGITS + 1)
+    series = tmp_path / "long.mns"
+    series.write_text(f"monoid=z D=2 crossed=trivial\n0\tZ(0)\t{digits}\n")
+    for argv in (["verify-group-algebra", f"--c={digits}", "--d=1", "--L", "2", "--D", "2"],
+                 ["verify-monoid", "--group", "z", "--gens", f"Z({digits})", "--L", "2"],
+                 ["expand", "--series-file", str(series)]):
+        assert cli.run_command(argv) == cli.EXIT_USAGE
+        assert f"a run of {len(digits)} digits, over the limit of 4300" in capsys.readouterr().err
+        assert sys.get_int_max_str_digits() == limit
+    code, _ = _run_captured(("expand", "--series-file", str(tmp_path / "missing.mns")))
+    assert code == cli.EXIT_USAGE and sys.get_int_max_str_digits() == limit
+    # a run of exactly 4300 digits is read (five words on three columns are
+    # dependent, exit 3)
+    code, _ = _run_captured(("verify-group-algebra", f"--c={digits[1:]}", "--d=1",
+                               "--L", "1", "--D", "1"))
+    assert code == 3 and sys.get_int_max_str_digits() == limit
 
 
 def _run_captured(argv):

@@ -1,9 +1,10 @@
 """Differential tests: rank_and_left_nullspace, whose integer and mod-p
-kernels update only the pivot row's support and divide rows by their
-content, against the dense Bareiss and Gaussian elimination on [M | I] it
-replaced (reference_rank_and_left_nullspace in tests/helpers.py). Ranks,
-dependency values and the dependency's part types (int or Fraction) must
-agree, not merely re-verify."""
+kernels update only the pivot row's support and divide each pivot row, and
+each row below that outgrows its pivot, by its content, against the dense
+Bareiss and Gaussian elimination on [M | I] it replaced
+(reference_rank_and_left_nullspace in tests/helpers.py). Ranks, dependency
+values and the dependency's part types (int or Fraction) must agree, not
+merely re-verify."""
 
 import random
 
@@ -66,6 +67,30 @@ def test_kernels_match_dense_reference_on_sparse_matrices(field):
     assert deficient > 30
 
 
+@pytest.mark.parametrize("field", (QQ, QuadraticField(2), QuadraticField(-1)),
+                         ids=lambda f: f.name)
+def test_kernels_match_dense_reference_on_rows_with_large_content(field):
+    # each row times its own integer of up to about 400 bits, so that many
+    # a head outgrows its pivot by more than the kernel's limit (a cleared
+    # row itself keeps content 1 through its identity entry)
+    rng = random.Random(f"content-{field.name}")
+    deficient = 0
+    for _ in range(100):
+        matrix = random_sparse_matrix(field, rng)
+        factors = [field.from_int(rng.choice((1, -1)) * rng.randrange(2, 10**12) ** rng.randint(1, 10))
+                   for _ in matrix]
+        matrix = [[k * x for x in row] for k, row in zip(factors, matrix)]
+        rank, dependency = assert_matches_reference(matrix, field)
+        deficient += dependency is not None
+    assert deficient > 20
+    # a dependent row whose M part carries a factor of 476 bits, which every
+    # pivot updates and none takes as its pivot row
+    rows = [[field.from_int(x) for x in row] for row in ((3, 1, 4, 1), (5, 9, 2, 6), (5, 3, 5, 8))]
+    big = field.from_int(3 ** 300)
+    matrix = rows + [[big * (2 * x - y + 3 * z) for x, y, z in zip(*rows)]]
+    assert assert_matches_reference(matrix, field)[0] == 3
+
+
 # Integer rows where a row below the pivot has a zero head: Bareiss rescales
 # it by piv/prev, the library leaves it alone, and the dependency must still
 # come out at the Bareiss scale. The last row of each depends on the others.
@@ -101,6 +126,8 @@ def test_kernels_match_dense_reference_on_edge_cases(field):
 HEIS_CELLS = (
     ("Q", "1", "2", 4, 6),
     ("Q", "1", "1", 3, 4),
+    # entries of hundreds of digits, whose rows carry large contents
+    ("Q", "7/3", "-5/2", 4, 8),
     ("Fp:5", "1 mod 5", "2 mod 5", 4, 5),
     ("Fp:7", "3 mod 7", "5 mod 7", 3, 8),
     ("Qsqrt:2", "1+1*sqrt(2)", "1-1*sqrt(2)", 3, 5),

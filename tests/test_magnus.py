@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_valid, reference_parse_word
-from mnseries import magnus
+from mnseries import magnus, registry
 from mnseries.magnus import (
     FreeMonoid,
     FreeWord,
@@ -230,3 +230,12 @@ def test_free_monoid_context():
         m.parse_element("cc")
     f = GradedSeries(m, 2, {"ab": Fraction(1)}, QQ)
     assert f.coefficient("ab") == 1
+
+
+def test_magnus_images_and_series_files_share_one_free_monoid():
+    # one object per alphabet size, so _compatible's `is` test holds and a
+    # product table opened for the context serves every image over it
+    images, _, _ = magnus_images([parse_word(w, 2) for w in ("ab", "b'a", "a")], 3)
+    assert all(image.context is images[0].context for image in images)
+    assert images[0].context is registry.resolve_monoid("free:2")
+    assert registry.resolve_monoid("free:3") is not images[0].context

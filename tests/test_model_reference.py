@@ -3,6 +3,9 @@ benchmark's reference arithmetic, perfbench/model.py, which is written
 without the package: its own group laws, weights, element strings and
 crossed-product rule. The model is imported read-only, as the benchmark's
 own tests import it, and the two meet only in the series text format.
+
+The model has no prime fields: an F_p series meets it as the Q series of its
+residues, and the model's product of those is reduced mod p here.
 """
 
 import contextlib
@@ -86,6 +89,51 @@ def test_inverses_are_two_sided_under_the_model(ctx_id, spec, crossed):
         one = to_text(GradedSeries.one(f.context, f.degree, f.field, f.system))
         for left, right in ((terms, inverse), (inverse, terms)):
             assert _model_text(f, model.multiply(ctx, degree, crossed_id, left, right)) == one
+
+
+FP_CASES = [(ctx_id, spec) for ctx_id in model.CONTEXTS for spec in ("Fp:5", "Fp:7", "Fp:101")]
+FP_IDS = [f"{ctx_id}-{spec}" for ctx_id, spec in FP_CASES]
+
+
+def _lifted_terms(f):
+    """The model's term map of an F_p series f, each residue lifted to Q."""
+    return _model_terms(GradedSeries(f.context, f.degree,
+                                     {g: c.residue for g, c in f.terms.items()}, QQ))
+
+
+def _reduced_product(f, left, right):
+    """The model's product of two lifted term maps in f's context and degree,
+    reduced mod f's p, as {element string: residue}, zero residues dropped."""
+    ctx, p = model.CONTEXTS[f.context.id], f.field.p
+    product = model.multiply(ctx, f.degree, "trivial", left, right)
+    return {ctx.fmt(y): c % p for y, c in product.items() if c % p}
+
+
+def _residue_map(f):
+    """f's term map as {element string: residue}, zero residues kept."""
+    return {f.context.format_element(g): c.residue for g, c in f.terms.items()}
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["plain", "shared"])
+@pytest.mark.parametrize("ctx_id,spec", FP_CASES, ids=FP_IDS)
+def test_prime_field_products_match_the_model_mod_p(ctx_id, spec, shared):
+    context = resolve_monoid(ctx_id)
+    pairs = list(_series_pairs(context, spec, "trivial", "product"))
+    with shared_products(context) if shared else contextlib.nullcontext():
+        products = [f * g for f, g in pairs]
+    assert any(product.terms for product in products)
+    for (f, g), product in zip(pairs, products):
+        expected = _reduced_product(f, _lifted_terms(f), _lifted_terms(g))
+        assert _residue_map(product) == expected
+
+
+@pytest.mark.parametrize("ctx_id,spec", FP_CASES, ids=FP_IDS)
+def test_prime_field_inverses_are_two_sided_under_the_model_mod_p(ctx_id, spec):
+    for f, _ in _series_pairs(resolve_monoid(ctx_id), spec, "trivial", "inverse", unit=True):
+        terms, inverse = _lifted_terms(f), _lifted_terms(f.invert())
+        one = _residue_map(GradedSeries.one(f.context, f.degree, f.field))
+        for left, right in ((terms, inverse), (inverse, terms)):
+            assert _reduced_product(f, left, right) == one
 
 
 @pytest.mark.parametrize("degree", range(6))
