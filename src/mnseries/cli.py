@@ -272,7 +272,7 @@ def _run_verify_group_algebra(args):
     fld = _canonical("--field", args.field, field_from_spec, attrgetter("name"))
     c = _canonical("--c", args.c, fld.parse, fld.format)
     d = _canonical("--d", args.d, fld.parse, fld.format)
-    units = type1_unit_generators(group, c, d, args.D)
+    units = type1_unit_generators(group, c, d, args.D, fld)
     _check_guard(args, "words", reduced_word_count(len(units), args.L), f" at L={args.L}")
     report = group_algebra_independence(list(units), args.L)
     params = {"group": args.group, "c": args.c, "d": args.d, "L": args.L, "D": args.D,

@@ -25,7 +25,8 @@ from __future__ import annotations
 import random
 from functools import cache
 
-from .groups import Heisenberg, HeisenbergElement, LatticeElement, LatticeGroup, SemidirectGroup
+from .groups import (Heisenberg, HeisenbergElement, LatticeElement, LatticeGroup, SemidirectGroup,
+                     sample_monoid_element)
 from .report import InvariantError, Report, outcome
 from .scalars import QQ, QuadraticField
 from .series import (ContextMismatchError, GradedSeries, NoTruncatedInverseError, SubgroupRing,
@@ -473,7 +474,7 @@ def _sample_series(system, rng, degree: int = 4) -> GradedSeries:
     """Four random terms over the monoid of the system's group."""
     terms = {}
     for _ in range(4):
-        g = system.group.sample_monoid_element(rng, degree)
+        g = sample_monoid_element(system.group, rng, degree)
         terms[g] = system.field.sample(rng)
     return GradedSeries(system.group, degree, terms, system.field, system)
 

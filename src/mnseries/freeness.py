@@ -22,8 +22,8 @@ from .groups import enumerate_monoid, monoid_word_count
 from .linalg import rank_and_left_nullspace
 from .magnus import enumerate_reduced_words, word_images
 from .report import INCONCLUSIVE, VERIFIED, InvariantError, Report, outcome
-from .scalars import field_of, rational_power
-from .series import GradedSeries
+from .scalars import rational_power
+from .series import GradedSeries, unit_generators
 
 
 class GuardLimitError(ValueError):
@@ -264,19 +264,13 @@ def type3_generators(group):
     return (group.inverse(a), group.inverse(b))
 
 
-def type1_unit_generators(group, c, d, degree: int):
-    """The unit pair (1 + c*x, 1 + d*y) in the truncated series ring over the
-    group's positive monoid; both are invertible at any degree. At degree 0
-    each is 1, as x and y have weight 1."""
+def type1_unit_generators(group, c, d, degree: int, field):
+    """The unit pair (1 + c*x, 1 + d*y) over the group's positive monoid,
+    built by series.unit_generators: nonzero c and d in field, and the group
+    has exactly the two monoid generators x and y."""
     if not c or not d:
         raise ValueError("unit generators need nonzero scalars")
-    fld = field_of(c)
-    if not fld.contains(d):
-        raise ValueError("the two scalars must lie in one field")
-    x, y = group.monoid_generators()[:2]
-    one = {group.identity(): fld.one}
-    return tuple(GradedSeries(group, degree, {**one, g: s} if degree else one, fld)
-                 for g, s in ((x, c), (y, d)))
+    return unit_generators(group, (c, d), degree, field)
 
 
 # ---------------------------------------------------------------------------

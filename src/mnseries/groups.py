@@ -325,15 +325,6 @@ class _Group(TupleValue):
     # a builtin, so printing a series' support makes no Python call
     format_element = staticmethod(str)
 
-    def sample_monoid_element(self, rng, max_weight: int):
-        """A random product of at most max_weight monoid generators."""
-        n = rng.randint(0, max_weight)
-        g = self.identity()
-        gens = self.monoid_generators()
-        for _ in range(n):
-            g = g * gens[rng.randrange(len(gens))]
-        return g
-
     def subgroup_contains(self, tag: str, g) -> bool:
         if tag == "1":
             return g == self.identity()
@@ -685,6 +676,17 @@ def monoid_word_count(generators: int, max_length: int) -> int:
     if generators == 1:
         return max_length + 1
     return (generators ** (max_length + 1) - 1) // (generators - 1)
+
+
+def sample_monoid_element(context, rng, max_weight: int):
+    """A random product of at most max_weight monoid generators of a graded
+    context, a group's or a free monoid's, each factor drawn from all of
+    them."""
+    g = context.identity()
+    gens = context.monoid_generators()
+    for _ in range(rng.randint(0, max_weight)):
+        g = context.multiply(g, gens[rng.randrange(len(gens))])
+    return g
 
 
 def enumerate_monoid(group, generators, max_length: int):

@@ -12,7 +12,7 @@ from operator import itemgetter
 from .groups import NotInMonoidError
 from .report import Report, outcome
 from .scalars import QQ, TupleValue
-from .series import GradedSeries, shared_products
+from .series import GradedSeries, shared_products, unit_generators
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 # each letter's spellings, "a" and "a'", to its (symbol index, sign), and back
@@ -52,8 +52,8 @@ class FreeMonoid(TupleValue):
     def multiply(self, u, v):
         return u + v
 
-    def in_monoid(self, w) -> bool:
-        return self.contains(w)
+    def monoid_generators(self):
+        return tuple(self.alphabet)
 
     def weight(self, w) -> int:
         if not self.contains(w):
@@ -73,10 +73,6 @@ class FreeMonoid(TupleValue):
         if not self.contains(text):
             raise ValueError(f"not a word over {self.alphabet!r}: {text!r}")
         return text
-
-    def sample_monoid_element(self, rng, max_weight: int):
-        length = rng.randint(0, max_weight)
-        return "".join(rng.choice(self.alphabet) for _ in range(length))
 
 
 @functools.cache
@@ -242,13 +238,9 @@ def word_images(words, units) -> list:
 def magnus_image(word: FreeWord, degree: int) -> GradedSeries:
     """Image of a reduced word under the Magnus map letter -> 1 + letter,
     inverse letter -> (1 + letter)^-1, in the series over the free monoid on
-    word.size letters truncated at degree over Q; evaluated by word_images."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    monoid = free_monoid(word.size)
-    one = QQ.one
-    units = [GradedSeries(monoid, degree, {"": one, letter: one} if degree else {"": one}, QQ)
-             for letter in monoid.alphabet]
+    word.size letters truncated at degree over Q; evaluated by word_images
+    from the letter units that series.unit_generators builds."""
+    units = unit_generators(free_monoid(word.size), (QQ.one,) * word.size, degree, QQ)
     return word_images([word], units)[0]
 
 

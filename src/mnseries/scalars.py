@@ -502,19 +502,6 @@ class QuadraticField(_Field):
 QQ = RationalField()
 
 
-def field_of(x):
-    """The field object a scalar value belongs to."""
-    if isinstance(x, Fraction):
-        return QQ
-    if isinstance(x, PrimeFieldElement):
-        return PrimeField(x.modulus)
-    if isinstance(x, QuadraticFieldElement):
-        return QuadraticField(x.radicand)
-    if isinstance(x, int):
-        return QQ
-    raise TypeError(f"not a scalar: {x!r}")
-
-
 def field_from_spec(spec: str):
     """Resolve a field spec string: "Q", "Fp:<p>" or "Qsqrt:<m>"."""
     spec = spec.strip()

@@ -65,9 +65,6 @@ class SubgroupRing(TupleValue):
     def multiply(self, g, h):
         return self.group.multiply(g, h)
 
-    def inverse(self, g):
-        return self.group.inverse(g)
-
     def in_monoid(self, g) -> bool:
         return self.group.contains(g) and self.group.subgroup_contains(self.subgroup_tag, g)
 
@@ -81,9 +78,6 @@ class SubgroupRing(TupleValue):
 
     def format_element(self, g) -> str:
         return self.group.format_element(g)
-
-    def parse_element(self, text: str):
-        return self.group.parse_element(text)
 
 
 def group_of(context):
@@ -397,6 +391,21 @@ def summable_sum(family) -> GradedSeries:
     for f in items[1:]:
         total = total + f
     return total
+
+
+def unit_generators(context, scalars, degree: int, field) -> tuple:
+    """The units 1 + s*g over a graded context, one for each of its monoid
+    generators g in order, with s the matching scalar: as many scalars as
+    generators, each in the field the caller names, or ValueError, also at
+    degree 0, where each unit is 1, as every monoid generator has weight 1.
+    They invert at any degree."""
+    one = {context.identity(): field.one}
+    units = []
+    for g, s in zip(context.monoid_generators(), scalars, strict=True):
+        if not field.contains(s):
+            raise ContextMismatchError(f"scalar {s!r} is not in field {field.name}")
+        units.append(GradedSeries(context, degree, {**one, g: s} if degree else one, field))
+    return tuple(units)
 
 
 # ---------------------------------------------------------------------------

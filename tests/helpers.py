@@ -42,9 +42,9 @@ from operator import itemgetter
 
 from mnseries.crossed import CrossedSystem, SubgroupSeriesRing
 from mnseries.report import COUNTEREXAMPLE, VERIFIED, Report, outcome
-from mnseries.groups import HeisenbergElement, SemidirectElement, WreathElement
+from mnseries.groups import HeisenbergElement, SemidirectElement, WreathElement, sample_monoid_element
 from mnseries.magnus import LETTERS, FreeMonoid, FreeWord
-from mnseries.scalars import QQ, field_of
+from mnseries.scalars import QQ
 from mnseries.series import GradedSeries
 
 
@@ -219,7 +219,7 @@ def dataclass_twin(value):
 def random_series(context, degree, field, rng, n_terms=5, system=None, unit=False):
     terms = {}
     for _ in range(n_terms):
-        g = context.sample_monoid_element(rng, degree)
+        g = sample_monoid_element(context, rng, degree)
         c = field.sample(rng)
         if c:
             terms[g] = terms.get(g, field.zero) + c
@@ -742,7 +742,7 @@ def sparse_rows(matrix):
     return rows, len(matrix[0]) if matrix else 0
 
 
-def reference_rank_and_left_nullspace(matrix, field=None):
+def reference_rank_and_left_nullspace(matrix, field):
     """Slow reference for linalg.rank_and_left_nullspace: the dense kernels
     above on [M | I]. Over Q each row is cleared of denominators as a whole
     and eliminated fraction-free, so the dependency is the Bareiss row's
@@ -751,8 +751,6 @@ def reference_rank_and_left_nullspace(matrix, field=None):
     if not matrix:
         return 0, None
     n_rows, n_cols = len(matrix), len(matrix[0])
-    if field is None:
-        field = field_of(matrix[0][0])
     rows = [list(row) + [field.one if j == i else field.zero for j in range(n_rows)]
             for i, row in enumerate(matrix)]
     if field == QQ:

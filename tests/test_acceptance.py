@@ -211,7 +211,7 @@ def test_criterion_10_group_algebra_independence():
         for field, c in ((QQ, Fraction(1)), (PrimeField(5), PrimeField(5).from_int(1))):
             verdict = None
             for degree in (6, 7, 8, 9, 10):
-                units = list(type1_unit_generators(HEIS, c, c, degree))
+                units = list(type1_unit_generators(HEIS, c, c, degree, field))
                 report = group_algebra_independence(units, 3)
                 verdict = report
                 if report.verified:

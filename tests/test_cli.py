@@ -630,6 +630,17 @@ def test_field_parameters_out_of_range_exit_64(tmp_path, capsys, monkeypatch):
         assert code == 64 and "outside" in err and not out
 
 
+@pytest.mark.parametrize("first", ("1 mod 7", "1+1*sqrt(2)"))
+@pytest.mark.parametrize("second", ("1/2", "1 mod 5", "3", "1+1*sqrt(3)"))
+def test_series_file_coefficient_off_the_first_ones_field_is_refused(tmp_path, capsys, first, second):
+    # the first coefficient names the field, whose parse refuses a
+    # coefficient of any other field, a plain rational or integer included
+    path = tmp_path / "mixed.mns"
+    path.write_text(f"monoid=z D=2 crossed=trivial\n0\tZ(0)\t{first}\n1\tZ(1)\t{second}\n")
+    code, out, err = run(capsys, "expand", "--series-file", str(path))
+    assert code == 64 and "not an element of" in err and not out
+
+
 def test_zero_series_under_quadratic_conj_z_is_refused(tmp_path, capsys):
     # a series with no coefficient and no field= in its header reads back
     # over Q, which quadratic-conj-Z refuses; with field=Qsqrt:2 it is the

@@ -250,11 +250,11 @@ def test_type3_generators():
 
 
 def test_type1_unit_generators():
-    ux, uy = type1_unit_generators(HEIS, Fraction(1), Fraction(1), 2)
+    ux, uy = type1_unit_generators(HEIS, Fraction(1), Fraction(1), 2, QQ)
     x, y = HEIS.monoid_generators()
     assert ux.terms == {HEIS.identity(): Fraction(1), x: Fraction(1)}
     assert uy.terms == {HEIS.identity(): Fraction(1), y: Fraction(1)}
-    ux2, uy3 = type1_unit_generators(HEIS, Fraction(2), Fraction(3), 2)
+    ux2, uy3 = type1_unit_generators(HEIS, Fraction(2), Fraction(3), 2, QQ)
     assert ux2.coefficient(x) == 2 and uy3.coefficient(y) == 3
     inv = ux.invert()
     assert inv.terms == {
@@ -263,13 +263,24 @@ def test_type1_unit_generators():
         x * x: Fraction(1),
     }
     with pytest.raises(ValueError):
-        type1_unit_generators(HEIS, Fraction(0), Fraction(1), 2)
+        type1_unit_generators(HEIS, Fraction(0), Fraction(1), 2, QQ)
+
+
+def test_type1_unit_generators_refuse_a_scalar_off_the_field():
+    # the caller names the field; a scalar outside it is refused by name,
+    # also at degree 0, where neither scalar enters a unit
+    F5 = PrimeField(5)
+    for degree in (0, 2):
+        with pytest.raises(ValueError, match="is not in field Fp:5"):
+            type1_unit_generators(HEIS, 1, F5.from_int(2), degree, F5)
+        with pytest.raises(ValueError, match="is not in field Q$"):
+            type1_unit_generators(HEIS, Fraction(1), F5.from_int(2), degree, QQ)
 
 
 # --- group algebra independence -----------------------------------------------
 
 def test_rank_five_at_length_one():
-    units = list(type1_unit_generators(HEIS, Fraction(1), Fraction(1), 2))
+    units = list(type1_unit_generators(HEIS, Fraction(1), Fraction(1), 2, QQ))
     report = group_algebra_independence(units, 1)
     assert report.verified
     assert report.details["rank"] == 5
@@ -277,20 +288,20 @@ def test_rank_five_at_length_one():
 
 
 def test_single_unit_length_zero():
-    (unit, _) = type1_unit_generators(HEIS, Fraction(1), Fraction(1), 2)
+    (unit, _) = type1_unit_generators(HEIS, Fraction(1), Fraction(1), 2, QQ)
     report = group_algebra_independence([unit], 0)
     assert report.verified and report.details["rank"] == 1
 
 
 def test_rank_with_arbitrary_scalars():
-    units = list(type1_unit_generators(HEIS, Fraction(2), Fraction(3), 4))
+    units = list(type1_unit_generators(HEIS, Fraction(2), Fraction(3), 4, QQ))
     report = group_algebra_independence(units, 2)
     assert report.verified
     assert report.details["words"] == 17
 
 
 def test_duplicate_units_dependency_found_and_reverified():
-    (unit, _) = type1_unit_generators(HEIS, Fraction(1), Fraction(1), 3)
+    (unit, _) = type1_unit_generators(HEIS, Fraction(1), Fraction(1), 3, QQ)
     report = group_algebra_independence([unit, unit], 1)
     assert report.verdict == INCONCLUSIVE
     assert report.exit_code == 3
@@ -299,7 +310,7 @@ def test_duplicate_units_dependency_found_and_reverified():
 
 def test_dependency_is_monotone_under_truncation():
     # a dependency of truncations at degree D stays one at every lower degree
-    (unit, _) = type1_unit_generators(HEIS, Fraction(1), Fraction(1), 3)
+    (unit, _) = type1_unit_generators(HEIS, Fraction(1), Fraction(1), 3, QQ)
     report = group_algebra_independence([unit, unit], 1)
     deps = report.witness["dependency"]
     from mnseries.magnus import parse_word
@@ -320,7 +331,7 @@ def test_dependency_is_monotone_under_truncation():
 def test_word_evaluation_is_multiplicative():
     from mnseries.magnus import enumerate_reduced_words
 
-    units = list(type1_unit_generators(HEIS, Fraction(1), Fraction(1), 4))
+    units = list(type1_unit_generators(HEIS, Fraction(1), Fraction(1), 4, QQ))
     inverses = [u.invert() for u in units]
 
     def evaluate(word):
@@ -339,7 +350,7 @@ def test_word_evaluation_is_multiplicative():
 
 def test_independence_over_prime_field():
     F5 = PrimeField(5)
-    units = list(type1_unit_generators(HEIS, F5.from_int(1), F5.from_int(1), 4))
+    units = list(type1_unit_generators(HEIS, F5.from_int(1), F5.from_int(1), 4, F5))
     report = group_algebra_independence(units, 2)
     assert report.verified
     assert report.details["field"] == "Fp:5"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -25,7 +26,10 @@ from mnseries.groups import (
     digit_expansion,
     enumerate_monoid,
     monoid_word_count,
+    sample_monoid_element,
 )
+from mnseries.magnus import free_monoid
+from mnseries.registry import group_ids, resolve_group
 
 HEIS = Heisenberg()
 BS = SemidirectGroup()
@@ -121,8 +125,8 @@ def test_bi_invariance(group):
 def test_weight_is_additive_on_the_monoid(group):
     rng = random.Random(6)
     for _ in range(200):
-        g = group.sample_monoid_element(rng, 5)
-        h = group.sample_monoid_element(rng, 5)
+        g = sample_monoid_element(group, rng, 5)
+        h = sample_monoid_element(group, rng, 5)
         assert group.weight(group.multiply(g, h)) == group.weight(g) + group.weight(h)
     assert group.weight(group.identity()) == 0
     for gen in group.monoid_generators():
@@ -135,14 +139,35 @@ def test_sampled_monoid_elements_stay_within_max_weight(group):
     rng = random.Random(9)
     for max_weight in range(5):
         for _ in range(50):
-            assert group.weight(group.sample_monoid_element(rng, max_weight)) <= max_weight
+            assert group.weight(sample_monoid_element(group, rng, max_weight)) <= max_weight
 
 
 def test_monoid_sampler_reaches_every_generator():
     z3 = LatticeGroup(3)
     rng = random.Random(10)
-    seen = {z3.sample_monoid_element(rng, 1) for _ in range(200)}
+    seen = {sample_monoid_element(z3, rng, 1) for _ in range(200)}
     assert seen == {z3.identity(), *z3.monoid_generators()}
+
+
+# sha256 prefixes of the 200 samples of test_seeded_samples_are_pinned,
+# one per line as the context prints them
+PINNED_SAMPLES = {
+    "heis": "4fab9009daefe1a3", "bs12": "08d970b9f37b9f39", "wreath": "ab17d5955134c34d",
+    "z2": "992992d5561a80c0", "z": "e254f98cf46990cf", "free:1": "5fd85b8a4a284ad5",
+    "free:2": "bf9956116eb7cbc6", "free:3": "ae76108eea74a151",
+}
+
+
+def test_seeded_samples_are_pinned():
+    # one sampler over context.multiply serves the groups and the free
+    # monoids; the pins fix its seeded draws on each
+    contexts = [*map(resolve_group, group_ids()), *map(free_monoid, (1, 2, 3))]
+    assert [ctx.id for ctx in contexts] == list(PINNED_SAMPLES)
+    for ctx in contexts:
+        rng = random.Random(39)
+        text = "\n".join(ctx.format_element(sample_monoid_element(ctx, rng, i % 7))
+                         for i in range(200))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_SAMPLES[ctx.id], ctx.id
 
 
 @pytest.mark.parametrize("group", (BS, WREATH, Z2), ids=lambda g: g.id)
@@ -155,7 +180,7 @@ def test_two_generator_samples_draw_one_bit_per_factor(group):
         expected = group.identity()
         for _ in range(twin.randint(0, 6)):
             expected = expected * gens[twin.randint(0, 1)]
-        assert group.sample_monoid_element(rng, 6) == expected
+        assert sample_monoid_element(group, rng, 6) == expected
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.id)

@@ -148,7 +148,7 @@ def test_kernels_match_dense_reference_on_group_algebra_matrices(spec, c, d, L, 
     with monkeypatch.context() as patch:
         patch.setattr(freeness, "rank_and_left_nullspace", capture)
         heis = registry.resolve_group("heis")
-        units = freeness.type1_unit_generators(heis, field.parse(c), field.parse(d), D)
+        units = freeness.type1_unit_generators(heis, field.parse(c), field.parse(d), D, field)
         report = freeness.group_algebra_independence(list(units), L)
     ((rows, n_cols),) = calls
     # the row contract the kernels rely on: a stored zero would be taken for

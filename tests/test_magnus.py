@@ -223,6 +223,7 @@ def test_powers_of_one_generator_are_binomial_rows():
 
 def test_free_monoid_context():
     m = FreeMonoid(2)
+    assert m.monoid_generators() == ("a", "b")
     assert m.parse_element("1") == ""
     assert m.format_element("") == "1"
     assert m.weight("abba") == 4

@@ -171,6 +171,6 @@ def test_regroup_and_flatten_build_no_float(no_float, group, tag, d):
 def test_integral_images_are_ints():
     words = enumerate_reduced_words(2, 4)
     images, _, _ = magnus_images(words, 6)
-    units = type1_unit_generators(Heisenberg(), 1, 2, 5)
+    units = type1_unit_generators(Heisenberg(), 1, 2, 5, QQ)
     for image in images + word_images(words, list(units)):
         assert all(type(c) is int for c in image.terms.values()), image

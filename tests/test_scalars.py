@@ -16,7 +16,7 @@ from mnseries.scalars import (
     QuadraticField,
     QuadraticFieldElement,
     field_from_spec,
-    field_of,
+    field_of_text,
     is_prime,
     parse_rational,
     parse_scalar,
@@ -129,9 +129,8 @@ def test_quadratic_element_int_and_fraction_parts_agree():
 
 
 def test_parse_scalar_infers_field():
-    assert field_of(parse_scalar("5/6")) == QQ
-    assert field_of(parse_scalar("4 mod 7")) == F7
-    assert field_of(parse_scalar("1/2-3*sqrt(2)")) == Q2
+    for text, field in (("5/6", QQ), ("4 mod 7", F7), ("1/2-3*sqrt(2)", Q2)):
+        assert field_of_text(text) == field and field.contains(parse_scalar(text))
     with pytest.raises(ValueError):
         parse_scalar("1.5")
 
@@ -155,6 +154,53 @@ def test_field_from_spec():
 def test_prime_field_requires_prime():
     with pytest.raises(ValueError):
         PrimeField(9)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** i, n) == n - 1 for i in range(1, s))
+
+
+def test_prime_field_refuses_composites_past_trial_division():
+    # 0 and 1 are below 2; 41 * 43 has no factor up to 37, the trial
+    # divisors, so Miller-Rabin refuses it; 151 * 751 * 28351 is a strong
+    # pseudoprime to the bases 2, 3, 5 and 7, and a later base refuses it
+    spsp = 3215031751
+    assert spsp == 151 * 751 * 28351
+    assert all(_strong_probable_prime(spsp, a) for a in (2, 3, 5, 7))
+    for p in (0, 1, 41 * 43, spsp):
+        assert not is_prime(p)
+        with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+            PrimeField(p)
+
+
+def test_quadratic_field_radicands_must_be_square_free():
+    # 6, 10 and -15 are products of distinct primes, each divided out once
+    for m in (6, 10, -15):
+        assert QuadraticField(m).radicand == m
+    for m in (12, 98, -50):
+        with pytest.raises(ValueError, match="square-free"):
+            QuadraticField(m)
+
+
+def test_quadratic_powers_are_repeated_products():
+    for x in (Q2.from_parts(1, 1), Q2.from_parts(Fraction(1, 2), -3), Q2.sqrt, -Q2.one):
+        product = Q2.one
+        for k in range(6):
+            assert x ** k == product
+            assert x ** -k == Q2.inv(product)
+            product = product * x
+    with pytest.raises(ZeroDivisionError):
+        Q2.zero ** -1
+
+
+def test_int_on_the_left_of_subtraction_and_division():
+    for field, x in ((F7, F7.from_int(3)), (Q2, Q2.from_parts(1, 1))):
+        assert 5 - x == field.from_int(5) - x
+        assert 5 / x == field.from_int(5) * field.inv(x)
 
 
 def _refuse(name):

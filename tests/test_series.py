@@ -32,9 +32,10 @@ from mnseries.groups import (
     LatticeGroup,
     SemidirectGroup,
     WreathGroup,
+    sample_monoid_element,
 )
-from mnseries.magnus import FreeMonoid
-from mnseries.registry import resolve_crossed, resolve_monoid
+from mnseries.magnus import FreeMonoid, free_monoid
+from mnseries.registry import group_ids, resolve_crossed, resolve_monoid
 from mnseries.report import Rows
 from mnseries.scalars import QQ, PrimeField, QuadraticField, TupleValue
 from mnseries.series import (
@@ -46,6 +47,7 @@ from mnseries.series import (
     from_text,
     summable_sum,
     to_text,
+    unit_generators,
 )
 
 HEIS = Heisenberg()
@@ -145,6 +147,26 @@ def test_invert_requires_unit_identity_coefficient():
     f = GradedSeries(ring, 0, {HEIS.identity(): Fraction(1), X: Fraction(1)}, QQ)
     with pytest.raises(NoTruncatedInverseError):
         f.invert()
+
+
+def test_unit_generators_over_every_graded_context():
+    # one unit 1 + s*g per monoid generator g, in order, over each group and
+    # free monoid; each is 1 at degree 0, and the scalars match the generators
+    # one to one and lie in the field, also at degree 0
+    for ctx in (*map(resolve_monoid, group_ids()), *map(free_monoid, (1, 2, 3))):
+        gens = ctx.monoid_generators()
+        scalars = [QQ.from_int(k + 2) for k in range(len(gens))]
+        units = unit_generators(ctx, scalars, 3, QQ)
+        assert [u.terms for u in units] == [{ctx.identity(): 1, g: s} for g, s in zip(gens, scalars)]
+        assert all(u.degree == 3 and u.field == QQ and u.system is None for u in units)
+        for u in unit_generators(ctx, scalars, 0, QQ):
+            assert u.terms == {ctx.identity(): 1}
+        for wrong in (scalars[1:], scalars + [1]):
+            with pytest.raises(ValueError):
+                unit_generators(ctx, wrong, 3, QQ)
+        for degree in (0, 3):
+            with pytest.raises(ContextMismatchError, match="not in field Fp:5"):
+                unit_generators(ctx, scalars, degree, PrimeField(5))
 
 
 CONTEXTS = [
@@ -483,7 +505,7 @@ def test_grade_is_the_weight_and_additive(ctx):
     rng = random.Random(f"grade:{ctx.id}")
     for _ in range(40):
         if ctx.graded:
-            g, h = (ctx.sample_monoid_element(rng, 6) for _ in range(2))
+            g, h = (sample_monoid_element(ctx, rng, 6) for _ in range(2))
         else:
             g, h = (ctx.group.sample_subgroup(ctx.subgroup_tag, rng) for _ in range(2))
         assert ctx.grade(g) == ctx.weight(g)

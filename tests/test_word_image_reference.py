@@ -26,7 +26,7 @@ from mnseries.magnus import (
     verify_magnus_injectivity,
     word_images,
 )
-from mnseries.scalars import field_from_spec
+from mnseries.scalars import QQ, field_from_spec
 from mnseries.series import GradedSeries, NoTruncatedInverseError, to_text
 
 
@@ -106,7 +106,7 @@ def test_magnus_images_of_documented_lists():
 def test_group_algebra_images_match_per_word_products(spec, c, d, L, D):
     field = field_from_spec(spec)
     heis = registry.resolve_group("heis")
-    units = list(type1_unit_generators(heis, field.parse(c), field.parse(d), D))
+    units = list(type1_unit_generators(heis, field.parse(c), field.parse(d), D, field))
     words = enumerate_reduced_words(2, L)
     expected = [reference_word_image(w, units) for w in words]
     assert_same_images(word_images(words, units), expected)
@@ -120,7 +120,7 @@ def test_group_algebra_images_match_per_word_products(spec, c, d, L, D):
 
 def test_word_images_of_the_empty_word_is_the_identity():
     heis = registry.resolve_group("heis")
-    units = list(type1_unit_generators(heis, Fraction(1), Fraction(2), 3))
+    units = list(type1_unit_generators(heis, Fraction(1), Fraction(2), 3, QQ))
     (image,) = word_images([FreeWord(2, ())], units)
     assert image.terms == {heis.identity(): 1}
 
