@@ -6,7 +6,9 @@ generating monoid with an additive weight, membership oracles for the named
 subgroups of its convex chain, and a convex-jump classification.
 
 Canonical element strings: "H(a,b,c)", "B(p/q,n)@r=p'/q'", "W({i:v,...},n)"
-with indices ascending, "Z(n)" and "Z2(a,b)" for the lattice groups.
+with indices ascending, "Z(n)" and "Z2(a,b)" for the lattice groups. Each
+group reads its elements by one full match of one pattern, and refuses any
+other text as "not a <group id> element: <text>".
 """
 
 from __future__ import annotations
@@ -303,7 +305,10 @@ class _Group(TupleValue):
     in_monoid in its own body, beside grade: the additive weight of a monoid
     element, unchecked, which weight returns after the membership check. It
     answers its own subgroup tags in _subgroup_contains and _sample_subgroup;
-    "1" and "G" are answered here."""
+    "1" and "G" are answered here. It reads its element strings by its
+    _pattern, whose groups its _read turns into the element, and
+    parse_element here is the one refusal. The patterns are strings, which
+    re compiles on first use and caches, so importing compiles none."""
 
     __slots__ = ()
     graded = True
@@ -325,6 +330,12 @@ class _Group(TupleValue):
     # a builtin, so printing a series' support makes no Python call
     format_element = staticmethod(str)
 
+    def parse_element(self, text: str):
+        m = re.fullmatch(self._pattern, text.strip())
+        if m is None:
+            raise ValueError(f"not a {self.id} element: {text!r}")
+        return self._read(*m.groups())
+
     def subgroup_contains(self, tag: str, g) -> bool:
         if tag == "1":
             return g == self.identity()
@@ -340,7 +351,7 @@ class _Group(TupleValue):
         return self._sample_subgroup(tag, rng)
 
     def _tag_index(self, pattern: str, tag: str) -> int:
-        m = re.match(pattern, tag)
+        m = re.fullmatch(pattern, tag)
         if not m:
             raise self._unknown(tag)
         return int(m.group(1))
@@ -380,11 +391,10 @@ class Heisenberg(_Group):
     def grade(self, g) -> int:
         return g.a + g.b
 
-    def parse_element(self, text: str):
-        m = re.match(r"^H\((-?\d+),(-?\d+),(-?\d+)\)$", text.strip())
-        if not m:
-            raise ValueError(f"not a Heisenberg element: {text!r}")
-        return HeisenbergElement(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    _pattern = r"H\((-?\d+),(-?\d+),(-?\d+)\)"
+
+    def _read(self, a, b, c):
+        return HeisenbergElement(int(a), int(b), int(c))
 
     def sample_element(self, rng):
         return HeisenbergElement(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
@@ -481,13 +491,13 @@ class SemidirectGroup(_Group):
     def grade(self, g) -> int:
         return g.n
 
-    def parse_element(self, text: str):
-        m = re.match(r"^B\((-?\d+(?:/\d+)?),(-?\d+)\)(?:@r=(-?\d+(?:/\d+)?))?$", text.strip())
-        if not m:
-            raise ValueError(f"not a semidirect element: {text!r}")
-        if m.group(3) is not None and parse_rational(m.group(3)) != self.ratio:
-            raise ValueError(f"element ratio {m.group(3)} does not match group {self.id}")
-        return self.element(parse_rational(m.group(1)), int(m.group(2)))
+    # the @r= suffix may be left out: the group fixes the ratio
+    _pattern = r"B\((-?\d+(?:/\d+)?),(-?\d+)\)(?:@r=(-?\d+(?:/\d+)?))?"
+
+    def _read(self, h, n, ratio):
+        if ratio is not None and parse_rational(ratio) != self.ratio:
+            raise ValueError(f"element ratio {ratio} does not match group {self.id}")
+        return self.element(parse_rational(h), int(n))
 
     def sample_element(self, rng):
         h = Fraction(rng.randint(-20, 20), self.ratio.numerator ** rng.randint(0, 2))
@@ -549,17 +559,12 @@ class WreathGroup(_Group):
     def grade(self, g) -> int:
         return sum(v for _, v in g.cells) + g.n
 
-    def parse_element(self, text: str):
-        m = re.match(r"^W\(\{(.*)\},(-?\d+)\)$", text.strip())
-        if not m:
-            raise ValueError(f"not a wreath element: {text!r}")
-        mapping = {}
-        body = m.group(1).strip()
-        if body:
-            for part in body.split(","):
-                i, v = part.split(":")
-                mapping[int(i)] = int(v)
-        return WreathElement.from_map(mapping, int(m.group(2)))
+    # the map is a comma-separated list of cells index:value, maybe none
+    _pattern = r"W\(\{((?:-?\d+:-?\d+,)*-?\d+:-?\d+)?\},(-?\d+)\)"
+
+    def _read(self, cells, n):
+        cells = re.findall(r"(-?\d+):(-?\d+)", cells or "")
+        return WreathElement.from_map({int(i): int(v) for i, v in cells}, int(n))
 
     def sample_element(self, rng):
         mapping = {}
@@ -575,11 +580,11 @@ class WreathGroup(_Group):
         return tuple(items)
 
     def _subgroup_contains(self, tag: str, g) -> bool:
-        k = self._tag_index(r"^B(-?\d+)$", tag)
+        k = self._tag_index(r"B(-?\d+)", tag)
         return g.n == 0 and all(i <= k for i, _ in g.cells)
 
     def _sample_subgroup(self, tag: str, rng):
-        k = self._tag_index(r"^B(-?\d+)$", tag)
+        k = self._tag_index(r"B(-?\d+)", tag)
         mapping = {}
         for _ in range(rng.randint(0, 3)):
             mapping[rng.randint(k - 3, k)] = rng.randint(-3, 3)
@@ -632,15 +637,14 @@ class LatticeGroup(_Group):
     def grade(self, g) -> int:
         return sum(g.coords)
 
-    def parse_element(self, text: str):
+    @property
+    def _pattern(self):
+        # exactly rank coordinates
         prefix = "Z" if self.rank == 1 else f"Z{self.rank}"
-        m = re.match(rf"^{prefix}\((-?\d+(?:,-?\d+)*)\)$", text.strip())
-        if not m:
-            raise ValueError(f"not a rank-{self.rank} lattice element: {text!r}")
-        coords = tuple(int(c) for c in m.group(1).split(","))
-        if len(coords) != self.rank:
-            raise ValueError(f"wrong arity for {prefix}: {text!r}")
-        return LatticeElement(coords)
+        return rf"{prefix}\((-?\d+(?:,-?\d+){{{self.rank - 1}}})\)"
+
+    def _read(self, coords):
+        return LatticeElement(tuple(map(int, coords.split(","))))
 
     def sample_element(self, rng):
         return LatticeElement(tuple(rng.randint(-6, 6) for _ in range(self.rank)))
@@ -656,11 +660,11 @@ class LatticeGroup(_Group):
         return tuple(out)
 
     def _subgroup_contains(self, tag: str, g) -> bool:
-        k = self._tag_index(r"^axis>(\d+)$", tag)
+        k = self._tag_index(r"axis>(\d+)", tag)
         return all(c == 0 for c in g.coords[:k])
 
     def _sample_subgroup(self, tag: str, rng):
-        k = self._tag_index(r"^axis>(\d+)$", tag)
+        k = self._tag_index(r"axis>(\d+)", tag)
         return LatticeElement((0,) * k + tuple(rng.randint(-6, 6) for _ in range(self.rank - k)))
 
 

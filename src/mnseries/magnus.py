@@ -244,25 +244,6 @@ def magnus_image(word: FreeWord, degree: int) -> GradedSeries:
     return word_images([word], units)[0]
 
 
-def _magnus_images(words, degree: int) -> list:
-    """The Magnus images of words over one alphabet, evaluated together by
-    word_images from the images of the letters, which fix the map."""
-    size = words[0].size
-    return word_images(words, [magnus_image(FreeWord(size, ((sym, 1),)), degree)
-                               for sym in range(size)])
-
-
-def _first_collision(words, keys):
-    """The first pair (earlier word, later word) in list order whose keys are
-    equal, or None; keys[i] belongs to words[i] and is hashable."""
-    seen = {}
-    for word, key in zip(words, keys):
-        if key in seen:
-            return seen[key], word
-        seen[key] = word
-    return None
-
-
 def magnus_images(words, degree: int):
     """Magnus images of a nonempty list of words over one alphabet, evaluated
     together by word_images (the map is fixed by the images of the letters);
@@ -270,22 +251,27 @@ def magnus_images(words, degree: int):
     (earlier word, later word) in list order whose images print the same
     rows, or None. Equal rows mean equal term maps: no two terms print
     alike, and a coefficient's string is exact."""
-    images = _magnus_images(words, degree)
+    size = words[0].size
+    images = word_images(words, [magnus_image(FreeWord(size, ((sym, 1),)), degree)
+                                 for sym in range(size)])
     rows = [image.rows() for image in images]
-    return images, rows, _first_collision(words, map(tuple, rows))
+    seen = {}
+    for word, row in zip(words, map(tuple, rows)):
+        if row in seen:
+            return images, rows, (seen[row], word)
+        seen[row] = word
+    return images, rows, None
 
 
 def verify_magnus_injectivity(size: int, max_length: int, degree: int) -> Report:
     """Check that all reduced words of length at most max_length have
     pairwise distinct truncated images; the first colliding pair is the
-    witness. Requires degree >= max_length; the separation at that degree is
-    verified, not assumed. The collision is keyed on the images themselves:
-    a series hashes on its term items, and equal images have equal term
-    maps, so it is the pair magnus_images finds on the printed rows."""
+    witness, the one magnus_images finds. Requires degree >= max_length; the
+    separation at that degree is verified, not assumed."""
     if degree < max_length:
         raise ValueError("degree must be at least the maximum word length")
     words = enumerate_reduced_words(size, max_length)
-    collision = _first_collision(words, _magnus_images(words, degree))
+    collision = magnus_images(words, degree)[2]
     witness = None if collision is None else [str(w) for w in collision]
     return outcome("magnus", {"L": max_length, "D": degree, "N": None}, witness,
                    {"k": size, "words": len(words)})

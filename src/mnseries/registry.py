@@ -4,6 +4,8 @@ report writes that id, and the tables below are keyed by it."""
 
 from __future__ import annotations
 
+import re
+
 from .crossed import CrossedSystem, quadratic_conj_z, trivial_system, z2_sign_twist
 from .groups import Heisenberg, LatticeGroup, SemidirectGroup, WreathGroup
 from .magnus import free_monoid
@@ -43,10 +45,9 @@ def resolve_group(group_id: str):
 
 def resolve_monoid(monoid_id: str):
     """A graded support context: a built-in group's designated monoid or the
-    free monoid "free:<k>"."""
-    if monoid_id.startswith("free:"):
-        return free_monoid(int(monoid_id[5:]))
-    return resolve_group(monoid_id)
+    free monoid "free:<k>"; any other id is refused as a group id."""
+    m = re.fullmatch(r"free:(\d+)", monoid_id)
+    return resolve_group(monoid_id) if m is None else free_monoid(int(m.group(1)))
 
 
 def _crossed(crossed_id: str):

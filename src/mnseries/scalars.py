@@ -504,14 +504,13 @@ QQ = RationalField()
 
 def field_from_spec(spec: str):
     """Resolve a field spec string: "Q", "Fp:<p>" or "Qsqrt:<m>"."""
-    spec = spec.strip()
-    if spec == "Q":
-        return QQ
-    if spec.startswith("Fp:"):
-        return PrimeField(int(spec[3:]))
-    if spec.startswith("Qsqrt:"):
-        return QuadraticField(int(spec[6:]))
-    raise ValueError(f"unknown field spec {spec!r}")
+    m = re.fullmatch(r"Q|Fp:(\d+)|Qsqrt:(-?\d+)", spec.strip())
+    if m is None:
+        raise ValueError(f"unknown field spec {spec!r} (Q, Fp:<p> or Qsqrt:<m>)")
+    p, radicand = m.groups()
+    if p is not None:
+        return PrimeField(int(p))
+    return QQ if radicand is None else QuadraticField(int(radicand))
 
 
 def field_of_text(text: str):
@@ -525,11 +524,6 @@ def field_of_text(text: str):
     if m:
         return QuadraticField(int(m.group(4)))
     return QQ
-
-
-def parse_scalar(text: str):
-    """Parse a scalar, inferring its field from the syntax."""
-    return field_of_text(text).parse(text)
 
 
 def rational_power(r: Fraction, k: int) -> Fraction:

@@ -19,8 +19,8 @@ function of the element alone, so nothing stores it: each context has an
 unchecked grade(g), the additive weight of an element already known to lie in
 it, and a checked weight(g), membership first and then the grade. Validation
 asks weight once per term; the arithmetic, whose terms come from validated
-series, reads grade. Only this module's arithmetic passes the private _trusted
-flag that skips validation, and every series built elsewhere is validated.
+series, reads grade. The constructor always validates; only this module's
+arithmetic builds its results as plain tuples of the five fields.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ class GradedSeries(TupleValue):
 
     Each term is checked in __new__: zero coefficients are dropped, and a
     term outside the context, off the field or above the degree is refused.
-    The keyword-only _trusted is private to this module, whose arithmetic
-    vouches for the terms it passes. Copies and pickles rebuild a series from
-    its fields, through validation.
+    Only this module's arithmetic, which vouches for its terms, builds a
+    series around validation, in _with. Copies and pickles rebuild a series
+    from its fields, through validation.
 
     A series hashes on its context, degree and terms: the term map is a
     dict, so the tuple's own hash would refuse it. It is true when it has a
@@ -143,38 +143,36 @@ class GradedSeries(TupleValue):
     __slots__ = ()
     _fields = ("context", "degree", "terms", "field", "system")
 
-    def __new__(cls, context, degree, terms, field, system=None, *, _trusted=False):
+    def __new__(cls, context, degree, terms, field, system=None):
         degree = int(degree)
         if system is not None and system.is_trivial:
             system = None
-        if not _trusted:
-            if degree < 0:
-                raise ValueError("degree must be nonnegative")
-            if system is not None and system.group != group_of(context):
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
+        if system is not None and system.group != group_of(context):
+            raise ContextMismatchError(
+                f"crossed system {system.id} does not act on context {context.id}"
+            )
+        clean = {}
+        for g, coeff in terms.items():
+            if not coeff:
+                continue
+            try:
+                w = context.weight(g)
+            except NotInMonoidError:
+                raise ValueError(
+                    f"support element {context.format_element(g)} outside context {context.id}"
+                ) from None
+            if not field.contains(coeff):
                 raise ContextMismatchError(
-                    f"crossed system {system.id} does not act on context {context.id}"
+                    f"coefficient {coeff!r} is not in field {field.name}"
                 )
-            clean = {}
-            for g, coeff in terms.items():
-                if not coeff:
-                    continue
-                try:
-                    w = context.weight(g)
-                except NotInMonoidError:
-                    raise ValueError(
-                        f"support element {context.format_element(g)} outside context {context.id}"
-                    ) from None
-                if not field.contains(coeff):
-                    raise ContextMismatchError(
-                        f"coefficient {coeff!r} is not in field {field.name}"
-                    )
-                if w > degree:
-                    raise ValueError(
-                        f"term {context.format_element(g)} exceeds degree {degree}"
-                    )
-                clean[g] = coeff
-            terms = clean
-        return tuple.__new__(cls, (context, degree, terms, field, system))
+            if w > degree:
+                raise ValueError(
+                    f"term {context.format_element(g)} exceeds degree {degree}"
+                )
+            clean[g] = coeff
+        return tuple.__new__(cls, (context, degree, clean, field, system))
 
     def __hash__(self):
         return hash((self.context, self.degree, frozenset(self.terms.items())))
@@ -245,9 +243,10 @@ class GradedSeries(TupleValue):
 
     def _with(self, terms, degree=None):
         """A series like self with the given terms, which the caller vouches
-        for, at self's degree unless another is given."""
-        return GradedSeries(self.context, self.degree if degree is None else degree, terms,
-                            self.field, self.system, _trusted=True)
+        for, at self's degree unless another (int) is given; built as the
+        tuple of its fields, without validation."""
+        return tuple.__new__(GradedSeries, (self.context, self.degree if degree is None else degree,
+                                            terms, self.field, self.system))
 
     def __add__(self, other):
         self._compatible(other)
@@ -335,7 +334,7 @@ class GradedSeries(TupleValue):
                              f"degree {new_degree}")
         grade = self.context.grade
         return self._with({g: c for g, c in self.terms.items() if grade(g) <= new_degree},
-                          new_degree)
+                          int(new_degree))
 
     def invert(self):
         """Truncated two-sided inverse, defined when the identity coefficient

@@ -253,6 +253,8 @@ def test_guard_limits_exit_65_and_override(capsys):
     ("verify-monoid", "--group", "bs12", "--gens", "B(1/1,1),B(0/1,1)", "--L", "-2"),
     ("pingpong", "--r", "2", "--t", "1", "--L", "-1"),
     ("check-crossed", "--system", "z2-sign-twist", "--samples", "-3"),
+    ("magnus", "--words", "ab", "--D=-1"),
+    ("digit-sum", "--r", "2", "--N=-1"),
 ])
 def test_negative_bounds_are_usage_errors(capsys, argv):
     # a negative bound checks nothing, so it must not yield a certificate
@@ -361,6 +363,75 @@ def test_element_and_word_lists_have_one_digest(capsys):
         spaced = run_json(capsys, *argv)[1]
         tight = run_json(capsys, *(a.replace(" ", "") for a in argv))[1]
         assert spaced["digest"] == tight["digest"]
+
+
+# each input grammar is read by one full match: an element of --gens or of a
+# series file, a field spec and a monoid id. Any other text is refused by
+# name, quoting it, and never with Python's own message from int() or from
+# unpacking
+MALFORMED_FILES = {
+    "free-x.mns": "monoid=free:x D=2 crossed=trivial\n",
+    "wreath-cell.mns": "monoid=wreath D=2 crossed=trivial\n1\tW({0:x},0)\t1\n",
+}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify-monoid", "--group", "heis", "--gens", "H(1,0),H(0,1,0)", "--L", "2"),
+     "not a heis element: 'H(1,0)'"),
+    (("verify-monoid", "--group", "bs12", "--gens", "B(1/2),B(0/1,1)", "--L", "2"),
+     "not a bs12 element: 'B(1/2)'"),
+    (("verify-monoid", "--group", "wreath", "--gens", "W({0:1:2},0),W({},1)", "--L", "2"),
+     "not a wreath element: 'W({0:1:2},0)'"),
+    (("verify-monoid", "--group", "wreath", "--gens", "W({0:x},0),W({},1)", "--L", "2"),
+     "not a wreath element: 'W({0:x},0)'"),
+    (("verify-monoid", "--group", "z2", "--gens", "Z2(0,0,0),Z2(0,1)", "--L", "2"),
+     "not a z2 element: 'Z2(0,0,0)'"),
+    (("verify-monoid", "--group", "z", "--gens", "Z(1,2)", "--L", "2"),
+     "not a z element: 'Z(1,2)'"),
+    (("verify-group-algebra", "--field", "Fp:x", "--c", "1", "--d", "1", "--L", "2", "--D", "2"),
+     "unknown field spec 'Fp:x'"),
+    (("verify-group-algebra", "--field", "Qsqrt:two", "--c", "1", "--d", "1", "--L", "2",
+      "--D", "2"), "unknown field spec 'Qsqrt:two'"),
+    (("expand", "--series-file", "free-x.mns"), "unknown group id 'free:x'"),
+    (("expand", "--series-file", "wreath-cell.mns"), "not a wreath element: 'W({0:x},0)'"),
+], ids=("heis-arity", "bs12-arity", "wreath-cell", "wreath-value", "z2-arity", "z-arity",
+        "field-Fp", "field-Qsqrt", "monoid-free", "file-wreath-value"))
+def test_malformed_input_is_refused_by_name(capsys, tmp_path, monkeypatch, argv, message):
+    for name, text in MALFORMED_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and not out and message in err
+    assert "invalid literal" not in err and "unpack" not in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("monoid=z D=2 crossed=bogus\n0\tZ(0)\t1\n", "unknown crossed system 'bogus'"),
+    ("monoid=bogus D=2 crossed=trivial\n0\tZ(0)\t1\n", "unknown group id 'bogus'"),
+    ("", "empty series text"),
+    ("monoid=z2 D=4 crossed=trivial\n1\tZ2(-1,2)\t1\n",
+     "support element Z2(-1,2) outside context z2"),
+    ("monoid=bs12 D=4 crossed=trivial\n-1\tB(0/1,-1)@r=2/1\t1\n",
+     "support element B(0/1,-1)@r=2/1 outside context bs12"),
+    ("monoid=wreath D=4 crossed=trivial\n-1\tW({},-1)\t1\n",
+     "support element W({},-1) outside context wreath"),
+], ids=("crossed-bogus", "monoid-bogus", "empty", "z2-outside", "bs12-outside", "wreath-outside"))
+def test_series_file_refusals_name_the_input(tmp_path, capsys, text, message):
+    # an unknown id in the header, an empty file, and a well-formed element
+    # outside the monoid are each refused with their own message
+    path = tmp_path / "refused.mns"
+    path.write_text(text)
+    code, out, err = run(capsys, "expand", "--series-file", str(path))
+    assert code == 64 and not out and message in err
+
+
+def test_seven_generators_are_named_g0_to_g6(capsys):
+    # up to six generators are named x, y, z, u, v, w; from seven on the
+    # witness words spell them g0, g1, ...
+    gens = "H(3,0,0),H(2,1,0),H(2,1,1),H(2,1,2),H(1,2,0),H(1,2,1),H(1,2,2)"
+    code, report = run_json(capsys, "verify-monoid", "--group", "heis", "--gens", gens, "--L", "2")
+    assert code == 2 and report["witness"]["words"] == ["g0g4", "g3g3"]
+    assert report["digest"] == "bf55fa0337bec4f1"
 
 
 def _random_magnus_words(rng):

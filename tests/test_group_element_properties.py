@@ -1,7 +1,7 @@
 """Property tests for what the level-by-level monoid enumeration and the
 element products rely on: the weight grading, the merged wreath product, the
 semidirect product on ints against the affine oracle and the
-semidirect-element hash."""
+semidirect-element hash; and for the element readers' refusals."""
 
 import random
 from fractions import Fraction
@@ -164,3 +164,26 @@ def test_semidirect_inverse_on_ints_matches_the_fraction_formula():
             assert type(inverse.num) is int and type(inverse.den) is int
             assert inverse.den > 0 and gcd(inverse.num, inverse.den) == 1
             assert g * inverse == SemidirectElement(0, 0, ratio) == inverse * g
+
+
+# near misses of the element grammars: a group's opening, a body from the
+# characters the grammars use, and a closing
+element_texts = st.builds(
+    lambda head, body, tail: head + body + tail,
+    st.sampled_from(["H(", "B(", "W({", "Z(", "Z2("]),
+    st.text(alphabet="0123-/:,{}x@r= ", max_size=10),
+    st.sampled_from([")", "},0)", ",1)", ")@r=2/1"]),
+)
+
+
+@PROPERTY
+@given(st.sampled_from(GRADED), element_texts)
+def test_element_text_is_read_or_refused_by_name(group, text):
+    # any text reads as an element of the group or is refused by a message
+    # of the package's own, never by int() or by unpacking
+    try:
+        g = group.parse_element(text)
+    except ValueError as exc:
+        assert "invalid literal" not in str(exc) and "unpack" not in str(exc), text
+    else:
+        assert group.contains(g)

@@ -436,6 +436,33 @@ def test_element_string_round_trip(group):
         assert group.parse_element(group.format_element(g)) == g
 
 
+@pytest.mark.parametrize("group,text", [
+    (HEIS, "H(1,0)"), (HEIS, "H(1,0,0,0)"), (HEIS, "H(1, 0,0)"), (HEIS, "H(1,0,0)x"),
+    (BS, "B(1/2)"), (BS, "B(1/2,1)@r="), (BS, "B(1/-2,1)"),
+    (WREATH, "W({0:1:2},0)"), (WREATH, "W({0:x},0)"), (WREATH, "W({0:1,},0)"),
+    (WREATH, "W({,},0)"), (WREATH, "W({0},0)"), (WREATH, "W({0: 1},0)"),
+    (Z2, "Z2(0,0,0)"), (Z2, "Z2(0)"), (Z2, "Z(0,0)"), (Z1, "Z(1,2)"), (Z1, "Z2(1)"),
+    (Z1, "Z()"), (LatticeGroup(3), "Z3(1,2)"),
+])
+def test_malformed_element_strings_are_refused_by_name(group, text):
+    # each group reads its elements by one full match of one pattern, the
+    # lattice arity and the wreath cells included, and parse_element is the
+    # one refusal
+    with pytest.raises(ValueError) as info:
+        group.parse_element(text)
+    assert str(info.value) == f"not a {group.id} element: {text!r}"
+
+
+def test_element_strings_are_read_by_one_full_match():
+    # the text is read past its surrounding spaces; a wreath map may be
+    # empty, repeat an index (the last value is kept) or hold a zero value
+    assert HEIS.parse_element(" H(1,-2,3)\n") == HeisenbergElement(1, -2, 3)
+    assert WREATH.parse_element("W({},-1)") == WREATH.element({}, -1)
+    assert WREATH.parse_element("W({-2:1,0:3,0:-1,5:0},2)") == WREATH.element({-2: 1, 0: -1}, 2)
+    assert LatticeGroup(3).parse_element("Z3(1,-2,3)") == LatticeElement((1, -2, 3))
+    assert BS.parse_element("B(-3/4,2)@r=2/1") == BS.element(Fraction(-3, 4), 2)
+
+
 def test_bs_element_strings():
     assert BS.format_element(BS.element(1, 1)) == "B(1/1,1)@r=2/1"
     assert BS.parse_element("B(1/1,1)") == BS.element(1, 1)

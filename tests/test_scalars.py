@@ -19,7 +19,6 @@ from mnseries.scalars import (
     field_of_text,
     is_prime,
     parse_rational,
-    parse_scalar,
     rational_power,
 )
 
@@ -130,9 +129,9 @@ def test_quadratic_element_int_and_fraction_parts_agree():
 
 def test_parse_scalar_infers_field():
     for text, field in (("5/6", QQ), ("4 mod 7", F7), ("1/2-3*sqrt(2)", Q2)):
-        assert field_of_text(text) == field and field.contains(parse_scalar(text))
+        assert field_of_text(text) == field and field.contains(field_of_text(text).parse(text))
     with pytest.raises(ValueError):
-        parse_scalar("1.5")
+        field_of_text("1.5").parse("1.5")
 
 
 def test_rational_canonicalization():
@@ -149,6 +148,17 @@ def test_field_from_spec():
         field_from_spec("Fp:6")
     with pytest.raises(ValueError):
         field_from_spec("Qsqrt:4")
+
+
+@pytest.mark.parametrize("spec", ["Fp:x", "Qsqrt:two", "Fp:", "Fp:-5", "Fp:+5", "Fp:5x", "Qsqrt:",
+                                  "Qsqrt:2:3", "q", "Q:2", "QQ", "F5", ""])
+def test_field_specs_are_read_by_one_full_match(spec):
+    # "Q", "Fp:<digits>" or "Qsqrt:<optional minus and digits>", read past
+    # surrounding spaces; any other spec is refused, quoting it
+    with pytest.raises(ValueError) as info:
+        field_from_spec(spec)
+    assert str(info.value) == f"unknown field spec {spec!r} (Q, Fp:<p> or Qsqrt:<m>)"
+    assert field_from_spec(" Fp:7 ") == F7 and field_from_spec("Qsqrt:-1") == QuadraticField(-1)
 
 
 def test_prime_field_requires_prime():
@@ -217,7 +227,7 @@ def test_prime_field_modulus_range(monkeypatch):
         with pytest.raises(ValueError, match="outside p < "):
             PrimeField(p)
     with pytest.raises(ValueError, match="outside p < "):
-        parse_scalar(f"1 mod {PSI_12}")
+        field_of_text(f"1 mod {PSI_12}")
     # below the bound the primality test runs
     with pytest.raises(AssertionError, match="is_prime ran"):
         PrimeField(PSI_12 - 2)
@@ -229,7 +239,7 @@ def test_quadratic_field_radicand_range(monkeypatch):
         with pytest.raises(ValueError, match=r"outside \|m\| < 2\*\*31"):
             QuadraticField(m)
     with pytest.raises(ValueError, match="outside"):
-        parse_scalar("1+1*sqrt(1000000000000000000000000000057)")
+        field_of_text("1+1*sqrt(1000000000000000000000000000057)")
     for m in (2 ** 31 - 1, -(2 ** 31 - 1)):
         with pytest.raises(AssertionError, match="is_square_free ran"):
             QuadraticField(m)
@@ -243,7 +253,7 @@ def test_rationals_are_ints_when_integral():
     assert (QQ.zero, QQ.one, QQ.from_int(-4)) == (0, 1, -4)
     assert all(type(x) is int for x in (QQ.zero, QQ.one, QQ.from_int(-4)))
     for text, value in (("3", 3), ("-6/2", -3), ("0/5", 0), ("5/6", Fraction(5, 6))):
-        for parsed in (QQ.parse(text), parse_scalar(text)):
+        for parsed in (QQ.parse(text), field_of_text(text).parse(text)):
             assert parsed == value and type(parsed) is type(value)
     # ratios and translations feed the group code, which keeps Fractions
     assert type(parse_rational("3")) is Fraction

@@ -149,6 +149,15 @@ def test_invert_requires_unit_identity_coefficient():
         f.invert()
 
 
+@pytest.mark.parametrize("monoid_id", ["free:x", "free:", "free:-1", "free:2 ", "free", "heis:2"])
+def test_unknown_monoid_ids_are_refused_as_group_ids(monoid_id):
+    # "free:<digits>" is a free monoid; any other id is looked up, and
+    # refused, as a group id, quoting it
+    with pytest.raises(ValueError, match=re.escape(f"unknown group id {monoid_id!r}")):
+        resolve_monoid(monoid_id)
+    assert resolve_monoid("free:3") is free_monoid(3) and resolve_monoid("heis") == HEIS
+
+
 def test_unit_generators_over_every_graded_context():
     # one unit 1 + s*g per monoid generator g, in order, over each group and
     # free monoid; each is 1 at degree 0, and the scalars match the generators
