@@ -168,8 +168,13 @@ def _check_digits(where, text):
 
 
 def _check_guards(args):
-    for name in ("L", "D", "samples"):
-        _check_guard(args, name, getattr(args, name, None))
+    """Refuse a negative bound by its flag, then hold each bound to its guard."""
+    for name in ("L", "D", "N", "samples"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{name} must be nonnegative, got {value}")
+        if name in GUARDS:
+            _check_guard(args, name, value)
 
 
 def _render_text(payload: dict) -> str:
@@ -317,8 +322,15 @@ def _run_magnus(args):
 
 
 def _run_expand(args):
-    with open(args.series_file) as handle:
-        text = handle.read()
+    with open(args.series_file, "rb") as handle:
+        data = handle.read()
+    try:
+        # CRLF and CR line ends read as LF, as in text mode
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"series file {args.series_file!r} is not UTF-8 text (byte "
+                         f"{data[exc.start]:#04x} at offset {exc.start}); a series file is a "
+                         "header line and one tab-separated line per term") from None
     _check_digits("the series file", text)
     series = from_text(text, registry.resolve_monoid, registry.resolve_crossed)
     _check_guard(args, "D", series.degree, " in the series-file header")

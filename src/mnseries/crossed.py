@@ -28,7 +28,7 @@ from functools import cache
 from .groups import (Heisenberg, HeisenbergElement, LatticeElement, LatticeGroup, SemidirectGroup,
                      sample_monoid_element)
 from .report import InvariantError, Report, outcome
-from .scalars import QQ, QuadraticField
+from .scalars import QQ, QuadraticField, randint
 from .series import (ContextMismatchError, GradedSeries, NoTruncatedInverseError, SubgroupRing,
                      group_of)
 
@@ -281,7 +281,7 @@ class SubgroupSeriesRing(IdentityCompared):
         """One to three random terms over N."""
         group, tag = self.subring.group, self.subring.subgroup_tag
         terms = {}
-        for _ in range(rng.randint(1, 3)):
+        for _ in range(randint(rng, 1, 3)):
             n = group.sample_subgroup(tag, rng)
             terms[n] = terms.get(n, self.field.zero) + self.field.sample(rng)
         return GradedSeries(self.subring, 0, terms, self.field, self.system)

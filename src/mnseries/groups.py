@@ -17,11 +17,12 @@ import random
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from operator import add, neg
 
 from .report import VERIFIED, InvariantError, Report
-from .scalars import TupleValue, parse_rational
+from .scalars import TupleValue, parse_rational, randint
 
 
 class GroupMismatchError(ValueError):
@@ -351,13 +352,21 @@ class _Group(TupleValue):
         return self._sample_subgroup(tag, rng)
 
     def _tag_index(self, pattern: str, tag: str) -> int:
-        m = re.fullmatch(pattern, tag)
-        if not m:
+        k = _tag_number(pattern, tag)
+        if k is None:
             raise self._unknown(tag)
-        return int(m.group(1))
+        return k
 
     def _unknown(self, tag: str) -> ValueError:
         return ValueError(f"unknown {self._noun} subgroup {tag!r}")
+
+
+@cache
+def _tag_number(pattern: str, tag: str):
+    """The number a subgroup tag carries in its pattern's one group, or None
+    when the tag does not match; each (pattern, tag) is read once."""
+    m = re.fullmatch(pattern, tag)
+    return None if m is None else int(m.group(1))
 
 
 class Heisenberg(_Group):
@@ -397,7 +406,7 @@ class Heisenberg(_Group):
         return HeisenbergElement(int(a), int(b), int(c))
 
     def sample_element(self, rng):
-        return HeisenbergElement(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
+        return HeisenbergElement(randint(rng, -5, 5), randint(rng, -5, 5), randint(rng, -5, 5))
 
     def panel_elements(self):
         return tuple(
@@ -416,9 +425,9 @@ class Heisenberg(_Group):
 
     def _sample_subgroup(self, tag: str, rng):
         if tag == "center":
-            return HeisenbergElement(0, 0, rng.randint(-5, 5))
+            return HeisenbergElement(0, 0, randint(rng, -5, 5))
         if tag == "a=0":
-            return HeisenbergElement(0, rng.randint(-5, 5), rng.randint(-5, 5))
+            return HeisenbergElement(0, randint(rng, -5, 5), randint(rng, -5, 5))
         raise self._unknown(tag)
 
 
@@ -500,8 +509,19 @@ class SemidirectGroup(_Group):
         return self.element(parse_rational(h), int(n))
 
     def sample_element(self, rng):
-        h = Fraction(rng.randint(-20, 20), self.ratio.numerator ** rng.randint(0, 2))
-        return self.element(h * self.t_value, rng.randint(-3, 3))
+        num, den = self._sample_base(rng)
+        ratio = self.ratio
+        return _value(SemidirectElement, (num, den, randint(rng, -3, 3), ratio.numerator, ratio.denominator))
+
+    def _sample_base(self, rng):
+        # h = a*t/p**e for a drawn from [-20, 20] and e from [0, 2], as
+        # num/den in lowest terms by one gcd (t's denominator and p are
+        # positive, and h = 0 is 0/1)
+        ratio, t = self
+        num = randint(rng, -20, 20) * t.numerator
+        den = ratio.numerator ** randint(rng, 0, 2) * t.denominator
+        c = gcd(num, den)
+        return num // c, den // c
 
     def panel_elements(self):
         t = self.t_value
@@ -518,8 +538,9 @@ class SemidirectGroup(_Group):
 
     def _sample_subgroup(self, tag: str, rng):
         if tag == "base":
-            h = Fraction(rng.randint(-20, 20), self.ratio.numerator ** rng.randint(0, 2))
-            return self.element(h * self.t_value, 0)
+            num, den = self._sample_base(rng)
+            ratio = self.ratio
+            return _value(SemidirectElement, (num, den, 0, ratio.numerator, ratio.denominator))
         raise self._unknown(tag)
 
 
@@ -568,9 +589,9 @@ class WreathGroup(_Group):
 
     def sample_element(self, rng):
         mapping = {}
-        for _ in range(rng.randint(0, 3)):
-            mapping[rng.randint(-3, 3)] = rng.randint(-3, 3)
-        return WreathElement.from_map(mapping, rng.randint(-3, 3))
+        for _ in range(randint(rng, 0, 3)):
+            mapping[randint(rng, -3, 3)] = randint(rng, -3, 3)
+        return WreathElement.from_map(mapping, randint(rng, -3, 3))
 
     def panel_elements(self):
         a = WreathElement(((0, 1),), 0)
@@ -586,8 +607,8 @@ class WreathGroup(_Group):
     def _sample_subgroup(self, tag: str, rng):
         k = self._tag_index(r"B(-?\d+)", tag)
         mapping = {}
-        for _ in range(rng.randint(0, 3)):
-            mapping[rng.randint(k - 3, k)] = rng.randint(-3, 3)
+        for _ in range(randint(rng, 0, 3)):
+            mapping[randint(rng, k - 3, k)] = randint(rng, -3, 3)
         return WreathElement.from_map(mapping, 0)
 
 
@@ -647,7 +668,7 @@ class LatticeGroup(_Group):
         return LatticeElement(tuple(map(int, coords.split(","))))
 
     def sample_element(self, rng):
-        return LatticeElement(tuple(rng.randint(-6, 6) for _ in range(self.rank)))
+        return LatticeElement(tuple([randint(rng, -6, 6) for _ in range(self.rank)]))
 
     def panel_elements(self):
         if self.rank == 1:
@@ -665,7 +686,7 @@ class LatticeGroup(_Group):
 
     def _sample_subgroup(self, tag: str, rng):
         k = self._tag_index(r"axis>(\d+)", tag)
-        return LatticeElement((0,) * k + tuple(rng.randint(-6, 6) for _ in range(self.rank - k)))
+        return LatticeElement((0,) * k + tuple([randint(rng, -6, 6) for _ in range(self.rank - k)]))
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +709,8 @@ def sample_monoid_element(context, rng, max_weight: int):
     them."""
     g = context.identity()
     gens = context.monoid_generators()
-    for _ in range(rng.randint(0, max_weight)):
-        g = context.multiply(g, gens[rng.randrange(len(gens))])
+    for _ in range(randint(rng, 0, max_weight)):
+        g = context.multiply(g, gens[randint(rng, 0, len(gens) - 1)])
     return g
 
 
@@ -786,8 +807,17 @@ def _jump(group, lower, upper, action_ratio=None):
     }
 
 
-def _commutator(group, g, h):
-    return group.multiply(group.multiply(group.inverse(g), group.inverse(h)), group.multiply(g, h))
+def _commutator(g, h):
+    """g^-1 h^-1 g h, multiplied on field tuples by the element class's own
+    _product; only the result is built as an element."""
+    product = g._product
+    return _value(g.__class__, product(product(g.inverse(), h.inverse()), product(g, h)))
+
+
+def _conjugate(g, x):
+    """g x g^-1, multiplied as _commutator multiplies."""
+    product = g._product
+    return _value(g.__class__, product(product(g, x), g.inverse()))
 
 
 def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
@@ -809,7 +839,7 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
             for _ in range(samples):
                 h = group.sample_subgroup(upper, rng)
                 g = group.sample_element(rng)
-                if not group.subgroup_contains(lower, _commutator(group, h, g)):
+                if not group.subgroup_contains(lower, _commutator(h, g)):
                     raise InvariantError(f"jump ({lower},{upper}) is not central")
             jumps.append(_jump(group, lower, upper))
         order_type, checks, witness = 1, samples * len(jumps), {"chain": list(chain)}
@@ -818,12 +848,12 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
         p, q = group.ratio.numerator, group.ratio.denominator
         for _ in range(samples):
             z = group.sample_subgroup("base", rng)
-            conj = group.multiply(group.multiply(conjugator, z), group.inverse(conjugator))
+            conj = _conjugate(conjugator, z)
             # conj == (ratio * z.h, 0), cross-multiplied on ints
             if conj.n or conj.num * q * z.den != p * z.num * conj.den:
                 raise InvariantError("conjugation does not scale the base by the ratio")
             g = group.sample_element(rng)
-            moved = group.multiply(group.multiply(g, z), group.inverse(g))
+            moved = _conjugate(g, z)
             if not group.subgroup_contains("base", moved):
                 raise InvariantError("base subgroup is not normal")
         jumps = [_jump(group, "1", "base", group.ratio)]
@@ -834,7 +864,7 @@ def classify_order_type(group, samples: int = 200, seed: int = 0) -> Report:
         a = WreathElement(((0, 1),), 0)
         for _ in range(samples):
             c = group.sample_subgroup("B0", rng)
-            inside = group.multiply(group.multiply(b, c), group.inverse(b))
+            inside = _conjugate(b, c)
             if not group.subgroup_contains("B-1", inside):
                 raise InvariantError("conjugate of B0 does not land in B-1")
         if group.subgroup_contains("B-1", a) or not group.subgroup_contains("B0", a):

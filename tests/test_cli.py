@@ -191,6 +191,21 @@ def test_expand_refuses_non_canonical_files(tmp_path, capsys, line):
     assert code == 64 and not out and "line 2" in err
 
 
+def test_expand_reads_the_file_bytes(tmp_path, capsys):
+    # a file that is not UTF-8 text is refused by name, not by Python's codec
+    # message; CRLF and CR line ends read as LF, as text mode reads them
+    path = tmp_path / "binary.mns"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "expand", "--series-file", str(path))
+    assert code == 64 and not out and "codec" not in err
+    assert (f"mnseries: error: series file {str(path)!r} is not UTF-8 text (byte 0xff at offset 0); "
+            "a series file is a header line and one tab-separated line per term\n") in err
+    for ending in (b"\r\n", b"\r"):
+        path.write_bytes(b"monoid=z D=4 crossed=trivial" + ending + b"0\tZ(0)\t1" + ending)
+        code, out, _ = run(capsys, "expand", "--series-file", str(path), "--format", "text")
+        assert code == 0 and out == "monoid=z D=4 crossed=trivial\n0\tZ(0)\t1\n"
+
+
 @pytest.mark.parametrize("name,text", [(name, text) for name, text, _ in PINNED_EXPANDS],
                          ids=[name for name, _, _ in PINNED_EXPANDS])
 def test_expand_returns_the_file_it_read(tmp_path, capsys, name, text):
@@ -255,11 +270,18 @@ def test_guard_limits_exit_65_and_override(capsys):
     ("check-crossed", "--system", "z2-sign-twist", "--samples", "-3"),
     ("magnus", "--words", "ab", "--D=-1"),
     ("digit-sum", "--r", "2", "--N=-1"),
+    ("verify-group-algebra", "--c", "1", "--d", "1", "--L=-1", "--D", "2"),
+    ("verify-group-algebra", "--c", "1", "--d", "1", "--L", "2", "--D=-4"),
 ])
 def test_negative_bounds_are_usage_errors(capsys, argv):
-    # a negative bound checks nothing, so it must not yield a certificate
+    # a negative bound checks nothing, so it must not yield a certificate;
+    # it is refused before any runner, naming the flag and value it was given
     code, out, err = run(capsys, *argv)
-    assert code == 64 and not out and "must be nonnegative" in err
+    assert code == 64 and not out
+    refusal = re.fullmatch(r"mnseries: error: (--\w+) must be nonnegative, got (-\d+)\n.*", err, re.S)
+    assert refusal is not None, err
+    flag, value = refusal.groups()
+    assert f"{flag}={value}" in argv or (flag, value) in zip(argv, argv[1:])
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,6 +25,14 @@ the semidirect product: h gains t/3 at n=2, which leaves h/t non-integral;
 the tx-image B(13/1,3) loses t, which drops its exponent-0 digit; the
 x-image B(10/1,3) gains t, which adds it. All 3 cells catch their fault
 (exit 2, counterexample).
+
+The third row is classify on bs12, wreath and z2, each honestly verified
+(exit 0). Each cell patches one group's element product, the _product that
+classify's commutators and conjugations multiply through: the semidirect
+product drops the ratio scaling (h + k for h + r^n k), the wreath product
+ignores the left factor's shift, and the z2 product gains a cross term a*y
+in its second coordinate. All 3 cells catch their fault: the sampled
+re-check fails its named identity, exit 70, with no report.
 """
 
 import json
@@ -122,6 +130,32 @@ PINGPONG_FAULTS = {
 }
 
 
+def unscaled_semidirect(g, h):
+    """(h, n)(k, m) = (h + k, n + m): the product without r**n."""
+    hn, hd, n, p, q = g
+    kn, kd, m, _, _ = h
+    num, den = hn * kd + kn * hd, hd * kd
+    c = gcd(num, den)
+    return num // c, den // c, n + m, p, q
+
+
+def unshifted_wreath(g, h):
+    """(f, n)(f', m) = (f + f', n + m): f' goes in unshifted by n."""
+    cells, n = g
+    return groups._wreath_product((cells, 0), h)[0], n + h[1]
+
+
+def crossed_lattice(g, h):
+    """(a, b)(x, y) = (a + x, b + y + a*y) on z2."""
+    (a, b), (x, y) = g[0], h[0]
+    return ((a + x, b + y + a * y),)
+
+
+CLASSIFY_FAULTS = {"bs12": (groups.SemidirectElement, unscaled_semidirect),
+                   "wreath": (groups.WreathElement, unshifted_wreath),
+                   "z2": (groups.LatticeElement, crossed_lattice)}
+
+
 def run(argv, capsys):
     """Exit code and report of one CLI run ({} for no report)."""
     code = cli.run_command(list(argv))
@@ -172,3 +206,17 @@ def test_pingpong_under_faults(fault, code, verdict, witness, digest, capsys, mo
                                                                                           digest)
     if code == 0 and verdict == VERIFIED:
         raise FaultPassedAsVerified(f"{fault} passes as verified at the pingpong input")
+
+
+@pytest.mark.parametrize("group,identity", [
+    ("bs12", "conjugation does not scale the base by the ratio"),
+    ("wreath", "conjugate of B0 does not land in B-1"),
+    ("z2", "jump (1,axis>1) is not central"),
+])
+def test_classify_under_faults(group, identity, capsys, monkeypatch):
+    cls, fault = CLASSIFY_FAULTS[group]
+    monkeypatch.setattr(cls, "_product", staticmethod(fault))
+    code = cli.run_command(["classify", "--group", group])
+    out, err = capsys.readouterr()
+    assert code == 70 and not out
+    assert f"invariant failed: {identity}" in err

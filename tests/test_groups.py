@@ -30,6 +30,7 @@ from mnseries.groups import (
 )
 from mnseries.magnus import free_monoid
 from mnseries.registry import group_ids, resolve_group
+from mnseries.scalars import PSI_12, randint
 
 HEIS = Heisenberg()
 BS = SemidirectGroup()
@@ -181,6 +182,63 @@ def test_two_generator_samples_draw_one_bit_per_factor(group):
         for _ in range(twin.randint(0, 6)):
             expected = expected * gens[twin.randint(0, 1)]
         assert sample_monoid_element(group, rng, 6) == expected
+
+
+# sha256 prefixes of 300 seeded draws of sample_subgroup for each subgroup tag
+# the package samples, "G" being sample_element, one per line as the group
+# prints them; taken when every draw was random.Random.randint's own.
+# "bs(3/2,-2/5)" is the semidirect group of ratio 3/2 and t -2/5, and B3 a
+# wreath tag nothing samples, beside the B0 and B-1 that classify does
+PINNED_GROUP_SAMPLES = {
+    ("heis", "G"): "7a89497e6b519499", ("heis", "center"): "541985cc8e681185",
+    ("heis", "a=0"): "6924310187ceaa0a", ("bs12", "G"): "dce74c3fba1e3905",
+    ("bs12", "base"): "7100e7bbf5424592", ("wreath", "G"): "aedc5becb6ad1b4b",
+    ("wreath", "B0"): "a378037b78339025", ("wreath", "B-1"): "cb2fdfc541d9530a",
+    ("wreath", "B3"): "29b66030b93ea941", ("z2", "G"): "fcd909dd89c9828e",
+    ("z2", "axis>1"): "ec4d3533eeecad6d", ("z", "G"): "6d425e7160c3727e",
+    ("bs(3/2,-2/5)", "G"): "f4c699fea05ac672", ("bs(3/2,-2/5)", "base"): "7136eb9efbdcedcb",
+}
+
+
+@pytest.mark.parametrize("gid,tag", PINNED_GROUP_SAMPLES, ids=[f"{g}-{t}" for g, t in PINNED_GROUP_SAMPLES])
+def test_seeded_group_samples_are_pinned(gid, tag):
+    group = (SemidirectGroup(Fraction(3, 2), Fraction(-2, 5)) if gid == "bs(3/2,-2/5)"
+             else resolve_group(gid))
+    rng = random.Random(43)
+    text = "\n".join(group.format_element(group.sample_subgroup(tag, rng)) for _ in range(300))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_GROUP_SAMPLES[gid, tag]
+
+
+# the ranges the package draws from: group and subgroup samplers, the free
+# monoid sampler's factor count and generator index (k up to 26 letters), the
+# crossed term count, and the Q, F_p (p up to PSI_12) and Q(sqrt m) samplers
+PACKAGE_RANGES = [(-5, 5), (-20, 20), (0, 2), (-3, 3), (0, 3), (-6, 6), (-4, -1), (-3, 0), (1, 3),
+                  (-9, 9), (1, 6), (1, 4), *((0, w) for w in range(13)), *((0, k - 1) for k in range(1, 27)),
+                  (0, 4), (0, 100), (1, 100), (0, PSI_12 - 2), (1, PSI_12 - 2)]
+
+
+def test_randint_draws_as_random_randint():
+    # the package's one integer draw must give random.Random.randint's values
+    # on the same seed, draw for draw, and leave the generator where randint
+    # leaves it; the CI matrix runs this on every supported interpreter
+    ranges = list(PACKAGE_RANGES)
+    picker = random.Random(2024)
+    for _ in range(200):
+        lo = picker.randint(-2 ** 70, 2 ** 70)
+        ranges.append((lo, lo + picker.randint(0, 2 ** picker.randint(0, 80))))
+    ranges += [(n, n) for n in (-7, 0, 1, 2 ** 64)]
+    for seed, (lo, hi) in enumerate(ranges):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert randint(rng, lo, hi) == twin.randint(lo, hi), (lo, hi)
+        assert rng.getstate() == twin.getstate()
+
+
+def test_randint_refuses_an_empty_range():
+    rng = random.Random(0)
+    for lo, hi in ((1, 0), (0, -1), (5, -5)):
+        with pytest.raises(ValueError, match="empty range"):
+            randint(rng, lo, hi)
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.id)
