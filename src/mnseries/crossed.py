@@ -113,38 +113,49 @@ def quadratic_conj_z(radicand, /) -> CrossedSystem:
 
 def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: int = 0) -> Report:
     """Verify the two validity identities and the normalization case by case.
-    A case is a pair (x, y), checked for the normalization at x and the
-    action identity, followed by its triples (x, y, z), each checked for the
-    cocycle identity. Every pair of the group's fixed panel is a case with
-    the whole panel as its z, then each of sample_count random triples is
-    one. The first violated identity is the witness, and details.checked
-    counts the pairs and triples checked."""
+    A case is a pair (x, y), checked for the normalization at x, a nonzero
+    twist(x, y) and the action identity, followed by its triples (x, y, z),
+    each checked for the cocycle identity. Every pair of the group's fixed
+    panel is a case with the whole panel as its z, then each of sample_count
+    random triples is one. The first violated identity is the witness, and
+    details.checked counts the pairs and triples checked."""
     if sample_count < 0:
         raise ValueError("sample count must be nonnegative")
     field = system.field
+    one = field.one
+    action = system.action
     fmt = system.group.format_element
     ident = system.group.identity()
     scalars = field.panel()
     checked = 0
     violation = None
-    if system.action(ident, scalars[-1]) != scalars[-1]:
+    if action(ident, scalars[-1]) != scalars[-1]:
         violation = {"identity": "normalization", "x": fmt(ident)}
     else:
         for x, y, (xy, tw), triples in _cases(system, sample_count, seed):
             checked += 1
-            if system.twist(ident, x) != field.one or system.twist(x, ident) != field.one:
+            if system.twist(ident, x) != one or system.twist(x, ident) != one:
                 violation = {"identity": "normalization", "x": fmt(ident), "y": fmt(x)}
                 break
+            # a twist is a unit: a zero twist is this pair's violation, not
+            # a division by zero
+            if not tw:
+                violation = {"identity": "nonzero-twist", "x": fmt(x), "y": fmt(y)}
+                break
             # acting by x then y is acting by xy up to conjugation by the
-            # twist (trivial over a commutative field, but stated in full)
+            # twist (trivial over a commutative field, but stated in full);
+            # conjugation by one is the identity in any ring
             tw_inv = field.inv(tw)
-            if any(system.action(y, system.action(x, r)) != tw_inv * system.action(xy, r) * tw
-                   for r in scalars):
+            if tw == one:
+                bad = any(action(y, action(x, r)) != action(xy, r) for r in scalars)
+            else:
+                bad = any(action(y, action(x, r)) != tw_inv * action(xy, r) * tw for r in scalars)
+            if bad:
                 violation = {"identity": "action", "x": fmt(x), "y": fmt(y)}
                 break
             for z, (yz, tw_yz) in triples:
                 checked += 1
-                if system.twist(xy, z) * system.action(z, tw) != system.twist(x, yz) * tw_yz:
+                if system.twist(xy, z) * action(z, tw) != system.twist(x, yz) * tw_yz:
                     violation = {"identity": "cocycle", "x": fmt(x), "y": fmt(y), "z": fmt(z)}
                     break
             if violation:

@@ -12,8 +12,10 @@ integral and a Fraction otherwise: int arithmetic is several times faster than
 Fraction arithmetic, and the Magnus images and unit words are integral. The
 two print the same (str(3) == str(Fraction(3))) and equal values hash equal.
 Products and sums of Fractions may stay Fractions even when integral; only
-parsing, sampling and inversion normalise. field.inv is the one coefficient
-division, since 1 / x on two ints would be a float.
+parsing, sampling and inversion normalise. field.inv is the one field-level
+coefficient division, since 1 / x on two ints would be a float; series
+inversion over Q divides its integer numerators once per output coefficient,
+as an exact ratio of ints.
 """
 
 from __future__ import annotations

@@ -26,11 +26,14 @@ arithmetic builds its results as plain tuples of the five fields.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
+from math import lcm
 from operator import attrgetter, itemgetter
 
 from .groups import NotInMonoidError
 from .report import Rows
-from .scalars import QQ, PrimeField, PrimeFieldElement, TupleValue, field_from_spec, field_of_text
+from .scalars import (QQ, PrimeField, PrimeFieldElement, RationalField, TupleValue, field_from_spec,
+                      field_of_text)
 
 
 class ContextMismatchError(ValueError):
@@ -91,6 +94,15 @@ def _system_id(system) -> str:
 
 
 _residue = attrgetter("residue")
+
+_denominator = attrgetter("denominator")
+
+
+def _ratio(n, d: int):
+    """The exact ratio n / d of an int or Fraction n and a nonzero int d: an
+    int when it is integral, else a Fraction in lowest terms."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 # the product table of the word-image evaluation under way, as (context,
@@ -346,7 +358,18 @@ class GradedSeries(TupleValue):
         termwise on the right (quotient-system coefficients do not commute).
         The terms of g * m of weight w read only the layers of g below w, so
         each finished layer below the degree, times m, feeds the layers above
-        it."""
+        it.
+
+        Over Q the layers are kept on integers. With d the least common
+        denominator of f's coefficients, F = d * f is integral, U = d * u,
+        and layer w of g is d * A_w / U^(w+1) for the numerators A_0 = 1 and
+        A_w = sum over j < w of (A_j * M)_w * U^(w-1-j), where M = U * 1 - F
+        is the negated positive part of F. The identity is Q's only
+        automorphism, so a system over Q acts trivially and the scalars
+        commute with the product. Each A_j * M is one series product, and
+        each coefficient of g is made once, as the exact ratio
+        d * A_w[x] / U^(w+1), an int when it is integral. A_w
+        holds Fractions only when a twist is not an integer."""
         ctx = self.context
         if not ctx.graded:
             raise NoTruncatedInverseError(
@@ -355,26 +378,60 @@ class GradedSeries(TupleValue):
         u = self.identity_coefficient()
         if not u:
             raise NoTruncatedInverseError("no truncated inverse: identity coefficient is zero")
-        degree = self.degree
         ident = ctx.identity()
-        u_inv = self.field.inv(u)
+        field = self.field
+        u_inv = field.inv(u)
+        if isinstance(field, RationalField):
+            return self._invert_on_integers(lcm(*map(_denominator, self.terms.values())), u_inv)
         m = self._with({g: -(c * u_inv) for g, c in self.terms.items() if g != ident})
-        grade = ctx.grade
-        layers = [{ident: u_inv}] + [{} for _ in range(degree)]
         terms = {}
-        for w, bucket in enumerate(layers):
-            layer = {g: c for g, c in bucket.items() if c}
+        for layer in self._inverse_layers(u_inv, m, None):
+            terms.update(layer)
+        return self._with(terms)
+
+    def _invert_on_integers(self, d, u_inv):
+        """invert over Q on the integer numerators A_w, for d the least
+        common denominator of the coefficients and u_inv the inverted
+        identity coefficient."""
+        ident = self.context.identity()
+        m = self._with({g: -c.numerator * (d // c.denominator)
+                        for g, c in self.terms.items() if g != ident})
+        u = self.terms[ident]
+        unit = u.numerator * (d // u.denominator)  # U
+        powers = [1]
+        for _ in range(self.degree + 1):
+            powers.append(powers[-1] * unit)
+        layers = self._inverse_layers(1, m, powers)
+        # layer 0 is the identity times d / U = u^-1
+        terms = {ident: u_inv}
+        for w in range(1, len(layers)):
+            den = powers[w + 1]
+            for g, a in layers[w].items():
+                terms[g] = _ratio(d * a, den)
+        return self._with(terms)
+
+    def _inverse_layers(self, seed, m, powers):
+        """invert's solution as its list of layers, entry w the nonzero terms
+        of weight w, from layer 0, the identity times seed: each layer j below
+        the degree, times m, adds its terms of weight w to layer w, scaled by
+        powers[w - 1 - j] unless powers is None."""
+        grade = self.context.grade
+        degree = self.degree
+        layers = [{self.context.identity(): seed}] + [{} for _ in range(degree)]
+        for j in range(degree):
+            layer = layers[j] = {g: c for g, c in layers[j].items() if c}
             if not layer:
                 continue
-            terms.update(layer)
-            if w == degree:
-                break
             product = self._with(layer) * m
             for g, c in product.terms.items():
-                above = layers[grade(g)]
+                w = grade(g)
+                if powers is not None:
+                    c *= powers[w - 1 - j]
+                above = layers[w]
                 s = above.get(g)
                 above[g] = c if s is None else s + c
-        return self._with(terms)
+        layers[degree] = {g: c for g, c in layers[degree].items() if c}
+        return layers
 
 
 # ---------------------------------------------------------------------------

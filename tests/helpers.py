@@ -483,6 +483,9 @@ def reference_check_crossed_system(system, sample_count=200, seed=0):
         checked += 1
         if system.twist(ident, x) != field.one or system.twist(x, ident) != field.one:
             return violation_at("normalization", ident, x)
+        # a twist is a unit, so a zero twist is this pair's violation
+        if not tw:
+            return violation_at("nonzero-twist", x, y)
         # action consistency: acting by x then y equals acting by xy up to
         # conjugation by the twist (which is trivial in a commutative field,
         # but stated in full)

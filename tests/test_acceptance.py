@@ -470,20 +470,29 @@ PINNED_CONSOLE_REPORTS = (
     (("verify-group-algebra", "--field=Q", "--c=7777777777", "--d=1", "--L", "4", "--D", "8"),
      3, "28f89f006ef81efb"),
     (("expand", "--series-file", "big.mns", "--invert"), 0, "d89e53d2359dfbe8"),
+    # a heis unit over Q whose identity coefficient 2/3 is not integral and
+    # whose terms mix denominators, so most inverse coefficients are
+    # non-integral ratios of the integer layers; the digest was computed by
+    # the Fraction loop that the integer layers replaced
+    (("expand", "--series-file", "heis-q.mns", "--invert"), 0, "2a11e823e16d5c47"),
 )
 
 # the 447-byte free:2 series 1 + (10^400 + 1)*a, as CI writes big.mns
 BIGINT_SERIES = f"monoid=free:2 D=12 crossed=trivial\n0\t1\t1\n1\ta\t{10 ** 400 + 1}\n"
+# heis-q.mns, as CI writes it
+HEIS_Q_SERIES = ("monoid=heis D=12 crossed=trivial\n0\tH(0,0,0)\t2/3\n1\tH(0,1,0)\t3/4\n"
+                 "1\tH(1,0,0)\t-1/2\n2\tH(1,1,1)\t5/6\n")
 
 
 @pytest.mark.parametrize("argv,code,digest", PINNED_CONSOLE_REPORTS,
                          ids=("z2-sign-twist", "quadratic-conj-Z", "expand-twist",
                               "wreath-16-seed-5", "magnus-D5", "magnus-D1", "group-algebra-D0",
-                              "group-algebra-bigint", "expand-bigint"))
+                              "group-algebra-bigint", "expand-bigint", "expand-heis-q"))
 def test_console_script_digests(argv, code, digest, tmp_path, monkeypatch):
     [twist] = [text for name, text, _ in PINNED_EXPANDS if name == "twist-inv.mns"]
     (tmp_path / "twist.mns").write_text(twist)
     (tmp_path / "big.mns").write_text(BIGINT_SERIES)
+    (tmp_path / "heis-q.mns").write_text(HEIS_Q_SERIES)
     monkeypatch.chdir(tmp_path)
     got, out = _run_captured(argv)
     assert (got, _parse_report(out)["digest"]) == (code, digest)

@@ -68,6 +68,25 @@ def test_corrupted_twist_caught():
     assert report.witness["identity"] in ("cocycle", "action")
 
 
+@pytest.mark.parametrize("field", (QQ, field_from_spec("Fp:5")), ids=lambda f: f.name)
+def test_zero_twist_is_the_pairs_violation(field):
+    # a twist is a unit: a zero twist at the first panel pair is that pair's
+    # counterexample, found before the twist is inverted, with one case checked
+    panel = Z1.panel_elements()
+    bad = corrupt_twist(trivial_system(Z1, field), (panel[0], panel[0]), field.zero)
+    report = check_crossed_system(bad)
+    assert report.verdict == "counterexample" and report.exit_code == 2
+    assert report.witness == {"identity": "nonzero-twist", "x": "Z(-2)", "y": "Z(-2)"}
+    assert report.details == {"checked": 1}
+    # at a sampled pair after the panel, with every panel case checked
+    rng = random.Random(3)
+    x, y = Z1.sample_element(rng), Z1.sample_element(rng)
+    report = check_crossed_system(corrupt_twist(trivial_system(Z1, field), (x, y), field.zero), 1, 3)
+    assert report.witness == {"identity": "nonzero-twist", "x": Z1.format_element(x),
+                              "y": Z1.format_element(y)}
+    assert report.details == {"checked": len(panel) ** 2 * (len(panel) + 1) + 1}
+
+
 def test_negative_sample_count_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         check_crossed_system(z2_sign_twist(QQ), sample_count=-3)

@@ -4,10 +4,12 @@ Rationals are ints when integral, and 1 / 1 on two ints is the float 1.0,
 which compares and hashes equal to 1: a division that bypasses field.inv
 would change no report and no digest. These tests run the CLI commands and
 the quotient constructions under a hook that inspects every series built
-(GradedSeries.__new__), every matrix eliminated (rank_and_left_nullspace),
-every crossed-system twist and every field inverse, and fail on the first
-float. The Magnus images over Q must moreover be all ints, so that the
-integer fast path cannot fall back to Fraction unnoticed.
+(GradedSeries.__new__), every series inverted (GradedSeries.invert, whose
+result the arithmetic builds around __new__), every matrix eliminated
+(rank_and_left_nullspace), every crossed-system twist and every field
+inverse, and fail on the first float. The Magnus images over Q must
+moreover be all ints, so that the integer fast path cannot fall back to
+Fraction unnoticed.
 """
 
 import contextlib
@@ -60,7 +62,7 @@ def _check(value, where, *args):
 @pytest.fixture
 def no_float(monkeypatch):
     """Install the hook; the returned counts show that it fired."""
-    seen = {"series": 0, "matrices": 0, "twists": 0, "inverses": 0}
+    seen = {"series": 0, "inverted": 0, "matrices": 0, "twists": 0, "inverses": 0}
 
     new = GradedSeries.__new__
 
@@ -70,6 +72,15 @@ def no_float(monkeypatch):
             _check(c, "a coefficient of %r", series)
         seen["series"] += 1
         return series
+
+    invert = GradedSeries.invert
+
+    def checked_invert(self):
+        inverse = invert(self)
+        for c in inverse.terms.values():
+            _check(c, "a coefficient of the inverse of %r", self)
+        seen["inverted"] += 1
+        return inverse
 
     rank = linalg.rank_and_left_nullspace
 
@@ -92,6 +103,7 @@ def no_float(monkeypatch):
         return value
 
     monkeypatch.setattr(GradedSeries, "__new__", series_new)
+    monkeypatch.setattr(GradedSeries, "invert", checked_invert)
     monkeypatch.setattr(linalg, "rank_and_left_nullspace", guarded_rank)
     monkeypatch.setattr(freeness, "rank_and_left_nullspace", guarded_rank)
     monkeypatch.setattr(CrossedSystem, "twist", guarded_twist)
@@ -119,7 +131,7 @@ def test_criterion_12_commands_build_no_float(no_float, tmp_path):
     for argv in commands:
         assert _run(argv) in (0, 2, 3), argv
     assert no_float["series"] and no_float["matrices"] and no_float["twists"]
-    assert no_float["inverses"]
+    assert no_float["inverses"] and no_float["inverted"]
 
 
 @pytest.mark.parametrize("monoid_id,crossed_id", SERIES_CONTEXTS,
@@ -133,9 +145,10 @@ def test_expand_invert_builds_no_float(no_float, tmp_path, monoid_id, crossed_id
         f = random_series(ctx, 6, field, rng, n_terms=4, system=system, unit=True)
         path = tmp_path / f"{k}.mns"
         path.write_text(to_text(f))
-        before = no_float["inverses"]
+        before, inverted = no_float["inverses"], no_float["inverted"]
         assert _run(("expand", "--series-file", str(path), "--invert")) == 0
         assert no_float["inverses"] > before
+        assert no_float["inverted"] == inverted + 1
 
 
 @pytest.mark.parametrize("crossed_id", CROSSED_IDS)
@@ -166,6 +179,7 @@ def test_regroup_and_flatten_build_no_float(no_float, group, tag, d):
             assert flatten(r) == f
             assert flatten(r.invert()) == f.invert()
     assert no_float["series"] and no_float["twists"] and no_float["inverses"]
+    assert no_float["inverted"]
 
 
 def test_integral_images_are_ints():

@@ -1,7 +1,8 @@
 """Differential tests of the weight-graded series core against the slow
 geometric-expansion oracle in helpers, in every context the series file
 format reaches and in a diagonal change of quadratic-conj-Z, at the CLI's
-whole degree range D = 6..12."""
+whole degree range D = 6..12, and of the integer layers of Q inversion
+under diagonal changes with non-integral twists."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 
 from helpers import assert_one, assert_valid, random_series, reference_invert, with_degree
 from mnseries.crossed import diagonal_change, quadratic_conj_z, trivial_system, z2_sign_twist
-from mnseries.groups import Heisenberg, LatticeGroup, SemidirectGroup, WreathGroup
+from mnseries.groups import Heisenberg, LatticeGroup, SemidirectGroup, WreathGroup, sample_monoid_element
 from mnseries.magnus import FreeMonoid
 from mnseries.registry import resolve_crossed, resolve_monoid
 from mnseries.scalars import QQ, QuadraticField
@@ -121,3 +122,53 @@ def test_reference_oracle_on_a_known_inverse():
     expected = {"a" * k: Fraction(1, 2) for k in range(5)}
     assert reference_invert(f).terms == expected
     assert f.invert().terms == expected
+
+
+# Over Q, invert solves on integer numerators over one power of the cleared
+# identity coefficient per layer, and builds each coefficient as one exact
+# ratio. The units below have identity coefficients that are neither +-1 nor
+# integral, and other terms over mixed denominators; they run under the
+# trivial system, z2-sign-twist, and diagonal changes of both whose twists
+# are 1 or +-8/27, so the numerators hold Fractions.
+Q_IDENTITY_COEFFICIENTS = (Fraction(2, 3), Fraction(-5, 2), Fraction(1, 2), Fraction(-1, 3))
+GRADED_IDS = ("bs12", "heis", "wreath", "free:2", "free:3", "z2", "z")
+
+
+def _q_systems():
+    for monoid_id in GRADED_IDS:
+        ctx = resolve_monoid(monoid_id)
+        bases = [trivial_system(ctx, QQ)] + ([z2_sign_twist(QQ)] if monoid_id == "z2" else [])
+        # d(g) = (2/3)^(weight mod 3) is 1 at the identity and makes
+        # twist(g, h) a power of 8/27 times the base twist
+        d = lambda g, grade=ctx.grade: Fraction(2, 3) ** (grade(g) % 3)
+        for base in bases:
+            for system in (base, diagonal_change(base, d)):
+                yield pytest.param(ctx, system, id=f"{monoid_id}-{system.id}")
+
+
+def q_unit(ctx, degree, identity_coefficient, system, rng):
+    """identity_coefficient plus four terms of positive weight, over the
+    denominators 1 to 6."""
+    terms = {ctx.identity(): identity_coefficient}
+    while len(terms) < 5:
+        g = sample_monoid_element(ctx, rng, degree)
+        if g != ctx.identity():
+            terms[g] = Fraction(rng.choice((-7, -3, -1, 1, 2, 5)), rng.randint(1, 6))
+    return GradedSeries(ctx, degree, terms, QQ, system)
+
+
+@pytest.mark.parametrize("ctx,system", _q_systems())
+def test_q_invert_on_integer_layers_matches_reference(ctx, system):
+    rng = random.Random(f"q-layers:{ctx.id}:{system.id}")
+    integral = 0
+    for identity_coefficient in Q_IDENTITY_COEFFICIENTS:
+        f = q_unit(ctx, 6, identity_coefficient, system, rng)
+        inv = f.invert()
+        assert inv.terms == reference_invert(f).terms
+        values = inv.terms.values()
+        assert all(type(c) is int for c in values if c.denominator == 1), inv
+        integral += sum(c.denominator == 1 for c in values)
+        assert_one(f * inv)
+        assert_one(inv * f)
+    # the inverse identity coefficients of 1/2 and -1/3 are 2 and -3
+    assert integral >= 2

@@ -242,10 +242,13 @@ CROSSED_BASES = ([z2_sign_twist(QQ), z2_sign_twist(field_from_spec("Fp:5")), qua
                  + [quotient_system(Heisenberg(), "center"), quotient_system(SemidirectGroup(), "base")])
 
 
-def _corrupted(base, pairs=(), acted=None):
-    """base with its twist negated at each of the given pairs of elements and
-    its action negated at the element acted."""
+def _corrupted(base, pairs=(), acted=None, zeroed=()):
+    """base with its twist negated at each of the given pairs of elements,
+    zero at each of the pairs zeroed, and its action negated at the element
+    acted."""
     def twist(g, h):
+        if (g, h) in zeroed:
+            return base.field.zero
         value = base.twist(g, h)
         return -value if (g, h) in pairs else value
 
@@ -258,11 +261,14 @@ def _corrupted(base, pairs=(), acted=None):
 
 def _crossed_runs(base, rng):
     """(kind, system, samples, seed) runs on base: the base itself, its twist
-    corrupted at a panel pair, at pairs its sampler draws, and its action
-    corrupted at a panel element and at a drawn one."""
+    corrupted at a panel pair, at pairs its sampler draws, its action
+    corrupted at a panel element and at a drawn one, and its twist zero at a
+    panel pair and at a drawn pair."""
     group = base.group
     panel = group.panel_elements()
-    for kind in ("valid",) + ("panel-twist",) * 4 + ("sampled-twist", "panel-action", "sampled-action") * 2:
+    kinds = (("valid",) + ("panel-twist",) * 4 + ("sampled-twist", "panel-action", "sampled-action") * 2
+             + ("panel-zero-twist", "sampled-zero-twist"))
+    for kind in kinds:
         samples, seed = rng.randint(0, 25), rng.randrange(10**6)
         draw = random.Random(seed)
         drawn = [group.sample_element(draw) for _ in range(3 * samples)] or list(panel)
@@ -273,6 +279,13 @@ def _crossed_runs(base, rng):
         elif kind == "sampled-twist":
             starts = [rng.randrange(len(drawn) - 1) for _ in range(2)]
             system = _corrupted(base, {(drawn[i], drawn[i + 1]) for i in starts})
+        elif kind == "panel-zero-twist":
+            # the first pair checked: any other panel pair's twist is read
+            # by an earlier case's cocycle identity first
+            system = _corrupted(base, zeroed={(panel[0], panel[0])})
+        elif kind == "sampled-zero-twist":
+            i = rng.randrange(len(drawn) - 1)
+            system = _corrupted(base, zeroed={(drawn[i], drawn[i + 1])})
         else:
             system = _corrupted(base, acted=rng.choice(panel if kind == "panel-action" else drawn))
         yield kind, system, samples, seed
@@ -291,4 +304,4 @@ def test_check_crossed_system_matches_the_reference_checker():
             if kind == "valid":
                 assert got.verified, (base.id, base.group.id)
             found.add((got.witness or {}).get("identity"))
-    assert found == {None, "normalization", "action", "cocycle"}
+    assert found == {None, "normalization", "nonzero-twist", "action", "cocycle"}
