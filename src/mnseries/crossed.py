@@ -1,5 +1,5 @@
 """Crossed-product systems: an action of the group on the coefficient field
-(a function (g, x) -> x^g) and a twisting into its nonzero scalars.
+(a function (g, x) -> x^g) and a twisting into its units.
 
 Validity is defined by the two identities equivalent to associativity on
 basis elements under the right-action convention (moving a scalar past a
@@ -46,10 +46,10 @@ class IdentityCompared:
 
 class CrossedSystem(IdentityCompared):
     """Scalar-level system over one group and one field: action(g, x) is x^g,
-    twist(g, h) a nonzero scalar. Systems compare by identity; the canonical
-    constructors below are cached, so equal arguments give one object. A
-    system holds functions, so only a series over the trivial system, which
-    it stores as None, pickles."""
+    twist(g, h) a unit of the field. Systems compare by identity; the
+    canonical constructors below are cached, so equal arguments give one
+    object. A system holds functions, so only a series over the trivial
+    system, which it stores as None, pickles."""
 
     def __init__(self, system_id, group, field, action_fn, twist_fn):
         self.id = system_id
@@ -113,12 +113,16 @@ def quadratic_conj_z(radicand, /) -> CrossedSystem:
 
 def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: int = 0) -> Report:
     """Verify the two validity identities and the normalization case by case.
-    A case is a pair (x, y), checked for the normalization at x, a nonzero
-    twist(x, y) and the action identity, followed by its triples (x, y, z),
-    each checked for the cocycle identity. Every pair of the group's fixed
-    panel is a case with the whole panel as its z, then each of sample_count
-    random triples is one. The first violated identity is the witness, and
-    details.checked counts the pairs and triples checked."""
+    A case is a pair (x, y), checked for the normalization at x, the twist
+    and the action identity, followed by its triples (x, y, z), each checked
+    for the cocycle identity. twist(x, y) must be a unit of the system's
+    coefficient ring, that is a value the ring's inv accepts: a nonzero
+    scalar of a field, a single term of an N-series ring (a nonzero
+    non-unit is not enough); any other twist is the pair's "nonzero-twist"
+    witness. Every pair of the group's fixed panel is a case with the whole
+    panel as its z, then each of sample_count random triples is one. The
+    first violated identity is the witness, and details.checked counts the
+    pairs and triples checked."""
     if sample_count < 0:
         raise ValueError("sample count must be nonnegative")
     field = system.field
@@ -137,15 +141,16 @@ def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: i
             if system.twist(ident, x) != one or system.twist(x, ident) != one:
                 violation = {"identity": "normalization", "x": fmt(ident), "y": fmt(x)}
                 break
-            # a twist is a unit: a zero twist is this pair's violation, not
-            # a division by zero
-            if not tw:
+            # a twist is a unit of its ring: one that the ring's inv refuses,
+            # zero or a non-unit N-series, is this pair's violation
+            try:
+                tw_inv = field.inv(tw)
+            except (ZeroDivisionError, NoTruncatedInverseError):
                 violation = {"identity": "nonzero-twist", "x": fmt(x), "y": fmt(y)}
                 break
             # acting by x then y is acting by xy up to conjugation by the
             # twist (trivial over a commutative field, but stated in full);
             # conjugation by one is the identity in any ring
-            tw_inv = field.inv(tw)
             if tw == one:
                 bad = any(action(y, action(x, r)) != action(xy, r) for r in scalars)
             else:

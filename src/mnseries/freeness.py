@@ -325,7 +325,7 @@ def group_algebra_independence(units, max_length: int) -> Report:
     combo = GradedSeries.zero(ctx, degree, fld, first.system)
     nonzero_entries = {}
     for coeff, w, img in zip(dependency, words, ordered_images):
-        if coeff != fld.zero:
+        if coeff:
             nonzero_entries[str(w)] = fld.format(coeff)
             combo = combo + img.scale(coeff)
     if combo:

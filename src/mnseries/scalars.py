@@ -2,10 +2,11 @@
 
 Everything is exact; no floating point is used anywhere. The three field kinds
 are closed, and the series/crossed machinery is written against the small
-contract the field objects expose: zero/one, arithmetic, inv, text parsing
-and random sampling. Fields carry no automorphisms: a crossed system's
-action is a function of its own (quadratic-conj-Z conjugates through
-QuadraticFieldElement.conjugate).
+contract the field objects expose: from_int (zero and one are its values at
+0 and 1), arithmetic, inv (a value is a unit exactly when inv accepts it),
+text parsing and random sampling. Fields carry no automorphisms: a crossed
+system's action is a function of its own (quadratic-conj-Z conjugates
+through QuadraticFieldElement.conjugate).
 
 A rational, and each part of an element of Q(sqrt m), is an int when it is
 integral and a Fraction otherwise: int arithmetic is several times faster than
@@ -345,16 +346,25 @@ class QuadraticFieldElement(TupleValue):
 
 
 class _Field(TupleValue):
-    """What the three fields share: values print as str, nonzero values
-    invert through their inverse(), and a nonzero sample is drawn from
-    sample until one is nonzero. Q overrides inv, as an int has no
-    inverse(), and F_p draws a nonzero residue directly. Each field keeps
-    its own zero, one, contains, parse, sample and panel."""
+    """What the three fields share: zero and one are from_int(0) and
+    from_int(1), values print as str, nonzero values invert through their
+    inverse(), and a nonzero sample is drawn from sample until one is
+    nonzero. Q overrides inv, as an int has no inverse(), and F_p draws a
+    nonzero residue directly. Each field keeps its own from_int, contains,
+    parse, sample and panel."""
 
     __slots__ = ()
 
     # a builtin, so formatting a series' coefficients makes no Python call
     format = staticmethod(str)
+
+    @property
+    def zero(self):
+        return self.from_int(0)
+
+    @property
+    def one(self):
+        return self.from_int(1)
 
     def inv(self, x):
         return x.inverse()
@@ -380,14 +390,6 @@ class RationalField(_Field):
     @property
     def name(self) -> str:
         return "Q"
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def from_int(self, n: int):
         return n
@@ -426,14 +428,6 @@ class PrimeField(_Field):
     def name(self) -> str:
         return f"Fp:{self.p}"
 
-    @property
-    def zero(self):
-        return PrimeFieldElement(0, self.p)
-
-    @property
-    def one(self):
-        return PrimeFieldElement(1, self.p)
-
     def from_int(self, n: int):
         return PrimeFieldElement(n, self.p)
 
@@ -471,14 +465,6 @@ class QuadraticField(_Field):
     @property
     def name(self) -> str:
         return f"Qsqrt:{self.radicand}"
-
-    @property
-    def zero(self):
-        return QuadraticFieldElement(0, 0, self.radicand)
-
-    @property
-    def one(self):
-        return QuadraticFieldElement(1, 0, self.radicand)
 
     @property
     def sqrt(self):

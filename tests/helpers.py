@@ -45,7 +45,7 @@ from mnseries.report import COUNTEREXAMPLE, VERIFIED, Report, outcome
 from mnseries.groups import HeisenbergElement, SemidirectElement, WreathElement, sample_monoid_element
 from mnseries.magnus import LETTERS, FreeMonoid, FreeWord
 from mnseries.scalars import QQ
-from mnseries.series import GradedSeries
+from mnseries.series import GradedSeries, NoTruncatedInverseError
 
 
 # --- Heisenberg oracle: upper unitriangular matrices ----------------------
@@ -453,8 +453,9 @@ def reference_magnus_report(words, degree, seed=0):
 def reference_check_crossed_system(system, sample_count=200, seed=0):
     """crossed.check_crossed_system as it was written before it became one
     case loop: nested closures, a row table of panel products and twists,
-    and separate panel and sample call sequences. Kept verbatim as the
-    oracle its whole reports are compared against."""
+    and separate panel and sample call sequences. Kept as the oracle its
+    whole reports are compared against, with only the rule that a twist is
+    a unit of its ring added since."""
     if sample_count < 0:
         raise ValueError("sample count must be nonnegative")
     group = system.group
@@ -483,13 +484,15 @@ def reference_check_crossed_system(system, sample_count=200, seed=0):
         checked += 1
         if system.twist(ident, x) != field.one or system.twist(x, ident) != field.one:
             return violation_at("normalization", ident, x)
-        # a twist is a unit, so a zero twist is this pair's violation
-        if not tw:
+        # a twist is a unit of its ring, so a twist the ring's inv refuses
+        # (zero, or a nonzero non-unit N-series) is this pair's violation
+        try:
+            tw_inv = field.inv(tw)
+        except (ZeroDivisionError, NoTruncatedInverseError):
             return violation_at("nonzero-twist", x, y)
         # action consistency: acting by x then y equals acting by xy up to
         # conjugation by the twist (which is trivial in a commutative field,
         # but stated in full)
-        tw_inv = field.inv(tw)
         for r in scalars:
             lhs = system.action(y, system.action(x, r))
             rhs = tw_inv * system.action(xy, r) * tw

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import mnseries
-from helpers import corrupt_twist, random_series
+from helpers import corrupt_twist, random_series, reference_check_crossed_system
 from mnseries import crossed, registry
 from mnseries.crossed import (
     CrossedSystem,
@@ -85,6 +85,24 @@ def test_zero_twist_is_the_pairs_violation(field):
     assert report.witness == {"identity": "nonzero-twist", "x": Z1.format_element(x),
                               "y": Z1.format_element(y)}
     assert report.details == {"checked": len(panel) ** 2 * (len(panel) + 1) + 1}
+
+
+def test_nonunit_twist_is_the_pairs_violation():
+    # over a quotient system the coefficients are N-series, whose units are
+    # the single terms: a nonzero two-term twist at the first panel pair is
+    # no unit, so it is that pair's counterexample, not an inversion error
+    system = quotient_system(Heisenberg(), "center")
+    p = system.group.panel_elements()[0]
+    nonunit = system.field.panel()[-2]
+    assert len(nonunit.terms) == 2
+    with pytest.raises(NoTruncatedInverseError):
+        system.field.inv(nonunit)
+    bad = corrupt_twist(system, (p, p), nonunit)
+    report = check_crossed_system(bad, 5)
+    assert report.verdict == "counterexample" and report.exit_code == 2
+    assert report.witness == {"identity": "nonzero-twist", "x": "Z2(-1,-1)", "y": "Z2(-1,-1)"}
+    assert report.details == {"checked": 1}
+    assert reference_check_crossed_system(bad, 5) == report
 
 
 def test_negative_sample_count_rejected():

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (reference_check_crossed_system, reference_digit_sum_check, reference_digit_sum_subset,
-                     reference_enumerate_monoid, reference_pingpong_check, semidirect_product_oracle)
+from helpers import (corrupt_twist, reference_check_crossed_system, reference_digit_sum_check,
+                     reference_digit_sum_subset, reference_enumerate_monoid, reference_pingpong_check,
+                     semidirect_product_oracle)
 from mnseries import groups, registry
-from mnseries.crossed import CrossedSystem, check_crossed_system, quadratic_conj_z, quotient_system, z2_sign_twist
+from mnseries.crossed import (CrossedSystem, QuotientSystem, check_crossed_system, quadratic_conj_z, quotient_system,
+                              z2_sign_twist)
 from mnseries.freeness import digit_sum_check, pingpong_check
 from mnseries.groups import (Heisenberg, HeisenbergElement, LatticeElement, LatticeGroup, SemidirectElement,
                              SemidirectGroup, WreathGroup, enumerate_monoid)
@@ -263,11 +265,15 @@ def _crossed_runs(base, rng):
     """(kind, system, samples, seed) runs on base: the base itself, its twist
     corrupted at a panel pair, at pairs its sampler draws, its action
     corrupted at a panel element and at a drawn one, and its twist zero at a
-    panel pair and at a drawn pair."""
+    panel pair and at a drawn pair. On a quotient base, whose coefficients
+    are N-series, the twist is also set to a nonzero non-unit, the two-term
+    series of the ring's panel, at a panel pair and at a drawn pair."""
     group = base.group
     panel = group.panel_elements()
     kinds = (("valid",) + ("panel-twist",) * 4 + ("sampled-twist", "panel-action", "sampled-action") * 2
              + ("panel-zero-twist", "sampled-zero-twist"))
+    if isinstance(base, QuotientSystem):
+        kinds += ("panel-nonunit-twist", "sampled-nonunit-twist")
     for kind in kinds:
         samples, seed = rng.randint(0, 25), rng.randrange(10**6)
         draw = random.Random(seed)
@@ -286,6 +292,11 @@ def _crossed_runs(base, rng):
         elif kind == "sampled-zero-twist":
             i = rng.randrange(len(drawn) - 1)
             system = _corrupted(base, zeroed={(drawn[i], drawn[i + 1])})
+        elif kind == "panel-nonunit-twist":
+            system = corrupt_twist(base, (panel[0], panel[0]), base.field.panel()[-2])
+        elif kind == "sampled-nonunit-twist":
+            i = rng.randrange(len(drawn) - 1)
+            system = corrupt_twist(base, (drawn[i], drawn[i + 1]), base.field.panel()[-2])
         else:
             system = _corrupted(base, acted=rng.choice(panel if kind == "panel-action" else drawn))
         yield kind, system, samples, seed
@@ -303,5 +314,7 @@ def test_check_crossed_system_matches_the_reference_checker():
                                                                                   kind, samples, seed)
             if kind == "valid":
                 assert got.verified, (base.id, base.group.id)
+            if kind == "panel-nonunit-twist":
+                assert got.witness["identity"] == "nonzero-twist", (base.id, base.group.id)
             found.add((got.witness or {}).get("identity"))
     assert found == {None, "normalization", "nonzero-twist", "action", "cocycle"}
