@@ -118,11 +118,14 @@ def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: i
     for the cocycle identity. twist(x, y) must be a unit of the system's
     coefficient ring, that is a value the ring's inv accepts: a nonzero
     scalar of a field, a single term of an N-series ring (a nonzero
-    non-unit is not enough); any other twist is the pair's "nonzero-twist"
-    witness. Every pair of the group's fixed panel is a case with the whole
-    panel as its z, then each of sample_count random triples is one. The
-    first violated identity is the witness, and details.checked counts the
-    pairs and triples checked."""
+    non-unit is not enough); any other twist, and any twist whose
+    computation raises ZeroDivisionError or NoTruncatedInverseError (as
+    diagonal_change's does when it inverts a non-unit), is the pair's
+    "nonzero-twist" witness, whichever identity asked for it. Every pair of
+    the group's fixed panel is a case with the whole panel as its z, then
+    each of sample_count random triples is one. The first violated identity
+    is the witness, and details.checked counts the pairs and triples
+    checked."""
     if sample_count < 0:
         raise ValueError("sample count must be nonnegative")
     field = system.field
@@ -131,63 +134,88 @@ def check_crossed_system(system: CrossedSystem, sample_count: int = 200, seed: i
     fmt = system.group.format_element
     ident = system.group.identity()
     scalars = field.panel()
+
+    def twist(x, y):
+        try:
+            return system.twist(x, y)
+        except _REFUSED:
+            raise _NonUnitTwist(x, y) from None
+
     checked = 0
     violation = None
     if action(ident, scalars[-1]) != scalars[-1]:
         violation = {"identity": "normalization", "x": fmt(ident)}
     else:
-        for x, y, (xy, tw), triples in _cases(system, sample_count, seed):
-            checked += 1
-            if system.twist(ident, x) != one or system.twist(x, ident) != one:
-                violation = {"identity": "normalization", "x": fmt(ident), "y": fmt(x)}
-                break
-            # a twist is a unit of its ring: one that the ring's inv refuses,
-            # zero or a non-unit N-series, is this pair's violation
-            try:
-                tw_inv = field.inv(tw)
-            except (ZeroDivisionError, NoTruncatedInverseError):
-                violation = {"identity": "nonzero-twist", "x": fmt(x), "y": fmt(y)}
-                break
-            # acting by x then y is acting by xy up to conjugation by the
-            # twist (trivial over a commutative field, but stated in full);
-            # conjugation by one is the identity in any ring
-            if tw == one:
-                bad = any(action(y, action(x, r)) != action(xy, r) for r in scalars)
-            else:
-                bad = any(action(y, action(x, r)) != tw_inv * action(xy, r) * tw for r in scalars)
-            if bad:
-                violation = {"identity": "action", "x": fmt(x), "y": fmt(y)}
-                break
-            for z, (yz, tw_yz) in triples:
+        try:
+            for x, y, (xy, tw), triples in _cases(system.group, twist, sample_count, seed):
                 checked += 1
-                if system.twist(xy, z) * action(z, tw) != system.twist(x, yz) * tw_yz:
-                    violation = {"identity": "cocycle", "x": fmt(x), "y": fmt(y), "z": fmt(z)}
+                if twist(ident, x) != one or twist(x, ident) != one:
+                    violation = {"identity": "normalization", "x": fmt(ident), "y": fmt(x)}
                     break
-            if violation:
-                break
+                # a twist is a unit of its ring: one that the ring's inv
+                # refuses, zero or a non-unit N-series, is this pair's
+                # violation
+                try:
+                    tw_inv = field.inv(tw)
+                except _REFUSED:
+                    raise _NonUnitTwist(x, y) from None
+                # acting by x then y is acting by xy up to conjugation by
+                # the twist (trivial over a commutative field, but stated in
+                # full); conjugation by one is the identity in any ring
+                if tw == one:
+                    bad = any(action(y, action(x, r)) != action(xy, r) for r in scalars)
+                else:
+                    bad = any(action(y, action(x, r)) != tw_inv * action(xy, r) * tw for r in scalars)
+                if bad:
+                    violation = {"identity": "action", "x": fmt(x), "y": fmt(y)}
+                    break
+                for z, (yz, tw_yz) in triples:
+                    checked += 1
+                    if twist(xy, z) * action(z, tw) != twist(x, yz) * tw_yz:
+                        violation = {"identity": "cocycle", "x": fmt(x), "y": fmt(y), "z": fmt(z)}
+                        break
+                if violation:
+                    break
+        except _NonUnitTwist as refused:
+            x, y = refused.args
+            violation = {"identity": "nonzero-twist", "x": fmt(x), "y": fmt(y)}
     return outcome("crossed-validity", {"samples": sample_count}, violation, {"checked": checked})
 
 
-def _cases(system, sample_count: int, seed: int):
+# what a coefficient ring raises for a value it cannot invert: a field's
+# zero, or an N-series that is not a single term
+_REFUSED = (ZeroDivisionError, NoTruncatedInverseError)
+
+
+class _NonUnitTwist(Exception):
+    """check_crossed_system's twist at the pair (x, y), its args, is not a
+    unit: the ring's inv refused it, or computing it raised."""
+
+
+def _cases(group, twist, sample_count: int, seed: int):
     """check_crossed_system's cases in order, each (x, y, (xy, twist(x, y)),
     triples of (z, (yz, twist(y, z)))): the panel pairs, each multiplied and
-    twisted once, then sample_count triples drawn x, y, z and not kept."""
-    group = system.group
+    twisted once, then sample_count triples drawn x, y, z and not kept. A
+    case's triples are made as they are read, after its pair is checked."""
 
     def pair(x, y):
-        return group.multiply(x, y), system.twist(x, y)
+        return group.multiply(x, y), twist(x, y)
+
+    def triples(y, zs, product_and_twist):
+        for z in zs:
+            yield z, product_and_twist(y, z)
 
     panel = group.panel_elements()
     panel_pair = cache(pair)
     for x in panel:
         for y in panel:
-            yield x, y, panel_pair(x, y), ((z, panel_pair(y, z)) for z in panel)
+            yield x, y, panel_pair(x, y), triples(y, panel, panel_pair)
     rng = random.Random(seed)
     for _ in range(sample_count):
         x = group.sample_element(rng)
         y = group.sample_element(rng)
         z = group.sample_element(rng)
-        yield x, y, pair(x, y), ((z, pair(y, z)),)
+        yield x, y, pair(x, y), triples(y, (z,), pair)
 
 
 def diagonal_change(system: CrossedSystem, d) -> CrossedSystem:

@@ -97,6 +97,8 @@ _residue = attrgetter("residue")
 
 _denominator = attrgetter("denominator")
 
+_weight, _element_string = itemgetter(0), itemgetter(1)
+
 
 def _ratio(n, d: int):
     """The exact ratio n / d of an int or Fraction n and a nonzero int d: an
@@ -234,12 +236,14 @@ class GradedSeries(TupleValue):
         """(weight, element string, coefficient string) triples in canonical
         (weight, element string) order, as report.Rows: every context's grade
         is an int and its element and coefficient strings are str, which the
-        report writer trusts. No two terms print alike, so the coefficient
-        string never decides the order of the plain tuples."""
+        report writer trusts. The order comes from two stable sorts on plain
+        keys, by element string and then by weight; no two elements print
+        alike, so it is the order of the sorted triples."""
         ctx, terms = self.context, self.terms
         rows = Rows(zip(map(ctx.grade, terms), map(ctx.format_element, terms),
                         map(self.field.format, terms.values())))
-        rows.sort()
+        rows.sort(key=_element_string)
+        rows.sort(key=_weight)
         return rows
 
     def __repr__(self):
@@ -367,9 +371,10 @@ class GradedSeries(TupleValue):
         is the negated positive part of F. The identity is Q's only
         automorphism, so a system over Q acts trivially and the scalars
         commute with the product. Each A_j * M is one series product, and
-        each coefficient of g is made once, as the exact ratio
-        d * A_w[x] / U^(w+1), an int when it is integral. A_w
-        holds Fractions only when a twist is not an integer."""
+        the coefficients of layer w are made as one exact ratio
+        d * a / U^(w+1) per distinct numerator a of A_w, an int when it is
+        integral, which the terms with that numerator share. A_w holds
+        Fractions only when a twist is not an integer."""
         ctx = self.context
         if not ctx.graded:
             raise NoTruncatedInverseError(
@@ -392,7 +397,9 @@ class GradedSeries(TupleValue):
     def _invert_on_integers(self, d, u_inv):
         """invert over Q on the integer numerators A_w, for d the least
         common denominator of the coefficients and u_inv the inverted
-        identity coefficient."""
+        identity coefficient. Each layer's numerators repeat heavily, so the
+        ratio of each distinct one is made once, in a dict keyed on the
+        numerator (an int, or a Fraction when a twist is not an integer)."""
         ident = self.context.identity()
         m = self._with({g: -c.numerator * (d // c.denominator)
                         for g, c in self.terms.items() if g != ident})
@@ -406,8 +413,12 @@ class GradedSeries(TupleValue):
         terms = {ident: u_inv}
         for w in range(1, len(layers)):
             den = powers[w + 1]
+            ratios = {}
             for g, a in layers[w].items():
-                terms[g] = _ratio(d * a, den)
+                q = ratios.get(a)
+                if q is None:
+                    q = ratios[a] = _ratio(d * a, den)
+                terms[g] = q
         return self._with(terms)
 
     def _inverse_layers(self, seed, m, powers):
@@ -487,6 +498,9 @@ def from_text(text: str, monoid_resolver, crossed_resolver):
     optional " field=<spec>" names, and over Q without one; to_text writes
     field= nowhere else, so the round-trip check refuses it there.
 
+    Each distinct coefficient text is parsed once, at its first line, and
+    the terms that spell it alike share the value.
+
     Returns the parsed series; a crossed system other than "trivial" is
     attached through crossed_resolver(crossed_id, field), and validation
     refuses it when it does not act on the header's monoid."""
@@ -500,6 +514,7 @@ def from_text(text: str, monoid_resolver, crossed_resolver):
     crossed_id = m.group(3)
     field = QQ if m.group(4) is None else field_from_spec(m.group(4))
     terms = {}
+    parsed = {}
     for ln in lines[1:]:
         parts = ln.split("\t")
         if len(parts) != 3:
@@ -508,7 +523,10 @@ def from_text(text: str, monoid_resolver, crossed_resolver):
         if not terms:
             # the first coefficient's syntax names the field, built once
             field = field_of_text(parts[2])
-        terms[g] = field.parse(parts[2])
+        c = parsed.get(parts[2])
+        if c is None:
+            c = parsed[parts[2]] = field.parse(parts[2])
+        terms[g] = c
     system = None if crossed_id == "trivial" else crossed_resolver(crossed_id, field)
     # validation checks each term's membership, the one search per term
     series = GradedSeries(context, int(m.group(2)), terms, field, system)

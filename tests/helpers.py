@@ -455,7 +455,9 @@ def reference_check_crossed_system(system, sample_count=200, seed=0):
     case loop: nested closures, a row table of panel products and twists,
     and separate panel and sample call sequences. Kept as the oracle its
     whole reports are compared against, with only the rule that a twist is
-    a unit of its ring added since."""
+    a unit of its ring added since: one its ring's inv refuses, or one whose
+    computation raises, is the nonzero-twist witness at its own pair, so a
+    row of twists is made one entry at a time, as its triples need them."""
     if sample_count < 0:
         raise ValueError("sample count must be nonnegative")
     group = system.group
@@ -478,11 +480,21 @@ def reference_check_crossed_system(system, sample_count=200, seed=0):
             payload["z"] = fmt(z)
         return report(payload)
 
+    class Refused(Exception):
+        pass
+
+    def twist(x, y):
+        # a twist that cannot be computed is refused at its pair (x, y)
+        try:
+            return system.twist(x, y)
+        except (ZeroDivisionError, NoTruncatedInverseError):
+            raise Refused(x, y)
+
     def check_pairs(x, y, xy, tw):
         # xy and tw are multiply(x, y) and twist(x, y)
         nonlocal checked
         checked += 1
-        if system.twist(ident, x) != field.one or system.twist(x, ident) != field.one:
+        if twist(ident, x) != field.one or twist(x, ident) != field.one:
             return violation_at("normalization", ident, x)
         # a twist is a unit of its ring, so a twist the ring's inv refuses
         # (zero, or a nonzero non-unit N-series) is this pair's violation
@@ -504,45 +516,50 @@ def reference_check_crossed_system(system, sample_count=200, seed=0):
         # yz and tw_yz are multiply(y, z) and twist(y, z)
         nonlocal checked
         checked += 1
-        lhs = system.twist(xy, z) * system.action(z, tw)
-        rhs = system.twist(x, yz) * tw_yz
+        lhs = twist(xy, z) * system.action(z, tw)
+        rhs = twist(x, yz) * tw_yz
         if lhs != rhs:
             return violation_at("cocycle", x, y, z)
         return None
 
     def product_and_twist(x, y):
-        return group.multiply(x, y), system.twist(x, y)
+        return group.multiply(x, y), twist(x, y)
+
+    def check_all():
+        panel = group.panel_elements()
+        # (multiply(y, z), twist(y, z)) for every z in the panel, one row per
+        # y, each entry made when first needed
+        rows = [[None] * len(panel) for _ in panel]
+        for x in panel:
+            for j, y in enumerate(panel):
+                xy, tw = product_and_twist(x, y)
+                bad = check_pairs(x, y, xy, tw)
+                if bad:
+                    return bad
+                row = rows[j]
+                for k, z in enumerate(panel):
+                    if row[k] is None:
+                        row[k] = product_and_twist(y, z)
+                    bad = check_triple(x, y, z, xy, tw, *row[k])
+                    if bad:
+                        return bad
+        for _ in range(sample_count):
+            x = group.sample_element(rng)
+            y = group.sample_element(rng)
+            z = group.sample_element(rng)
+            xy, tw = product_and_twist(x, y)
+            bad = (check_pairs(x, y, xy, tw)
+                   or check_triple(x, y, z, xy, tw, *product_and_twist(y, z)))
+            if bad:
+                return bad
+        return report()
 
     if system.action(ident, scalars[-1]) != scalars[-1]:
         return report({"identity": "normalization", "x": fmt(ident)})
-
-    panel = group.panel_elements()
-    # (multiply(y, z), twist(y, z)) for every z in the panel, one row per y,
-    # each row made when first needed
-    rows = [None] * len(panel)
-    for x in panel:
-        for j, y in enumerate(panel):
-            xy, tw = product_and_twist(x, y)
-            bad = check_pairs(x, y, xy, tw)
-            if bad:
-                return bad
-            row = rows[j]
-            if row is None:
-                row = rows[j] = [product_and_twist(y, z) for z in panel]
-            for z, (yz, tw_yz) in zip(panel, row):
-                bad = check_triple(x, y, z, xy, tw, yz, tw_yz)
-                if bad:
-                    return bad
-    for _ in range(sample_count):
-        x = group.sample_element(rng)
-        y = group.sample_element(rng)
-        z = group.sample_element(rng)
-        xy, tw = product_and_twist(x, y)
-        bad = (check_pairs(x, y, xy, tw)
-               or check_triple(x, y, z, xy, tw, *product_and_twist(y, z)))
-        if bad:
-            return bad
-    return report()
+    try:
+        return check_all()
+    except Refused as refused:
+        return violation_at("nonzero-twist", *refused.args)
 
 
 def reference_digit_sum_check(r, max_exponent):

@@ -191,6 +191,25 @@ def test_expand_refuses_non_canonical_files(tmp_path, capsys, line):
     assert code == 64 and not out and "line 2" in err
 
 
+@pytest.mark.parametrize("lines,message", [
+    (("0\tZ(0)\t1/2", "1\tZ(1)\t1/2", "2\tZ(2)\t1/2x"), "not a rational in p/q form: '1/2x'"),
+    (("0\tZ(0)\t1", "1\tZ(1)\t2/4", "2\tZ(2)\t2/4"),
+     "series text is not in canonical form: line 3 reads '1\\tZ(1)\\t2/4\\n' where the "
+     "canonical line is '1\\tZ(1)\\t1/2\\n'"),
+    (("0\tZ(0)\t2 mod 5", "1\tZ(1)\t7 mod 5"),
+     "series text is not in canonical form: line 3 reads '1\\tZ(1)\\t7 mod 5\\n' where the "
+     "canonical line is '1\\tZ(1)\\t2 mod 5\\n'"),
+], ids=("malformed-after-good", "repeated-non-canonical", "other-spelling-of-a-residue"))
+def test_expand_refuses_coefficients_as_each_line_spells_them(tmp_path, capsys, lines, message):
+    # a coefficient text is parsed once however often it repeats, and each
+    # refusal is the one its first offending line gets
+    path = tmp_path / "series.mns"
+    path.write_text("monoid=z D=4 crossed=trivial\n" + "".join(line + "\n" for line in lines))
+    code, out, err = run(capsys, "expand", "--series-file", str(path))
+    assert code == 64 and not out
+    assert err.splitlines()[0] == f"mnseries: error: {message}"
+
+
 def test_expand_reads_the_file_bytes(tmp_path, capsys):
     # a file that is not UTF-8 text is refused by name, not by Python's codec
     # message; CRLF and CR line ends read as LF, as text mode reads them

@@ -105,6 +105,30 @@ def test_nonunit_twist_is_the_pairs_violation():
     assert reference_check_crossed_system(bad, 5) == report
 
 
+@pytest.mark.parametrize("zeroed,x,y,checked", [
+    # the normalization twist(Z(0), Z(-2)) of the first case
+    (-2, "Z(0)", "Z(-2)", 1),
+    # the first case's own twist, before its pair is checked
+    (-4, "Z(-2)", "Z(-2)", 0),
+    # the twist(y, z) of the first case's second triple
+    (-3, "Z(-2)", "Z(-1)", 2),
+    # the twist(xy, z) of the first case's first triple
+    (-6, "Z(-4)", "Z(-2)", 2),
+])
+def test_twist_that_raises_is_the_pairs_violation(zeroed, x, y, checked):
+    # diagonal_change inverts d(xy) inside its twist, so with d zero at one
+    # element the first twist asked for at a pair with product there raises:
+    # that pair is the witness, whichever identity asked, not the error
+    z = Z1.element(zeroed)
+    d = lambda g: QQ.zero if g == z else QQ.one
+    bad = diagonal_change(trivial_system(Z1, QQ), d)
+    report = check_crossed_system(bad, 5)
+    assert report.verdict == "counterexample" and report.exit_code == 2
+    assert report.witness == {"identity": "nonzero-twist", "x": x, "y": y}
+    assert report.details == {"checked": checked}
+    assert reference_check_crossed_system(bad, 5) == report
+
+
 def test_negative_sample_count_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         check_crossed_system(z2_sign_twist(QQ), sample_count=-3)

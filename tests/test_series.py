@@ -34,7 +34,7 @@ from mnseries.groups import (
     WreathGroup,
     sample_monoid_element,
 )
-from mnseries.magnus import FreeMonoid, free_monoid
+from mnseries.magnus import FreeMonoid, free_monoid, magnus_images, parse_word, word_images
 from mnseries.registry import group_ids, resolve_crossed, resolve_monoid
 from mnseries.report import Rows
 from mnseries.scalars import QQ, PrimeField, QuadraticField, TupleValue
@@ -222,6 +222,38 @@ def test_rows_are_printed_in_the_reference_order(name, ctx, field, system):
         assert f.rows() == reference_rows(f)
         assert to_text(f) == reference_to_text(f)
         assert repr(f) == reference_repr(f)
+
+
+ROW_FIELDS = (QQ, PrimeField(5), QuadraticField(2))
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=lambda f: f.name)
+def test_rows_are_the_sorted_tuples(field):
+    # rows() sorts by element string and then, stably, by weight: the order
+    # of the sorted (weight, element string, coefficient string) tuples,
+    # since no two elements print alike, in every graded context, over a
+    # subgroup ring and on Magnus images
+    rng = random.Random(f"sorted-rows:{field.name}")
+    series = []
+    for monoid_id in ("bs12", "heis", "wreath", "free:2", "free:3", "z2", "z"):
+        ctx = resolve_monoid(monoid_id)
+        for _ in range(10):
+            f = random_series(ctx, 6, field, rng, n_terms=12, unit=True)
+            series += [f, f * f, f.invert()]
+    ring = SubgroupRing(HEIS, "G")
+    for _ in range(10):
+        terms = {HeisenbergElement(rng.randint(-1, 1), rng.randint(-1, 1), rng.randint(-12, 12)):
+                 field.sample(rng) for _ in range(12)}
+        series.append(GradedSeries(ring, 0, {g: c for g, c in terms.items() if c}, field))
+    words = [parse_word(w, 3) for w in ("ab'c", "c'a", "bb'", "1", "a'c'b", "cab")]
+    if field == QQ:
+        images, rows, _ = magnus_images(words, 6)
+        assert rows == [sorted(image.rows()) for image in images]
+    else:
+        images = word_images(words, unit_generators(free_monoid(3), (field.one,) * 3, 6, field))
+    series += images
+    for f in series:
+        assert f.rows() == sorted(f.rows()), f
 
 
 def assert_typed_rows(rows):
@@ -489,6 +521,26 @@ def test_text_rejects_non_canonical_input(text, canonical):
         from_text(text, resolve_monoid, resolve_crossed)
     if canonical is not None:
         assert to_text(from_text(canonical, resolve_monoid, resolve_crossed)) == canonical
+
+
+@pytest.mark.parametrize("spec,texts", [
+    ("Q", ("1/2", "-1", "1/2", "2/3", "-1", "1/2", "7")),
+    ("Fp:5", ("2 mod 5", "4 mod 5", "2 mod 5", "1 mod 5", "4 mod 5", "2 mod 5")),
+    ("Qsqrt:2", ("1+1*sqrt(2)", "-1/2+0*sqrt(2)", "1+1*sqrt(2)", "0+3*sqrt(2)", "-1/2+0*sqrt(2)")),
+], ids=("Q", "Fp5", "Qsqrt2"))
+def test_text_with_repeated_coefficients_reads_term_by_term(spec, texts):
+    # each distinct coefficient text is parsed once and its value shared:
+    # the series read is the one built from field.parse on every line
+    field = scalars.field_from_spec(spec)
+    elements = [Z2.element(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+    expected = GradedSeries(resolve_monoid("z2"), 4,
+                            {g: field.parse(text) for g, text in zip(elements, texts)}, field)
+    text = to_text(expected)
+    assert sorted(line.split("\t")[2] for line in text.splitlines()[1:]) == sorted(texts)
+    got = from_text(text, resolve_monoid, resolve_crossed)
+    assert got == expected
+    typed = lambda f: {g: (type(c), c) for g, c in f.terms.items()}
+    assert typed(got) == typed(expected)
 
 
 def test_text_refusal_names_the_first_differing_line():

@@ -172,3 +172,42 @@ def test_q_invert_on_integer_layers_matches_reference(ctx, system):
         assert_one(inv * f)
     # the inverse identity coefficients of 1/2 and -1/3 are 2 and -3
     assert integral >= 2
+
+
+# The inverse's layers over Q repeat a few numerators across many terms, and
+# each distinct numerator's ratio is made once and shared by its terms. The
+# units below have the shape of the benchmark's --invert files: the prefix
+# code x, yu, yvw (so the inverse holds one term per code word up to the
+# degree), identity coefficients integral or not, and terms of +-1/2, +-1
+# and +-1/3. The diagonal change of z2-sign-twist has twists +-1 and +-8/27,
+# so its numerators are Fractions, keys like the ints.
+PREFIX_IDENTITY_COEFFICIENTS = (2, -1, Fraction(2, 3))
+PREFIX_COEFFICIENTS = (Fraction(1, 2), Fraction(-1, 2), 1, -1, Fraction(1, 3), Fraction(-1, 3))
+
+
+def _prefix_code_cases():
+    for monoid_id in ("free:2", "free:3", "bs12", "wreath", "heis"):
+        yield pytest.param(resolve_monoid(monoid_id), None, id=monoid_id)
+    z2 = resolve_monoid("z2")
+    d = lambda g: Fraction(2, 3) ** (z2.grade(g) % 3)
+    yield pytest.param(z2, diagonal_change(z2_sign_twist(QQ), d), id="z2-diag-z2-sign-twist")
+
+
+@pytest.mark.parametrize("ctx,system", _prefix_code_cases())
+def test_q_invert_shares_one_ratio_per_numerator(ctx, system):
+    rng = random.Random(f"q-prefix:{ctx.id}")
+    gens = list(_generators(ctx))
+    for degree in (6, 12):
+        for identity_coefficient in PREFIX_IDENTITY_COEFFICIENTS:
+            x, y = rng.sample(gens, 2)
+            u, v = rng.sample(gens, 2)
+            terms = {ctx.identity(): identity_coefficient}
+            for word in ([x], [y, u], [y, v, rng.choice(gens)]):
+                terms[_product(ctx, word)] = rng.choice(PREFIX_COEFFICIENTS)
+            f = GradedSeries(ctx, degree, terms, QQ, system)
+            inv = f.invert()
+            reference = reference_invert(f)
+            assert inv.terms == reference.terms, (ctx.id, degree, identity_coefficient)
+            assert to_text(inv) == to_text(reference)
+            assert_one(f * inv)
+            assert_one(inv * f)

@@ -13,8 +13,8 @@ from helpers import (corrupt_twist, reference_check_crossed_system, reference_di
                      reference_digit_sum_subset, reference_enumerate_monoid, reference_pingpong_check,
                      semidirect_product_oracle)
 from mnseries import groups, registry
-from mnseries.crossed import (CrossedSystem, QuotientSystem, check_crossed_system, quadratic_conj_z, quotient_system,
-                              z2_sign_twist)
+from mnseries.crossed import (CrossedSystem, QuotientSystem, check_crossed_system, diagonal_change, quadratic_conj_z,
+                              quotient_system, z2_sign_twist)
 from mnseries.freeness import digit_sum_check, pingpong_check
 from mnseries.groups import (Heisenberg, HeisenbergElement, LatticeElement, LatticeGroup, SemidirectElement,
                              SemidirectGroup, WreathGroup, enumerate_monoid)
@@ -267,7 +267,11 @@ def _crossed_runs(base, rng):
     corrupted at a panel element and at a drawn one, and its twist zero at a
     panel pair and at a drawn pair. On a quotient base, whose coefficients
     are N-series, the twist is also set to a nonzero non-unit, the two-term
-    series of the ring's panel, at a panel pair and at a drawn pair."""
+    series of the ring's panel, at a panel pair and at a drawn pair. The
+    last run, which draws nothing from rng so that every other run keeps its
+    draws, is a diagonal change whose d is zero at the last panel element
+    (never the identity), so that its twists raise while they are
+    computed."""
     group = base.group
     panel = group.panel_elements()
     kinds = (("valid",) + ("panel-twist",) * 4 + ("sampled-twist", "panel-action", "sampled-action") * 2
@@ -300,6 +304,8 @@ def _crossed_runs(base, rng):
         else:
             system = _corrupted(base, acted=rng.choice(panel if kind == "panel-action" else drawn))
         yield kind, system, samples, seed
+    zero, one = base.field.zero, base.field.one
+    yield "diagonal-nonunit", diagonal_change(base, lambda x: zero if x == panel[-1] else one), 5, 0
 
 
 def test_check_crossed_system_matches_the_reference_checker():
@@ -314,7 +320,7 @@ def test_check_crossed_system_matches_the_reference_checker():
                                                                                   kind, samples, seed)
             if kind == "valid":
                 assert got.verified, (base.id, base.group.id)
-            if kind == "panel-nonunit-twist":
+            if kind in ("panel-nonunit-twist", "diagonal-nonunit"):
                 assert got.witness["identity"] == "nonzero-twist", (base.id, base.group.id)
             found.add((got.witness or {}).get("identity"))
     assert found == {None, "normalization", "nonzero-twist", "action", "cocycle"}
