@@ -126,8 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-crossed", help="verify the crossed-system validity identities")
     p.add_argument("--system", required=True, choices=registry.CROSSED_IDS)
-    p.add_argument("--group", default="heis", choices=registry.group_ids(),
-                   help="home group for the trivial system")
+    p.add_argument("--group", choices=registry.group_ids(),
+                   help="home group for the trivial system (default heis); "
+                        "any other system takes only its own group")
     p.add_argument("--samples", type=int, default=200)
     common(p)
 
@@ -348,8 +349,13 @@ def _run_expand(args):
 
 
 def _run_check_crossed(args):
-    system = (registry.trivial_on(args.group) if args.system == "trivial"
-              else registry.builtin_system(args.system))
+    if args.system == "trivial":
+        system = registry.trivial_on(args.group or "heis")
+    else:
+        system = registry.builtin_system(args.system)
+        if args.group not in (None, system.group.id):
+            raise ValueError(f"--group {args.group} is not the group of {args.system}, "
+                             f"which is {system.group.id}")
     report = check_crossed_system(system, args.samples, args.seed)
     body = {"kind": report.kind, "valid": report.verified,
             "checked": report.details["checked"], "violation": report.witness}

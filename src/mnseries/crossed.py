@@ -94,9 +94,10 @@ def z2_sign_twist(field, /) -> CrossedSystem:
 
 
 @cache
-def quadratic_conj_z(radicand, /) -> CrossedSystem:
+def quadratic_conj_z(field, /) -> CrossedSystem:
     """Over Z: odd powers of the generator act by quadratic conjugation."""
-    field = QuadraticField(radicand)
+    if not isinstance(field, QuadraticField):
+        raise ValueError("quadratic-conj-Z needs quadratic coefficients")
     one = field.one
     return CrossedSystem(
         "quadratic-conj-Z",

@@ -17,17 +17,11 @@ _GROUPS = {g.id: g for g in (Heisenberg(), SemidirectGroup(), WreathGroup(), Lat
                              LatticeGroup(1))}
 
 
-def _quadratic_conj_z(field) -> CrossedSystem:
-    if not isinstance(field, QuadraticField):
-        raise ValueError("quadratic-conj-Z needs quadratic coefficients")
-    return quadratic_conj_z(field.radicand)
-
-
 # each crossed system other than trivial: its constructor over a coefficient
 # field, and the field check-crossed checks it over. Whether it acts on a
 # series' context is series validation's check
 _CROSSED = {make(field).id: (make, field)
-            for make, field in ((z2_sign_twist, QQ), (_quadratic_conj_z, QuadraticField(2)))}
+            for make, field in ((z2_sign_twist, QQ), (quadratic_conj_z, QuadraticField(2)))}
 
 CROSSED_IDS = ("trivial", *_CROSSED)
 

@@ -87,10 +87,6 @@ class Rows(list):
     __slots__ = ()
 
 
-# the value types of a report that are not containers
-_SCALARS = frozenset((str, int, bool, type(None)))
-
-
 @functools.cache
 def _encode_items(depth: int):
     """json's C encoder with indent=2's separators between items at this
@@ -100,20 +96,20 @@ def _encode_items(depth: int):
                             separators=(",\n" + "  " * depth, ": ")).encode
 
 
-def write_indented(value, depth: int = 0) -> str:
+def write_indented(value) -> str:
     """The bytes of json.dumps(value, sort_keys=True, indent=2) for a value
-    made of str-keyed dicts, lists, tuples, str, int, bool and None, written
-    at the given nesting depth; any other type, or a non-str key, raises
-    TypeError. A Rows is taken as it is, without checking its items.
+    made of str-keyed dicts, lists, tuples, str, int, bool and None; any
+    other type, or a non-str key, raises TypeError. A Rows is taken as it
+    is, without checking its items.
 
-    A container whose items are all scalars, and a Rows, is one call of
-    json's C encoder: JSON string escaping never writes a raw newline, so
-    every newline in its output is a separator, and the newlines around the
-    brackets are patched in by slicing and replace.
-    A str value of any other dict is encoded in place, without a recursive
-    call. Every fragment goes to one list, joined once."""
+    Only a Rows is one call of json's C encoder: JSON string escaping never
+    writes a raw newline, so every newline in its output is a separator, and
+    the newlines around the rows' brackets are patched in by slicing and
+    replace. Every other container is walked item by item, and a str value
+    of a dict is encoded in place, without a recursive call. Every fragment
+    goes to one list, joined once."""
     out = []
-    _write(value, depth, out)
+    _write(value, 0, out)
     return "".join(out)
 
 
@@ -121,16 +117,13 @@ def _write(value, depth: int, out: list) -> None:
     if type(value) is Rows:
         out.append(_write_rows(value, depth) if value else "[]")
     elif isinstance(value, dict):
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
         if not value:
             out.append("{}")
-        elif _SCALARS.issuperset(map(type, value.values())):
-            out.append(_bracket(_encode_items(depth + 1)(value), depth))
         else:
             separator = "{\n" + "  " * (depth + 1)
             for key, item in sorted(value.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
                 out += (separator, encode_basestring_ascii(key), ": ")
                 if type(item) is str:
                     out.append(encode_basestring_ascii(item))
@@ -141,8 +134,6 @@ def _write(value, depth: int, out: list) -> None:
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
-        elif _SCALARS.issuperset(map(type, value)):
-            out.append(_bracket(_encode_items(depth + 1)(value), depth))
         else:
             separator = "[\n" + "  " * (depth + 1)
             for item in value:
@@ -171,9 +162,3 @@ def _write_rows(rows, depth: int) -> str:
     body = _encode_items(depth + 2)(rows)[2:-2].replace(
         "],\n" + inner + "[", f"\n{outer}],\n{outer}[\n{inner}")
     return f"[\n{outer}[\n{inner}{body}\n{outer}]\n{'  ' * depth}]"
-
-
-def _bracket(encoded: str, depth: int) -> str:
-    """Put indent=2's newlines inside the outer brackets of the encoder's
-    output for a container at this depth."""
-    return f"{encoded[0]}\n{'  ' * (depth + 1)}{encoded[1:-1]}\n{'  ' * depth}{encoded[-1]}"

@@ -140,7 +140,7 @@ def test_criterion_06_pingpong():
 SERIES_CONTEXTS = (
     ("heisenberg-trivial", HEIS, QQ, None),
     ("twisted-z2", Z2, QQ, z2_sign_twist(QQ)),
-    ("quadratic-conj", Z1, QuadraticField(2), quadratic_conj_z(2)),
+    ("quadratic-conj", Z1, QuadraticField(2), quadratic_conj_z(QuadraticField(2))),
 )
 
 
@@ -188,7 +188,7 @@ def test_criterion_09_crossed_validity():
             trivial_system(Z2, QQ),
             trivial_system(Z1, QQ),
             z2_sign_twist(QQ),
-            quadratic_conj_z(2),
+            quadratic_conj_z(QuadraticField(2)),
         ]
         for system in builtins:
             assert check_crossed_system(system, 100, seed=9).verified, system.id

@@ -131,6 +131,29 @@ def test_check_crossed(capsys):
     assert code == 0 and report["valid"]
     code, report = run_json(capsys, "check-crossed", "--system", "trivial", "--group", "heis")
     assert code == 0
+    # the trivial system without --group is the one on heis
+    assert run_json(capsys, "check-crossed", "--system", "trivial")[1]["digest"] == report["digest"]
+
+
+@pytest.mark.parametrize("system, group, own", [
+    ("quadratic-conj-Z", "heis", "z"), ("quadratic-conj-Z", "z2", "z"),
+    ("z2-sign-twist", "z", "z2"), ("z2-sign-twist", "wreath", "z2"),
+])
+def test_check_crossed_refuses_another_systems_group(capsys, system, group, own):
+    code, out, err = run(capsys, "check-crossed", "--system", system, "--group", group)
+    assert code == 64 and not out
+    assert f"--group {group} is not the group of {system}, which is {own}" in err
+
+
+@pytest.mark.parametrize("system, group, pinned", [
+    ("z2-sign-twist", "z2", "f69d07f3859d1ee3"), ("quadratic-conj-Z", "z", "fc04ffdf37acae23"),
+])
+def test_check_crossed_reads_a_systems_own_group(capsys, system, group, pinned):
+    # naming the system's own group gives the report of the run without it
+    for argv in (("--system", system, "--group", group), ("--system", system)):
+        code, report = run_json(capsys, "check-crossed", *argv)
+        assert code == 0 and report["params"]["group"] == group
+        assert report["digest"] == pinned
 
 
 def test_pingpong(capsys):

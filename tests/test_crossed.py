@@ -50,7 +50,7 @@ BUILTIN_SYSTEMS = [
     trivial_system(Z2, QQ),
     trivial_system(Z1, QQ),
     z2_sign_twist(QQ),
-    quadratic_conj_z(2),
+    quadratic_conj_z(QuadraticField(2)),
 ]
 
 
@@ -436,7 +436,7 @@ def test_morphism_extension_rejects_negative_samples():
 
 def test_morphism_extension_detects_action_violation():
     # conjugation does not intertwine the quadratic action with the trivial one
-    source = quadratic_conj_z(2)
+    source = quadratic_conj_z(QuadraticField(2))
     target = trivial_system(Z1, QuadraticField(2))
     phi = lambda r: r.conjugate()
     report = check_morphism_extension(phi, lambda g: g, source, target, samples=100, seed=3)
@@ -572,7 +572,7 @@ def test_cached_constructors_give_one_object_per_arguments():
     z2 = z2_sign_twist(QQ)
     assert z2 is registry.builtin_system("z2-sign-twist")
     assert z2 is registry.resolve_crossed("z2-sign-twist", QQ)
-    conj = quadratic_conj_z(2)
+    conj = quadratic_conj_z(QuadraticField(2))
     assert conj is registry.builtin_system("quadratic-conj-Z")
     assert conj is registry.resolve_crossed("quadratic-conj-Z", field_from_spec("Qsqrt:2"))
     for group, tag in ((HEIS, "center"), (SemidirectGroup(), "base")):

@@ -15,20 +15,36 @@ weight at most L*w (w the largest weight in the pair), fewer than the
 2^(L+1) - 1 words once L is large enough, so they become dependent. The
 weight of heis is additive, so at D = L*w no term of a positive word's image
 is truncated and the dependency is an exact relation.
+
+Two metamorphic relations hold whatever the code computes: the rank and
+column count do not depend on the nonzero scalars c and d of the units
+1 + c*x and 1 + d*y (rescaling the generators is a graded automorphism of
+the algebra the pair spans), and bs12, wreath and free:2, whose monoids are
+free on their two generators, give equal counts at equal (L, D).
 """
+
+from fractions import Fraction
 
 import pytest
 
 from mnseries.crossed import z2_sign_twist
 from mnseries.freeness import group_algebra_independence
-from mnseries.groups import Heisenberg, HeisenbergElement, LatticeGroup
+from mnseries.groups import Heisenberg, HeisenbergElement, LatticeGroup, SemidirectGroup, WreathGroup
 from mnseries.linalg import rank_and_left_nullspace
-from mnseries.magnus import enumerate_reduced_words, parse_word, word_images
+from mnseries.magnus import enumerate_reduced_words, free_monoid, parse_word, word_images
 from mnseries.scalars import QQ, PrimeField
 from mnseries.series import GradedSeries, unit_generators
 
 HEIS = Heisenberg()
 Z2 = LatticeGroup(2)
+FP101 = PrimeField(101)
+
+
+def _counts(context, scalars, max_length, degree, field):
+    """(rank, columns) of the reduced words in the units 1 + s*g."""
+    units = unit_generators(context, scalars, degree, field)
+    details = group_algebra_independence(units, max_length).details
+    return details["rank"], details["columns"]
 
 
 # --- z2: the commutative closed form and Hall's identity ---------------------
@@ -61,6 +77,43 @@ def test_z2_sign_twist_satisfies_halls_identity(degree):
     for coeff, image in zip(HALL_RELATION.values(), images):
         combo = combo + image.scale(coeff)
     assert not combo
+
+
+@pytest.mark.parametrize("field", (QQ, FP101), ids=lambda f: f.name)
+def test_z2_sign_twist_rank_lies_between_the_closed_form_and_the_words(field):
+    # Hall's relation caps the twisted rank below the 485 words of length
+    # at most 5; the twist still separates more words than the commutative
+    # control's 2L^2 + 2L + 1 = 61, and fewer than the columns
+    one = Z2.identity()
+    for degree, rank, columns in ((12, 87, 91), (14, 105, 120), (16, 109, 153)):
+        units = tuple(GradedSeries(Z2, degree, {one: field.one, g: field.one}, field, z2_sign_twist(field))
+                      for g in Z2.monoid_generators())
+        report = group_algebra_independence(units, 5)
+        assert (report.details["rank"], report.details["columns"], report.details["words"]) == (
+            rank, columns, 485)
+        assert not report.verified
+        assert 61 < rank < columns
+        control = group_algebra_independence(unit_generators(Z2, (field.one, field.one), degree, field), 5)
+        assert control.details["rank"] == 61 and control.details["columns"] == columns
+
+
+# --- the scalars c and d, and the free monoids --------------------------------
+
+@pytest.mark.parametrize("max_length, degree, counts", [(3, 6, (53, 78)), (4, 6, (94, 98)),
+                                                        (4, 8, (159, 249))])
+def test_heis_counts_do_not_depend_on_the_scalars(max_length, degree, counts):
+    for scalars in ((1, 2), (1, -1), (Fraction(1, 2), 3), (-2, Fraction(1, 3)), (5, 7)):
+        assert _counts(HEIS, scalars, max_length, degree, QQ) == counts, scalars
+    for scalars in ((1, 2), (3, 5), (100, 1), (7, 99)):
+        residues = tuple(map(FP101.from_int, scalars))
+        assert _counts(HEIS, residues, max_length, degree, FP101) == counts, scalars
+
+
+@pytest.mark.parametrize("max_length, degree, counts", [(3, 5, (45, 51)), (4, 7, (145, 197))])
+def test_free_monoid_groups_give_equal_counts(max_length, degree, counts):
+    for context in (SemidirectGroup(), WreathGroup(), free_monoid(2)):
+        for scalars in ((1, 1), (1, 2), (Fraction(1, 3), -1)):
+            assert _counts(context, scalars, max_length, degree, QQ) == counts, (context.id, scalars)
 
 
 # --- heis: exact relations among positive words inside Q[heis] ---------------

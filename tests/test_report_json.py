@@ -2,17 +2,25 @@
 json.dumps(value, sort_keys=True, indent=2), the oracle. The writer is called
 directly, so every Python runs it, including those where render_json returns
 json.dumps itself; the CLI tests check render_json through every pinned
-report."""
+report. The benchmark's seed-0 job lists, from perfbench/workloads.py
+imported read-only, give the writer the report shapes the CLI makes."""
 
 import hashlib
 import json
+import os
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mnseries import cli
 from mnseries.report import Rows, digest, write_indented
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import workloads  # noqa: E402
 
 # strings that look like the writer's own separators and brackets, escapes,
 # control characters, non-ASCII text and lone surrogates
@@ -106,6 +114,30 @@ def test_typed_rows_at_every_depth(rows, depth, word, scalar):
 ])
 def test_typed_rows_examples(value):
     assert write_indented(value) == oracle(value)
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_writer_on_the_benchmarks_reports(workload, tmp_path, monkeypatch, capsys):
+    # the seed-0 job list of each benchmark workload, run in process, with
+    # every report payload the CLI renders checked against the oracle
+    jobs = workloads.build(workload, workloads.DEFAULT_SEED, 1, str(tmp_path))
+    for job in jobs:
+        for name, text in job.files.items():
+            (tmp_path / name).write_text(text)
+    payloads = []
+    render_json = cli.render_json
+
+    def collect(payload):
+        payloads.append(payload)
+        return render_json(payload)
+
+    monkeypatch.setattr(cli, "render_json", collect)
+    for job in jobs:
+        cli.run_command(job.argv)
+        capsys.readouterr()
+    assert len(payloads) == len(jobs)
+    for payload in payloads:
+        assert write_indented(payload) == oracle(payload)
 
 
 @settings(derandomize=True, database=None, max_examples=300)

@@ -181,7 +181,7 @@ def test_unit_generators_over_every_graded_context():
 CONTEXTS = [
     ("heis-trivial", HEIS, QQ, None),
     ("z2-sign", Z2, QQ, z2_sign_twist(QQ)),
-    ("quad-conj", LatticeGroup(1), QuadraticField(2), quadratic_conj_z(2)),
+    ("quad-conj", LatticeGroup(1), QuadraticField(2), quadratic_conj_z(QuadraticField(2))),
     ("f5", HEIS, PrimeField(5), None),
     ("bs12", SemidirectGroup(), QQ, None),
     ("wreath", WreathGroup(), QQ, None),
@@ -448,7 +448,7 @@ def test_text_round_trip_other_fields():
     f = random_series(HEIS, 3, PrimeField(5), rng, unit=True)
     assert f.coefficient(HEIS.identity())
     assert from_text(to_text(f), resolve_monoid, resolve_crossed) == f
-    system = quadratic_conj_z(2)
+    system = quadratic_conj_z(QuadraticField(2))
     g = random_series(LatticeGroup(1), 3, QuadraticField(2), rng, system=system, unit=True)
     assert g.coefficient(LatticeGroup(1).identity())
     parsed = from_text(to_text(g), resolve_monoid, resolve_crossed)

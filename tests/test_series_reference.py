@@ -22,7 +22,7 @@ QSQRT2 = QuadraticField(2)
 # a nonconstant basis change of quadratic-conj-Z, d(Z(k)) = k + sqrt 2 for
 # k != 0: its twist and its action are both nontrivial
 DIAG_QUAD = diagonal_change(
-    quadratic_conj_z(2), lambda g: QSQRT2.from_parts(g.coords[0], 1) if g.coords[0] else QSQRT2.one)
+    quadratic_conj_z(QSQRT2), lambda g: QSQRT2.from_parts(g.coords[0], 1) if g.coords[0] else QSQRT2.one)
 
 CONTEXTS = [
     ("bs12", SemidirectGroup(), QQ, None),
@@ -32,7 +32,7 @@ CONTEXTS = [
     ("free2", FreeMonoid(2), QQ, None),
     ("free3", FreeMonoid(3), QQ, None),
     ("z2-sign-twist", LatticeGroup(2), QQ, z2_sign_twist(QQ)),
-    ("z-quadratic-conj", LatticeGroup(1), QSQRT2, quadratic_conj_z(2)),
+    ("z-quadratic-conj", LatticeGroup(1), QSQRT2, quadratic_conj_z(QSQRT2)),
     ("z-diag-quadratic-conj", LatticeGroup(1), QSQRT2, DIAG_QUAD),
 ]
 IDS = [c[0] for c in CONTEXTS]

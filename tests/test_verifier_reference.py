@@ -239,7 +239,8 @@ def test_pingpong_matches_reference_on_honest_digits(r, t, length):
     assert report.verified
 
 
-CROSSED_BASES = ([z2_sign_twist(QQ), z2_sign_twist(field_from_spec("Fp:5")), quadratic_conj_z(2)]
+CROSSED_BASES = ([z2_sign_twist(QQ), z2_sign_twist(field_from_spec("Fp:5")),
+                  quadratic_conj_z(field_from_spec("Qsqrt:2"))]
                  + [registry.trivial_on(g) for g in registry.group_ids()]
                  + [quotient_system(Heisenberg(), "center"), quotient_system(SemidirectGroup(), "base")])
 
