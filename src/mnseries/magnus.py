@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from operator import itemgetter
 
 from .groups import NotInMonoidError
 from .report import Report, outcome
-from .scalars import QQ, TupleValue
+from .scalars import QQ, RationalField, TupleValue, normal_rational
 from .series import GradedSeries, shared_products, unit_generators
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -217,22 +218,54 @@ def enumerate_reduced_words(size: int, max_length: int) -> list:
 
 def word_images(words, units) -> list:
     """Images of reduced words, in any order, under i -> units[i] and i' ->
-    units[i].invert() for units of one context, degree, field and system: a
-    word's image is its prefix's times its last letter's, left to right.
+    units[i].invert() for units of one context, degree, field and system:
+    each word extends its longest evaluated prefix, left to right, letter
+    by letter, and a repeated word is one image.
+
+    Over Q the words are evaluated on integers. A system over Q acts
+    trivially, so scalars commute with every product. For a unit u with d
+    the least common denominator of its coefficients, letter i is the
+    series U = d * u with the scale 1/d, and i' is V = U0^(D+1) * U^-1 with
+    the scale d / U0^(D+1), U0 the identity coefficient of U; U and V are
+    integral when the twists are. A word's image is the product of its
+    letters' series, and scale() by the product of their scales makes its
+    coefficients, one exact ratio per distinct numerator.
 
     The products run under series.shared_products, so each group product of
     the evaluation is made once; the table goes when the evaluation ends."""
     first = units[0]
-    images = {(): GradedSeries.one(first.context, first.degree, first.field, first.system)}
-    inverse = functools.cache(lambda sym: units[sym].invert())
+    on_integers = isinstance(first.field, RationalField)
+
+    @functools.cache
+    def letter(sym, sign):
+        # the letter's series and scale, whose product is its value; an int
+        # scale, as every scale of the Magnus letters is, multiplies as one
+        if not on_integers:
+            return (units[sym] if sign == 1 else units[sym].invert()), 1
+        d, cleared = units[sym].cleared()
+        if sign == 1:
+            return cleared, normal_rational(Fraction(1, d))
+        power, inverse = cleared.scaled_inverse()
+        return inverse, normal_rational(Fraction(d, power))
+
+    images = {(): (GradedSeries.one(first.context, first.degree, first.field, first.system), 1)}
     with shared_products(first.context):
         for word in words:
-            for end in range(1, len(word) + 1):
-                prefix = word.letters[:end]
-                if prefix not in images:
-                    sym, sign = prefix[-1]
-                    images[prefix] = images[prefix[:-1]] * (units[sym] if sign == 1 else inverse(sym))
-    return [images[word.letters] for word in words]
+            letters = word.letters
+            end = len(letters)
+            while letters[:end] not in images:
+                end -= 1
+            image, scale = images[letters[:end]]
+            for end in range(end + 1, len(letters) + 1):
+                series, factor = letter(*letters[end - 1])
+                image, scale = image * series, scale * factor
+                images[letters[:end]] = image, scale
+    exact = {}
+    for word in words:
+        if word.letters not in exact:
+            image, scale = images[word.letters]
+            exact[word.letters] = image if scale == 1 else image.scale(scale)
+    return [exact[word.letters] for word in words]
 
 
 def magnus_image(word: FreeWord, degree: int) -> GradedSeries:

@@ -107,6 +107,19 @@ def _ratio(n, d: int):
     return Fraction(n, d) if r else q
 
 
+def _exact_ratios(out, terms, num: int, den: int):
+    """out with each term g: a of terms written in as the exact ratio
+    num * a / den, made once per distinct numerator a (an int, or a Fraction
+    when a twist is not an integer) and shared by the terms that have it."""
+    ratios = {}
+    for g, a in terms.items():
+        q = ratios.get(a)
+        if q is None:
+            q = ratios[a] = _ratio(num * a, den)
+        out[g] = q
+    return out
+
+
 # the product table of the word-image evaluation under way, as (context,
 # rows h -> {g: g*h}, intern x -> x), or None. It is module state, not a
 # parameter, so that word_images multiplies with * and whatever wraps or
@@ -283,10 +296,17 @@ class GradedSeries(TupleValue):
         return self + (-other)
 
     def scale(self, value):
-        """Right multiplication by a scalar (termwise, exact)."""
-        if not self.field.contains(value):
-            raise ContextMismatchError(f"scalar {value!r} is not in field {self.field.name}")
-        return self._with({g: c * value for g, c in self.terms.items()} if value else {})
+        """Right multiplication by a scalar (termwise, exact). Over Q each
+        distinct coefficient's product is made once, as an exact ratio,
+        which the terms with that coefficient share."""
+        field = self.field
+        if not field.contains(value):
+            raise ContextMismatchError(f"scalar {value!r} is not in field {field.name}")
+        if not value:
+            return self._with({})
+        if isinstance(field, RationalField):
+            return self._with(_exact_ratios({}, self.terms, value.numerator, value.denominator))
+        return self._with({g: c * value for g, c in self.terms.items()})
 
     def __mul__(self, other):
         self._compatible(other)
@@ -302,18 +322,25 @@ class GradedSeries(TupleValue):
         else:
             rows = None
         row = None
-        out = {}
         # over F_p with no system the loop multiplies and sums the terms'
         # int residues, and each output sum is reduced mod p once at the end
         residues = system is None and isinstance(self.field, PrimeField)
         terms = self.terms
-        values, right = terms.values(), other.terms.items()
+        values, right = terms.values(), iter(other.terms.items())
         if residues:
             values = map(_residue, values)
             right = zip(other.terms, map(_residue, other.terms.values()))
         # by ascending grade, so the scan over the left factor stops at the
         # first term whose product with h would exceed the degree
         left = sorted(zip(map(grade, terms), terms, values), key=itemgetter(0))
+        # with no system, a right factor whose first term is the identity
+        # (the one element of grade 0 in a graded context) adds g * 1 = g
+        # with a * b for every left term: the output starts as that one pass
+        if system is None and ctx.graded and other.terms and not grade(next(iter(other.terms))):
+            _, b = next(right)
+            out = {g: a * b for _, g, a in left}
+        else:
+            out = {}
         for h, b in right:
             top = degree - grade(h)
             if rows is not None:
@@ -375,51 +402,69 @@ class GradedSeries(TupleValue):
         d * a / U^(w+1) per distinct numerator a of A_w, an int when it is
         integral, which the terms with that numerator share. A_w holds
         Fractions only when a twist is not an integer."""
-        ctx = self.context
-        if not ctx.graded:
-            raise NoTruncatedInverseError(
-                "no truncated inverse: ungraded context has no positive-weight split"
-            )
-        u = self.identity_coefficient()
-        if not u:
-            raise NoTruncatedInverseError("no truncated inverse: identity coefficient is zero")
-        ident = ctx.identity()
+        ident = self.context.identity()
         field = self.field
-        u_inv = field.inv(u)
+        u_inv = field.inv(self._identity_unit())
         if isinstance(field, RationalField):
-            return self._invert_on_integers(lcm(*map(_denominator, self.terms.values())), u_inv)
+            d, cleared = self.cleared()
+            layers, powers = cleared._numerator_layers()
+            # layer 0 is the identity times d / U = u^-1; each layer's
+            # numerators repeat heavily, so each distinct one's ratio is made once
+            terms = {ident: u_inv}
+            for w in range(1, len(layers)):
+                _exact_ratios(terms, layers[w], d, powers[w + 1])
+            return self._with(terms)
         m = self._with({g: -(c * u_inv) for g, c in self.terms.items() if g != ident})
         terms = {}
         for layer in self._inverse_layers(u_inv, m, None):
             terms.update(layer)
         return self._with(terms)
 
-    def _invert_on_integers(self, d, u_inv):
-        """invert over Q on the integer numerators A_w, for d the least
-        common denominator of the coefficients and u_inv the inverted
-        identity coefficient. Each layer's numerators repeat heavily, so the
-        ratio of each distinct one is made once, in a dict keyed on the
-        numerator (an int, or a Fraction when a twist is not an integer)."""
+    def cleared(self):
+        """Over Q: (d, d * self) for d the least common denominator of the
+        coefficients, so the series has integer coefficients."""
+        d = lcm(*map(_denominator, self.terms.values()))
+        return d, self._with({g: c.numerator * (d // c.denominator) for g, c in self.terms.items()})
+
+    def scaled_inverse(self):
+        """Over Q, for a series with integer coefficients and identity
+        coefficient U, refused as invert refuses it: (U^(D+1), the series
+        U^(D+1) * self^-1). Layer w of the inverse is A_w / U^(w+1), so the
+        series has the terms A_w * U^(D-w), integers when the twists are,
+        with the identity's first."""
+        self._identity_unit()
+        layers, powers = self._numerator_layers()
+        degree = self.degree
+        terms = {}
+        for w, layer in enumerate(layers):
+            power = powers[degree - w]
+            for g, a in layer.items():
+                terms[g] = a * power
+        return powers[-1], self._with(terms)
+
+    def _identity_unit(self):
+        """The identity coefficient, or NoTruncatedInverseError when the
+        context is ungraded or the coefficient is zero."""
+        if not self.context.graded:
+            raise NoTruncatedInverseError(
+                "no truncated inverse: ungraded context has no positive-weight split"
+            )
+        u = self.identity_coefficient()
+        if not u:
+            raise NoTruncatedInverseError("no truncated inverse: identity coefficient is zero")
+        return u
+
+    def _numerator_layers(self):
+        """For a series over Q with integer coefficients and identity
+        coefficient U: invert's numerator layers A_w, and the powers U^0 ..
+        U^(D+1)."""
         ident = self.context.identity()
-        m = self._with({g: -c.numerator * (d // c.denominator)
-                        for g, c in self.terms.items() if g != ident})
-        u = self.terms[ident]
-        unit = u.numerator * (d // u.denominator)  # U
+        unit = self.terms[ident]
         powers = [1]
         for _ in range(self.degree + 1):
             powers.append(powers[-1] * unit)
-        layers = self._inverse_layers(1, m, powers)
-        # layer 0 is the identity times d / U = u^-1
-        terms = {ident: u_inv}
-        for w in range(1, len(layers)):
-            den = powers[w + 1]
-            ratios = {}
-            for g, a in layers[w].items():
-                q = ratios.get(a)
-                if q is None:
-                    q = ratios[a] = _ratio(d * a, den)
-                terms[g] = q
-        return self._with(terms)
+        m = self._with({g: -c for g, c in self.terms.items() if g != ident})
+        return self._inverse_layers(1, m, powers), powers
 
     def _inverse_layers(self, seed, m, powers):
         """invert's solution as its list of layers, entry w the nonzero terms

@@ -307,6 +307,14 @@ PINNED_REPORTS = (
       "--d=1-1*sqrt(2)", "--L", "3", "--D", "5"), 3, "42a595cde33a3bda"),
     (("verify-group-algebra", "--group", "heis", "--field=Fp:7", "--c=3 mod 7", "--d=5 mod 7",
       "--L", "3", "--D", "8"), 0, "fbe5c301268193b5"),
+    # Q with a non-integral scalar: the words are evaluated on integer
+    # numerators, and each image is scaled back to exact ratios
+    (("verify-group-algebra", "--group", "heis", "--field=Q", "--c=1/2", "--d=-1",
+      "--L", "4", "--D", "8"), 3, "bf3fb70fb17ba6b7"),
+    (("verify-group-algebra", "--group", "heis", "--field=Q", "--c=-1/2", "--d=-1",
+      "--L", "3", "--D", "8"), 0, "5f51514396112a37"),
+    (("verify-group-algebra", "--group", "heis", "--field=Q", "--c=2/3", "--d=-3/5",
+      "--L", "4", "--D", "6"), 3, "65e6250c865021a4"),
     (("magnus", "--words", "b'a,ab,a'b'ab,1,ba'", "--D", "5"), 0, "4d208412d03d33dd"),
     (("magnus", "--words", "ab,a'b,ab", "--D", "4"), 2, "9efb88e038d862c0"),
     # at D=0 every letter unit is 1, so all four images are 1 and collide

@@ -16,11 +16,15 @@ weight at most L*w (w the largest weight in the pair), fewer than the
 weight of heis is additive, so at D = L*w no term of a positive word's image
 is truncated and the dependency is an exact relation.
 
-Two metamorphic relations hold whatever the code computes: the rank and
+Four metamorphic relations hold whatever the code computes: the rank and
 column count do not depend on the nonzero scalars c and d of the units
 1 + c*x and 1 + d*y (rescaling the generators is a graded automorphism of
-the algebra the pair spans), and bs12, wreath and free:2, whose monoids are
-free on their two generators, give equal counts at equal (L, D).
+the algebra the pair spans); bs12, wreath and free:2, whose monoids are
+free on their two generators, give equal counts at equal (L, D);
+truncation is a ring map, so words verified independent at (L, D) stay so
+at (L, D+1) and their subset at (L-1, D); and for integer c and d the
+images have integer coefficients, so their rank mod p is at most their
+rank over Q.
 """
 
 from fractions import Fraction
@@ -114,6 +118,42 @@ def test_free_monoid_groups_give_equal_counts(max_length, degree, counts):
     for context in (SemidirectGroup(), WreathGroup(), free_monoid(2)):
         for scalars in ((1, 1), (1, 2), (Fraction(1, 3), -1)):
             assert _counts(context, scalars, max_length, degree, QQ) == counts, (context.id, scalars)
+
+
+# scalar pairs over Q: +-1 and +-2, and +-1/2
+METAMORPHIC_SCALARS = ((1, 2), (-1, -2), (2, -1), (Fraction(1, 2), -1),
+                       (Fraction(-1, 2), Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("scalars", METAMORPHIC_SCALARS, ids=str)
+@pytest.mark.parametrize("group", (HEIS, SemidirectGroup()), ids=lambda g: g.id)
+def test_verified_holds_at_a_higher_degree_and_a_shorter_length(group, scalars):
+    verified = {}
+    for degree in range(10):
+        units = unit_generators(group, scalars, degree, QQ)
+        for max_length in range(1, 5):
+            verified[max_length, degree] = group_algebra_independence(units, max_length).verified
+    for (max_length, degree), holds in verified.items():
+        if holds and degree < 9:
+            assert verified[max_length, degree + 1], (max_length, degree)
+        if holds and max_length > 1:
+            assert verified[max_length - 1, degree], (max_length, degree)
+    # not vacuous: L = 1, 2 and 3 are verified at degree 9, and no length
+    # at degree 0
+    assert all(verified[max_length, 9] for max_length in (1, 2, 3))
+    assert not any(verified[max_length, 0] for max_length in range(1, 5))
+
+
+@pytest.mark.parametrize("scalars", [s for s in METAMORPHIC_SCALARS if all(type(x) is int for x in s)],
+                         ids=str)
+@pytest.mark.parametrize("group", (HEIS, SemidirectGroup()), ids=lambda g: g.id)
+def test_rank_mod_p_is_at_most_the_rank_over_q(group, scalars):
+    residues = tuple(map(FP101.from_int, scalars))
+    for degree in (2, 4, 6, 8):
+        for max_length in range(1, 5):
+            rank_q, _ = _counts(group, scalars, max_length, degree, QQ)
+            rank_p, _ = _counts(group, residues, max_length, degree, FP101)
+            assert rank_p <= rank_q, (max_length, degree)
 
 
 # --- heis: exact relations among positive words inside Q[heis] ---------------

@@ -136,6 +136,49 @@ def test_prime_field_inverses_are_two_sided_under_the_model_mod_p(ctx_id, spec):
             assert _reduced_product(f, left, right) == one
 
 
+def _identity_orders(f):
+    """f with its identity term first, with it last, and without it: the
+    product seeds its output from the left factor when the right factor's
+    first term is the identity, and multiplies every pair otherwise."""
+    ident = f.context.identity()
+    rest = {g: c for g, c in f.terms.items() if g != ident}
+    orders = ({ident: f.terms[ident], **rest}, {**rest, ident: f.terms[ident]}, rest)
+    return [GradedSeries(f.context, f.degree, terms, f.field, f.system) for terms in orders]
+
+
+@pytest.mark.parametrize("ctx_id,spec,crossed", CASES, ids=IDS)
+def test_products_by_an_identity_term_match_the_model(ctx_id, spec, crossed):
+    # the identity as the right factor's first term, as its last term and
+    # missing, on either side; under a crossed system the seeding never fires
+    context = resolve_monoid(ctx_id)
+    ident = context.identity()
+    seeded = 0
+    for f, g in _series_pairs(context, spec, crossed, "identity", unit=True):
+        ctx, degree, crossed_id, _ = _read(f)
+        for left in _identity_orders(f):
+            for right in _identity_orders(g):
+                seeded += next(iter(right.terms), None) == ident
+                product = left * right
+                expected = model.multiply(ctx, degree, crossed_id, _model_terms(left),
+                                          _model_terms(right))
+                if product.terms:
+                    assert to_text(product) == _model_text(f, expected)
+                else:
+                    assert not {y: c for y, c in expected.items() if c}
+    assert seeded
+
+
+@pytest.mark.parametrize("ctx_id,spec", FP_CASES, ids=FP_IDS)
+def test_prime_field_products_by_an_identity_term_match_the_model_mod_p(ctx_id, spec):
+    # the seeded output holds unreduced residue products, reduced with the
+    # rest of the sums at the end
+    for f, g in _series_pairs(resolve_monoid(ctx_id), spec, "trivial", "identity", unit=True):
+        for left in _identity_orders(f):
+            for right in _identity_orders(g):
+                expected = _reduced_product(f, _lifted_terms(left), _lifted_terms(right))
+                assert _residue_map(left * right) == expected
+
+
 @pytest.mark.parametrize("degree", range(6))
 def test_magnus_rows_match_the_model(degree):
     words = enumerate_reduced_words(2, 4)

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     assert_one,
+    corrupt_twist,
     random_series,
     reference_format,
     reference_invert,
@@ -138,6 +139,86 @@ def test_invert_multiplies_each_layer_once(monkeypatch):
     monkeypatch.undo()
     assert len(calls) <= 3 * degree
     assert inv.terms == reference_invert(f).terms
+
+
+def _pairwise_product(f, g):
+    """f * g term pair by term pair, under f's system, with no seeding."""
+    grade, system = f.context.grade, f.system
+    out = {}
+    for x, a in f.terms.items():
+        for y, b in g.terms.items():
+            if grade(x) + grade(y) <= f.degree:
+                c = a * b if system is None else system.twist(x, y) * system.action(y, a) * b
+                z = f.context.multiply(x, y)
+                out[z] = out.get(z, f.field.zero) + c
+    return {z: c for z, c in out.items() if c}
+
+
+def _count_group_products(monkeypatch, context):
+    made = []
+    owner = type(getattr(context, "group", context))
+    multiply = owner.multiply
+
+    def counted(self, g, h):
+        made.append((g, h))
+        return multiply(self, g, h)
+
+    monkeypatch.setattr(owner, "multiply", counted)
+    return made
+
+
+@pytest.mark.parametrize("monoid_id", ["heis", "bs12", "wreath", "z2", "free:2"])
+@pytest.mark.parametrize("spec", ["Q", "Fp:5", "Qsqrt:2"])
+def test_a_first_identity_term_of_the_right_factor_makes_no_group_products(
+        monkeypatch, monoid_id, spec):
+    # with the identity first on the right, its pairs are copied from the
+    # left factor; last, every pair within the degree is multiplied
+    ctx, field = resolve_monoid(monoid_id), scalars.field_from_spec(spec)
+    rng = random.Random(f"seed-identity:{monoid_id}:{spec}")
+    ident = ctx.identity()
+    for _ in range(6):
+        f = random_series(ctx, 5, field, rng, n_terms=6, unit=rng.random() < 0.5)
+        g = random_series(ctx, 5, field, rng, n_terms=6, unit=True)
+        rest = {h: c for h, c in g.terms.items() if h != ident}
+        for terms, copied in (({ident: g.terms[ident], **rest}, True),
+                              ({**rest, ident: g.terms[ident]}, False)):
+            right = GradedSeries(ctx, 5, terms, field)
+            made = _count_group_products(monkeypatch, ctx)
+            product = f * right
+            monkeypatch.undo()
+            assert len(made) == sum(ctx.grade(x) + ctx.grade(y) <= 5 for x in f.terms
+                                    for y in terms if not (copied and y == ident))
+            assert product.terms == _pairwise_product(f, right)
+
+
+def test_a_crossed_product_twists_the_right_identity_term_too():
+    # under a crossed system every pair goes through the twist, the
+    # identity's too, so a twist(x, 1) other than 1 shows in the product
+    one, x = Z2.identity(), Z2.monoid_generators()[0]
+    broken = corrupt_twist(z2_sign_twist(QQ), (x, one), -1)
+    f, g = (GradedSeries(Z2, 3, {one: a, x: b}, QQ, broken) for a, b in ((1, 2), (3, 5)))
+    product = f * g
+    assert product.terms == _pairwise_product(f, g)
+    assert product.terms[x] == 1 * 5 - 2 * 3
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_subgroup_ring_products_multiply_every_pair(monkeypatch, spec):
+    # every grade of a subgroup ring is 0, the identity's and all others',
+    # so a first identity term on the right is multiplied like the rest
+    field = scalars.field_from_spec(spec)
+    ring = SubgroupRing(HEIS, "G")
+    rng = random.Random(f"ring-identity:{spec}")
+    for _ in range(6):
+        f, g = ({HeisenbergElement(rng.randint(-1, 1), rng.randint(-1, 1), rng.randint(-3, 3)):
+                 field.sample_nonzero(rng) for _ in range(5)} for _ in range(2))
+        g = {HEIS.identity(): field.sample_nonzero(rng), **g}
+        f, g = (GradedSeries(ring, 0, terms, field) for terms in (f, g))
+        made = _count_group_products(monkeypatch, ring)
+        product = f * g
+        monkeypatch.undo()
+        assert len(made) == len(f.terms) * len(g.terms)
+        assert product.terms == _pairwise_product(f, g)
 
 
 def test_invert_requires_unit_identity_coefficient():

@@ -16,6 +16,7 @@ import pytest
 
 from helpers import assert_valid, reference_magnus_image, reference_word_image
 from mnseries import registry, series
+from mnseries.crossed import diagonal_change, z2_sign_twist
 from mnseries.freeness import type1_unit_generators
 from mnseries.magnus import (
     FreeWord,
@@ -178,6 +179,59 @@ def test_word_images_match_plain_products(group_id, spec, c, d, system_id, L, D)
     assert series._shared is None
 
 
+def _q_word_cases():
+    """Q on five monoids, z2 under z2-sign-twist, and z2 under a diagonal
+    change of it whose twists are +-1 times powers of 8/27."""
+    for monoid_id in ("heis", "bs12", "wreath", "free:2", "z2"):
+        yield pytest.param(registry.resolve_monoid(monoid_id), None, id=monoid_id)
+    z2 = registry.resolve_monoid("z2")
+    yield pytest.param(z2, z2_sign_twist(QQ), id="z2-sign-twist")
+    d = lambda g: Fraction(2, 3) ** (z2.grade(g) % 3)
+    yield pytest.param(z2, diagonal_change(z2_sign_twist(QQ), d), id="z2-diagonal-change")
+
+
+def _q_units(ctx, degree, identity_coefficient, system):
+    """Two units over Q with non-integral scalars and mixed denominators,
+    each with the given identity coefficient."""
+    x, y = ctx.monoid_generators()[:2]
+    one = ctx.identity()
+    terms = ({one: identity_coefficient, x: Fraction(1, 2), ctx.multiply(x, y): Fraction(-5, 4)},
+             {one: identity_coefficient, y: Fraction(-3, 2), ctx.multiply(y, y): Fraction(2, 9)})
+    return [GradedSeries(ctx, degree, t, QQ, system) for t in terms]
+
+
+# over Q the words are evaluated on integer numerators, one scale per word;
+# a negative identity coefficient flips the sign of U0^(D+1) at even D
+@pytest.mark.parametrize("degree", [5, 6])
+@pytest.mark.parametrize("ctx,system", _q_word_cases())
+def test_q_word_images_on_integers_match_plain_products(ctx, system, degree):
+    words = enumerate_reduced_words(2, 3)
+    for identity_coefficient in (Fraction(2, 3), -3, Fraction(-1, 2)):
+        units = _q_units(ctx, degree, identity_coefficient, system)
+        images = word_images(words, units)
+        assert series._shared is None
+        assert_same_images(images, [reference_word_image(w, units) for w in words])
+        if system is None or system.id == "z2-sign-twist":
+            # integer twists: every coefficient in the field's normal form
+            assert all(type(c) is int for image in images for c in image.terms.values()
+                       if c.denominator == 1)
+
+
+def test_q_unit_without_its_identity_term_raises_inside_the_evaluation():
+    # U0 = 0: the inverse letter is refused as invert refuses it, and the
+    # positive letter still evaluates
+    ctx = registry.resolve_monoid("bs12")
+    x, y = ctx.monoid_generators()[:2]
+    units = [GradedSeries(ctx, 4, {x: Fraction(1, 2), y: Fraction(-2, 3)}, QQ),
+             _q_units(ctx, 4, Fraction(2, 3), None)[1]]
+    for word in ("a'", "ba'b", "ab'a'"):
+        with pytest.raises(NoTruncatedInverseError):
+            word_images([parse_word(word, 2)], units)
+        assert series._shared is None
+    words = [parse_word(w, 2) for w in ("ab", "b'a", "aab'")]
+    assert_same_images(word_images(words, units), [reference_word_image(w, units) for w in words])
+
+
 def test_word_images_share_one_object_per_product():
     # within one evaluation equal products are one object, across images
     # too; the next evaluation makes its own. The empty word's image is no
@@ -204,9 +258,13 @@ def _count_products(monkeypatch, group):
     return made
 
 
-def _pairs_within_degree(f, g):
+def _pairs_multiplied(f, g):
+    # the pairs within the degree whose right term is not the identity: a
+    # right factor whose first term is the identity (as here) has that
+    # term's pairs copied from the left factor, with no group product
     grade = f.context.grade
-    return sum(grade(x) + grade(y) <= f.degree for x in f.terms for y in g.terms)
+    assert not grade(next(iter(g.terms)))
+    return sum(grade(x) + grade(y) <= f.degree for x in f.terms for y in g.terms if grade(y))
 
 
 def test_no_table_is_open_after_word_images_returns(monkeypatch):
@@ -220,7 +278,7 @@ def test_no_table_is_open_after_word_images_returns(monkeypatch):
     assert inside == len(set(made))
     f, g = images[-1], images[-2]
     product = f * g
-    assert len(made) - inside == _pairs_within_degree(f, g)
+    assert len(made) - inside == _pairs_multiplied(f, g)
     assert product == reference_word_image(words[-1], units) * reference_word_image(
         words[-2], units)
 
@@ -239,7 +297,7 @@ def test_no_table_is_open_after_word_images_raises(monkeypatch):
     made = _count_products(monkeypatch, group)
     f = units[1] * units[1]
     product = f * units[1]
-    assert len(made) == _pairs_within_degree(units[1], units[1]) + _pairs_within_degree(
+    assert len(made) == _pairs_multiplied(units[1], units[1]) + _pairs_multiplied(
         f, units[1])
     assert product.terms == reference_word_image(parse_word("bbb", 2), units).terms
 
