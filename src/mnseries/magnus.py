@@ -12,7 +12,7 @@ from operator import itemgetter
 
 from .groups import NotInMonoidError
 from .report import Report, outcome
-from .scalars import QQ, RationalField, TupleValue, normal_rational
+from .scalars import QQ, TupleValue, normal_rational
 from .series import GradedSeries, shared_products, unit_generators
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -222,31 +222,23 @@ def word_images(words, units) -> list:
     each word extends its longest evaluated prefix, left to right, letter
     by letter, and a repeated word is one image.
 
-    Over Q the words are evaluated on integers. A system over Q acts
-    trivially, so scalars commute with every product. For a unit u with d
-    the least common denominator of its coefficients, letter i is the
-    series U = d * u with the scale 1/d, and i' is V = U0^(D+1) * U^-1 with
-    the scale d / U0^(D+1), U0 the identity coefficient of U; U and V are
-    integral when the twists are. A word's image is the product of its
-    letters' series, and scale() by the product of their scales makes its
-    coefficients, one exact ratio per distinct numerator.
+    No letter reads the field: cleared() puts each letter's value on
+    integers, as (d, d * value) over Q and (1, value) over any other field,
+    and the letter is that series with the scale 1/d. Over Q a system acts
+    trivially, so scalars commute with every product. A word's image is the
+    product of its letters' series, and scale() by the product of their
+    scales makes its coefficients, one exact ratio per distinct numerator.
 
     The products run under series.shared_products, so each group product of
     the evaluation is made once; the table goes when the evaluation ends."""
     first = units[0]
-    on_integers = isinstance(first.field, RationalField)
 
     @functools.cache
     def letter(sym, sign):
         # the letter's series and scale, whose product is its value; an int
         # scale, as every scale of the Magnus letters is, multiplies as one
-        if not on_integers:
-            return (units[sym] if sign == 1 else units[sym].invert()), 1
-        d, cleared = units[sym].cleared()
-        if sign == 1:
-            return cleared, normal_rational(Fraction(1, d))
-        power, inverse = cleared.scaled_inverse()
-        return inverse, normal_rational(Fraction(d, power))
+        d, series = (units[sym] if sign == 1 else units[sym].invert()).cleared()
+        return series, normal_rational(Fraction(1, d))
 
     images = {(): (GradedSeries.one(first.context, first.degree, first.field, first.system), 1)}
     with shared_products(first.context):

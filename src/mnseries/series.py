@@ -45,6 +45,13 @@ class NoTruncatedInverseError(ValueError):
     ungraded)."""
 
 
+def _check_degree(degree):
+    """Refuse a truncation degree that is not a nonnegative int (a bool is
+    not one)."""
+    if type(degree) is not int or degree < 0:
+        raise ValueError(f"degree must be a nonnegative int, got {degree!r}")
+
+
 class SubgroupRing(TupleValue):
     """Ungraded support context over a named subgroup: finite-support exact
     mode. The coefficients of regrouped series are series over it, and tag
@@ -171,11 +178,9 @@ class GradedSeries(TupleValue):
     _fields = ("context", "degree", "terms", "field", "system")
 
     def __new__(cls, context, degree, terms, field, system=None):
-        degree = int(degree)
+        _check_degree(degree)
         if system is not None and system.is_trivial:
             system = None
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
         if system is not None and system.group != group_of(context):
             raise ContextMismatchError(
                 f"crossed system {system.id} does not act on context {context.id}"
@@ -372,12 +377,13 @@ class GradedSeries(TupleValue):
 
     def truncated(self, new_degree: int):
         """Explicit copy at a lower degree; refuses to drop nothing silently."""
+        _check_degree(new_degree)
         if new_degree > self.degree:
             raise ValueError(f"cannot truncate degree {self.degree} to the higher "
                              f"degree {new_degree}")
         grade = self.context.grade
         return self._with({g: c for g, c in self.terms.items() if grade(g) <= new_degree},
-                          int(new_degree))
+                          new_degree)
 
     def invert(self):
         """Truncated two-sided inverse, defined when the identity coefficient
@@ -389,82 +395,56 @@ class GradedSeries(TupleValue):
         termwise on the right (quotient-system coefficients do not commute).
         The terms of g * m of weight w read only the layers of g below w, so
         each finished layer below the degree, times m, feeds the layers above
-        it.
+        it. The identity term comes first.
 
-        Over Q the layers are kept on integers. With d the least common
-        denominator of f's coefficients, F = d * f is integral, U = d * u,
-        and layer w of g is d * A_w / U^(w+1) for the numerators A_0 = 1 and
-        A_w = sum over j < w of (A_j * M)_w * U^(w-1-j), where M = U * 1 - F
-        is the negated positive part of F. The identity is Q's only
-        automorphism, so a system over Q acts trivially and the scalars
-        commute with the product. Each A_j * M is one series product, and
-        the coefficients of layer w are made as one exact ratio
-        d * a / U^(w+1) per distinct numerator a of A_w, an int when it is
-        integral, which the terms with that numerator share. A_w holds
-        Fractions only when a twist is not an integer."""
-        ident = self.context.identity()
-        field = self.field
-        u_inv = field.inv(self._identity_unit())
-        if isinstance(field, RationalField):
-            d, cleared = self.cleared()
-            layers, powers = cleared._numerator_layers()
-            # layer 0 is the identity times d / U = u^-1; each layer's
-            # numerators repeat heavily, so each distinct one's ratio is made once
-            terms = {ident: u_inv}
-            for w in range(1, len(layers)):
-                _exact_ratios(terms, layers[w], d, powers[w + 1])
-            return self._with(terms)
-        m = self._with({g: -(c * u_inv) for g, c in self.terms.items() if g != ident})
-        terms = {}
-        for layer in self._inverse_layers(u_inv, m, None):
-            terms.update(layer)
-        return self._with(terms)
-
-    def cleared(self):
-        """Over Q: (d, d * self) for d the least common denominator of the
-        coefficients, so the series has integer coefficients."""
-        d = lcm(*map(_denominator, self.terms.values()))
-        return d, self._with({g: c.numerator * (d // c.denominator) for g, c in self.terms.items()})
-
-    def scaled_inverse(self):
-        """Over Q, for a series with integer coefficients and identity
-        coefficient U, refused as invert refuses it: (U^(D+1), the series
-        U^(D+1) * self^-1). Layer w of the inverse is A_w / U^(w+1), so the
-        series has the terms A_w * U^(D-w), integers when the twists are,
-        with the identity's first."""
-        self._identity_unit()
-        layers, powers = self._numerator_layers()
-        degree = self.degree
-        terms = {}
-        for w, layer in enumerate(layers):
-            power = powers[degree - w]
-            for g, a in layer.items():
-                terms[g] = a * power
-        return powers[-1], self._with(terms)
-
-    def _identity_unit(self):
-        """The identity coefficient, or NoTruncatedInverseError when the
-        context is ungraded or the coefficient is zero."""
-        if not self.context.graded:
+        Over Q the layers are kept on integers. With (d, F) = cleared(),
+        F = d * f is integral, U = d * u, and layer w of g is d * A_w /
+        U^(w+1) for the numerators A_0 = 1 and A_w = sum over j < w of
+        (A_j * M)_w * U^(w-1-j), where M = U * 1 - F is the negated positive
+        part of F. The identity is Q's only automorphism, so a system over Q
+        acts trivially and the scalars commute with the product. Each A_j * M
+        is one series product, and the coefficients of every layer, layer 0
+        included, are made as one exact ratio d * a / U^(w+1) per distinct
+        numerator a of A_w, an int when it is integral, which the terms with
+        that numerator share. A_w holds Fractions only when a twist is not an
+        integer."""
+        ctx, field = self.context, self.field
+        if not ctx.graded:
             raise NoTruncatedInverseError(
                 "no truncated inverse: ungraded context has no positive-weight split"
             )
+        ident = ctx.identity()
         u = self.identity_coefficient()
         if not u:
             raise NoTruncatedInverseError("no truncated inverse: identity coefficient is zero")
-        return u
-
-    def _numerator_layers(self):
-        """For a series over Q with integer coefficients and identity
-        coefficient U: invert's numerator layers A_w, and the powers U^0 ..
-        U^(D+1)."""
-        ident = self.context.identity()
-        unit = self.terms[ident]
+        # field.inv refuses a coefficient that is not a unit, on every field
+        u_inv = field.inv(u)
+        terms = {}
+        if not isinstance(field, RationalField):
+            m = self._with({g: -(c * u_inv) for g, c in self.terms.items() if g != ident})
+            for layer in self._inverse_layers(u_inv, m, None):
+                terms.update(layer)
+            return self._with(terms)
+        d, cleared = self.cleared()
+        unit = cleared.terms[ident]
         powers = [1]
         for _ in range(self.degree + 1):
             powers.append(powers[-1] * unit)
-        m = self._with({g: -c for g, c in self.terms.items() if g != ident})
-        return self._inverse_layers(1, m, powers), powers
+        m = self._with({g: -c for g, c in cleared.terms.items() if g != ident})
+        # each layer's numerators repeat heavily, so each distinct one's
+        # ratio is made once
+        for w, layer in enumerate(self._inverse_layers(1, m, powers)):
+            _exact_ratios(terms, layer, d, powers[w + 1])
+        return self._with(terms)
+
+    def cleared(self):
+        """(d, d * self) for the least common denominator d of the
+        coefficients over Q, so the series has integer coefficients, in
+        self's term order; (1, self) over every other field."""
+        if not isinstance(self.field, RationalField):
+            return 1, self
+        d = lcm(*map(_denominator, self.terms.values()))
+        return d, self._with({g: c.numerator * (d // c.denominator) for g, c in self.terms.items()})
 
     def _inverse_layers(self, seed, m, powers):
         """invert's solution as its list of layers, entry w the nonzero terms

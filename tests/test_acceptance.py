@@ -13,6 +13,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -483,6 +484,10 @@ PINNED_CONSOLE_REPORTS = (
     # non-integral ratios of the integer layers; the digest was computed by
     # the Fraction loop that the integer layers replaced
     (("expand", "--series-file", "heis-q.mns", "--invert"), 0, "2a11e823e16d5c47"),
+    # a free:2 unit of the prefix-code shape x, yu, yvw with identity
+    # coefficient 2 and terms +-1/2: each layer's terms share one exact
+    # ratio per distinct numerator, layer 0's included
+    (("expand", "--series-file", "prefix.mns", "--invert"), 0, "5084f967879fe74e"),
 )
 
 # the 447-byte free:2 series 1 + (10^400 + 1)*a, as CI writes big.mns
@@ -490,20 +495,43 @@ BIGINT_SERIES = f"monoid=free:2 D=12 crossed=trivial\n0\t1\t1\n1\ta\t{10 ** 400 
 # heis-q.mns, as CI writes it
 HEIS_Q_SERIES = ("monoid=heis D=12 crossed=trivial\n0\tH(0,0,0)\t2/3\n1\tH(0,1,0)\t3/4\n"
                  "1\tH(1,0,0)\t-1/2\n2\tH(1,1,1)\t5/6\n")
+# prefix.mns, as CI writes it
+PREFIX_SERIES = "monoid=free:2 D=12 crossed=trivial\n0\t1\t2\n1\ta\t1/2\n2\tba\t-1/2\n3\tbba\t1/2\n"
 
 
 @pytest.mark.parametrize("argv,code,digest", PINNED_CONSOLE_REPORTS,
                          ids=("z2-sign-twist", "quadratic-conj-Z", "expand-twist",
                               "wreath-16-seed-5", "magnus-D5", "magnus-D1", "group-algebra-D0",
-                              "group-algebra-bigint", "expand-bigint", "expand-heis-q"))
+                              "group-algebra-bigint", "expand-bigint", "expand-heis-q",
+                              "expand-prefix"))
 def test_console_script_digests(argv, code, digest, tmp_path, monkeypatch):
     [twist] = [text for name, text, _ in PINNED_EXPANDS if name == "twist-inv.mns"]
     (tmp_path / "twist.mns").write_text(twist)
     (tmp_path / "big.mns").write_text(BIGINT_SERIES)
     (tmp_path / "heis-q.mns").write_text(HEIS_Q_SERIES)
+    (tmp_path / "prefix.mns").write_text(PREFIX_SERIES)
     monkeypatch.chdir(tmp_path)
     got, out = _run_captured(argv)
     assert (got, _parse_report(out)["digest"]) == (code, digest)
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+
+
+def test_every_pinned_console_digest_is_mirrored_here():
+    # each "expect <exit> <digest>" line of the workflow's console-script
+    # step is run in process by the tests above, so a pin changed in one
+    # place only fails here
+    if not WORKFLOW.is_file():
+        pytest.skip("no workflow file beside the tests")
+    pins = re.findall(r"^\s*expect (\d+) ([0-9a-f]{16}) ", WORKFLOW.read_text(), re.M)
+    mirrored = {(code, digest) for _, code, digest in PINNED_CONSOLE_REPORTS}
+    mirrored |= {(0, digest) for _, digest in PINNED_PINGPONG_CEILING}
+    # the pattern reads at least as many pins as are mirrored
+    assert len(pins) >= len(PINNED_CONSOLE_REPORTS)
+    missing = [(int(code), digest) for code, digest in pins
+               if (int(code), digest) not in mirrored]
+    assert not missing
 
 
 def test_digit_runs_past_the_limit_are_usage_errors(tmp_path, capsys):

@@ -16,7 +16,7 @@ weight at most L*w (w the largest weight in the pair), fewer than the
 weight of heis is additive, so at D = L*w no term of a positive word's image
 is truncated and the dependency is an exact relation.
 
-Four metamorphic relations hold whatever the code computes: the rank and
+Five metamorphic relations hold whatever the code computes: the rank and
 column count do not depend on the nonzero scalars c and d of the units
 1 + c*x and 1 + d*y (rescaling the generators is a graded automorphism of
 the algebra the pair spans); bs12, wreath and free:2, whose monoids are
@@ -24,7 +24,8 @@ free on their two generators, give equal counts at equal (L, D);
 truncation is a ring map, so words verified independent at (L, D) stay so
 at (L, D+1) and their subset at (L-1, D); and for integer c and d the
 images have integer coefficients, so their rank mod p is at most their
-rank over Q.
+rank over Q; and the verify-monoid and pingpong verdicts are monotone in
+L, as a longer bound only adds longer words.
 """
 
 from fractions import Fraction
@@ -32,7 +33,7 @@ from fractions import Fraction
 import pytest
 
 from mnseries.crossed import z2_sign_twist
-from mnseries.freeness import group_algebra_independence
+from mnseries.freeness import free_monoid_check, group_algebra_independence, pingpong_check
 from mnseries.groups import Heisenberg, HeisenbergElement, LatticeGroup, SemidirectGroup, WreathGroup
 from mnseries.linalg import rank_and_left_nullspace
 from mnseries.magnus import enumerate_reduced_words, free_monoid, parse_word, word_images
@@ -193,3 +194,50 @@ def test_positive_words_in_q_heis_are_exactly_dependent(v_powers, max_length, de
     for image, exact in zip(images, _positive_word_images(v_terms, max_length, 2 * degree)[1]):
         assert exact.terms == image.terms
         assert max(HEIS.grade(g) for g in exact.terms) <= degree
+
+
+# --- verify-monoid and pingpong: verdicts monotone in L ----------------------
+
+def _heis_monoid_ball(max_length):
+    """The heis monoid elements that words of length at most L in x and y
+    reach: a word with a letters x and b letters y lands on H(a, b, c), and
+    c, which counts the pairs of the word in one order, takes every value
+    0..a*b."""
+    return sum(a * (n - a) + 1 for n in range(max_length + 1) for a in range(n + 1))
+
+
+@pytest.mark.parametrize("group, first_collision, witness, ball", [
+    (SemidirectGroup(), None, None, None),
+    (WreathGroup(), None, None, None),
+    (HEIS, 4, ["xyyx", "yxxy"], _heis_monoid_ball),
+    (Z2, 2, ["xy", "yx"], lambda n: (n + 1) * (n + 2) // 2),
+], ids=("bs12", "wreath", "heis", "z2"))
+def test_free_monoid_verdicts_are_monotone_in_the_length(group, first_collision, witness, ball):
+    # the words are enumerated shortest first, so a collision found at L is
+    # the first one at every larger L, and the elements reached only grow
+    counts = []
+    for max_length in range(9):
+        report = free_monoid_check(group, group.monoid_generators(), max_length)
+        words = 2 ** (max_length + 1) - 1
+        if first_collision is None or max_length < first_collision:
+            assert report.verified and report.witness is None, max_length
+            assert report.details["elements"] == words, max_length
+        else:
+            assert not report.verified and report.witness["words"] == witness, max_length
+            assert report.details["elements"] == ball(max_length) < words, max_length
+        counts.append(report.details["elements"])
+    assert counts == sorted(counts)
+    if group is HEIS:
+        assert counts[4:] == [30, 56, 98, 162, 255]
+
+
+@pytest.mark.parametrize("ratio, translation", [(2, 1), (3, 1), (2, -1), (2, Fraction(1, 3))],
+                         ids=("r2-t1", "r3-t1", "r2-t-1", "r2-t1/3"))
+def test_pingpong_is_verified_at_every_length(ratio, translation):
+    # the orbit of the seed under words of length at most L has one element
+    # per word, each checked once
+    group = SemidirectGroup(ratio, translation)
+    for max_length in range(11):
+        report = pingpong_check(group, max_length)
+        assert report.verified and report.witness is None, max_length
+        assert report.details["checked"] == 2 ** (max_length + 1) - 1, max_length

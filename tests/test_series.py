@@ -435,6 +435,66 @@ def test_series_validation():
     assert not f
 
 
+# a float, a string and a bool read once as degrees 2, 3 and 1, and
+# truncated(-1) built a series whose header from_text refuses
+@pytest.mark.parametrize("degree", [-1, 2.5, 2.7, "3", True, False, None],
+                         ids=("negative", "half", "float", "str", "true", "false", "none"))
+def test_a_degree_that_is_not_a_nonnegative_int_is_refused(degree):
+    message = re.escape(f"degree must be a nonnegative int, got {degree!r}")
+    with pytest.raises(ValueError, match=message):
+        GradedSeries(HEIS, degree, {X: Fraction(1, 2)}, QQ)
+    f = GradedSeries(HEIS, 3, {HEIS.identity(): 1, X: Fraction(1, 2)}, QQ)
+    with pytest.raises(ValueError, match=message):
+        f.truncated(degree)
+    assert f.truncated(0) == GradedSeries.one(HEIS, 0, QQ)
+
+
+def _regrouped_heis_series():
+    ident = HEIS.identity()
+    return regroup(GradedSeries(HEIS, 3, {ident: 2, X: Fraction(1, 2),
+                                          HeisenbergElement(1, 1, 1): -3}, QQ), "center")
+
+
+@pytest.mark.parametrize("spec", ["Fp:5", "Qsqrt:2", "center"])
+def test_cleared_is_the_series_itself_off_q(spec):
+    if spec == "center":
+        f = _regrouped_heis_series()
+    else:
+        f = random_series(HEIS, 3, scalars.field_from_spec(spec), random.Random(4), unit=True)
+    assert len(f.terms) > 1 and f.field != QQ
+    d, cleared = f.cleared()
+    assert d == 1 and cleared is f
+
+
+def test_cleared_over_q_takes_the_least_common_denominator():
+    ident = HEIS.identity()
+    xy = HeisenbergElement(1, 1, 0)
+    f = GradedSeries(HEIS, 3, {ident: Fraction(2, 3), X: Fraction(-3, 4), Y: 5,
+                               xy: Fraction(1, 6)}, QQ)
+    d, cleared = f.cleared()
+    assert d == 12
+    assert list(cleared.terms.items()) == [(ident, 8), (X, -9), (Y, 60), (xy, 2)]
+    assert all(type(c) is int for c in cleared.terms.values())
+    assert cleared == f.scale(12)
+    rng = random.Random(11)
+    for _ in range(40):
+        g = random_series(HEIS, 4, QQ, rng, unit=True)
+        d, cleared = g.cleared()
+        assert all(type(c) is int for c in cleared.terms.values())
+        assert cleared == g.scale(d) and list(cleared.terms) == list(g.terms)
+        # no proper divisor of d clears every coefficient
+        assert all(any((c * (d // p)).denominator != 1 for c in g.terms.values())
+                   for p in range(2, d + 1) if d % p == 0)
+
+
+def test_cleared_over_q_keeps_an_integral_series():
+    ident = HEIS.identity()
+    f = GradedSeries(HEIS, 3, {ident: -2, X: Fraction(6, 3), Y: 7}, QQ)
+    d, cleared = f.cleared()
+    assert d == 1 and cleared.terms == f.terms == {ident: -2, X: 2, Y: 7}
+    assert list(cleared.terms) == list(f.terms)
+
+
 def test_summable_sum():
     m1 = FreeMonoid(1)
     parts = [
